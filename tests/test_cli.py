@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +150,16 @@ class TestScriptEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "expected" \
+    / "files"
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("sub", list(SUBCOMMAND_MAP))
+    def test_default_report_matches_frozen_bytes(self, sub, tmp_path):
+        # the frozen reports are read in place from the benchmark's fixtures
+        out = tmp_path / f"{sub}.csv"
+        assert main([sub, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"{sub}.csv").read_bytes()
