@@ -287,11 +287,11 @@ def run_code(args, tol):
     cap = coding.channel_rate_cap(channel, mu_a, args.eps, 0.5, 0.5)
     max_rate = max(0, int(np.floor(cap)))
     rep = coding.ea_channel_code(channel, mu_a, max_rate, args.eps, 0.5, 0.5,
-                                 a=4, n=args.n, seed=args.seed)
+                                 a=4, n=args.n)
     refused = False
     try:
         coding.ea_channel_code(channel, mu_a, max_rate + 1, args.eps, 0.5,
-                               0.5, a=4, n=args.n, seed=args.seed)
+                               0.5, a=4, n=args.n)
     except ValueError:
         refused = True
     budget = coding.entanglement_budget(2, 0.5, rep.delta_surrogate)
@@ -469,9 +469,6 @@ def _resolve(args):
 def run(args):
     """Execute one subcommand; returns (exit status, records)."""
     resolved = _resolve(args)
-    threads = os.environ.get("ONESHOT_QIT_THREADS")
-    if threads is not None and int(threads) < 1:
-        raise ValueError("ONESHOT_QIT_THREADS must be a positive integer")
     started = time.monotonic()
     records = RUNNERS[args.command](resolved, resolved.tolerance_scale)
     elapsed = time.monotonic() - started

@@ -17,17 +17,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexsplit import (PrimeRegister, _lift_classical_input,
-                          _u_ell_host_permutation, hw_family,
-                          pairwise_family)
+from .convexsplit import (PrimeRegister, _lift_classical_input, _rotate_host,
+                          hw_family, pairwise_family)
 from .entropy import _threshold_test, dh_eps, dmax, imax
-from .flatten import (PrimeEnsemble, _w_permutation_matrix, check_unembezzle,
+from .flatten import (PrimeEnsemble, _support_index, check_unembezzle,
                       embezzling_state, harmonic_sum,
                       purified_embezzle_fidelity, round_spectrum,
-                      w_b_permutation)
+                      unitary_flatten_W)
 from .registers import (DensityOperator, PureState, RegisterSystem,
-                        _as_density, maximally_mixed, partial_trace,
-                        permute_registers, tensor)
+                        _as_density, act, maximally_mixed, pair_index,
+                        partial_trace, permute_basis, permute_registers,
+                        tensor)
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,6 @@ class QuantumChannel:
             acc += k.conj().T @ k
         if float(np.max(np.abs(acc - np.eye(self.input_dim)))) > 1e-9:
             raise ValueError("Kraus operators are not trace preserving")
-
-    def apply_matrix(self, mat):
-        return sum(k @ mat @ k.conj().T for k in self.kraus)
 
 
 def identity_channel(dim=2):
@@ -91,16 +88,12 @@ def apply_channel(channel, state, labels):
                          f"channel expects {channel.input_dim}")
     if channel.output_dim != channel.input_dim:
         raise ValueError("register-relabeling channels need equal dimensions")
-    rest = [lab for lab in state.system.labels if lab not in labels]
-    moved = permute_registers(state, labels + rest)
-    d_rest = moved.system.total_dim // d_act
-    acc = np.zeros_like(moved.matrix)
+    axes = state.system.axes(labels)
+    acc = np.zeros_like(state.matrix)
     for k in channel.kraus:
-        big = np.kron(k, np.eye(d_rest))
-        acc += big @ moved.matrix @ big.conj().T
-    out = DensityOperator(moved.system, acc, subnormalized=state.subnormalized,
-                          validate=False)
-    return permute_registers(out, state.system.labels)
+        acc += act(state.matrix, k, state.system.dims, axes)
+    return DensityOperator(state.system, acc, subnormalized=state.subnormalized,
+                           validate=False)
 
 
 def neyman_pearson_operator(rho, sigma, eps):
@@ -229,12 +222,10 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
         d_b * 2 * c_dim, d_b * 2 * c_dim)
     omega_lift = np.kron(om_bqc, np.eye(c_dim * g))
 
-    rotated_tests, taus = [], []
-    for ell in subset:
-        perm = _u_ell_host_permutation(ell, prime_reg, g)
-        big = np.kron(np.eye(d_b), perm)
-        rotated_tests.append(big @ omega_lift @ big.conj().T)
-        taus.append(big @ state.matrix @ big.conj().T)
+    dims = state.system.dims
+    rotated_tests = [_rotate_host(omega_lift, dims, ell, prime_reg)
+                     for ell in subset]
+    taus = [_rotate_host(state.matrix, dims, ell, prime_reg) for ell in subset]
     povm = hayashi_nagaoka_povm(rotated_tests, labels=subset)
     successes = {ell: float(np.real(np.trace(povm.elements[ell] @ tau)))
                  for ell, tau in zip(subset, taus)}
@@ -261,7 +252,6 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
     c_label = psi.system.labels[-1]
-    c_dim = psi.system.dim_of(c_label)
 
     flat = round_spectrum(omega_c, gamma, "down")
     if a != flat.e_dim:
@@ -286,52 +276,22 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
 
     # Omega in the sigma eigenbasis, moved by W, compressed to supp (x) D
     omega, _ = neyman_pearson_operator(psi, ref, eps)
-    rot = np.kron(np.eye(r_dim), flat.basis)
-    omega_rot = rot.conj().T @ omega @ rot
+    c_axis = len(psi.system) - 1
+    omega_rot = act(omega, flat.basis.conj().T, psi.system.dims, [c_axis])
     e_dim = flat.e_dim
     om_ced = np.kron(omega_rot, np.eye(e_dim * d_dim))  # order (B, C, E, D)
-    w_big = np.kron(np.eye(r_dim), _w_permutation_matrix(flat, a, n, d_dim=d_dim))
-    om_moved = w_big @ om_ced @ w_big.T
-    pairs = flat.support_pairs()
-    sel = np.zeros((c_dim * e_dim, s_dim))
-    for s, (ci, ei) in enumerate(pairs):
-        sel[ci * e_dim + ei, s] = 1.0
-    sel_big = np.kron(np.eye(r_dim), np.kron(sel, np.eye(d_dim)))
-    om_supp = sel_big.T @ om_moved @ sel_big    # on (B, S, D)
+    om_supp = permute_basis(om_ced, _support_index(flat, a, n, d_dim),
+                            psi.system.dims + (e_dim, d_dim),
+                            [c_axis, c_axis + 1, c_axis + 2])   # on (B, S, D)
 
     # embed into (B, F1, D), the q = 1 tail of F1 included, then add F2
-    def f1_triple(i):
-        if i < s_dim * s_dim:
-            return 0, i // s_dim, i % s_dim
-        t = i - s_dim * s_dim
-        return 1, t // s_dim, t % s_dim
-
-    om_supp_r = om_supp.reshape(r_dim, s_dim, d_dim, r_dim, s_dim, d_dim)
-    dim_bfd = r_dim * f_prime * d_dim
-    om_f1 = np.zeros((dim_bfd, dim_bfd), dtype=complex)
-    for i in range(f_prime):
-        qi, x0i, x1i = f1_triple(i)
-        for i2 in range(f_prime):
-            qj, x0j, x1j = f1_triple(i2)
-            if qi != qj or x1i != x1j:
-                continue
-            blk = om_supp_r[:, x0i, :, :, x0j, :].reshape(r_dim * d_dim,
-                                                          r_dim * d_dim)
-            rows = ((np.arange(r_dim) * f_prime + i)[:, None] * d_dim
-                    + np.arange(d_dim)[None, :]).reshape(-1)
-            cols = ((np.arange(r_dim) * f_prime + i2)[:, None] * d_dim
-                    + np.arange(d_dim)[None, :]).reshape(-1)
-            om_f1[np.ix_(rows, cols)] += blk
-    om_full = np.kron(om_f1, np.eye(f_prime))
+    om_full = np.kron(ens.embed_f1(om_supp, np.eye(2)), np.eye(f_prime))
 
     s_sum = np.zeros_like(om_full)
     perms = {}
     for ell in subset:
-        perm = ens.permutation(ell)
-        perms[ell] = perm
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(ens.dim_full)
-        s_sum += om_full[np.ix_(inv, inv)]
+        perms[ell] = ens.permutation(ell)
+        s_sum += ens.rotate(om_full, ell)
     vals, vecs = np.linalg.eigh(s_sum)
     pos = vals > 1e-12
     u_pos = vecs[:, pos]
@@ -436,16 +396,8 @@ def channel_rate_cap(channel, psi_a, eps, gamma, delta_prime):
     return dh.value - penalty
 
 
-def _perm_matrix_from_pairs(table, dim_a, dim_b):
-    """Dense permutation on A (x) B from a dict (a, b) -> (a2, b2)."""
-    mat = np.zeros((dim_a * dim_b, dim_a * dim_b))
-    for (ai, bi), (aj, bj) in table.items():
-        mat[aj * dim_b + bj, ai * dim_b + bi] = 1.0
-    return mat
-
-
 def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
-                    trials=None, seed=0, enforce_cap=True):
+                    enforce_cap=True):
     """Exact simulation of the flattened entanglement-assisted channel code.
 
     ``psi_a`` is Alice's channel-input state: either the single-register
@@ -498,7 +450,6 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     d_dim = d_size + 1
 
     # shared resource |sigma>_AC (x) |xi^{a:n}>_{D'D} (x) |00>_{E'E}
-    sigma_tilde = (v_basis * q) @ v_basis.conj().T      # A-side grid state
     sigma_amp = (v_basis * np.sqrt(q)) @ v_basis.conj().T
     xi = embezzling_state(a, n)
     xi_pairs = xi.purification_vector(d_dim).reshape(d_dim, d_dim)
@@ -506,24 +457,17 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     init = np.zeros(shape, dtype=complex)
     init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", sigma_amp, xi_pairs)
 
-    # controlled flattening permutations; A controls in v, C in conj(v)
-    def controlled_w(basis):
-        out = np.zeros((d_a * e_dim * d_dim,) * 2, dtype=complex)
-        for c in range(d_a):
-            b = counts[c]
-            if b >= 1:
-                table = w_b_permutation(b, d_dim, e_dim)
-                perm = _perm_matrix_from_pairs(
-                    {(e, j): (e2, j2) for (j, e), (j2, e2) in table.items()},
-                    e_dim, d_dim)
-            else:
-                perm = np.eye(e_dim * d_dim)
-            proj = np.outer(basis[:, c], basis[:, c].conj())
-            out += np.kron(proj, perm)
-        return out
+    # controlled flattening permutation W = (V (x) I) P_W (V^dag (x) I) on
+    # (control, E, D) with P_W the index map of unitary_flatten_W; A controls
+    # in v, C in conj(v).  src = argsort(w_img) conjugates as W . W^dag,
+    # src = w_img as W^dag . W.
+    w_img = pair_index(unitary_flatten_W(flat, a, n, d_dim=d_dim),
+                       (d_a, e_dim, d_dim))
 
-    w_alice = controlled_w(v_basis)
-    w_bob = controlled_w(v_basis.conj())
+    def controlled_w(mat, basis, src, dims, axis):
+        inner = act(mat, basis.conj().T, dims, [axis])
+        inner = permute_basis(inner, src, dims, [axis, axis + 1, axis + 2])
+        return act(inner, basis, dims, [axis])
 
     # support isometries on (A, E') and (C, E); conjugate-paired bases make
     # the flattened purification maximally entangled in these coordinates
@@ -551,18 +495,17 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     omega_test, _ = neyman_pearson_operator(psi_bc, tensor(psi_b, psi_c), eps)
 
     # Bob's rotated tests on (B, C, E, D)
+    bob_dims = (d_a, d_a, e_dim, d_dim)
     om_lift = np.kron(omega_test, np.eye(e_dim * d_dim))   # (B, C, E, D)
-    w_bob_big = np.kron(np.eye(d_a), w_bob)
-    om_moved = w_bob_big @ om_lift @ w_bob_big.conj().T
+    om_moved = controlled_w(om_lift, v_basis.conj(), np.argsort(w_img),
+                            bob_dims, 1)
 
     test_cache = {}
 
     def bob_test(y):
         if y not in test_cache:
-            lift = np.kron(np.eye(d_a),
-                           np.kron(lift_side(s_cols_c, hw[y].matrix),
-                                   np.eye(d_dim)))
-            test_cache[y] = lift @ om_moved @ lift.conj().T
+            test_cache[y] = act(om_moved, lift_side(s_cols_c, hw[y].matrix),
+                                bob_dims, [1, 2])
         return test_cache[y]
 
     # Alice-side encodings and the resulting Bob-side column blocks
@@ -578,10 +521,9 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     def bob_columns(y):
         """Channel-output column block for encoding rotation y."""
         if y not in enc_cache:
-            u_enc = (w_alice.conj().T
-                     @ np.kron(lift_side(s_cols_a, hw[y].matrix.T),
-                               np.eye(d_dim))
-                     @ w_alice)
+            u_enc = controlled_w(
+                np.kron(lift_side(s_cols_a, hw[y].matrix.T), np.eye(d_dim)),
+                v_basis, w_img, (d_a, e_dim, d_dim), 0)
             mat = init.reshape(d_a * e_dim * d_dim, -1)
             enc = (u_enc @ mat).reshape(shape)
             cols = []
@@ -634,7 +576,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     ent_qubits = math.log2(d_a) + math.log2(d_size)
     return CodingReport(rate, eps, delta_surrogate, delta_prime,
                         float(gamma_f), bound, max(errors), ent_qubits,
-                        branch_count if trials is None else trials)
+                        branch_count)
 
 
 def entanglement_budget(d_a, gamma, delta_surrogate):

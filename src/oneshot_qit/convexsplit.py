@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import dmax
-from .registers import (DensityOperator, RegisterSystem, _as_density,
+from .registers import (DensityOperator, RegisterSystem, _as_density, act,
                         basis_state, maximally_mixed, partial_trace,
-                        permute_registers, sqrtm_psd, tensor)
+                        permute_basis, permute_registers, sqrtm_psd, tensor)
 
 # Fixed irreducible polynomials over GF(2), low-degree-first bit encoding.
 _GF2_POLYS = {2: 0b111, 4: 0b10011, 6: 0b1000011, 8: 0b100011011}
@@ -227,22 +227,15 @@ def hw_family(d):
     return [hw_unitary(y // d, y % d, d) for y in range(d * d)]
 
 
-def one_design_average(rho, label, d=None):
+def one_design_average(rho, label):
     """(1/d^2) sum_{a,b} V_{a,b} rho V_{a,b}^dag on the named register."""
     rho = _as_density(rho)
-    d_reg = rho.system.dim_of(label)
-    if d is not None and d != d_reg:
-        raise ValueError(f"register {label!r} has dimension {d_reg}, not {d}")
-    d = d_reg
-    rest = [lab for lab in rho.system.labels if lab != label]
-    moved = permute_registers(rho, [label] + rest)
-    d_rest = moved.system.total_dim // d
-    acc = np.zeros_like(moved.matrix)
+    d = rho.system.dim_of(label)
+    axes = rho.system.axes([label])
+    acc = np.zeros_like(rho.matrix)
     for v in hw_family(d):
-        full = np.kron(v.matrix, np.eye(d_rest))
-        acc += full @ moved.matrix @ full.conj().T
-    out = DensityOperator(moved.system, acc / (d * d), validate=False)
-    return permute_registers(out, rho.system.labels)
+        acc += act(rho.matrix, v.matrix, rho.system.dims, axes)
+    return DensityOperator(rho.system, acc / (d * d), validate=False)
 
 
 @dataclass(frozen=True)
@@ -318,10 +311,6 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
     if not 1 <= n_mixed <= q:
         raise ValueError(f"N = {n_mixed} outside [1, {q}]")
 
-    rest = [lab for lab in labels if lab != c_label]
-    moved = permute_registers(psi, rest + [c_label])
-    d_rest = moved.system.total_dim // d_c
-
     psi_r = partial_trace(psi, [c_label])
     k = dmax(psi, tensor(psi_r, maximally_mixed(RegisterSystem([(c_label, d_c)]))))
     if not k.finite:
@@ -335,14 +324,12 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
     conj_cache = {}
     def conjugated(y):
         if y not in conj_cache:
-            full = np.kron(np.eye(d_rest), hw[y].matrix)
-            conj_cache[y] = full @ moved.matrix @ full.conj().T
+            conj_cache[y] = act(psi.matrix, hw[y].matrix, psi.system.dims,
+                                [len(labels) - 1])
         return conj_cache[y]
 
-    ref = tensor(permute_registers(psi_r, [lab for lab in rest if lab in psi_r.system.labels]),
-                 maximally_mixed(RegisterSystem([(c_label, d_c)]))) \
-        if len(rest) else maximally_mixed(RegisterSystem([(c_label, d_c)]))
-    ref = permute_registers(ref, rest + [c_label]) if len(rest) else ref
+    mu_c = maximally_mixed(RegisterSystem([(c_label, d_c)]))
+    ref = tensor(psi_r, mu_c) if len(labels) > 1 else mu_c
     ref_vals, ref_vecs = np.linalg.eigh(ref.matrix)
     ref_log, ref_ker = _log_of_reference(ref_vals, ref_vecs)
     ref_sqrt = sqrtm_psd(ref.matrix)
@@ -351,7 +338,7 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
     f_total = 0.0
     for x1 in range(q):
         for x2 in range(q):
-            block = np.zeros_like(moved.matrix)
+            block = np.zeros_like(psi.matrix)
             for j in members:
                 block += conjugated(family.evaluate(j, x1, x2))
             block /= n_mixed
@@ -424,35 +411,35 @@ def compose_u(first, then):
     return {k: then[v] for k, v in first.items()}
 
 
-def _u_ell_host_permutation(ell, prime_reg, g2_dim):
-    """Permutation matrix on host (x) G2 realizing u_ell on embedded indices."""
+def u_ell_index(ell, g):
+    """u_ell as an index array over the flat pairs i*g + j (vectorised)."""
+    if not 0 <= ell < g:
+        raise ValueError(f"l = {ell} out of range [0, {g})")
+    i, j = np.divmod(np.arange(g * g), g)
+    shift = (j - i) % g * ell
+    return (i + shift) % g * g + (j + shift) % g
+
+
+def _rotate_host(mat, dims, ell, prime_reg):
+    """U_l mat U_l^dag for mat on (R..., Q, C0, C1, G2); G1 sits in (Q, C0, C1)."""
     g = prime_reg.prime
-    host = prime_reg.host_dim
-    dim = host * g2_dim
-    perm = np.arange(dim)
-    table = u_ell(ell, prime_reg)
-    for i in range(g):
-        for j in range(g):
-            i2, j2 = table[(i, j)]
-            perm[prime_reg.host_index(i) * g2_dim + j] = \
-                prime_reg.host_index(i2) * g2_dim + j2
-    mat = np.zeros((dim, dim))
-    mat[perm, np.arange(dim)] = 1.0
-    return mat
+    img = np.arange(prime_reg.host_dim * g)
+    img[:g * g] = u_ell_index(ell, g)   # host_index(i) * g + j == i * g + j
+    return permute_basis(mat, np.argsort(img), dims, range(len(dims) - 4, len(dims)))
 
 
-def _lift_classical_input(psi, prime_reg, q_label="Q", c1_label="C1", g2_label="G2"):
+def _lift_classical_input(psi, prime_reg):
     """psi_RC0 (x) |0><0|_Q (x) mu_C1 (x) mu_G2, ordered (R..., Q, C0, C1, G2)."""
     psi = _as_density(psi)
     labels = psi.system.labels
     c0_label = labels[-1]
-    rest = [lab for lab in labels if lab != c0_label]
+    rest = list(labels[:-1])
     c_dim = psi.system.dim_of(c0_label)
-    q0 = basis_state(RegisterSystem([(q_label, 2)]), 0).density()
-    mu_c1 = maximally_mixed(RegisterSystem([(c1_label, c_dim)]))
-    mu_g2 = maximally_mixed(RegisterSystem([(g2_label, prime_reg.prime)]))
+    q0 = basis_state(RegisterSystem([("Q", 2)]), 0).density()
+    mu_c1 = maximally_mixed(RegisterSystem([("C1", c_dim)]))
+    mu_g2 = maximally_mixed(RegisterSystem([("G2", prime_reg.prime)]))
     state = tensor(psi, q0, mu_c1, mu_g2)
-    return permute_registers(state, rest + [q_label, c0_label, c1_label, g2_label]), rest
+    return permute_registers(state, rest + ["Q", c0_label, "C1", "G2"]), rest
 
 
 def classical_marginal_check(psi, prime_reg, m):
@@ -464,8 +451,8 @@ def classical_marginal_check(psi, prime_reg, m):
     state, rest = _lift_classical_input(psi, prime_reg)
     g = prime_reg.prime
     host = prime_reg.host_dim
-    perm = _u_ell_host_permutation(m, prime_reg, g)
-    rotated = apply_host_g2(state, perm, host, g, len(rest))
+    rotated = DensityOperator(state.system, _rotate_host(
+        state.matrix, state.system.dims, m, prime_reg), validate=False)
     marg = partial_trace(rotated, ["G2"])
     psi_r = partial_trace(psi, [c0_label])
     mu_g1 = np.zeros((host, host))
@@ -474,14 +461,6 @@ def classical_marginal_check(psi, prime_reg, m):
         mu_g1[hi, hi] = 1.0 / g
     target = np.kron(psi_r.matrix, mu_g1) if len(rest) else mu_g1
     return float(np.linalg.norm(marg.matrix - target))
-
-
-def apply_host_g2(state, perm_mat, host_dim, g2_dim, n_rest):
-    """Conjugate the trailing host (x) G2 block of ``state`` by a permutation."""
-    d_rest = state.system.total_dim // (host_dim * g2_dim)
-    full = np.kron(np.eye(d_rest), perm_mat)
-    return DensityOperator(state.system, full @ state.matrix @ full.conj().T,
-                           validate=False)
 
 
 def convex_split_classical(psi, subset, prime=None):
@@ -513,9 +492,7 @@ def convex_split_classical(psi, subset, prime=None):
     host = reg.host_dim
     acc = np.zeros_like(state.matrix)
     for ell in subset:
-        perm = _u_ell_host_permutation(ell, reg, g)
-        rotated = apply_host_g2(state, perm, host, g, len(rest))
-        acc += rotated.matrix
+        acc += _rotate_host(state.matrix, state.system.dims, ell, reg)
     tau = DensityOperator(state.system, acc / n_mixed, validate=False)
 
     mu_g1 = np.zeros((host, host))

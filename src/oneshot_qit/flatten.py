@@ -21,10 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .convexsplit import (ConvexSplitReport, hw_family, next_prime_in,
-                          pairwise_family, u_ell, _factor_prime_power)
+                          pairwise_family, u_ell_index, _factor_prime_power)
 from .entropy import dmax
-from .registers import (DensityOperator, RegisterSystem, _as_density,
-                        partial_trace, permute_registers, tensor)
+from .registers import (DensityOperator, RegisterSystem, _as_density, act,
+                        lift_index, pair_index, partial_trace, permute_basis,
+                        reorder, tensor)
 
 
 def harmonic_sum(a, n):
@@ -302,16 +303,17 @@ def unitary_flatten_W(flat, a, n, d_dim=None):
     return table
 
 
-def _w_permutation_matrix(flat, a, n, d_dim=None):
-    """Dense permutation matrix of unitary_flatten_W on (C, E, D) kron order."""
-    d_dim = n + 1 if d_dim is None else d_dim
-    e_dim, c_dim = flat.e_dim, flat.c_dim
-    dim = c_dim * e_dim * d_dim
-    table = unitary_flatten_W(flat, a, n, d_dim=d_dim)
-    mat = np.zeros((dim, dim))
-    for (c, e, j), (c2, e2, j2) in table.items():
-        mat[(c2 * e_dim + e2) * d_dim + j2, (c * e_dim + e) * d_dim + j] = 1.0
-    return mat
+def _support_index(flat, a, n, d_dim):
+    """Gather index on (C, E, D) of W . W^dag compressed to supp(sigma_CE) (x) D.
+
+    permute_basis(mat, _support_index(...), dims, (C, E, D) axes) equals
+    S^dag W mat W^dag S, with S the isometry onto the support pairs (x) D.
+    """
+    dims = (flat.c_dim, flat.e_dim, d_dim)
+    w_img = pair_index(unitary_flatten_W(flat, a, n, d_dim=d_dim), dims)
+    pairs = np.array([c * flat.e_dim + e for c, e in flat.support_pairs()])
+    supp = (pairs[:, None] * d_dim + np.arange(d_dim)).reshape(-1)
+    return np.argsort(w_img)[supp]
 
 
 def _moved_state(psi, flat, a, n, d_dim=None):
@@ -322,50 +324,31 @@ def _moved_state(psi, flat, a, n, d_dim=None):
     sets the D register dimension (default n + 1, labels 0..n).
     """
     psi = _as_density(psi)
-    labels = psi.system.labels
-    c_label = labels[-1]
-    rest = [lab for lab in labels if lab != c_label]
+    k = len(psi.system) - 1          # position of C
+    c_label = psi.system.labels[k]
     c_dim = psi.system.dim_of(c_label)
     if c_dim != flat.c_dim:
         raise ValueError("C dimension mismatch with the flattened spectrum")
-    moved = permute_registers(psi, rest + [c_label])
-    d_rest = moved.system.total_dim // c_dim
-    rot = np.kron(np.eye(d_rest), flat.basis.conj().T)
-    psi_rot = rot @ moved.matrix @ rot.conj().T
+    psi_rot = act(psi.matrix, flat.basis.conj().T, psi.system.dims, [k])
 
     e_dim = flat.e_dim
     d_dim = n + 1 if d_dim is None else d_dim
     if d_dim < n + 1:
         raise ValueError(f"D register of dim {d_dim} cannot hold labels up to {n}")
-    xi = embezzling_state(a, n)
-    xi_diag = xi.weight_vector(d_dim)
-
-    pairs = flat.support_pairs()
-    s_index = {pair: s for s, pair in enumerate(pairs)}
-    table = unitary_flatten_W(flat, a, n, d_dim=d_dim)
-    big = len(pairs) * d_dim
-    out = np.zeros((d_rest * big, d_rest * big), dtype=complex)
+    xi_diag = embezzling_state(a, n).weight_vector(d_dim)
+    d_rest = psi_rot.shape[0] // c_dim
     psi_blocks = psi_rot.reshape(d_rest, c_dim, d_rest, c_dim)
-    # psi_rot (x) |0><0|_E (x) xi has support on (c, 0, j); W maps basis states.
-    # out is (rest-major, SD-minor): row rest*big + s*d_dim + j.
     for c in range(c_dim):
-        if flat.counts[c] == 0:
-            mass = float(np.linalg.norm(psi_blocks[:, c, :, c]))
-            if mass > 1e-9:
-                raise ValueError("state has support outside the flattened spectrum")
-            continue
-        for c2 in range(c_dim):
-            if flat.counts[c2] == 0:
-                continue
-            blk = psi_blocks[:, c, :, c2]
-            for j in range(a, n + 1):
-                (_, e_a, j_a) = table[(c, 0, j)]
-                (_, e_b, j_b) = table[(c2, 0, j)]
-                ia = s_index[(c, e_a)] * d_dim + j_a
-                ib = s_index[(c2, e_b)] * d_dim + j_b
-                out[ia::big, ib::big] += blk * xi_diag[j]
-    psi_r = partial_trace(psi, [c_label]) if rest else None
-    return out, psi_r, pairs
+        if flat.counts[c] == 0 and \
+                float(np.linalg.norm(psi_blocks[:, c, :, c])) > 1e-9:
+            raise ValueError("state has support outside the flattened spectrum")
+    e0 = np.zeros((e_dim, e_dim))
+    e0[0, 0] = 1.0
+    lifted = np.kron(psi_rot, np.kron(e0, np.diag(xi_diag)))   # (R, C, E, D)
+    out = permute_basis(lifted, _support_index(flat, a, n, d_dim),
+                        psi.system.dims + (e_dim, d_dim), [k, k + 1, k + 2])
+    psi_r = partial_trace(psi, [c_label]) if k else None
+    return out, psi_r, flat.support_pairs()
 
 
 class _KronDiagRef:
@@ -381,7 +364,6 @@ class _KronDiagRef:
 
     def rel_entropy_of(self, rho):
         """D(rho || kron(A, diag(w))) in bits; inf on support violation."""
-        d = self.a_dim * self.w_dim
         rho_r = rho.reshape(self.a_dim, self.w_dim, self.a_dim, self.w_dim)
         # mass outside supp(w)
         wa = self.w > 1e-14
@@ -442,7 +424,6 @@ def convex_split_flat_1design(psi, omega, gamma, n_mixed, a=None, n=None, seed=0
     """
     psi = _as_density(psi)
     c_label = psi.system.labels[-1]
-    c_dim = psi.system.dim_of(c_label)
     flat = round_spectrum(omega, gamma, "up")
     m_big = flat.grid_total
     try:
@@ -480,8 +461,7 @@ def convex_split_flat_1design(psi, omega, gamma, n_mixed, a=None, n=None, seed=0
 
     def conjugated(y):
         if y not in conj_cache:
-            big = np.kron(np.eye(r_dim), np.kron(hw[y].matrix, np.eye(d_dim)))
-            conj_cache[y] = big @ theta @ big.conj().T
+            conj_cache[y] = act(theta, hw[y].matrix, (r_dim, s_dim, d_dim), [1])
         return conj_cache[y]
 
     xi_target = embezzling_state(1, n).weight_vector(d_dim)
@@ -532,50 +512,38 @@ class PrimeEnsemble:
         self.psi_r = psi_r
         self.theta = theta
         self.dim_full = self.r_dim * self.f_prime * self.d_dim * self.f_prime
-        self.base = self._assemble(theta)
+        # theta (x) mu_X1 on the q = 0 part of F1, then (x) mu_F2
+        self.base = np.kron(self.embed_f1(theta, np.diag([1.0, 0.0])),
+                            np.eye(self.f_prime))
+        self.base *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
 
     def full_index(self, r, f1, d, f2):
         return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
 
-    def _assemble(self, theta):
-        s_dim, d_dim, f_prime, r_dim = (self.s_dim, self.d_dim, self.f_prime,
-                                        self.r_dim)
-        base = np.zeros((self.dim_full, self.dim_full), dtype=complex)
-        theta_r = theta.reshape(r_dim, s_dim, d_dim, r_dim, s_dim, d_dim)
-        wgt = (1.0 / s_dim) * (1.0 / f_prime)
-        for x1 in range(s_dim):
-            for f2 in range(f_prime):
-                for r1 in range(r_dim):
-                    for s1 in range(s_dim):
-                        rows = self.full_index(r1, s1 * s_dim + x1, 0, f2) + \
-                            np.arange(d_dim) * f_prime
-                        for r2 in range(r_dim):
-                            for s2 in range(s_dim):
-                                cols = self.full_index(
-                                    r2, s2 * s_dim + x1, 0, f2) + \
-                                    np.arange(d_dim) * f_prime
-                                base[np.ix_(rows, cols)] += \
-                                    theta_r[r1, s1, :, r2, s2, :] * wgt
-        return base
+    def embed_f1(self, mat, q_op):
+        """mat on (R, S, D) as an operator on (R, F1, D).
+
+        F1 state q S^2 + s S + x carries mat (x) q_op on Q (x) I on X; F1
+        keeps the first f_prime of these 2 S^2 states.
+        """
+        r, s, d = self.r_dim, self.s_dim, self.d_dim
+        big = np.kron(mat, np.kron(q_op, np.eye(s)))         # (R, S, D, Q, X)
+        big = reorder(big, (r, s, d, 2, s), [0, 3, 1, 4, 2])  # (R, Q, S, X, D)
+        return permute_basis(big, np.arange(self.f_prime), (r, 2, s, s, d),
+                             [1, 2, 3])
+
+    @property
+    def dims(self):
+        return (self.r_dim, self.f_prime, self.d_dim, self.f_prime)
 
     def permutation(self, ell):
         """Index map of U_l on the full space (new index per old index)."""
-        table = u_ell(ell, self.f_prime)
-        perm = np.arange(self.dim_full)
-        for r in range(self.r_dim):
-            for i in range(self.f_prime):
-                for d in range(self.d_dim):
-                    for f2 in range(self.f_prime):
-                        i2, f22 = table[(i, f2)]
-                        perm[self.full_index(r, i, d, f2)] = \
-                            self.full_index(r, i2, d, f22)
-        return perm
+        return lift_index(u_ell_index(ell, self.f_prime), self.dims, [1, 3])
 
-    def rotated_term(self, ell):
-        perm = self.permutation(ell)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.dim_full)
-        return self.base[np.ix_(inv, inv)]
+    def rotate(self, mat, ell):
+        """U_l mat U_l^dag on (R, F1, D, F2)."""
+        inv = np.argsort(u_ell_index(ell, self.f_prime))
+        return permute_basis(mat, inv, self.dims, [1, 3])
 
     def psi_r_matrix(self):
         return self.psi_r.matrix if self.psi_r is not None else np.eye(1)
@@ -591,7 +559,7 @@ class PrimeEnsemble:
         marg_ref = np.kron(self.psi_r_matrix(),
                            np.kron(np.eye(self.f_prime) / self.f_prime,
                                    np.diag(xi_target)))
-        marg = self.trace_out_f2(self.rotated_term(ell))
+        marg = self.trace_out_f2(self.rotate(self.base, ell))
         return float(np.linalg.eigvalsh(ratio * marg_ref - marg)[0])
 
 
@@ -631,7 +599,7 @@ def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
 
     tau = np.zeros_like(ens.base)
     for ell in subset:
-        tau += ens.rotated_term(ell)
+        tau += ens.rotate(ens.base, ell)
     tau /= n_mixed
 
     xi_target = embezzling_state(1, n).weight_vector(ens.d_dim)

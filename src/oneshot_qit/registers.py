@@ -4,6 +4,9 @@ Every state in the toolkit is a dense matrix or vector over an ordered list of
 labeled tensor factors (a :class:`RegisterSystem`).  Registers are addressed by
 string label because the protocols relabel and permute factors constantly.
 Dimensions stay small (a few thousand at most), so everything is dense numpy.
+Operators act on labelled registers through :func:`act`, and basis
+permutations and support compressions through index arrays
+(:func:`permute_basis`); only this module maps factor layouts to flat indices.
 """
 
 from __future__ import annotations
@@ -58,6 +61,13 @@ class RegisterSystem:
             if lab == label:
                 return k
         raise KeyError(f"no register labeled {label!r}")
+
+    def axes(self, labels):
+        """Factor positions of distinct labels, in the order given."""
+        labels = list(labels)
+        if len(set(labels)) != len(labels) or not set(labels) <= set(self.labels):
+            raise ValueError(f"{labels} are not distinct registers of {self.labels}")
+        return [self.position(lab) for lab in labels]
 
     def subsystem(self, labels):
         return RegisterSystem([(lab, self.dim_of(lab)) for lab in labels])
@@ -187,7 +197,6 @@ def partial_trace(op, drop):
             raise KeyError(f"unknown label {lab!r}")
     keep = [lab for lab in op.system.labels if lab not in drop]
     dims = list(op.system.dims)
-    n = len(dims)
     tens = op.matrix.reshape(dims + dims)
     # trace out from the rightmost dropped factor to keep axis indices stable
     positions = sorted((op.system.position(lab) for lab in drop), reverse=True)
@@ -202,20 +211,22 @@ def partial_trace(op, drop):
     return DensityOperator(system, mat, subnormalized=op.subnormalized, validate=False)
 
 
+def reorder(mat, dims, order):
+    """Matrix over the factors ``dims`` with the factors moved into ``order``."""
+    n = len(dims)
+    tens = np.asarray(mat).reshape(tuple(dims) * 2)
+    return tens.transpose(list(order) + [k + n for k in order]).reshape(mat.shape)
+
+
 def permute_registers(op, new_order):
-    """Same operator on the reordered tensor factorization; involutive."""
+    """Same operator with its tensor factors reordered to ``new_order``."""
     op = _as_density(op)
     new_order = list(new_order)
     if sorted(new_order) != sorted(op.system.labels):
         raise ValueError(f"{new_order} is not a permutation of {op.system.labels}")
     perm = [op.system.position(lab) for lab in new_order]
-    dims = op.system.dims
-    n = len(dims)
-    tens = op.matrix.reshape(dims + dims)
-    tens = tens.transpose(perm + [p + n for p in perm])
-    system = op.system.subsystem(new_order)
-    d = op.system.total_dim
-    return DensityOperator(system, tens.reshape(d, d),
+    return DensityOperator(op.system.subsystem(new_order),
+                           reorder(op.matrix, op.system.dims, perm),
                            subnormalized=op.subnormalized, validate=False)
 
 
@@ -313,27 +324,85 @@ def random_pure(seed, system):
     return PureState(system, vec / np.linalg.norm(vec), validate=False)
 
 
+def act(mat, op, dims, axes):
+    """op . mat . op^dag with ``op`` acting on the factors ``axes`` of ``dims``.
+
+    ``mat`` is a square matrix over the tensor factors ``dims`` (row-major);
+    ``op`` is any square matrix (unitary or Kraus operator) on the factors
+    ``axes`` taken in the given order, which need not be adjacent.  Costs
+    d^2 d_act by two tensor contractions; no identity-padded product is built.
+    """
+    mat, dims, axes = np.asarray(mat), tuple(dims), list(axes)
+    n, k = len(dims), len(axes)
+    sub = tuple(dims[ax] for ax in axes)
+    op_t = np.asarray(op).reshape(sub + sub)
+    ins = list(range(k, 2 * k))
+    tens = np.tensordot(op_t, mat.reshape(dims + dims), axes=(ins, axes))
+    tens = np.moveaxis(tens, range(k), axes)
+    cols = [n + ax for ax in axes]
+    tens = np.tensordot(tens, op_t.conj(), axes=(cols, ins))
+    tens = np.moveaxis(tens, range(2 * n - k, 2 * n), cols)
+    return tens.reshape(mat.shape)
+
+
+def lift_index(idx, dims, axes):
+    """Flat index array over the whole space of an index map on the factors ``axes``.
+
+    Entry x of the result is x with its ``axes`` digits (read in the given
+    order) replaced by ``idx`` of them.  A map onto fewer states than the
+    factors hold (a compression) needs adjacent ascending ``axes``, which then
+    merge into one factor of size ``len(idx)``.
+    """
+    dims, axes = tuple(dims), list(axes)
+    k = len(axes)
+    sub = tuple(dims[ax] for ax in axes)
+    grid = np.moveaxis(np.arange(int(np.prod(dims))).reshape(dims), axes, range(k))
+    rest = grid.shape[k:]
+    grid = grid.reshape((-1,) + rest)[np.asarray(idx)]
+    if len(idx) == int(np.prod(sub)):
+        grid = np.moveaxis(grid.reshape(sub + rest), range(k), axes)
+    elif axes != list(range(axes[0], axes[0] + k)):
+        raise ValueError(f"a compression needs adjacent ascending axes, not {axes}")
+    else:
+        grid = np.moveaxis(grid, 0, axes[0])
+    return grid.reshape(-1)
+
+
+def permute_basis(mat, src, dims, axes):
+    """Rows and columns of ``mat`` gathered by the index map ``src`` on ``axes``.
+
+    out[x, y] = mat[src'(x), src'(y)] with src' = lift_index(src, dims, axes),
+    at O(d^2).  For a basis permutation P|k> = |img[k]>, P mat P^dag takes
+    ``src = np.argsort(img)`` and P^dag mat P takes ``src = img``; a list of
+    basis states gives the compression onto their span.
+    """
+    full = lift_index(src, dims, axes)
+    return np.asarray(mat)[np.ix_(full, full)]
+
+
+def pair_index(table, dims):
+    """Index array img[flat(key)] = flat(table[key]) of a dict of index tuples."""
+    keys = np.array(list(table.keys())).T
+    vals = np.array(list(table.values())).T
+    img = np.arange(int(np.prod(dims)))
+    img[np.ravel_multi_index(keys, dims)] = np.ravel_multi_index(vals, dims)
+    return img
+
+
 def apply_unitary(op, unitary, labels):
-    """Conjugate by a unitary acting on the contiguous-by-label subsystem.
+    """Conjugate by a unitary on the named registers (in the order given).
 
     The unitary's dimension must match the product of the named registers'
     dimensions; the registers need not be adjacent in the system order.
     """
     op = _as_density(op)
-    labels = list(labels)
-    rest = [lab for lab in op.system.labels if lab not in labels]
-    moved = permute_registers(op, labels + rest)
-    d_act = 1
-    for lab in labels:
-        d_act *= op.system.dim_of(lab)
+    axes = op.system.axes(labels)
+    d_act = int(np.prod([op.system.dims[ax] for ax in axes]))
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (d_act, d_act):
         raise ValueError(f"unitary shape {u.shape} != ({d_act}, {d_act})")
-    d_rest = moved.system.total_dim // d_act
-    full = np.kron(u, np.eye(d_rest))
-    out = DensityOperator(moved.system, full @ moved.matrix @ full.conj().T,
-                          subnormalized=op.subnormalized, validate=False)
-    return permute_registers(out, op.system.labels)
+    return DensityOperator(op.system, act(op.matrix, u, op.system.dims, axes),
+                           subnormalized=op.subnormalized, validate=False)
 
 
 def dump_matrix(op, fh):

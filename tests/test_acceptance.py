@@ -284,17 +284,17 @@ def test_criterion_10_channel_coding():
     max_rate = max(0, int(np.floor(cap)))
     rep = coding.ea_channel_code(coding.identity_channel(2), mu_a, max_rate,
                                  eps, gamma, delta_prime, a=a_embez,
-                                 n=n_embez, seed=0)
+                                 n=n_embez)
     assert rep.empirical_max_error <= rep.analytic_error_bound + 1e-9
     with pytest.raises(ValueError):
         coding.ea_channel_code(coding.identity_channel(2), mu_a,
                                max_rate + 1, eps, gamma, delta_prime,
-                               a=a_embez, n=n_embez, seed=0)
+                               a=a_embez, n=n_embez)
     budget = coding.entanglement_budget(2, gamma, rep.delta_surrogate)
     assert rep.entanglement_qubits <= budget + 1e-9
     rep_dep = coding.ea_channel_code(coding.depolarizing_channel(0.1), mu_a,
                                      0, eps, gamma, delta_prime, a=a_embez,
-                                     n=n_embez, seed=0)
+                                     n=n_embez)
     assert rep_dep.empirical_max_error <= rep_dep.analytic_error_bound + 1e-9
     assert time.monotonic() - started < 600.0
     announce(10, "entanglement-assisted channel coding", started)

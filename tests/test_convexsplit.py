@@ -7,11 +7,11 @@ from oneshot_qit.convexsplit import (GaloisField, PrimeRegister,
                                      convex_split_classical, hw_family,
                                      hw_unitary, next_prime_in,
                                      one_design_average, pairwise_family,
-                                     prime_register, u_ell)
+                                     prime_register, u_ell, u_ell_index)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    basis_state, maximally_entangled,
-                                   maximally_mixed, partial_trace,
-                                   random_density, tensor)
+                                   maximally_mixed, pair_index, partial_trace,
+                                   permute_basis, random_density, tensor)
 
 
 def sysof(*pairs):
@@ -145,6 +145,14 @@ class TestUEll:
         for g in (5, 7):
             table = u_ell(3, PrimeRegister(2, g))
             assert len(set(table.values())) == g * g
+
+    @pytest.mark.parametrize("g", [5, 7, 11])
+    def test_index_form_matches_table(self, g):
+        for ell in range(g):
+            assert np.array_equal(u_ell_index(ell, g),
+                                  pair_index(u_ell(ell, g), (g, g)))
+        with pytest.raises(ValueError):
+            u_ell_index(g, g)
 
 
 class TestMarginalCheck:
@@ -288,7 +296,7 @@ class TestConvexSplitClassical:
 
     def test_uniform_invariance(self):
         # U_l(mu (x) mu)U_l^dag = mu (x) mu exactly on the embedded support
-        from oneshot_qit.convexsplit import _u_ell_host_permutation
+        from oneshot_qit.convexsplit import _rotate_host
         reg = PrimeRegister(2, 5)
         g, host = 5, 8
         mu = np.zeros((host * g, host * g))
@@ -297,5 +305,5 @@ class TestConvexSplitClassical:
                 idx = reg.host_index(i) * g + j
                 mu[idx, idx] = 1.0 / (g * g)
         for ell in range(5):
-            perm = _u_ell_host_permutation(ell, reg, g)
-            assert np.array_equal(perm @ mu @ perm.T, mu)
+            rotated = _rotate_host(mu, (2, 2, 2, g), ell, reg)
+            assert np.array_equal(rotated, mu)

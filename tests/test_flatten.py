@@ -8,11 +8,11 @@ from oneshot_qit.flatten import (check_embezzle_upper, check_unembezzle,
                                  convex_split_flat_classical,
                                  embezzling_state, flatten, harmonic_sum,
                                  purified_embezzle_fidelity, round_spectrum,
-                                 unitary_flatten_W, w_b_permutation,
-                                 _w_permutation_matrix)
+                                 unitary_flatten_W, w_b_permutation)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
-                                   partial_trace, random_density, tensor)
+                                   pair_index, partial_trace, permute_basis,
+                                   random_density, tensor)
 
 
 def sysof(*pairs):
@@ -270,14 +270,16 @@ class TestUnitaryFlattenW:
             fl = round_spectrum(om, Fraction(1, 4), "up")
             a = fl.e_dim
             n = max(a, 6)
-            perm = _w_permutation_matrix(fl, a, n)
             d_dim = n + 1
+            dims = (2, fl.e_dim, d_dim)
+            img = pair_index(unitary_flatten_W(fl, a, n), dims)
             q = np.array(fl.counts) / fl.grid_total
             xi_a = embezzling_state(a, n).weight_vector(d_dim)
             xi_1 = embezzling_state(1, n).weight_vector(d_dim)
             e0 = np.zeros(fl.e_dim)
             e0[0] = 1.0
-            lhs = perm @ np.diag(np.kron(q, np.kron(e0, xi_a))) @ perm.T
+            lhs = permute_basis(np.diag(np.kron(q, np.kron(e0, xi_a))),
+                                np.argsort(img), dims, [0, 1, 2])
             sce = np.zeros((2, fl.e_dim))
             for c in range(2):
                 sce[c, :fl.counts[c]] = 1.0 / fl.grid_total

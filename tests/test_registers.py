@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
-                                   apply_unitary, basis_state,
+                                   act, apply_unitary, basis_state,
                                    canonical_purification, dump_matrix,
                                    eig_hermitian, fidelity,
                                    maximally_entangled, maximally_mixed,
-                                   partial_trace, permute_registers,
-                                   purified_distance, random_density,
-                                   random_pure, tensor)
+                                   pair_index, partial_trace, permute_basis,
+                                   permute_registers, purified_distance,
+                                   random_density, random_pure, tensor)
 
 
 def sysof(*pairs):
@@ -242,6 +242,97 @@ class TestApplyUnitary:
         full = np.kron(np.kron(np.eye(2), u), np.eye(2))
         assert np.allclose(out.matrix, full @ rho.matrix @ full.conj().T)
         assert out.system.labels == rho.system.labels
+
+    def test_label_checks(self):
+        rho = random_density(2, sysof(("A", 2), ("B", 3)))
+        with pytest.raises(ValueError):
+            apply_unitary(rho, np.eye(4), ["A", "A"])
+        with pytest.raises(ValueError):
+            apply_unitary(rho, np.eye(2), ["Z"])
+        with pytest.raises(ValueError):
+            apply_unitary(rho, np.eye(2), ["B"])
+
+
+def _kron_conjugation(mat, op, dims, axes):
+    """Oracle: move ``axes`` to the front, pad op with an identity, move back."""
+    n = len(dims)
+    order = list(axes) + [k for k in range(n) if k not in axes]
+    back = list(np.argsort(order))
+    d = mat.shape[0]
+    moved = mat.reshape(dims + dims).transpose(order + [k + n for k in order])
+    full = np.kron(op, np.eye(d // op.shape[0]))
+    out = (full @ moved.reshape(d, d) @ full.conj().T).reshape(
+        tuple(dims[k] for k in order) * 2)
+    return out.transpose(back + [k + n for k in back]).reshape(d, d)
+
+
+def _dense_permutation(img):
+    mat = np.zeros((len(img), len(img)))
+    mat[img, np.arange(len(img))] = 1.0
+    return mat
+
+
+class TestAct:
+    dims = (2, 3, 2, 2)
+
+    def _random_op(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    @pytest.mark.parametrize("axes", [[1], [0, 2], [3, 1], [2, 0, 3]])
+    def test_matches_kron_conjugation(self, axes):
+        rho = random_density(5, sysof(*zip("ABCD", self.dims))).matrix
+        d_act = int(np.prod([self.dims[k] for k in axes]))
+        u, _ = np.linalg.qr(self._random_op(1, d_act))
+        assert np.allclose(act(rho, u, self.dims, axes),
+                           _kron_conjugation(rho, u, self.dims, axes),
+                           atol=1e-13)
+
+    def test_non_unitary_kraus_on_subnormalized_state(self):
+        system = sysof(*zip("ABCD", self.dims))
+        sub = DensityOperator(system, 0.6 * random_density(6, system).matrix,
+                              subnormalized=True)
+        kraus = 0.5 * self._random_op(2, 6)
+        out = act(sub.matrix, kraus, self.dims, [3, 1])
+        assert np.allclose(out, _kron_conjugation(sub.matrix, kraus, self.dims,
+                                                  [3, 1]), atol=1e-13)
+        assert np.allclose(out, out.conj().T)
+        assert not np.isclose(np.trace(out).real, 0.6)
+
+
+class TestPermuteBasis:
+    dims = (2, 3, 2, 2)
+
+    @pytest.mark.parametrize("axes", [[1, 2], [3, 0], [0, 1, 2, 3]])
+    def test_matches_dense_permutation(self, axes):
+        rho = random_density(7, sysof(*zip("ABCD", self.dims))).matrix
+        d_act = int(np.prod([self.dims[k] for k in axes]))
+        img = np.random.default_rng(3).permutation(d_act)
+        perm = _dense_permutation(img)
+        expect = _kron_conjugation(rho, perm, self.dims, axes)
+        assert np.array_equal(
+            permute_basis(rho, np.argsort(img), self.dims, axes), expect)
+        back = _kron_conjugation(rho, perm.T, self.dims, axes)
+        assert np.array_equal(permute_basis(rho, img, self.dims, axes), back)
+
+    def test_compression_matches_isometry(self):
+        rho = random_density(8, sysof(*zip("ABCD", self.dims))).matrix
+        keep = np.array([4, 0, 5, 2])           # basis states of (B, C)
+        iso = np.zeros((6, len(keep)))
+        iso[keep, np.arange(len(keep))] = 1.0
+        big = np.kron(np.eye(2), np.kron(iso, np.eye(2)))
+        assert np.array_equal(permute_basis(rho, keep, self.dims, [1, 2]),
+                              big.T @ rho @ big)
+
+    def test_compression_needs_adjacent_axes(self):
+        rho = np.eye(24)
+        with pytest.raises(ValueError):
+            permute_basis(rho, [0, 1], self.dims, [0, 2])
+
+    def test_pair_index(self):
+        table = {(0, 1): (1, 2), (1, 2): (0, 1)}
+        img = pair_index(table, (2, 3))
+        assert list(img) == [0, 5, 2, 3, 4, 1]
 
 
 class TestDump:
