@@ -11,7 +11,7 @@ from oneshot_qit.convexsplit import (GaloisField, PrimeRegister,
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    basis_state, maximally_entangled,
                                    maximally_mixed, pair_index, partial_trace,
-                                   permute_basis, random_density, tensor)
+                                   random_density, tensor)
 
 
 def sysof(*pairs):
