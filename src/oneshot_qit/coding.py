@@ -7,6 +7,11 @@ and embezzling resources, transpose-trick encoding on Alice's side, a channel
 application, and square-root decoding on Bob's side, with error probabilities
 computed by dense propagation over every message and shared-randomness branch
 (no sampling).
+
+Every square-root measurement Lambda_i = S^{-1/2} Omega_i S^{-1/2} takes
+S^{-1/2} from ``_inv_sqrt``, which eigensolves S block by block on the
+connected components of its exact nonzero pattern.  The channel code solves
+it once per test family, for all messages.
 """
 
 from __future__ import annotations
@@ -128,6 +133,51 @@ class POVM:
             raise ValueError("POVM elements do not sum to the identity")
 
 
+def _components(pattern):
+    """Connected-component label per index of a boolean adjacency pattern.
+
+    Each index takes the smallest label among its neighbours, then follows
+    its label's own label; at the fixed point every component carries one
+    label.  Labels only decrease, so the loop ends.
+    """
+    rows, cols = np.nonzero(pattern | pattern.T)
+    labels = np.arange(pattern.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _inv_sqrt(total):
+    """S^{-1/2} on supp(S) and the projector onto supp(S), for Hermitian S >= 0.
+
+    S is split into the connected components of its exact nonzero pattern;
+    no entry is thresholded, so the split is exact and a fully connected S is
+    one block.  Blocks of equal size are eigensolved in one stacked call, and
+    eigenvalues above 1e-12 count as the support.
+    """
+    labels = _components(total != 0)
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True,
+                                 return_counts=True)
+    inv_half = np.zeros(total.shape, dtype=complex)
+    supp = np.zeros(total.shape, dtype=complex)
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        vals, vecs = np.linalg.eigh(total[rows, cols])
+        pos = vals > 1e-12
+        scale = np.zeros_like(vals)
+        scale[pos] = 1.0 / np.sqrt(vals[pos])
+        vecs_h = vecs.conj().transpose(0, 2, 1)
+        inv_half[rows, cols] = (vecs * scale[:, None, :]) @ vecs_h
+        supp[rows, cols] = (vecs * pos[:, None, :]) @ vecs_h
+    return inv_half, supp
+
+
 def hayashi_nagaoka_povm(operators, labels=None):
     """Square-root measurement of a family of 0 <= Omega_i <= I operators.
 
@@ -144,15 +194,11 @@ def hayashi_nagaoka_povm(operators, labels=None):
             raise ValueError("input operator is not PSD")
         if vals[-1] > 1 + 1e-8:
             raise ValueError("input operator exceeds the identity")
-    total = sum(operators)
-    vals, vecs = np.linalg.eigh(total)
-    pos = vals > 1e-12
-    inv_half = (vecs[:, pos] * (1.0 / np.sqrt(vals[pos]))) @ vecs[:, pos].conj().T
+    inv_half, supp = _inv_sqrt(sum(operators))
     elements = {}
     for lab, om in zip(labels, operators):
         lam = inv_half @ om @ inv_half
         elements[lab] = (lam + lam.conj().T) / 2
-    supp = vecs[:, pos] @ vecs[:, pos].conj().T
     elements[-1] = np.eye(dim) - supp
     return POVM(elements)
 
@@ -227,7 +273,7 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
                      for ell in subset]
     taus = [_rotate_host(state.matrix, dims, ell, prime_reg) for ell in subset]
     povm = hayashi_nagaoka_povm(rotated_tests, labels=subset)
-    successes = {ell: float(np.real(np.trace(povm.elements[ell] @ tau)))
+    successes = {ell: float(np.real(np.sum(povm.elements[ell].T * tau)))
                  for ell, tau in zip(subset, taus)}
     c = delta / eps
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
@@ -236,14 +282,33 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
                                 1.0 - eps - 4 * delta, exact, cap)
 
 
+def _lifted_flat_test(ens, omega, dims):
+    """The test omega on (B, C) as an operator on (B, F1, D, F2).
+
+    Omega goes to the sigma eigenbasis, is moved by W, compressed to
+    supp (x) D and embedded into F1 with its q = 1 tail, then F2 is added.
+    """
+    flat, d_dim = ens.flat, ens.d_dim
+    c_axis = len(dims) - 1
+    omega_rot = act(omega, flat.basis.conj().T, dims, [c_axis])
+    om_ced = np.kron(omega_rot, np.eye(flat.e_dim * d_dim))  # (B, C, E, D)
+    om_supp = permute_basis(om_ced, _support_index(flat, ens.a, ens.n, d_dim),
+                            dims + (flat.e_dim, d_dim),
+                            [c_axis, c_axis + 1, c_axis + 2])   # on (B, S, D)
+    return np.kron(ens.embed_f1(om_supp, np.eye(2)), np.eye(ens.f_prime))
+
+
 def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
                                d_size):
     """Position decoding through the flattened/embezzled prime-register family.
 
     The test family is {U_l W Omega W^dag U_l^dag} on (B, F1, D, F2); the
     report carries the exact-ratio analogue of the coarse success bound.
-    Success probabilities are computed from the spectral factorization of the
-    signal states, avoiding cubic-cost products at full dimension.
+    The signal state is theta (x) mu_X1 (x) mu_F2; its eigenvectors, placed
+    at every (x1, f2), form one array of signal vectors, and each U_l acts on
+    it as one row gather.  The success Tr(Lambda_l tau_l) is then a weighted
+    sum of quadratic forms of Lambda_l = S^{-1/2} U_l Omega U_l^dag S^{-1/2},
+    with S^{-1/2} solved block by block on the exact-zero pattern of S.
     """
     psi = _as_density(psi)
     subset = sorted(set(int(x) for x in subset))
@@ -274,54 +339,37 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     if subset[-1] >= f_prime:
         raise ValueError(f"subset members outside [0, {f_prime})")
 
-    # Omega in the sigma eigenbasis, moved by W, compressed to supp (x) D
     omega, _ = neyman_pearson_operator(psi, ref, eps)
-    c_axis = len(psi.system) - 1
-    omega_rot = act(omega, flat.basis.conj().T, psi.system.dims, [c_axis])
-    e_dim = flat.e_dim
-    om_ced = np.kron(omega_rot, np.eye(e_dim * d_dim))  # order (B, C, E, D)
-    om_supp = permute_basis(om_ced, _support_index(flat, a, n, d_dim),
-                            psi.system.dims + (e_dim, d_dim),
-                            [c_axis, c_axis + 1, c_axis + 2])   # on (B, S, D)
-
-    # embed into (B, F1, D), the q = 1 tail of F1 included, then add F2
-    om_full = np.kron(ens.embed_f1(om_supp, np.eye(2)), np.eye(f_prime))
+    om_full = _lifted_flat_test(ens, omega, psi.system.dims)
 
     s_sum = np.zeros_like(om_full)
-    perms = {}
     for ell in subset:
-        perms[ell] = ens.permutation(ell)
         s_sum += ens.rotate(om_full, ell)
-    vals, vecs = np.linalg.eigh(s_sum)
-    pos = vals > 1e-12
-    u_pos = vecs[:, pos]
-    f_vals = 1.0 / np.sqrt(vals[pos])
+    inv_half, _ = _inv_sqrt(s_sum)
 
-    # spectral factorization of the base signal state
+    # signal vectors: each eigenvector u_t of theta on (R, S, D) placed at
+    # F1 = s S + x1 and F2 = f2, one column per (t, x1, f2), weighted by
+    # t_val / (|S| f_prime)
     t_vals, t_vecs = np.linalg.eigh(ens.theta)
     keep = t_vals > 1e-13
     t_vals, t_vecs = t_vals[keep], t_vecs[:, keep]
+    n_t = len(t_vals)
+    r, s, d, t, x1, f2 = np.ix_(range(r_dim), range(s_dim), range(d_dim),
+                                range(n_t), range(s_dim), range(f_prime))
+    signals = np.zeros((ens.dim_full, n_t * s_dim * f_prime), dtype=complex)
+    signals[ens.full_index(r, s * s_dim + x1, d, f2),
+            (t * s_dim + x1) * f_prime + f2] = \
+        t_vecs.reshape(r_dim, s_dim, d_dim, n_t)[..., None, None]
+    weights = np.repeat(t_vals / (s_dim * f_prime), s_dim * f_prime)
 
     successes = {}
     for ell in subset:
-        perm = perms[ell]
-        total = 0.0
-        for t in range(len(t_vals)):
-            u_t = t_vecs[:, t].reshape(r_dim, s_dim, d_dim)
-            for x1 in range(s_dim):
-                for f2 in range(f_prime):
-                    vec = np.zeros(ens.dim_full, dtype=complex)
-                    for r in range(r_dim):
-                        for s in range(s_dim):
-                            idx0 = ens.full_index(r, s * s_dim + x1, 0, f2)
-                            vec[idx0 + np.arange(d_dim) * f_prime] = u_t[r, s, :]
-                    rotated = np.zeros_like(vec)
-                    rotated[perm] = vec
-                    half = u_pos @ (f_vals * (u_pos.conj().T @ rotated))
-                    back = half[perm]
-                    val = float(np.real(back.conj() @ (om_full @ back)))
-                    total += t_vals[t] / (s_dim * f_prime) * val
-        successes[ell] = float(total)
+        perm = ens.permutation(ell)
+        rotated = np.empty_like(signals)
+        rotated[perm] = signals
+        back = (inv_half @ rotated)[perm]
+        vals = np.real(np.sum(back.conj() * (om_full @ back), axis=0))
+        successes[ell] = float(weights @ vals)
 
     ratio_emb = harmonic_sum(1, n) / harmonic_sum(a, n)
     f1_factor = 2.0 * s_dim * s_dim / f_prime
@@ -537,33 +585,25 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
 
     success_cache = {}
 
-    def branch_success(ys, y_m):
-        key = (ys, y_m)
-        if key not in success_cache:
-            s_total = np.zeros((bob_dim, bob_dim), dtype=complex)
-            for y in ys:
-                s_total += bob_test(y)
-            vals, vecs = np.linalg.eigh(s_total)
-            pos = vals > 1e-12
-            inv_half = (vecs[:, pos] * (1.0 / np.sqrt(vals[pos]))) \
-                @ vecs[:, pos].conj().T
-            lam_m = inv_half @ bob_test(y_m) @ inv_half
-            cols = bob_columns(y_m)
-            success_cache[key] = float(np.real(
-                np.sum(cols.conj() * (lam_m @ cols))))
-        return success_cache[key]
+    def branch_successes(ys):
+        """Success of every message m under the decoder for rotations ys."""
+        if ys not in success_cache:
+            inv_half, _ = _inv_sqrt(sum(bob_test(y) for y in ys))
+            succ = []
+            for y_m in ys:
+                half = inv_half @ bob_columns(y_m)
+                succ.append(float(np.real(
+                    np.sum(half.conj() * (bob_test(y_m) @ half)))))
+            success_cache[ys] = np.array(succ)
+        return success_cache[ys]
 
-    branch_count = 0
-    errors = []
-    for m in range(n_messages):
-        success = 0.0
-        for x1 in range(q_field):
-            for x2 in range(q_field):
-                ys = tuple(fam.evaluate(mm, x1, x2)
-                           for mm in range(n_messages))
-                success += branch_success(ys, ys[m])
-                branch_count += 1
-        errors.append(1.0 - success / (q_field * q_field))
+    totals = np.zeros(n_messages)
+    for x1 in range(q_field):
+        for x2 in range(q_field):
+            totals += branch_successes(tuple(fam.evaluate(mm, x1, x2)
+                                             for mm in range(n_messages)))
+    errors = 1.0 - totals / (q_field * q_field)
+    branch_count = n_messages * q_field * q_field
 
     # closed-form error budget with the embezzlement distortion replaced by
     # the computed purified overlap
@@ -575,7 +615,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
                           b_max / a if a else 1.0)
     ent_qubits = math.log2(d_a) + math.log2(d_size)
     return CodingReport(rate, eps, delta_surrogate, delta_prime,
-                        float(gamma_f), bound, max(errors), ent_qubits,
+                        float(gamma_f), bound, float(errors.max()), ent_qubits,
                         branch_count)
 
 

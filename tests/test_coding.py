@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oneshot_qit.coding import (POVM, CodingReport, amplitude_damping_channel,
+from oneshot_qit.coding import (POVM, CodingReport, _components, _inv_sqrt,
+                                _lifted_flat_test, amplitude_damping_channel,
                                 apply_channel, channel_rate_cap,
                                 dephasing_channel, depolarizing_channel,
                                 ea_channel_code, entanglement_budget,
@@ -14,6 +17,7 @@ from oneshot_qit.coding import (POVM, CodingReport, amplitude_damping_channel,
                                 redistribution_bounds)
 from oneshot_qit.convexsplit import PrimeRegister
 from oneshot_qit.entropy import dh_eps
+from oneshot_qit.flatten import PrimeEnsemble, round_spectrum
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    basis_state, maximally_entangled,
                                    maximally_mixed, partial_trace,
@@ -22,6 +26,35 @@ from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
 
 def sysof(*pairs):
     return RegisterSystem(list(pairs))
+
+
+def _psd(rng, dim, rank=None, low=0.5, high=2.0):
+    """Random PSD matrix: `rank` eigenvalues drawn from [low, high], rest 0."""
+    rank = dim if rank is None else rank
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    basis, _ = np.linalg.qr(g)
+    vals = np.zeros(dim)
+    vals[:rank] = rng.uniform(low, high, rank)
+    return (basis * vals) @ basis.conj().T
+
+
+def _block_diag(blocks):
+    dim = sum(b.shape[0] for b in blocks)
+    out = np.zeros((dim, dim), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at:at + b.shape[0], at:at + b.shape[0]] = b
+        at += b.shape[0]
+    return out
+
+
+def _dense_inv_sqrt(total):
+    """S^{-1/2} on the support and the support projector, one dense eigh."""
+    vals, vecs = np.linalg.eigh(total)
+    pos = vals > 1e-12
+    v_pos = vecs[:, pos]
+    return (v_pos / np.sqrt(vals[pos])) @ v_pos.conj().T, \
+        v_pos @ v_pos.conj().T
 
 
 class TestChannels:
@@ -138,6 +171,61 @@ class TestHayashiNagaoka:
             POVM({0: np.diag([0.5, 0.5]), 1: np.diag([0.2, 0.2])})
 
 
+class TestInvSqrt:
+    def check(self, total, n_blocks):
+        assert len(np.unique(_components(total != 0))) == n_blocks
+        inv_half, supp = _inv_sqrt(total)
+        want_inv, want_supp = _dense_inv_sqrt(total)
+        assert np.max(np.abs(inv_half - want_inv)) <= 1e-12
+        assert np.max(np.abs(supp - want_supp)) <= 1e-12
+
+    def test_permuted_blocks_of_unequal_sizes(self):
+        rng = np.random.default_rng(0)
+        sizes = (3, 1, 3, 5, 2, 3)
+        total = _block_diag([_psd(rng, k) for k in sizes])
+        perm = rng.permutation(total.shape[0])
+        self.check(total[np.ix_(perm, perm)], len(sizes))
+
+    def test_dense_matrix_is_one_block(self):
+        self.check(_psd(np.random.default_rng(1), 12), 1)
+
+    def test_rank_deficient_blocks(self):
+        rng = np.random.default_rng(2)
+        total = _block_diag([_psd(rng, 3, rank=1), _psd(rng, 4, rank=2),
+                             _psd(rng, 2)])
+        self.check(total, 3)
+        assert abs(np.trace(_inv_sqrt(total)[1]) - 5) <= 1e-12
+
+    def test_zero_block(self):
+        rng = np.random.default_rng(3)
+        total = _block_diag([_psd(rng, 3), np.zeros((4, 4)), _psd(rng, 2)])
+        self.check(total, 2 + 4)
+        inv_half, supp = _inv_sqrt(total)
+        assert not inv_half[3:7].any() and not supp[3:7].any()
+
+
+def _test_family(seed, count, sizes):
+    """`count` block-diagonal operators 0 <= Omega <= I, one shared basis
+    permutation; a single size gives fully dense operators."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(sum(sizes))
+    ops = []
+    for _ in range(count):
+        op = _block_diag([_psd(rng, k, low=0.0, high=1.0) for k in sizes])
+        ops.append(op[np.ix_(perm, perm)])
+    return ops
+
+
+class TestHayashiNagaokaProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(2, 4),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           index=st.integers(0, 3), c=st.floats(0.1, 10.0))
+    def test_inequality_gap_nonnegative(self, seed, count, sizes, index, c):
+        ops = _test_family(seed, count, sizes)
+        assert hn_inequality_gap(ops, index % count, c) >= -1e-8
+
+
 class TestPositionDecodeClassical:
     def setup_method(self):
         self.phi = maximally_entangled("B", "C", 2)
@@ -201,6 +289,56 @@ class TestPositionDecodeFlat:
             position_based_decode_flat(phi, mu_c, Fraction(2, 3),
                                        range(4), 0.1, 0.1, a=2, n=3, d_size=8)
 
+    def test_signal_array_matches_scalar_loop(self):
+        # trivial B register, C in a seeded mixed state; three positions
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u_c, _ = np.linalg.qr(g)
+        psi = DensityOperator(sysof(("B", 1), ("C", 2)),
+                              (u_c * np.array([0.7, 0.3])) @ u_c.conj().T)
+        mu_c = maximally_mixed(sysof(("C", 2)))
+        gamma, subset, eps, a, n, d_size = Fraction(2, 3), [0, 1, 4], 0.01, \
+            2, 3, 8
+        rep = position_based_decode_flat(psi, mu_c, gamma, subset, eps, 0.5,
+                                         a=a, n=n, d_size=d_size)
+
+        ens = PrimeEnsemble(psi, round_spectrum(mu_c, gamma, "down"), a, n,
+                            d_dim=d_size + 1)
+        ref = tensor(partial_trace(psi, ["C"]), mu_c)
+        om_full = _lifted_flat_test(ens, neyman_pearson_operator(
+            psi, ref, eps)[0], psi.system.dims)
+        rotated = {}
+        for ell in subset:
+            perm = ens.permutation(ell)
+            rotated[ell] = np.empty_like(om_full)
+            rotated[ell][np.ix_(perm, perm)] = om_full
+        inv_half, _ = _dense_inv_sqrt(sum(rotated.values()))
+
+        r_dim, s_dim, d_dim, f_prime = ens.r_dim, ens.s_dim, ens.d_dim, \
+            ens.f_prime
+        t_vals, t_vecs = np.linalg.eigh(ens.theta)
+        keep = t_vals > 1e-13
+        t_vals, t_vecs = t_vals[keep], t_vecs[:, keep]
+        for ell in subset:
+            perm = ens.permutation(ell)
+            lam = inv_half @ rotated[ell] @ inv_half
+            total = 0.0
+            for t in range(len(t_vals)):
+                u_t = t_vecs[:, t].reshape(r_dim, s_dim, d_dim)
+                for x1 in range(s_dim):
+                    for f2 in range(f_prime):
+                        idx, amp = [], []
+                        for r in range(r_dim):
+                            for s in range(s_dim):
+                                idx0 = ens.full_index(r, s * s_dim + x1, 0, f2)
+                                idx.extend(idx0 + np.arange(d_dim) * f_prime)
+                                amp.extend(u_t[r, s, :])
+                        at = perm[np.array(idx)]   # U_l moves index i to perm[i]
+                        amp = np.array(amp)
+                        val = np.real(amp.conj() @ lam[np.ix_(at, at)] @ amp)
+                        total += t_vals[t] / (s_dim * f_prime) * val
+            assert abs(rep.successes[ell] - total) <= 1e-12
+
 
 class TestChannelCode:
     def setup_method(self):
@@ -212,6 +350,15 @@ class TestChannelCode:
         assert isinstance(rep, CodingReport)
         assert rep.bound_satisfied()
         assert rep.empirical_max_error < 0.5
+
+    def test_identity_channel_values(self):
+        # values of the program before the block-wise square root
+        for rate, trials, error in ((0, 256, 0.22222222222222499),
+                                    (2, 1024, 0.4774305555555566)):
+            rep = ea_channel_code(identity_channel(2), self.mu_a, rate, 0.05,
+                                  0.5, 0.5, a=4, n=5, enforce_cap=False)
+            assert rep.trials == trials
+            assert abs(rep.empirical_max_error - error) <= 1e-12
 
     def test_refusal_above_cap(self):
         cap = channel_rate_cap(identity_channel(2), self.mu_a, 0.05, 0.5, 0.5)
