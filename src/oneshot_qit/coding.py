@@ -136,9 +136,9 @@ class POVM:
 def _components(pattern):
     """Connected-component label per index of a boolean adjacency pattern.
 
-    Each index takes the smallest label among its neighbours, then follows
-    its label's own label; at the fixed point every component carries one
-    label.  Labels only decrease, so the loop ends.
+    Each index takes the smallest label of itself and its neighbours, then
+    follows that label to its own label; at the fixed point every component
+    carries one label.  Labels only decrease, so the loop ends.
     """
     rows, cols = np.nonzero(pattern | pattern.T)
     labels = np.arange(pattern.shape[0])
