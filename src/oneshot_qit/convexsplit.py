@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import dmax
+from .entropy import Reference, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
                         basis_state, maximally_mixed, partial_trace,
-                        permute_basis, permute_registers, sqrtm_psd, tensor)
+                        permute_basis, permute_registers, tensor)
 
 # Fixed irreducible polynomials over GF(2), low-degree-first bit encoding.
 _GF2_POLYS = {2: 0b111, 4: 0b10011, 6: 0b1000011, 8: 0b100011011}
@@ -97,21 +97,7 @@ class GaloisField:
             return (a * b) % self.p
         da = self._to_digits(a, self.m)
         db = self._to_digits(b, self.m)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the irreducible polynomial (monic of degree m)
-        for deg in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for k in range(self.m + 1):
-                    if self.poly[k]:
-                        prod[deg - self.m + k] = (
-                            prod[deg - self.m + k] - c * self.poly[k]) % self.p
-        return self._from_digits(prod[:self.m])
+        return self._from_digits(self._poly_mul_mod(da, db, self.poly, self.m))
 
     def _poly_mul_mod(self, a_digits, b_digits, mod_digits, deg):
         prod = [0] * (2 * deg - 1 if deg > 1 else 1)
@@ -136,12 +122,10 @@ class GaloisField:
         def frob_pow(times):
             cur = [0, 1] + [0] * (m - 2) if m >= 2 else [0]
             for _ in range(times):
-                acc = cur
-                p_pow = self.p
                 # raise to p-th power by repeated squaring-multiplication
                 result = [1] + [0] * (m - 1)
-                base = acc
-                e = p_pow
+                base = cur
+                e = self.p
                 while e:
                     if e & 1:
                         result = self._poly_mul_mod(result, base, digits, m)
@@ -261,34 +245,6 @@ class ConvexSplitReport:
         }
 
 
-def _log_of_reference(ref_vals, ref_vecs):
-    pos = ref_vals > 1e-12
-    log_mat = (ref_vecs[:, pos] * np.log2(ref_vals[pos])) @ ref_vecs[:, pos].conj().T
-    ker_proj = ref_vecs[:, ~pos] @ ref_vecs[:, ~pos].conj().T if np.any(~pos) else None
-    return log_mat, ker_proj
-
-
-def _rel_entropy_against(ref_log, ref_ker, rho_mat):
-    """D(rho || ref) from a precomputed log2(ref) on its support."""
-    if ref_ker is not None:
-        mass = float(np.real(np.trace(ref_ker @ rho_mat)))
-        if mass > 1e-8:
-            return float("inf")
-    vals = np.linalg.eigvalsh(rho_mat)
-    pos = vals > 1e-12
-    s_rho = float(np.sum(vals[pos] * np.log2(vals[pos])))
-    cross = float(np.real(np.trace(rho_mat @ ref_log)))
-    return s_rho - cross
-
-
-def _fidelity_against(ref_sqrt, rho_mat):
-    m = ref_sqrt @ rho_mat @ ref_sqrt
-    vals = np.linalg.eigvalsh(m)
-    floor = max(vals[-1], 0.0) * 1e-13
-    vals = np.where(vals > floor, vals, 0.0)
-    return float(np.sum(np.sqrt(vals)))
-
-
 def convex_split_1design(psi, n_mixed, family=None, seed=0):
     """Mix a pairwise-independent selection of HW rotations of psi_RC (x) mu_X1X2.
 
@@ -328,11 +284,8 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
                                 [len(labels) - 1])
         return conj_cache[y]
 
-    mu_c = maximally_mixed(RegisterSystem([(c_label, d_c)]))
-    ref = tensor(psi_r, mu_c) if len(labels) > 1 else mu_c
-    ref_vals, ref_vecs = np.linalg.eigh(ref.matrix)
-    ref_log, ref_ker = _log_of_reference(ref_vals, ref_vecs)
-    ref_sqrt = sqrtm_psd(ref.matrix)
+    ref = Reference(psi_r.matrix if len(labels) > 1 else np.eye(1),
+                    np.full(d_c, 1.0 / d_c))
 
     d_total = 0.0
     f_total = 0.0
@@ -342,11 +295,11 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
             for j in members:
                 block += conjugated(family.evaluate(j, x1, x2))
             block /= n_mixed
-            d_val = _rel_entropy_against(ref_log, ref_ker, block)
+            d_val = ref.rel_entropy(block)
             if not np.isfinite(d_val):
                 return ConvexSplitReport(k.value, n_mixed, bound, float("inf"), 0.0)
             d_total += d_val
-            f_total += _fidelity_against(ref_sqrt, block)
+            f_total += ref.fidelity(block)
     achieved = d_total / (q * q)
     fid = min(f_total / (q * q), 1.0)
     return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
@@ -420,6 +373,13 @@ def u_ell_index(ell, g):
     return (i + shift) % g * g + (j + shift) % g
 
 
+def _g1_weights(prime_reg):
+    """Diagonal of mu_G1 in the host basis: 1/|G| on the embedded states, 0 elsewhere."""
+    w = np.zeros(prime_reg.host_dim)
+    w[:prime_reg.prime] = 1.0 / prime_reg.prime   # host_index(i) == i
+    return w
+
+
 def _rotate_host(mat, dims, ell, prime_reg):
     """U_l mat U_l^dag for mat on (R..., Q, C0, C1, G2); G1 sits in (Q, C0, C1)."""
     g = prime_reg.prime
@@ -449,16 +409,11 @@ def classical_marginal_check(psi, prime_reg, m):
     psi = _as_density(psi)
     c0_label = psi.system.labels[-1]
     state, rest = _lift_classical_input(psi, prime_reg)
-    g = prime_reg.prime
-    host = prime_reg.host_dim
     rotated = DensityOperator(state.system, _rotate_host(
         state.matrix, state.system.dims, m, prime_reg), validate=False)
     marg = partial_trace(rotated, ["G2"])
     psi_r = partial_trace(psi, [c0_label])
-    mu_g1 = np.zeros((host, host))
-    for i in range(g):
-        hi = prime_reg.host_index(i)
-        mu_g1[hi, hi] = 1.0 / g
+    mu_g1 = np.diag(_g1_weights(prime_reg))
     target = np.kron(psi_r.matrix, mu_g1) if len(rest) else mu_g1
     return float(np.linalg.norm(marg.matrix - target))
 
@@ -489,20 +444,13 @@ def convex_split_classical(psi, subset, prime=None):
     bound = float(np.log2(1.0 + (2.0 ** (k.value + 1.0) - 1.0) / n_mixed))
 
     state, rest = _lift_classical_input(psi, reg)
-    host = reg.host_dim
     acc = np.zeros_like(state.matrix)
     for ell in subset:
         acc += _rotate_host(state.matrix, state.system.dims, ell, reg)
-    tau = DensityOperator(state.system, acc / n_mixed, validate=False)
+    tau = acc / n_mixed
 
-    mu_g1 = np.zeros((host, host))
-    for i in range(g):
-        hi = reg.host_index(i)
-        mu_g1[hi, hi] = 1.0 / g
-    ref_mat = np.kron(psi_r.matrix if len(rest) else np.eye(1),
-                      np.kron(mu_g1, np.eye(g) / g))
-    ref_vals, ref_vecs = np.linalg.eigh(ref_mat)
-    ref_log, ref_ker = _log_of_reference(ref_vals, ref_vecs)
-    achieved = _rel_entropy_against(ref_log, ref_ker, tau.matrix)
-    fid = min(_fidelity_against(sqrtm_psd(ref_mat), tau.matrix), 1.0)
+    ref = Reference(psi_r.matrix if len(rest) else np.eye(1),
+                    np.kron(_g1_weights(reg), np.full(g, 1.0 / g)))
+    achieved = ref.rel_entropy(tau)
+    fid = ref.fidelity(tau)
     return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)

@@ -40,17 +40,12 @@ def _check_same_system(rho, sigma):
         raise ValueError("dimension mismatch between states")
 
 
-def _spectral(mat):
-    vals, vecs = np.linalg.eigh(mat)
-    return vals, vecs
-
-
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy D(rho||sigma) in bits; +inf on support violation."""
     rho, sigma = _as_density(rho), _as_density(sigma)
     _check_same_system(rho, sigma)
-    rvals, rvecs = _spectral(rho.matrix)
-    svals, svecs = _spectral(sigma.matrix)
+    rvals, rvecs = np.linalg.eigh(rho.matrix)
+    svals, svecs = np.linalg.eigh(sigma.matrix)
     # mass of rho outside supp(sigma)
     ker = svecs[:, svals <= SUPPORT_TOL]
     if ker.shape[1]:
@@ -67,11 +62,72 @@ def relative_entropy(rho, sigma):
     return EntropyValue(term1 - term2)
 
 
+class Reference:
+    """Fixed reference state A (x) diag(w): D(rho || .) and F(rho, .) from the factors.
+
+    Only A is eigensolved, once.  Operators rho are dense matrices on the
+    same (A, w) ordering; relative entropies are in bits and +inf when rho
+    puts mass outside the support of the reference.
+    """
+
+    def __init__(self, a_mat, w):
+        w = np.asarray(w, dtype=float)
+        self.a_dim, self.w_dim = a_mat.shape[0], len(w)
+        vals, vecs = np.linalg.eigh(a_mat)
+        pos = vals > 1e-12
+        supp = vecs[:, pos]
+        self.a_ker = vecs[:, ~pos]
+        self.a_log = (supp * np.log2(vals[pos])) @ supp.conj().T
+        self.a_proj = supp @ supp.conj().T
+        self.a_sqrt = (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
+        self.w_supp = w > 1e-14
+        self.w_log = np.where(self.w_supp, np.log2(np.where(self.w_supp, w, 1.0)), 0.0)
+        self.w_sqrt = np.tile(np.sqrt(w), self.a_dim)
+
+    def _blocks(self, rho):
+        return rho.reshape(self.a_dim, self.w_dim, self.a_dim, self.w_dim)
+
+    def rel_entropy(self, rho):
+        """D(rho || A (x) diag(w)) in bits; inf on support violation."""
+        rho_r = self._blocks(rho)
+        wa = self.w_supp
+        if not wa.all():
+            mass = float(np.real(np.einsum("axax->", rho_r[:, ~wa][:, :, :, ~wa])))
+            if mass > 1e-8:
+                return float("inf")
+        if self.a_ker.shape[1]:
+            m1 = np.einsum("axbx->ab", rho_r)
+            mass = float(np.real(np.trace(self.a_ker.conj().T @ m1 @ self.a_ker)))
+            if mass > 1e-8:
+                return float("inf")
+        vals = np.linalg.eigvalsh(rho)
+        pos = vals > 1e-12
+        s_rho = float(np.sum(vals[pos] * np.log2(vals[pos])))
+        # Tr rho (log A (x) P_w)
+        m_w = np.einsum("axbx,x->ab", rho_r, wa.astype(float))
+        t1 = float(np.real(np.trace(m_w @ self.a_log)))
+        # Tr rho (P_A (x) diag(log w))
+        m_a = np.einsum("axbx,x->ab", rho_r, self.w_log)
+        t2 = float(np.real(np.trace(m_a @ self.a_proj)))
+        return s_rho - t1 - t2
+
+    def fidelity(self, rho):
+        """F(rho, A (x) diag(w)) = || sqrt(rho) sqrt(ref) ||_1, clipped to 1."""
+        rho_w = rho * self.w_sqrt[None, :] * self.w_sqrt[:, None]
+        mid = np.einsum("ab,bxcy,cd->axdy", self.a_sqrt, self._blocks(rho_w),
+                        self.a_sqrt).reshape(rho.shape)
+        vals = np.linalg.eigvalsh(mid)
+        # eigensolve noise ~1e-16 inflates to ~1e-8 under sqrt; clip relative to top
+        floor = max(vals[-1], 0.0) * 1e-13
+        vals = np.where(vals > floor, vals, 0.0)
+        return min(float(np.sum(np.sqrt(vals))), 1.0)
+
+
 def dmax(rho, sigma):
     """Max-relative entropy: log of the largest eigenvalue of the relative operator."""
     rho, sigma = _as_density(rho), _as_density(sigma)
     _check_same_system(rho, sigma)
-    svals, svecs = _spectral(sigma.matrix)
+    svals, svecs = np.linalg.eigh(sigma.matrix)
     pos = svals > SUPPORT_TOL
     ker = svecs[:, ~pos]
     if ker.shape[1]:
@@ -94,7 +150,7 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     Kernel fill order follows ascending eigenvalue index.
     """
     d = rho_mat.shape[0]
-    svals, svecs = _spectral(sigma_mat)
+    svals, svecs = np.linalg.eigh(sigma_mat)
     pos = svals > SUPPORT_TOL
     ker_vecs = svecs[:, ~pos]
     pi = np.zeros((d, d), dtype=complex)
@@ -108,7 +164,7 @@ def _threshold_test(rho_mat, sigma_mat, eps):
 
     if eps == 0.0:
         # Tr(Pi rho) = 1 forces Pi >= supp(rho); optimum is exactly that projector
-        rvals, rvecs = _spectral(rho_mat)
+        rvals, rvecs = np.linalg.eigh(rho_mat)
         supp = rvecs[:, rvals > SUPPORT_TOL]
         pi = supp @ supp.conj().T
         type2 = float(np.real(np.trace(pi @ sigma_mat)))
@@ -133,7 +189,7 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     t_lo = 0.0
 
     def pos_mass(t):
-        vals, vecs = _spectral(rho_c - t * sig_c)
+        vals, vecs = np.linalg.eigh(rho_c - t * sig_c)
         ktol = 1e-10 * (1.0 + t)
         sel = vals > ktol
         if not np.any(sel):
@@ -151,7 +207,7 @@ def _threshold_test(rho_mat, sigma_mat, eps):
             t_lo = t_mid
 
     t = t_hi
-    vals, vecs = _spectral(rho_c - t * sig_c)
+    vals, vecs = np.linalg.eigh(rho_c - t * sig_c)
     ktol = 1e-10 * (1.0 + t)
     type2 = 0.0
     taken = 0.0

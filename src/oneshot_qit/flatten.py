@@ -22,7 +22,7 @@ import numpy as np
 
 from .convexsplit import (ConvexSplitReport, hw_family, next_prime_in,
                           pairwise_family, u_ell_index, _factor_prime_power)
-from .entropy import dmax
+from .entropy import Reference, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
                         lift_index, pair_index, partial_trace, permute_basis,
                         reorder, tensor)
@@ -351,63 +351,6 @@ def _moved_state(psi, flat, a, n, d_dim=None):
     return out, psi_r, flat.support_pairs()
 
 
-class _KronDiagRef:
-    """Reference state kron(A, diag(w)): cheap log-trace, entropy and fidelity."""
-
-    def __init__(self, a_mat, w):
-        self.a_mat = a_mat
-        self.w = np.asarray(w, dtype=float)
-        vals, vecs = np.linalg.eigh(a_mat)
-        self.a_vals, self.a_vecs = vals, vecs
-        self.a_dim = a_mat.shape[0]
-        self.w_dim = len(self.w)
-
-    def rel_entropy_of(self, rho):
-        """D(rho || kron(A, diag(w))) in bits; inf on support violation."""
-        rho_r = rho.reshape(self.a_dim, self.w_dim, self.a_dim, self.w_dim)
-        # mass outside supp(w)
-        wa = self.w > 1e-14
-        if not wa.all():
-            mass = float(np.real(np.einsum("axax->", rho_r[:, ~wa][:, :, :, ~wa])))
-            if mass > 1e-8:
-                return float("inf")
-        pos_a = self.a_vals > 1e-12
-        if not pos_a.all():
-            ker = self.a_vecs[:, ~pos_a]
-            m1 = np.einsum("axbx->ab", rho_r)
-            mass = float(np.real(np.trace(ker.conj().T @ m1 @ ker)))
-            if mass > 1e-8:
-                return float("inf")
-        vals = np.linalg.eigvalsh(rho)
-        pos = vals > 1e-12
-        s_rho = float(np.sum(vals[pos] * np.log2(vals[pos])))
-        # Tr rho (log A (x) P_w)
-        la = (self.a_vecs[:, pos_a] * np.log2(self.a_vals[pos_a])) \
-            @ self.a_vecs[:, pos_a].conj().T
-        m_w = np.einsum("axbx,x->ab", rho_r, wa.astype(float))
-        t1 = float(np.real(np.trace(m_w @ la)))
-        # Tr rho (P_A (x) diag(log w))
-        pa = self.a_vecs[:, pos_a] @ self.a_vecs[:, pos_a].conj().T
-        logw = np.where(wa, np.log2(np.where(wa, self.w, 1.0)), 0.0)
-        m_a = np.einsum("axbx,x->ab", rho_r, logw)
-        t2 = float(np.real(np.trace(m_a @ pa)))
-        return s_rho - t1 - t2
-
-    def fidelity_of(self, rho):
-        sqrt_a = (self.a_vecs * np.sqrt(np.clip(self.a_vals, 0, None))) \
-            @ self.a_vecs.conj().T
-        sw = np.sqrt(self.w)
-        rho_w = rho * np.kron(np.ones(self.a_dim), sw)[None, :] \
-            * np.kron(np.ones(self.a_dim), sw)[:, None]
-        rho_r = rho_w.reshape(self.a_dim, self.w_dim, self.a_dim, self.w_dim)
-        mid = np.einsum("ab,bxcy,cd->axdy", sqrt_a, rho_r, sqrt_a).reshape(
-            rho.shape)
-        vals = np.linalg.eigvalsh(mid)
-        floor = max(vals[-1], 0.0) * 1e-13
-        vals = np.where(vals > floor, vals, 0.0)
-        return min(float(np.sum(np.sqrt(vals))), 1.0)
-
-
 def _flat_bound(k, a, n, n_mixed):
     ratio = harmonic_sum(1, n) / harmonic_sum(a, n)
     return float(np.log2(ratio) + np.log2(1.0 + (2.0 ** (k + 2.0) - 1.0) / n_mixed))
@@ -467,7 +410,7 @@ def convex_split_flat_1design(psi, omega, gamma, n_mixed, a=None, n=None, seed=0
     xi_target = embezzling_state(1, n).weight_vector(d_dim)
     w_sd = np.kron(np.full(s_dim, 1.0 / m_big), xi_target)
     a_mat = psi_r.matrix if psi_r is not None else np.eye(1)
-    ref = _KronDiagRef(a_mat, w_sd)
+    ref = Reference(a_mat, w_sd)
 
     d_total, f_total = 0.0, 0.0
     memo = {}
@@ -479,11 +422,11 @@ def convex_split_flat_1design(psi, omega, gamma, n_mixed, a=None, n=None, seed=0
                 for y in ys:
                     block += conjugated(y)
                 block /= n_mixed
-                d_val = ref.rel_entropy_of(block)
+                d_val = ref.rel_entropy(block)
                 if not np.isfinite(d_val):
                     memo[ys] = (float("inf"), 0.0)
                 else:
-                    memo[ys] = (d_val, ref.fidelity_of(block))
+                    memo[ys] = (d_val, ref.fidelity(block))
             dv, fv = memo[ys]
             if not np.isfinite(dv):
                 return ConvexSplitReport(k.value, n_mixed, bound, float("inf"), 0.0)
@@ -605,9 +548,9 @@ def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
     xi_target = embezzling_state(1, n).weight_vector(ens.d_dim)
     w_fdf = np.kron(np.full(ens.f_prime, 1.0 / ens.f_prime),
                     np.kron(xi_target, np.full(ens.f_prime, 1.0 / ens.f_prime)))
-    ref = _KronDiagRef(ens.psi_r_matrix(), w_fdf)
-    achieved = ref.rel_entropy_of(tau)
-    fid = ref.fidelity_of(tau) if np.isfinite(achieved) else 0.0
+    ref = Reference(ens.psi_r_matrix(), w_fdf)
+    achieved = ref.rel_entropy(tau)
+    fid = ref.fidelity(tau) if np.isfinite(achieved) else 0.0
 
     ratio = harmonic_sum(1, n) / harmonic_sum(a, n)
     for ell in sorted(set(m for m in subset if m != 0) | {1}):

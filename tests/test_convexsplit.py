@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneshot_qit.convexsplit import (GaloisField, PrimeRegister,
                                      classical_marginal_check, compose_u,
@@ -9,9 +11,9 @@ from oneshot_qit.convexsplit import (GaloisField, PrimeRegister,
                                      one_design_average, pairwise_family,
                                      prime_register, u_ell, u_ell_index)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
-                                   basis_state, maximally_entangled,
+                                   basis_state, fidelity, maximally_entangled,
                                    maximally_mixed, pair_index, partial_trace,
-                                   random_density, tensor)
+                                   permute_registers, random_density, tensor)
 
 
 def sysof(*pairs):
@@ -79,13 +81,24 @@ class TestPairwiseFamily:
             pairwise_family(6)
 
     def test_gf9_field_axioms(self):
-        f = GaloisField(9)
-        for a in range(9):
-            assert f.mul(a, 1) == a
-            assert f.add(a, 0) == a
-        # multiplicative inverses exist for nonzero elements
-        for a in range(1, 9):
-            assert any(f.mul(a, b) == 1 for b in range(1, 9))
+        # exhaustive over GF(2^m) (fixed polynomials) and GF(3^m) (searched)
+        for q in (4, 8, 9, 16, 27):
+            f = GaloisField(q)
+            add = np.array([[f.add(x, y) for y in range(q)] for x in range(q)])
+            mul = np.array([[f.mul(x, y) for y in range(q)] for x in range(q)])
+            a, b, c = np.ix_(range(q), range(q), range(q))
+            elems = np.arange(q)
+            assert np.array_equal(add[:, 0], elems)
+            assert np.array_equal(mul[:, 1], elems)
+            assert not mul[:, 0].any()
+            for op in (add, mul):
+                assert np.array_equal(op, op.T)
+                assert np.array_equal(op[op[a, b], c], op[a, op[b, c]])
+            assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
+            # each element has exactly one additive and (if nonzero) one
+            # multiplicative inverse
+            assert np.array_equal((add == 0).sum(axis=1), np.ones(q))
+            assert np.array_equal((mul[1:, 1:] == 1).sum(axis=1), np.ones(q - 1))
 
 
 class TestNextPrime:
@@ -232,6 +245,7 @@ class TestConvexSplit1Design:
         dense_val = relative_entropy(tau_op, ref)
         assert dense_val.finite
         assert abs(dense_val.value - rep.achieved_rel_entropy) <= 1e-8
+        assert abs(fidelity(tau_op, ref) - rep.achieved_fidelity) <= 1e-8
 
     def test_bounds_and_monotonicity_ladder(self):
         for seed in range(5):
@@ -294,6 +308,33 @@ class TestConvexSplitClassical:
         for lo, hi in zip(values[1:], values):
             assert lo <= hi + 1e-9
 
+    def test_matches_dense_reference(self):
+        # tau built densely from the lifted input; target psi_R (x) mu_G1 (x) mu_G2
+        from oneshot_qit.convexsplit import _rotate_host
+        from oneshot_qit.entropy import relative_entropy
+        psi = random_density(5, sysof(("R", 2), ("C", 2)))
+        reg = PrimeRegister(2, 5)
+        g, host, subset = 5, 8, [0, 2, 3]
+        rep = convex_split_classical(psi, subset)
+        lifted = permute_registers(
+            tensor(psi, basis_state(sysof(("Q", 2)), 0),
+                   maximally_mixed(sysof(("C1", 2))),
+                   maximally_mixed(sysof(("G2", g)))),
+            ["R", "Q", "C", "C1", "G2"])
+        tau = sum(_rotate_host(lifted.matrix, lifted.system.dims, ell, reg)
+                  for ell in subset) / len(subset)
+        mu_g1 = np.zeros((host, host))
+        for i in range(g):
+            mu_g1[reg.host_index(i), reg.host_index(i)] = 1.0 / g
+        target = np.kron(partial_trace(psi, ["C"]).matrix,
+                         np.kron(mu_g1, np.eye(g) / g))
+        tau_op = DensityOperator(lifted.system, tau, validate=False)
+        ref = DensityOperator(lifted.system, target, validate=False)
+        dense_val = relative_entropy(tau_op, ref)
+        assert dense_val.finite
+        assert abs(dense_val.value - rep.achieved_rel_entropy) <= 1e-8
+        assert abs(fidelity(tau_op, ref) - rep.achieved_fidelity) <= 1e-8
+
     def test_uniform_invariance(self):
         # U_l(mu (x) mu)U_l^dag = mu (x) mu exactly on the embedded support
         from oneshot_qit.convexsplit import _rotate_host
@@ -307,3 +348,29 @@ class TestConvexSplitClassical:
         for ell in range(5):
             rotated = _rotate_host(mu, (2, 2, 2, g), ell, reg)
             assert np.array_equal(rotated, mu)
+
+
+class TestSplitBoundProperty:
+    """Both split bounds across random psi_RC on 2 x 2, hence across random k."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 4),
+           data=st.data())
+    def test_classical(self, seed, rank, data):
+        psi = random_density(seed, sysof(("R", 2), ("C", 2)), rank=rank)
+        for n_mixed in (1, 2, 5):
+            subset = data.draw(st.lists(st.integers(0, 4), min_size=n_mixed,
+                                        max_size=n_mixed, unique=True))
+            rep = convex_split_classical(psi, subset)
+            assert rep.achieved_rel_entropy <= rep.analytic_bound + 1e-7
+            floor = 1 / (1 + (2 ** (rep.k + 1) - 1) / n_mixed)
+            assert rep.achieved_fidelity ** 2 >= floor - 1e-7
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(1, 4),
+           split_seed=st.integers(0, 2 ** 16))
+    def test_1design(self, seed, rank, split_seed):
+        psi = random_density(seed, sysof(("R", 2), ("C", 2)), rank=rank)
+        for n_mixed in (1, 2, 4):
+            rep = convex_split_1design(psi, n_mixed, seed=split_seed)
+            assert rep.achieved_rel_entropy <= rep.analytic_bound + 1e-7

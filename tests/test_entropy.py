@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from oneshot_qit.entropy import (check_mixture_identity, dh_eps, dmax, hmin,
-                                 imax, relative_entropy, transpose_unitary)
+from oneshot_qit.entropy import (Reference, check_mixture_identity, dh_eps,
+                                 dmax, hmin, imax, relative_entropy,
+                                 transpose_unitary)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    basis_state, fidelity, maximally_entangled,
                                    maximally_mixed, partial_trace,
@@ -71,6 +72,62 @@ class TestRelativeEntropy:
             rho = random_density(seed, s)
             sig = random_density(seed + 500, s)
             assert dmax(rho, sig).value >= relative_entropy(rho, sig).value - 1e-8
+
+
+def state_on(rng, basis, probs):
+    """sum_i probs_i |v_i><v_i| for a random orthonormal set v_i in span(basis)."""
+    g = rng.standard_normal((basis.shape[1], len(probs))) \
+        + 1j * rng.standard_normal((basis.shape[1], len(probs)))
+    v = basis @ np.linalg.qr(g)[0]
+    return (v * np.asarray(probs)) @ v.conj().T
+
+
+class TestReference:
+    """Reference(A, w) against the dense oracles on kron(A, diag(w))."""
+
+    # (eigenvalues of A, w): full-rank A, rank-deficient A, zeros in w
+    # (as in the classical split's unpopulated host states), and A = [1]
+    CASES = [
+        ([0.5, 0.3, 0.2], [0.1, 0.2, 0.3, 0.4]),
+        ([0.7, 0.3, 0.0], [0.25, 0.25, 0.25, 0.25]),
+        ([0.6, 0.4], [0.2, 0.0, 0.5, 0.0, 0.3]),
+        ([1.0], [0.5, 0.25, 0.0, 0.25]),
+    ]
+
+    @staticmethod
+    def setup_case(seed, a_vals, w):
+        """A = U diag(a_vals) U^dag for a random U (A = np.eye(1) if 1-dim)."""
+        rng = np.random.default_rng(seed)
+        d = len(a_vals)
+        u = np.linalg.qr(rng.standard_normal((d, d))
+                         + 1j * rng.standard_normal((d, d)))[0] if d > 1 else np.eye(1)
+        a_mat = (u * np.asarray(a_vals)) @ u.conj().T
+        supp = np.kron(u[:, np.asarray(a_vals) > 0], np.eye(len(w))[:, np.asarray(w) > 0])
+        system = sysof(("A", d), ("W", len(w)))
+        ref = DensityOperator(system, np.kron(a_mat, np.diag(w)))
+        return rng, a_mat, supp, system, ref
+
+    @pytest.mark.parametrize("a_vals, w", CASES)
+    def test_matches_dense_oracles(self, a_vals, w):
+        for seed in range(3):
+            rng, a_mat, supp, system, ref = self.setup_case(seed, a_vals, w)
+            fast = Reference(a_mat, w)
+            for rank in (1, supp.shape[1]):
+                probs = np.linspace(1.0, 2.0, rank)
+                rho = DensityOperator(system, state_on(rng, supp, probs / probs.sum()))
+                dense = relative_entropy(rho, ref)
+                assert dense.finite
+                assert abs(fast.rel_entropy(rho.matrix) - dense.value) <= 1e-10
+                assert abs(fast.fidelity(rho.matrix) - fidelity(rho, ref)) <= 1e-10
+
+    @pytest.mark.parametrize("a_vals, w", CASES[1:])
+    def test_mass_outside_support_infinite(self, a_vals, w):
+        # CASES[1] has mass in the A-kernel only, CASES[2:] in the w-kernel only
+        rng, a_mat, supp, system, ref = self.setup_case(0, a_vals, w)
+        ker = np.linalg.svd(supp)[0][:, supp.shape[1]:]
+        rho = 0.9 * state_on(rng, supp, [1.0]) + 0.1 * state_on(rng, ker, [1.0])
+        assert not relative_entropy(DensityOperator(system, rho), ref).finite
+        assert Reference(a_mat, w).rel_entropy(rho) == float("inf")
 
 
 class TestDmax:
