@@ -335,7 +335,7 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
         raise ValueError(f"subset size {len(subset)} exceeds the cap {cap:.6g}")
 
     ens = PrimeEnsemble(psi, flat, a, n, d_dim=d_size + 1)
-    f_prime, d_dim, s_dim, r_dim = ens.f_prime, ens.d_dim, ens.s_dim, ens.r_dim
+    f_prime, s_dim = ens.f_prime, ens.s_dim
     if subset[-1] >= f_prime:
         raise ValueError(f"subset members outside [0, {f_prime})")
 
@@ -347,20 +347,7 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
         s_sum += ens.rotate(om_full, ell)
     inv_half, _ = _inv_sqrt(s_sum)
 
-    # signal vectors: each eigenvector u_t of theta on (R, S, D) placed at
-    # F1 = s S + x1 and F2 = f2, one column per (t, x1, f2), weighted by
-    # t_val / (|S| f_prime)
-    t_vals, t_vecs = np.linalg.eigh(ens.theta)
-    keep = t_vals > 1e-13
-    t_vals, t_vecs = t_vals[keep], t_vecs[:, keep]
-    n_t = len(t_vals)
-    r, s, d, t, x1, f2 = np.ix_(range(r_dim), range(s_dim), range(d_dim),
-                                range(n_t), range(s_dim), range(f_prime))
-    signals = np.zeros((ens.dim_full, n_t * s_dim * f_prime), dtype=complex)
-    signals[ens.full_index(r, s * s_dim + x1, d, f2),
-            (t * s_dim + x1) * f_prime + f2] = \
-        t_vecs.reshape(r_dim, s_dim, d_dim, n_t)[..., None, None]
-    weights = np.repeat(t_vals / (s_dim * f_prime), s_dim * f_prime)
+    signals, weights = ens.signals()
 
     successes = {}
     for ell in subset:

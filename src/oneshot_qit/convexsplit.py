@@ -164,6 +164,23 @@ class PairwiseFamily:
         f = self._field
         return f.add(x1, f.mul(j, x2))
 
+    def images(self, members):
+        """f_j(x1, x2) for the listed members j, as an array indexed [x1, x2, i].
+
+        One scalar ``mul`` per (j, x2); the additions x1 + j*x2 run digit by
+        digit mod p over the whole array.
+        """
+        f = self._field
+        prods = np.array([[f.mul(j, x2) for j in members] for x2 in range(self.q)],
+                         dtype=np.int64).reshape(self.q, len(members))
+        x1 = np.arange(self.q)[:, None, None]
+        out = np.zeros((self.q, self.q, len(members)), dtype=np.int64)
+        unit = 1
+        for _ in range(f.m):
+            out += (x1 // unit + prods // unit) % f.p * unit
+            unit *= f.p
+        return out
+
     def joint_map_is_bijection(self, j, k):
         """Exhaustive pairwise-independence check for the member pair (j, k)."""
         seen = set()
@@ -245,6 +262,74 @@ class ConvexSplitReport:
         }
 
 
+def hw_translation_classes(images, d):
+    """Classes of the rows of ``images`` under Heisenberg-Weyl translation.
+
+    Each row (last axis) is a multiset of HW indices y = a*d + b; the shift by
+    t = (s, u) maps it to the row of (a + s mod d, b + u mod d), the group law
+    of V_{a,b} up to phase.  Returns (keys, inverse): the canonical row of
+    every class and the class of every row, rows taken in C order.  The
+    canonical row is the lexicographic minimum, over the shifts that send one
+    member to 0, of the sorted shifted row.
+    """
+    rows = images.reshape(-1, images.shape[-1])
+    a, b = np.divmod(rows, d)
+    at = np.arange(len(rows))
+    best = None
+    for i in range(rows.shape[1]):
+        cand = np.sort((a - a[:, i:i + 1]) % d * d + (b - b[:, i:i + 1]) % d,
+                       axis=1)
+        if best is None:
+            best = cand
+            continue
+        first = (cand != best).argmax(axis=1)
+        better = cand[at, first] < best[at, first]
+        best[better] = cand[better]
+    keys, inverse = np.unique(best, axis=0, return_inverse=True)
+    return keys, inverse.reshape(-1)
+
+
+def hw_split_means(state, dims, axis, n_mixed, seed, ref, family):
+    """Mean D and F against ``ref`` over the (x1, x2) blocks of a 1-design split.
+
+    Block (x1, x2) is the average of V_y state V_y^dag, V_y the HW unitary on
+    factor ``axis``, over the images y = f_j(x1, x2) of the first ``n_mixed``
+    members of a seeded permutation of ``family``.  Conjugating by V_t maps
+    the block of ys to the block of ys + t and fixes ``ref`` (uniform on that
+    factor), so D and F are eigensolved once per translation class.  Returns
+    (inf, 0.0) when a block leaves the support of ``ref``.
+    """
+    d = dims[axis]
+    q = family.q
+    members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
+    keys, inverse = hw_translation_classes(family.images(members), d)
+
+    hw = hw_family(d)
+    conj_cache = {}
+
+    def conjugated(y):
+        if y not in conj_cache:
+            conj_cache[y] = act(state, hw[y].matrix, dims, [axis])
+        return conj_cache[y]
+
+    d_vals, f_vals = [], []
+    for key in keys:
+        block = np.zeros_like(state)
+        for y in key:
+            block += conjugated(int(y))
+        block /= n_mixed
+        d_val = ref.rel_entropy(block)
+        if not np.isfinite(d_val):
+            return float("inf"), 0.0
+        d_vals.append(d_val)
+        f_vals.append(ref.fidelity(block))
+    d_total, f_total = 0.0, 0.0
+    for c in inverse:       # the (x1, x2) order of a plain loop
+        d_total += d_vals[c]
+        f_total += f_vals[c]
+    return d_total / len(inverse), min(f_total / len(inverse), 1.0)
+
+
 def convex_split_1design(psi, n_mixed, family=None, seed=0):
     """Mix a pairwise-independent selection of HW rotations of psi_RC (x) mu_X1X2.
 
@@ -273,35 +358,10 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
         raise ValueError("Dmax against the decoupled target is infinite")
     bound = float(np.log2(1.0 + (2.0 ** k.value - 1.0) / n_mixed))
 
-    members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
-
-    # precompute V_y (psi) V_y^dag for every HW index that occurs
-    hw = hw_family(d_c)
-    conj_cache = {}
-    def conjugated(y):
-        if y not in conj_cache:
-            conj_cache[y] = act(psi.matrix, hw[y].matrix, psi.system.dims,
-                                [len(labels) - 1])
-        return conj_cache[y]
-
     ref = Reference(psi_r.matrix if len(labels) > 1 else np.eye(1),
                     np.full(d_c, 1.0 / d_c))
-
-    d_total = 0.0
-    f_total = 0.0
-    for x1 in range(q):
-        for x2 in range(q):
-            block = np.zeros_like(psi.matrix)
-            for j in members:
-                block += conjugated(family.evaluate(j, x1, x2))
-            block /= n_mixed
-            d_val = ref.rel_entropy(block)
-            if not np.isfinite(d_val):
-                return ConvexSplitReport(k.value, n_mixed, bound, float("inf"), 0.0)
-            d_total += d_val
-            f_total += ref.fidelity(block)
-    achieved = d_total / (q * q)
-    fid = min(f_total / (q * q), 1.0)
+    achieved, fid = hw_split_means(psi.matrix, psi.system.dims, len(labels) - 1,
+                                   n_mixed, seed, ref, family)
     return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
 
 

@@ -62,6 +62,20 @@ def relative_entropy(rho, sigma):
     return EntropyValue(term1 - term2)
 
 
+def _entropy_sum(vals):
+    """sum lambda log2 lambda over the eigenvalues above 1e-12."""
+    pos = vals > 1e-12
+    return float(np.sum(vals[pos] * np.log2(vals[pos])))
+
+
+def _root_sum(vals):
+    """Tr sqrt(M) from the eigenvalues of M >= 0 (zeros optional), clipped to 1."""
+    # eigensolve noise ~1e-16 inflates to ~1e-8 under sqrt; clip relative to top
+    floor = max(float(np.max(vals)), 0.0) * 1e-13
+    vals = np.where(vals > floor, vals, 0.0)
+    return min(float(np.sum(np.sqrt(vals))), 1.0)
+
+
 class Reference:
     """Fixed reference state A (x) diag(w): D(rho || .) and F(rho, .) from the factors.
 
@@ -72,6 +86,7 @@ class Reference:
 
     def __init__(self, a_mat, w):
         w = np.asarray(w, dtype=float)
+        self.a_mat, self.w = a_mat, w
         self.a_dim, self.w_dim = a_mat.shape[0], len(w)
         vals, vecs = np.linalg.eigh(a_mat)
         pos = vals > 1e-12
@@ -87,40 +102,72 @@ class Reference:
     def _blocks(self, rho):
         return rho.reshape(self.a_dim, self.w_dim, self.a_dim, self.w_dim)
 
-    def rel_entropy(self, rho):
-        """D(rho || A (x) diag(w)) in bits; inf on support violation."""
+    def log_terms(self, rho):
+        """(Tr rho (log2 A (x) P_w), Tr rho (P_A (x) diag(log2 w))); None on support violation.
+
+        Linear in rho and reads it only through partial traces over the w
+        factor weighted by functions of w, so conjugating rho by a permutation
+        of the w-indices that preserves w leaves both terms unchanged.
+        """
         rho_r = self._blocks(rho)
         wa = self.w_supp
         if not wa.all():
             mass = float(np.real(np.einsum("axax->", rho_r[:, ~wa][:, :, :, ~wa])))
             if mass > 1e-8:
-                return float("inf")
+                return None
         if self.a_ker.shape[1]:
             m1 = np.einsum("axbx->ab", rho_r)
             mass = float(np.real(np.trace(self.a_ker.conj().T @ m1 @ self.a_ker)))
             if mass > 1e-8:
-                return float("inf")
-        vals = np.linalg.eigvalsh(rho)
-        pos = vals > 1e-12
-        s_rho = float(np.sum(vals[pos] * np.log2(vals[pos])))
+                return None
         # Tr rho (log A (x) P_w)
         m_w = np.einsum("axbx,x->ab", rho_r, wa.astype(float))
         t1 = float(np.real(np.trace(m_w @ self.a_log)))
         # Tr rho (P_A (x) diag(log w))
         m_a = np.einsum("axbx,x->ab", rho_r, self.w_log)
         t2 = float(np.real(np.trace(m_a @ self.a_proj)))
-        return s_rho - t1 - t2
+        return t1, t2
+
+    def rel_entropy(self, rho):
+        """D(rho || A (x) diag(w)) in bits; inf on support violation."""
+        terms = self.log_terms(rho)
+        if terms is None:
+            return float("inf")
+        return _entropy_sum(np.linalg.eigvalsh(rho)) - terms[0] - terms[1]
+
+    def restricted(self, keep):
+        """The reference on the w-indices ``keep`` only: A (x) diag(w[keep])."""
+        return Reference(self.a_mat, self.w[keep])
+
+    def half(self, cols):
+        """sqrt(A (x) diag(w)) applied to the columns of ``cols``."""
+        scaled = (cols * self.w_sqrt[:, None]).reshape(self.a_dim, -1)
+        return (self.a_sqrt @ scaled).reshape(cols.shape)
+
+    def sandwich(self, rho):
+        """sqrt(ref) rho sqrt(ref)."""
+        rho_w = rho * self.w_sqrt[None, :] * self.w_sqrt[:, None]
+        return np.einsum("ab,bxcy,cd->axdy", self.a_sqrt, self._blocks(rho_w),
+                         self.a_sqrt).reshape(rho.shape)
 
     def fidelity(self, rho):
         """F(rho, A (x) diag(w)) = || sqrt(rho) sqrt(ref) ||_1, clipped to 1."""
-        rho_w = rho * self.w_sqrt[None, :] * self.w_sqrt[:, None]
-        mid = np.einsum("ab,bxcy,cd->axdy", self.a_sqrt, self._blocks(rho_w),
-                        self.a_sqrt).reshape(rho.shape)
-        vals = np.linalg.eigvalsh(mid)
-        # eigensolve noise ~1e-16 inflates to ~1e-8 under sqrt; clip relative to top
-        floor = max(vals[-1], 0.0) * 1e-13
-        vals = np.where(vals > floor, vals, 0.0)
-        return min(float(np.sum(np.sqrt(vals))), 1.0)
+        return _root_sum(np.linalg.eigvalsh(self.sandwich(rho)))
+
+    def mixture_measures(self, base, spectra):
+        """D and F of a mixture tau of rotations of ``base`` that fix the reference.
+
+        The rotations must be permutations of the w-indices that preserve w;
+        they leave ``log_terms`` unchanged, so these and the support check are
+        taken on ``base``.  ``spectra()`` returns the eigenvalues (zeros
+        optional) of tau and of sqrt(ref) tau sqrt(ref); it is not called on
+        a support violation, which gives (inf, 0.0).
+        """
+        terms = self.log_terms(base)
+        if terms is None:
+            return float("inf"), 0.0
+        tau_vals, mid_vals = spectra()
+        return _entropy_sum(tau_vals) - terms[0] - terms[1], _root_sum(mid_vals)
 
 
 def dmax(rho, sigma):

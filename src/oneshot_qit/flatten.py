@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexsplit import (ConvexSplitReport, hw_family, next_prime_in,
+from .convexsplit import (ConvexSplitReport, hw_split_means, next_prime_in,
                           pairwise_family, u_ell_index, _factor_prime_power)
 from .entropy import Reference, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
@@ -397,43 +397,13 @@ def convex_split_flat_1design(psi, omega, gamma, n_mixed, a=None, n=None, seed=0
     s_dim = len(pairs)
     r_dim = theta.shape[0] // (s_dim * d_dim)
 
-    fam = pairwise_family(q)
-    members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
-    hw = hw_family(s_dim)
-    conj_cache = {}
-
-    def conjugated(y):
-        if y not in conj_cache:
-            conj_cache[y] = act(theta, hw[y].matrix, (r_dim, s_dim, d_dim), [1])
-        return conj_cache[y]
-
     xi_target = embezzling_state(1, n).weight_vector(d_dim)
     w_sd = np.kron(np.full(s_dim, 1.0 / m_big), xi_target)
     a_mat = psi_r.matrix if psi_r is not None else np.eye(1)
-    ref = Reference(a_mat, w_sd)
-
-    d_total, f_total = 0.0, 0.0
-    memo = {}
-    for x1 in range(q):
-        for x2 in range(q):
-            ys = tuple(sorted(fam.evaluate(j, x1, x2) for j in members))
-            if ys not in memo:
-                block = np.zeros_like(theta)
-                for y in ys:
-                    block += conjugated(y)
-                block /= n_mixed
-                d_val = ref.rel_entropy(block)
-                if not np.isfinite(d_val):
-                    memo[ys] = (float("inf"), 0.0)
-                else:
-                    memo[ys] = (d_val, ref.fidelity(block))
-            dv, fv = memo[ys]
-            if not np.isfinite(dv):
-                return ConvexSplitReport(k.value, n_mixed, bound, float("inf"), 0.0)
-            d_total += dv
-            f_total += fv
-    return ConvexSplitReport(k.value, n_mixed, bound,
-                             d_total / (q * q), min(f_total / (q * q), 1.0))
+    achieved, fid = hw_split_means(theta, (r_dim, s_dim, d_dim), 1, n_mixed,
+                                   seed, Reference(a_mat, w_sd),
+                                   pairwise_family(q))
+    return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
 
 
 class PrimeEnsemble:
@@ -459,6 +429,10 @@ class PrimeEnsemble:
         self.base = np.kron(self.embed_f1(theta, np.diag([1.0, 0.0])),
                             np.eye(self.f_prime))
         self.base *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
+        t_vals, t_vecs = np.linalg.eigh(theta)
+        keep = t_vals > 1e-13
+        self.theta_eig = t_vals[keep], t_vecs[:, keep]
+        self.rank = len(self.theta_eig[0]) * self.s_dim * self.f_prime
 
     def full_index(self, r, f1, d, f2):
         return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
@@ -487,6 +461,109 @@ class PrimeEnsemble:
         """U_l mat U_l^dag on (R, F1, D, F2)."""
         inv = np.argsort(u_ell_index(ell, self.f_prime))
         return permute_basis(mat, inv, self.dims, [1, 3])
+
+    def signals(self):
+        """Unit signal vectors and their weights: base = sum_c weights[c] |c><c|.
+
+        Each eigenvector u_t of theta on (R, S, D) is placed at F1 = s S + x1
+        and F2 = f2, one column per (t, x1, f2), with weight
+        t_val / (|S| f_prime).
+        """
+        t_vals, t_vecs = self.theta_eig
+        n_t, s_dim, f_prime = len(t_vals), self.s_dim, self.f_prime
+        r, s, d, t, x1, f2 = np.ix_(range(self.r_dim), range(s_dim),
+                                    range(self.d_dim), range(n_t),
+                                    range(s_dim), range(f_prime))
+        signals = np.zeros((self.dim_full, self.rank), dtype=complex)
+        signals[self.full_index(r, s * s_dim + x1, d, f2),
+                (t * s_dim + x1) * f_prime + f2] = \
+            t_vecs.reshape(self.r_dim, s_dim, self.d_dim, n_t)[..., None, None]
+        return signals, np.repeat(t_vals / (s_dim * f_prime), s_dim * f_prime)
+
+    def mixture_spectra(self, subset, ref):
+        """Eigenvalues of tau = mean_l U_l base U_l^dag and of sqrt(ref) tau sqrt(ref).
+
+        ``ref`` is an `entropy.Reference` on (R; F1, D, F2), uniform on F1 F2,
+        so every U_l fixes it.  Zero eigenvalues may be left out.  The
+        eigensolve runs on the smallest of:
+        - the eigenspaces of U_1 when ``subset`` is the whole group: U_l is
+          U_1^l, so tau is the pinching of base onto them, and
+          sqrt(ref) tau sqrt(ref) that of sqrt(ref) base sqrt(ref);
+        - the Gram matrices W^dag W and W^dag ref W, W = [U_l V] / sqrt(N)
+          with V V^dag = base, whose nonzero spectra are those of tau and of
+          sqrt(ref) tau sqrt(ref), at dimension N rank(base);
+        - tau itself, compressed to the rows (R, w) for which some R-row of
+          tau is nonzero, where the reference compresses to A (x) diag(w).
+        """
+        n_mixed = len(subset)
+        sizes = {"support": self.r_dim * len(self._occupied(subset)),
+                 "gram": n_mixed * self.rank}
+        if n_mixed == self.f_prime:
+            sizes["pinch"] = (2 * self.f_prime - 1) * self.r_dim * self.d_dim
+        route = min(sizes, key=sizes.get)
+        if route == "pinch":
+            return (self._sector_spectrum(self.base),
+                    self._sector_spectrum(ref.sandwich(self.base)))
+        if route == "gram":
+            return self._gram_spectra(subset, ref)
+        return self._support_spectra(subset, ref)
+
+    def _occupied(self, subset):
+        """Indices on (F1, D, F2) where tau has a nonzero row for some R index."""
+        diag = np.diagonal(self.base).real > 0
+        occupied = np.zeros(self.dim_full, dtype=bool)
+        for ell in subset:
+            occupied |= diag[self._source(ell)]
+        return np.flatnonzero(occupied.reshape(self.r_dim, -1).any(axis=0))
+
+    def _gram_spectra(self, subset, ref):
+        signals, weights = self.signals()
+        v = signals * np.sqrt(weights / len(subset))
+        w = np.concatenate([v[self._source(ell)] for ell in subset], axis=1)
+        half = ref.half(w)
+        return (np.linalg.eigvalsh(w.conj().T @ w),
+                np.linalg.eigvalsh(half.conj().T @ half))
+
+    def _support_spectra(self, subset, ref):
+        keep = self._occupied(subset)
+        rows = (np.arange(self.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
+        tau = np.zeros((len(rows), len(rows)), dtype=complex)
+        for ell in subset:
+            idx = self._source(ell)[rows]
+            tau += self.base[np.ix_(idx, idx)]
+        tau /= len(subset)
+        return (np.linalg.eigvalsh(tau),
+                np.linalg.eigvalsh(ref.restricted(keep).sandwich(tau)))
+
+    def _source(self, ell):
+        """Gather index of U_l on the full space: (U_l x)[i] = x[src[i]]."""
+        return lift_index(np.argsort(u_ell_index(ell, self.f_prime)), self.dims,
+                          [1, 3])
+
+    def _sector_spectrum(self, mat):
+        """Eigenvalues of the pinching of ``mat`` onto the eigenspaces of U_1.
+
+        U_1 fixes the pairs (i, i) and maps (i, i + delta) to
+        (i + delta, i + 2 delta).  In coordinates (delta, t), with i = t for
+        delta = 0 and i = t delta otherwise, it is the shift t -> t + 1 on
+        every delta != 0.  A DFT over t diagonalises it: every (0, k) lies in
+        sector 0, and (delta, k) in sector k for delta != 0.
+        """
+        g, rd = self.f_prime, self.r_dim * self.d_dim
+        delta, t = np.divmod(np.arange(g * g), g)
+        i = np.where(delta == 0, t, delta * t % g)
+        pairs = i * g + (i + delta) % g
+        m = reorder(mat, self.dims, [0, 2, 1, 3]).reshape(rd, g * g, rd, g * g)
+        m = m[:, pairs][:, :, :, pairs].reshape(rd, g, g, rd, g, g)
+        m = np.fft.ifft(np.fft.fft(m, axis=2, norm="ortho"), axis=5, norm="ortho")
+        m = m.reshape(rd, g * g, rd, g * g)
+        sector = np.where(delta == 0, 0, t)
+        vals = []
+        for k in range(g):
+            sel = np.flatnonzero(sector == k)
+            block = m[:, sel][:, :, :, sel].reshape(rd * len(sel), -1)
+            vals.append(np.linalg.eigvalsh(block))
+        return np.concatenate(vals)
 
     def psi_r_matrix(self):
         return self.psi_r.matrix if self.psi_r is not None else np.eye(1)
@@ -540,17 +617,12 @@ def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
     if subset[0] < 0 or subset[-1] >= ens.f_prime:
         raise ValueError(f"subset members outside [0, {ens.f_prime})")
 
-    tau = np.zeros_like(ens.base)
-    for ell in subset:
-        tau += ens.rotate(ens.base, ell)
-    tau /= n_mixed
-
     xi_target = embezzling_state(1, n).weight_vector(ens.d_dim)
     w_fdf = np.kron(np.full(ens.f_prime, 1.0 / ens.f_prime),
                     np.kron(xi_target, np.full(ens.f_prime, 1.0 / ens.f_prime)))
     ref = Reference(ens.psi_r_matrix(), w_fdf)
-    achieved = ref.rel_entropy(tau)
-    fid = ref.fidelity(tau) if np.isfinite(achieved) else 0.0
+    achieved, fid = ref.mixture_measures(
+        ens.base, lambda: ens.mixture_spectra(subset, ref))
 
     ratio = harmonic_sum(1, n) / harmonic_sum(a, n)
     for ell in sorted(set(m for m in subset if m != 0) | {1}):
@@ -558,4 +630,4 @@ def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
         if gap < -1e-10:
             raise AssertionError(
                 f"marginal domination failed for l={ell}: min eig {gap}")
-    return ConvexSplitReport(k.value, n_mixed, bound, achieved, min(fid, 1.0))
+    return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)

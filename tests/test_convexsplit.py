@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,14 @@ from oneshot_qit.convexsplit import (GaloisField, PrimeRegister,
                                      classical_marginal_check, compose_u,
                                      convex_split_1design,
                                      convex_split_classical, hw_family,
-                                     hw_unitary, next_prime_in,
-                                     one_design_average, pairwise_family,
-                                     prime_register, u_ell, u_ell_index)
-from oneshot_qit.registers import (DensityOperator, RegisterSystem,
+                                     hw_translation_classes, hw_unitary,
+                                     next_prime_in, one_design_average,
+                                     pairwise_family, prime_register, u_ell,
+                                     u_ell_index)
+from oneshot_qit.entropy import Reference
+from oneshot_qit.flatten import (_moved_state, convex_split_flat_1design,
+                                 embezzling_state, round_spectrum)
+from oneshot_qit.registers import (DensityOperator, RegisterSystem, act,
                                    basis_state, fidelity, maximally_entangled,
                                    maximally_mixed, pair_index, partial_trace,
                                    permute_registers, random_density, tensor)
@@ -99,6 +105,113 @@ class TestPairwiseFamily:
             # multiplicative inverse
             assert np.array_equal((add == 0).sum(axis=1), np.ones(q))
             assert np.array_equal((mul[1:, 1:] == 1).sum(axis=1), np.ones(q - 1))
+
+
+class TestPairwiseImages:
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 64])
+    def test_matches_evaluate(self, q):
+        fam = pairwise_family(q)
+        members = [int(j) for j in np.random.default_rng(q).permutation(q)]
+        expected = np.array([[[fam.evaluate(j, x1, x2) for j in members]
+                              for x2 in range(q)] for x1 in range(q)])
+        assert np.array_equal(fam.images(members), expected)
+
+
+def _hw_shift(y, t, d):
+    """HW index of V_t V_y up to phase: (a, b) + (s, u) componentwise mod d."""
+    return (y // d + t // d) % d * d + (y % d + t % d) % d
+
+
+def plain_split_means(state, dims, axis, n_mixed, seed, ref, family):
+    """Mean D and F over every (x1, x2) block, each eigensolved, no memo.
+
+    Member images come from ``family.images``, which TestPairwiseImages
+    checks against ``evaluate`` exhaustively.
+    """
+    d, q = dims[axis], family.q
+    members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
+    conj = np.stack([act(state, v.matrix, dims, [axis]) for v in hw_family(d)])
+    images = family.images(members)
+    d_sum, f_sum = 0.0, 0.0
+    for x1 in range(q):
+        for x2 in range(q):
+            block = sum(conj[y] for y in images[x1, x2]) / n_mixed
+            d_sum += ref.rel_entropy(block)
+            f_sum += ref.fidelity(block)
+    return d_sum / (q * q), min(f_sum / (q * q), 1.0)
+
+
+class TestTranslationClasses:
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_key_is_minimum_over_all_shifts(self, d):
+        q = d * d
+        fam = pairwise_family(q)
+        images = fam.images([int(j) for j in
+                             np.random.default_rng(d).permutation(q)[:3]])
+        keys, inverse = hw_translation_classes(images, d)
+        rows = images.reshape(-1, 3)
+        for row, cls in zip(rows, inverse):
+            brute = min(tuple(sorted(_hw_shift(int(y), t, d) for y in row))
+                        for t in range(q))
+            assert tuple(keys[cls]) == brute
+        assert len(keys) == len({tuple(k) for k in keys})
+
+    @pytest.mark.parametrize("dim_c", [2, 4])
+    @pytest.mark.parametrize("n_mixed", [1, 2, 3, "q"])
+    def test_split_matches_plain_loop(self, dim_c, n_mixed):
+        q = dim_c * dim_c
+        n_mixed = q if n_mixed == "q" else n_mixed
+        psi = random_density((dim_c, n_mixed), sysof(("R", 2), ("C", dim_c)))
+        rep = convex_split_1design(psi, n_mixed, seed=3)
+        ref = Reference(partial_trace(psi, ["C"]).matrix,
+                        np.full(dim_c, 1.0 / dim_c))
+        d_val, f_val = plain_split_means(psi.matrix, psi.system.dims, 1,
+                                         n_mixed, 3, ref, pairwise_family(q))
+        assert abs(rep.achieved_rel_entropy - d_val) <= 1e-12
+        assert abs(rep.achieved_fidelity - f_val) <= 1e-12
+
+    # every N at gamma = 1/2 (q = 16); at gamma = 1/4 (q = 64) the plain
+    # loop eigensolves 8192 blocks per N, so one N covers it
+    @pytest.mark.parametrize("gamma, n_mixed", [
+        (Fraction(1, 2), 1), (Fraction(1, 2), 2), (Fraction(1, 2), 3),
+        (Fraction(1, 2), "q"), (Fraction(1, 4), 3)])
+    def test_flat_split_matches_plain_loop(self, gamma, n_mixed):
+        n = 4
+        mu_c = maximally_mixed(sysof(("C", 2)))
+        psi = random_density((gamma.denominator, 5), sysof(("R", 2), ("C", 2)))
+        flat = round_spectrum(mu_c, gamma, "up")
+        m_big = flat.grid_total
+        q = m_big * m_big
+        n_mixed = q if n_mixed == "q" else n_mixed
+        rep = convex_split_flat_1design(psi, mu_c, gamma, n_mixed, n=n, seed=2)
+        theta, psi_r, pairs = _moved_state(psi, flat, flat.e_dim, n)
+        dims = (2, len(pairs), n + 1)
+        ref = Reference(psi_r.matrix, np.kron(
+            np.full(len(pairs), 1.0 / m_big),
+            embezzling_state(1, n).weight_vector(n + 1)))
+        d_val, f_val = plain_split_means(theta, dims, 1, n_mixed, 2, ref,
+                                         pairwise_family(q))
+        assert abs(rep.achieved_rel_entropy - d_val) <= 1e-12
+        assert abs(rep.achieved_fidelity - f_val) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 4]),
+           data=st.data())
+    def test_block_measures_are_translation_invariant(self, seed, d, data):
+        psi = random_density(seed, sysof(("R", 2), ("C", d)))
+        ys = data.draw(st.lists(st.integers(0, d * d - 1), min_size=1,
+                                max_size=5))
+        t = data.draw(st.integers(0, d * d - 1))
+        ref = Reference(partial_trace(psi, ["C"]).matrix, np.full(d, 1.0 / d))
+        hw = hw_family(d)
+
+        def block(zs):
+            return sum(act(psi.matrix, hw[z].matrix, psi.system.dims, [1])
+                       for z in zs) / len(zs)
+
+        moved = block([_hw_shift(y, t, d) for y in ys])
+        assert abs(ref.rel_entropy(block(ys)) - ref.rel_entropy(moved)) <= 1e-10
+        assert abs(ref.fidelity(block(ys)) - ref.fidelity(moved)) <= 1e-10
 
 
 class TestNextPrime:

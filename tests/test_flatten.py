@@ -1,9 +1,12 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from oneshot_qit.flatten import (check_embezzle_upper, check_unembezzle,
+from oneshot_qit.entropy import Reference
+from oneshot_qit.flatten import (PrimeEnsemble, check_embezzle_upper,
+                                 check_unembezzle,
                                  convex_split_flat_1design,
                                  convex_split_flat_classical,
                                  embezzling_state, flatten, harmonic_sum,
@@ -332,3 +335,112 @@ class TestFlatSplits:
         mu_c = maximally_mixed(sysof(("C", 2)))
         with pytest.raises(ValueError):
             convex_split_flat_classical(phi, mu_c, Fraction(1, 2), [])
+
+
+@lru_cache(maxsize=None)
+def _ensemble(case):
+    """The decouple benchmark's gamma = 2/3 case, or criterion 08's phi case."""
+    if case == "decouple":
+        psi = random_density(77, sysof(("R", 2), ("C", 2)))
+        omega, gamma = partial_trace(psi, ["R"]), Fraction(2, 3)
+    else:
+        psi = maximally_entangled("R", "C", 2)
+        omega, gamma = maximally_mixed(sysof(("C", 2))), Fraction(1, 2)
+    flat = round_spectrum(omega, gamma, "up")
+    ens = PrimeEnsemble(psi, flat, flat.e_dim, 3)
+    g = ens.f_prime
+    xi = embezzling_state(1, 3).weight_vector(ens.d_dim)
+    ref = Reference(ens.psi_r_matrix(), np.kron(np.full(g, 1.0 / g),
+                                                np.kron(xi, np.full(g, 1.0 / g))))
+    return ens, ref
+
+
+def _entropy_fidelity(tau_vals, mid_vals):
+    pos = tau_vals[tau_vals > 1e-12]
+    mid = mid_vals[mid_vals > max(mid_vals.max(), 0.0) * 1e-13]
+    return -float(np.sum(pos * np.log2(pos))), float(np.sum(np.sqrt(mid)))
+
+
+def _nonzero_eigvalsh(mat):
+    """Dense eigvalsh after dropping the exactly zero rows and columns."""
+    keep = np.flatnonzero(np.any(mat != 0, axis=1))
+    return np.linalg.eigvalsh(mat[np.ix_(keep, keep)])
+
+
+@lru_cache(maxsize=None)
+def _dense(case, n_mixed):
+    ens, ref = _ensemble(case)
+    tau = sum(ens.rotate(ens.base, ell) for ell in range(n_mixed)) / n_mixed
+    return _entropy_fidelity(_nonzero_eigvalsh(tau),
+                             _nonzero_eigvalsh(ref.sandwich(tau)))
+
+
+_CASES = [("decouple", 2), ("decouple", 11), ("phi", 1), ("phi", 2), ("phi", 4)]
+
+
+class TestMixtureSpectra:
+    """The structured spectra of tau = mean_l U_l base U_l^dag against dense eigvalsh."""
+
+    def _check(self, case, n_mixed, spectra):
+        s_val, f_val = _entropy_fidelity(*spectra)
+        s_dense, f_dense = _dense(case, n_mixed)
+        assert abs(s_val - s_dense) <= 1e-12
+        assert abs(f_val - f_dense) <= 1e-8
+
+    # at decouple N = 11 the Gram matrix (2904) is larger than tau (968)
+    @pytest.mark.parametrize("case, n_mixed", [c for c in _CASES
+                                               if c != ("decouple", 11)])
+    def test_gram_matches_dense(self, case, n_mixed):
+        ens, ref = _ensemble(case)
+        self._check(case, n_mixed, ens._gram_spectra(range(n_mixed), ref))
+
+    @pytest.mark.parametrize("case, n_mixed", _CASES)
+    def test_support_matches_dense(self, case, n_mixed):
+        ens, ref = _ensemble(case)
+        self._check(case, n_mixed, ens._support_spectra(range(n_mixed), ref))
+
+    @pytest.mark.parametrize("case", ["decouple", "phi"])
+    def test_pinching_matches_dense(self, case):
+        ens, ref = _ensemble(case)
+        g = ens.f_prime
+        self._check(case, g, (ens._sector_spectrum(ens.base),
+                              ens._sector_spectrum(ref.sandwich(ens.base))))
+
+    def test_signals_factor_base(self):
+        ens, _ = _ensemble("decouple")
+        signals, weights = ens.signals()
+        assert signals.shape == (ens.dim_full, ens.rank)
+        assert np.allclose(signals.conj().T @ signals, np.eye(ens.rank),
+                           rtol=0, atol=1e-13)
+        assert np.allclose((signals * weights) @ signals.conj().T, ens.base,
+                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case, n_mixed, sizes", [
+        ("decouple", 2, [420, 420]),              # support, below Gram 528
+        ("decouple", 11, [168] * 2 + [80] * 20),  # the 11 sectors of U_1, twice
+        ("phi", 1, [136, 136]),                   # Gram, against 2312
+        ("decouple", 5, [632, 632])])             # support, below Gram 1320
+    def test_route_by_dimension(self, case, n_mixed, sizes, monkeypatch):
+        ens, ref = _ensemble(case)
+        seen = []
+        solve = np.linalg.eigvalsh
+
+        def recording(mat):
+            seen.append(mat.shape[0])
+            return solve(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        ens.mixture_spectra(range(n_mixed), ref)
+        assert sorted(seen, reverse=True) == sizes
+
+    @pytest.mark.parametrize("n_mixed", [2, 11])
+    def test_split_matches_dense_reference(self, n_mixed):
+        # the report against Reference on the full dense tau (dimension 968)
+        psi = random_density(77, sysof(("R", 2), ("C", 2)))
+        omega = partial_trace(psi, ["R"])
+        rep = convex_split_flat_classical(psi, omega, Fraction(2, 3),
+                                          range(n_mixed), n=3)
+        ens, ref = _ensemble("decouple")
+        tau = sum(ens.rotate(ens.base, ell) for ell in range(n_mixed)) / n_mixed
+        assert abs(rep.achieved_rel_entropy - ref.rel_entropy(tau)) <= 1e-12
+        assert abs(rep.achieved_fidelity - ref.fidelity(tau)) <= 1e-8
