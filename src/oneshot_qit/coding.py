@@ -585,10 +585,8 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
         return success_cache[ys]
 
     totals = np.zeros(n_messages)
-    for x1 in range(q_field):
-        for x2 in range(q_field):
-            totals += branch_successes(tuple(fam.evaluate(mm, x1, x2)
-                                             for mm in range(n_messages)))
+    for ys in fam.images(range(n_messages)).reshape(-1, n_messages).tolist():
+        totals += branch_successes(tuple(ys))
     errors = 1.0 - totals / (q_field * q_field)
     branch_count = n_messages * q_field * q_field
 

@@ -139,11 +139,6 @@ class Reference:
         """The reference on the w-indices ``keep`` only: A (x) diag(w[keep])."""
         return Reference(self.a_mat, self.w[keep])
 
-    def half(self, cols):
-        """sqrt(A (x) diag(w)) applied to the columns of ``cols``."""
-        scaled = (cols * self.w_sqrt[:, None]).reshape(self.a_dim, -1)
-        return (self.a_sqrt @ scaled).reshape(cols.shape)
-
     def sandwich(self, rho):
         """sqrt(ref) rho sqrt(ref)."""
         rho_w = rho * self.w_sqrt[None, :] * self.w_sqrt[:, None]
@@ -153,21 +148,6 @@ class Reference:
     def fidelity(self, rho):
         """F(rho, A (x) diag(w)) = || sqrt(rho) sqrt(ref) ||_1, clipped to 1."""
         return _root_sum(np.linalg.eigvalsh(self.sandwich(rho)))
-
-    def mixture_measures(self, base, spectra):
-        """D and F of a mixture tau of rotations of ``base`` that fix the reference.
-
-        The rotations must be permutations of the w-indices that preserve w;
-        they leave ``log_terms`` unchanged, so these and the support check are
-        taken on ``base``.  ``spectra()`` returns the eigenvalues (zeros
-        optional) of tau and of sqrt(ref) tau sqrt(ref); it is not called on
-        a support violation, which gives (inf, 0.0).
-        """
-        terms = self.log_terms(base)
-        if terms is None:
-            return float("inf"), 0.0
-        tau_vals, mid_vals = spectra()
-        return _entropy_sum(tau_vals) - terms[0] - terms[1], _root_sum(mid_vals)
 
 
 def dmax(rho, sigma):

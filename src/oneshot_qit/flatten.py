@@ -22,7 +22,7 @@ import numpy as np
 
 from .convexsplit import (ConvexSplitReport, hw_split_means, next_prime_in,
                           pairwise_family, u_ell_index, _factor_prime_power)
-from .entropy import Reference, dmax
+from .entropy import Reference, _entropy_sum, _root_sum, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
                         lift_index, pair_index, partial_trace, permute_basis,
                         reorder, tensor)
@@ -432,7 +432,6 @@ class PrimeEnsemble:
         t_vals, t_vecs = np.linalg.eigh(theta)
         keep = t_vals > 1e-13
         self.theta_eig = t_vals[keep], t_vecs[:, keep]
-        self.rank = len(self.theta_eig[0]) * self.s_dim * self.f_prime
 
     def full_index(self, r, f1, d, f2):
         return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
@@ -474,7 +473,7 @@ class PrimeEnsemble:
         r, s, d, t, x1, f2 = np.ix_(range(self.r_dim), range(s_dim),
                                     range(self.d_dim), range(n_t),
                                     range(s_dim), range(f_prime))
-        signals = np.zeros((self.dim_full, self.rank), dtype=complex)
+        signals = np.zeros((self.dim_full, n_t * s_dim * f_prime), dtype=complex)
         signals[self.full_index(r, s * s_dim + x1, d, f2),
                 (t * s_dim + x1) * f_prime + f2] = \
             t_vecs.reshape(self.r_dim, s_dim, self.d_dim, n_t)[..., None, None]
@@ -485,28 +484,19 @@ class PrimeEnsemble:
 
         ``ref`` is an `entropy.Reference` on (R; F1, D, F2), uniform on F1 F2,
         so every U_l fixes it.  Zero eigenvalues may be left out.  The
-        eigensolve runs on the smallest of:
+        eigensolve runs on the smaller of:
         - the eigenspaces of U_1 when ``subset`` is the whole group: U_l is
           U_1^l, so tau is the pinching of base onto them, and
           sqrt(ref) tau sqrt(ref) that of sqrt(ref) base sqrt(ref);
-        - the Gram matrices W^dag W and W^dag ref W, W = [U_l V] / sqrt(N)
-          with V V^dag = base, whose nonzero spectra are those of tau and of
-          sqrt(ref) tau sqrt(ref), at dimension N rank(base);
         - tau itself, compressed to the rows (R, w) for which some R-row of
           tau is nonzero, where the reference compresses to A (x) diag(w).
         """
-        n_mixed = len(subset)
-        sizes = {"support": self.r_dim * len(self._occupied(subset)),
-                 "gram": n_mixed * self.rank}
-        if n_mixed == self.f_prime:
-            sizes["pinch"] = (2 * self.f_prime - 1) * self.r_dim * self.d_dim
-        route = min(sizes, key=sizes.get)
-        if route == "pinch":
+        keep = self._occupied(subset)
+        pinch = (2 * self.f_prime - 1) * self.r_dim * self.d_dim
+        if len(subset) == self.f_prime and pinch < self.r_dim * len(keep):
             return (self._sector_spectrum(self.base),
                     self._sector_spectrum(ref.sandwich(self.base)))
-        if route == "gram":
-            return self._gram_spectra(subset, ref)
-        return self._support_spectra(subset, ref)
+        return self._support_spectra(subset, ref, keep)
 
     def _occupied(self, subset):
         """Indices on (F1, D, F2) where tau has a nonzero row for some R index."""
@@ -516,16 +506,7 @@ class PrimeEnsemble:
             occupied |= diag[self._source(ell)]
         return np.flatnonzero(occupied.reshape(self.r_dim, -1).any(axis=0))
 
-    def _gram_spectra(self, subset, ref):
-        signals, weights = self.signals()
-        v = signals * np.sqrt(weights / len(subset))
-        w = np.concatenate([v[self._source(ell)] for ell in subset], axis=1)
-        half = ref.half(w)
-        return (np.linalg.eigvalsh(w.conj().T @ w),
-                np.linalg.eigvalsh(half.conj().T @ half))
-
-    def _support_spectra(self, subset, ref):
-        keep = self._occupied(subset)
+    def _support_spectra(self, subset, ref, keep):
         rows = (np.arange(self.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
         tau = np.zeros((len(rows), len(rows)), dtype=complex)
         for ell in subset:
@@ -621,8 +602,15 @@ def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
     w_fdf = np.kron(np.full(ens.f_prime, 1.0 / ens.f_prime),
                     np.kron(xi_target, np.full(ens.f_prime, 1.0 / ens.f_prime)))
     ref = Reference(ens.psi_r_matrix(), w_fdf)
-    achieved, fid = ref.mixture_measures(
-        ens.base, lambda: ens.mixture_spectra(subset, ref))
+    # every U_l permutes w-indices of equal weight, so tau has the log terms
+    # and the support of the base term
+    terms = ref.log_terms(ens.base)
+    if terms is None:
+        achieved, fid = float("inf"), 0.0
+    else:
+        tau_vals, mid_vals = ens.mixture_spectra(subset, ref)
+        achieved = _entropy_sum(tau_vals) - terms[0] - terms[1]
+        fid = _root_sum(mid_vals)
 
     ratio = harmonic_sum(1, n) / harmonic_sum(a, n)
     for ell in sorted(set(m for m in subset if m != 0) | {1}):
