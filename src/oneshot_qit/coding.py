@@ -1,7 +1,12 @@
 """Position-based decoding and entanglement-assisted channel coding.
 
-The decoders build square-root (Hayashi-Nagaoka) measurements over rotated
-copies of a hypothesis test and report per-position success probabilities.
+The decoders measure with the square-root (Hayashi-Nagaoka) measurement over
+rotated copies of a hypothesis test and report per-position success
+probabilities.  Both take them from one signal-vector routine: the signal
+state's eigenvectors are moved by each rotation as a row gather, and the
+success is a weighted sum of their quadratic forms, so no measurement element
+is built.  ``hayashi_nagaoka_povm`` builds the elements for callers that need
+them.
 The channel code runs the full protocol exactly: shared flattened-purification
 and embezzling resources, transpose-trick encoding on Alice's side, a channel
 application, and square-root decoding on Bob's side, with error probabilities
@@ -22,17 +27,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexsplit import (PrimeRegister, _lift_classical_input, _rotate_host,
-                          hw_family, pairwise_family)
+from .convexsplit import (PrimeRegister, _classical_ensemble, hw_family,
+                          pairwise_family, u_ell_index)
 from .entropy import _threshold_test, dh_eps, dmax, imax
-from .flatten import (PrimeEnsemble, _support_index, check_unembezzle,
+from .flatten import (_flat_ensemble, _support_index, check_unembezzle,
                       embezzling_state, harmonic_sum,
                       purified_embezzle_fidelity, round_spectrum,
                       unitary_flatten_W)
 from .registers import (DensityOperator, PureState, RegisterSystem,
-                        _as_density, act, maximally_mixed, pair_index,
-                        partial_trace, permute_basis, permute_registers,
-                        tensor)
+                        _as_density, act, lift_index, maximally_mixed,
+                        pair_index, partial_trace, permute_basis,
+                        permute_registers, tensor)
 
 
 @dataclass(frozen=True)
@@ -230,6 +235,29 @@ def _decode_cap(dh_value, eps, delta):
     return (delta ** 2 / (4.0 * eps)) * (2.0 ** dh_value)
 
 
+def _signal_successes(test, perms, signals, weights):
+    """Tr(Lambda_l tau_l) for every l of ``perms``, from signal vectors.
+
+    perms[l] is the index map of U_l (new index per old index).  Lambda_l =
+    S^{-1/2} U_l test U_l^dag S^{-1/2} with S the sum of the rotated tests,
+    and tau_l = U_l (sum_c weights[c] |c><c|) U_l^dag over the columns |c> of
+    ``signals``.  Each U_l moves the signals by one row gather, so the
+    success is a weighted sum of quadratic forms of the test.
+    """
+    s_sum = np.zeros_like(test)
+    for perm in perms.values():
+        s_sum[np.ix_(perm, perm)] += test
+    inv_half, _ = _inv_sqrt(s_sum)
+    successes = {}
+    for ell, perm in perms.items():
+        rotated = np.empty_like(signals)
+        rotated[perm] = signals
+        back = (inv_half @ rotated)[perm]
+        vals = np.real(np.sum(back.conj() * (test @ back), axis=0))
+        successes[ell] = float(weights @ vals)
+    return successes
+
+
 def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     """Identify which cyclic rotation U_l carries the signal state.
 
@@ -251,7 +279,7 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     if subset[-1] >= g or subset[0] < 0:
         raise ValueError(f"subset members outside [0, {g})")
 
-    psi_b = partial_trace(psi, [c_label])
+    ens, psi_b = _classical_ensemble(psi, prime_reg)
     ref = tensor(psi_b, maximally_mixed(RegisterSystem([(c_label, c_dim)])))
     dh = dh_eps(psi, ref, eps)
     cap = _decode_cap(dh.value, eps, delta) if dh.finite else float("inf")
@@ -260,21 +288,27 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
 
     omega, _ = neyman_pearson_operator(psi, ref, eps)
     d_b = psi.system.total_dim // c_dim
+    signals, weights = ens.signals()
 
-    state, _ = _lift_classical_input(psi, prime_reg)
-    # Omega on (B, C0) lifted to the state's order (B, Q, C0, C1, G2)
+    # The host space (B, G1, G2) keeps all 2|C|^2 states of G1 = Q C0 C1:
+    # Omega (x) I maps the first g of them into the tail, so compressing G1
+    # to the prime register would change the measurement.
+    host = 2 * c_dim * c_dim
     om_t = omega.reshape(d_b, c_dim, d_b, c_dim)
     om_bqc = np.einsum("bcde,qr->bqcdre", om_t, np.eye(2)).reshape(
         d_b * 2 * c_dim, d_b * 2 * c_dim)
     omega_lift = np.kron(om_bqc, np.eye(c_dim * g))
-
-    dims = state.system.dims
-    rotated_tests = [_rotate_host(omega_lift, dims, ell, prime_reg)
-                     for ell in subset]
-    taus = [_rotate_host(state.matrix, dims, ell, prime_reg) for ell in subset]
-    povm = hayashi_nagaoka_povm(rotated_tests, labels=subset)
-    successes = {ell: float(np.real(np.sum(povm.elements[ell].T * tau)))
-                 for ell, tau in zip(subset, taus)}
+    # psi (x) mu_C1 (x) mu_G2 sits on the first g states of G1
+    cols = len(weights)
+    host_signals = np.zeros((d_b, host, g, cols), dtype=complex)
+    host_signals[:, :g] = signals.reshape(d_b, g, g, cols)
+    img = np.arange(host * g)       # U_l on the first g states, I on the tail
+    perms = {}
+    for ell in subset:
+        img[:g * g] = u_ell_index(ell, g)
+        perms[ell] = lift_index(img, (d_b, host, g), [1, 2])
+    successes = _signal_successes(omega_lift, perms,
+                                  host_signals.reshape(-1, cols), weights)
     c = delta / eps
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
     exact = 1.0 - eps - delta - (2 + c + 1 / c) * (len(subset) - 1) * cross
@@ -282,17 +316,17 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
                                 1.0 - eps - 4 * delta, exact, cap)
 
 
-def _lifted_flat_test(ens, omega, dims):
-    """The test omega on (B, C) as an operator on (B, F1, D, F2).
+def _lifted_flat_test(ens, flat, a, n, omega, dims):
+    """The test omega on (B, C) as an operator on the ensemble's (B, F1, D, F2).
 
     Omega goes to the sigma eigenbasis, is moved by W, compressed to
     supp (x) D and embedded into F1 with its q = 1 tail, then F2 is added.
     """
-    flat, d_dim = ens.flat, ens.d_dim
+    d_dim = ens.d_dim
     c_axis = len(dims) - 1
     omega_rot = act(omega, flat.basis.conj().T, dims, [c_axis])
     om_ced = np.kron(omega_rot, np.eye(flat.e_dim * d_dim))  # (B, C, E, D)
-    om_supp = permute_basis(om_ced, _support_index(flat, ens.a, ens.n, d_dim),
+    om_supp = permute_basis(om_ced, _support_index(flat, a, n, d_dim),
                             dims + (flat.e_dim, d_dim),
                             [c_axis, c_axis + 1, c_axis + 2])   # on (B, S, D)
     return np.kron(ens.embed_f1(om_supp, np.eye(2)), np.eye(ens.f_prime))
@@ -304,11 +338,8 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
 
     The test family is {U_l W Omega W^dag U_l^dag} on (B, F1, D, F2); the
     report carries the exact-ratio analogue of the coarse success bound.
-    The signal state is theta (x) mu_X1 (x) mu_F2; its eigenvectors, placed
-    at every (x1, f2), form one array of signal vectors, and each U_l acts on
-    it as one row gather.  The success Tr(Lambda_l tau_l) is then a weighted
-    sum of quadratic forms of Lambda_l = S^{-1/2} U_l Omega U_l^dag S^{-1/2},
-    with S^{-1/2} solved block by block on the exact-zero pattern of S.
+    The signal state is theta (x) mu_X1 (x) mu_F2, whose eigenvectors are
+    the signal vectors of `_signal_successes`.
     """
     psi = _as_density(psi)
     subset = sorted(set(int(x) for x in subset))
@@ -334,29 +365,17 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     if len(subset) > cap:
         raise ValueError(f"subset size {len(subset)} exceeds the cap {cap:.6g}")
 
-    ens = PrimeEnsemble(psi, flat, a, n, d_dim=d_size + 1)
+    ens = _flat_ensemble(psi, flat, a, n, d_size + 1)
     f_prime, s_dim = ens.f_prime, ens.s_dim
     if subset[-1] >= f_prime:
         raise ValueError(f"subset members outside [0, {f_prime})")
 
     omega, _ = neyman_pearson_operator(psi, ref, eps)
-    om_full = _lifted_flat_test(ens, omega, psi.system.dims)
-
-    s_sum = np.zeros_like(om_full)
-    for ell in subset:
-        s_sum += ens.rotate(om_full, ell)
-    inv_half, _ = _inv_sqrt(s_sum)
-
+    om_full = _lifted_flat_test(ens, flat, a, n, omega, psi.system.dims)
     signals, weights = ens.signals()
-
-    successes = {}
-    for ell in subset:
-        perm = ens.permutation(ell)
-        rotated = np.empty_like(signals)
-        rotated[perm] = signals
-        back = (inv_half @ rotated)[perm]
-        vals = np.real(np.sum(back.conj() * (om_full @ back), axis=0))
-        successes[ell] = float(weights @ vals)
+    successes = _signal_successes(
+        om_full, {ell: ens.permutation(ell) for ell in subset}, signals,
+        weights)
 
     ratio_emb = harmonic_sum(1, n) / harmonic_sum(a, n)
     f1_factor = 2.0 * s_dim * s_dim / f_prime

@@ -17,13 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Reference, dmax
+from .entropy import Reference, _entropy_sum, _root_sum, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
-                        basis_state, maximally_mixed, partial_trace,
-                        permute_basis, permute_registers, tensor)
+                        lift_index, maximally_mixed, partial_trace,
+                        permute_basis, reorder, tensor)
 
 # Fixed irreducible polynomials over GF(2), low-degree-first bit encoding.
 _GF2_POLYS = {2: 0b111, 4: 0b10011, 6: 0b1000011, 8: 0b100011011}
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
 
 
 def next_prime_in(n):
@@ -31,14 +35,9 @@ def next_prime_in(n):
     if n < 2:
         raise ValueError("need n >= 2")
     cand = int(n)
-    while True:
-        if cand >= 2 and all(cand % p for p in range(2, int(cand ** 0.5) + 1)):
-            return cand
+    while not _is_prime(cand):
         cand += 1
-
-
-def _is_prime(n):
-    return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+    return cand
 
 
 def _factor_prime_power(q):
@@ -365,13 +364,15 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
     return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
 
 
+
+
 @dataclass(frozen=True)
 class PrimeRegister:
-    """Prime-dimensional register G embedded in Q (x) C (x) C with a basis relabeling.
+    """Prime-dimensional register G holding the pairs of C (x) C.
 
-    Basis index i < |C|^2 encodes q=0, (c, c') with i = c|C| + c'; indices
-    |C|^2 <= i < |G| encode q=1 with i = |C|^2 + c|C| + c'.  The remaining
-    q=1 basis states of the host space are never populated.
+    Basis index i < |C|^2 carries the pair (c, c') with i = c|C| + c'.  The
+    prime lies in [|C|^2, 2|C|^2], so G is the first |G| states of
+    Q (x) C (x) C with i = q|C|^2 + c|C| + c'.
     """
 
     base_dim: int
@@ -383,23 +384,6 @@ class PrimeRegister:
             raise ValueError(f"{self.prime} is not prime")
         if not c2 <= self.prime <= 2 * c2:
             raise ValueError(f"prime {self.prime} outside [{c2}, {2 * c2}]")
-
-    @property
-    def host_dim(self):
-        return 2 * self.base_dim * self.base_dim
-
-    def host_index(self, i):
-        """Index of |i>_G inside the Q (x) C (x) C product basis."""
-        if not 0 <= i < self.prime:
-            raise ValueError(f"index {i} out of range")
-        return i  # (q, c, c') in lexicographic order is exactly i
-
-    def triple_of(self, i):
-        c = self.base_dim
-        if i < c * c:
-            return 0, i // c, i % c
-        j = i - c * c
-        return 1, j // c, j % c
 
 
 def prime_register(base_dim):
@@ -433,84 +417,212 @@ def u_ell_index(ell, g):
     return (i + shift) % g * g + (j + shift) % g
 
 
-def _g1_weights(prime_reg):
-    """Diagonal of mu_G1 in the host basis: 1/|G| on the embedded states, 0 elsewhere."""
-    w = np.zeros(prime_reg.host_dim)
-    w[:prime_reg.prime] = 1.0 / prime_reg.prime   # host_index(i) == i
-    return w
+class PrimeEnsemble:
+    """A state theta on (R, S, D) spread over (R, F1, D, F2) and mixed by the U_l.
+
+    F1 and F2 are copies of the prime register ``reg``, built for
+    |S| = reg.base_dim: F1 state q|S|^2 + s|S| + x carries (q, s, x), and only
+    q = 0 is populated.  The base state is theta (x) mu_X on q = 0, (x) mu_F2;
+    the mixed terms are its images under the U_l on (F1, F2).  ``psi_r`` is
+    the R marginal of the decoupled target (a 1 x 1 identity without R).
+    """
+
+    def __init__(self, theta, psi_r, d_dim, reg):
+        self.r_dim, self.s_dim, self.d_dim = psi_r.shape[0], reg.base_dim, d_dim
+        if theta.shape[0] != self.r_dim * self.s_dim * d_dim:
+            raise ValueError(
+                f"prime register built for |C| = {self.s_dim}, but the state "
+                f"has dimension {theta.shape[0]}, not {self.r_dim} x "
+                f"{self.s_dim} x {d_dim} on (R, C, D)")
+        self.theta, self.psi_r = theta, psi_r
+        self.f_prime = reg.prime
+        self.dim_full = self.r_dim * self.f_prime * self.d_dim * self.f_prime
+        # theta (x) mu_X on the q = 0 part of F1, then (x) mu_F2
+        self.base = np.kron(self.embed_f1(theta, np.diag([1.0, 0.0])),
+                            np.eye(self.f_prime))
+        self.base *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
+
+    def full_index(self, r, f1, d, f2):
+        return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
+
+    def embed_f1(self, mat, q_op):
+        """mat on (R, S, D) as an operator on (R, F1, D).
+
+        F1 state q S^2 + s S + x carries mat (x) q_op on Q (x) I on X; F1
+        keeps the first f_prime of these 2 S^2 states.
+        """
+        r, s, d = self.r_dim, self.s_dim, self.d_dim
+        big = np.kron(mat, np.kron(q_op, np.eye(s)))         # (R, S, D, Q, X)
+        big = reorder(big, (r, s, d, 2, s), [0, 3, 1, 4, 2])  # (R, Q, S, X, D)
+        return permute_basis(big, np.arange(self.f_prime), (r, 2, s, s, d),
+                             [1, 2, 3])
+
+    @property
+    def dims(self):
+        return (self.r_dim, self.f_prime, self.d_dim, self.f_prime)
+
+    def permutation(self, ell):
+        """Index map of U_l on the full space (new index per old index)."""
+        return lift_index(u_ell_index(ell, self.f_prime), self.dims, [1, 3])
+
+    def rotate(self, mat, ell):
+        """U_l mat U_l^dag on (R, F1, D, F2)."""
+        inv = np.argsort(u_ell_index(ell, self.f_prime))
+        return permute_basis(mat, inv, self.dims, [1, 3])
+
+    def marginal(self, ell):
+        """Tr_F2(U_l base U_l^dag) on (R, F1, D), summed over f2 from base itself."""
+        src = self._source(ell).reshape(-1, self.f_prime)
+        out = np.zeros((len(src), len(src)), dtype=self.base.dtype)
+        for idx in src.T:
+            out += self.base[np.ix_(idx, idx)]
+        return out
+
+    def signals(self):
+        """Unit signal vectors and their weights: base = sum_c weights[c] |c><c|.
+
+        Each eigenvector u_t of theta on (R, S, D) is placed at F1 = s S + x1
+        and F2 = f2, one column per (t, x1, f2), with weight
+        t_val / (|S| f_prime).
+        """
+        t_vals, t_vecs = np.linalg.eigh(self.theta)
+        keep = t_vals > 1e-13
+        t_vals, t_vecs = t_vals[keep], t_vecs[:, keep]
+        n_t, s_dim, f_prime = len(t_vals), self.s_dim, self.f_prime
+        r, s, d, t, x1, f2 = np.ix_(range(self.r_dim), range(s_dim),
+                                    range(self.d_dim), range(n_t),
+                                    range(s_dim), range(f_prime))
+        signals = np.zeros((self.dim_full, n_t * s_dim * f_prime), dtype=complex)
+        signals[self.full_index(r, s * s_dim + x1, d, f2),
+                (t * s_dim + x1) * f_prime + f2] = \
+            t_vecs.reshape(self.r_dim, s_dim, self.d_dim, n_t)[..., None, None]
+        return signals, np.repeat(t_vals / (s_dim * f_prime), s_dim * f_prime)
+
+    def mixture_measures(self, subset, w_d):
+        """D and F of tau = mean_l U_l base U_l^dag, l in ``subset``.
+
+        The reference is psi_R (x) mu_F1 (x) diag(w_d) (x) mu_F2.  Every U_l
+        permutes indices of equal reference weight, so tau has the log terms
+        and the support of the base term; its spectra come from
+        `mixture_spectra`.
+        """
+        mu = np.full(self.f_prime, 1.0 / self.f_prime)
+        ref = Reference(self.psi_r, np.kron(mu, np.kron(w_d, mu)))
+        terms = ref.log_terms(self.base)
+        if terms is None:
+            return float("inf"), 0.0
+        tau_vals, mid_vals = self.mixture_spectra(subset, ref)
+        return _entropy_sum(tau_vals) - terms[0] - terms[1], _root_sum(mid_vals)
+
+    def mixture_spectra(self, subset, ref):
+        """Eigenvalues of tau = mean_l U_l base U_l^dag and of sqrt(ref) tau sqrt(ref).
+
+        ``ref`` is an `entropy.Reference` on (R; F1, D, F2), uniform on F1 F2,
+        so every U_l fixes it.  Zero eigenvalues may be left out.  The
+        eigensolve runs on the smaller of:
+        - the eigenspaces of U_1 when ``subset`` is the whole group: U_l is
+          U_1^l, so tau is the pinching of base onto them, and
+          sqrt(ref) tau sqrt(ref) that of sqrt(ref) base sqrt(ref);
+        - tau itself, compressed to the rows (R, w) for which some R-row of
+          tau is nonzero, where the reference compresses to A (x) diag(w).
+        """
+        keep = self._occupied(subset)
+        pinch = (2 * self.f_prime - 1) * self.r_dim * self.d_dim
+        if len(subset) == self.f_prime and pinch < self.r_dim * len(keep):
+            return (self._sector_spectrum(self.base),
+                    self._sector_spectrum(ref.sandwich(self.base)))
+        return self._support_spectra(subset, ref, keep)
+
+    def _occupied(self, subset):
+        """Indices on (F1, D, F2) where tau has a nonzero row for some R index."""
+        diag = np.diagonal(self.base).real > 0
+        occupied = np.zeros(self.dim_full, dtype=bool)
+        for ell in subset:
+            occupied |= diag[self._source(ell)]
+        return np.flatnonzero(occupied.reshape(self.r_dim, -1).any(axis=0))
+
+    def _support_spectra(self, subset, ref, keep):
+        rows = (np.arange(self.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
+        tau = np.zeros((len(rows), len(rows)), dtype=complex)
+        for ell in subset:
+            idx = self._source(ell)[rows]
+            tau += self.base[np.ix_(idx, idx)]
+        tau /= len(subset)
+        return (np.linalg.eigvalsh(tau),
+                np.linalg.eigvalsh(ref.restricted(keep).sandwich(tau)))
+
+    def _source(self, ell):
+        """Gather index of U_l on the full space: (U_l x)[i] = x[src[i]]."""
+        return lift_index(np.argsort(u_ell_index(ell, self.f_prime)), self.dims,
+                          [1, 3])
+
+    def _sector_spectrum(self, mat):
+        """Eigenvalues of the pinching of ``mat`` onto the eigenspaces of U_1.
+
+        U_1 fixes the pairs (i, i) and maps (i, i + delta) to
+        (i + delta, i + 2 delta).  In coordinates (delta, t), with i = t for
+        delta = 0 and i = t delta otherwise, it is the shift t -> t + 1 on
+        every delta != 0.  A DFT over t diagonalises it: every (0, k) lies in
+        sector 0, and (delta, k) in sector k for delta != 0.
+        """
+        g, rd = self.f_prime, self.r_dim * self.d_dim
+        delta, t = np.divmod(np.arange(g * g), g)
+        i = np.where(delta == 0, t, delta * t % g)
+        pairs = i * g + (i + delta) % g
+        m = reorder(mat, self.dims, [0, 2, 1, 3]).reshape(rd, g * g, rd, g * g)
+        m = m[:, pairs][:, :, :, pairs].reshape(rd, g, g, rd, g, g)
+        m = np.fft.ifft(np.fft.fft(m, axis=2, norm="ortho"), axis=5, norm="ortho")
+        m = m.reshape(rd, g * g, rd, g * g)
+        sector = np.where(delta == 0, 0, t)
+        vals = []
+        for k in range(g):
+            sel = np.flatnonzero(sector == k)
+            block = m[:, sel][:, :, :, sel].reshape(rd * len(sel), -1)
+            vals.append(np.linalg.eigvalsh(block))
+        return np.concatenate(vals)
 
 
-def _rotate_host(mat, dims, ell, prime_reg):
-    """U_l mat U_l^dag for mat on (R..., Q, C0, C1, G2); G1 sits in (Q, C0, C1)."""
-    g = prime_reg.prime
-    img = np.arange(prime_reg.host_dim * g)
-    img[:g * g] = u_ell_index(ell, g)   # host_index(i) * g + j == i * g + j
-    return permute_basis(mat, np.argsort(img), dims, range(len(dims) - 4, len(dims)))
-
-
-def _lift_classical_input(psi, prime_reg):
-    """psi_RC0 (x) |0><0|_Q (x) mu_C1 (x) mu_G2, ordered (R..., Q, C0, C1, G2)."""
+def _classical_ensemble(psi, prime_reg):
+    """psi_RC as the `PrimeEnsemble` with S = C and a trivial D."""
     psi = _as_density(psi)
-    labels = psi.system.labels
-    c0_label = labels[-1]
-    rest = list(labels[:-1])
-    c_dim = psi.system.dim_of(c0_label)
-    q0 = basis_state(RegisterSystem([("Q", 2)]), 0).density()
-    mu_c1 = maximally_mixed(RegisterSystem([("C1", c_dim)]))
-    mu_g2 = maximally_mixed(RegisterSystem([("G2", prime_reg.prime)]))
-    state = tensor(psi, q0, mu_c1, mu_g2)
-    return permute_registers(state, rest + ["Q", c0_label, "C1", "G2"]), rest
+    psi_r = partial_trace(psi, [psi.system.labels[-1]])
+    return PrimeEnsemble(psi.matrix, psi_r.matrix, 1, prime_reg), psi_r
 
 
 def classical_marginal_check(psi, prime_reg, m):
     """Frobenius residual of Tr_G2(U_m (psi (x) |0>Q (x) mu_C1 (x) mu_G2) U_m^dag) = psi_R (x) mu_G1."""
     if not 1 <= m < prime_reg.prime:
         raise ValueError(f"m = {m} excluded; need 1 <= m < {prime_reg.prime}")
-    psi = _as_density(psi)
-    c0_label = psi.system.labels[-1]
-    state, rest = _lift_classical_input(psi, prime_reg)
-    rotated = DensityOperator(state.system, _rotate_host(
-        state.matrix, state.system.dims, m, prime_reg), validate=False)
-    marg = partial_trace(rotated, ["G2"])
-    psi_r = partial_trace(psi, [c0_label])
-    mu_g1 = np.diag(_g1_weights(prime_reg))
-    target = np.kron(psi_r.matrix, mu_g1) if len(rest) else mu_g1
-    return float(np.linalg.norm(marg.matrix - target))
+    ens, _ = _classical_ensemble(psi, prime_reg)
+    g = prime_reg.prime
+    target = np.kron(ens.psi_r, np.eye(g) / g)
+    return float(np.linalg.norm(ens.marginal(m) - target))
 
 
 def convex_split_classical(psi, subset, prime=None):
     """Mix the cyclic classical unitaries U_l over l in ``subset``.
 
-    The C register must be last in ``psi``.  Builds tau on (R, G1, G2) with G1
-    embedded in Q (x) C0 (x) C1, and checks the achieved relative entropy and
-    fidelity against psi_R (x) mu_G1 (x) mu_G2.
+    The C register must be last in ``psi``.  tau lives on (R, G1, G2), with
+    psi_RC (x) mu_C1 on the first |G| states of Q (x) C (x) C1 in G1 (the
+    `PrimeEnsemble` with S = C and a trivial D); the achieved relative
+    entropy and fidelity are against psi_R (x) mu_G1 (x) mu_G2.
     """
     psi = _as_density(psi)
     subset = sorted(set(int(x) for x in subset))
     if not subset:
         raise ValueError("subset of unitaries must be nonempty")
-    c0_label = psi.system.labels[-1]
-    c_dim = psi.system.dim_of(c0_label)
+    c_label = psi.system.labels[-1]
+    c_dim = psi.system.dim_of(c_label)
     reg = PrimeRegister(c_dim, prime) if prime else prime_register(c_dim)
     g = reg.prime
     if subset[0] < 0 or subset[-1] >= g:
         raise ValueError(f"subset members outside [0, {g})")
 
-    psi_r = partial_trace(psi, [c0_label])
-    k = dmax(psi, tensor(psi_r, maximally_mixed(RegisterSystem([(c0_label, c_dim)]))))
+    ens, psi_r = _classical_ensemble(psi, reg)
+    k = dmax(psi, tensor(psi_r, maximally_mixed(RegisterSystem([(c_label, c_dim)]))))
     if not k.finite:
         raise ValueError("Dmax against the decoupled target is infinite")
     n_mixed = len(subset)
     bound = float(np.log2(1.0 + (2.0 ** (k.value + 1.0) - 1.0) / n_mixed))
-
-    state, rest = _lift_classical_input(psi, reg)
-    acc = np.zeros_like(state.matrix)
-    for ell in subset:
-        acc += _rotate_host(state.matrix, state.system.dims, ell, reg)
-    tau = acc / n_mixed
-
-    ref = Reference(psi_r.matrix if len(rest) else np.eye(1),
-                    np.kron(_g1_weights(reg), np.full(g, 1.0 / g)))
-    achieved = ref.rel_entropy(tau)
-    fid = ref.fidelity(tau)
+    achieved, fid = ens.mixture_measures(subset, np.ones(1))
     return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)

@@ -20,12 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexsplit import (ConvexSplitReport, hw_split_means, next_prime_in,
-                          pairwise_family, u_ell_index, _factor_prime_power)
-from .entropy import Reference, _entropy_sum, _root_sum, dmax
+from .convexsplit import (ConvexSplitReport, PrimeEnsemble, hw_split_means,
+                          pairwise_family, prime_register, _factor_prime_power)
+from .entropy import Reference, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
-                        lift_index, pair_index, partial_trace, permute_basis,
-                        reorder, tensor)
+                        pair_index, partial_trace, permute_basis, tensor)
 
 
 def harmonic_sum(a, n):
@@ -320,7 +319,7 @@ def _moved_state(psi, flat, a, n, d_dim=None):
     """W (psi'_{RC} (x) |0><0|_E (x) xi^{a:n}) W^dag compressed to supp(sigma_CE) (x) D.
 
     psi is rotated into the sigma eigenbasis on C first.  Returns
-    (matrix on R (x) S (x) D, psi_R operator, support pair list).  ``d_dim``
+    (matrix on R (x) S (x) D, psi_R matrix, support pair list).  ``d_dim``
     sets the D register dimension (default n + 1, labels 0..n).
     """
     psi = _as_density(psi)
@@ -347,8 +346,13 @@ def _moved_state(psi, flat, a, n, d_dim=None):
     lifted = np.kron(psi_rot, np.kron(e0, np.diag(xi_diag)))   # (R, C, E, D)
     out = permute_basis(lifted, _support_index(flat, a, n, d_dim),
                         psi.system.dims + (e_dim, d_dim), [k, k + 1, k + 2])
-    psi_r = partial_trace(psi, [c_label]) if k else None
-    return out, psi_r, flat.support_pairs()
+    return out, partial_trace(psi, [c_label]).matrix, flat.support_pairs()
+
+
+def _flat_ensemble(psi, flat, a, n, d_dim):
+    """The moved state as a `PrimeEnsemble`, F1 sized for the flattened support."""
+    theta, psi_r, pairs = _moved_state(psi, flat, a, n, d_dim=d_dim)
+    return PrimeEnsemble(theta, psi_r, d_dim, prime_register(len(pairs)))
 
 
 def _flat_bound(k, a, n, n_mixed):
@@ -399,169 +403,10 @@ def convex_split_flat_1design(psi, omega, gamma, n_mixed, a=None, n=None, seed=0
 
     xi_target = embezzling_state(1, n).weight_vector(d_dim)
     w_sd = np.kron(np.full(s_dim, 1.0 / m_big), xi_target)
-    a_mat = psi_r.matrix if psi_r is not None else np.eye(1)
     achieved, fid = hw_split_means(theta, (r_dim, s_dim, d_dim), 1, n_mixed,
-                                   seed, Reference(a_mat, w_sd),
+                                   seed, Reference(psi_r, w_sd),
                                    pairwise_family(q))
     return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
-
-
-class PrimeEnsemble:
-    """States and operators on (R, F1, D, F2) for the prime-register method.
-
-    F1 carries the flattened support pair (x0, x1) as index x0*M + x1 < M^2
-    inside a prime-dimensional register; the tail stays unpopulated.  The base
-    state is W(psi (x) |0>_E (x) xi^{a:n})W^dag (x) sigma_CE (x) mu_F2, and
-    mixed terms are its images under the cyclic basis permutations U_l.
-    """
-
-    def __init__(self, psi, flat, a, n, d_dim=None):
-        theta, psi_r, pairs = _moved_state(psi, flat, a, n, d_dim=d_dim)
-        self.flat, self.a, self.n = flat, a, n
-        self.d_dim = n + 1 if d_dim is None else d_dim
-        self.s_dim = len(pairs)
-        self.r_dim = theta.shape[0] // (self.s_dim * self.d_dim)
-        self.f_prime = next_prime_in(self.s_dim * self.s_dim)
-        self.psi_r = psi_r
-        self.theta = theta
-        self.dim_full = self.r_dim * self.f_prime * self.d_dim * self.f_prime
-        # theta (x) mu_X1 on the q = 0 part of F1, then (x) mu_F2
-        self.base = np.kron(self.embed_f1(theta, np.diag([1.0, 0.0])),
-                            np.eye(self.f_prime))
-        self.base *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
-        t_vals, t_vecs = np.linalg.eigh(theta)
-        keep = t_vals > 1e-13
-        self.theta_eig = t_vals[keep], t_vecs[:, keep]
-
-    def full_index(self, r, f1, d, f2):
-        return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
-
-    def embed_f1(self, mat, q_op):
-        """mat on (R, S, D) as an operator on (R, F1, D).
-
-        F1 state q S^2 + s S + x carries mat (x) q_op on Q (x) I on X; F1
-        keeps the first f_prime of these 2 S^2 states.
-        """
-        r, s, d = self.r_dim, self.s_dim, self.d_dim
-        big = np.kron(mat, np.kron(q_op, np.eye(s)))         # (R, S, D, Q, X)
-        big = reorder(big, (r, s, d, 2, s), [0, 3, 1, 4, 2])  # (R, Q, S, X, D)
-        return permute_basis(big, np.arange(self.f_prime), (r, 2, s, s, d),
-                             [1, 2, 3])
-
-    @property
-    def dims(self):
-        return (self.r_dim, self.f_prime, self.d_dim, self.f_prime)
-
-    def permutation(self, ell):
-        """Index map of U_l on the full space (new index per old index)."""
-        return lift_index(u_ell_index(ell, self.f_prime), self.dims, [1, 3])
-
-    def rotate(self, mat, ell):
-        """U_l mat U_l^dag on (R, F1, D, F2)."""
-        inv = np.argsort(u_ell_index(ell, self.f_prime))
-        return permute_basis(mat, inv, self.dims, [1, 3])
-
-    def signals(self):
-        """Unit signal vectors and their weights: base = sum_c weights[c] |c><c|.
-
-        Each eigenvector u_t of theta on (R, S, D) is placed at F1 = s S + x1
-        and F2 = f2, one column per (t, x1, f2), with weight
-        t_val / (|S| f_prime).
-        """
-        t_vals, t_vecs = self.theta_eig
-        n_t, s_dim, f_prime = len(t_vals), self.s_dim, self.f_prime
-        r, s, d, t, x1, f2 = np.ix_(range(self.r_dim), range(s_dim),
-                                    range(self.d_dim), range(n_t),
-                                    range(s_dim), range(f_prime))
-        signals = np.zeros((self.dim_full, n_t * s_dim * f_prime), dtype=complex)
-        signals[self.full_index(r, s * s_dim + x1, d, f2),
-                (t * s_dim + x1) * f_prime + f2] = \
-            t_vecs.reshape(self.r_dim, s_dim, self.d_dim, n_t)[..., None, None]
-        return signals, np.repeat(t_vals / (s_dim * f_prime), s_dim * f_prime)
-
-    def mixture_spectra(self, subset, ref):
-        """Eigenvalues of tau = mean_l U_l base U_l^dag and of sqrt(ref) tau sqrt(ref).
-
-        ``ref`` is an `entropy.Reference` on (R; F1, D, F2), uniform on F1 F2,
-        so every U_l fixes it.  Zero eigenvalues may be left out.  The
-        eigensolve runs on the smaller of:
-        - the eigenspaces of U_1 when ``subset`` is the whole group: U_l is
-          U_1^l, so tau is the pinching of base onto them, and
-          sqrt(ref) tau sqrt(ref) that of sqrt(ref) base sqrt(ref);
-        - tau itself, compressed to the rows (R, w) for which some R-row of
-          tau is nonzero, where the reference compresses to A (x) diag(w).
-        """
-        keep = self._occupied(subset)
-        pinch = (2 * self.f_prime - 1) * self.r_dim * self.d_dim
-        if len(subset) == self.f_prime and pinch < self.r_dim * len(keep):
-            return (self._sector_spectrum(self.base),
-                    self._sector_spectrum(ref.sandwich(self.base)))
-        return self._support_spectra(subset, ref, keep)
-
-    def _occupied(self, subset):
-        """Indices on (F1, D, F2) where tau has a nonzero row for some R index."""
-        diag = np.diagonal(self.base).real > 0
-        occupied = np.zeros(self.dim_full, dtype=bool)
-        for ell in subset:
-            occupied |= diag[self._source(ell)]
-        return np.flatnonzero(occupied.reshape(self.r_dim, -1).any(axis=0))
-
-    def _support_spectra(self, subset, ref, keep):
-        rows = (np.arange(self.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
-        tau = np.zeros((len(rows), len(rows)), dtype=complex)
-        for ell in subset:
-            idx = self._source(ell)[rows]
-            tau += self.base[np.ix_(idx, idx)]
-        tau /= len(subset)
-        return (np.linalg.eigvalsh(tau),
-                np.linalg.eigvalsh(ref.restricted(keep).sandwich(tau)))
-
-    def _source(self, ell):
-        """Gather index of U_l on the full space: (U_l x)[i] = x[src[i]]."""
-        return lift_index(np.argsort(u_ell_index(ell, self.f_prime)), self.dims,
-                          [1, 3])
-
-    def _sector_spectrum(self, mat):
-        """Eigenvalues of the pinching of ``mat`` onto the eigenspaces of U_1.
-
-        U_1 fixes the pairs (i, i) and maps (i, i + delta) to
-        (i + delta, i + 2 delta).  In coordinates (delta, t), with i = t for
-        delta = 0 and i = t delta otherwise, it is the shift t -> t + 1 on
-        every delta != 0.  A DFT over t diagonalises it: every (0, k) lies in
-        sector 0, and (delta, k) in sector k for delta != 0.
-        """
-        g, rd = self.f_prime, self.r_dim * self.d_dim
-        delta, t = np.divmod(np.arange(g * g), g)
-        i = np.where(delta == 0, t, delta * t % g)
-        pairs = i * g + (i + delta) % g
-        m = reorder(mat, self.dims, [0, 2, 1, 3]).reshape(rd, g * g, rd, g * g)
-        m = m[:, pairs][:, :, :, pairs].reshape(rd, g, g, rd, g, g)
-        m = np.fft.ifft(np.fft.fft(m, axis=2, norm="ortho"), axis=5, norm="ortho")
-        m = m.reshape(rd, g * g, rd, g * g)
-        sector = np.where(delta == 0, 0, t)
-        vals = []
-        for k in range(g):
-            sel = np.flatnonzero(sector == k)
-            block = m[:, sel][:, :, :, sel].reshape(rd * len(sel), -1)
-            vals.append(np.linalg.eigvalsh(block))
-        return np.concatenate(vals)
-
-    def psi_r_matrix(self):
-        return self.psi_r.matrix if self.psi_r is not None else np.eye(1)
-
-    def trace_out_f2(self, mat):
-        d_keep = self.r_dim * self.f_prime * self.d_dim
-        return np.einsum("afbf->ab", mat.reshape(d_keep, self.f_prime,
-                                                 d_keep, self.f_prime))
-
-    def marginal_domination_gap(self, ell, ratio):
-        """Min eigenvalue of ratio * psi_R (x) mu_F1 (x) xi^{1:n} - Tr_F2(tau_l)."""
-        xi_target = embezzling_state(1, self.n).weight_vector(self.d_dim)
-        marg_ref = np.kron(self.psi_r_matrix(),
-                           np.kron(np.eye(self.f_prime) / self.f_prime,
-                                   np.diag(xi_target)))
-        marg = self.trace_out_f2(self.rotate(self.base, ell))
-        return float(np.linalg.eigvalsh(ratio * marg_ref - marg)[0])
 
 
 def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
@@ -594,27 +439,19 @@ def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
     n_mixed = len(subset)
     bound = _flat_bound(k.value, a, n, n_mixed)
 
-    ens = PrimeEnsemble(psi, flat, a, n)
-    if subset[0] < 0 or subset[-1] >= ens.f_prime:
-        raise ValueError(f"subset members outside [0, {ens.f_prime})")
+    ens = _flat_ensemble(psi, flat, a, n, n + 1)
+    g = ens.f_prime
+    if subset[0] < 0 or subset[-1] >= g:
+        raise ValueError(f"subset members outside [0, {g})")
 
     xi_target = embezzling_state(1, n).weight_vector(ens.d_dim)
-    w_fdf = np.kron(np.full(ens.f_prime, 1.0 / ens.f_prime),
-                    np.kron(xi_target, np.full(ens.f_prime, 1.0 / ens.f_prime)))
-    ref = Reference(ens.psi_r_matrix(), w_fdf)
-    # every U_l permutes w-indices of equal weight, so tau has the log terms
-    # and the support of the base term
-    terms = ref.log_terms(ens.base)
-    if terms is None:
-        achieved, fid = float("inf"), 0.0
-    else:
-        tau_vals, mid_vals = ens.mixture_spectra(subset, ref)
-        achieved = _entropy_sum(tau_vals) - terms[0] - terms[1]
-        fid = _root_sum(mid_vals)
+    achieved, fid = ens.mixture_measures(subset, xi_target)
 
     ratio = harmonic_sum(1, n) / harmonic_sum(a, n)
+    marg_ref = ratio * np.kron(ens.psi_r, np.kron(np.eye(g) / g,
+                                                  np.diag(xi_target)))
     for ell in sorted(set(m for m in subset if m != 0) | {1}):
-        gap = ens.marginal_domination_gap(ell, ratio)
+        gap = float(np.linalg.eigvalsh(marg_ref - ens.marginal(ell))[0])
         if gap < -1e-10:
             raise AssertionError(
                 f"marginal domination failed for l={ell}: min eig {gap}")

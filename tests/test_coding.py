@@ -17,7 +17,7 @@ from oneshot_qit.coding import (POVM, CodingReport, _components, _inv_sqrt,
                                 redistribution_bounds)
 from oneshot_qit.convexsplit import PrimeRegister
 from oneshot_qit.entropy import dh_eps
-from oneshot_qit.flatten import PrimeEnsemble, round_spectrum
+from oneshot_qit.flatten import _flat_ensemble, round_spectrum
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    basis_state, maximally_entangled,
                                    maximally_mixed, partial_trace,
@@ -257,6 +257,12 @@ class TestPositionDecodeClassical:
         with pytest.raises(ValueError):
             position_based_decode_classical(prod, self.reg, [0], 0.1, 0.1)
 
+    def test_register_size_mismatch(self):
+        phi3 = maximally_entangled("B", "C", 3)
+        with pytest.raises(ValueError, match="built for"):
+            position_based_decode_classical(phi3, self.reg, [0, 1], 0.005,
+                                            0.15)
+
     def test_success_degrades_with_size(self):
         vals = []
         for size in (1, 2, 4):
@@ -302,10 +308,10 @@ class TestPositionDecodeFlat:
         rep = position_based_decode_flat(psi, mu_c, gamma, subset, eps, 0.5,
                                          a=a, n=n, d_size=d_size)
 
-        ens = PrimeEnsemble(psi, round_spectrum(mu_c, gamma, "down"), a, n,
-                            d_dim=d_size + 1)
+        flat = round_spectrum(mu_c, gamma, "down")
+        ens = _flat_ensemble(psi, flat, a, n, d_size + 1)
         ref = tensor(partial_trace(psi, ["C"]), mu_c)
-        om_full = _lifted_flat_test(ens, neyman_pearson_operator(
+        om_full = _lifted_flat_test(ens, flat, a, n, neyman_pearson_operator(
             psi, ref, eps)[0], psi.system.dims)
         rotated = {}
         for ell in subset:

@@ -5,25 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneshot_qit.convexsplit import (GaloisField, PrimeRegister,
-                                     classical_marginal_check, compose_u,
-                                     convex_split_1design,
+from oneshot_qit.coding import (hayashi_nagaoka_povm, neyman_pearson_operator,
+                                position_based_decode_classical)
+from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
+                                     PrimeRegister, classical_marginal_check,
+                                     compose_u, convex_split_1design,
                                      convex_split_classical, hw_family,
                                      hw_translation_classes, hw_unitary,
                                      next_prime_in, one_design_average,
                                      pairwise_family, prime_register, u_ell,
                                      u_ell_index)
-from oneshot_qit.entropy import Reference
-from oneshot_qit.flatten import (_moved_state, convex_split_flat_1design,
-                                 embezzling_state, round_spectrum)
+from oneshot_qit.entropy import Reference, relative_entropy
+from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
+                                 convex_split_flat_1design, embezzling_state,
+                                 round_spectrum)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem, act,
                                    basis_state, fidelity, maximally_entangled,
                                    maximally_mixed, pair_index, partial_trace,
-                                   permute_registers, random_density, tensor)
+                                   permute_registers, random_density, reorder,
+                                   tensor)
 
 
 def sysof(*pairs):
     return RegisterSystem(list(pairs))
+
+
+# The host space of the classical unitaries: G1 = Q (x) C0 (x) C1 holds the
+# prime register on its first g of 2|C|^2 states, and the tail stays empty.
+
+def host_input(psi, g):
+    """psi_{R C0} (x) |0><0|_Q (x) mu_C1 (x) mu_G2 on (R..., Q, C0, C1, G2)."""
+    labels = psi.system.labels
+    c_dim = psi.system.dim_of(labels[-1])
+    state = tensor(psi, basis_state(sysof(("Q", 2)), 0).density(),
+                   maximally_mixed(sysof(("C1", c_dim))),
+                   maximally_mixed(sysof(("G2", g))))
+    return permute_registers(state, list(labels[:-1]) + ["Q", labels[-1], "C1",
+                                                         "G2"])
+
+
+def host_rotate(mat, ell, g, host):
+    """U_l mat U_l^dag on (R..., G1, G2) with |G1| = host: the u_ell table on
+    the first g states of G1 and the identity on its tail, as a dense matrix."""
+    img = np.arange(host * g)
+    for (i, j), (i2, j2) in u_ell(ell, g).items():
+        img[i * g + j] = i2 * g + j2
+    unitary = np.kron(np.eye(mat.shape[0] // (host * g)),
+                      np.eye(host * g)[:, img])      # |k> -> |img[k]>
+    return unitary @ mat @ unitary.T
 
 
 class TestHWUnitaries:
@@ -186,7 +215,7 @@ class TestTranslationClasses:
         rep = convex_split_flat_1design(psi, mu_c, gamma, n_mixed, n=n, seed=2)
         theta, psi_r, pairs = _moved_state(psi, flat, flat.e_dim, n)
         dims = (2, len(pairs), n + 1)
-        ref = Reference(psi_r.matrix, np.kron(
+        ref = Reference(psi_r, np.kron(
             np.full(len(pairs), 1.0 / m_big),
             embezzling_state(1, n).weight_vector(n + 1)))
         d_val, f_val = plain_split_means(theta, dims, 1, n_mixed, 2, ref,
@@ -227,14 +256,6 @@ class TestNextPrime:
 
 
 class TestPrimeRegister:
-    def test_embedding_injective(self):
-        reg = prime_register(3)
-        assert reg.prime == 11
-        seen = {reg.host_index(i) for i in range(reg.prime)}
-        assert len(seen) == reg.prime
-        q, c, cp = reg.triple_of(10)
-        assert q == 1 and 9 + c * 3 + cp == 10
-
     def test_bad_prime(self):
         with pytest.raises(ValueError):
             PrimeRegister(2, 6)
@@ -305,6 +326,32 @@ class TestMarginalCheck:
             reg = PrimeRegister(2, 5)
             for m in range(1, 5):
                 assert classical_marginal_check(psi, reg, m) <= 1e-10
+
+    def test_register_size_mismatch(self):
+        psi = random_density(0, sysof(("R", 2), ("C", 3)))
+        for reg in (PrimeRegister(2, 5), PrimeRegister(4, 17)):
+            with pytest.raises(ValueError, match="built for"):
+                classical_marginal_check(psi, reg, 1)
+
+
+class TestPrimeEnsemble:
+    @pytest.mark.parametrize("case", ["classical", "flat"])
+    def test_marginal_is_traced_rotation(self, case):
+        psi = random_density(4, sysof(("R", 2), ("C", 3 if case == "classical"
+                                                   else 2)))
+        if case == "classical":
+            ens = PrimeEnsemble(psi.matrix, partial_trace(psi, ["C"]).matrix,
+                                1, PrimeRegister(3, 11))
+        else:
+            mu_c = maximally_mixed(sysof(("C", 2)))
+            flat = round_spectrum(mu_c, Fraction(2, 3), "up")
+            ens = _flat_ensemble(psi, flat, flat.e_dim, 3, 4)
+        g = ens.f_prime
+        keep = ens.dim_full // g
+        for ell in range(g):
+            traced = np.einsum("afbf->ab", ens.rotate(ens.base, ell).reshape(
+                keep, g, keep, g))
+            assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14
 
 
 class TestConvexSplit1Design:
@@ -422,45 +469,61 @@ class TestConvexSplitClassical:
             assert lo <= hi + 1e-9
 
     def test_matches_dense_reference(self):
-        # tau built densely from the lifted input; target psi_R (x) mu_G1 (x) mu_G2
-        from oneshot_qit.convexsplit import _rotate_host
-        from oneshot_qit.entropy import relative_entropy
-        psi = random_density(5, sysof(("R", 2), ("C", 2)))
-        reg = PrimeRegister(2, 5)
-        g, host, subset = 5, 8, [0, 2, 3]
-        rep = convex_split_classical(psi, subset)
-        lifted = permute_registers(
-            tensor(psi, basis_state(sysof(("Q", 2)), 0),
-                   maximally_mixed(sysof(("C1", 2))),
-                   maximally_mixed(sysof(("G2", g)))),
-            ["R", "Q", "C", "C1", "G2"])
-        tau = sum(_rotate_host(lifted.matrix, lifted.system.dims, ell, reg)
-                  for ell in subset) / len(subset)
-        mu_g1 = np.zeros((host, host))
-        for i in range(g):
-            mu_g1[reg.host_index(i), reg.host_index(i)] = 1.0 / g
-        target = np.kron(partial_trace(psi, ["C"]).matrix,
-                         np.kron(mu_g1, np.eye(g) / g))
-        tau_op = DensityOperator(lifted.system, tau, validate=False)
-        ref = DensityOperator(lifted.system, target, validate=False)
-        dense_val = relative_entropy(tau_op, ref)
-        assert dense_val.finite
-        assert abs(dense_val.value - rep.achieved_rel_entropy) <= 1e-8
-        assert abs(fidelity(tau_op, ref) - rep.achieved_fidelity) <= 1e-8
+        # tau built densely in the host space (R, Q, C0, C1, G2); target
+        # psi_R (x) mu_G1 (x) mu_G2 with mu_G1 on the first g host states
+        for dim_c, g in ((2, 5), (2, 7), (3, 11)):
+            psi = random_density((dim_c, g, 5), sysof(("R", 2), ("C", dim_c)))
+            lifted = host_input(psi, g)
+            host = 2 * dim_c * dim_c
+            mu_g1 = np.diag(np.arange(host) < g) / g
+            target = DensityOperator(lifted.system, np.kron(
+                partial_trace(psi, ["C"]).matrix,
+                np.kron(mu_g1, np.eye(g) / g)), validate=False)
+            for subset in ([0], [1, 3], range(g)):
+                rep = convex_split_classical(psi, subset, prime=g)
+                tau = DensityOperator(lifted.system, sum(
+                    host_rotate(lifted.matrix, ell, g, host)
+                    for ell in subset) / len(subset), validate=False)
+                dense_val = relative_entropy(tau, target)
+                assert dense_val.finite
+                assert abs(dense_val.value - rep.achieved_rel_entropy) <= 1e-12
+                assert abs(fidelity(tau, target) - rep.achieved_fidelity) \
+                    <= 1e-12
 
     def test_uniform_invariance(self):
-        # U_l(mu (x) mu)U_l^dag = mu (x) mu exactly on the embedded support
-        from oneshot_qit.convexsplit import _rotate_host
-        reg = PrimeRegister(2, 5)
+        # U_l (mu_F1 (x) mu_F2) U_l^dag = mu_F1 (x) mu_F2 exactly
+        g = 5
+        ens = PrimeEnsemble(np.eye(4) / 4, np.eye(2) / 2, 1,
+                            PrimeRegister(2, g))
+        mu = np.kron(np.eye(2), np.kron(np.eye(g) / g, np.eye(g) / g))
+        for ell in range(g):
+            assert np.array_equal(ens.rotate(mu, ell), mu)
+
+
+class TestClassicalDecoderOracle:
+    """The signal-vector successes against the Hayashi-Nagaoka POVM on the host space."""
+
+    @pytest.mark.parametrize("eps, delta, size", [
+        (0.01, 0.1, 1), (0.005, 0.15, 1), (0.005, 0.15, 2), (0.005, 0.15, 4),
+        (0.01, 0.2, 2)])
+    def test_matches_povm_on_host_space(self, eps, delta, size):
+        phi = maximally_entangled("B", "C", 2)
         g, host = 5, 8
-        mu = np.zeros((host * g, host * g))
-        for i in range(g):
-            for j in range(g):
-                idx = reg.host_index(i) * g + j
-                mu[idx, idx] = 1.0 / (g * g)
-        for ell in range(5):
-            rotated = _rotate_host(mu, (2, 2, 2, g), ell, reg)
-            assert np.array_equal(rotated, mu)
+        rep = position_based_decode_classical(phi, PrimeRegister(2, g),
+                                              range(size), eps, delta)
+        ref = tensor(partial_trace(phi, ["C"]),
+                     maximally_mixed(sysof(("C", 2))))
+        omega, _ = neyman_pearson_operator(phi, ref, eps)
+        # Omega on (B, C0) (x) I on (Q, C1, G2), in the order (B, Q, C0, C1, G2)
+        om_lift = reorder(np.kron(omega, np.eye(2 * 2 * g)), (2, 2, 2, 2, g),
+                          [0, 2, 1, 3, 4])
+        lifted = host_input(phi, g)
+        tests = [host_rotate(om_lift, ell, g, host) for ell in range(size)]
+        povm = hayashi_nagaoka_povm(tests)
+        for ell in range(size):
+            tau = host_rotate(lifted.matrix, ell, g, host)
+            success = float(np.real(np.trace(povm.elements[ell] @ tau)))
+            assert abs(rep.successes[ell] - success) <= 1e-12
 
 
 class TestSplitBoundProperty:

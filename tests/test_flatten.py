@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oneshot_qit.entropy import Reference
-from oneshot_qit.flatten import (PrimeEnsemble, check_embezzle_upper,
+from oneshot_qit.flatten import (_flat_ensemble, check_embezzle_upper,
                                  check_unembezzle,
                                  convex_split_flat_1design,
                                  convex_split_flat_classical,
@@ -347,11 +347,11 @@ def _ensemble(case):
         psi = maximally_entangled("R", "C", 2)
         omega, gamma = maximally_mixed(sysof(("C", 2))), Fraction(1, 2)
     flat = round_spectrum(omega, gamma, "up")
-    ens = PrimeEnsemble(psi, flat, flat.e_dim, 3)
+    ens = _flat_ensemble(psi, flat, flat.e_dim, 3, 4)
     g = ens.f_prime
     xi = embezzling_state(1, 3).weight_vector(ens.d_dim)
-    ref = Reference(ens.psi_r_matrix(), np.kron(np.full(g, 1.0 / g),
-                                                np.kron(xi, np.full(g, 1.0 / g))))
+    ref = Reference(ens.psi_r, np.kron(np.full(g, 1.0 / g),
+                                       np.kron(xi, np.full(g, 1.0 / g))))
     return ens, ref
 
 
