@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convexsplit import PrimeRegister
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -367,10 +369,7 @@ def synth_decoupler(c_dim, g_prime, l_size):
     l decomposes into per-bit controlled shift-adds.  All helper wires return
     to zero on valid inputs (i, j < g_prime, l < l_size).
     """
-    if g_prime < 2 or any(g_prime % p == 0 for p in range(2, int(g_prime ** 0.5) + 1)):
-        raise ValueError(f"{g_prime} is not prime")
-    if not c_dim * c_dim <= g_prime <= 2 * c_dim * c_dim:
-        raise ValueError(f"prime {g_prime} outside [{c_dim ** 2}, {2 * c_dim ** 2}]")
+    PrimeRegister(c_dim, g_prime)
     if not 1 <= l_size <= g_prime:
         raise ValueError(f"l_size {l_size} outside [1, {g_prime}]")
     b = _Builder()

@@ -381,7 +381,6 @@ def build_parser():
     parser.add_argument("--list", action="store_true",
                         help="list subcommands and what they verify")
     sub = parser.add_subparsers(dest="command")
-    common = dict(seed=7, out=None, fmt="csv", tolerance_scale=1.0)
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=None)

@@ -11,7 +11,11 @@ The channel code runs the full protocol exactly: shared flattened-purification
 and embezzling resources, transpose-trick encoding on Alice's side, a channel
 application, and square-root decoding on Bob's side, with error probabilities
 computed by dense propagation over every message and shared-randomness branch
-(no sampling).
+(no sampling).  It runs in the eigenbasis of psi_A, where the flattening
+permutation and the Heisenberg-Weyl rotations map basis vectors to basis
+vectors; only the hypothesis test and the Kraus operators are rotated, once.
+The rate cap and the code take the test and its D_H from one Neyman-Pearson
+solve, and so does each decoder.
 
 Every square-root measurement Lambda_i = S^{-1/2} Omega_i S^{-1/2} takes
 S^{-1/2} from ``_inv_sqrt``, which eigensolves S block by block on the
@@ -27,9 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexsplit import (PrimeRegister, _classical_ensemble, hw_family,
-                          pairwise_family, u_ell_index)
-from .entropy import _threshold_test, dh_eps, dmax, imax
+from .convexsplit import (_classical_ensemble, hw_family, pairwise_family,
+                          u_ell_index)
+from .entropy import _dh_value, _threshold_test, dh_eps, dmax, imax
 from .flatten import (_flat_ensemble, _support_index, check_unembezzle,
                       embezzling_state, harmonic_sum,
                       purified_embezzle_fidelity, round_spectrum,
@@ -231,8 +235,10 @@ class PositionDecodeReport:
     size_cap: float
 
 
-def _decode_cap(dh_value, eps, delta):
-    return (delta ** 2 / (4.0 * eps)) * (2.0 ** dh_value)
+def _decode_cap(dh, eps, delta):
+    if not dh.finite:
+        return float("inf")
+    return (delta ** 2 / (4.0 * eps)) * (2.0 ** dh.value)
 
 
 def _signal_successes(test, perms, signals, weights):
@@ -273,20 +279,18 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
         raise ValueError("eps and delta must lie in (0, 1)")
     c_label = psi.system.labels[-1]
     c_dim = psi.system.dim_of(c_label)
-    if isinstance(prime_reg, int):
-        prime_reg = PrimeRegister(c_dim, prime_reg)
     g = prime_reg.prime
     if subset[-1] >= g or subset[0] < 0:
         raise ValueError(f"subset members outside [0, {g})")
 
     ens, psi_b = _classical_ensemble(psi, prime_reg)
     ref = tensor(psi_b, maximally_mixed(RegisterSystem([(c_label, c_dim)])))
-    dh = dh_eps(psi, ref, eps)
-    cap = _decode_cap(dh.value, eps, delta) if dh.finite else float("inf")
+    omega, type2 = neyman_pearson_operator(psi, ref, eps)
+    dh = _dh_value(type2)
+    cap = _decode_cap(dh, eps, delta)
     if len(subset) > cap:
         raise ValueError(f"subset size {len(subset)} exceeds the cap {cap:.6g}")
 
-    omega, _ = neyman_pearson_operator(psi, ref, eps)
     d_b = psi.system.total_dim // c_dim
     signals, weights = ens.signals()
 
@@ -354,14 +358,14 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
         raise ValueError(f"a = {a} must equal |E| = {flat.e_dim}")
     if n < a:
         raise ValueError(f"n = {n} below a = {a}")
-    b_max = flat.e_dim
-    if not (n + 1) * b_max <= d_size <= n * n:
-        raise ValueError(f"d_size {d_size} outside [{(n + 1) * b_max}, {n * n}]")
+    if not (n + 1) * a <= d_size <= n * n:
+        raise ValueError(f"d_size {d_size} outside [{(n + 1) * a}, {n * n}]")
 
     psi_b = partial_trace(psi, [c_label])
     ref = tensor(psi_b, _as_density(omega_c))
-    dh = dh_eps(psi, ref, eps)
-    cap = _decode_cap(dh.value, eps, delta) if dh.finite else float("inf")
+    omega, type2 = neyman_pearson_operator(psi, ref, eps)
+    dh = _dh_value(type2)
+    cap = _decode_cap(dh, eps, delta)
     if len(subset) > cap:
         raise ValueError(f"subset size {len(subset)} exceeds the cap {cap:.6g}")
 
@@ -370,7 +374,6 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     if subset[-1] >= f_prime:
         raise ValueError(f"subset members outside [0, {f_prime})")
 
-    omega, _ = neyman_pearson_operator(psi, ref, eps)
     om_full = _lifted_flat_test(ens, flat, a, n, omega, psi.system.dims)
     signals, weights = ens.signals()
     successes = _signal_successes(
@@ -427,27 +430,38 @@ def _marginal_input(psi):
     raise ValueError("expected a single-register state or a bipartite purification")
 
 
+def _channel_test(channel, psi_a, eps):
+    """Optimal test Omega on (B, C) and its D_H for the channel code.
+
+    The test is between the channel output of the canonical purification of
+    psi_a on (A, C) and the product of its marginals.
+    """
+    d_a = psi_a.system.total_dim
+    lam, vecs = np.linalg.eigh(psi_a.matrix)
+    vec = ((vecs * np.sqrt(np.clip(lam, 0, None))) @ vecs.conj().T).reshape(-1)
+    purif = PureState(RegisterSystem([("A", d_a), ("C", d_a)]),
+                      vec / np.linalg.norm(vec), validate=False)
+    psi_bc = apply_channel(channel, purif, ["A"])
+    ref = tensor(partial_trace(psi_bc, ["C"]), partial_trace(psi_bc, ["A"]))
+    omega, type2 = neyman_pearson_operator(psi_bc, ref, eps)
+    return omega, _dh_value(type2)
+
+
+def _rate_cap(dh, eps, gamma, delta_prime):
+    if not dh.finite:
+        return float("inf")
+    penalty = 5.0 + math.log2(4.0 * (eps + 4.0 * gamma ** 0.25) / delta_prime)
+    return dh.value - penalty
+
+
 def channel_rate_cap(channel, psi_a, eps, gamma, delta_prime):
     """Rate ceiling dh - 5 - log2(4 (eps + 4 gamma^(1/4)) / delta_prime).
 
     dh is the hypothesis-testing divergence between the channel output of the
     canonical purification of psi_a and the product of its marginals.
     """
-    psi_a = _marginal_input(psi_a)
-    d_a = psi_a.system.total_dim
-    amp = np.linalg.eigh(psi_a.matrix)
-    sqrt_a = (amp[1] * np.sqrt(np.clip(amp[0], 0, None))) @ amp[1].conj().T
-    sys_ac = RegisterSystem([("A", d_a), ("C", d_a)])
-    vec = sqrt_a.reshape(-1)
-    purif = PureState(sys_ac, vec / np.linalg.norm(vec), validate=False)
-    psi_bc = apply_channel(channel, purif, ["A"])
-    psi_b = partial_trace(psi_bc, ["C"])
-    psi_c = partial_trace(psi_bc, ["A"])
-    dh = dh_eps(psi_bc, tensor(psi_b, psi_c), eps)
-    if not dh.finite:
-        return float("inf")
-    penalty = 5.0 + math.log2(4.0 * (eps + 4.0 * gamma ** 0.25) / delta_prime)
-    return dh.value - penalty
+    _, dh = _channel_test(channel, _marginal_input(psi_a), eps)
+    return _rate_cap(dh, eps, gamma, delta_prime)
 
 
 def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
@@ -466,6 +480,13 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     tests.  Every message and shared-randomness branch is propagated exactly;
     no sampling.
 
+    The code runs in the eigenbasis v of psi_A on A and conj(v) on C.  There
+    the resource is sum_c sqrt(q_c) |c>|c> (x) |xi^{a:n}>_{D'D} (x) |00>_{E'E},
+    W is the index map of ``unitary_flatten_W`` on (A, E', D') and on
+    (C, E, D), and each HW rotation on the support pairs of (C, E) is a
+    monomial matrix.  Only the Kraus operators (K v) and the test (v^T on C)
+    are rotated.
+
     ``rate`` = 0 (one message) is always admissible; rate >= 1 above the rate
     cap refuses with the computed ceiling unless ``enforce_cap`` is off (used
     to exercise error growth along a rate ladder).
@@ -475,134 +496,87 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     if not 0 <= rate <= 6:
         raise ValueError("rate must lie in [0, 6] (message set capped at 64)")
     gamma_f = Fraction(gamma).limit_denominator(10 ** 6)
-    cap = channel_rate_cap(channel, psi_a, eps, float(gamma_f), delta_prime)
+    omega_test, dh = _channel_test(channel, psi_a, eps)
+    cap = _rate_cap(dh, eps, float(gamma_f), delta_prime)
     if enforce_cap and rate >= 1 and rate > cap:
         raise ValueError(f"rate {rate} exceeds the admissible cap {cap:.6g}")
     if channel.input_dim != d_a or channel.output_dim != d_a:
         raise ValueError("channel dimensions must match the A register")
 
-    # spectral data of psi_A; the C marginal of the purification is the
-    # transpose, so C carries the conjugate eigenbasis throughout
     lam, v_basis = np.linalg.eigh(psi_a.matrix)
     lam = np.clip(lam, 0.0, None)
     spec_op = DensityOperator(RegisterSystem([("spec", d_a)]),
                               np.diag(lam / lam.sum()), validate=False)
     flat = round_spectrum(spec_op, gamma_f, "down")
-    counts = flat.counts
-    m_big = flat.grid_total
+    counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
     q = np.array(counts, dtype=float) / m_big
-    e_dim = max(flat.e_dim, 1)
-    b_max = flat.e_dim
-    if a < max(b_max, 2):
-        raise ValueError(f"a = {a} below the max block size {max(b_max, 2)}")
+    if a < max(e_dim, 2):
+        raise ValueError(f"a = {a} below the max block size {max(e_dim, 2)}")
     if n < a:
         raise ValueError(f"n = {n} below a = {a}")
     d_size = n * (m_big + 1)
-    if not (n + 1) * b_max <= d_size <= n * n:
+    if not (n + 1) * e_dim <= d_size <= n * n:
         raise ValueError(f"|D| = {d_size} outside the unembezzling bracket; "
                          f"increase n to at least {m_big + 1}")
     d_dim = d_size + 1
-
-    # shared resource |sigma>_AC (x) |xi^{a:n}>_{D'D} (x) |00>_{E'E}
-    sigma_amp = (v_basis * np.sqrt(q)) @ v_basis.conj().T
-    xi = embezzling_state(a, n)
-    xi_pairs = xi.purification_vector(d_dim).reshape(d_dim, d_dim)
-    shape = (d_a, e_dim, d_dim, d_a, e_dim, d_dim)      # (A, E', D', C, E, D)
-    init = np.zeros(shape, dtype=complex)
-    init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", sigma_amp, xi_pairs)
-
-    # controlled flattening permutation W = (V (x) I) P_W (V^dag (x) I) on
-    # (control, E, D) with P_W the index map of unitary_flatten_W; A controls
-    # in v, C in conj(v).  src = argsort(w_img) conjugates as W . W^dag,
-    # src = w_img as W^dag . W.
-    w_img = pair_index(unitary_flatten_W(flat, a, n, d_dim=d_dim),
-                       (d_a, e_dim, d_dim))
-
-    def controlled_w(mat, basis, src, dims, axis):
-        inner = act(mat, basis.conj().T, dims, [axis])
-        inner = permute_basis(inner, src, dims, [axis, axis + 1, axis + 2])
-        return act(inner, basis, dims, [axis])
-
-    # support isometries on (A, E') and (C, E); conjugate-paired bases make
-    # the flattened purification maximally entangled in these coordinates
-    s_cols_a = np.zeros((d_a * e_dim, m_big), dtype=complex)
-    s_cols_c = np.zeros((d_a * e_dim, m_big), dtype=complex)
-    for s, (c, e) in enumerate(flat.support_pairs()):
-        e_vec = np.eye(e_dim)[:, e]
-        s_cols_a[:, s] = np.kron(v_basis[:, c], e_vec)
-        s_cols_c[:, s] = np.kron(v_basis[:, c].conj(), e_vec)
-    hw = hw_family(m_big)
-
-    def lift_side(cols, mat):
-        inner = cols @ mat @ cols.conj().T
-        return inner + np.eye(d_a * e_dim) - cols @ cols.conj().T
-
-    # hypothesis test between the channel output and the product reference
-    sys_ac = RegisterSystem([("A", d_a), ("C", d_a)])
-    amp = (v_basis * np.sqrt(lam)) @ v_basis.conj().T
-    psi_vec = amp.reshape(-1)
-    psi_ac = PureState(sys_ac, psi_vec / np.linalg.norm(psi_vec),
-                       validate=False)
-    psi_bc = apply_channel(channel, psi_ac, ["A"])
-    psi_b = partial_trace(psi_bc, ["C"])
-    psi_c = partial_trace(psi_bc, ["A"])
-    omega_test, _ = neyman_pearson_operator(psi_bc, tensor(psi_b, psi_c), eps)
-
-    # Bob's rotated tests on (B, C, E, D)
-    bob_dims = (d_a, d_a, e_dim, d_dim)
-    om_lift = np.kron(omega_test, np.eye(e_dim * d_dim))   # (B, C, E, D)
-    om_moved = controlled_w(om_lift, v_basis.conj(), np.argsort(w_img),
-                            bob_dims, 1)
-
-    test_cache = {}
-
-    def bob_test(y):
-        if y not in test_cache:
-            test_cache[y] = act(om_moved, lift_side(s_cols_c, hw[y].matrix),
-                                bob_dims, [1, 2])
-        return test_cache[y]
-
-    # Alice-side encodings and the resulting Bob-side column blocks
     q_field = m_big * m_big
-    fam = pairwise_family(q_field)
     n_messages = 2 ** rate
     if n_messages > q_field:
         raise ValueError("message set larger than the unitary family")
 
-    bob_dim = d_a * d_a * e_dim * d_dim
-    enc_cache = {}
+    # shared resource on (A, E', D', C, E, D)
+    xi_pairs = embezzling_state(a, n).purification_vector(d_dim).reshape(
+        d_dim, d_dim)
+    shape = (d_a, e_dim, d_dim, d_a, e_dim, d_dim)
+    init = np.zeros(shape, dtype=complex)
+    init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", np.diag(np.sqrt(q)),
+                                       xi_pairs)
+    side_dims = (d_a, e_dim, d_dim)
+    w_img = pair_index(unitary_flatten_W(flat, a, n, d_dim=d_dim), side_dims)
+    pairs = [c * e_dim + e for c, e in flat.support_pairs()]
 
-    def bob_columns(y):
-        """Channel-output column block for encoding rotation y."""
-        if y not in enc_cache:
-            u_enc = controlled_w(
-                np.kron(lift_side(s_cols_a, hw[y].matrix.T), np.eye(d_dim)),
-                v_basis, w_img, (d_a, e_dim, d_dim), 0)
-            mat = init.reshape(d_a * e_dim * d_dim, -1)
-            enc = (u_enc @ mat).reshape(shape)
-            cols = []
-            for k in channel.kraus:
-                after = np.einsum("ba,aedcfg->bedcfg", k, enc)
-                reord = after.transpose(0, 3, 4, 5, 1, 2).reshape(
-                    bob_dim, e_dim * d_dim)
-                cols.append(reord)
-            enc_cache[y] = np.concatenate(cols, axis=1)
-        return enc_cache[y]
+    def lifted(rot):
+        """rot on the support pairs of (C, E), the identity elsewhere."""
+        out = np.eye(d_a * e_dim, dtype=complex)
+        out[np.ix_(pairs, pairs)] = rot
+        return out
+
+    # Bob's rotated tests U_y W (Omega (x) I) W^dag U_y^dag on (B, C, E, D)
+    hw = hw_family(m_big)
+    bob_dims = (d_a,) + side_dims
+    om_lift = np.kron(act(omega_test, v_basis.T, (d_a, d_a), [1]),
+                      np.eye(e_dim * d_dim))
+    om_moved = permute_basis(om_lift, np.argsort(w_img), bob_dims, [1, 2, 3])
+    tests = [act(om_moved, lifted(u.matrix), bob_dims, [1, 2]) for u in hw]
+
+    # channel outputs of Alice's encodings W^dag (U_y^T (x) I) W, as column
+    # blocks on (B, C, E, D) over the Kraus index and (E', D')
+    resource = init.reshape(d_a * e_dim * d_dim, -1)
+    kraus = [k @ v_basis for k in channel.kraus]
+    columns = []
+    for u in hw:
+        u_enc = permute_basis(np.kron(lifted(u.matrix.T), np.eye(d_dim)),
+                              w_img, side_dims, [0, 1, 2])
+        enc = (u_enc @ resource).reshape(shape)
+        columns.append(np.concatenate(
+            [np.einsum("ba,aedcfg->bcfged", k, enc).reshape(
+                -1, e_dim * d_dim) for k in kraus], axis=1))
 
     success_cache = {}
 
     def branch_successes(ys):
         """Success of every message m under the decoder for rotations ys."""
         if ys not in success_cache:
-            inv_half, _ = _inv_sqrt(sum(bob_test(y) for y in ys))
+            inv_half, _ = _inv_sqrt(sum(tests[y] for y in ys))
             succ = []
             for y_m in ys:
-                half = inv_half @ bob_columns(y_m)
+                half = inv_half @ columns[y_m]
                 succ.append(float(np.real(
-                    np.sum(half.conj() * (bob_test(y_m) @ half)))))
+                    np.sum(half.conj() * (tests[y_m] @ half)))))
             success_cache[ys] = np.array(succ)
         return success_cache[ys]
 
+    fam = pairwise_family(q_field)
     totals = np.zeros(n_messages)
     for ys in fam.images(range(n_messages)).reshape(-1, n_messages).tolist():
         totals += branch_successes(tuple(ys))
@@ -615,8 +589,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
                   for c in range(d_a) if counts[c] >= 1)
     p_exact = math.sqrt(max(0.0, 1.0 - min(f_exact, 1.0) ** 2))
     bound = eps + 4.0 * float(gamma_f) ** 0.25 + delta_prime + 4.0 * p_exact
-    delta_surrogate = max(math.log2(max(a, 2)) / math.log2(max(n, 2)),
-                          b_max / a if a else 1.0)
+    delta_surrogate = max(math.log2(a) / math.log2(n), e_dim / a)
     ent_qubits = math.log2(d_a) + math.log2(d_size)
     return CodingReport(rate, eps, delta_surrogate, delta_prime,
                         float(gamma_f), bound, float(errors.max()), ent_qubits,

@@ -263,6 +263,13 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     return max(type2, 0.0), pi
 
 
+def _dh_value(type2):
+    """D_H as -log2 of the optimal type-II weight; infinite at <= 1e-300."""
+    if type2 <= 1e-300:
+        return EntropyValue.infinite()
+    return EntropyValue(float(-np.log2(type2)))
+
+
 def dh_eps(rho, sigma, eps):
     """Hypothesis-testing relative entropy at type-I error eps (exact optimum)."""
     rho, sigma = _as_density(rho), _as_density(sigma)
@@ -270,9 +277,7 @@ def dh_eps(rho, sigma, eps):
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps {eps} outside [0, 1)")
     type2, _ = _threshold_test(rho.matrix, sigma.matrix, float(eps))
-    if type2 <= 1e-300:
-        return EntropyValue.infinite()
-    return EntropyValue(float(-np.log2(type2)))
+    return _dh_value(type2)
 
 
 def _hermitian_basis(d):

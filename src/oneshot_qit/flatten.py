@@ -169,10 +169,6 @@ class FlatSpectrum:
         q = np.array(self.counts, dtype=float) / self.grid_total
         return (self.basis * q) @ self.basis.conj().T
 
-    def sigma_operator(self, label="C"):
-        return DensityOperator(RegisterSystem([(label, self.c_dim)]),
-                               self.sigma_matrix(), validate=False)
-
     def support_pairs(self):
         """Enumeration of the flattened support: (c, e) with e < m_c."""
         return [(c, e) for c in range(self.c_dim) for e in range(self.counts[c])]
@@ -319,8 +315,9 @@ def _moved_state(psi, flat, a, n, d_dim=None):
     """W (psi'_{RC} (x) |0><0|_E (x) xi^{a:n}) W^dag compressed to supp(sigma_CE) (x) D.
 
     psi is rotated into the sigma eigenbasis on C first.  Returns
-    (matrix on R (x) S (x) D, psi_R matrix, support pair list).  ``d_dim``
-    sets the D register dimension (default n + 1, labels 0..n).
+    (matrix on R (x) S (x) D, psi_R matrix); S has ``flat.grid_total``
+    states.  ``d_dim`` sets the D register dimension (default n + 1, labels
+    0..n).
     """
     psi = _as_density(psi)
     k = len(psi.system) - 1          # position of C
@@ -346,13 +343,13 @@ def _moved_state(psi, flat, a, n, d_dim=None):
     lifted = np.kron(psi_rot, np.kron(e0, np.diag(xi_diag)))   # (R, C, E, D)
     out = permute_basis(lifted, _support_index(flat, a, n, d_dim),
                         psi.system.dims + (e_dim, d_dim), [k, k + 1, k + 2])
-    return out, partial_trace(psi, [c_label]).matrix, flat.support_pairs()
+    return out, partial_trace(psi, [c_label]).matrix
 
 
 def _flat_ensemble(psi, flat, a, n, d_dim):
     """The moved state as a `PrimeEnsemble`, F1 sized for the flattened support."""
-    theta, psi_r, pairs = _moved_state(psi, flat, a, n, d_dim=d_dim)
-    return PrimeEnsemble(theta, psi_r, d_dim, prime_register(len(pairs)))
+    theta, psi_r = _moved_state(psi, flat, a, n, d_dim=d_dim)
+    return PrimeEnsemble(theta, psi_r, d_dim, prime_register(flat.grid_total))
 
 
 def _flat_bound(k, a, n, n_mixed):
@@ -396,14 +393,13 @@ def convex_split_flat_1design(psi, omega, gamma, n_mixed, a=None, n=None, seed=0
         raise ValueError("Dmax against psi_R (x) omega is infinite")
     bound = _flat_bound(k.value, a, n, n_mixed)
 
-    theta, psi_r, pairs = _moved_state(psi, flat, a, n)
+    theta, psi_r = _moved_state(psi, flat, a, n)
     d_dim = n + 1
-    s_dim = len(pairs)
-    r_dim = theta.shape[0] // (s_dim * d_dim)
+    r_dim = theta.shape[0] // (m_big * d_dim)
 
     xi_target = embezzling_state(1, n).weight_vector(d_dim)
-    w_sd = np.kron(np.full(s_dim, 1.0 / m_big), xi_target)
-    achieved, fid = hw_split_means(theta, (r_dim, s_dim, d_dim), 1, n_mixed,
+    w_sd = np.kron(np.full(m_big, 1.0 / m_big), xi_target)
+    achieved, fid = hw_split_means(theta, (r_dim, m_big, d_dim), 1, n_mixed,
                                    seed, Reference(psi_r, w_sd),
                                    pairwise_family(q))
     return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)

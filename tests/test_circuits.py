@@ -192,6 +192,11 @@ class TestDecoupler:
         with pytest.raises(ValueError):
             synth_decoupler(2, 6, 6)
 
+    @pytest.mark.parametrize("prime", [3, 11])
+    def test_prime_outside_range_rejected(self, prime):
+        with pytest.raises(ValueError, match=r"outside \[4, 8\]"):
+            synth_decoupler(2, prime, prime)
+
     def test_size_scaling_band(self):
         # sanity band: growth no faster than c * log^2 |G| * loglog |G|
         sizes = {}

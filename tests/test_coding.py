@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oneshot_qit import coding, entropy
 from oneshot_qit.coding import (POVM, CodingReport, _components, _inv_sqrt,
                                 _lifted_flat_test, amplitude_damping_channel,
                                 apply_channel, channel_rate_cap,
@@ -15,13 +16,15 @@ from oneshot_qit.coding import (POVM, CodingReport, _components, _inv_sqrt,
                                 position_based_decode_classical,
                                 position_based_decode_flat,
                                 redistribution_bounds)
-from oneshot_qit.convexsplit import PrimeRegister
+from oneshot_qit.convexsplit import PrimeRegister, hw_family, pairwise_family
 from oneshot_qit.entropy import dh_eps
-from oneshot_qit.flatten import _flat_ensemble, round_spectrum
+from oneshot_qit.flatten import (_flat_ensemble, embezzling_state,
+                                 round_spectrum, unitary_flatten_W)
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
-                                   basis_state, maximally_entangled,
-                                   maximally_mixed, partial_trace,
-                                   random_density, tensor, tensor_pure)
+                                   act, basis_state, maximally_entangled,
+                                   maximally_mixed, pair_index, partial_trace,
+                                   permute_basis, random_density, tensor,
+                                   tensor_pure)
 
 
 def sysof(*pairs):
@@ -346,6 +349,103 @@ class TestPositionDecodeFlat:
             assert abs(rep.successes[ell] - total) <= 1e-12
 
 
+def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
+    """Largest message error of the channel code run in the computational basis.
+
+    The flattening W and every HW rotation are conjugated into psi_A's
+    eigenbasis and back (v on A, conj(v) on C), so Bob's tests are dense on
+    (C, E).
+    """
+    d_a = psi_a.system.total_dim
+    lam, v_basis = np.linalg.eigh(psi_a.matrix)
+    lam = np.clip(lam, 0.0, None)
+    spec_op = DensityOperator(RegisterSystem([("spec", d_a)]),
+                              np.diag(lam / lam.sum()), validate=False)
+    flat = round_spectrum(spec_op, Fraction(gamma), "down")
+    counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
+    q = np.array(counts, dtype=float) / m_big
+    d_dim = n * (m_big + 1) + 1
+
+    sigma_amp = (v_basis * np.sqrt(q)) @ v_basis.conj().T
+    xi_pairs = embezzling_state(a, n).purification_vector(d_dim).reshape(
+        d_dim, d_dim)
+    shape = (d_a, e_dim, d_dim, d_a, e_dim, d_dim)      # (A, E', D', C, E, D)
+    init = np.zeros(shape, dtype=complex)
+    init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", sigma_amp, xi_pairs)
+    w_img = pair_index(unitary_flatten_W(flat, a, n, d_dim=d_dim),
+                       (d_a, e_dim, d_dim))
+
+    def controlled_w(mat, basis, src, dims, axis):
+        inner = act(mat, basis.conj().T, dims, [axis])
+        inner = permute_basis(inner, src, dims, [axis, axis + 1, axis + 2])
+        return act(inner, basis, dims, [axis])
+
+    s_cols_a = np.zeros((d_a * e_dim, m_big), dtype=complex)
+    s_cols_c = np.zeros((d_a * e_dim, m_big), dtype=complex)
+    for s, (c, e) in enumerate(flat.support_pairs()):
+        e_vec = np.eye(e_dim)[:, e]
+        s_cols_a[:, s] = np.kron(v_basis[:, c], e_vec)
+        s_cols_c[:, s] = np.kron(v_basis[:, c].conj(), e_vec)
+    hw = hw_family(m_big)
+
+    def lift_side(cols, mat):
+        inner = cols @ mat @ cols.conj().T
+        return inner + np.eye(d_a * e_dim) - cols @ cols.conj().T
+
+    amp = (v_basis * np.sqrt(lam)) @ v_basis.conj().T
+    psi_vec = amp.reshape(-1)
+    psi_ac = PureState(sysof(("A", d_a), ("C", d_a)),
+                       psi_vec / np.linalg.norm(psi_vec), validate=False)
+    psi_bc = apply_channel(channel, psi_ac, ["A"])
+    omega_test, _ = neyman_pearson_operator(
+        psi_bc, tensor(partial_trace(psi_bc, ["C"]),
+                       partial_trace(psi_bc, ["A"])), eps)
+
+    bob_dims = (d_a, d_a, e_dim, d_dim)
+    bob_dim = d_a * d_a * e_dim * d_dim
+    om_moved = controlled_w(np.kron(omega_test, np.eye(e_dim * d_dim)),
+                            v_basis.conj(), np.argsort(w_img), bob_dims, 1)
+    tests, columns = [], []
+    for u in hw:
+        tests.append(act(om_moved, lift_side(s_cols_c, u.matrix), bob_dims,
+                         [1, 2]))
+        u_enc = controlled_w(
+            np.kron(lift_side(s_cols_a, u.matrix.T), np.eye(d_dim)),
+            v_basis, w_img, (d_a, e_dim, d_dim), 0)
+        enc = (u_enc @ init.reshape(d_a * e_dim * d_dim, -1)).reshape(shape)
+        columns.append(np.concatenate(
+            [np.einsum("ba,aedcfg->bedcfg", k, enc).transpose(
+                0, 3, 4, 5, 1, 2).reshape(bob_dim, e_dim * d_dim)
+             for k in channel.kraus], axis=1))
+
+    q_field = m_big * m_big
+    n_messages = 2 ** rate
+    totals = np.zeros(n_messages)
+    images = pairwise_family(q_field).images(range(n_messages))
+    for ys in images.reshape(-1, n_messages).tolist():
+        inv_half, _ = _dense_inv_sqrt(sum(tests[y] for y in ys))
+        for m, y_m in enumerate(ys):
+            half = inv_half @ columns[y_m]
+            totals[m] += np.real(np.sum(half.conj() * (tests[y_m] @ half)))
+    return float(np.max(1.0 - totals / (q_field * q_field)))
+
+
+def _seeded_input(spectrum, seed):
+    """Channel input with the given spectrum in a seeded unitary basis."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    basis, _ = np.linalg.qr(g)
+    return DensityOperator(sysof(("A", 2)),
+                           (basis * np.array(spectrum)) @ basis.conj().T)
+
+
+def _nonuniform_input():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    h = g @ g.conj().T
+    return DensityOperator(sysof(("A", 2)), h / np.real(np.trace(h)))
+
+
 class TestChannelCode:
     def setup_method(self):
         self.mu_a = maximally_mixed(sysof(("A", 2)))
@@ -402,13 +502,8 @@ class TestChannelCode:
             assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_nonuniform_input_state(self):
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        h = g @ g.conj().T
-        h /= np.real(np.trace(h))
-        psi_a = DensityOperator(sysof(("A", 2)), h)
-        rep = ea_channel_code(identity_channel(2), psi_a, 0, 0.05, 0.5, 0.5,
-                              a=4, n=8)
+        rep = ea_channel_code(identity_channel(2), _nonuniform_input(), 0,
+                              0.05, 0.5, 0.5, a=4, n=8)
         assert rep.bound_satisfied()
         assert rep.empirical_max_error < 0.5
 
@@ -417,6 +512,68 @@ class TestChannelCode:
                               0.5, a=4, n=16)
         budget = entanglement_budget(2, 0.5, rep.delta_surrogate)
         assert rep.entanglement_qubits <= budget + 1e-9
+
+    @pytest.mark.parametrize("channel, rate", [
+        (identity_channel(2), 0), (amplitude_damping_channel(0.3), 0),
+        (depolarizing_channel(0.1), 0), (amplitude_damping_channel(0.3), 1)])
+    def test_eigenbasis_matches_computational_basis(self, channel, rate):
+        # Bob's space (B, C, E, D) has 2 x 2 x 2 x 17 = 136 dimensions
+        psi_a = _seeded_input((0.7, 0.3), 1)
+        rep = ea_channel_code(channel, psi_a, rate, 0.05, Fraction(2, 3), 0.5,
+                              a=2, n=4, enforce_cap=False)
+        oracle = _computational_basis_code(channel, psi_a, rate, 0.05,
+                                           Fraction(2, 3), a=2, n=4)
+        assert abs(rep.empirical_max_error - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("psi_a, gamma, a, n", [
+        (_seeded_input((0.7, 0.3), 1), Fraction(2, 3), 2, 4),
+        (_nonuniform_input(), 0.5, 4, 8)])
+    def test_rate_zero_blocks_are_small(self, monkeypatch, psi_a, gamma, a,
+                                        n):
+        sizes = []
+
+        def recording(total):
+            sizes.append(np.bincount(_components(total != 0)).max())
+            return _inv_sqrt(total)
+
+        monkeypatch.setattr(coding, "_inv_sqrt", recording)
+        ea_channel_code(identity_channel(2), psi_a, 0, 0.05, gamma, 0.5,
+                        a=a, n=n)
+        assert sizes and max(sizes) <= 4
+
+
+class TestOneThresholdTest:
+    """Each protocol call bisects for its hypothesis test exactly once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        threshold_test = entropy._threshold_test
+
+        def counting(rho_mat, sigma_mat, eps):
+            count.append(1)
+            return threshold_test(rho_mat, sigma_mat, eps)
+
+        monkeypatch.setattr(coding, "_threshold_test", counting)
+        monkeypatch.setattr(entropy, "_threshold_test", counting)
+        return count
+
+    def test_classical_decoder(self, calls):
+        position_based_decode_classical(maximally_entangled("B", "C", 2),
+                                        PrimeRegister(2, 5), [0], 0.01, 0.1)
+        assert len(calls) == 1
+
+    def test_flat_decoder(self, calls):
+        position_based_decode_flat(maximally_entangled("B", "C", 2),
+                                   maximally_mixed(sysof(("C", 2))),
+                                   Fraction(2, 3), [0], 0.01, 0.1, a=2, n=3,
+                                   d_size=8)
+        assert len(calls) == 1
+
+    def test_channel_code(self, calls):
+        ea_channel_code(identity_channel(2), _seeded_input((0.7, 0.3), 1), 0,
+                        0.05, Fraction(2, 3), 0.5, a=2, n=4)
+        assert len(calls) == 1
 
 
 class TestRedistributionBounds:

@@ -213,10 +213,10 @@ class TestTranslationClasses:
         q = m_big * m_big
         n_mixed = q if n_mixed == "q" else n_mixed
         rep = convex_split_flat_1design(psi, mu_c, gamma, n_mixed, n=n, seed=2)
-        theta, psi_r, pairs = _moved_state(psi, flat, flat.e_dim, n)
-        dims = (2, len(pairs), n + 1)
+        theta, psi_r = _moved_state(psi, flat, flat.e_dim, n)
+        dims = (2, m_big, n + 1)
         ref = Reference(psi_r, np.kron(
-            np.full(len(pairs), 1.0 / m_big),
+            np.full(m_big, 1.0 / m_big),
             embezzling_state(1, n).weight_vector(n + 1)))
         d_val, f_val = plain_split_means(theta, dims, 1, n_mixed, 2, ref,
                                          pairwise_family(q))
