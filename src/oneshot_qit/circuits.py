@@ -410,11 +410,11 @@ def synth_decoupler(c_dim, g_prime, l_size):
     return _finish(b)
 
 
-def synth_swap(wire_a=0, wire_b=1):
+def synth_swap():
     """Two-wire swap fragment: three CNOT gates, depth three."""
     b = _Builder()
-    b.alloc(max(wire_a, wire_b) + 1, "data")
-    b.swap(wire_a, wire_b)
+    b.alloc(2, "data")
+    b.swap(0, 1)
     return _finish(b)
 
 

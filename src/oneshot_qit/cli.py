@@ -5,6 +5,10 @@ records (csv or json).  Reports are byte-reproducible for a fixed seed:
 records carry stable field order, floats at 12 significant digits, and no
 timing data (wall-clock goes to stderr only).  Exit status is 0 when every
 record passes its bound checks, 1 otherwise, 2 on usage errors.
+
+Options are parsed once, by argparse: the key=value lines of a ``--config``
+file become the same long flags, placed before those of the command line, so
+file values are checked like flags and a flag on the command line wins.
 """
 
 from __future__ import annotations
@@ -354,9 +358,69 @@ def _parse_int_list(text):
     return [int(x) for x in str(text).split(",") if x != ""]
 
 
-def _load_config(path, section):
-    """key=value lines; [section] headers scope keys to one subcommand."""
-    values = {}
+_DIM_C = ("--dim-c", dict(type=int, default=2, help="dimension of C"))
+_PRIME = ("--prime", dict(type=int, default=5, help="prime register size"))
+
+# every option of every subcommand, stated once: flag and add_argument keywords
+_OPTIONS = {
+    "entropy": [
+        ("--demo", dict(action="store_true",
+                        help="re-verify the built-in worked examples"))],
+    "convexsplit": [
+        _DIM_C, _PRIME,
+        ("--ladder", dict(type=_parse_int_list, default=[1, 2, 4],
+                          help="comma-separated mixture sizes N")),
+        ("--dump", dict(help="write the seeded input state to this file"))],
+    "circuit": [
+        _DIM_C, _PRIME,
+        ("--verify", dict(choices=("exhaustive", "none"), default="exhaustive",
+                          help="simulate every input of the circuit"))],
+    "flatten": [],
+    "decode": [
+        ("--flat", dict(action="store_true",
+                        help="include the flattened variant (slower)"))],
+    "code": [
+        ("--channel", dict(choices=("identity", "depolarizing"),
+                           default="identity")),
+        ("--p", dict(type=float, default=0.1, help="depolarizing noise")),
+        ("--eps", dict(type=float, default=0.05, help="test error")),
+        ("--n", dict(type=int, default=8, help="embezzling state size"))],
+    "bounds": [],
+}
+_COMMON = [
+    ("--seed", dict(type=int, default=7)),
+    ("--out", dict(help="report path")),
+    ("--format", dict(choices=("csv", "json"), default="csv")),
+    ("--tolerance-scale", dict(type=float, default=1.0,
+                               help="multiplier on every check tolerance")),
+    ("--config", dict(help="file of key=value option lines")),
+]
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="oneshot-qit",
+        description="verification runner for one-shot protocol constructions")
+    parser.add_argument("--list", action="store_true",
+                        help="list subcommands and what they verify")
+    sub = parser.add_subparsers(dest="command")
+    for name, desc in SUBCOMMAND_MAP.items():
+        p = sub.add_parser(name, help=desc)
+        for flag, kwargs in _OPTIONS[name] + _COMMON:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+def _config_argv(path, section):
+    """The flags of a config file's key=value lines for one subcommand.
+
+    Lines before any [section] header apply to every subcommand.  A key names
+    a long flag (``_`` read as ``-``); a switch is added when its value is
+    1, true or yes.
+    """
+    switches = {flag for flag, kwargs in _OPTIONS[section]
+                if kwargs.get("action") == "store_true"}
+    argv = []
     current = None
     with open(path) as fh:
         for raw in fh:
@@ -369,109 +433,23 @@ def _load_config(path, section):
             if "=" not in line:
                 raise ValueError(f"bad config line {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if current in (None, section):
-                values[key.replace("-", "_")] = val
-    return values
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="oneshot-qit",
-        description="verification runner for one-shot protocol constructions")
-    parser.add_argument("--list", action="store_true",
-                        help="list subcommands and what they verify")
-    sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=None)
-        p.add_argument("--tolerance-scale", dest="tolerance_scale",
-                       type=float, default=None)
-        p.add_argument("--config", type=str, default=None)
-
-    p = sub.add_parser("entropy", help=SUBCOMMAND_MAP["entropy"])
-    p.add_argument("--demo", action="store_true",
-                   help="re-verify the built-in worked examples")
-    add_common(p)
-
-    p = sub.add_parser("convexsplit", help=SUBCOMMAND_MAP["convexsplit"])
-    p.add_argument("--dim-c", dest="dim_c", type=int, default=None)
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--ladder", type=_parse_int_list, default=None)
-    p.add_argument("--dump", type=str, default=None,
-                   help="write the seeded input state in the matrix dump format")
-    add_common(p)
-
-    p = sub.add_parser("circuit", help=SUBCOMMAND_MAP["circuit"])
-    p.add_argument("--dim-c", dest="dim_c", type=int, default=None)
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--verify", choices=("exhaustive", "none"), default=None)
-    add_common(p)
-
-    p = sub.add_parser("flatten", help=SUBCOMMAND_MAP["flatten"])
-    add_common(p)
-
-    p = sub.add_parser("decode", help=SUBCOMMAND_MAP["decode"])
-    p.add_argument("--flat", action="store_true",
-                   help="include the flattened variant (slower)")
-    add_common(p)
-
-    p = sub.add_parser("code", help=SUBCOMMAND_MAP["code"])
-    p.add_argument("--channel", choices=("identity", "depolarizing"),
-                   default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("bounds", help=SUBCOMMAND_MAP["bounds"])
-    add_common(p)
-    return parser
-
-
-_DEFAULTS = {
-    "entropy": {"demo": True},
-    "convexsplit": {"dim_c": 2, "prime": 5, "ladder": [1, 2, 4],
-                    "dump": None},
-    "circuit": {"dim_c": 2, "prime": 5, "verify": "exhaustive"},
-    "flatten": {},
-    "decode": {"flat": False},
-    "code": {"channel": "identity", "p": 0.1, "eps": 0.05, "n": 8},
-    "bounds": {},
-}
-
-_CASTS = {"seed": int, "dim_c": int, "prime": int, "ladder": _parse_int_list,
-          "tolerance_scale": float, "p": float, "eps": float, "n": int,
-          "demo": lambda v: str(v).lower() in ("1", "true", "yes"),
-          "flat": lambda v: str(v).lower() in ("1", "true", "yes")}
-
-
-def _resolve(args):
-    """Layer defaults, config file values, then explicit flags."""
-    resolved = {"seed": 7, "out": None, "fmt": "csv", "tolerance_scale": 1.0}
-    resolved.update(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
-        for key, val in _load_config(args.config, args.command).items():
-            caster = _CASTS.get(key, str)
-            resolved[key] = caster(val)
-    for key, val in vars(args).items():
-        if key in ("command", "config", "list"):
-            continue
-        if val is not None and val is not False:
-            resolved[key] = val
-    return argparse.Namespace(**resolved)
+            if current not in (None, section):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if flag not in switches:
+                argv.append(f"{flag}={val}")
+            elif val.lower() in ("1", "true", "yes"):
+                argv.append(flag)
+    return argv
 
 
 def run(args):
-    """Execute one subcommand; returns (exit status, records)."""
-    resolved = _resolve(args)
+    """Execute one parsed subcommand; returns (exit status, records)."""
     started = time.monotonic()
-    records = RUNNERS[args.command](resolved, resolved.tolerance_scale)
+    records = RUNNERS[args.command](args, args.tolerance_scale)
     elapsed = time.monotonic() - started
-    out_path = resolved.out or f"oneshot-{args.command}-report.{resolved.fmt}"
-    emit(records, resolved.fmt, out_path)
+    out_path = args.out or f"oneshot-{args.command}-report.{args.format}"
+    emit(records, args.format, out_path)
     previous = started
     for rec in records:
         print(f"  {rec.record_id}: {rec.built_at - previous:.3f}s",
@@ -487,6 +465,7 @@ def run(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
@@ -497,6 +476,12 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if args.config:
+            # file values go right after the command, so later flags win
+            i = argv.index(args.command)
+            args = parser.parse_args(
+                argv[:i + 1] + _config_argv(args.config, args.command)
+                + argv[i + 1:])
         status, _ = run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,8 +40,8 @@ from .flatten import (_flat_ensemble, _support_index, check_unembezzle,
                       unitary_flatten_W)
 from .registers import (DensityOperator, PureState, RegisterSystem,
                         _as_density, act, lift_index, maximally_mixed,
-                        pair_index, partial_trace, permute_basis,
-                        permute_registers, tensor)
+                        partial_trace, permute_basis, permute_registers,
+                        tensor)
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,13 @@ def _inv_sqrt(total):
     return inv_half, supp
 
 
-def hayashi_nagaoka_povm(operators, labels=None):
+def hayashi_nagaoka_povm(operators):
     """Square-root measurement of a family of 0 <= Omega_i <= I operators.
 
     Lambda_i = S^{-1/2} Omega_i S^{-1/2} with S = sum Omega (pseudo-inverse on
     the support); the -1 outcome projects onto the complement of supp(S).
     """
     operators = list(operators)
-    if labels is None:
-        labels = list(range(len(operators)))
     dim = operators[0].shape[0]
     for om in operators:
         vals = np.linalg.eigvalsh(om)
@@ -205,9 +203,9 @@ def hayashi_nagaoka_povm(operators, labels=None):
             raise ValueError("input operator exceeds the identity")
     inv_half, supp = _inv_sqrt(sum(operators))
     elements = {}
-    for lab, om in zip(labels, operators):
+    for i, om in enumerate(operators):
         lam = inv_half @ om @ inv_half
-        elements[lab] = (lam + lam.conj().T) / 2
+        elements[i] = (lam + lam.conj().T) / 2
     elements[-1] = np.eye(dim) - supp
     return POVM(elements)
 
@@ -532,8 +530,8 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", np.diag(np.sqrt(q)),
                                        xi_pairs)
     side_dims = (d_a, e_dim, d_dim)
-    w_img = pair_index(unitary_flatten_W(flat, a, n, d_dim=d_dim), side_dims)
-    pairs = [c * e_dim + e for c, e in flat.support_pairs()]
+    w_img = unitary_flatten_W(flat, a, n, d_dim=d_dim)
+    pairs = flat.support_index()
 
     def lifted(rot):
         """rot on the support pairs of (C, E), the identity elsewhere."""

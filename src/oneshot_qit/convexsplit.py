@@ -329,7 +329,7 @@ def hw_split_means(state, dims, axis, n_mixed, seed, ref, family):
     return d_total / len(inverse), min(f_total / len(inverse), 1.0)
 
 
-def convex_split_1design(psi, n_mixed, family=None, seed=0):
+def convex_split_1design(psi, n_mixed, seed=0):
     """Mix a pairwise-independent selection of HW rotations of psi_RC (x) mu_X1X2.
 
     The C register must be the last register of ``psi`` and have power-of-two
@@ -344,10 +344,6 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
     if d_c & (d_c - 1):
         raise ValueError(f"|C| = {d_c} is not a power of two")
     q = d_c * d_c
-    if family is None:
-        family = pairwise_family(q)
-    if family.q != q:
-        raise ValueError(f"family over GF({family.q}) does not match |C|^2 = {q}")
     if not 1 <= n_mixed <= q:
         raise ValueError(f"N = {n_mixed} outside [1, {q}]")
 
@@ -360,7 +356,7 @@ def convex_split_1design(psi, n_mixed, family=None, seed=0):
     ref = Reference(psi_r.matrix if len(labels) > 1 else np.eye(1),
                     np.full(d_c, 1.0 / d_c))
     achieved, fid = hw_split_means(psi.matrix, psi.system.dims, len(labels) - 1,
-                                   n_mixed, seed, ref, family)
+                                   n_mixed, seed, ref, pairwise_family(q))
     return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
 
 

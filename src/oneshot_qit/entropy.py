@@ -301,12 +301,12 @@ def _hermitian_basis(d):
     return basis
 
 
-def _hmin_sdp(rho_mat, d_a, d_b, gap_tol=1e-9):
+def _hmin_sdp(rho_mat, d_a, d_b):
     """Solve min Tr(X_B) s.t. I_A (x) X_B >= rho via a log-barrier Newton method.
 
     Returns (optimal trace, X_B).  The barrier parameter follows a x5 schedule
     (gap shrinks x0.2 per outer step) from an interior multiple-of-identity
-    start; the duality gap at exit is (d_a*d_b)/t <= gap_tol.
+    start; the duality gap at exit is (d_a*d_b)/t <= 1e-9.
     """
     d = d_a * d_b
     basis = _hermitian_basis(d_b)
@@ -335,7 +335,7 @@ def _hmin_sdp(rho_mat, d_a, d_b, gap_tol=1e-9):
         except np.linalg.LinAlgError:
             return False
 
-    while d / t > gap_tol:
+    while d / t > 1e-9:
         for _ in range(100):
             xb = assemble(x)
             s = slack(xb)
@@ -375,7 +375,7 @@ def _hmin_sdp(rho_mat, d_a, d_b, gap_tol=1e-9):
     return float(np.real(np.trace(xb))), xb
 
 
-def hmin(rho, partition, return_witness=False, gap_tol=1e-9):
+def hmin(rho, partition, return_witness=False):
     """Conditional min-entropy H_min(A|B) via the defining SDP.
 
     ``partition`` is (A labels, B labels); together they must cover the system.
@@ -389,7 +389,7 @@ def hmin(rho, partition, return_witness=False, gap_tol=1e-9):
     for lab in a_labels:
         d_a *= rho.system.dim_of(lab)
     d_b = ordered.system.total_dim // d_a
-    opt, xb = _hmin_sdp(ordered.matrix, d_a, d_b, gap_tol=gap_tol)
+    opt, xb = _hmin_sdp(ordered.matrix, d_a, d_b)
     val = EntropyValue(float(-np.log2(max(opt, 1e-300))))
     if return_witness:
         return val, xb

@@ -24,7 +24,7 @@ from .convexsplit import (ConvexSplitReport, PrimeEnsemble, hw_split_means,
                           pairwise_family, prime_register, _factor_prime_power)
 from .entropy import Reference, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
-                        pair_index, partial_trace, permute_basis, tensor)
+                        partial_trace, permute_basis, tensor)
 
 
 def harmonic_sum(a, n):
@@ -73,23 +73,17 @@ def w_b_permutation(b, d_size, e_size):
     """Total bijection on {0..d_size-1} x {0..e_size-1} extending
     (j, 0) -> (j // b, j mod b); leftover states fill lexicographically.
 
-    Returns a dict (j, e) -> (j', e').
+    Returns the index array img[j * e_size + e] = j' * e_size + e'.
     """
     if not 1 <= b <= e_size:
         raise ValueError(f"b = {b} outside [1, {e_size}]")
-    table = {}
-    used = set()
-    for j in range(d_size):
-        img = (j // b, j % b)
-        table[(j, 0)] = img
-        used.add(img)
-    free = [(j, e) for j in range(d_size) for e in range(e_size)
-            if (j, e) not in used]
-    it = iter(free)
-    for j in range(d_size):
-        for e in range(1, e_size):
-            table[(j, e)] = next(it)
-    return table
+    j = np.arange(d_size)
+    img = np.empty((d_size, e_size), dtype=int)
+    img[:, 0] = (j // b) * e_size + j % b
+    free = np.ones(d_size * e_size, dtype=bool)
+    free[img[:, 0]] = False
+    img[:, 1:] = np.flatnonzero(free).reshape(d_size, e_size - 1)
+    return img.reshape(-1)
 
 
 def check_embezzle_upper(a, b, n):
@@ -169,9 +163,10 @@ class FlatSpectrum:
         q = np.array(self.counts, dtype=float) / self.grid_total
         return (self.basis * q) @ self.basis.conj().T
 
-    def support_pairs(self):
-        """Enumeration of the flattened support: (c, e) with e < m_c."""
-        return [(c, e) for c in range(self.c_dim) for e in range(self.counts[c])]
+    def support_index(self):
+        """Flat indices c * |E| + e of the flattened support, e < m_c."""
+        return np.flatnonzero(np.arange(self.e_dim)
+                              < np.array(self.counts)[:, None])
 
 
 def round_spectrum(omega, gamma, direction):
@@ -249,8 +244,8 @@ def round_spectrum(omega, gamma, direction):
     return flat
 
 
-def flatten(sigma, gamma, e_label="E"):
-    """Extend a grid state sigma_C to sigma_CE, uniform on its support."""
+def flatten(sigma, gamma):
+    """Extend a grid state sigma_C to sigma_CE (register E), uniform on its support."""
     sigma = _as_density(sigma)
     c_dim = sigma.system.total_dim
     gamma_frac, m_big = _rationalize_gamma(gamma, c_dim)
@@ -262,25 +257,21 @@ def flatten(sigma, gamma, e_label="E"):
             raise ValueError(f"eigenvalue {v} is off the gamma/|C| grid")
         counts.append(int(m))
     flat = FlatSpectrum(gamma_frac, tuple(counts), vecs)
-    e_dim = flat.e_dim
-    c_label = sigma.system.registers[0][0]
-    system = RegisterSystem([(c_label, c_dim), (e_label, e_dim)])
-    mat = np.zeros((c_dim * e_dim, c_dim * e_dim), dtype=complex)
-    unit = 1.0 / m_big
-    for c in range(c_dim):
-        proj = np.outer(vecs[:, c], vecs[:, c].conj())
-        e_diag = np.zeros(e_dim)
-        e_diag[:counts[c]] = unit
-        mat += np.kron(proj, np.diag(e_diag))
-    return DensityOperator(system, mat, validate=False)
+    weights = np.zeros(c_dim * flat.e_dim)
+    weights[flat.support_index()] = 1.0 / m_big
+    basis = np.kron(vecs, np.eye(flat.e_dim))
+    system = RegisterSystem([(sigma.system.labels[0], c_dim), ("E", flat.e_dim)])
+    return DensityOperator(system, (basis * weights) @ basis.conj().T,
+                           validate=False)
 
 
 def unitary_flatten_W(flat, a, n, d_dim=None):
     """Controlled permutation W = sum_c |c><c| (x) W_{b(c)} on (C, E, D) labels.
 
-    Acts on triples (c, e, j) with j a D label and e in 0..e_dim-1.  ``a``
-    must equal the flattened support height max_c b(c) for the upper bound
-    ratio to be the harmonic one; the table itself works for any a <= n.
+    Returns the index array of the map (c, e, j) -> (c, e', j'), with j a D
+    label and e in 0..e_dim-1.  ``a`` must equal the flattened support height
+    max_c b(c) for the upper bound ratio to be the harmonic one; the map
+    itself works for any a <= n.
     """
     e_dim = flat.e_dim
     if a < e_dim:
@@ -288,14 +279,13 @@ def unitary_flatten_W(flat, a, n, d_dim=None):
     if n < a:
         raise ValueError(f"n = {n} below a = {a}")
     d_dim = n + 1 if d_dim is None else d_dim
-    table = {}
-    for c in range(flat.c_dim):
-        b = flat.counts[c]
-        sub = w_b_permutation(b, d_dim, e_dim) if b >= 1 else \
-            {(j, e): (j, e) for j in range(d_dim) for e in range(e_dim)}
-        for (j, e), (j2, e2) in sub.items():
-            table[(c, e, j)] = (c, e2, j2)
-    return table
+    img = np.arange(flat.c_dim * e_dim * d_dim).reshape(flat.c_dim, -1)
+    for c, b in enumerate(flat.counts):
+        if b >= 1:
+            j2, e2 = np.divmod(w_b_permutation(b, d_dim, e_dim), e_dim)
+            block = (e2 * d_dim + j2).reshape(d_dim, e_dim).T   # on (E, D)
+            img[c] = c * e_dim * d_dim + block.reshape(-1)
+    return img.reshape(-1)
 
 
 def _support_index(flat, a, n, d_dim):
@@ -304,10 +294,9 @@ def _support_index(flat, a, n, d_dim):
     permute_basis(mat, _support_index(...), dims, (C, E, D) axes) equals
     S^dag W mat W^dag S, with S the isometry onto the support pairs (x) D.
     """
-    dims = (flat.c_dim, flat.e_dim, d_dim)
-    w_img = pair_index(unitary_flatten_W(flat, a, n, d_dim=d_dim), dims)
-    pairs = np.array([c * flat.e_dim + e for c, e in flat.support_pairs()])
-    supp = (pairs[:, None] * d_dim + np.arange(d_dim)).reshape(-1)
+    w_img = unitary_flatten_W(flat, a, n, d_dim=d_dim)
+    supp = (flat.support_index()[:, None] * d_dim
+            + np.arange(d_dim)).reshape(-1)
     return np.argsort(w_img)[supp]
 
 

@@ -380,15 +380,6 @@ def permute_basis(mat, src, dims, axes):
     return np.asarray(mat)[np.ix_(full, full)]
 
 
-def pair_index(table, dims):
-    """Index array img[flat(key)] = flat(table[key]) of a dict of index tuples."""
-    keys = np.array(list(table.keys())).T
-    vals = np.array(list(table.values())).T
-    img = np.arange(int(np.prod(dims)))
-    img[np.ravel_multi_index(keys, dims)] = np.ravel_multi_index(vals, dims)
-    return img
-
-
 def apply_unitary(op, unitary, labels):
     """Conjugate by a unitary on the named registers (in the order given).
 

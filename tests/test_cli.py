@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oneshot_qit.cli import ReportRecord, SUBCOMMAND_MAP, emit, main
+from oneshot_qit.cli import ReportRecord, SUBCOMMAND_MAP, _seed_for, emit, main
+from oneshot_qit.registers import RegisterSystem, random_density
 
 
 def run_cli(args):
@@ -91,6 +93,23 @@ class TestSubcommands:
         out = tmp_path / "d.csv"
         assert main(["decode", "--out", str(out)]) == 0
 
+    def test_decode_flat(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert main(["decode", "--flat", "--format", "json",
+                     "--out", str(out)]) == 0
+        rows = {row["id"]: row for row in json.loads(out.read_text())}
+        assert rows["decode-flat-S1"]["passed"] is True
+
+    def test_dump_parses_back_to_the_seeded_state(self, tmp_path):
+        dump = tmp_path / "psi.txt"
+        assert main(["convexsplit", "--ladder", "1", "--seed", "5",
+                     "--dump", str(dump), "--out", str(tmp_path / "c.csv")]) == 0
+        pairs = np.array([[float(x) for x in line.split()]
+                          for line in dump.read_text().splitlines()])
+        psi = random_density(_seed_for(5, 0),
+                             RegisterSystem([("R", 2), ("C", 2)]))
+        assert np.array_equal(pairs[:, 0::2] + 1j * pairs[:, 1::2], psi.matrix)
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
@@ -139,6 +158,35 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value pair\n")
         assert main(["entropy", "--config", str(cfg)]) == 2
+
+    def test_format_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=json\n")
+        out = tmp_path / "b.out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 2
+        assert main(["bounds", "--config", str(cfg), "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert out.read_text().startswith("id,")
+
+    def test_flat_key_adds_the_flat_record(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[decode]\nflat=true\n")
+        out = tmp_path / "d.csv"
+        assert main(["decode", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "decode-flat-S1" in out.read_text()
+
+    @pytest.mark.parametrize("command, line", [
+        ("code", "channel=bogus"), ("circuit", "verify=bogus"),
+        ("convexsplit", "primes=7")])
+    def test_bad_value_or_key_is_a_usage_error(self, tmp_path, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{command}]\n{line}\n")
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestScriptEntry:

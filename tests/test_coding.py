@@ -21,10 +21,10 @@ from oneshot_qit.entropy import dh_eps
 from oneshot_qit.flatten import (_flat_ensemble, embezzling_state,
                                  round_spectrum, unitary_flatten_W)
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
-                                   act, basis_state, maximally_entangled,
-                                   maximally_mixed, pair_index, partial_trace,
-                                   permute_basis, random_density, tensor,
-                                   tensor_pure)
+                                   act, basis_state, canonical_purification,
+                                   maximally_entangled, maximally_mixed,
+                                   partial_trace, permute_basis,
+                                   random_density, tensor, tensor_pure)
 
 
 def sysof(*pairs):
@@ -372,8 +372,7 @@ def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
     shape = (d_a, e_dim, d_dim, d_a, e_dim, d_dim)      # (A, E', D', C, E, D)
     init = np.zeros(shape, dtype=complex)
     init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", sigma_amp, xi_pairs)
-    w_img = pair_index(unitary_flatten_W(flat, a, n, d_dim=d_dim),
-                       (d_a, e_dim, d_dim))
+    w_img = unitary_flatten_W(flat, a, n, d_dim=d_dim)
 
     def controlled_w(mat, basis, src, dims, axis):
         inner = act(mat, basis.conj().T, dims, [axis])
@@ -382,7 +381,7 @@ def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
 
     s_cols_a = np.zeros((d_a * e_dim, m_big), dtype=complex)
     s_cols_c = np.zeros((d_a * e_dim, m_big), dtype=complex)
-    for s, (c, e) in enumerate(flat.support_pairs()):
+    for s, (c, e) in enumerate(zip(*np.divmod(flat.support_index(), e_dim))):
         e_vec = np.eye(e_dim)[:, e]
         s_cols_a[:, s] = np.kron(v_basis[:, c], e_vec)
         s_cols_c[:, s] = np.kron(v_basis[:, c].conj(), e_vec)
@@ -506,6 +505,18 @@ class TestChannelCode:
                               0.05, 0.5, 0.5, a=4, n=8)
         assert rep.bound_satisfied()
         assert rep.empirical_max_error < 0.5
+
+    def test_pure_input_matches_its_marginal(self):
+        psi_ar = canonical_purification(_seeded_input((0.7, 0.3), 1), "R")
+        psi_a = partial_trace(psi_ar, ["R"])
+        channel = amplitude_damping_channel(0.3)
+        caps, reports = [], []
+        for psi in (psi_ar, psi_a):
+            caps.append(channel_rate_cap(channel, psi, 0.05, 2 / 3, 0.5))
+            reports.append(ea_channel_code(channel, psi, 0, 0.05,
+                                           Fraction(2, 3), 0.5, a=2, n=4))
+        assert caps[0] == caps[1]
+        assert reports[0] == reports[1]
 
     def test_entanglement_budget(self):
         rep = ea_channel_code(identity_channel(2), self.mu_a, 0, 0.05, 0.5,

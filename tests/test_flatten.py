@@ -14,12 +14,48 @@ from oneshot_qit.flatten import (_flat_ensemble, check_embezzle_upper,
                                  unitary_flatten_W, w_b_permutation)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
-                                   pair_index, partial_trace, permute_basis,
+                                   partial_trace, permute_basis,
                                    random_density, tensor)
 
 
 def sysof(*pairs):
     return RegisterSystem(list(pairs))
+
+
+def _w_b_table(b, d_size, e_size):
+    """Dict form of W_b, (j, e) -> (j', e'): the oracle of w_b_permutation."""
+    table = {}
+    used = set()
+    for j in range(d_size):
+        img = (j // b, j % b)
+        table[(j, 0)] = img
+        used.add(img)
+    free = [(j, e) for j in range(d_size) for e in range(e_size)
+            if (j, e) not in used]
+    it = iter(free)
+    for j in range(d_size):
+        for e in range(1, e_size):
+            table[(j, e)] = next(it)
+    return table
+
+
+def _w_table(flat, d_dim):
+    """Dict form of W, (c, e, j) -> (c, e', j'): the oracle of unitary_flatten_W."""
+    table = {}
+    for c in range(flat.c_dim):
+        b = flat.counts[c]
+        sub = _w_b_table(b, d_dim, flat.e_dim) if b >= 1 else \
+            {(j, e): (j, e) for j in range(d_dim) for e in range(flat.e_dim)}
+        for (j, e), (j2, e2) in sub.items():
+            table[(c, e, j)] = (c, e2, j2)
+    return table
+
+
+def _table_of(img, dims):
+    """An index array as a dict of index tuples, the oracles' form."""
+    keys = zip(*np.unravel_index(np.arange(len(img)), dims))
+    vals = zip(*np.unravel_index(img, dims))
+    return {tuple(map(int, k)): tuple(map(int, v)) for k, v in zip(keys, vals)}
 
 
 class TestEmbezzlingState:
@@ -54,16 +90,23 @@ class TestWbPermutation:
     def test_identity_slice_b1(self):
         t = w_b_permutation(1, 5, 2)
         for j in range(5):
-            assert t[(j, 0)] == (j, 0)
+            assert t[j * 2] == j * 2
 
     def test_arithmetic(self):
         t = w_b_permutation(2, 12, 3)
-        assert t[(5, 0)] == (2, 1)
+        assert t[5 * 3] == 2 * 3 + 1
 
     def test_exhaustive_bijection(self):
         t = w_b_permutation(3, 12, 3)
-        assert len(t) == 36
-        assert len(set(t.values())) == 36
+        assert np.array_equal(np.sort(t), np.arange(36))
+
+    def test_matches_dict_oracle(self):
+        for e_size in range(1, 7):
+            for b in range(1, e_size + 1):
+                for d_size in range(1, 40):
+                    assert _table_of(w_b_permutation(b, d_size, e_size),
+                                     (d_size, e_size)) == \
+                        _w_b_table(b, d_size, e_size)
 
     def test_b_too_large(self):
         with pytest.raises(ValueError):
@@ -242,29 +285,65 @@ class TestFlatten:
         with pytest.raises(ValueError):
             flatten(sigma, Fraction(1, 2))
 
+    def test_matches_block_sum(self):
+        # oracle: sum_c |v_c><v_c| (x) diag(1/M on e < m_c), block by block
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        v, _ = np.linalg.qr(g)
+        sigma = DensityOperator(sysof(("C", 3)),
+                                (v * np.array([4, 1, 1]) / 6) @ v.conj().T)
+        out = flatten(sigma, Fraction(1, 2))
+        vals, vecs = np.linalg.eigh(sigma.matrix)
+        want = np.zeros((12, 12), dtype=complex)
+        for c, val in enumerate(vals):
+            e_diag = np.zeros(4)
+            e_diag[:round(val * 6)] = 1 / 6
+            want += np.kron(np.outer(vecs[:, c], vecs[:, c].conj()),
+                            np.diag(e_diag))
+        assert out.system.dims == (3, 4)
+        assert np.max(np.abs(out.matrix - want)) <= 1e-12
+
 
 class TestUnitaryFlattenW:
     def test_uniform_blocks_identical(self):
         mu = maximally_mixed(sysof(("C", 2)))
         fl = round_spectrum(mu, Fraction(1, 2), "up")
-        table = unitary_flatten_W(fl, fl.e_dim, 4)
-        sub0 = {(e, j): table[(0, e, j)][1:] for e in range(fl.e_dim)
-                for j in range(5)}
-        sub1 = {(e, j): table[(1, e, j)][1:] for e in range(fl.e_dim)
-                for j in range(5)}
-        assert sub0 == sub1
+        img = unitary_flatten_W(fl, fl.e_dim, 4).reshape(2, -1)
+        assert np.array_equal(img[0], img[1] - img.shape[1])
 
     def test_blocks_exhaustive(self):
         sigma = DensityOperator(sysof(("C", 2)), np.diag([0.25, 0.75]))
         fl = round_spectrum(sigma, Fraction(1, 4), "up")
         assert sorted(fl.counts) == [2, 6]
-        table = unitary_flatten_W(fl, fl.e_dim, 8)
-        assert len(set(table.values())) == len(table)
+        dims = (2, fl.e_dim, 9)
+        img = unitary_flatten_W(fl, fl.e_dim, 8)
+        assert np.array_equal(np.sort(img), np.arange(len(img)))
         for c in range(2):
             b = fl.counts[c]
-            for j in range(fl.a if False else b, 9):
-                c2, e2, j2 = table[(c, 0, j)]
+            for j in range(b, 9):
+                c2, e2, j2 = np.unravel_index(
+                    img[np.ravel_multi_index((c, 0, j), dims)], dims)
                 assert (c2, e2, j2) == (c, j % b, j // b)
+
+    @pytest.mark.parametrize("c_dim", [2, 3])
+    def test_matches_dict_oracle(self, c_dim):
+        for seed in range(10):
+            om = random_density(seed, sysof(("C", c_dim)))
+            for gamma in (Fraction(1, 2), Fraction(1, 4), Fraction(2, 3),
+                          Fraction(1, 3)):
+                for direction in ("up", "down"):
+                    try:
+                        fl = round_spectrum(om, gamma, direction)
+                    except ValueError:      # |C|/gamma is not an integer
+                        continue
+                    n = max(fl.e_dim, 4)
+                    for d_dim in (n + 1, n + 3, 2 * n + 1):
+                        img = unitary_flatten_W(fl, fl.e_dim, n, d_dim=d_dim)
+                        assert _table_of(img, (c_dim, fl.e_dim, d_dim)) == \
+                            _w_table(fl, d_dim)
+                    assert list(fl.support_index()) == [
+                        c * fl.e_dim + e for c in range(c_dim)
+                        for e in range(fl.counts[c])]
 
     def test_defining_inequality_seeded(self):
         # W(sigma (x) |0><0| (x) xi^{a:n})W^dag <= ratio sigma_CE (x) xi^{1:n}
@@ -275,7 +354,7 @@ class TestUnitaryFlattenW:
             n = max(a, 6)
             d_dim = n + 1
             dims = (2, fl.e_dim, d_dim)
-            img = pair_index(unitary_flatten_W(fl, a, n), dims)
+            img = unitary_flatten_W(fl, a, n)
             q = np.array(fl.counts) / fl.grid_total
             xi_a = embezzling_state(a, n).weight_vector(d_dim)
             xi_1 = embezzling_state(1, n).weight_vector(d_dim)

@@ -25,6 +25,41 @@ def unused_imports(source):
                   if name not in used)
 
 
+def unread_private_names(sources):
+    """(module, line, name) of each private name that a module defines at
+    module or class level and that no module in ``sources`` reads."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    defined = []
+    for mod, tree in trees.items():
+        scopes = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign) \
+                        and isinstance(node.target, ast.Name):
+                    names = [node.target.id]
+                else:
+                    continue
+                defined += [(mod, node.lineno, name) for name in names
+                            if name.startswith("_") and not name.endswith("__")]
+    return sorted(item for item in defined if item[2] not in read)
+
+
 def test_modules_found():
     assert len(MODULES) >= 5
 
@@ -41,3 +76,26 @@ def test_gate_catches_an_unused_import():
               "import numpy as np\n"
               "x = np.zeros(hw_family(2)[0].dim)\n")
     assert unused_imports(source) == [(2, "math"), (3, "PrimeRegister")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_gate_catches_an_unread_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n"
+                 "def _helper():\n"
+                 "    return _LIMIT\n"
+                 "def _orphan():\n"
+                 "    pass\n"
+                 "class Box:\n"
+                 "    _size: int = 2\n"
+                 "    _spare = 0\n"
+                 "    def _grow(self):\n"
+                 "        self._spare = self._size\n"),
+        "b.py": "from .a import _helper\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", 4, "_orphan"), ("a.py", 8, "_spare"), ("a.py", 9, "_grow")]

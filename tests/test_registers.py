@@ -8,7 +8,7 @@ from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    canonical_purification, dump_matrix,
                                    eig_hermitian, fidelity,
                                    maximally_entangled, maximally_mixed,
-                                   pair_index, partial_trace, permute_basis,
+                                   partial_trace, permute_basis,
                                    permute_registers, purified_distance,
                                    random_density, random_pure, tensor)
 
@@ -328,11 +328,6 @@ class TestPermuteBasis:
         rho = np.eye(24)
         with pytest.raises(ValueError):
             permute_basis(rho, [0, 1], self.dims, [0, 2])
-
-    def test_pair_index(self):
-        table = {(0, 1): (1, 2), (1, 2): (0, 1)}
-        img = pair_index(table, (2, 3))
-        assert list(img) == [0, 5, 2, 3, 4, 1]
 
 
 class TestDump:
