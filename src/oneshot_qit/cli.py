@@ -397,7 +397,8 @@ _COMMON = [
 ]
 
 
-def build_parser():
+def build_parser(allow_abbrev=True):
+    """The CLI parser; with allow_abbrev=False a long flag is taken only in full."""
     parser = argparse.ArgumentParser(
         prog="oneshot-qit",
         description="verification runner for one-shot protocol constructions")
@@ -405,7 +406,7 @@ def build_parser():
                         help="list subcommands and what they verify")
     sub = parser.add_subparsers(dest="command")
     for name, desc in SUBCOMMAND_MAP.items():
-        p = sub.add_parser(name, help=desc)
+        p = sub.add_parser(name, help=desc, allow_abbrev=allow_abbrev)
         for flag, kwargs in _OPTIONS[name] + _COMMON:
             p.add_argument(flag, **kwargs)
     return parser
@@ -414,9 +415,9 @@ def build_parser():
 def _config_argv(path, section):
     """The flags of a config file's key=value lines for one subcommand.
 
-    Lines before any [section] header apply to every subcommand.  A key names
-    a long flag (``_`` read as ``-``); a switch is added when its value is
-    1, true or yes.
+    Lines before any [section] header apply to every subcommand; a header
+    that names no subcommand raises ValueError.  A key names a long flag
+    (``_`` read as ``-``); a switch is added when its value is 1, true or yes.
     """
     switches = {flag for flag, kwargs in _OPTIONS[section]
                 if kwargs.get("action") == "store_true"}
@@ -429,6 +430,9 @@ def _config_argv(path, section):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1]
+                if current not in _OPTIONS:
+                    raise ValueError(f"config section [{current}] names no "
+                                     "subcommand")
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line {line!r}")
@@ -477,11 +481,12 @@ def main(argv=None):
         return 2
     try:
         if args.config:
+            flags = _config_argv(args.config, args.command)
+            # a file key must be a flag in full, never a prefix of one
+            build_parser(allow_abbrev=False).parse_args([args.command] + flags)
             # file values go right after the command, so later flags win
             i = argv.index(args.command)
-            args = parser.parse_args(
-                argv[:i + 1] + _config_argv(args.config, args.command)
-                + argv[i + 1:])
+            args = parser.parse_args(argv[:i + 1] + flags + argv[i + 1:])
         status, _ = run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

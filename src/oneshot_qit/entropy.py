@@ -1,8 +1,9 @@
 """One-shot information measures, base-2 throughout.
 
 Covers relative entropy, max-relative entropy, hypothesis-testing relative
-entropy (exact quantum Neyman-Pearson test via threshold bisection),
-conditional min-entropy (small SDP solved by a log-barrier Newton method),
+entropy (exact quantum Neyman-Pearson test; its threshold bracketed by the
+breakpoints of the test and found by a safeguarded secant), conditional
+min-entropy (small SDP solved by a log-barrier Newton method),
 max-information, and the identity/inequality facts the bounds lean on.
 Smoothed variants are exposed at epsilon = 0 only.
 """
@@ -57,7 +58,7 @@ def relative_entropy(rho, sigma):
     pos_s = svals > SUPPORT_TOL
     # <v_j| rho |v_j> for sigma eigenvectors on the support
     vs = svecs[:, pos_s]
-    diag = np.real(np.einsum("ij,ik,kj->j", vs.conj(), rho.matrix, vs))
+    diag = np.real(np.sum(vs.conj() * (rho.matrix @ vs), axis=0))
     term2 = float(np.sum(diag * np.log2(svals[pos_s])))
     return EntropyValue(term1 - term2)
 
@@ -172,9 +173,28 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     """Exact Neyman-Pearson test: minimize Tr(Pi sigma) s.t. Tr(Pi rho) >= 1-eps.
 
     Returns (type2_weight, Pi).  The optimal test is a threshold test on
-    rho - t*sigma: full weight on the strictly positive eigenspace, fractional
-    weight on the kernel eigenspace to meet the constraint with equality.
-    Kernel fill order follows ascending eigenvalue index.
+    rho - t*sigma: full weight on the eigenspace above the kernel tolerance
+    1e-10 (1 + t), fractional weight on the kernel (|eigenvalue| within the
+    tolerance) to meet the constraint with equality.
+
+    t* is the least t with f(t) = Tr(Pi_{>tol}(rho - t sigma) rho) <= 1-eps,
+    taken as the end point of a bisection on [0, t_top] to a relative width
+    of 1e-12, and found with few eigensolves.  f is non-increasing and
+    jumps only where an eigenvalue crosses the tolerance: at the generalized
+    eigenvalues of (rho - 1e-10, sigma + 1e-10) on supp(sigma).  A binary
+    search over these breakpoints, one eigensolve each, brackets t*.  One
+    probe just left of the bracketing breakpoint tells whether t* is that
+    jump; if not, a secant that keeps the bracket (bisecting when it would
+    leave it or stall) narrows it to the bisection's width.  The bisection's
+    midpoints are then replayed: the bracket decides those outside it, and
+    the few inside it are probed.
+
+    Kernel fill order follows ascending eigenvalue index.  When the kernel
+    has dimension > 1 (coinciding breakpoints, as for commuting states with
+    repeated eigenvalue ratios), the optimum is not unique, and the fill
+    depends on the eigenbasis the eigensolver returns for that kernel.
+    Eigensolving at the bisection's own end point makes it the bisection's
+    choice; the channel code's reported error depends on it.
     """
     d = rho_mat.shape[0]
     svals, svecs = np.linalg.eigh(sigma_mat)
@@ -208,57 +228,109 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     sv = svals[pos]
     rho_c = vs.conj().T @ rho_mat @ vs          # compressed to supp(sigma)
     rho_c = (rho_c + rho_c.conj().T) / 2
-    sig_c = np.diag(sv)
+    n = len(sv)
+    diag = np.diag_indices(n)
 
+    def probe_at(t):
+        """(eigenvalues, eigenvectors, <v|sigma_c|v>, f(t)) of rho_c - t sigma_c."""
+        shifted = rho_c.copy()
+        shifted[diag] -= t * sv
+        vals, vecs = np.linalg.eigh(shifted)
+        sig_w = (vecs.real ** 2 + vecs.imag ** 2).T @ sv
+        sel = vals > 1e-10 * (1.0 + t)
+        # <v|rho_c|v> = val + t <v|sigma_c|v>
+        return vals, vecs, sig_w, float(np.sum(vals[sel] + t * sig_w[sel]))
+
+    # f(t) = 0 from t_top on: the top of sigma^{-1/2} rho sigma^{-1/2}, widened
     inv_half = 1.0 / np.sqrt(sv)
     rel = (rho_c * inv_half[None, :]) * inv_half[:, None]
-    t_hi = float(np.linalg.eigvalsh(rel)[-1]) * (1 + 1e-9) + 1e-12
-    t_lo = 0.0
+    t_top = float(np.linalg.eigvalsh(rel)[-1]) * (1 + 1e-9) + 1e-12
+    # f jumps where an eigenvalue of rho_c - t sigma_c crosses the kernel
+    # tolerance 1e-10 (1 + t): at the generalized eigenvalues of
+    # (rho_c - 1e-10, sigma_c + 1e-10), clustered within 5e-13 relative
+    inv_half = 1.0 / np.sqrt(sv + 1e-10)
+    rel = ((rho_c - 1e-10 * np.eye(n)) * inv_half[None, :]) * inv_half[:, None]
+    lam = np.linalg.eigvalsh(rel)
+    # with nothing of rho_c above the tolerance, f = 0 for all t > 0: t* = 0
+    lam = lam[lam > 0] if lam[-1] > 0 else np.zeros(1)
+    gap = np.diff(lam) > 0.5e-12 * np.maximum(1.0, lam[1:])
+    starts, ends = lam[np.append(True, gap)], lam[np.append(gap, True)]
+    delta = 0.25e-12 * np.maximum(1.0, ends)
 
-    def pos_mass(t):
-        vals, vecs = np.linalg.eigh(rho_c - t * sig_c)
-        ktol = 1e-10 * (1.0 + t)
-        sel = vals > ktol
-        if not np.any(sel):
-            return 0.0
-        w = vecs[:, sel]
-        return float(np.real(np.sum((w.conj().T @ rho_c @ w).diagonal())))
-
-    for _ in range(200):
-        if t_hi - t_lo < 1e-12 * max(1.0, t_hi):
-            break
-        t_mid = (t_lo + t_hi) / 2
-        if pos_mass(t_mid) <= target:
-            t_hi = t_mid
+    # binary search for the first cluster whose right side meets the target;
+    # the bracket keeps f(t_lo) > target >= f(t_hi)
+    t_lo, g_lo = 0.0, float(np.real(np.trace(rho_c))) - target
+    t_hi, g_hi, t_next = t_top, -target, None
+    lo, hi = -1, len(ends)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = ends[mid] + delta[mid]
+        g = probe_at(t)[-1] - target
+        if g <= 0:
+            hi, t_hi, g_hi = mid, t, g
+            # a probe here closes the bracket if t* is this jump
+            t_next = starts[mid] - delta[mid]
         else:
-            t_lo = t_mid
+            lo, t_lo, g_lo = mid, t, g
 
-    t = t_hi
-    vals, vecs = np.linalg.eigh(rho_c - t * sig_c)
+    # safeguarded secant inside the bracket, down to the bisection's width
+    prev, cur = (t_lo, g_lo), (t_hi, g_hi)
+    step_old = step = t_hi - t_lo
+    while t_hi - t_lo >= 1e-12 * max(1.0, t_hi):
+        if t_next is not None:
+            t, t_next = t_next, None
+        else:
+            t = 0.5 * (t_lo + t_hi)
+            if cur[1] != prev[1]:
+                sec = cur[0] - cur[1] * (cur[0] - prev[0]) / (cur[1] - prev[1])
+                if t_lo <= sec <= t_hi and abs(sec - cur[0]) <= 0.5 * step_old:
+                    t = sec
+            step_old, step = step, abs(t - cur[0])
+            prev = cur
+        tol = 0.4e-12 * max(1.0, t_hi)
+        t = min(max(t, t_lo + tol), t_hi - tol)
+        g = probe_at(t)[-1] - target
+        if g <= 0:
+            t_hi = t
+        else:
+            t_lo = t
+        cur = (t, g)
+
+    # replay the bisection on [0, t_top]: the bracket decides the midpoints
+    # outside it and a probe those inside, so t is the bisection's end point
+    # and a kernel of dimension > 1 is split in the same eigenbasis
+    a, b, best = 0.0, t_top, None
+    while b - a >= 1e-12 * max(1.0, b):
+        mid = (a + b) / 2
+        if t_lo < mid < t_hi:
+            probe = probe_at(mid)
+            below = probe[-1] <= target
+            if below:
+                best = (mid, probe)
+        else:
+            below = mid >= t_hi
+        if below:
+            b = mid
+        else:
+            a = mid
+    t = b
+    vals, vecs, sig_w, taken = best[1] if best and best[0] == t else probe_at(t)
     ktol = 1e-10 * (1.0 + t)
-    type2 = 0.0
-    taken = 0.0
-    pi_c = np.zeros_like(rho_c)
-    for idx in range(len(vals)):   # ascending eigenvalue index
-        v = vecs[:, idx]
-        if vals[idx] > ktol:
-            pi_c += np.outer(v, v.conj())
-            taken += float(np.real(v.conj() @ rho_c @ v))
-            type2 += float(np.real(v.conj() @ sig_c @ v))
+    weights = (vals > ktol).astype(float)
+    type2 = float(np.sum(sig_w[vals > ktol]))
     deficit = target - taken
     if deficit > 0:
-        for idx in range(len(vals)):
-            if abs(vals[idx]) <= ktol:
-                v = vecs[:, idx]
-                rw = float(np.real(v.conj() @ rho_c @ v))
-                if rw <= 1e-15:
-                    continue
-                w = min(1.0, deficit / rw)
-                pi_c += w * np.outer(v, v.conj())
-                type2 += w * float(np.real(v.conj() @ sig_c @ v))
-                deficit -= w * rw
-                if deficit <= 1e-14:
-                    break
+        for idx in np.flatnonzero(np.abs(vals) <= ktol):   # ascending index
+            v = vecs[:, idx]
+            rw = float(np.real(v.conj() @ rho_c @ v))
+            if rw <= 1e-15:
+                continue
+            weights[idx] = min(1.0, deficit / rw)
+            type2 += weights[idx] * sig_w[idx]
+            deficit -= weights[idx] * rw
+            if deficit <= 1e-14:
+                break
+    pi_c = (vecs * weights) @ vecs.conj().T
     pi += vs @ pi_c @ vs.conj().T
     return max(type2, 0.0), pi
 
@@ -281,23 +353,20 @@ def dh_eps(rho, sigma, eps):
 
 
 def _hermitian_basis(d):
-    """Orthonormal real basis of d x d Hermitian matrices under Tr(AB)."""
-    basis = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
+    """Orthonormal real basis of d x d Hermitian matrices under Tr(AB), (d*d, d, d).
+
+    The d diagonal units first, then for each i < j (row-major) the real
+    symmetric and the imaginary antisymmetric unit.
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    idx = np.arange(d)
+    basis[idx, idx, idx] = 1.0
+    rows, cols = np.triu_indices(d, 1)
+    k = d + 2 * np.arange(len(rows))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = inv_sqrt2
-            m[j, i] = inv_sqrt2
-            basis.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1j * inv_sqrt2
-            m[j, i] = -1j * inv_sqrt2
-            basis.append(m)
+    basis[k, rows, cols] = basis[k, cols, rows] = inv_sqrt2
+    basis[k + 1, rows, cols] = 1j * inv_sqrt2
+    basis[k + 1, cols, rows] = -1j * inv_sqrt2
     return basis
 
 
@@ -306,47 +375,55 @@ def _hmin_sdp(rho_mat, d_a, d_b):
 
     Returns (optimal trace, X_B).  The barrier parameter follows a x5 schedule
     (gap shrinks x0.2 per outer step) from an interior multiple-of-identity
-    start; the duality gap at exit is (d_a*d_b)/t <= 1e-9.
+    start; the duality gap at exit is (d_a*d_b)/t <= 1e-9.  X_B is expanded
+    in the Hermitian basis B_k, S = I_A (x) X_B - rho.  A Newton step takes
+    the gradient from Tr_A S^{-1} in one product, and the Hessian
+    Re Tr(S^{-1}(I (x) B_k) S^{-1}(I (x) B_l)) from S^{-1} contracted with
+    itself over A into a d_b^2 x d_b^2 matrix, then with the basis on both
+    sides; no Python loop and no I_A (x) B_k is formed.  The barrier
+    -log det S comes from the Cholesky factor that also certifies S > 0.
     """
     d = d_a * d_b
     basis = _hermitian_basis(d_b)
     m = len(basis)
-    tr_vec = np.array([float(np.real(np.trace(b))) for b in basis])
+    flat = basis.reshape(m, d_b * d_b)
+    tr_vec = np.real(np.trace(basis, axis1=1, axis2=2))
     eye_a = np.eye(d_a)
 
-    def assemble(x):
-        xb = np.zeros((d_b, d_b), dtype=complex)
-        for c, b in zip(x, basis):
-            xb += c * b
-        return xb
+    def slack(x):
+        return np.kron(eye_a, np.tensordot(x, basis, axes=1)) - rho_mat
 
-    def slack(xb):
-        return np.kron(eye_a, xb) - rho_mat
+    def log_det(s):
+        """log det S from its Cholesky factor; None unless S > 0."""
+        try:
+            chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return None
+        return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
 
     lam_max = float(np.linalg.eigvalsh(rho_mat)[-1])
     x = np.zeros(m)
     x[:d_b] = lam_max * 1.001 + 1e-9   # strictly interior identity start
     t = 1.0
-
-    def is_pd(mat):
-        try:
-            np.linalg.cholesky(mat + 0j)
-            return True
-        except np.linalg.LinAlgError:
-            return False
+    ld = None
 
     while d / t > 1e-9:
         for _ in range(100):
-            xb = assemble(x)
-            s = slack(xb)
+            s = slack(x)
+            if ld is None:
+                ld = log_det(s)
             s_inv = np.linalg.inv(s)
             s_inv = (s_inv + s_inv.conj().T) / 2
+            blocks = s_inv.reshape(d_a, d_b, d_a, d_b)
             # Tr_A of S^{-1}
-            g_mat = np.trace(s_inv.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
-            grad = t * tr_vec - np.array(
-                [float(np.real(np.trace(g_mat @ b))) for b in basis])
-            ys = np.stack([s_inv @ np.kron(eye_a, b) for b in basis])
-            hess = np.real(np.einsum("aij,bji->ab", ys, ys))
+            g_mat = np.trace(blocks, axis1=0, axis2=2)
+            grad = t * tr_vec - np.real(flat @ g_mat.T.reshape(-1))
+            # Re Tr(S^-1 (I x B_k) S^-1 (I x B_l)) = Re vec(B_k) K vec(B_l),
+            # K[(j,k),(l,i)] = sum_pq S^-1[(p,i),(q,j)] S^-1[(q,k),(p,l)]
+            kern = (blocks.transpose(1, 3, 0, 2).reshape(d_b * d_b, d_a * d_a)
+                    @ blocks.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b))
+            kern = kern.reshape((d_b,) * 4).transpose(1, 2, 3, 0)
+            hess = np.real(flat @ kern.reshape(d_b * d_b, d_b * d_b) @ flat.T)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -356,22 +433,21 @@ def _hmin_sdp(rho_mat, d_a, d_b):
                 step = -grad
                 decrement = float(grad @ grad)
             alpha = 1.0
-            f0 = t * float(tr_vec @ x) - float(np.log(max(
-                np.real(np.linalg.det(s)), 1e-300)))
+            f0 = np.inf if ld is None else t * float(tr_vec @ x) - ld
+            ld = None
             while alpha > 1e-12:
                 x_new = x + alpha * step
-                s_new = slack(assemble(x_new))
-                if is_pd(s_new):
-                    f_new = t * float(tr_vec @ x_new) - float(np.log(max(
-                        np.real(np.linalg.det(s_new)), 1e-300)))
-                    if f_new <= f0 - 0.25 * alpha * decrement + 1e-12:
-                        break
+                ld_new = log_det(slack(x_new))
+                if ld_new is not None and t * float(tr_vec @ x_new) - ld_new \
+                        <= f0 - 0.25 * alpha * decrement + 1e-12:
+                    ld = ld_new
+                    break
                 alpha *= 0.5
             x = x + alpha * step
             if decrement / 2 < 1e-11:
                 break
         t *= 5.0
-    xb = assemble(x)
+    xb = np.tensordot(x, basis, axes=1)
     return float(np.real(np.trace(xb))), xb
 
 

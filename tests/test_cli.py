@@ -189,6 +189,31 @@ class TestConfigFile:
         assert not out.exists()
 
 
+    def test_abbreviated_key_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[circuit]\nprim=7\n")
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["circuit", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        # the full key is taken, and the command line still takes prefixes
+        cfg.write_text("[circuit]\nprime=7\nverify=none\n")
+        assert main(["circuit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "circuit-decoupler-C2-G7" in out.read_text()
+        assert main(["circuit", "--dim", "3", "--pri", "11", "--verify", "none",
+                     "--out", str(out)]) == 0
+        assert "circuit-decoupler-C3-G11" in out.read_text()
+
+    def test_section_naming_no_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[convexsplt]\nladder=1\n")
+        out = tmp_path / "r.csv"
+        assert main(["convexsplit", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestScriptEntry:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "e.csv"

@@ -465,6 +465,18 @@ class TestChannelCode:
             assert rep.trials == trials
             assert abs(rep.empirical_max_error - error) <= 1e-12
 
+    def test_degenerate_kernel_split_as_by_bisection(self, monkeypatch):
+        # under depolarizing(0.1) the test's kernel at t* is degenerate, and
+        # the decoder's error depends on the eigenbasis that splits it:
+        # 0.2 instead of 0.18333 when rho - t sigma is eigensolved at another t
+        from test_entropy import bisection_test
+        rep = ea_channel_code(depolarizing_channel(0.1), self.mu_a, 0, 0.05,
+                              0.5, 0.5, a=4, n=5)
+        monkeypatch.setattr(coding, "_threshold_test", bisection_test)
+        want = ea_channel_code(depolarizing_channel(0.1), self.mu_a, 0, 0.05,
+                               0.5, 0.5, a=4, n=5)
+        assert abs(rep.empirical_max_error - want.empirical_max_error) <= 1e-12
+
     def test_refusal_above_cap(self):
         cap = channel_rate_cap(identity_channel(2), self.mu_a, 0.05, 0.5, 0.5)
         assert cap < 1
@@ -554,7 +566,7 @@ class TestChannelCode:
 
 
 class TestOneThresholdTest:
-    """Each protocol call bisects for its hypothesis test exactly once."""
+    """Each protocol call solves for its hypothesis test exactly once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oneshot_qit.entropy import (Reference, check_mixture_identity, dh_eps,
-                                 dmax, hmin, imax, relative_entropy,
-                                 transpose_unitary)
+from oneshot_qit import entropy
+from oneshot_qit.entropy import (SUPPORT_TOL, Reference,
+                                 check_mixture_identity, dh_eps, dmax, hmin,
+                                 imax, relative_entropy, transpose_unitary)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    basis_state, fidelity, maximally_entangled,
                                    maximally_mixed, partial_trace,
@@ -209,6 +212,269 @@ class TestDhEps:
             assert abs(dh_eps(phi, ref, eps).value - expect) <= 1e-8
 
 
+def bisection_test(rho_mat, sigma_mat, eps):
+    """Neyman-Pearson test by plain bisection on the threshold t (oracle).
+
+    The solver ``entropy._threshold_test`` used before it bracketed t by the
+    breakpoints: bisect to a relative width of 1e-12, then fill the kernel of
+    rho - t sigma in ascending eigenvalue index.
+    """
+    d = rho_mat.shape[0]
+    svals, svecs = np.linalg.eigh(sigma_mat)
+    pos = svals > SUPPORT_TOL
+    ker_vecs = svecs[:, ~pos]
+    pi = np.zeros((d, d), dtype=complex)
+    r0 = 0.0
+    if ker_vecs.shape[1]:
+        r0 = float(np.real(np.sum((ker_vecs.conj().T @ rho_mat
+                                   @ ker_vecs).diagonal())))
+        r0 = max(r0, 0.0)
+        pi += ker_vecs @ ker_vecs.conj().T
+    if eps == 0.0:
+        rvals, rvecs = np.linalg.eigh(rho_mat)
+        supp = rvecs[:, rvals > SUPPORT_TOL]
+        pi = supp @ supp.conj().T
+        return max(float(np.real(np.trace(pi @ sigma_mat))), 0.0), pi
+    target = 1.0 - eps - r0
+    if target <= 1e-12:
+        if r0 > 0:
+            pi *= (1.0 - eps) / r0
+        return 0.0, pi
+    vs = svecs[:, pos]
+    sv = svals[pos]
+    rho_c = vs.conj().T @ rho_mat @ vs
+    rho_c = (rho_c + rho_c.conj().T) / 2
+    sig_c = np.diag(sv)
+    inv_half = 1.0 / np.sqrt(sv)
+    rel = (rho_c * inv_half[None, :]) * inv_half[:, None]
+    t_hi = float(np.linalg.eigvalsh(rel)[-1]) * (1 + 1e-9) + 1e-12
+    t_lo = 0.0
+
+    def pos_mass(t):
+        vals, vecs = np.linalg.eigh(rho_c - t * sig_c)
+        w = vecs[:, vals > 1e-10 * (1.0 + t)]
+        return float(np.real(np.sum((w.conj().T @ rho_c @ w).diagonal())))
+
+    for _ in range(200):
+        if t_hi - t_lo < 1e-12 * max(1.0, t_hi):
+            break
+        t_mid = (t_lo + t_hi) / 2
+        if pos_mass(t_mid) <= target:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+    t = t_hi
+    vals, vecs = np.linalg.eigh(rho_c - t * sig_c)
+    ktol = 1e-10 * (1.0 + t)
+    type2 = taken = 0.0
+    pi_c = np.zeros_like(rho_c)
+    for idx in range(len(vals)):
+        v = vecs[:, idx]
+        if vals[idx] > ktol:
+            pi_c += np.outer(v, v.conj())
+            taken += float(np.real(v.conj() @ rho_c @ v))
+            type2 += float(np.real(v.conj() @ sig_c @ v))
+    deficit = target - taken
+    if deficit > 0:
+        for idx in range(len(vals)):
+            if abs(vals[idx]) <= ktol:
+                v = vecs[:, idx]
+                rw = float(np.real(v.conj() @ rho_c @ v))
+                if rw <= 1e-15:
+                    continue
+                w = min(1.0, deficit / rw)
+                pi_c += w * np.outer(v, v.conj())
+                type2 += w * float(np.real(v.conj() @ sig_c @ v))
+                deficit -= w * rw
+                if deficit <= 1e-14:
+                    break
+    pi += vs @ pi_c @ vs.conj().T
+    return max(type2, 0.0), pi
+
+
+def random_pair(seed, dim, kind):
+    """(rho, sigma) of one kind: full-rank, rank-deficient rho or sigma,
+    commuting with random spectra, or commuting with integer weights."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return np.linalg.qr(g)[0]
+
+    def state(u, vals):
+        vals = np.asarray(vals, dtype=float)
+        return (u * (vals / vals.sum())) @ u.conj().T
+
+    def spectrum(rank):
+        vals = np.zeros(dim)
+        vals[:rank] = rng.uniform(0.05, 1.0, rank)
+        return vals
+
+    low = max(1, dim // 2)
+    if kind == "full":
+        return state(unitary(), spectrum(dim)), state(unitary(), spectrum(dim))
+    if kind == "rho-deficient":
+        return state(unitary(), spectrum(low)), state(unitary(), spectrum(dim))
+    if kind == "sigma-deficient":
+        return state(unitary(), spectrum(dim)), state(unitary(), spectrum(low))
+    u = unitary()
+    if kind == "commuting":
+        return state(u, rng.permutation(spectrum(low))), state(u, spectrum(dim))
+    weights = rng.integers(0, 4, dim)
+    weights[0] += 1
+    return state(u, weights), state(u, rng.integers(1, 4, dim))
+
+
+def _binary_entropy(p):
+    return 0.0 if p == 0 else -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+
+
+class TestThresholdTest:
+    """The breakpoint-bracketed test against the bisection oracle."""
+
+    KINDS = ("full", "rho-deficient", "sigma-deficient", "commuting",
+             "integer-weights")
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 7),
+           kind=st.sampled_from(KINDS),
+           eps=st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.5, 0.9]),
+                         st.floats(0.0, 0.95)))
+    def test_matches_bisection_oracle(self, seed, dim, kind, eps):
+        rho, sig = random_pair(seed, dim, kind)
+        type2, pi = entropy._threshold_test(rho, sig, eps)
+        want, pi_want = bisection_test(rho, sig, eps)
+        # for eps below 1e-8, f(t) = 1 - eps is resolved from sums rounded at
+        # about 1e-16 d, and both solvers place t* only within that noise
+        tol = 1e-10 if eps == 0 or eps >= 1e-8 else 1e-8
+        assert abs(type2 - want) <= tol * want
+        vals = np.linalg.eigvalsh((pi + pi.conj().T) / 2)
+        assert np.max(np.abs(pi - pi.conj().T)) <= 1e-12
+        assert vals[0] >= -1e-10 and vals[-1] <= 1 + 1e-10
+        assert np.real(np.trace(pi @ rho)) >= 1 - eps - 1e-10
+        assert abs(np.real(np.trace(pi @ sig)) - type2) <= 1e-12 + 1e-10 * type2
+        assert np.max(np.abs(pi - pi_want)) <= 10 * tol
+        system = sysof(("A", dim))
+        d_rel = relative_entropy(DensityOperator(system, rho),
+                                 DensityOperator(system, sig))
+        if d_rel.finite:
+            d_h = entropy._dh_value(type2)
+            assert d_h.finite
+            assert d_h.value <= (d_rel.value + _binary_entropy(eps)) \
+                / (1 - eps) + 1e-9
+
+    def test_eigensolve_budget_at_d256(self, monkeypatch):
+        system = sysof(("A", 256))
+        rho = random_density((256, 0, 0), system)
+        sig = random_density((256, 0, 1), system)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat.shape[0])
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for eps in (0.05, 0.1, 0.5):
+            calls.clear()
+            assert dh_eps(rho, sig, eps).finite
+            assert len(calls) <= 20, (eps, len(calls))
+
+    def test_matches_bisection_at_d64(self):
+        system = sysof(("A", 64))
+        rho = random_density((64, 0, 0), system).matrix
+        sig = random_density((64, 0, 1), system).matrix
+        for eps in (0.05, 0.1, 0.5):
+            type2, pi = entropy._threshold_test(rho, sig, eps)
+            want, pi_want = bisection_test(rho, sig, eps)
+            assert abs(type2 - want) <= 1e-10 * want
+            assert np.max(np.abs(pi - pi_want)) <= 1e-9
+
+
+def loop_hmin_sdp(rho_mat, d_a, d_b):
+    """Log-barrier Newton method for H_min with per-basis loops (oracle).
+
+    The solver ``entropy._hmin_sdp`` used before its Newton step was written
+    as array products: one np.kron per basis element and step, an einsum
+    Hessian, and the barrier from log(det S).
+    """
+    d = d_a * d_b
+    basis = []
+    for i in range(d_b):
+        m = np.zeros((d_b, d_b), dtype=complex)
+        m[i, i] = 1.0
+        basis.append(m)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(d_b):
+        for j in range(i + 1, d_b):
+            m = np.zeros((d_b, d_b), dtype=complex)
+            m[i, j] = m[j, i] = inv_sqrt2
+            basis.append(m)
+            m = np.zeros((d_b, d_b), dtype=complex)
+            m[i, j] = 1j * inv_sqrt2
+            m[j, i] = -1j * inv_sqrt2
+            basis.append(m)
+    tr_vec = np.array([float(np.real(np.trace(b))) for b in basis])
+    eye_a = np.eye(d_a)
+
+    def assemble(x):
+        xb = np.zeros((d_b, d_b), dtype=complex)
+        for c, b in zip(x, basis):
+            xb += c * b
+        return xb
+
+    def slack(xb):
+        return np.kron(eye_a, xb) - rho_mat
+
+    def is_pd(mat):
+        try:
+            np.linalg.cholesky(mat + 0j)
+            return True
+        except np.linalg.LinAlgError:
+            return False
+
+    def barrier(x, s):
+        return t * float(tr_vec @ x) - float(np.log(max(
+            np.real(np.linalg.det(s)), 1e-300)))
+
+    x = np.zeros(len(basis))
+    x[:d_b] = float(np.linalg.eigvalsh(rho_mat)[-1]) * 1.001 + 1e-9
+    t = 1.0
+    while d / t > 1e-9:
+        for _ in range(100):
+            s = slack(assemble(x))
+            s_inv = np.linalg.inv(s)
+            s_inv = (s_inv + s_inv.conj().T) / 2
+            g_mat = np.trace(s_inv.reshape(d_a, d_b, d_a, d_b), axis1=0, axis2=2)
+            grad = t * tr_vec - np.array(
+                [float(np.real(np.trace(g_mat @ b))) for b in basis])
+            ys = np.stack([s_inv @ np.kron(eye_a, b) for b in basis])
+            hess = np.real(np.einsum("aij,bji->ab", ys, ys))
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            decrement = float(-grad @ step)
+            if decrement < 0:
+                step = -grad
+                decrement = float(grad @ grad)
+            alpha = 1.0
+            f0 = barrier(x, s)
+            while alpha > 1e-12:
+                x_new = x + alpha * step
+                s_new = slack(assemble(x_new))
+                if is_pd(s_new) and barrier(x_new, s_new) \
+                        <= f0 - 0.25 * alpha * decrement + 1e-12:
+                    break
+                alpha *= 0.5
+            x = x + alpha * step
+            if decrement / 2 < 1e-11:
+                break
+        t *= 5.0
+    xb = assemble(x)
+    return float(np.real(np.trace(xb))), xb
+
+
 class TestHmin:
     def test_uniform_a_product(self):
         mu_a = maximally_mixed(sysof(("A", 2)))
@@ -236,6 +502,31 @@ class TestHmin:
             slack = np.kron(np.eye(2), xb) - rho.matrix
             assert np.linalg.eigvalsh(slack)[0] >= -1e-7
             assert abs(-np.log2(np.real(np.trace(xb))) - val.value) <= 1e-9
+
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 3),
+                                          (2, 6), (3, 6), (2, 9)])
+    def test_matches_loop_oracle(self, d_a, d_b):
+        # product and entangled states up to d = 18
+        system = sysof(("A", d_a), ("B", d_b))
+        product = np.kron(random_density((d_a, d_b, 0), sysof(("A", d_a))).matrix,
+                          random_density((d_a, d_b, 1), sysof(("B", d_b))).matrix)
+        for rho in (product, random_density((d_a, d_b, 2), system).matrix):
+            opt, xb = entropy._hmin_sdp(rho, d_a, d_b)
+            want, xb_want = loop_hmin_sdp(rho, d_a, d_b)
+            assert abs(opt - want) <= 1e-12
+            assert np.max(np.abs(xb - xb_want)) <= 1e-12
+
+    def test_maximally_entangled_matches_loop_oracle_bit_for_bit(self):
+        # the entropy CLI report prints this value's distance from -1
+        phi = maximally_entangled("A", "B", 2).density().matrix
+        assert entropy._hmin_sdp(phi, 2, 2)[0] == loop_hmin_sdp(phi, 2, 2)[0]
+
+    def test_product_closed_form_4x8(self):
+        rho_a = random_density(48, sysof(("A", 4)))
+        sig_b = random_density(84, sysof(("B", 8)))
+        val = hmin(tensor(rho_a, sig_b), (["A"], ["B"]))
+        expect = -np.log2(np.linalg.eigvalsh(rho_a.matrix)[-1])
+        assert abs(val.value - expect) <= 1e-8
 
     def test_bad_partition(self):
         rho = random_density(0, sysof(("A", 2), ("B", 2)))

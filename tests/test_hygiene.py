@@ -60,6 +60,27 @@ def unread_private_names(sources):
     return sorted(item for item in defined if item[2] not in read)
 
 
+def det_calls(source):
+    """Lines that call numpy's det, as ``*.linalg.det(...)`` or as a ``det``
+    imported from numpy.linalg."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+             for alias in node.names if alias.name == "det"}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "det" \
+                and isinstance(func.value, ast.Attribute) \
+                and func.value.attr == "linalg":
+            lines.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_modules_found():
     assert len(MODULES) >= 5
 
@@ -99,3 +120,20 @@ def test_gate_catches_an_unread_private_name():
     }
     assert unread_private_names(sources) == [
         ("a.py", 4, "_orphan"), ("a.py", 8, "_spare"), ("a.py", 9, "_grow")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_determinant_calls(path):
+    # log-determinants come from a Cholesky factor: det underflows to 0
+    # (and log(max(det, tiny)) saturates) once S has a few tiny eigenvalues
+    assert det_calls(path.read_text()) == []
+
+
+def test_gate_catches_a_determinant_call():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import det as dt, slogdet\n"
+              "a = np.linalg.det(m)\n"
+              "b = np.linalg.slogdet(m)\n"
+              "c = dt(m) + slogdet(m)[1]\n"
+              "d = tree.det(m)\n")
+    assert det_calls(source) == [3, 5]
