@@ -238,6 +238,15 @@ class _ModularUnit:
             else:
                 self.b.tof(ctrl, src[bit], self.w[bit])
 
+    def _reduce(self, target):
+        """target mod modulus for target < 2 modulus; flag = [target < modulus]."""
+        self._load_const(self.modulus)
+        self.b.sub_with_borrow(self.w, target, self.c0, borrow=self.flag)
+        self._load_const(self.modulus)
+        self._load_const(self.modulus, ctrl=self.flag)
+        self.b.cuccaro_add(self.w, target, self.c0)
+        self._load_const(self.modulus, ctrl=self.flag)
+
     def _mod_add_core(self, target, loader):
         """target = (target + addend) mod modulus, addend provided by ``loader``.
 
@@ -245,16 +254,11 @@ class _ModularUnit:
         is invoked four times: load/unload around the addition and again
         around the flag-uncomputing comparison.
         """
-        b, big_n = self.b, self.modulus
+        b = self.b
         loader()
         b.cuccaro_add(self.w, target, self.c0)
         loader()  # unload: the loader XORs, so a second call clears
-        self._load_const(big_n)
-        b.sub_with_borrow(self.w, target, self.c0, borrow=self.flag)
-        self._load_const(big_n)
-        self._load_const(big_n, ctrl=self.flag)
-        b.cuccaro_add(self.w, target, self.c0)
-        self._load_const(big_n, ctrl=self.flag)
+        self._reduce(target)
         b.x(self.flag)
         loader()
         b.sub_with_borrow(self.w, target, self.c0, borrow=self.flag)
@@ -275,15 +279,10 @@ class _ModularUnit:
         """target = 2 * target mod modulus (modulus odd)."""
         if self.modulus % 2 == 0:
             raise ValueError("doubling trick requires an odd modulus")
-        b, n, big_n = self.b, self.n, self.modulus
-        for i in range(n, 0, -1):      # left shift through the top scratch bit
+        b = self.b
+        for i in range(self.n, 0, -1):  # left shift through the top scratch bit
             b.swap(target[i], target[i - 1])
-        self._load_const(big_n)
-        b.sub_with_borrow(self.w, target, self.c0, borrow=self.flag)
-        self._load_const(big_n)
-        self._load_const(big_n, ctrl=self.flag)
-        b.cuccaro_add(self.w, target, self.c0)
-        self._load_const(big_n, ctrl=self.flag)
+        self._reduce(target)
         # flag = [2x < modulus]; the reduced value's parity uncomputes it
         b.x(self.flag)
         b.cnot(target[0], self.flag)

@@ -397,8 +397,8 @@ _COMMON = [
 ]
 
 
-def build_parser(allow_abbrev=True):
-    """The CLI parser; with allow_abbrev=False a long flag is taken only in full."""
+def build_parser():
+    """The CLI parser: one subparser per subcommand, with its options."""
     parser = argparse.ArgumentParser(
         prog="oneshot-qit",
         description="verification runner for one-shot protocol constructions")
@@ -406,41 +406,45 @@ def build_parser(allow_abbrev=True):
                         help="list subcommands and what they verify")
     sub = parser.add_subparsers(dest="command")
     for name, desc in SUBCOMMAND_MAP.items():
-        p = sub.add_parser(name, help=desc, allow_abbrev=allow_abbrev)
+        p = sub.add_parser(name, help=desc)
         for flag, kwargs in _OPTIONS[name] + _COMMON:
             p.add_argument(flag, **kwargs)
     return parser
 
 
-def _config_argv(path, section):
+def _config_argv(path, command):
     """The flags of a config file's key=value lines for one subcommand.
 
-    Lines before any [section] header apply to every subcommand; a header
-    that names no subcommand raises ValueError.  A key names a long flag
-    (``_`` read as ``-``); a switch is added when its value is 1, true or yes.
+    Lines before any [section] header apply to every subcommand.  Each key
+    must name a long flag of its section in full (``_`` read as ``-``), or of
+    ``command`` before any header; a switch is added when its value is 1,
+    true or yes.  Errors raise ValueError naming the file and the line.
     """
-    switches = {flag for flag, kwargs in _OPTIONS[section]
-                if kwargs.get("action") == "store_true"}
     argv = []
-    current = None
+    section = command
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}, line {lineno}"
             if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current not in _OPTIONS:
-                    raise ValueError(f"config section [{current}] names no "
+                section = line[1:-1]
+                if section not in _OPTIONS:
+                    raise ValueError(f"{where}: section [{section}] names no "
                                      "subcommand")
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line {line!r}")
+                raise ValueError(f"{where}: bad config line {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if current not in (None, section):
-                continue
             flag = "--" + key.replace("_", "-")
-            if flag not in switches:
+            kwargs = dict(_OPTIONS[section] + _COMMON).get(flag)
+            if kwargs is None:
+                raise ValueError(f"{where}: key {key!r} is not an option of "
+                                 f"{section}")
+            if section != command:
+                continue
+            if kwargs.get("action") != "store_true":
                 argv.append(f"{flag}={val}")
             elif val.lower() in ("1", "true", "yes"):
                 argv.append(flag)
@@ -482,8 +486,6 @@ def main(argv=None):
     try:
         if args.config:
             flags = _config_argv(args.config, args.command)
-            # a file key must be a flag in full, never a prefix of one
-            build_parser(allow_abbrev=False).parse_args([args.command] + flags)
             # file values go right after the command, so later flags win
             i = argv.index(args.command)
             args = parser.parse_args(argv[:i + 1] + flags + argv[i + 1:])

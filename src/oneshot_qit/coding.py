@@ -31,15 +31,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexsplit import (_classical_ensemble, hw_family, pairwise_family,
-                          u_ell_index)
+from .convexsplit import (_classical_ensemble, _members, hw_family,
+                          pairwise_family, prime_register, u_ell_index)
 from .entropy import _dh_value, _threshold_test, dh_eps, dmax, imax
 from .flatten import (_flat_ensemble, _support_index, check_unembezzle,
                       embezzling_state, harmonic_sum,
                       purified_embezzle_fidelity, round_spectrum,
                       unitary_flatten_W)
-from .registers import (DensityOperator, PureState, RegisterSystem,
-                        _as_density, act, lift_index, maximally_mixed,
+from .registers import (DensityOperator, RegisterSystem, _as_density, act,
+                        canonical_purification, lift_index, maximally_mixed,
                         partial_trace, permute_basis, permute_registers,
                         tensor)
 
@@ -233,10 +233,27 @@ class PositionDecodeReport:
     size_cap: float
 
 
-def _decode_cap(dh, eps, delta):
-    if not dh.finite:
-        return float("inf")
-    return (delta ** 2 / (4.0 * eps)) * (2.0 ** dh.value)
+def _decoder_test(psi, ref, size, eps, delta):
+    """(test, D_H, cap) of psi against ref; refuses eps or delta outside
+    (0, 1) and ``size`` above the cap (delta^2 / 4 eps) 2^D_H."""
+    if not (0 < eps < 1 and 0 < delta < 1):
+        raise ValueError("eps and delta must lie in (0, 1)")
+    omega, type2 = neyman_pearson_operator(psi, ref, eps)
+    dh = _dh_value(type2)
+    cap = (delta ** 2 / (4.0 * eps)) * (2.0 ** dh.value) if dh.finite \
+        else float("inf")
+    if size > cap:
+        raise ValueError(f"subset size {size} exceeds the cap {cap:.6g}")
+    return omega, dh, cap
+
+
+def _decode_report(successes, eps, delta, cap, cross, coarse):
+    """Report with the floors 1 - eps - coarse delta and (Hayashi-Nagaoka,
+    c = delta / eps) 1 - eps - delta - (2 + c + 1/c)(|S| - 1) cross."""
+    c = delta / eps
+    exact = 1.0 - eps - delta - (2 + c + 1 / c) * (len(successes) - 1) * cross
+    return PositionDecodeReport(successes, min(successes.values()),
+                                1.0 - eps - coarse * delta, exact, cap)
 
 
 def _signal_successes(test, perms, signals, weights):
@@ -270,24 +287,13 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     respect the cap (delta^2 / 4 eps) 2^dh, else the call refuses.
     """
     psi = _as_density(psi)
-    subset = sorted(set(int(x) for x in subset))
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    if not (0 < eps < 1 and 0 < delta < 1):
-        raise ValueError("eps and delta must lie in (0, 1)")
+    g = prime_reg.prime
+    subset = _members(subset, g)
     c_label = psi.system.labels[-1]
     c_dim = psi.system.dim_of(c_label)
-    g = prime_reg.prime
-    if subset[-1] >= g or subset[0] < 0:
-        raise ValueError(f"subset members outside [0, {g})")
-
     ens, psi_b = _classical_ensemble(psi, prime_reg)
     ref = tensor(psi_b, maximally_mixed(RegisterSystem([(c_label, c_dim)])))
-    omega, type2 = neyman_pearson_operator(psi, ref, eps)
-    dh = _dh_value(type2)
-    cap = _decode_cap(dh, eps, delta)
-    if len(subset) > cap:
-        raise ValueError(f"subset size {len(subset)} exceeds the cap {cap:.6g}")
+    omega, dh, cap = _decoder_test(psi, ref, len(subset), eps, delta)
 
     d_b = psi.system.total_dim // c_dim
     signals, weights = ens.signals()
@@ -311,11 +317,8 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
         perms[ell] = lift_index(img, (d_b, host, g), [1, 2])
     successes = _signal_successes(omega_lift, perms,
                                   host_signals.reshape(-1, cols), weights)
-    c = delta / eps
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
-    exact = 1.0 - eps - delta - (2 + c + 1 / c) * (len(subset) - 1) * cross
-    return PositionDecodeReport(successes, min(successes.values()),
-                                1.0 - eps - 4 * delta, exact, cap)
+    return _decode_report(successes, eps, delta, cap, cross, 4)
 
 
 def _lifted_flat_test(ens, flat, a, n, omega, dims):
@@ -344,13 +347,6 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     the signal vectors of `_signal_successes`.
     """
     psi = _as_density(psi)
-    subset = sorted(set(int(x) for x in subset))
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    if not (0 < eps < 1 and 0 < delta < 1):
-        raise ValueError("eps and delta must lie in (0, 1)")
-    c_label = psi.system.labels[-1]
-
     flat = round_spectrum(omega_c, gamma, "down")
     if a != flat.e_dim:
         raise ValueError(f"a = {a} must equal |E| = {flat.e_dim}")
@@ -358,20 +354,14 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
         raise ValueError(f"n = {n} below a = {a}")
     if not (n + 1) * a <= d_size <= n * n:
         raise ValueError(f"d_size {d_size} outside [{(n + 1) * a}, {n * n}]")
+    reg = prime_register(flat.grid_total)
+    subset = _members(subset, reg.prime)
 
-    psi_b = partial_trace(psi, [c_label])
-    ref = tensor(psi_b, _as_density(omega_c))
-    omega, type2 = neyman_pearson_operator(psi, ref, eps)
-    dh = _dh_value(type2)
-    cap = _decode_cap(dh, eps, delta)
-    if len(subset) > cap:
-        raise ValueError(f"subset size {len(subset)} exceeds the cap {cap:.6g}")
+    psi_b = partial_trace(psi, [psi.system.labels[-1]])
+    omega, dh, cap = _decoder_test(psi, tensor(psi_b, _as_density(omega_c)),
+                                   len(subset), eps, delta)
 
     ens = _flat_ensemble(psi, flat, a, n, d_size + 1)
-    f_prime, s_dim = ens.f_prime, ens.s_dim
-    if subset[-1] >= f_prime:
-        raise ValueError(f"subset members outside [0, {f_prime})")
-
     om_full = _lifted_flat_test(ens, flat, a, n, omega, psi.system.dims)
     signals, weights = ens.signals()
     successes = _signal_successes(
@@ -379,15 +369,13 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
         weights)
 
     ratio_emb = harmonic_sum(1, n) / harmonic_sum(a, n)
-    f1_factor = 2.0 * s_dim * s_dim / f_prime
+    f1_factor = 2.0 * ens.s_dim * ens.s_dim / ens.f_prime
     r2 = max(check_unembezzle(a, b, n, d_size)[0]
              for b in set(flat.counts) if b >= 1)
-    x_exact = ratio_emb * f1_factor * r2 / (1.0 - float(flat.gamma)) \
+    cross = ratio_emb * f1_factor * r2 / (1.0 - float(flat.gamma)) \
         * 2.0 ** (-dh.value)
-    c = delta / eps
-    exact = 1.0 - eps - delta - (2 + c + 1 / c) * (len(subset) - 1) * x_exact
-    return PositionDecodeReport(successes, min(successes.values()),
-                                1.0 - eps - 64 * delta, exact, cap)
+    return _decode_report(successes, eps, delta, cap, cross, 64)
+
 
 @dataclass(frozen=True)
 class CodingReport:
@@ -434,11 +422,9 @@ def _channel_test(channel, psi_a, eps):
     The test is between the channel output of the canonical purification of
     psi_a on (A, C) and the product of its marginals.
     """
-    d_a = psi_a.system.total_dim
-    lam, vecs = np.linalg.eigh(psi_a.matrix)
-    vec = ((vecs * np.sqrt(np.clip(lam, 0, None))) @ vecs.conj().T).reshape(-1)
-    purif = PureState(RegisterSystem([("A", d_a), ("C", d_a)]),
-                      vec / np.linalg.norm(vec), validate=False)
+    psi_a = DensityOperator(RegisterSystem([("A", psi_a.system.total_dim)]),
+                            psi_a.matrix, validate=False)
+    purif = canonical_purification(psi_a, "C")
     psi_bc = apply_channel(channel, purif, ["A"])
     ref = tensor(partial_trace(psi_bc, ["C"]), partial_trace(psi_bc, ["A"]))
     omega, type2 = neyman_pearson_operator(psi_bc, ref, eps)

@@ -22,9 +22,6 @@ from .registers import (DensityOperator, RegisterSystem, _as_density, act,
                         lift_index, maximally_mixed, partial_trace,
                         permute_basis, reorder, tensor)
 
-# Fixed irreducible polynomials over GF(2), low-degree-first bit encoding.
-_GF2_POLYS = {2: 0b111, 4: 0b10011, 6: 0b1000011, 8: 0b100011011}
-
 
 def _is_prime(n):
     return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
@@ -61,15 +58,7 @@ class GaloisField:
     def __init__(self, q):
         p, m = _factor_prime_power(q)
         self.q, self.p, self.m = q, p, m
-        if m == 1:
-            self.poly = None
-        elif p == 2 and m in _GF2_POLYS:
-            self.poly = self._bits_to_digits(_GF2_POLYS[m])
-        else:
-            self.poly = self._smallest_irreducible()
-
-    def _bits_to_digits(self, bits):
-        return [(bits >> k) & 1 for k in range(self.m + 1)]
+        self.poly = None if m == 1 else self._smallest_irreducible()
 
     def _to_digits(self, x, length):
         out = []
@@ -288,18 +277,22 @@ def hw_translation_classes(images, d):
     return keys, inverse.reshape(-1)
 
 
-def hw_split_means(state, dims, axis, n_mixed, seed, ref, family):
+def hw_split_means(state, dims, n_mixed, seed, ref):
     """Mean D and F against ``ref`` over the (x1, x2) blocks of a 1-design split.
 
-    Block (x1, x2) is the average of V_y state V_y^dag, V_y the HW unitary on
-    factor ``axis``, over the images y = f_j(x1, x2) of the first ``n_mixed``
-    members of a seeded permutation of ``family``.  Conjugating by V_t maps
-    the block of ys to the block of ys + t and fixes ``ref`` (uniform on that
-    factor), so D and F are eigensolved once per translation class.  Returns
+    ``state`` lives on the factors dims = (R, S, D).  Block (x1, x2) is the
+    average of V_y state V_y^dag, V_y the HW unitary on S, over the images
+    y = f_j(x1, x2) of the first ``n_mixed`` members of a seeded permutation
+    of the pairwise-independent family over GF(|S|^2).  Conjugating by V_t
+    maps the block of ys to the block of ys + t and fixes ``ref`` (uniform on
+    S), so D and F are eigensolved once per translation class.  Returns
     (inf, 0.0) when a block leaves the support of ``ref``.
     """
-    d = dims[axis]
-    q = family.q
+    d = dims[1]
+    q = d * d
+    if not 1 <= n_mixed <= q:
+        raise ValueError(f"N = {n_mixed} outside [1, {q}]")
+    family = pairwise_family(q)
     members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
     keys, inverse = hw_translation_classes(family.images(members), d)
 
@@ -308,7 +301,7 @@ def hw_split_means(state, dims, axis, n_mixed, seed, ref, family):
 
     def conjugated(y):
         if y not in conj_cache:
-            conj_cache[y] = act(state, hw[y].matrix, dims, [axis])
+            conj_cache[y] = act(state, hw[y].matrix, dims, [1])
         return conj_cache[y]
 
     d_vals, f_vals = [], []
@@ -329,6 +322,74 @@ def hw_split_means(state, dims, axis, n_mixed, seed, ref, family):
     return d_total / len(inverse), min(f_total / len(inverse), 1.0)
 
 
+def _members(subset, size):
+    """Sorted distinct members of ``subset``: nonempty and within [0, size)."""
+    members = sorted(set(int(x) for x in subset))
+    if not members:
+        raise ValueError("subset must be nonempty")
+    if members[0] < 0 or members[-1] >= size:
+        raise ValueError(f"subset members outside [0, {size})")
+    return members
+
+
+def _split_k(psi, omega):
+    """(k, psi_R), k = Dmax(psi || psi_R (x) omega) with C last; refuses k = inf."""
+    psi_r = partial_trace(psi, [psi.system.labels[-1]])
+    k = dmax(psi, tensor(psi_r, _as_density(omega)))
+    if not k.finite:
+        raise ValueError("Dmax against psi_R (x) omega is infinite")
+    return k.value, psi_r
+
+
+@dataclass(frozen=True)
+class _SplitInput:
+    """theta on (R, S, D) split against psi_R (x) mu_S (x) diag(w_d).
+
+    k sizes the bound; ``ratio`` is the embezzling distortion (1 unflattened).
+    """
+
+    theta: np.ndarray
+    psi_r: np.ndarray
+    w_d: np.ndarray
+    k: float
+    ratio: float = 1.0
+
+    @property
+    def dims(self):
+        r, d = self.psi_r.shape[0], len(self.w_d)
+        return r, self.theta.shape[0] // (r * d), d
+
+    def bound(self, n_mixed, shift):
+        """log2(ratio) + log2(1 + (2^(k + shift) - 1) / N)."""
+        return float(np.log2(self.ratio)
+                     + np.log2(1.0 + (2.0 ** (self.k + shift) - 1.0) / n_mixed))
+
+
+def _plain_input(psi):
+    """psi_RC as a split input: S = C, a trivial D and omega = mu_C."""
+    psi = _as_density(psi)
+    c_label = psi.system.labels[-1]
+    mu_c = maximally_mixed(RegisterSystem([(c_label, psi.system.dim_of(c_label))]))
+    k, psi_r = _split_k(psi, mu_c)
+    return _SplitInput(psi.matrix, psi_r.matrix, np.ones(1), k)
+
+
+def _one_design_split(inp, n_mixed, seed, shift):
+    """Mix N pairwise-independently selected HW rotations on S."""
+    s_dim = inp.dims[1]
+    ref = Reference(inp.psi_r, np.kron(np.full(s_dim, 1.0 / s_dim), inp.w_d))
+    achieved, fid = hw_split_means(inp.theta, inp.dims, n_mixed, seed, ref)
+    return ConvexSplitReport(inp.k, n_mixed, inp.bound(n_mixed, shift),
+                             achieved, fid)
+
+
+def _classical_split(inp, ens, subset, shift):
+    """Mix the U_l, l in ``subset``, of ``ens``, the ensemble of ``inp``."""
+    achieved, fid = ens.mixture_measures(subset, inp.w_d)
+    return ConvexSplitReport(inp.k, len(subset), inp.bound(len(subset), shift),
+                             achieved, fid)
+
+
 def convex_split_1design(psi, n_mixed, seed=0):
     """Mix a pairwise-independent selection of HW rotations of psi_RC (x) mu_X1X2.
 
@@ -338,28 +399,10 @@ def convex_split_1design(psi, n_mixed, seed=0):
     block-diagonal structure over (x1, x2) instead of building the full state.
     """
     psi = _as_density(psi)
-    labels = psi.system.labels
-    c_label = labels[-1]
-    d_c = psi.system.dim_of(c_label)
+    d_c = psi.system.dims[-1]
     if d_c & (d_c - 1):
         raise ValueError(f"|C| = {d_c} is not a power of two")
-    q = d_c * d_c
-    if not 1 <= n_mixed <= q:
-        raise ValueError(f"N = {n_mixed} outside [1, {q}]")
-
-    psi_r = partial_trace(psi, [c_label])
-    k = dmax(psi, tensor(psi_r, maximally_mixed(RegisterSystem([(c_label, d_c)]))))
-    if not k.finite:
-        raise ValueError("Dmax against the decoupled target is infinite")
-    bound = float(np.log2(1.0 + (2.0 ** k.value - 1.0) / n_mixed))
-
-    ref = Reference(psi_r.matrix if len(labels) > 1 else np.eye(1),
-                    np.full(d_c, 1.0 / d_c))
-    achieved, fid = hw_split_means(psi.matrix, psi.system.dims, len(labels) - 1,
-                                   n_mixed, seed, ref, pairwise_family(q))
-    return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
-
-
+    return _one_design_split(_plain_input(psi), n_mixed, seed, 0)
 
 
 @dataclass(frozen=True)
@@ -604,21 +647,9 @@ def convex_split_classical(psi, subset, prime=None):
     entropy and fidelity are against psi_R (x) mu_G1 (x) mu_G2.
     """
     psi = _as_density(psi)
-    subset = sorted(set(int(x) for x in subset))
-    if not subset:
-        raise ValueError("subset of unitaries must be nonempty")
-    c_label = psi.system.labels[-1]
-    c_dim = psi.system.dim_of(c_label)
+    c_dim = psi.system.dims[-1]
     reg = PrimeRegister(c_dim, prime) if prime else prime_register(c_dim)
-    g = reg.prime
-    if subset[0] < 0 or subset[-1] >= g:
-        raise ValueError(f"subset members outside [0, {g})")
-
-    ens, psi_r = _classical_ensemble(psi, reg)
-    k = dmax(psi, tensor(psi_r, maximally_mixed(RegisterSystem([(c_label, c_dim)]))))
-    if not k.finite:
-        raise ValueError("Dmax against the decoupled target is infinite")
-    n_mixed = len(subset)
-    bound = float(np.log2(1.0 + (2.0 ** (k.value + 1.0) - 1.0) / n_mixed))
-    achieved, fid = ens.mixture_measures(subset, np.ones(1))
-    return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
+    subset = _members(subset, reg.prime)
+    inp = _plain_input(psi)
+    ens = PrimeEnsemble(inp.theta, inp.psi_r, 1, reg)
+    return _classical_split(inp, ens, subset, 1)

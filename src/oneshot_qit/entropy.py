@@ -41,21 +41,26 @@ def _check_same_system(rho, sigma):
         raise ValueError("dimension mismatch between states")
 
 
+def _support_split(rho_mat, sigma_mat):
+    """(svals, svecs, pos, mass): sigma's eigensystem, its support mask
+    (eigenvalues above SUPPORT_TOL) and the mass of rho on the kernel."""
+    svals, svecs = np.linalg.eigh(sigma_mat)
+    pos = svals > SUPPORT_TOL
+    ker = svecs[:, ~pos]
+    mass = float(np.real(np.sum((ker.conj().T @ rho_mat @ ker).diagonal())))
+    return svals, svecs, pos, mass
+
+
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy D(rho||sigma) in bits; +inf on support violation."""
     rho, sigma = _as_density(rho), _as_density(sigma)
     _check_same_system(rho, sigma)
     rvals, rvecs = np.linalg.eigh(rho.matrix)
-    svals, svecs = np.linalg.eigh(sigma.matrix)
-    # mass of rho outside supp(sigma)
-    ker = svecs[:, svals <= SUPPORT_TOL]
-    if ker.shape[1]:
-        mass_out = float(np.real(np.sum((ker.conj().T @ rho.matrix @ ker).diagonal())))
-        if mass_out > _SUPPORT_MASS_TOL:
-            return EntropyValue.infinite()
+    svals, svecs, pos_s, mass_out = _support_split(rho.matrix, sigma.matrix)
+    if mass_out > _SUPPORT_MASS_TOL:
+        return EntropyValue.infinite()
     pos_r = rvals > SUPPORT_TOL
     term1 = float(np.sum(rvals[pos_r] * np.log2(rvals[pos_r])))
-    pos_s = svals > SUPPORT_TOL
     # <v_j| rho |v_j> for sigma eigenvectors on the support
     vs = svecs[:, pos_s]
     diag = np.real(np.sum(vs.conj() * (rho.matrix @ vs), axis=0))
@@ -155,13 +160,9 @@ def dmax(rho, sigma):
     """Max-relative entropy: log of the largest eigenvalue of the relative operator."""
     rho, sigma = _as_density(rho), _as_density(sigma)
     _check_same_system(rho, sigma)
-    svals, svecs = np.linalg.eigh(sigma.matrix)
-    pos = svals > SUPPORT_TOL
-    ker = svecs[:, ~pos]
-    if ker.shape[1]:
-        mass_out = float(np.real(np.sum((ker.conj().T @ rho.matrix @ ker).diagonal())))
-        if mass_out > _SUPPORT_MASS_TOL:
-            return EntropyValue.infinite()
+    svals, svecs, pos, mass_out = _support_split(rho.matrix, sigma.matrix)
+    if mass_out > _SUPPORT_MASS_TOL:
+        return EntropyValue.infinite()
     vs = svecs[:, pos]
     inv_half = vs * (1.0 / np.sqrt(svals[pos]))
     rel = inv_half.conj().T @ rho.matrix @ inv_half
@@ -197,17 +198,12 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     choice; the channel code's reported error depends on it.
     """
     d = rho_mat.shape[0]
-    svals, svecs = np.linalg.eigh(sigma_mat)
-    pos = svals > SUPPORT_TOL
+    svals, svecs, pos, r0 = _support_split(rho_mat, sigma_mat)
+    r0 = max(r0, 0.0)
+    # sigma-kernel weight is free: include the whole kernel projector
     ker_vecs = svecs[:, ~pos]
     pi = np.zeros((d, d), dtype=complex)
-
-    r0 = 0.0
-    if ker_vecs.shape[1]:
-        r0 = float(np.real(np.sum((ker_vecs.conj().T @ rho_mat @ ker_vecs).diagonal())))
-        r0 = max(r0, 0.0)
-        # sigma-kernel weight is free: include the whole kernel projector
-        pi += ker_vecs @ ker_vecs.conj().T
+    pi += ker_vecs @ ker_vecs.conj().T
 
     if eps == 0.0:
         # Tr(Pi rho) = 1 forces Pi >= supp(rho); optimum is exactly that projector
@@ -451,19 +447,22 @@ def _hmin_sdp(rho_mat, d_a, d_b):
     return float(np.real(np.trace(xb))), xb
 
 
+def _partitioned(rho, partition):
+    """(rho with registers A then B, A labels, B labels); A, B must cover rho."""
+    rho = _as_density(rho)
+    a_labels, b_labels = list(partition[0]), list(partition[1])
+    if sorted(a_labels + b_labels) != sorted(rho.system.labels):
+        raise ValueError("partition does not cover the system")
+    return permute_registers(rho, a_labels + b_labels), a_labels, b_labels
+
+
 def hmin(rho, partition, return_witness=False):
     """Conditional min-entropy H_min(A|B) via the defining SDP.
 
     ``partition`` is (A labels, B labels); together they must cover the system.
     """
-    rho = _as_density(rho)
-    a_labels, b_labels = list(partition[0]), list(partition[1])
-    if sorted(a_labels + b_labels) != sorted(rho.system.labels):
-        raise ValueError("partition does not cover the system")
-    ordered = permute_registers(rho, a_labels + b_labels)
-    d_a = 1
-    for lab in a_labels:
-        d_a *= rho.system.dim_of(lab)
+    ordered, a_labels, _ = _partitioned(rho, partition)
+    d_a = int(np.prod(ordered.system.dims[:len(a_labels)]))
     d_b = ordered.system.total_dim // d_a
     opt, xb = _hmin_sdp(ordered.matrix, d_a, d_b)
     val = EntropyValue(float(-np.log2(max(opt, 1e-300))))
@@ -474,11 +473,7 @@ def hmin(rho, partition, return_witness=False):
 
 def imax(rho, partition):
     """Max-information I_max(A:B) = D_max(rho_AB || rho_A (x) rho_B)."""
-    rho = _as_density(rho)
-    a_labels, b_labels = list(partition[0]), list(partition[1])
-    if sorted(a_labels + b_labels) != sorted(rho.system.labels):
-        raise ValueError("partition does not cover the system")
-    ordered = permute_registers(rho, a_labels + b_labels)
+    ordered, a_labels, b_labels = _partitioned(rho, partition)
     rho_a = partial_trace(ordered, b_labels)
     rho_b = partial_trace(ordered, a_labels)
     return dmax(ordered, tensor(rho_a, rho_b))

@@ -20,11 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexsplit import (ConvexSplitReport, PrimeEnsemble, hw_split_means,
-                          pairwise_family, prime_register, _factor_prime_power)
-from .entropy import Reference, dmax
+from .convexsplit import (PrimeEnsemble, _classical_split, _members,
+                          _one_design_split, _split_k, _SplitInput,
+                          prime_register)
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
-                        partial_trace, permute_basis, tensor)
+                        partial_trace, permute_basis)
 
 
 def harmonic_sum(a, n):
@@ -341,60 +341,39 @@ def _flat_ensemble(psi, flat, a, n, d_dim):
     return PrimeEnsemble(theta, psi_r, d_dim, prime_register(flat.grid_total))
 
 
-def _flat_bound(k, a, n, n_mixed):
-    ratio = harmonic_sum(1, n) / harmonic_sum(a, n)
-    return float(np.log2(ratio) + np.log2(1.0 + (2.0 ** (k + 2.0) - 1.0) / n_mixed))
+def _flat_input(psi, omega, gamma, n):
+    """psi as a flattened split input: the moved state on (R, S, D).
+
+    omega is rounded up onto the gamma/|C| grid and flattened with
+    a = |E|; D carries xi^{a:n} (n defaults to max(a, 4)), the target holds
+    xi^{1:n} on D, and the ratio is S(1,n)/S(a,n).
+    """
+    psi = _as_density(psi)
+    flat = round_spectrum(omega, gamma, "up")
+    a = flat.e_dim
+    n = max(a, 4) if n is None else n
+    if n < a:
+        raise ValueError(f"n = {n} below a = {a}")
+    k, _ = _split_k(psi, omega)
+    theta, psi_r = _moved_state(psi, flat, a, n)
+    return _SplitInput(theta, psi_r, embezzling_state(1, n).weight_vector(n + 1),
+                       k, harmonic_sum(1, n) / harmonic_sum(a, n))
 
 
-def convex_split_flat_1design(psi, omega, gamma, n_mixed, a=None, n=None, seed=0):
+def convex_split_flat_1design(psi, omega, gamma, n_mixed, n=None, seed=0):
     """Flattened 1-design split: mix HW rotations on supp(sigma_CE).
 
     omega is the reference C-state defining k = Dmax(psi || psi_R (x) omega);
     its up-rounding sigma is flattened, psi rides along, and the selected
     pairwise-independent HW subfamily is mixed.  The achieved relative entropy
     against psi_R (x) sigma_CE (x) xi^{1:n} (x) mu_X1X2 is compared to the
-    exact-ratio bound log(S(1,n)/S(a,n)) + log(1 + (2^{k+2}-1)/N).
+    exact-ratio bound log(S(1,n)/S(a,n)) + log(1 + (2^{k+2}-1)/N), a = |E|.
+    |C|/gamma must be a prime power, the pairwise family's field.
     """
-    psi = _as_density(psi)
-    c_label = psi.system.labels[-1]
-    flat = round_spectrum(omega, gamma, "up")
-    m_big = flat.grid_total
-    try:
-        _factor_prime_power(m_big)
-    except ValueError:
-        raise ValueError(f"|C|/gamma = {m_big} is not a prime power")
-    e_dim = flat.e_dim
-    if a is None:
-        a = e_dim
-    if a != e_dim:
-        raise ValueError(f"a = {a} must equal |E| = {e_dim}")
-    if n is None:
-        n = max(a, 4)
-    if n < a:
-        raise ValueError(f"n = {n} below a = {a}")
-    q = m_big * m_big
-    if not 1 <= n_mixed <= q:
-        raise ValueError(f"N = {n_mixed} outside [1, {q}]")
-
-    k = dmax(psi, tensor(partial_trace(psi, [c_label]),
-                         _as_density(omega)))
-    if not k.finite:
-        raise ValueError("Dmax against psi_R (x) omega is infinite")
-    bound = _flat_bound(k.value, a, n, n_mixed)
-
-    theta, psi_r = _moved_state(psi, flat, a, n)
-    d_dim = n + 1
-    r_dim = theta.shape[0] // (m_big * d_dim)
-
-    xi_target = embezzling_state(1, n).weight_vector(d_dim)
-    w_sd = np.kron(np.full(m_big, 1.0 / m_big), xi_target)
-    achieved, fid = hw_split_means(theta, (r_dim, m_big, d_dim), 1, n_mixed,
-                                   seed, Reference(psi_r, w_sd),
-                                   pairwise_family(q))
-    return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
+    return _one_design_split(_flat_input(psi, omega, gamma, n), n_mixed, seed, 2)
 
 
-def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
+def convex_split_flat_classical(psi, omega, gamma, subset, n=None):
     """Flattened classical split over the prime register F built on supp(sigma_CE).
 
     Mixes U_l over l in ``subset`` acting on (F1, F2); checks the exact-ratio
@@ -402,42 +381,18 @@ def convex_split_flat_classical(psi, omega, gamma, subset, a=None, n=None):
     psi_R (x) mu_F1 (x) xi^{1:n} by an eigenvalue test (nonzero l only: the
     sweep argument behind the domination needs a nontrivial rotation).
     """
-    psi = _as_density(psi)
-    subset = sorted(set(int(x) for x in subset))
-    if not subset:
-        raise ValueError("subset of unitaries must be nonempty")
-    c_label = psi.system.labels[-1]
-    flat = round_spectrum(omega, gamma, "up")
-    e_dim = flat.e_dim
-    if a is None:
-        a = e_dim
-    if a != e_dim:
-        raise ValueError(f"a = {a} must equal |E| = {e_dim}")
-    if n is None:
-        n = max(a, 4)
-    if n < a:
-        raise ValueError(f"n = {n} below a = {a}")
+    inp = _flat_input(psi, omega, gamma, n)
+    reg = prime_register(inp.dims[1])
+    subset = _members(subset, reg.prime)
+    ens = PrimeEnsemble(inp.theta, inp.psi_r, len(inp.w_d), reg)
+    report = _classical_split(inp, ens, subset, 2)
 
-    k = dmax(psi, tensor(partial_trace(psi, [c_label]), _as_density(omega)))
-    if not k.finite:
-        raise ValueError("Dmax against psi_R (x) omega is infinite")
-    n_mixed = len(subset)
-    bound = _flat_bound(k.value, a, n, n_mixed)
-
-    ens = _flat_ensemble(psi, flat, a, n, n + 1)
     g = ens.f_prime
-    if subset[0] < 0 or subset[-1] >= g:
-        raise ValueError(f"subset members outside [0, {g})")
-
-    xi_target = embezzling_state(1, n).weight_vector(ens.d_dim)
-    achieved, fid = ens.mixture_measures(subset, xi_target)
-
-    ratio = harmonic_sum(1, n) / harmonic_sum(a, n)
-    marg_ref = ratio * np.kron(ens.psi_r, np.kron(np.eye(g) / g,
-                                                  np.diag(xi_target)))
+    marg_ref = inp.ratio * np.kron(ens.psi_r, np.kron(np.eye(g) / g,
+                                                      np.diag(inp.w_d)))
     for ell in sorted(set(m for m in subset if m != 0) | {1}):
         gap = float(np.linalg.eigvalsh(marg_ref - ens.marginal(ell))[0])
         if gap < -1e-10:
             raise AssertionError(
                 f"marginal domination failed for l={ell}: min eig {gap}")
-    return ConvexSplitReport(k.value, n_mixed, bound, achieved, fid)
+    return report

@@ -137,6 +137,14 @@ class TestDeterminism:
         assert a.read_bytes() != b.read_bytes()
 
 
+def _exit_status(argv):
+    """main's exit status, returned or raised through argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestConfigFile:
     def test_config_applies_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -183,19 +191,16 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[{command}]\n{line}\n")
         out = tmp_path / "r.csv"
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(cfg), "--out", str(out)])
-        assert exc.value.code == 2
+        assert _exit_status([command, "--config", str(cfg),
+                             "--out", str(out)]) == 2
         assert not out.exists()
-
 
     def test_abbreviated_key_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[circuit]\nprim=7\n")
         out = tmp_path / "r.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["circuit", "--config", str(cfg), "--out", str(out)])
-        assert exc.value.code == 2
+        assert _exit_status(["circuit", "--config", str(cfg),
+                             "--out", str(out)]) == 2
         assert not out.exists()
         # the full key is taken, and the command line still takes prefixes
         cfg.write_text("[circuit]\nprime=7\nverify=none\n")
@@ -204,6 +209,23 @@ class TestConfigFile:
         assert main(["circuit", "--dim", "3", "--pri", "11", "--verify", "none",
                      "--out", str(out)]) == 0
         assert "circuit-decoupler-C3-G11" in out.read_text()
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("[circuit]\nprim=7\n", 2, "prim"),
+        ("seed=3\nladder=1\n", 2, "ladder"),
+        ("[circuit]\nprime=7\n\n[convexsplit]\nbogus=1\n", 5, "bogus")],
+        ids=["abbreviated", "before-any-section", "other-section"])
+    def test_unknown_key_names_file_line_and_key(self, tmp_path, capsys,
+                                                 text, line, key):
+        # checked in every section, also those of other subcommands
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "r.csv"
+        assert main(["circuit", "--config", str(cfg), "--verify", "none",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{cfg}, line {line}: key {key!r}" in err
 
     def test_section_naming_no_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"

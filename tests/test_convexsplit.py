@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit.coding import (hayashi_nagaoka_povm, neyman_pearson_operator,
-                                position_based_decode_classical)
+                                position_based_decode_classical,
+                                position_based_decode_flat)
 from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
                                      PrimeRegister, classical_marginal_check,
                                      compose_u, convex_split_1design,
@@ -17,7 +18,8 @@ from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
                                      u_ell_index)
 from oneshot_qit.entropy import Reference, relative_entropy
 from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
-                                 convex_split_flat_1design, embezzling_state,
+                                 convex_split_flat_1design,
+                                 convex_split_flat_classical, embezzling_state,
                                  round_spectrum)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem, act,
                                    basis_state, fidelity, maximally_entangled,
@@ -115,8 +117,16 @@ class TestPairwiseFamily:
         with pytest.raises(ValueError):
             pairwise_family(6)
 
+    # the fixed GF(2^m) polynomials, low-degree-first bits, that GaloisField
+    # read before it searched every field for its smallest irreducible one
+    @pytest.mark.parametrize("m, bits", [
+        (2, 0b111), (4, 0b10011), (6, 0b1000011), (8, 0b100011011)])
+    def test_searched_polynomial_matches_the_gf2_table(self, m, bits):
+        assert GaloisField(2 ** m).poly == [(bits >> k) & 1
+                                            for k in range(m + 1)]
+
     def test_gf9_field_axioms(self):
-        # exhaustive over GF(2^m) (fixed polynomials) and GF(3^m) (searched)
+        # exhaustive over GF(2^m) and GF(3^m)
         for q in (4, 8, 9, 16, 27):
             f = GaloisField(q)
             add = np.array([[f.add(x, y) for y in range(q)] for x in range(q)])
@@ -499,6 +509,46 @@ class TestConvexSplitClassical:
         mu = np.kron(np.eye(2), np.kron(np.eye(g) / g, np.eye(g) / g))
         for ell in range(g):
             assert np.array_equal(ens.rotate(mu, ell), mu)
+
+
+def _decoder_input():
+    """The mixed (B, C) state of test_signal_array_matches_scalar_loop."""
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    u_c, _ = np.linalg.qr(g)
+    return DensityOperator(sysof(("B", 1), ("C", 2)),
+                           (u_c * np.array([0.7, 0.3])) @ u_c.conj().T)
+
+
+_SPLIT_PSI = random_density(77, sysof(("R", 2), ("C", 2)))
+_MU_C = maximally_mixed(sysof(("C", 2)))
+
+# (call on a subset, group size) for every entry point that takes a subset
+_SUBSET_CALLS = {
+    "split_classical": (lambda s: convex_split_classical(_SPLIT_PSI, s), 5),
+    "split_flat_classical": (lambda s: convex_split_flat_classical(
+        _SPLIT_PSI, partial_trace(_SPLIT_PSI, ["R"]), Fraction(2, 3), s,
+        n=3), 11),
+    "decode_classical": (lambda s: position_based_decode_classical(
+        _decoder_input(), PrimeRegister(2, 5), s, 0.01, 0.5), 5),
+    "decode_flat": (lambda s: position_based_decode_flat(
+        _decoder_input(), _MU_C, Fraction(2, 3), s, 0.01, 0.5, a=2, n=3,
+        d_size=8), 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBSET_CALLS))
+class TestSubsetRule:
+    @pytest.mark.parametrize("bad", ["empty", "size", "negative"])
+    def test_refuses(self, name, bad):
+        call, size = _SUBSET_CALLS[name]
+        subset = {"empty": [], "size": [0, size], "negative": [-1, 0]}[bad]
+        with pytest.raises(ValueError, match="subset"):
+            call(subset)
+
+    def test_repeats_and_order_are_ignored(self, name):
+        call, _ = _SUBSET_CALLS[name]
+        assert call([1, 0, 1]) == call([0, 1])
 
 
 class TestClassicalDecoderOracle:

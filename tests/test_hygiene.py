@@ -137,3 +137,44 @@ def test_gate_catches_a_determinant_call():
               "c = dt(m) + slogdet(m)[1]\n"
               "d = tree.det(m)\n")
     assert det_calls(source) == [3, 5]
+
+
+def duplicate_blocks(sources, size=6):
+    """(module, line) pairs where the same ``size`` consecutive code lines
+    start more than once across ``sources``.  Code lines are stripped and
+    skip blanks, comments and imports."""
+    starts = {}
+    for mod, text in sources.items():
+        imports = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imports.update(range(node.lineno, node.end_lineno + 1))
+        lines = [(no, raw.strip())
+                 for no, raw in enumerate(text.splitlines(), 1)
+                 if raw.strip() and not raw.strip().startswith("#")
+                 and no not in imports]
+        for i in range(len(lines) - size + 1):
+            block = tuple(line for _, line in lines[i:i + size])
+            starts.setdefault(block, []).append((mod, lines[i][0]))
+    return sorted(locs for locs in starts.values() if len(locs) > 1)
+
+
+def test_no_duplicate_code_blocks():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert duplicate_blocks(sources) == []
+
+
+def test_gate_catches_a_duplicate_block():
+    steps = [f"    x{i} = f(x{i - 1})\n" for i in range(1, 6)]
+    sources = {
+        "a.py": ("import numpy as np\n"
+                 "def one(x0):\n" + "".join(steps) + "    return x5\n"),
+        "b.py": ("def two(x0):\n" + "".join(steps[:2])
+                 + "    # the same steps\n"
+                 "\n"
+                 "    from .a import one\n" + "".join(steps[2:])
+                 + "    return x5\n"
+                 "def three(x0):\n"
+                 "    return f(x0)\n"),
+    }
+    assert duplicate_blocks(sources) == [[("a.py", 3), ("b.py", 2)]]
