@@ -2,11 +2,11 @@
 
 The decoders measure with the square-root (Hayashi-Nagaoka) measurement over
 rotated copies of a hypothesis test and report per-position success
-probabilities.  Both take them from one signal-vector routine: the signal
-state's eigenvectors are moved by each rotation as a row gather, and the
-success is a weighted sum of their quadratic forms, so no measurement element
-is built.  ``hayashi_nagaoka_povm`` builds the elements for callers that need
-them.
+probabilities.  Both take them from one signal-vector routine: each rotation
+moves the blocks of S^{-1/2} by an index gather, and the success is a
+weighted sum of quadratic forms at the signal state's eigenvectors, so no
+measurement element is built.  ``hayashi_nagaoka_povm`` builds the elements
+for callers that need them.
 The channel code runs the full protocol exactly: shared flattened-purification
 and embezzling resources, transpose-trick encoding on Alice's side, a channel
 application, and square-root decoding on Bob's side, with error probabilities
@@ -19,8 +19,12 @@ solve, and so does each decoder.
 
 Every square-root measurement Lambda_i = S^{-1/2} Omega_i S^{-1/2} takes
 S^{-1/2} from ``_inv_sqrt``, which eigensolves S block by block on the
-connected components of its exact nonzero pattern.  The channel code solves
-it once per test family, for all messages.
+connected components of its exact nonzero pattern and returns the blocks.
+The decoders and the channel code never assemble S^{-1/2}: ``_measured``
+applies it to a signal block only on the blocks its nonzero rows touch and
+reads the test on those rows alone.  The channel code solves S once per test
+family, for all messages.  Only ``hayashi_nagaoka_povm`` scatters the blocks
+into a dense S^{-1/2} and the support projector.
 """
 
 from __future__ import annotations
@@ -160,31 +164,53 @@ def _components(pattern):
         labels = new
 
 
-def _inv_sqrt(total):
-    """S^{-1/2} on supp(S) and the projector onto supp(S), for Hermitian S >= 0.
+def _inv_sqrt(total, support=False):
+    """The blocks of S^{-1/2} on supp(S), for Hermitian S >= 0.
 
     S is split into the connected components of its exact nonzero pattern;
     no entry is thresholded, so the split is exact and a fully connected S is
     one block.  Blocks of equal size are eigensolved in one stacked call, and
-    eigenvalues above 1e-12 count as the support.
+    eigenvalues above 1e-12 count as the support.  Returns one group per
+    block size: the indices ``idx`` of its blocks, (n_blocks, size), and the
+    blocks S^{-1/2}[idx, idx], (n_blocks, size, size); with ``support`` the
+    group also carries the blocks of the projector onto supp(S).
     """
     labels = _components(total != 0)
     order = np.argsort(labels, kind="stable")
     _, starts, sizes = np.unique(labels[order], return_index=True,
                                  return_counts=True)
-    inv_half = np.zeros(total.shape, dtype=complex)
-    supp = np.zeros(total.shape, dtype=complex)
+    groups = []
     for size in np.unique(sizes):
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        vals, vecs = np.linalg.eigh(total[rows, cols])
+        vals, vecs = np.linalg.eigh(total[idx[:, :, None], idx[:, None, :]])
         pos = vals > 1e-12
         scale = np.zeros_like(vals)
         scale[pos] = 1.0 / np.sqrt(vals[pos])
         vecs_h = vecs.conj().transpose(0, 2, 1)
-        inv_half[rows, cols] = (vecs * scale[:, None, :]) @ vecs_h
-        supp[rows, cols] = (vecs * pos[:, None, :]) @ vecs_h
-    return inv_half, supp
+        group = (idx, (vecs * scale[:, None, :]) @ vecs_h)
+        if support:
+            group += ((vecs * pos[:, None, :]) @ vecs_h,)
+        groups.append(group)
+    return groups
+
+
+def _measured(groups, x, test):
+    """Re <h|T|h> for every column h of S^{-1/2} X, with S^{-1/2} given by
+    the groups of `_inv_sqrt`.
+
+    Only the blocks that X's nonzero rows touch are multiplied, one stacked
+    matmul per block size.  h is exactly zero outside those blocks, so T is
+    read only on their rows k, as T[k, k]; T need not be block-diagonal.
+    """
+    touched = (x != 0).any(axis=1)
+    rows, halves = [], []
+    for idx, inv_blocks in groups:
+        hit = touched[idx].any(axis=1)
+        rows.append(idx[hit].ravel())
+        halves.append((inv_blocks[hit] @ x[idx[hit]]).reshape(-1, x.shape[1]))
+    k = np.concatenate(rows)
+    half = np.concatenate(halves)
+    return np.real(np.sum(half.conj() * (test[np.ix_(k, k)] @ half), axis=0))
 
 
 def hayashi_nagaoka_povm(operators):
@@ -201,7 +227,13 @@ def hayashi_nagaoka_povm(operators):
             raise ValueError("input operator is not PSD")
         if vals[-1] > 1 + 1e-8:
             raise ValueError("input operator exceeds the identity")
-    inv_half, supp = _inv_sqrt(sum(operators))
+    inv_half = np.zeros((dim, dim), dtype=complex)
+    supp = np.zeros((dim, dim), dtype=complex)
+    for idx, inv_blocks, supp_blocks in _inv_sqrt(sum(operators),
+                                                  support=True):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        inv_half[rows, cols] = inv_blocks
+        supp[rows, cols] = supp_blocks
     elements = {}
     for i, om in enumerate(operators):
         lam = inv_half @ om @ inv_half
@@ -262,20 +294,19 @@ def _signal_successes(test, perms, signals, weights):
     perms[l] is the index map of U_l (new index per old index).  Lambda_l =
     S^{-1/2} U_l test U_l^dag S^{-1/2} with S the sum of the rotated tests,
     and tau_l = U_l (sum_c weights[c] |c><c|) U_l^dag over the columns |c> of
-    ``signals``.  Each U_l moves the signals by one row gather, so the
-    success is a weighted sum of quadratic forms of the test.
+    ``signals``.  U_l^dag S^{-1/2} U_l has the blocks of S^{-1/2} on the
+    indices pulled back by U_l, so the success is a weighted sum of quadratic
+    forms of the test at the unmoved signals.
     """
     s_sum = np.zeros_like(test)
     for perm in perms.values():
         s_sum[np.ix_(perm, perm)] += test
-    inv_half, _ = _inv_sqrt(s_sum)
+    groups = _inv_sqrt(s_sum)
     successes = {}
     for ell, perm in perms.items():
-        rotated = np.empty_like(signals)
-        rotated[perm] = signals
-        back = (inv_half @ rotated)[perm]
-        vals = np.real(np.sum(back.conj() * (test @ back), axis=0))
-        successes[ell] = float(weights @ vals)
+        back = np.argsort(perm)
+        moved = [(back[idx], inv_blocks) for idx, inv_blocks in groups]
+        successes[ell] = float(weights @ _measured(moved, signals, test))
     return successes
 
 
@@ -551,13 +582,10 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     def branch_successes(ys):
         """Success of every message m under the decoder for rotations ys."""
         if ys not in success_cache:
-            inv_half, _ = _inv_sqrt(sum(tests[y] for y in ys))
-            succ = []
-            for y_m in ys:
-                half = inv_half @ columns[y_m]
-                succ.append(float(np.real(
-                    np.sum(half.conj() * (tests[y_m] @ half)))))
-            success_cache[ys] = np.array(succ)
+            groups = _inv_sqrt(sum(tests[y] for y in ys))
+            success_cache[ys] = np.array(
+                [_measured(groups, columns[y_m], tests[y_m]).sum()
+                 for y_m in ys])
         return success_cache[ys]
 
     fam = pairwise_family(q_field)

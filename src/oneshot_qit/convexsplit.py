@@ -20,7 +20,7 @@ import numpy as np
 from .entropy import Reference, _entropy_sum, _root_sum, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
                         lift_index, maximally_mixed, partial_trace,
-                        permute_basis, reorder, tensor)
+                        permute_basis, reorder)
 
 
 def _is_prime(n):
@@ -333,9 +333,14 @@ def _members(subset, size):
 
 
 def _split_k(psi, omega):
-    """(k, psi_R), k = Dmax(psi || psi_R (x) omega) with C last; refuses k = inf."""
+    """(k, psi_R), k = Dmax(psi || psi_R (x) omega) with C last; refuses k = inf.
+
+    The reference is placed on psi's own registers, so a psi whose only
+    register is C (psi_R a 1 x 1 scalar) splits like one with a trivial R.
+    """
     psi_r = partial_trace(psi, [psi.system.labels[-1]])
-    k = dmax(psi, tensor(psi_r, _as_density(omega)))
+    ref = np.kron(psi_r.matrix, _as_density(omega).matrix)
+    k = dmax(psi, DensityOperator(psi.system, ref, validate=False))
     if not k.finite:
         raise ValueError("Dmax against psi_R (x) omega is infinite")
     return k.value, psi_r

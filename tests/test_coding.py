@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oneshot_qit import coding, entropy
 from oneshot_qit.coding import (POVM, CodingReport, _components, _inv_sqrt,
-                                _lifted_flat_test, amplitude_damping_channel,
+                                _lifted_flat_test, _measured,
+                                amplitude_damping_channel,
                                 apply_channel, channel_rate_cap,
                                 dephasing_channel, depolarizing_channel,
                                 ea_channel_code, entanglement_budget,
@@ -174,13 +175,27 @@ class TestHayashiNagaoka:
             POVM({0: np.diag([0.5, 0.5]), 1: np.diag([0.2, 0.2])})
 
 
+def _scatter(groups, part, dim):
+    """Dense dim x dim matrix of the blocks ``group[part]`` of `_inv_sqrt`."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for group in groups:
+        idx = group[0]
+        out[idx[:, :, None], idx[:, None, :]] = group[part]
+    return out
+
+
 class TestInvSqrt:
     def check(self, total, n_blocks):
         assert len(np.unique(_components(total != 0))) == n_blocks
-        inv_half, supp = _inv_sqrt(total)
+        groups = _inv_sqrt(total, support=True)
+        dim = total.shape[0]
+        covered = np.concatenate([group[0].ravel() for group in groups])
+        assert np.array_equal(np.sort(covered), np.arange(dim))
         want_inv, want_supp = _dense_inv_sqrt(total)
-        assert np.max(np.abs(inv_half - want_inv)) <= 1e-12
-        assert np.max(np.abs(supp - want_supp)) <= 1e-12
+        assert np.max(np.abs(_scatter(groups, 1, dim) - want_inv)) <= 1e-12
+        assert np.max(np.abs(_scatter(groups, 2, dim) - want_supp)) <= 1e-12
+        assert np.array_equal(_scatter(_inv_sqrt(total), 1, dim),
+                              _scatter(groups, 1, dim))
 
     def test_permuted_blocks_of_unequal_sizes(self):
         rng = np.random.default_rng(0)
@@ -197,14 +212,50 @@ class TestInvSqrt:
         total = _block_diag([_psd(rng, 3, rank=1), _psd(rng, 4, rank=2),
                              _psd(rng, 2)])
         self.check(total, 3)
-        assert abs(np.trace(_inv_sqrt(total)[1]) - 5) <= 1e-12
+        supp = _scatter(_inv_sqrt(total, support=True), 2, 9)
+        assert abs(np.trace(supp) - 5) <= 1e-12
 
     def test_zero_block(self):
         rng = np.random.default_rng(3)
         total = _block_diag([_psd(rng, 3), np.zeros((4, 4)), _psd(rng, 2)])
         self.check(total, 2 + 4)
-        inv_half, supp = _inv_sqrt(total)
-        assert not inv_half[3:7].any() and not supp[3:7].any()
+        groups = _inv_sqrt(total, support=True)
+        assert not _scatter(groups, 1, 9)[3:7].any()
+        assert not _scatter(groups, 2, 9)[3:7].any()
+
+
+def _dense_measured(total, x, test):
+    """Re <h|T|h> per column h of S^{-1/2} X, through the dense S^{-1/2}."""
+    half = _dense_inv_sqrt(total)[0] @ x
+    return np.real(np.sum(half.conj() * (test @ half), axis=0))
+
+
+class TestMeasured:
+    def test_kernel_rows_contribute_zero(self):
+        rng = np.random.default_rng(4)
+        total = _block_diag([_psd(rng, 3), np.zeros((4, 4)), _psd(rng, 2)])
+        test = _psd(rng, 9, low=0.0, high=1.0)
+        x = np.zeros((9, 5), dtype=complex)
+        x[3:7] = rng.standard_normal((4, 5))
+        assert np.array_equal(_measured(_inv_sqrt(total), x, test),
+                              np.zeros(5))
+        x[[0, 8]] = rng.standard_normal((2, 5))
+        assert np.max(np.abs(_measured(_inv_sqrt(total), x, test)
+                             - _dense_measured(total, x, test))) <= 1e-12
+
+    def test_unequal_blocks_and_a_test_across_blocks(self):
+        rng = np.random.default_rng(5)
+        sizes = (3, 1, 3, 5, 2, 3)
+        perm = rng.permutation(sum(sizes))
+        total = _block_diag([_psd(rng, k) for k in sizes])[np.ix_(perm, perm)]
+        test = _psd(rng, sum(sizes), low=0.0, high=1.0)
+        x = np.zeros((sum(sizes), 4), dtype=complex)
+        # rows in blocks of sizes 3, 1, 3, 5 and 3; the block of 2 is missed
+        rows = np.argsort(perm)[[0, 3, 4, 7, 9, 15]]
+        x[rows] = rng.standard_normal((6, 4)) \
+            + 1j * rng.standard_normal((6, 4))
+        assert np.max(np.abs(_measured(_inv_sqrt(total), x, test)
+                             - _dense_measured(total, x, test))) <= 1e-12
 
 
 def _test_family(seed, count, sizes):
@@ -548,11 +599,9 @@ class TestChannelCode:
                                            Fraction(2, 3), a=2, n=4)
         assert abs(rep.empirical_max_error - oracle) <= 1e-12
 
-    @pytest.mark.parametrize("psi_a, gamma, a, n", [
-        (_seeded_input((0.7, 0.3), 1), Fraction(2, 3), 2, 4),
-        (_nonuniform_input(), 0.5, 4, 8)])
-    def test_rate_zero_blocks_are_small(self, monkeypatch, psi_a, gamma, a,
-                                        n):
+    @pytest.fixture
+    def block_sizes(self, monkeypatch):
+        """Largest block of every S handed to `_inv_sqrt`, one per call."""
         sizes = []
 
         def recording(total):
@@ -560,9 +609,26 @@ class TestChannelCode:
             return _inv_sqrt(total)
 
         monkeypatch.setattr(coding, "_inv_sqrt", recording)
+        return sizes
+
+    @pytest.mark.parametrize("psi_a, gamma, a, n", [
+        (_seeded_input((0.7, 0.3), 1), Fraction(2, 3), 2, 4),
+        (_nonuniform_input(), 0.5, 4, 8)])
+    def test_rate_zero_blocks_are_small(self, block_sizes, psi_a, gamma, a,
+                                        n):
         ea_channel_code(identity_channel(2), psi_a, 0, 0.05, gamma, 0.5,
                         a=a, n=n)
-        assert sizes and max(sizes) <= 4
+        assert block_sizes and max(block_sizes) <= 4
+
+    def test_rate_two_blocks_are_small_and_solved_once_per_family(
+            self, block_sizes):
+        # the benchmark's rate-2 identity code: 4 messages over GF(16)
+        ea_channel_code(identity_channel(2), self.mu_a, 2, 0.05, 0.5, 0.5,
+                        a=4, n=5, enforce_cap=False)
+        images = pairwise_family(16).images(range(4)).reshape(-1, 4)
+        assert len(block_sizes) == len(set(map(tuple, images.tolist()))) \
+            == 256
+        assert max(block_sizes) <= 4
 
 
 class TestOneThresholdTest:

@@ -438,6 +438,15 @@ class TestConvexSplit1Design:
             convex_split_1design(phi2, 5)  # N > q
 
 
+def test_c_only_state_splits_as_with_a_trivial_r():
+    c_only = random_density(1, sysof(("C", 2)))
+    with_r = DensityOperator(sysof(("R", 1), ("C", 2)), c_only.matrix)
+    assert convex_split_1design(c_only, 3, seed=2) \
+        == convex_split_1design(with_r, 3, seed=2)
+    assert convex_split_classical(c_only, [0, 2, 3]) \
+        == convex_split_classical(with_r, [0, 2, 3])
+
+
 class TestConvexSplitClassical:
     def test_decoupled_input(self):
         prod = tensor(random_density(1, sysof(("R", 2))),
