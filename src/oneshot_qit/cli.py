@@ -190,8 +190,7 @@ def run_circuit(args, tol):
     mismatches = 0
     if args.verify == "exhaustive":
         n = max(1, (prime - 1).bit_length())
-        reg = convexsplit.PrimeRegister(dim_c, prime)
-        tables = {ell: convexsplit.u_ell(ell, reg) for ell in range(prime)}
+        images = [convexsplit.u_ell_index(ell, prime) for ell in range(prime)]
         inputs, keys = [], []
         for ell in range(prime):
             for i in range(prime):
@@ -203,7 +202,8 @@ def run_circuit(args, tol):
         for row, (i, j, ell) in zip(outs, keys):
             i_out = sum(int(row[k]) << k for k in range(n))
             j_out = sum(int(row[n + k]) << k for k in range(n))
-            if (i_out, j_out) != tables[ell][(i, j)] or row[3 * n:].any():
+            want = divmod(int(images[ell][i * prime + j]), prime)
+            if (i_out, j_out) != want or row[3 * n:].any():
                 mismatches += 1
         ok = mismatches == 0
     swap_m = circuits.metrics(circuits.synth_swap())

@@ -2,18 +2,22 @@
 
 The decoders measure with the square-root (Hayashi-Nagaoka) measurement over
 rotated copies of a hypothesis test and report per-position success
-probabilities.  Both take them from one signal-vector routine: each rotation
-moves the blocks of S^{-1/2} by an index gather, and the success is a
-weighted sum of quadratic forms at the signal state's eigenvectors, so no
-measurement element is built.  ``hayashi_nagaoka_povm`` builds the elements
-for callers that need them.
+probabilities.  Both take them from one signal-vector routine over the
+gather maps of the U_l ((U_l x)[i] = x[src[i]]): each rotated test is the
+test gathered by src, each rotation moves the blocks of S^{-1/2} to src of
+their indices, and the success is a weighted sum of quadratic forms at the
+signal state's eigenvectors, so no measurement element is built.  The flat
+decoder's test reaches the ensemble's space by the one move through the
+flattening permutation W (``flatten._moved``).  ``hayashi_nagaoka_povm``
+builds the elements for callers that need them.
 The channel code runs the full protocol exactly: shared flattened-purification
 and embezzling resources, transpose-trick encoding on Alice's side, a channel
 application, and square-root decoding on Bob's side, with error probabilities
 computed by dense propagation over every message and shared-randomness branch
-(no sampling).  It runs in the eigenbasis of psi_A, where the flattening
-permutation and the Heisenberg-Weyl rotations map basis vectors to basis
-vectors; only the hypothesis test and the Kraus operators are rotated, once.
+(no sampling).  It rounds psi_A itself onto the grid and runs in the
+rounding's eigenbasis, where the flattening permutation and the
+Heisenberg-Weyl rotations map basis vectors to basis vectors; only the
+hypothesis test and the Kraus operators are rotated, once.
 The rate cap and the code take the test and its D_H from one Neyman-Pearson
 solve, and so does each decoder.
 
@@ -38,8 +42,8 @@ import numpy as np
 from .convexsplit import (_classical_ensemble, _members, hw_family,
                           pairwise_family, prime_register, u_ell_index)
 from .entropy import _dh_value, _threshold_test, dh_eps, dmax, imax
-from .flatten import (_flat_ensemble, _support_index, check_unembezzle,
-                      embezzling_state, harmonic_sum,
+from .flatten import (_flat_ensemble, _gamma_fraction, _moved,
+                      check_unembezzle, embezzling_state, harmonic_sum,
                       purified_embezzle_fidelity, round_spectrum,
                       unitary_flatten_W)
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
@@ -63,8 +67,14 @@ class QuantumChannel:
             if k.shape != (self.output_dim, self.input_dim):
                 raise ValueError("Kraus operator shape mismatch")
             acc += k.conj().T @ k
-        if float(np.max(np.abs(acc - np.eye(self.input_dim)))) > 1e-9:
+        # written as "not <=" so that a NaN entry fails too
+        if not float(np.max(np.abs(acc - np.eye(self.input_dim)))) <= 1e-9:
             raise ValueError("Kraus operators are not trace preserving")
+
+
+def _check_range(name, value, top):
+    if not 0 <= value <= top:
+        raise ValueError(f"{name} = {value} outside [0, {top:.4g}]")
 
 
 def identity_channel(dim=2):
@@ -72,9 +82,14 @@ def identity_channel(dim=2):
 
 
 def depolarizing_channel(p, dim=2):
-    """rho -> (1 - p) rho + p mu, via the uniform Pauli Kraus set."""
+    """rho -> (1 - p) rho + p mu, p in [0, 4/3], by the uniform Pauli Kraus set.
+
+    p above 1 stays completely positive up to 4/3, where no weight is left
+    on the identity.
+    """
     if dim != 2:
         raise ValueError("depolarizing channel implemented for qubits")
+    _check_range("p", p, 4 / 3)
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
     weights = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
@@ -83,12 +98,16 @@ def depolarizing_channel(p, dim=2):
 
 
 def dephasing_channel(p):
+    """rho -> (1 - p/2) rho + (p/2) Z rho Z, p in [0, 2]."""
+    _check_range("p", p, 2)
     kraus = (np.sqrt(1 - p / 2) * np.eye(2, dtype=complex),
              np.sqrt(p / 2) * np.diag([1.0, -1.0]).astype(complex))
     return QuantumChannel(kraus, 2, 2, f"dephasing({p})")
 
 
 def amplitude_damping_channel(gamma):
+    """Decay |1> -> |0> with probability gamma in [0, 1]."""
+    _check_range("gamma", gamma, 1)
     k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
     return QuantumChannel((k0, k1), 2, 2, f"amplitude_damping({gamma})")
@@ -288,24 +307,24 @@ def _decode_report(successes, eps, delta, cap, cross, coarse):
                                 1.0 - eps - coarse * delta, exact, cap)
 
 
-def _signal_successes(test, perms, signals, weights):
-    """Tr(Lambda_l tau_l) for every l of ``perms``, from signal vectors.
+def _signal_successes(test, sources, signals, weights):
+    """Tr(Lambda_l tau_l) for every l of ``sources``, from signal vectors.
 
-    perms[l] is the index map of U_l (new index per old index).  Lambda_l =
-    S^{-1/2} U_l test U_l^dag S^{-1/2} with S the sum of the rotated tests,
-    and tau_l = U_l (sum_c weights[c] |c><c|) U_l^dag over the columns |c> of
-    ``signals``.  U_l^dag S^{-1/2} U_l has the blocks of S^{-1/2} on the
-    indices pulled back by U_l, so the success is a weighted sum of quadratic
-    forms of the test at the unmoved signals.
+    sources[l] is the gather map of U_l: (U_l x)[i] = x[sources[l][i]], so
+    U_l test U_l^dag = test[src, src].  Lambda_l = S^{-1/2} U_l test U_l^dag
+    S^{-1/2} with S the sum of the rotated tests, and tau_l = U_l (sum_c
+    weights[c] |c><c|) U_l^dag over the columns |c> of ``signals``.
+    U_l^dag S^{-1/2} U_l has the blocks of S^{-1/2} on the indices src[idx],
+    so the success is a weighted sum of quadratic forms of the test at the
+    unmoved signals.
     """
     s_sum = np.zeros_like(test)
-    for perm in perms.values():
-        s_sum[np.ix_(perm, perm)] += test
+    for src in sources.values():
+        s_sum += test[np.ix_(src, src)]
     groups = _inv_sqrt(s_sum)
     successes = {}
-    for ell, perm in perms.items():
-        back = np.argsort(perm)
-        moved = [(back[idx], inv_blocks) for idx, inv_blocks in groups]
+    for ell, src in sources.items():
+        moved = [(src[idx], inv_blocks) for idx, inv_blocks in groups]
         successes[ell] = float(weights @ _measured(moved, signals, test))
     return successes
 
@@ -341,30 +360,24 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     cols = len(weights)
     host_signals = np.zeros((d_b, host, g, cols), dtype=complex)
     host_signals[:, :g] = signals.reshape(d_b, g, g, cols)
-    img = np.arange(host * g)       # U_l on the first g states, I on the tail
-    perms = {}
+    src = np.arange(host * g)       # U_l on the first g states, I on the tail
+    sources = {}
     for ell in subset:
-        img[:g * g] = u_ell_index(ell, g)
-        perms[ell] = lift_index(img, (d_b, host, g), [1, 2])
-    successes = _signal_successes(omega_lift, perms,
+        src[:g * g] = u_ell_index(-ell % g, g)      # U_l^-1 = U_-l
+        sources[ell] = lift_index(src, (d_b, host, g), [1, 2])
+    successes = _signal_successes(omega_lift, sources,
                                   host_signals.reshape(-1, cols), weights)
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
     return _decode_report(successes, eps, delta, cap, cross, 4)
 
 
-def _lifted_flat_test(ens, flat, a, n, omega, dims):
+def _lifted_flat_test(ens, flat, omega, dims):
     """The test omega on (B, C) as an operator on the ensemble's (B, F1, D, F2).
 
-    Omega goes to the sigma eigenbasis, is moved by W, compressed to
-    supp (x) D and embedded into F1 with its q = 1 tail, then F2 is added.
+    Omega (x) I_ED is moved by W onto supp (x) D, embedded into F1 with its
+    q = 1 tail, then F2 is added.
     """
-    d_dim = ens.d_dim
-    c_axis = len(dims) - 1
-    omega_rot = act(omega, flat.basis.conj().T, dims, [c_axis])
-    om_ced = np.kron(omega_rot, np.eye(flat.e_dim * d_dim))  # (B, C, E, D)
-    om_supp = permute_basis(om_ced, _support_index(flat, a, n, d_dim),
-                            dims + (flat.e_dim, d_dim),
-                            [c_axis, c_axis + 1, c_axis + 2])   # on (B, S, D)
+    om_supp = _moved(omega, dims, flat, np.eye(flat.e_dim * ens.d_dim))
     return np.kron(ens.embed_f1(om_supp, np.eye(2)), np.eye(ens.f_prime))
 
 
@@ -393,11 +406,10 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
                                    len(subset), eps, delta)
 
     ens = _flat_ensemble(psi, flat, a, n, d_size + 1)
-    om_full = _lifted_flat_test(ens, flat, a, n, omega, psi.system.dims)
+    om_full = _lifted_flat_test(ens, flat, omega, psi.system.dims)
     signals, weights = ens.signals()
     successes = _signal_successes(
-        om_full, {ell: ens.permutation(ell) for ell in subset}, signals,
-        weights)
+        om_full, {ell: ens.source(ell) for ell in subset}, signals, weights)
 
     ratio_emb = harmonic_sum(1, n) / harmonic_sum(a, n)
     f1_factor = 2.0 * ens.s_dim * ens.s_dim / ens.f_prime
@@ -474,7 +486,9 @@ def channel_rate_cap(channel, psi_a, eps, gamma, delta_prime):
 
     dh is the hypothesis-testing divergence between the channel output of the
     canonical purification of psi_a and the product of its marginals.
+    Refuses gamma outside (0, 1) before the solve.
     """
+    _gamma_fraction(gamma)
     _, dh = _channel_test(channel, _marginal_input(psi_a), eps)
     return _rate_cap(dh, eps, gamma, delta_prime)
 
@@ -486,7 +500,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     ``psi_a`` is Alice's channel-input state: either the single-register
     marginal or a two-register pure state whose first register is the channel
     input (only the marginal matters; the code runs on its canonical
-    purification on registers (A, C)).  Down-rounding the C marginal onto the
+    purification on registers (A, C)).  Down-rounding psi_A onto the
     gamma/|C| grid gives the shared resource |sigma>_AC, flattened into block
     registers E'/E with an embezzling pair D'/D of size n(M+1).  Message m is
     encoded by conjugating Alice's side with the transposed selected rotation
@@ -495,12 +509,13 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     tests.  Every message and shared-randomness branch is propagated exactly;
     no sampling.
 
-    The code runs in the eigenbasis v of psi_A on A and conj(v) on C.  There
-    the resource is sum_c sqrt(q_c) |c>|c> (x) |xi^{a:n}>_{D'D} (x) |00>_{E'E},
-    W is the index map of ``unitary_flatten_W`` on (A, E', D') and on
-    (C, E, D), and each HW rotation on the support pairs of (C, E) is a
-    monomial matrix.  Only the Kraus operators (K v) and the test (v^T on C)
-    are rotated.
+    The code runs in the eigenbasis v of that rounding (``flat.basis``) on A
+    and conj(v) on C.  There the resource is sum_c sqrt(q_c) |c>|c> (x)
+    |xi^{a:n}>_{D'D} (x) |00>_{E'E}, W is the index map of
+    ``unitary_flatten_W`` on (A, E', D') and on (C, E, D), and each HW
+    rotation on the support pairs of (C, E) is a monomial matrix.  Only the
+    Kraus operators (K v) and the test (v^T on C) are rotated.  gamma and the
+    channel dimensions are checked before the hypothesis test is solved.
 
     ``rate`` = 0 (one message) is always admissible; rate >= 1 above the rate
     cap refuses with the computed ceiling unless ``enforce_cap`` is off (used
@@ -510,19 +525,15 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     d_a = psi_a.system.total_dim
     if not 0 <= rate <= 6:
         raise ValueError("rate must lie in [0, 6] (message set capped at 64)")
-    gamma_f = Fraction(gamma).limit_denominator(10 ** 6)
+    if channel.input_dim != d_a or channel.output_dim != d_a:
+        raise ValueError("channel dimensions must match the A register")
+    flat = round_spectrum(psi_a, gamma, "down")
+    gamma_f = flat.gamma
     omega_test, dh = _channel_test(channel, psi_a, eps)
     cap = _rate_cap(dh, eps, float(gamma_f), delta_prime)
     if enforce_cap and rate >= 1 and rate > cap:
         raise ValueError(f"rate {rate} exceeds the admissible cap {cap:.6g}")
-    if channel.input_dim != d_a or channel.output_dim != d_a:
-        raise ValueError("channel dimensions must match the A register")
 
-    lam, v_basis = np.linalg.eigh(psi_a.matrix)
-    lam = np.clip(lam, 0.0, None)
-    spec_op = DensityOperator(RegisterSystem([("spec", d_a)]),
-                              np.diag(lam / lam.sum()), validate=False)
-    flat = round_spectrum(spec_op, gamma_f, "down")
     counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
     q = np.array(counts, dtype=float) / m_big
     if a < max(e_dim, 2):
@@ -547,7 +558,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", np.diag(np.sqrt(q)),
                                        xi_pairs)
     side_dims = (d_a, e_dim, d_dim)
-    w_img = unitary_flatten_W(flat, a, n, d_dim=d_dim)
+    w_img = unitary_flatten_W(flat, d_dim)
     pairs = flat.support_index()
 
     def lifted(rot):
@@ -559,7 +570,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     # Bob's rotated tests U_y W (Omega (x) I) W^dag U_y^dag on (B, C, E, D)
     hw = hw_family(m_big)
     bob_dims = (d_a,) + side_dims
-    om_lift = np.kron(act(omega_test, v_basis.T, (d_a, d_a), [1]),
+    om_lift = np.kron(act(omega_test, flat.basis.T, (d_a, d_a), [1]),
                       np.eye(e_dim * d_dim))
     om_moved = permute_basis(om_lift, np.argsort(w_img), bob_dims, [1, 2, 3])
     tests = [act(om_moved, lifted(u.matrix), bob_dims, [1, 2]) for u in hw]
@@ -567,7 +578,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     # channel outputs of Alice's encodings W^dag (U_y^T (x) I) W, as column
     # blocks on (B, C, E, D) over the Kraus index and (E', D')
     resource = init.reshape(d_a * e_dim * d_dim, -1)
-    kraus = [k @ v_basis for k in channel.kraus]
+    kraus = [k @ flat.basis for k in channel.kraus]
     columns = []
     for u in hw:
         u_enc = permute_basis(np.kron(lifted(u.matrix.T), np.eye(d_dim)),
@@ -653,11 +664,8 @@ def redistribution_bounds(psi, r_labels, a_labels, b_labels, c_labels, eps,
     for g in (Fraction(1, 2), Fraction(1, 4)):
         if (Fraction(c_dim) / g).denominator == 1:
             for direction in ("up", "down"):
-                try:
-                    candidates.append(
-                        round_spectrum(psi_c, g, direction).sigma_matrix())
-                except (ValueError, AssertionError):
-                    pass
+                candidates.append(
+                    round_spectrum(psi_c, g, direction).sigma_matrix())
 
     psi_rbc = partial_trace(psi, a_labels)
     psi_rb = partial_trace(psi_rbc, c_labels)

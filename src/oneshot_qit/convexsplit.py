@@ -505,18 +505,18 @@ class PrimeEnsemble:
     def dims(self):
         return (self.r_dim, self.f_prime, self.d_dim, self.f_prime)
 
-    def permutation(self, ell):
-        """Index map of U_l on the full space (new index per old index)."""
-        return lift_index(u_ell_index(ell, self.f_prime), self.dims, [1, 3])
+    def source(self, ell):
+        """Gather map of U_l on the full space: (U_l x)[i] = x[src[i]].
 
-    def rotate(self, mat, ell):
-        """U_l mat U_l^dag on (R, F1, D, F2)."""
-        inv = np.argsort(u_ell_index(ell, self.f_prime))
-        return permute_basis(mat, inv, self.dims, [1, 3])
+        U_l^-1 = U_-l, so it is the image map of U_-l; U_l mat U_l^dag is
+        mat[np.ix_(src, src)].
+        """
+        g = self.f_prime
+        return lift_index(u_ell_index(-ell % g, g), self.dims, [1, 3])
 
     def marginal(self, ell):
         """Tr_F2(U_l base U_l^dag) on (R, F1, D), summed over f2 from base itself."""
-        src = self._source(ell).reshape(-1, self.f_prime)
+        src = self.source(ell).reshape(-1, self.f_prime)
         out = np.zeros((len(src), len(src)), dtype=self.base.dtype)
         for idx in src.T:
             out += self.base[np.ix_(idx, idx)]
@@ -582,23 +582,18 @@ class PrimeEnsemble:
         diag = np.diagonal(self.base).real > 0
         occupied = np.zeros(self.dim_full, dtype=bool)
         for ell in subset:
-            occupied |= diag[self._source(ell)]
+            occupied |= diag[self.source(ell)]
         return np.flatnonzero(occupied.reshape(self.r_dim, -1).any(axis=0))
 
     def _support_spectra(self, subset, ref, keep):
         rows = (np.arange(self.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
         tau = np.zeros((len(rows), len(rows)), dtype=complex)
         for ell in subset:
-            idx = self._source(ell)[rows]
+            idx = self.source(ell)[rows]
             tau += self.base[np.ix_(idx, idx)]
         tau /= len(subset)
         return (np.linalg.eigvalsh(tau),
                 np.linalg.eigvalsh(ref.restricted(keep).sandwich(tau)))
-
-    def _source(self, ell):
-        """Gather index of U_l on the full space: (U_l x)[i] = x[src[i]]."""
-        return lift_index(np.argsort(u_ell_index(ell, self.f_prime)), self.dims,
-                          [1, 3])
 
     def _sector_spectrum(self, mat):
         """Eigenvalues of the pinching of ``mat`` onto the eigenspaces of U_1.

@@ -125,10 +125,16 @@ def purified_embezzle_fidelity(a, b, n):
                      for j in range(a, n + 1))
 
 
-def _rationalize_gamma(gamma, c_dim):
+def _gamma_fraction(gamma):
+    """gamma as a Fraction of denominator at most 10^6, inside (0, 1)."""
     g = Fraction(gamma).limit_denominator(10 ** 6)
     if not 0 < g < 1:
         raise ValueError(f"gamma = {g} outside (0, 1)")
+    return g
+
+
+def _rationalize_gamma(gamma, c_dim):
+    g = _gamma_fraction(gamma)
     m_big = Fraction(c_dim) / g
     if m_big.denominator != 1:
         raise ValueError(f"|C|/gamma = {m_big} is not an integer")
@@ -184,58 +190,39 @@ def round_spectrum(omega, gamma, direction):
     vals, vecs = np.linalg.eigh(omega.matrix)
     fracs = [Fraction(max(float(v), 0.0)) for v in vals]
 
-    if direction == "up":
-        lo = (1 - gamma_frac) * m_big
-        candidates = {Fraction(m_big), lo}
-        for w in fracs:
-            if w > 0:
-                for m in range(1, m_big + 1):
-                    s = Fraction(m) / w
-                    if lo <= s <= m_big:
-                        candidates.add(s)
-        counts = None
-        for s in sorted(candidates, reverse=True):
-            cand = [int(-((-w * s) // 1)) for w in fracs]      # ceil
-            if sum(cand) <= m_big:
-                counts = cand
-                break
-        deficit = m_big - sum(counts)
-        order = sorted(range(c_dim), key=lambda i: (-fracs[i], i))
-        pos = 0
-        while deficit > 0:
-            counts[order[pos % c_dim]] += 1
-            deficit -= 1
-            pos += 1
+    # up: ceil counts at the largest fitting scale s in [(1-gamma)M, M], then
+    # add the deficit; down: floor counts at the smallest fitting s in
+    # [M, M/(1-gamma)], then remove the surplus.  A count changes only at
+    # some s = m/w, so those and the two ends are the only candidates.
+    up = direction == "up"
+    step, rnd = (1, math.ceil) if up else (-1, math.floor)
+    lo, hi = ((1 - gamma_frac) * m_big, Fraction(m_big)) if up else \
+        (Fraction(m_big), m_big / (1 - gamma_frac))
+    candidates = {lo, hi}
+    for w in fracs:
+        if w > 0:
+            candidates.update(Fraction(m) / w for m in
+                              range(math.ceil(w * lo), math.floor(w * hi) + 1))
+    for s in sorted(candidates, reverse=up):
+        counts = [rnd(w * s) for w in fracs]
+        if step * (m_big - sum(counts)) >= 0:
+            break
     else:
-        hi = Fraction(m_big) / (1 - gamma_frac)
-        candidates = {Fraction(m_big), hi}
-        for w in fracs:
-            if w > 0:
-                for m in range(1, int(hi * w) + 2):
-                    s = Fraction(m) / w
-                    if m_big <= s <= hi:
-                        candidates.add(s)
-        counts = None
-        for s in sorted(candidates):
-            cand = [int(w * s // 1) for w in fracs]     # floor
-            if sum(cand) >= m_big:
-                counts = cand
-                break
-        surplus = sum(counts) - m_big
-        order = sorted(range(c_dim), key=lambda i: (-fracs[i], i))
-        pos = 0
-        while surplus > 0:
-            idx = order[pos % c_dim]
-            if counts[idx] > 0:
-                counts[idx] -= 1
-                surplus -= 1
-            pos += 1
+        raise ValueError(f"no scale in [{lo}, {hi}] fits the spectrum onto "
+                         f"the grid; is the state normalised?")
+    order = sorted(range(c_dim), key=lambda i: (-fracs[i], i))
+    pos = 0
+    while sum(counts) != m_big:
+        idx = order[pos % c_dim]
+        if up or counts[idx] > 0:
+            counts[idx] += step
+        pos += 1
 
     flat = FlatSpectrum(gamma_frac, tuple(counts), vecs)
     # verify the stated operator inequality
     sigma = flat.sigma_matrix()
     scale = 1.0 / (1.0 - float(gamma_frac))
-    if direction == "up":
+    if up:
         gap = np.linalg.eigvalsh(scale * sigma - omega.matrix)[0]
     else:
         gap = np.linalg.eigvalsh(scale * omega.matrix - sigma)[0]
@@ -265,20 +252,16 @@ def flatten(sigma, gamma):
                            validate=False)
 
 
-def unitary_flatten_W(flat, a, n, d_dim=None):
+def unitary_flatten_W(flat, d_dim):
     """Controlled permutation W = sum_c |c><c| (x) W_{b(c)} on (C, E, D) labels.
 
-    Returns the index array of the map (c, e, j) -> (c, e', j'), with j a D
-    label and e in 0..e_dim-1.  ``a`` must equal the flattened support height
-    max_c b(c) for the upper bound ratio to be the harmonic one; the map
-    itself works for any a <= n.
+    Returns the index array of the map (c, e, j) -> (c, e', j'), with e in
+    0..e_dim-1 and j a label of the d_dim-dimensional D register; W_0 is the
+    identity.  The upper-bound ratio S(1,n)/S(a,n) holds for an embezzling
+    state xi^{a:n} on D with max_c b(c) <= a <= n < d_dim, which callers
+    check.
     """
     e_dim = flat.e_dim
-    if a < e_dim:
-        raise ValueError(f"a = {a} below |E| = {e_dim}")
-    if n < a:
-        raise ValueError(f"n = {n} below a = {a}")
-    d_dim = n + 1 if d_dim is None else d_dim
     img = np.arange(flat.c_dim * e_dim * d_dim).reshape(flat.c_dim, -1)
     for c, b in enumerate(flat.counts):
         if b >= 1:
@@ -288,50 +271,49 @@ def unitary_flatten_W(flat, a, n, d_dim=None):
     return img.reshape(-1)
 
 
-def _support_index(flat, a, n, d_dim):
-    """Gather index on (C, E, D) of W . W^dag compressed to supp(sigma_CE) (x) D.
+def _moved(mat, dims, flat, ed_op):
+    """S^dag W (rot_C(mat) (x) ed_op) W^dag S, the one move through W.
 
-    permute_basis(mat, _support_index(...), dims, (C, E, D) axes) equals
-    S^dag W mat W^dag S, with S the isometry onto the support pairs (x) D.
+    ``mat`` lives on the factors ``dims`` with C last; rot_C takes C to the
+    sigma eigenbasis, ``ed_op`` lives on (E, D), and S is the isometry onto
+    supp(sigma_CE) (x) D.  Returns the operator on (..., S, D), where S has
+    ``flat.grid_total`` states.
     """
-    w_img = unitary_flatten_W(flat, a, n, d_dim=d_dim)
+    k = len(dims) - 1
+    d_dim = ed_op.shape[0] // flat.e_dim
+    rotated = act(mat, flat.basis.conj().T, dims, [k])
     supp = (flat.support_index()[:, None] * d_dim
             + np.arange(d_dim)).reshape(-1)
-    return np.argsort(w_img)[supp]
+    src = np.argsort(unitary_flatten_W(flat, d_dim))[supp]
+    return permute_basis(np.kron(rotated, ed_op), src,
+                         dims + (flat.e_dim, d_dim), [k, k + 1, k + 2])
 
 
 def _moved_state(psi, flat, a, n, d_dim=None):
     """W (psi'_{RC} (x) |0><0|_E (x) xi^{a:n}) W^dag compressed to supp(sigma_CE) (x) D.
 
-    psi is rotated into the sigma eigenbasis on C first.  Returns
-    (matrix on R (x) S (x) D, psi_R matrix); S has ``flat.grid_total``
-    states.  ``d_dim`` sets the D register dimension (default n + 1, labels
-    0..n).
+    psi' is psi with C in the sigma eigenbasis.  Returns (matrix on
+    R (x) S (x) D, psi_R matrix); S has ``flat.grid_total`` states.
+    ``d_dim`` sets the D register dimension (default n + 1, labels 0..n).
     """
     psi = _as_density(psi)
-    k = len(psi.system) - 1          # position of C
-    c_label = psi.system.labels[k]
+    c_label = psi.system.labels[-1]
     c_dim = psi.system.dim_of(c_label)
     if c_dim != flat.c_dim:
         raise ValueError("C dimension mismatch with the flattened spectrum")
-    psi_rot = act(psi.matrix, flat.basis.conj().T, psi.system.dims, [k])
-
-    e_dim = flat.e_dim
+    # psi's blocks on the sigma eigenvectors of count 0 must vanish
+    d_rest = psi.system.total_dim // c_dim
+    off = flat.basis[:, np.array(flat.counts) == 0]
+    blocks = np.einsum("rasb,ac,bc->crs", psi.matrix.reshape(
+        d_rest, c_dim, d_rest, c_dim), off.conj(), off)
+    if (np.linalg.norm(blocks, axis=(1, 2)) > 1e-9).any():
+        raise ValueError("state has support outside the flattened spectrum")
     d_dim = n + 1 if d_dim is None else d_dim
-    if d_dim < n + 1:
-        raise ValueError(f"D register of dim {d_dim} cannot hold labels up to {n}")
     xi_diag = embezzling_state(a, n).weight_vector(d_dim)
-    d_rest = psi_rot.shape[0] // c_dim
-    psi_blocks = psi_rot.reshape(d_rest, c_dim, d_rest, c_dim)
-    for c in range(c_dim):
-        if flat.counts[c] == 0 and \
-                float(np.linalg.norm(psi_blocks[:, c, :, c])) > 1e-9:
-            raise ValueError("state has support outside the flattened spectrum")
-    e0 = np.zeros((e_dim, e_dim))
+    e0 = np.zeros((flat.e_dim, flat.e_dim))
     e0[0, 0] = 1.0
-    lifted = np.kron(psi_rot, np.kron(e0, np.diag(xi_diag)))   # (R, C, E, D)
-    out = permute_basis(lifted, _support_index(flat, a, n, d_dim),
-                        psi.system.dims + (e_dim, d_dim), [k, k + 1, k + 2])
+    out = _moved(psi.matrix, psi.system.dims, flat,
+                 np.kron(e0, np.diag(xi_diag)))
     return out, partial_trace(psi, [c_label]).matrix
 
 

@@ -227,6 +227,14 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}, line {line}: key {key!r}" in err
 
+    def test_channel_parameter_out_of_range_is_named(self, tmp_path, capsys):
+        # used to exit with "Eigenvalues did not converge"
+        out = tmp_path / "r.csv"
+        assert main(["code", "--channel", "depolarizing", "--p", "2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error: p = 2.0 outside [0, 1.333]" in capsys.readouterr().err
+
     def test_section_naming_no_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[convexsplt]\nladder=1\n")

@@ -92,6 +92,32 @@ class TestChannels:
         with pytest.raises(ValueError):
             apply_channel(identity_channel(2), rho, ["A"])
 
+    @pytest.mark.parametrize("make, value, name", [
+        (depolarizing_channel, 2.0, "p"), (depolarizing_channel, -0.1, "p"),
+        (depolarizing_channel, 1.4, "p"), (dephasing_channel, 3.0, "p"),
+        (dephasing_channel, -0.5, "p"),
+        (amplitude_damping_channel, 1.5, "gamma"),
+        (amplitude_damping_channel, -0.2, "gamma")])
+    def test_parameter_outside_its_range_is_refused(self, make, value, name):
+        # each of these used to build non-finite Kraus operators
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            make(value)
+
+    def test_range_ends_are_channels(self):
+        for ch in (depolarizing_channel(0.0), depolarizing_channel(4 / 3),
+                   dephasing_channel(0.0), dephasing_channel(2.0),
+                   amplitude_damping_channel(0.0),
+                   amplitude_damping_channel(1.0)):
+            assert all(np.isfinite(k).all() for k in ch.kraus)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_trace_check_fails_on_non_finite_kraus(self, bad):
+        kraus = np.eye(2, dtype=complex)
+        kraus[1, 1] = bad
+        with pytest.raises(ValueError, match="not trace preserving"):
+            coding.QuantumChannel((kraus,), 2, 2)
+
 
 class TestNeymanPearsonOperator:
     def test_equal_states_eps_zero(self):
@@ -365,13 +391,12 @@ class TestPositionDecodeFlat:
         flat = round_spectrum(mu_c, gamma, "down")
         ens = _flat_ensemble(psi, flat, a, n, d_size + 1)
         ref = tensor(partial_trace(psi, ["C"]), mu_c)
-        om_full = _lifted_flat_test(ens, flat, a, n, neyman_pearson_operator(
+        om_full = _lifted_flat_test(ens, flat, neyman_pearson_operator(
             psi, ref, eps)[0], psi.system.dims)
         rotated = {}
         for ell in subset:
-            perm = ens.permutation(ell)
-            rotated[ell] = np.empty_like(om_full)
-            rotated[ell][np.ix_(perm, perm)] = om_full
+            src = ens.source(ell)
+            rotated[ell] = om_full[np.ix_(src, src)]
         inv_half, _ = _dense_inv_sqrt(sum(rotated.values()))
 
         r_dim, s_dim, d_dim, f_prime = ens.r_dim, ens.s_dim, ens.d_dim, \
@@ -380,7 +405,7 @@ class TestPositionDecodeFlat:
         keep = t_vals > 1e-13
         t_vals, t_vecs = t_vals[keep], t_vecs[:, keep]
         for ell in subset:
-            perm = ens.permutation(ell)
+            perm = np.argsort(ens.source(ell))
             lam = inv_half @ rotated[ell] @ inv_half
             total = 0.0
             for t in range(len(t_vals)):
@@ -423,7 +448,7 @@ def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
     shape = (d_a, e_dim, d_dim, d_a, e_dim, d_dim)      # (A, E', D', C, E, D)
     init = np.zeros(shape, dtype=complex)
     init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", sigma_amp, xi_pairs)
-    w_img = unitary_flatten_W(flat, a, n, d_dim=d_dim)
+    w_img = unitary_flatten_W(flat, d_dim)
 
     def controlled_w(mat, basis, src, dims, axis):
         inner = act(mat, basis.conj().T, dims, [axis])
@@ -581,6 +606,29 @@ class TestChannelCode:
         assert caps[0] == caps[1]
         assert reports[0] == reports[1]
 
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the hypothesis test was solved")
+
+        monkeypatch.setattr(coding, "_channel_test", refuse)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0, 1, 1.5])
+    def test_gamma_is_refused_before_the_solve(self, no_solve, gamma):
+        # gamma = -0.5 used to fail with a TypeError on a complex power, and
+        # 0 and 1.5 used to give a cap
+        with pytest.raises(ValueError, match="gamma"):
+            channel_rate_cap(identity_channel(2), self.mu_a, 0.05, gamma, 0.5)
+        with pytest.raises(ValueError, match="gamma"):
+            ea_channel_code(identity_channel(2), self.mu_a, 0, 0.05, gamma,
+                            0.5, a=4, n=8)
+
+    def test_channel_dimension_is_checked_before_the_solve(self, no_solve):
+        psi_a = maximally_mixed(sysof(("A", 3)))
+        with pytest.raises(ValueError, match="channel dimensions"):
+            ea_channel_code(identity_channel(2), psi_a, 0, 0.05,
+                            Fraction(1, 2), 0.5, a=4, n=8)
+
     def test_entanglement_budget(self):
         rep = ea_channel_code(identity_channel(2), self.mu_a, 0, 0.05, 0.5,
                               0.5, a=4, n=16)
@@ -708,3 +756,12 @@ class TestRedistributionBounds:
         rho = random_density(0, sysof(("R", 2), ("A", 2), ("B", 2), ("C", 2)))
         with pytest.raises(ValueError):
             redistribution_bounds(rho, ["R"], ["A"], ["B"], ["C"], 0.1, 0.1)
+
+    def test_failed_rounding_gate_is_not_dropped(self, monkeypatch):
+        def failing(*args):
+            raise AssertionError("rounding inequality violated")
+
+        monkeypatch.setattr(coding, "round_spectrum", failing)
+        with pytest.raises(AssertionError, match="rounding inequality"):
+            redistribution_bounds(maximally_entangled("R", "C", 2), ["R"],
+                                  [], [], ["C"], 0.1, 0.1)

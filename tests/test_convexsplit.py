@@ -22,10 +22,10 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
                                  convex_split_flat_classical, embezzling_state,
                                  round_spectrum)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem, act,
-                                   basis_state, fidelity, maximally_entangled,
-                                   maximally_mixed, partial_trace,
-                                   permute_registers, random_density, reorder,
-                                   tensor)
+                                   basis_state, fidelity, lift_index,
+                                   maximally_entangled, maximally_mixed,
+                                   partial_trace, permute_registers,
+                                   random_density, reorder, tensor)
 
 
 def sysof(*pairs):
@@ -312,6 +312,24 @@ class TestUEll:
         with pytest.raises(ValueError):
             u_ell_index(g, g)
 
+    @pytest.mark.parametrize("g", [5, 7, 11, 17])
+    def test_inverse_is_the_negated_index(self, g):
+        # U_l^-1 = U_-l: the gather map of U_l is the image map of U_-l
+        for ell in range(g):
+            assert np.array_equal(u_ell_index(-ell % g, g),
+                                  np.argsort(u_ell_index(ell, g)))
+
+    @pytest.mark.parametrize("r_dim, c_dim, d_dim, g",
+                             [(2, 2, 1, 5), (1, 2, 3, 7), (2, 3, 2, 11)])
+    def test_ensemble_source_inverts_the_lifted_image(self, r_dim, c_dim,
+                                                       d_dim, g):
+        theta = np.eye(r_dim * c_dim * d_dim) / (r_dim * c_dim * d_dim)
+        ens = PrimeEnsemble(theta, np.eye(r_dim) / r_dim, d_dim,
+                            PrimeRegister(c_dim, g))
+        for ell in range(g):
+            image = lift_index(u_ell_index(ell, g), ens.dims, [1, 3])
+            assert np.array_equal(ens.source(ell), np.argsort(image))
+
 
 class TestMarginalCheck:
     def test_product_state(self):
@@ -360,7 +378,8 @@ class TestPrimeEnsemble:
         g = ens.f_prime
         keep = ens.dim_full // g
         for ell in range(g):
-            traced = np.einsum("afbf->ab", ens.rotate(ens.base, ell).reshape(
+            src = ens.source(ell)
+            traced = np.einsum("afbf->ab", ens.base[np.ix_(src, src)].reshape(
                 keep, g, keep, g))
             assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14
 
@@ -517,7 +536,8 @@ class TestConvexSplitClassical:
                             PrimeRegister(2, g))
         mu = np.kron(np.eye(2), np.kron(np.eye(g) / g, np.eye(g) / g))
         for ell in range(g):
-            assert np.array_equal(ens.rotate(mu, ell), mu)
+            src = ens.source(ell)
+            assert np.array_equal(mu[np.ix_(src, src)], mu)
 
 
 def _decoder_input():

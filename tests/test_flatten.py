@@ -3,10 +3,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneshot_qit.entropy import Reference
-from oneshot_qit.flatten import (_flat_ensemble, check_embezzle_upper,
-                                 check_unembezzle,
+from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
+                                 check_embezzle_upper, check_unembezzle,
                                  convex_split_flat_1design,
                                  convex_split_flat_classical,
                                  embezzling_state, flatten, harmonic_sum,
@@ -217,7 +219,107 @@ class TestPurifiedFidelity:
                         assert f >= np.sqrt(1 - 25 * delta) - 1e-12
 
 
+def _two_branch_counts(fracs, gamma, m_big, direction):
+    """Grid counts of the mirrored up/down rounding: the oracle of the one
+    candidate-scale rule in round_spectrum."""
+    c_dim = len(fracs)
+    if direction == "up":
+        lo = (1 - gamma) * m_big
+        candidates = {Fraction(m_big), lo}
+        for w in fracs:
+            if w > 0:
+                for m in range(1, m_big + 1):
+                    s = Fraction(m) / w
+                    if lo <= s <= m_big:
+                        candidates.add(s)
+        counts = None
+        for s in sorted(candidates, reverse=True):
+            cand = [int(-((-w * s) // 1)) for w in fracs]      # ceil
+            if sum(cand) <= m_big:
+                counts = cand
+                break
+        deficit = m_big - sum(counts)
+        order = sorted(range(c_dim), key=lambda i: (-fracs[i], i))
+        pos = 0
+        while deficit > 0:
+            counts[order[pos % c_dim]] += 1
+            deficit -= 1
+            pos += 1
+    else:
+        hi = Fraction(m_big) / (1 - gamma)
+        candidates = {Fraction(m_big), hi}
+        for w in fracs:
+            if w > 0:
+                for m in range(1, int(hi * w) + 2):
+                    s = Fraction(m) / w
+                    if m_big <= s <= hi:
+                        candidates.add(s)
+        counts = None
+        for s in sorted(candidates):
+            cand = [int(w * s // 1) for w in fracs]     # floor
+            if sum(cand) >= m_big:
+                counts = cand
+                break
+        surplus = sum(counts) - m_big
+        order = sorted(range(c_dim), key=lambda i: (-fracs[i], i))
+        pos = 0
+        while surplus > 0:
+            idx = order[pos % c_dim]
+            if counts[idx] > 0:
+                counts[idx] -= 1
+                surplus -= 1
+            pos += 1
+    return tuple(counts)
+
+
 class TestRoundSpectrum:
+    @settings(max_examples=300, deadline=None)
+    @given(gamma=st.sampled_from([Fraction(1, 2), Fraction(1, 3),
+                                  Fraction(1, 4), Fraction(2, 3),
+                                  Fraction(3, 8)]),
+           mult=st.integers(1, 3), data=st.data(),
+           direction=st.sampled_from(["up", "down"]))
+    def test_counts_match_the_two_branch_oracle(self, gamma, mult, data,
+                                                direction):
+        # |C| = mult * numerator(gamma) keeps |C|/gamma an integer
+        c_dim = mult * gamma.numerator
+        weights = data.draw(st.lists(st.integers(0, 60), min_size=c_dim,
+                                     max_size=c_dim).filter(any))
+        om = DensityOperator(sysof(("C", c_dim)),
+                             np.diag(np.array(weights) / sum(weights)))
+        fl = round_spectrum(om, gamma, direction)
+        fracs = [Fraction(max(float(v), 0.0))
+                 for v in np.linalg.eigvalsh(om.matrix)]
+        assert fl.counts == _two_branch_counts(fracs, gamma,
+                                               int(c_dim / gamma), direction)
+
+    @pytest.mark.parametrize("direction, trace", [("up", 3.0), ("down", 0.1),
+                                                  ("down", 0.0)])
+    def test_no_fitting_scale_is_a_value_error(self, direction, trace):
+        # an unnormalised operator fits no scale in the direction's bracket
+        om = DensityOperator(sysof(("C", 2)), np.diag([trace / 2] * 2),
+                             validate=False)
+        with pytest.raises(ValueError, match="no scale"):
+            round_spectrum(om, Fraction(1, 2), direction)
+
+    def test_direct_rounding_matches_the_diagonal_detour(self):
+        # rounding psi_A itself gives the counts and basis of rounding its
+        # clipped, renormalised eigenvalues as a diagonal operator
+        for seed in range(40):
+            dim = 2 + seed % 2
+            psi = random_density(seed, sysof(("A", dim)))
+            gamma = Fraction(1, 2) if dim == 2 else Fraction(3, 8)
+            for direction in ("up", "down"):
+                lam, vecs = np.linalg.eigh(psi.matrix)
+                lam = np.clip(lam, 0.0, None)
+                spec_op = DensityOperator(sysof(("spec", dim)),
+                                          np.diag(lam / lam.sum()),
+                                          validate=False)
+                want = round_spectrum(spec_op, gamma, direction)
+                fl = round_spectrum(psi, gamma, direction)
+                assert fl.counts == want.counts
+                assert np.array_equal(fl.basis, vecs)
+
     def test_uniform_already_flat(self):
         mu = maximally_mixed(sysof(("C", 2)))
         for direction in ("up", "down"):
@@ -304,11 +406,36 @@ class TestFlatten:
         assert np.max(np.abs(out.matrix - want)) <= 1e-12
 
 
+class TestMovedState:
+    def test_support_off_the_flat_spectrum_is_refused(self):
+        # omega's small eigenvector gets count 0 when rounded down; a state
+        # with weight on it is refused, one on the other eigenvector is moved
+        # without losing trace
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        v, _ = np.linalg.qr(g)
+        lam = np.array([0.95, 0.05])
+        om = DensityOperator(sysof(("C", 2)), (v * lam) @ v.conj().T)
+        fl = round_spectrum(om, Fraction(1, 2), "down")
+        big = int(np.argmax(fl.counts))
+        assert sorted(fl.counts) == [0, 4]
+        vec = (v * np.sqrt(lam)).T.reshape(-1)    # sum_i sqrt(l_i)|i>_R|v_i>_C
+        pure = DensityOperator(sysof(("R", 2), ("C", 2)),
+                               np.outer(vec, vec.conj()))
+        with pytest.raises(ValueError, match="outside the flattened"):
+            _moved_state(pure, fl, fl.e_dim, 4)
+        proj = np.outer(fl.basis[:, big], fl.basis[:, big].conj())
+        inside = DensityOperator(sysof(("R", 2), ("C", 2)),
+                                 np.kron(np.eye(2) / 2, proj))
+        theta, _ = _moved_state(inside, fl, fl.e_dim, 4)
+        assert abs(np.trace(theta) - 1.0) <= 1e-12
+
+
 class TestUnitaryFlattenW:
     def test_uniform_blocks_identical(self):
         mu = maximally_mixed(sysof(("C", 2)))
         fl = round_spectrum(mu, Fraction(1, 2), "up")
-        img = unitary_flatten_W(fl, fl.e_dim, 4).reshape(2, -1)
+        img = unitary_flatten_W(fl, 5).reshape(2, -1)
         assert np.array_equal(img[0], img[1] - img.shape[1])
 
     def test_blocks_exhaustive(self):
@@ -316,7 +443,7 @@ class TestUnitaryFlattenW:
         fl = round_spectrum(sigma, Fraction(1, 4), "up")
         assert sorted(fl.counts) == [2, 6]
         dims = (2, fl.e_dim, 9)
-        img = unitary_flatten_W(fl, fl.e_dim, 8)
+        img = unitary_flatten_W(fl, 9)
         assert np.array_equal(np.sort(img), np.arange(len(img)))
         for c in range(2):
             b = fl.counts[c]
@@ -338,7 +465,7 @@ class TestUnitaryFlattenW:
                         continue
                     n = max(fl.e_dim, 4)
                     for d_dim in (n + 1, n + 3, 2 * n + 1):
-                        img = unitary_flatten_W(fl, fl.e_dim, n, d_dim=d_dim)
+                        img = unitary_flatten_W(fl, d_dim)
                         assert _table_of(img, (c_dim, fl.e_dim, d_dim)) == \
                             _w_table(fl, d_dim)
                     assert list(fl.support_index()) == [
@@ -354,7 +481,7 @@ class TestUnitaryFlattenW:
             n = max(a, 6)
             d_dim = n + 1
             dims = (2, fl.e_dim, d_dim)
-            img = unitary_flatten_W(fl, a, n)
+            img = unitary_flatten_W(fl, d_dim)
             q = np.array(fl.counts) / fl.grid_total
             xi_a = embezzling_state(a, n).weight_vector(d_dim)
             xi_1 = embezzling_state(1, n).weight_vector(d_dim)
@@ -446,10 +573,17 @@ def _nonzero_eigvalsh(mat):
     return np.linalg.eigvalsh(mat[np.ix_(keep, keep)])
 
 
+def _rotated(ens, mat, ell):
+    """U_l mat U_l^dag on the ensemble's full space, by its gather map."""
+    src = ens.source(ell)
+    return mat[np.ix_(src, src)]
+
+
 @lru_cache(maxsize=None)
 def _dense(case, n_mixed):
     ens, ref = _ensemble(case)
-    tau = sum(ens.rotate(ens.base, ell) for ell in range(n_mixed)) / n_mixed
+    tau = sum(_rotated(ens, ens.base, ell)
+              for ell in range(n_mixed)) / n_mixed
     return _entropy_fidelity(_nonzero_eigvalsh(tau),
                              _nonzero_eigvalsh(ref.sandwich(tau)))
 
@@ -515,6 +649,7 @@ class TestMixtureSpectra:
         rep = convex_split_flat_classical(psi, omega, Fraction(2, 3),
                                           range(n_mixed), n=3)
         ens, ref = _ensemble("decouple")
-        tau = sum(ens.rotate(ens.base, ell) for ell in range(n_mixed)) / n_mixed
+        tau = sum(_rotated(ens, ens.base, ell)
+                  for ell in range(n_mixed)) / n_mixed
         assert abs(rep.achieved_rel_entropy - ref.rel_entropy(tau)) <= 1e-12
         assert abs(rep.achieved_fidelity - ref.fidelity(tau)) <= 1e-8

@@ -139,6 +139,40 @@ def test_gate_catches_a_determinant_call():
     assert det_calls(source) == [3, 5]
 
 
+def assertion_catches(source):
+    """Lines of ``except`` clauses that name AssertionError, alone or in a
+    tuple: a failed correctness gate must reach the caller."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+            else [node.type]
+        if any(isinstance(c, ast.Name) and c.id == "AssertionError"
+               for c in caught):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assertion_error_is_caught(path):
+    assert assertion_catches(path.read_text()) == []
+
+
+def test_gate_catches_a_caught_assertion_error():
+    source = ("try:\n"
+              "    f()\n"
+              "except (ValueError, AssertionError):\n"
+              "    pass\n"
+              "try:\n"
+              "    f()\n"
+              "except ValueError:\n"
+              "    pass\n"
+              "except AssertionError as exc:\n"
+              "    raise RuntimeError from exc\n")
+    assert assertion_catches(source) == [3, 9]
+
+
 def duplicate_blocks(sources, size=6):
     """(module, line) pairs where the same ``size`` consecutive code lines
     start more than once across ``sources``.  Code lines are stripped and
