@@ -19,6 +19,9 @@ import numpy as np
 
 from .convexsplit import PrimeRegister
 
+# control count of each gate kind; the text form lists controls, then target
+_CONTROLS = {"X": 0, "CNOT": 1, "TOF": 2}
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -27,7 +30,7 @@ class Gate:
     controls: tuple = ()
 
     def __post_init__(self):
-        expected = {"X": 0, "CNOT": 1, "TOF": 2}.get(self.kind)
+        expected = _CONTROLS.get(self.kind)
         if expected is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.controls) != expected:
@@ -87,6 +90,8 @@ def simulate_basis(circuit, bits):
     state = [int(b) for b in bits]
     if len(state) != circuit.wire_count:
         raise ValueError(f"input length {len(state)} != wire count {circuit.wire_count}")
+    if any(b not in (0, 1) for b in state):
+        raise ValueError("basis input entries must be 0 or 1")
     for g in circuit.gates:
         if all(state[c] for c in g.controls):
             state[g.target] ^= 1
@@ -94,18 +99,37 @@ def simulate_basis(circuit, bits):
 
 
 def simulate_table(circuit, inputs):
-    """Vectorized simulation of many basis inputs (rows of a 0/1 array)."""
-    state = np.array(inputs, dtype=bool)
-    if state.shape[1] != circuit.wire_count:
+    """Simulate many basis inputs at once, bit-sliced.
+
+    ``inputs`` is a 2-D array of 0/1 entries, one input per row and one wire
+    per column; any other shape or entry raises ValueError.  The state is
+    held wire-major and bit-packed: row w holds wire w of every input, input
+    r at bit r (``np.packbits`` in little bit order), padded to whole uint64
+    words, so one word carries 64 inputs.  Each X, CNOT or TOF gate is then
+    one word-wise NOT, XOR or XOR-with-AND on the target row.  Returns a
+    (rows, wires) bool array.
+    """
+    table = np.asarray(inputs)
+    if table.ndim != 2:
+        raise ValueError(f"inputs must be a 2-D table, got shape {table.shape}")
+    if table.shape[1] != circuit.wire_count:
         raise ValueError("input width mismatch")
+    if ((table != 0) & (table != 1)).any():
+        raise ValueError("input table entries must be 0 or 1")
+    rows = table.shape[0]
+    bits = np.packbits(table.T.astype(bool), axis=1, bitorder="little")
+    packed = np.zeros((circuit.wire_count, -(-rows // 64) * 8), dtype=np.uint8)
+    packed[:, :bits.shape[1]] = bits
+    state = packed.view(np.uint64)
     for g in circuit.gates:
+        row = state[g.target]
         if g.kind == "X":
-            state[:, g.target] ^= True
+            np.invert(row, out=row)
         elif g.kind == "CNOT":
-            state[:, g.target] ^= state[:, g.controls[0]]
+            row ^= state[g.controls[0]]
         else:
-            state[:, g.target] ^= state[:, g.controls[0]] & state[:, g.controls[1]]
-    return state
+            row ^= state[g.controls[0]] & state[g.controls[1]]
+    return np.unpackbits(packed, axis=1, count=rows, bitorder="little").T.astype(bool)
 
 
 def circuit_to_text(circuit):
@@ -130,15 +154,16 @@ def circuit_from_text(text):
     roles = roles_part.split(",") if roles_part else []
     gates = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "X":
-            gates.append(Gate("X", int(parts[1])))
-        elif parts[0] == "CNOT":
-            gates.append(Gate("CNOT", int(parts[2]), (int(parts[1]),)))
-        elif parts[0] == "TOF":
-            gates.append(Gate("TOF", int(parts[3]), (int(parts[1]), int(parts[2]))))
-        else:
+        kind, *args = ln.split()
+        if kind not in _CONTROLS:
             raise ValueError(f"unknown gate line {ln!r}")
+        if len(args) != _CONTROLS[kind] + 1:
+            raise ValueError(f"gate line {ln!r} needs {_CONTROLS[kind] + 1} wires")
+        wires = [int(a) for a in args]
+        if not all(0 <= w < wire_count for w in wires):
+            raise ValueError(f"gate line {ln!r} names a wire outside "
+                             f"[0, {wire_count})")
+        gates.append(Gate(kind, wires[-1], tuple(wires[:-1])))
     return ReversibleCircuit(wire_count, roles, gates)
 
 

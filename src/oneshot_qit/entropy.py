@@ -55,7 +55,7 @@ def relative_entropy(rho, sigma):
     """Umegaki relative entropy D(rho||sigma) in bits; +inf on support violation."""
     rho, sigma = _as_density(rho), _as_density(sigma)
     _check_same_system(rho, sigma)
-    rvals, rvecs = np.linalg.eigh(rho.matrix)
+    rvals = np.linalg.eigvalsh(rho.matrix)
     svals, svecs, pos_s, mass_out = _support_split(rho.matrix, sigma.matrix)
     if mass_out > _SUPPORT_MASS_TOL:
         return EntropyValue.infinite()

@@ -130,7 +130,8 @@ class DensityOperator:
         return float(np.real(np.trace(self.matrix)))
 
     def purity(self):
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """Tr(M M) as the elementwise sum of M_ij M_ji, not a d x d product."""
+        return float(np.real(np.sum(self.matrix * self.matrix.T)))
 
     def __repr__(self):
         return f"DensityOperator({self.system!r})"

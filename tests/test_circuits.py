@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneshot_qit.circuits import (CircuitMetrics, Gate, ReversibleCircuit,
                                   circuit_from_text, circuit_to_text,
@@ -213,6 +215,87 @@ class TestDecoupler:
             assert size <= 2.5 * c_fit * f(g)
 
 
+def loop_simulate_table(circuit, inputs):
+    """simulate_table as one bool per input pushed through columns (oracle)."""
+    state = np.array(inputs, dtype=bool)
+    for g in circuit.gates:
+        if g.kind == "X":
+            state[:, g.target] ^= True
+        elif g.kind == "CNOT":
+            state[:, g.target] ^= state[:, g.controls[0]]
+        else:
+            state[:, g.target] ^= state[:, g.controls[0]] & state[:, g.controls[1]]
+    return state
+
+
+def mixed_circuit():
+    gates = [Gate("X", 0), Gate("CNOT", 1, (0,)), Gate("TOF", 2, (0, 1)),
+             Gate("X", 4), Gate("TOF", 3, (4, 2)), Gate("CNOT", 0, (3,)),
+             Gate("TOF", 1, (3, 0)), Gate("X", 2)]
+    return ReversibleCircuit(5, ["data"] * 5, gates)
+
+
+class TestBitSlicedTable:
+    """The packed simulator against the column loop and simulate_basis."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 130])
+    def test_matches_column_loop_and_basis(self, rows):
+        circ = mixed_circuit()
+        inputs = np.random.default_rng(rows).integers(0, 2, (rows, 5))
+        got = simulate_table(circ, inputs)
+        assert got.dtype == bool and got.shape == (rows, 5)
+        assert np.array_equal(got, loop_simulate_table(circ, inputs))
+        for bits, out in zip(inputs.tolist(), got):
+            assert simulate_basis(circ, bits) == out.astype(int).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), wires=st.integers(3, 9), rows=st.integers(0, 200),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_gate_lists(self, data, wires, rows, seed):
+        controls = {"X": 0, "CNOT": 1, "TOF": 2}
+        drawn = data.draw(st.lists(
+            st.tuples(st.sampled_from(sorted(controls)),
+                      st.permutations(range(wires))), max_size=40))
+        gates = [Gate(kind, perm[0], tuple(perm[1:1 + controls[kind]]))
+                 for kind, perm in drawn]
+        circ = ReversibleCircuit(wires, ["data"] * wires, gates)
+        inputs = np.random.default_rng(seed).integers(0, 2, (rows, wires))
+        got = simulate_table(circ, inputs)
+        assert np.array_equal(got, loop_simulate_table(circ, inputs))
+        for bits, out in zip(inputs[:5].tolist(), got):
+            assert simulate_basis(circ, bits) == out.astype(int).tolist()
+
+    def test_bool_and_narrow_integer_tables(self):
+        circ = mixed_circuit()
+        inputs = np.random.default_rng(0).integers(0, 2, (70, 5))
+        want = loop_simulate_table(circ, inputs)
+        for dtype in (bool, np.uint8, np.int8, float):
+            assert np.array_equal(simulate_table(circ, inputs.astype(dtype)), want)
+
+    @pytest.mark.parametrize("inputs", [[0, 0], [[[0, 0]]], 1])
+    def test_table_must_be_2d(self, inputs):
+        circ = ReversibleCircuit(2, ["data"] * 2, [Gate("X", 0)])
+        with pytest.raises(ValueError, match="2-D"):
+            simulate_table(circ, inputs)
+
+    @pytest.mark.parametrize("entry", [2, -1, 0.5])
+    def test_table_entries_must_be_bits(self, entry):
+        circ = ReversibleCircuit(2, ["data"] * 2, [Gate("X", 0)])
+        with pytest.raises(ValueError, match="0 or 1"):
+            simulate_table(circ, [[0, 1], [entry, 0]])
+
+    @pytest.mark.parametrize("bits", [[2, 0], [0, -1], "20"])
+    def test_basis_entries_must_be_bits(self, bits):
+        circ = ReversibleCircuit(2, ["data"] * 2, [Gate("X", 0)])
+        with pytest.raises(ValueError, match="0 or 1"):
+            simulate_basis(circ, bits)
+
+    def test_width_mismatch(self):
+        circ = ReversibleCircuit(2, ["data"] * 2, [Gate("X", 0)])
+        with pytest.raises(ValueError, match="width"):
+            simulate_table(circ, [[0, 1, 0]])
+
+
 class TestTextFormat:
     def test_roundtrip_bit_exact(self):
         circ = synth_mod_add(5)
@@ -226,3 +309,23 @@ class TestTextFormat:
     def test_header_required(self):
         with pytest.raises(ValueError):
             circuit_from_text("X 0\n")
+
+    def test_roundtrip_all_gate_kinds(self):
+        circ = mixed_circuit()
+        back = circuit_from_text(circuit_to_text(circ))
+        assert back.gates == circ.gates
+
+    @pytest.mark.parametrize("line", ["X -1", "X 2", "CNOT 0 5", "CNOT -2 1",
+                                      "TOF 0 1 2", "TOF 7 0 1"])
+    def test_wire_outside_the_circuit_names_the_line(self, line):
+        with pytest.raises(ValueError, match=f"{line!r}.*outside"):
+            circuit_from_text(f"wires=2 roles=data,data\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["X", "X 0 1", "CNOT 0", "TOF 0 1"])
+    def test_wrong_wire_count_names_the_line(self, line):
+        with pytest.raises(ValueError, match=repr(line)):
+            circuit_from_text(f"wires=3 roles=data,data,data\n{line}\n")
+
+    def test_unknown_gate_names_the_line(self):
+        with pytest.raises(ValueError, match="unknown gate line 'NAND 0 1'"):
+            circuit_from_text("wires=2 roles=data,data\nNAND 0 1\n")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit import entropy
+from oneshot_qit.coding import QuantumChannel, apply_channel
 from oneshot_qit.entropy import (SUPPORT_TOL, Reference,
                                  check_mixture_identity, dh_eps, dmax, hmin,
                                  imax, relative_entropy, transpose_unitary)
@@ -75,6 +76,89 @@ class TestRelativeEntropy:
             rho = random_density(seed, s)
             sig = random_density(seed + 500, s)
             assert dmax(rho, sig).value >= relative_entropy(rho, sig).value - 1e-8
+
+
+def eigh_relative_entropy(rho, sigma):
+    """relative_entropy with rho's spectrum from a full eigh (oracle)."""
+    rvals, _ = np.linalg.eigh(rho.matrix)
+    svals, svecs, pos_s, mass_out = entropy._support_split(rho.matrix,
+                                                          sigma.matrix)
+    if mass_out > entropy._SUPPORT_MASS_TOL:
+        return float("inf")
+    pos_r = rvals > SUPPORT_TOL
+    term1 = float(np.sum(rvals[pos_r] * np.log2(rvals[pos_r])))
+    vs = svecs[:, pos_s]
+    diag = np.real(np.sum(vs.conj() * (rho.matrix @ vs), axis=0))
+    return term1 - float(np.sum(diag * np.log2(svals[pos_s])))
+
+
+class TestRelativeEntropyOracle:
+    @pytest.mark.parametrize("d,rho_rank,sigma_rank",
+                             [(8, 1, 8), (8, 3, 8), (16, 1, 16), (16, 5, 16),
+                              (8, 2, 4), (8, 1, 1)])
+    def test_matches_eigh_body(self, d, rho_rank, sigma_rank):
+        # pure and rank-deficient rho, inside a full or deficient support
+        rng = np.random.default_rng(d * 100 + rho_rank * 10 + sigma_rank)
+        basis = np.linalg.qr(rng.standard_normal((d, d))
+                             + 1j * rng.standard_normal((d, d)))[0]
+        system = sysof(("A", d))
+        sig = DensityOperator(system, state_on(
+            rng, basis, rng.dirichlet(np.ones(sigma_rank))))
+        support = np.linalg.eigh(sig.matrix)[1][:, d - sigma_rank:]
+        rho = DensityOperator(system, state_on(
+            rng, support, rng.dirichlet(np.ones(rho_rank))))
+        got = relative_entropy(rho, sig)
+        want = eigh_relative_entropy(rho, sig)
+        assert got.finite
+        assert abs(got.value - want) <= 1e-12
+
+    def test_support_violation_matches_eigh_body(self):
+        system = sysof(("A", 6))
+        rho = random_density(5, system, rank=2)
+        sig = random_density(6, system, rank=3)
+        assert not relative_entropy(rho, sig).finite
+        assert eigh_relative_entropy(rho, sig) == float("inf")
+
+
+def random_channel(rng, dim, count):
+    """Kraus operators as the blocks of a random isometry C^dim -> C^(dim count)."""
+    g = rng.standard_normal((dim * count, dim)) \
+        + 1j * rng.standard_normal((dim * count, dim))
+    iso = np.linalg.qr(g)[0]
+    return QuantumChannel(tuple(iso[k * dim:(k + 1) * dim] for k in range(count)),
+                          dim, dim)
+
+
+class TestDataProcessing:
+    """D and D_max do not grow under a channel on one register."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d_a=st.integers(2, 3),
+           d_b=st.integers(1, 2), count=st.integers(1, 4),
+           kind=st.sampled_from(["full", "rho-deficient", "nested"]))
+    def test_channel_does_not_increase_divergences(self, seed, d_a, d_b,
+                                                  count, kind):
+        rng = np.random.default_rng(seed)
+        system = sysof(("A", d_a), ("B", d_b))
+        d = d_a * d_b
+        basis = np.linalg.qr(rng.standard_normal((d, d))
+                             + 1j * rng.standard_normal((d, d)))[0]
+        sig_rank = d if kind != "nested" else max(1, d // 2)
+        rho_rank = d if kind == "full" else max(1, sig_rank // 2)
+        sig_mat = state_on(rng, basis[:, :sig_rank],
+                           rng.dirichlet(np.ones(sig_rank)))
+        rho_mat = state_on(rng, basis[:, :sig_rank],
+                           rng.dirichlet(np.ones(rho_rank)))
+        rho = DensityOperator(system, rho_mat)
+        sig = DensityOperator(system, sig_mat)
+        channel = random_channel(rng, d_a, count)
+        out_rho = apply_channel(channel, rho, ["A"])
+        out_sig = apply_channel(channel, sig, ["A"])
+        for measure in (relative_entropy, dmax):
+            before = measure(rho, sig)
+            after = measure(out_rho, out_sig)
+            assert before.finite and after.finite
+            assert after.value <= before.value + 1e-9, measure.__name__
 
 
 def state_on(rng, basis, probs):

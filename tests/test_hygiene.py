@@ -60,25 +60,55 @@ def unread_private_names(sources):
     return sorted(item for item in defined if item[2] not in read)
 
 
-def det_calls(source):
-    """Lines that call numpy's det, as ``*.linalg.det(...)`` or as a ``det``
-    imported from numpy.linalg."""
-    tree = ast.parse(source)
+def linalg_calls(tree, name):
+    """Call nodes of numpy's linalg function ``name``, as
+    ``*.linalg.<name>(...)`` or as a ``name`` imported from numpy.linalg."""
     names = {alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
-             for alias in node.names if alias.name == "det"}
-    lines = []
+             for alias in node.names if alias.name == name}
+    calls = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "det" \
+        if isinstance(func, ast.Attribute) and func.attr == name \
                 and isinstance(func.value, ast.Attribute) \
                 and func.value.attr == "linalg":
-            lines.append(node.lineno)
+            calls.append(node)
         elif isinstance(func, ast.Name) and func.id in names:
-            lines.append(node.lineno)
-    return sorted(lines)
+            calls.append(node)
+    return calls
+
+
+def det_calls(source):
+    """Lines that call numpy's det."""
+    return sorted(node.lineno for node in linalg_calls(ast.parse(source), "det"))
+
+
+def unread_eigenvectors(source):
+    """(function, line, name) of each ``vals, vecs = eigh(...)`` whose
+    function never reads ``vecs``: eigvalsh gives the values alone."""
+    tree = ast.parse(source)
+    eighs = set(linalg_calls(tree, "eigh"))
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        own = list(func.body)   # this function's statements, not nested ones
+        while own:
+            node = own.pop()
+            own.extend(child for child in ast.iter_child_nodes(node)
+                       if not isinstance(child, scopes))
+            if isinstance(node, ast.Assign) and node.value in eighs:
+                for target in node.targets:
+                    if isinstance(target, ast.Tuple) and len(target.elts) == 2 \
+                            and isinstance(target.elts[1], ast.Name) \
+                            and target.elts[1].id not in read:
+                        found.append((func.name, node.lineno, target.elts[1].id))
+    return sorted(found, key=lambda item: item[1])
 
 
 def test_modules_found():
@@ -137,6 +167,41 @@ def test_gate_catches_a_determinant_call():
               "c = dt(m) + slogdet(m)[1]\n"
               "d = tree.det(m)\n")
     assert det_calls(source) == [3, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_eigenvectors(path):
+    assert unread_eigenvectors(path.read_text()) == []
+
+
+def test_gate_catches_unread_eigenvectors():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import eigh as eh\n"
+              "def spectrum(m):\n"
+              "    vals, vecs = np.linalg.eigh(m)\n"
+              "    return vals\n"
+              "def rotate(m):\n"
+              "    vals, vecs = np.linalg.eigh(m)\n"
+              "    return vecs @ np.diag(vals)\n"
+              "def renamed(m):\n"
+              "    w, _ = eh(m)\n"
+              "    return w\n"
+              "def closure(m):\n"
+              "    vals, vecs = np.linalg.eigh(m)\n"
+              "    def inner():\n"
+              "        return vecs\n"
+              "    return inner\n"
+              "def nested(m):\n"
+              "    def inner():\n"
+              "        vals, vecs = np.linalg.eigh(m)\n"
+              "        return vals\n"
+              "    vecs = inner()\n"
+              "    return vecs\n"
+              "def values_only(m):\n"
+              "    vals = np.linalg.eigvalsh(m)\n"
+              "    return vals\n")
+    assert unread_eigenvectors(source) == [
+        ("spectrum", 4, "vecs"), ("renamed", 10, "_"), ("inner", 19, "vecs")]
 
 
 def assertion_catches(source):

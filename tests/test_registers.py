@@ -53,6 +53,21 @@ class TestInvariantsOnRandomStates:
         rho = random_density(7, sysof(("A", 5)), rank=1)
         assert abs(rho.purity() - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("d,rank", [(6, 6), (6, 1), (64, 64), (64, 1)])
+    def test_purity_matches_product_trace(self, d, rank):
+        rho = random_density(d + rank, sysof(("A", d)), rank=rank)
+        want = float(np.real(np.trace(rho.matrix @ rho.matrix)))
+        assert abs(rho.purity() - want) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 5, 32])
+    def test_purity_of_unchecked_non_hermitian_matrix(self, d):
+        # Tr(M M) holds for any square M, not only Hermitian ones
+        rng = np.random.default_rng(d)
+        mat = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        op = DensityOperator(sysof(("A", d)), mat / d, validate=False)
+        want = float(np.real(np.trace(op.matrix @ op.matrix)))
+        assert abs(op.purity() - want) <= 1e-12
+
     def test_full_rank_positive(self):
         rho = random_density(3, sysof(("A", 6)), rank=6)
         assert np.linalg.eigvalsh(rho.matrix)[0] > 0
