@@ -4,9 +4,8 @@ The decoders measure with the square-root (Hayashi-Nagaoka) measurement over
 rotated copies of a hypothesis test and report per-position success
 probabilities.  Both take them from one signal-vector routine over the
 gather maps of the U_l ((U_l x)[i] = x[src[i]]): each rotated test is the
-test gathered by src, each rotation moves the blocks of S^{-1/2} to src of
-their indices, and the success is a weighted sum of quadratic forms at the
-signal state's eigenvectors, so no measurement element is built.  The flat
+test gathered by src, and so is each rotated signal state, whose
+eigenvectors give the success, so no measurement element is built.  The flat
 decoder's test reaches the ensemble's space by the one move through the
 flattening permutation W (``flatten._moved``).  ``hayashi_nagaoka_povm``
 builds the elements for callers that need them.
@@ -21,14 +20,17 @@ hypothesis test and the Kraus operators are rotated, once.
 The rate cap and the code take the test and its D_H from one Neyman-Pearson
 solve, and so does each decoder.
 
-Every square-root measurement Lambda_i = S^{-1/2} Omega_i S^{-1/2} takes
-S^{-1/2} from ``_inv_sqrt``, which eigensolves S block by block on the
-connected components of its exact nonzero pattern and returns the blocks.
-The decoders and the channel code never assemble S^{-1/2}: ``_measured``
-applies it to a signal block only on the blocks its nonzero rows touch and
-reads the test on those rows alone.  The channel code solves S once per test
-family, for all messages.  Only ``hayashi_nagaoka_povm`` scatters the blocks
-into a dense S^{-1/2} and the support projector.
+Every square-root measurement Lambda_i = S^{-1/2} Omega_i S^{-1/2} is split
+by ``_blocks`` on the connected components of the union of its tests'
+nonzero patterns: S and each test are exactly block-diagonal there, and
+nothing is thresholded.  ``_successes`` takes every branch of a family (each
+S, a sum of some of the family's tests) at once: it sums each branch's
+blocks in member order, eigensolves them in one stacked ``_inv_sqrt`` per
+block size, and reads Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag) on the blocks
+that the signal columns X touch.  The channel code passes every
+shared-randomness branch in one call, each decoder its one branch.  Only
+``hayashi_nagaoka_povm`` scatters the blocks into a dense S^{-1/2} and the
+support projector.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ from .registers import (DensityOperator, RegisterSystem, _as_density, act,
                         canonical_purification, lift_index, maximally_mixed,
                         partial_trace, permute_basis, permute_registers,
                         tensor)
+
+INV_SQRT_CUT = 1e-12
+"""Eigenvalues of S at or below this lie outside supp(S), where S^{-1/2} is 0."""
 
 
 @dataclass(frozen=True)
@@ -183,53 +188,98 @@ def _components(pattern):
         labels = new
 
 
-def _inv_sqrt(total, support=False):
-    """The blocks of S^{-1/2} on supp(S), for Hermitian S >= 0.
+def _blocks(family, branches):
+    """The blocks of every branch's S on its members' union pattern.
 
-    S is split into the connected components of its exact nonzero pattern;
-    no entry is thresholded, so the split is exact and a fully connected S is
-    one block.  Blocks of equal size are eigensolved in one stacked call, and
-    eigenvalues above 1e-12 count as the support.  Returns one group per
-    block size: the indices ``idx`` of its blocks, (n_blocks, size), and the
-    blocks S^{-1/2}[idx, idx], (n_blocks, size, size); with ``support`` the
-    group also carries the blocks of the projector onto supp(S).
+    ``family`` is a stack of Hermitian members (n_members, dim, dim) and
+    ``branches`` (n_branches, n_terms) lists the members summed into each S.
+    S and each of its members are exactly block-diagonal on the connected
+    components of the union of its members' nonzero patterns; no entry is
+    thresholded.  Those components join the members' own ones: as in
+    `_components`, each index takes the smallest label on its component in
+    every member, then follows that label, to a fixed point.  Returns one
+    pair per block size: the branch of each block (n_blocks,) and its
+    indices (n_blocks, size).
     """
-    labels = _components(total != 0)
+    dim = family.shape[1]
+    own = np.stack([_components(member != 0) for member in family])
+    offsets = np.arange(len(branches))[:, None] * dim
+    labels = np.arange(len(branches) * dim)
+    while True:
+        new = labels.copy()
+        for col in branches.T:
+            roots = (own[col] + offsets).ravel()
+            smallest = new.copy()
+            np.minimum.at(smallest, roots, new)
+            new = smallest[roots]
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
     order = np.argsort(labels, kind="stable")
     _, starts, sizes = np.unique(labels[order], return_index=True,
                                  return_counts=True)
     groups = []
     for size in np.unique(sizes):
-        idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        vals, vecs = np.linalg.eigh(total[idx[:, :, None], idx[:, None, :]])
-        pos = vals > 1e-12
-        scale = np.zeros_like(vals)
-        scale[pos] = 1.0 / np.sqrt(vals[pos])
-        vecs_h = vecs.conj().transpose(0, 2, 1)
-        group = (idx, (vecs * scale[:, None, :]) @ vecs_h)
-        if support:
-            group += ((vecs * pos[:, None, :]) @ vecs_h,)
-        groups.append(group)
+        block_nodes = order[starts[sizes == size][:, None] + np.arange(size)]
+        groups.append((block_nodes[:, 0] // dim, block_nodes % dim))
     return groups
 
 
-def _measured(groups, x, test):
-    """Re <h|T|h> for every column h of S^{-1/2} X, with S^{-1/2} given by
-    the groups of `_inv_sqrt`.
+def _inv_sqrt(total, support=False):
+    """S^{-1/2} on supp(S) for a stack of Hermitian S >= 0 blocks, (..., k, k).
 
-    Only the blocks that X's nonzero rows touch are multiplied, one stacked
-    matmul per block size.  h is exactly zero outside those blocks, so T is
-    read only on their rows k, as T[k, k]; T need not be block-diagonal.
+    One stacked eigensolve; eigenvalues above INV_SQRT_CUT count as the
+    support.  With ``support`` also returns the projectors onto supp(S).
     """
-    touched = (x != 0).any(axis=1)
-    rows, halves = [], []
-    for idx, inv_blocks in groups:
-        hit = touched[idx].any(axis=1)
-        rows.append(idx[hit].ravel())
-        halves.append((inv_blocks[hit] @ x[idx[hit]]).reshape(-1, x.shape[1]))
-    k = np.concatenate(rows)
-    half = np.concatenate(halves)
-    return np.real(np.sum(half.conj() * (test[np.ix_(k, k)] @ half), axis=0))
+    vals, vecs = np.linalg.eigh(total)
+    pos = vals > INV_SQRT_CUT
+    scale = np.zeros_like(vals)
+    scale[pos] = 1.0 / np.sqrt(vals[pos])
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    inv = (vecs * scale[..., None, :]) @ vecs_h
+    if support:
+        return inv, (vecs * pos[..., None, :]) @ vecs_h
+    return inv
+
+
+def _successes(family, branches, factors):
+    """Re Tr(S_b^{-1/2} F_m S_b^{-1/2} X_m X_m^dag) for every branch b and
+    its j-th member m = branches[b, j], as an (n_branches, n_terms) array.
+
+    S_b is the sum of the members F (a stack, (n_members, dim, dim)) over
+    row b of ``branches``, in row order; X_m = factors[m] is (dim, cols).
+    The trace is summed over the blocks of `_blocks`, and only blocks where
+    an X_m of the branch has a nonzero row are eigensolved, in one stacked
+    `_inv_sqrt` per block size for each chunk of branches.  A chunk's
+    n_terms x dim member rows hold no more entries than the family.
+    """
+    branches = np.asarray(branches)
+    n_terms, dim = branches.shape[1], family.shape[1]
+    touched = (factors != 0).any(axis=2)
+    out = np.zeros(branches.shape)
+    step = max(1, family.size // (n_terms * dim))
+    for start in range(0, len(branches), step):
+        chunk = branches[start:start + step]
+        hit = touched[chunk].any(axis=1)
+        for br, idx in _blocks(family, chunk):
+            keep = hit[br[:, None], idx].any(axis=1)
+            if not keep.any():
+                continue
+            br, idx = br[keep], idx[keep]
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            members = chunk[br]
+            total = family[members[:, :1, None], rows, cols]
+            for m in members.T[1:]:
+                total += family[m[:, None, None], rows, cols]
+            inv = _inv_sqrt(total)
+            for j, m in enumerate(members.T):
+                x = factors[m[:, None], idx]
+                gram = x @ x.conj().swapaxes(-1, -2)
+                lam = inv @ family[m[:, None, None], rows, cols] @ inv
+                np.add.at(out[start:start + step, j], br,
+                          np.einsum("bij,bji->b", lam, gram).real)
+    return out
 
 
 def hayashi_nagaoka_povm(operators):
@@ -248,9 +298,12 @@ def hayashi_nagaoka_povm(operators):
             raise ValueError("input operator exceeds the identity")
     inv_half = np.zeros((dim, dim), dtype=complex)
     supp = np.zeros((dim, dim), dtype=complex)
-    for idx, inv_blocks, supp_blocks in _inv_sqrt(sum(operators),
-                                                  support=True):
+    family = np.stack(operators)
+    for _, idx in _blocks(family, np.arange(len(family))[None]):
         rows, cols = idx[:, :, None], idx[:, None, :]
+        inv_blocks, supp_blocks = _inv_sqrt(sum(member[rows, cols]
+                                                for member in family),
+                                            support=True)
         inv_half[rows, cols] = inv_blocks
         supp[rows, cols] = supp_blocks
     elements = {}
@@ -313,20 +366,14 @@ def _signal_successes(test, sources, signals, weights):
     sources[l] is the gather map of U_l: (U_l x)[i] = x[sources[l][i]], so
     U_l test U_l^dag = test[src, src].  Lambda_l = S^{-1/2} U_l test U_l^dag
     S^{-1/2} with S the sum of the rotated tests, and tau_l = U_l (sum_c
-    weights[c] |c><c|) U_l^dag over the columns |c> of ``signals``.
-    U_l^dag S^{-1/2} U_l has the blocks of S^{-1/2} on the indices src[idx],
-    so the success is a weighted sum of quadratic forms of the test at the
-    unmoved signals.
+    weights[c] |c><c|) U_l^dag over the columns |c> of ``signals``, so
+    tau_l = X_l X_l^dag with X_l the weighted signals gathered by src.
     """
-    s_sum = np.zeros_like(test)
-    for src in sources.values():
-        s_sum += test[np.ix_(src, src)]
-    groups = _inv_sqrt(s_sum)
-    successes = {}
-    for ell, src in sources.items():
-        moved = [(src[idx], inv_blocks) for idx, inv_blocks in groups]
-        successes[ell] = float(weights @ _measured(moved, signals, test))
-    return successes
+    srcs = np.array(list(sources.values()))
+    successes = _successes(test[srcs[:, :, None], srcs[:, None, :]],
+                           [range(len(srcs))],
+                           (signals * np.sqrt(weights))[srcs])[0]
+    return dict(zip(sources, successes.tolist()))
 
 
 def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
@@ -573,36 +620,28 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     om_lift = np.kron(act(omega_test, flat.basis.T, (d_a, d_a), [1]),
                       np.eye(e_dim * d_dim))
     om_moved = permute_basis(om_lift, np.argsort(w_img), bob_dims, [1, 2, 3])
-    tests = [act(om_moved, lifted(u.matrix), bob_dims, [1, 2]) for u in hw]
+    tests = np.empty((len(hw),) + om_moved.shape, dtype=complex)
+    for y, u in enumerate(hw):
+        tests[y] = act(om_moved, lifted(u.matrix), bob_dims, [1, 2])
 
     # channel outputs of Alice's encodings W^dag (U_y^T (x) I) W, as column
     # blocks on (B, C, E, D) over the Kraus index and (E', D')
     resource = init.reshape(d_a * e_dim * d_dim, -1)
     kraus = [k @ flat.basis for k in channel.kraus]
-    columns = []
-    for u in hw:
+    columns = np.empty((len(hw), len(om_moved), len(kraus) * e_dim * d_dim),
+                       dtype=complex)
+    for y, u in enumerate(hw):
         u_enc = permute_basis(np.kron(lifted(u.matrix.T), np.eye(d_dim)),
                               w_img, side_dims, [0, 1, 2])
         enc = (u_enc @ resource).reshape(shape)
-        columns.append(np.concatenate(
+        columns[y] = np.concatenate(
             [np.einsum("ba,aedcfg->bcfged", k, enc).reshape(
-                -1, e_dim * d_dim) for k in kraus], axis=1))
+                -1, e_dim * d_dim) for k in kraus], axis=1)
 
-    success_cache = {}
-
-    def branch_successes(ys):
-        """Success of every message m under the decoder for rotations ys."""
-        if ys not in success_cache:
-            groups = _inv_sqrt(sum(tests[y] for y in ys))
-            success_cache[ys] = np.array(
-                [_measured(groups, columns[y_m], tests[y_m]).sum()
-                 for y_m in ys])
-        return success_cache[ys]
-
-    fam = pairwise_family(q_field)
-    totals = np.zeros(n_messages)
-    for ys in fam.images(range(n_messages)).reshape(-1, n_messages).tolist():
-        totals += branch_successes(tuple(ys))
+    images = pairwise_family(q_field).images(range(n_messages))
+    branches, inverse = np.unique(images.reshape(-1, n_messages), axis=0,
+                                  return_inverse=True)
+    totals = _successes(tests, branches, columns)[inverse].sum(axis=0)
     errors = 1.0 - totals / (q_field * q_field)
     branch_count = n_messages * q_field * q_field
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit import coding, entropy
-from oneshot_qit.coding import (POVM, CodingReport, _components, _inv_sqrt,
-                                _lifted_flat_test, _measured,
+from oneshot_qit.coding import (INV_SQRT_CUT, POVM, CodingReport, _blocks,
+                                _components, _inv_sqrt, _lifted_flat_test,
+                                _successes,
                                 amplitude_damping_channel,
                                 apply_channel, channel_rate_cap,
                                 dephasing_channel, depolarizing_channel,
@@ -55,7 +56,7 @@ def _block_diag(blocks):
 def _dense_inv_sqrt(total):
     """S^{-1/2} on the support and the support projector, one dense eigh."""
     vals, vecs = np.linalg.eigh(total)
-    pos = vals > 1e-12
+    pos = vals > INV_SQRT_CUT
     v_pos = vecs[:, pos]
     return (v_pos / np.sqrt(vals[pos])) @ v_pos.conj().T, \
         v_pos @ v_pos.conj().T
@@ -201,27 +202,40 @@ class TestHayashiNagaoka:
             POVM({0: np.diag([0.5, 0.5]), 1: np.diag([0.2, 0.2])})
 
 
-def _scatter(groups, part, dim):
-    """Dense dim x dim matrix of the blocks ``group[part]`` of `_inv_sqrt`."""
-    out = np.zeros((dim, dim), dtype=complex)
-    for group in groups:
-        idx = group[0]
-        out[idx[:, :, None], idx[:, None, :]] = group[part]
-    return out
+def _own_components(total):
+    """Number of connected components of the nonzero pattern of ``total``."""
+    return len(np.unique(_components(total != 0)))
+
+
+def _block_inv_sqrt(family):
+    """Dense S^{-1/2} and support projector of S = sum(family), scattered
+    from the blocks of `_blocks` and `_inv_sqrt`."""
+    family = np.stack(family)
+    dim = family.shape[1]
+    inv_half = np.zeros((dim, dim), dtype=complex)
+    supp = np.zeros((dim, dim), dtype=complex)
+    for br, idx in _blocks(family, np.arange(len(family))[None]):
+        assert not br.any()
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        total = sum(member[rows, cols] for member in family)
+        inv_blocks, supp_blocks = _inv_sqrt(total, support=True)
+        assert np.array_equal(_inv_sqrt(total), inv_blocks)
+        inv_half[rows, cols] = inv_blocks
+        supp[rows, cols] = supp_blocks
+    return inv_half, supp
 
 
 class TestInvSqrt:
     def check(self, total, n_blocks):
-        assert len(np.unique(_components(total != 0))) == n_blocks
-        groups = _inv_sqrt(total, support=True)
-        dim = total.shape[0]
-        covered = np.concatenate([group[0].ravel() for group in groups])
-        assert np.array_equal(np.sort(covered), np.arange(dim))
+        assert _own_components(total) == n_blocks
+        one_branch = np.zeros((1, 1), dtype=int)
+        covered = np.concatenate(
+            [idx.ravel() for _, idx in _blocks(total[None], one_branch)])
+        assert np.array_equal(np.sort(covered), np.arange(total.shape[0]))
+        got_inv, got_supp = _block_inv_sqrt([total])
         want_inv, want_supp = _dense_inv_sqrt(total)
-        assert np.max(np.abs(_scatter(groups, 1, dim) - want_inv)) <= 1e-12
-        assert np.max(np.abs(_scatter(groups, 2, dim) - want_supp)) <= 1e-12
-        assert np.array_equal(_scatter(_inv_sqrt(total), 1, dim),
-                              _scatter(groups, 1, dim))
+        assert np.max(np.abs(got_inv - want_inv)) <= 1e-12
+        assert np.max(np.abs(got_supp - want_supp)) <= 1e-12
 
     def test_permuted_blocks_of_unequal_sizes(self):
         rng = np.random.default_rng(0)
@@ -238,50 +252,75 @@ class TestInvSqrt:
         total = _block_diag([_psd(rng, 3, rank=1), _psd(rng, 4, rank=2),
                              _psd(rng, 2)])
         self.check(total, 3)
-        supp = _scatter(_inv_sqrt(total, support=True), 2, 9)
-        assert abs(np.trace(supp) - 5) <= 1e-12
+        assert abs(np.trace(_block_inv_sqrt([total])[1]) - 5) <= 1e-12
 
     def test_zero_block(self):
         rng = np.random.default_rng(3)
         total = _block_diag([_psd(rng, 3), np.zeros((4, 4)), _psd(rng, 2)])
         self.check(total, 2 + 4)
-        groups = _inv_sqrt(total, support=True)
-        assert not _scatter(groups, 1, 9)[3:7].any()
-        assert not _scatter(groups, 2, 9)[3:7].any()
+        inv_half, supp = _block_inv_sqrt([total])
+        assert not inv_half[3:7].any()
+        assert not supp[3:7].any()
 
 
-def _dense_measured(total, x, test):
-    """Re <h|T|h> per column h of S^{-1/2} X, through the dense S^{-1/2}."""
-    half = _dense_inv_sqrt(total)[0] @ x
-    return np.real(np.sum(half.conj() * (test @ half), axis=0))
+def _dense_successes(family, branches, factors):
+    """Re Tr(S_b^{-1/2} F_m S_b^{-1/2} X_m X_m^dag) through one dense
+    S^{-1/2} per branch."""
+    out = np.zeros(np.shape(branches))
+    for b, row in enumerate(branches):
+        inv_half = _dense_inv_sqrt(sum(family[m] for m in row))[0]
+        for j, m in enumerate(row):
+            lam = inv_half @ family[m] @ inv_half
+            out[b, j] = np.real(np.trace(lam @ factors[m]
+                                         @ factors[m].conj().T))
+    return out
 
 
-class TestMeasured:
+def _check_successes(family, branches, factors):
+    family, factors = np.stack(family), np.stack(factors)
+    got = _successes(family, branches, factors)
+    want = _dense_successes(family, branches, factors)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    return got
+
+
+def _factors(rng, count, dim, cols):
+    return [rng.standard_normal((dim, cols))
+            + 1j * rng.standard_normal((dim, cols)) for _ in range(count)]
+
+
+class TestSuccesses:
     def test_kernel_rows_contribute_zero(self):
         rng = np.random.default_rng(4)
-        total = _block_diag([_psd(rng, 3), np.zeros((4, 4)), _psd(rng, 2)])
-        test = _psd(rng, 9, low=0.0, high=1.0)
+        family = [_block_diag([_psd(rng, 3, low=0.0, high=1.0),
+                               np.zeros((4, 4)),
+                               _psd(rng, 2, low=0.0, high=1.0)])
+                  for _ in range(2)]
         x = np.zeros((9, 5), dtype=complex)
         x[3:7] = rng.standard_normal((4, 5))
-        assert np.array_equal(_measured(_inv_sqrt(total), x, test),
-                              np.zeros(5))
+        assert np.array_equal(_check_successes(family, [[0, 1]], [x, x]),
+                              np.zeros((1, 2)))
         x[[0, 8]] = rng.standard_normal((2, 5))
-        assert np.max(np.abs(_measured(_inv_sqrt(total), x, test)
-                             - _dense_measured(total, x, test))) <= 1e-12
+        _check_successes(family, [[0, 1], [1, 1]], [x, 2 * x])
 
-    def test_unequal_blocks_and_a_test_across_blocks(self):
+    def test_unequal_blocks_over_many_branches(self):
+        # 45 branches of 3 terms: the 4 x 17^2 entries of the family take
+        # 22 branches' 3 x 17 member rows at a time, so 3 chunks
         rng = np.random.default_rng(5)
-        sizes = (3, 1, 3, 5, 2, 3)
-        perm = rng.permutation(sum(sizes))
-        total = _block_diag([_psd(rng, k) for k in sizes])[np.ix_(perm, perm)]
-        test = _psd(rng, sum(sizes), low=0.0, high=1.0)
-        x = np.zeros((sum(sizes), 4), dtype=complex)
-        # rows in blocks of sizes 3, 1, 3, 5 and 3; the block of 2 is missed
-        rows = np.argsort(perm)[[0, 3, 4, 7, 9, 15]]
-        x[rows] = rng.standard_normal((6, 4)) \
-            + 1j * rng.standard_normal((6, 4))
-        assert np.max(np.abs(_measured(_inv_sqrt(total), x, test)
-                             - _dense_measured(total, x, test))) <= 1e-12
+        _check_successes(_test_family(5, 4, (3, 1, 3, 5, 2, 3)),
+                         rng.integers(0, 4, (45, 3)),
+                         _factors(rng, 4, 17, 3))
+
+    def test_cancelling_off_diagonals(self):
+        # S = diag(0.9, 0.6, 0.4): its own pattern splits 1 + 1 + 1, while
+        # the members couple the first two indices
+        family = [np.array([[0.3, 0.2, 0], [0.2, 0.5, 0], [0, 0, 0.4]]),
+                  np.array([[0.6, -0.2, 0], [-0.2, 0.1, 0], [0, 0, 0.0]])]
+        assert _own_components(family[0] + family[1]) == 3
+        assert sorted(idx.shape[1] for _, idx in
+                      _blocks(np.stack(family), np.array([[0, 1]]))) == [1, 2]
+        _check_successes(family, [[0, 1], [1, 0], [0, 0]],
+                         _factors(np.random.default_rng(6), 2, 3, 2))
 
 
 def _test_family(seed, count, sizes):
@@ -647,36 +686,72 @@ class TestChannelCode:
                                            Fraction(2, 3), a=2, n=4)
         assert abs(rep.empirical_max_error - oracle) <= 1e-12
 
-    @pytest.fixture
-    def block_sizes(self, monkeypatch):
-        """Largest block of every S handed to `_inv_sqrt`, one per call."""
-        sizes = []
+    def test_union_blocks_coarser_than_each_member(self, monkeypatch):
+        # depolarizing(0.1) at rate 0: each of the 16 tests splits into 52
+        # blocks of 1 and 52 of 3 by its own pattern, and the union of two
+        # or more of them joins some into blocks of 4
+        calls = []
 
-        def recording(total):
-            sizes.append(np.bincount(_components(total != 0)).max())
-            return _inv_sqrt(total)
+        def recording(*args):
+            calls.append(args)
+            return _successes(*args)
+
+        monkeypatch.setattr(coding, "_successes", recording)
+        ea_channel_code(depolarizing_channel(0.1), self.mu_a, 0, 0.05, 0.5,
+                        0.5, a=4, n=5)
+        (family, branches, factors), = calls
+        assert branches.tolist() == [[y] for y in range(16)]
+        for member in family:
+            labels = _components(member != 0)
+            assert sorted(np.bincount(labels)[np.unique(labels)]) \
+                == [1] * 52 + [3] * 52
+        _check_successes(family, branches, factors)
+        for row in ([0, 5], [3, 12], list(range(16))):
+            assert max(idx.shape[1] for _, idx in
+                       _blocks(family, np.array([row]))) == 4
+            _check_successes(family, [row], factors)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Shape of every stack of S blocks handed to `_inv_sqrt`, and the
+        number of branches of every chunk handed to `_blocks`."""
+        shapes, chunks = [], []
+
+        def recording(total, support=False):
+            shapes.append(total.shape)
+            return _inv_sqrt(total, support)
+
+        def chunk_recording(family, branches):
+            chunks.append(len(branches))
+            return _blocks(family, branches)
 
         monkeypatch.setattr(coding, "_inv_sqrt", recording)
-        return sizes
+        monkeypatch.setattr(coding, "_blocks", chunk_recording)
+        return shapes, chunks
 
     @pytest.mark.parametrize("psi_a, gamma, a, n", [
         (_seeded_input((0.7, 0.3), 1), Fraction(2, 3), 2, 4),
         (_nonuniform_input(), 0.5, 4, 8)])
-    def test_rate_zero_blocks_are_small(self, block_sizes, psi_a, gamma, a,
-                                        n):
+    def test_rate_zero_blocks_are_small(self, solves, psi_a, gamma, a, n):
         ea_channel_code(identity_channel(2), psi_a, 0, 0.05, gamma, 0.5,
                         a=a, n=n)
-        assert block_sizes and max(block_sizes) <= 4
+        shapes, _ = solves
+        assert shapes and max(shape[-1] for shape in shapes) <= 4
 
     def test_rate_two_blocks_are_small_and_solved_once_per_family(
-            self, block_sizes):
-        # the benchmark's rate-2 identity code: 4 messages over GF(16)
+            self, solves):
+        # the benchmark's rate-2 identity code: 4 messages over GF(16), all
+        # 256 distinct branches in one chunk, one stacked eigensolve per
+        # block size (the blocks that the messages' columns touch)
         ea_channel_code(identity_channel(2), self.mu_a, 2, 0.05, 0.5, 0.5,
                         a=4, n=5, enforce_cap=False)
         images = pairwise_family(16).images(range(4)).reshape(-1, 4)
-        assert len(block_sizes) == len(set(map(tuple, images.tolist()))) \
-            == 256
-        assert max(block_sizes) <= 4
+        assert len(set(map(tuple, images.tolist()))) == 256
+        shapes, chunks = solves
+        assert chunks == [256]
+        sizes = [shape[-1] for shape in shapes]
+        assert sizes and len(sizes) == len(set(sizes))
+        assert max(sizes) <= 4
 
 
 class TestOneThresholdTest:

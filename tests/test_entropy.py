@@ -130,14 +130,12 @@ def random_channel(rng, dim, count):
 
 
 class TestDataProcessing:
-    """D and D_max do not grow under a channel on one register."""
+    """D, D_max and D_H^eps do not grow under a channel on one register."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), d_a=st.integers(2, 3),
-           d_b=st.integers(1, 2), count=st.integers(1, 4),
-           kind=st.sampled_from(["full", "rho-deficient", "nested"]))
-    def test_channel_does_not_increase_divergences(self, seed, d_a, d_b,
-                                                  count, kind):
+    @staticmethod
+    def pair(seed, d_a, d_b, count, kind):
+        """(rho, sigma, channel on A): full-rank rho and sigma,
+        rank-deficient rho, or rho inside a rank-deficient supp sigma."""
         rng = np.random.default_rng(seed)
         system = sysof(("A", d_a), ("B", d_b))
         d = d_a * d_b
@@ -151,7 +149,15 @@ class TestDataProcessing:
                            rng.dirichlet(np.ones(rho_rank)))
         rho = DensityOperator(system, rho_mat)
         sig = DensityOperator(system, sig_mat)
-        channel = random_channel(rng, d_a, count)
+        return rho, sig, random_channel(rng, d_a, count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d_a=st.integers(2, 3),
+           d_b=st.integers(1, 2), count=st.integers(1, 4),
+           kind=st.sampled_from(["full", "rho-deficient", "nested"]))
+    def test_channel_does_not_increase_divergences(self, seed, d_a, d_b,
+                                                  count, kind):
+        rho, sig, channel = self.pair(seed, d_a, d_b, count, kind)
         out_rho = apply_channel(channel, rho, ["A"])
         out_sig = apply_channel(channel, sig, ["A"])
         for measure in (relative_entropy, dmax):
@@ -159,6 +165,21 @@ class TestDataProcessing:
             after = measure(out_rho, out_sig)
             assert before.finite and after.finite
             assert after.value <= before.value + 1e-9, measure.__name__
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d_a=st.integers(2, 3),
+           d_b=st.integers(1, 2), count=st.integers(1, 4),
+           kind=st.sampled_from(["full", "rho-deficient", "nested"]),
+           eps=st.sampled_from([0.0, 0.05, 0.1, 0.5, 0.9])
+           | st.floats(0.01, 0.95))
+    def test_channel_does_not_increase_dh(self, seed, d_a, d_b, count, kind,
+                                          eps):
+        rho, sig, channel = self.pair(seed, d_a, d_b, count, kind)
+        before = dh_eps(rho, sig, eps)
+        after = dh_eps(apply_channel(channel, rho, ["A"]),
+                       apply_channel(channel, sig, ["A"]), eps)
+        assert before.finite and after.finite
+        assert after.value <= before.value + 1e-9
 
 
 def state_on(rng, basis, probs):

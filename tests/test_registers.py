@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    act, apply_unitary, basis_state,
@@ -220,6 +222,23 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(random_density(0, sysof(("A", 2))),
                      random_density(0, sysof(("B", 3))))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 6),
+           kind=st.sampled_from(["full", "rho-deficient", "both-deficient",
+                                 "pure"]))
+    def test_fuchs_van_de_graaf(self, seed, d, kind):
+        # 1 - F <= T <= P with T = ||rho - sigma||_1 / 2; both pure is the
+        # case T = P
+        ranks = {"full": (d, d), "rho-deficient": (d // 2, d),
+                 "both-deficient": (d // 2, d - 1), "pure": (1, 1)}[kind]
+        s = sysof(("A", d))
+        rho = random_density(seed, s, rank=ranks[0])
+        sigma = random_density(seed + 1, s, rank=ranks[1])
+        trace_dist = 0.5 * float(np.sum(np.abs(
+            np.linalg.eigvalsh(rho.matrix - sigma.matrix))))
+        assert 1.0 - fidelity(rho, sigma) <= trace_dist + 1e-9
+        assert trace_dist <= purified_distance(rho, sigma) + 1e-9
 
 
 class TestCanonicalPurification:
