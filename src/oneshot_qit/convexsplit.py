@@ -52,91 +52,66 @@ def _factor_prime_power(q):
     raise ValueError(f"{q} is not a prime power")
 
 
+def _digits(x, p, n):
+    """The n base-p digits of x, lowest first (ints or int arrays)."""
+    return [x // p ** k % p for k in range(n)]
+
+
+def _value(digits, p):
+    """The value of base-p ``digits``, lowest first, summed as they come."""
+    return sum(c * p ** k for k, c in enumerate(digits))
+
+
+def _remainder(coeffs, modulus, p):
+    """Digits of sum_k coeffs[k] x^k mod the monic ``modulus`` over GF(p).
+
+    Both are lists of coefficients, lowest degree first, and may hold int
+    arrays that broadcast against each other.
+    """
+    coeffs = list(coeffs)
+    deg = len(modulus) - 1
+    for top in range(len(coeffs) - 1, deg - 1, -1):
+        lead = coeffs[top] % p
+        for k in range(deg):
+            coeffs[top - deg + k] = coeffs[top - deg + k] - lead * modulus[k]
+    return [c % p for c in coeffs[:deg]]
+
+
 class GaloisField:
-    """Arithmetic in GF(p^m); elements are integers 0..q-1 in base-p digit encoding."""
+    """GF(p^m) on the integers 0..q-1.
+
+    The base-p digits of a value, lowest first, are its coefficients of
+    x^0..x^(m-1).  ``poly`` (lowest degree first, None when m = 1) is the
+    first monic irreducible degree-m polynomial in the order of its tail
+    x^0..x^(m-1) read as a value, found by trial division by every monic
+    polynomial of degree 1..m//2.  ``add`` and ``mul`` take ints or int
+    arrays and broadcast; ints in give ints out.
+    """
 
     def __init__(self, q):
         p, m = _factor_prime_power(q)
         self.q, self.p, self.m = q, p, m
-        self.poly = None if m == 1 else self._smallest_irreducible()
-
-    def _to_digits(self, x, length):
-        out = []
-        for _ in range(length):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def _from_digits(self, digits):
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d
-        return out
+        self.poly = None
+        if m > 1:
+            monic = _digits(np.arange(q)[:, None], p, m) + [1]
+            irreducible = np.ones(q, dtype=bool)
+            for deg in range(1, m // 2 + 1):
+                factor = _digits(np.arange(p ** deg), p, deg) + [1]
+                irreducible &= np.any(_remainder(monic, factor, p),
+                                      axis=0).all(axis=1)
+            self.poly = _digits(int(np.argmax(irreducible)), p, m) + [1]
 
     def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        da = self._to_digits(a, self.m)
-        db = self._to_digits(b, self.m)
-        return self._from_digits([(x + y) % self.p for x, y in zip(da, db)])
+        pairs = zip(_digits(a, self.p, self.m), _digits(b, self.p, self.m))
+        return _value(((x + y) % self.p for x, y in pairs), self.p)
 
     def mul(self, a, b):
-        if self.m == 1:
-            return (a * b) % self.p
-        da = self._to_digits(a, self.m)
-        db = self._to_digits(b, self.m)
-        return self._from_digits(self._poly_mul_mod(da, db, self.poly, self.m))
-
-    def _poly_mul_mod(self, a_digits, b_digits, mod_digits, deg):
-        prod = [0] * (2 * deg - 1 if deg > 1 else 1)
-        for i, x in enumerate(a_digits):
-            if x:
-                for j, y in enumerate(b_digits):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        for d in range(len(prod) - 1, deg - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for k in range(deg + 1):
-                    if mod_digits[k]:
-                        prod[d - deg + k] = (prod[d - deg + k] - c * mod_digits[k]) % self.p
-        return prod[:deg] + [0] * (deg - len(prod[:deg]))
-
-    def _is_irreducible(self, digits):
-        # x^(p^k) mod f: f of degree m is irreducible over GF(p) iff
-        # x^(p^m) == x (mod f) and gcd-degree checks via x^(p^d) != x for d | m, d < m.
-        m = self.m
-
-        def frob_pow(times):
-            cur = [0, 1] + [0] * (m - 2) if m >= 2 else [0]
-            for _ in range(times):
-                # raise to p-th power by repeated squaring-multiplication
-                result = [1] + [0] * (m - 1)
-                base = cur
-                e = self.p
-                while e:
-                    if e & 1:
-                        result = self._poly_mul_mod(result, base, digits, m)
-                    base = self._poly_mul_mod(base, base, digits, m)
-                    e >>= 1
-                cur = result
-            return cur
-
-        x_poly = [0, 1] + [0] * (m - 2) if m >= 2 else [0]
-        if frob_pow(m) != x_poly:
-            return False
-        for d in range(1, m):
-            if m % d == 0 and frob_pow(d) == x_poly:
-                return False
-        return True
-
-    def _smallest_irreducible(self):
-        # deterministic: scan monic polynomials by integer encoding
-        for tail in range(self.p ** self.m):
-            digits = self._to_digits(tail, self.m) + [1]
-            if self._is_irreducible(digits):
-                return digits
-        raise RuntimeError(f"no irreducible polynomial found for GF({self.q})")
+        prod = [0] * (2 * self.m - 1)
+        for i, x in enumerate(_digits(a, self.p, self.m)):
+            for j, y in enumerate(_digits(b, self.p, self.m)):
+                prod[i + j] = prod[i + j] + x * y
+        # GF(p) reduces by x, which leaves the one coefficient as it is
+        return _value(_remainder(prod, self.poly or [0, 1], self.p), self.p)
 
 
 @dataclass(frozen=True)
@@ -149,33 +124,21 @@ class PairwiseFamily:
         object.__setattr__(self, "_field", GaloisField(self.q))
 
     def evaluate(self, j, x1, x2):
+        """f_j(x1, x2); ints or int arrays that broadcast."""
         f = self._field
         return f.add(x1, f.mul(j, x2))
 
     def images(self, members):
-        """f_j(x1, x2) for the listed members j, as an array indexed [x1, x2, i].
-
-        One scalar ``mul`` per (j, x2); the additions x1 + j*x2 run digit by
-        digit mod p over the whole array.
-        """
-        f = self._field
-        prods = np.array([[f.mul(j, x2) for j in members] for x2 in range(self.q)],
-                         dtype=np.int64).reshape(self.q, len(members))
-        x1 = np.arange(self.q)[:, None, None]
-        out = np.zeros((self.q, self.q, len(members)), dtype=np.int64)
-        unit = 1
-        for _ in range(f.m):
-            out += (x1 // unit + prods // unit) % f.p * unit
-            unit *= f.p
-        return out
+        """f_j(x1, x2) for the listed members j, as an array indexed [x1, x2, i]."""
+        x = np.arange(self.q)
+        return self.evaluate(np.asarray(members, dtype=np.int64),
+                             x[:, None, None], x[:, None])
 
     def joint_map_is_bijection(self, j, k):
         """Exhaustive pairwise-independence check for the member pair (j, k)."""
-        seen = set()
-        for x1 in range(self.q):
-            for x2 in range(self.q):
-                seen.add((self.evaluate(j, x1, x2), self.evaluate(k, x1, x2)))
-        return len(seen) == self.q * self.q
+        img = self.images([j, k])
+        pairs = (img[..., 0] * self.q + img[..., 1]).ravel()
+        return bool(np.bincount(pairs, minlength=self.q * self.q).all())
 
 
 def pairwise_family(q):
@@ -435,16 +398,10 @@ def prime_register(base_dim):
 
 
 def u_ell(ell, prime_reg):
-    """Permutation of {0..|G|-1}^2: (i, j) -> (i + (j-i)l, j + (j-i)l) mod |G|."""
+    """`u_ell_index` on |G| = prime_reg as a dict of int pairs (i, j) -> image."""
     g = prime_reg.prime if isinstance(prime_reg, PrimeRegister) else int(prime_reg)
-    if not 0 <= ell < g:
-        raise ValueError(f"l = {ell} out of range [0, {g})")
-    table = {}
-    for i in range(g):
-        for j in range(g):
-            d = (j - i) % g
-            table[(i, j)] = ((i + d * ell) % g, (j + d * ell) % g)
-    return table
+    return {divmod(k, g): divmod(v, g)
+            for k, v in enumerate(u_ell_index(ell, g).tolist())}
 
 
 def compose_u(first, then):
@@ -453,7 +410,7 @@ def compose_u(first, then):
 
 
 def u_ell_index(ell, g):
-    """u_ell as an index array over the flat pairs i*g + j (vectorised)."""
+    """U_l: (i, j) -> (i + (j-i)l, j + (j-i)l) mod g, over the flat pairs i*g + j."""
     if not 0 <= ell < g:
         raise ValueError(f"l = {ell} out of range [0, {g})")
     i, j = np.divmod(np.arange(g * g), g)

@@ -19,6 +19,8 @@ from .registers import (DensityOperator, _as_density, partial_trace,
 
 SUPPORT_TOL = 1e-10
 _SUPPORT_MASS_TOL = 1e-8
+# 64 ulp of 1: how closely the threshold test's sums resolve 1 - eps
+TRACE_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,12 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     depends on the eigenbasis the eigensolver returns for that kernel.
     Eigensolving at the bisection's own end point makes it the bisection's
     choice; the channel code's reported error depends on it.
+
+    Where 1 - eps is within TRACE_ROUNDING of Tr rho, f cannot resolve it:
+    f is a sum rounded at a few ulp, and for pure rho it stays within that
+    rounding of Tr rho over a range of t, so t* would follow the noise.
+    There, eps = 0 included, the answer is the eps = 0 optimum: Pi is the
+    projector onto supp(rho).
     """
     d = rho_mat.shape[0]
     svals, svecs, pos, r0 = _support_split(rho_mat, sigma_mat)
@@ -205,7 +213,7 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     pi = np.zeros((d, d), dtype=complex)
     pi += ker_vecs @ ker_vecs.conj().T
 
-    if eps == 0.0:
+    if 1.0 - eps >= float(np.real(np.trace(rho_mat))) - TRACE_ROUNDING:
         # Tr(Pi rho) = 1 forces Pi >= supp(rho); optimum is exactly that projector
         rvals, rvecs = np.linalg.eigh(rho_mat)
         supp = rvecs[:, rvals > SUPPORT_TOL]

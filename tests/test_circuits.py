@@ -9,7 +9,7 @@ from oneshot_qit.circuits import (CircuitMetrics, Gate, ReversibleCircuit,
                                   simulate_basis, simulate_table,
                                   synth_decoupler, synth_mod_add,
                                   synth_mod_mul_const, synth_swap)
-from oneshot_qit.convexsplit import PrimeRegister, u_ell
+from oneshot_qit.convexsplit import PrimeRegister, u_ell, u_ell_index
 
 
 def run_mod_add(circ, modulus, x, y):
@@ -154,6 +154,58 @@ def exhaustive_decoupler_check(c_dim, g):
         assert l_out == ell
         assert not row[2 * n + l_bits:].any()   # ancillas restored
     return circ
+
+
+def _bits(values, n):
+    """Little-endian n-bit rows of ``values``."""
+    return (np.asarray(values)[:, None] >> np.arange(n)) & 1
+
+
+def _value(bits):
+    return bits.astype(np.int64) @ (1 << np.arange(bits.shape[1]))
+
+
+# every prime below 40 with some |C| such that |C|^2 <= |G| <= 2|C|^2 (all but 3)
+DECOUPLER_PRIMES = [2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+class TestRandomPrimes:
+    """All three modular circuits on every input of a random small prime."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.sampled_from(DECOUPLER_PRIMES), data=st.data())
+    def test_circuits_match_modular_arithmetic(self, p, data):
+        n = max(1, (p - 1).bit_length())
+        x, y = np.divmod(np.arange(p * p), p)
+        circ = synth_mod_add(p)
+        inputs = np.zeros((p * p, circ.wire_count), dtype=bool)
+        inputs[:, :n], inputs[:, n:2 * n] = _bits(x, n), _bits(y, n)
+        out = simulate_table(circ, inputs)
+        assert np.array_equal(_value(out[:, :n]), x)
+        assert np.array_equal(_value(out[:, n:2 * n]), (x + y) % p)
+        assert not out[:, 2 * n:].any()
+
+        const = data.draw(st.integers(1, p - 1), label="const")
+        circ = synth_mod_mul_const(p, const)
+        inputs = np.zeros((p, circ.wire_count), dtype=bool)
+        inputs[:, :n] = _bits(np.arange(p), n)
+        out = simulate_table(circ, inputs)
+        assert np.array_equal(_value(out[:, :n]), const * np.arange(p) % p)
+        assert not out[:, n:].any()
+
+        c_dim = data.draw(st.sampled_from(
+            [c for c in range(1, 7) if c * c <= p <= 2 * c * c]), label="c_dim")
+        circ = synth_decoupler(c_dim, p, p)
+        ell, i, j = np.indices((p, p, p)).reshape(3, -1)
+        inputs = np.zeros((p ** 3, circ.wire_count), dtype=bool)
+        inputs[:, :n], inputs[:, n:2 * n] = _bits(i, n), _bits(j, n)
+        inputs[:, 2 * n:3 * n] = _bits(ell, n)
+        out = simulate_table(circ, inputs)
+        images = np.stack([u_ell_index(m, p) for m in range(p)])
+        assert np.array_equal(_value(out[:, :n]) * p + _value(out[:, n:2 * n]),
+                              images[ell, i * p + j])
+        assert np.array_equal(_value(out[:, 2 * n:3 * n]), ell)
+        assert not out[:, 3 * n:].any()
 
 
 class TestDecoupler:

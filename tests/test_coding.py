@@ -322,6 +322,26 @@ class TestSuccesses:
         _check_successes(family, [[0, 1], [1, 0], [0, 0]],
                          _factors(np.random.default_rng(6), 2, 3, 2))
 
+    def test_support_eigenvalue_near_1e9(self):
+        # S = diag(1, 1e-9) exactly: its 1e-9 direction lies above
+        # INV_SQRT_CUT, so it is support, and each Lambda_m couples it to the
+        # first index by +-c / sqrt(1e-9), about 0.32
+        c = 1e-5
+        family = [np.array([[0.5, c], [c, 0.5e-9]]),
+                  np.array([[0.5, -c], [-c, 0.5e-9]])]
+        off = c / np.sqrt(1e-9)
+        lams = [np.array([[0.5, off], [off, 0.5]]),
+                np.array([[0.5, -off], [-off, 0.5]])]
+        povm = hayashi_nagaoka_povm(family)
+        for m, lam in enumerate(lams):
+            assert np.max(np.abs(povm.elements[m] - lam)) <= 1e-12
+        assert np.max(np.abs(povm.elements[-1])) <= 1e-12
+        factors = _factors(np.random.default_rng(7), 2, 2, 2)
+        got = _check_successes(family, [[0, 1], [1, 0]], factors)
+        want = [np.real(np.trace(lams[m] @ x @ x.conj().T))
+                for m, x in enumerate(factors)]
+        assert np.max(np.abs(got - [want, want[::-1]])) <= 1e-12
+
 
 def _test_family(seed, count, sizes):
     """`count` block-diagonal operators 0 <= Omega <= I, one shared basis

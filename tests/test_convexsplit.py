@@ -9,7 +9,8 @@ from oneshot_qit.coding import (hayashi_nagaoka_povm, neyman_pearson_operator,
                                 position_based_decode_classical,
                                 position_based_decode_flat)
 from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
-                                     PrimeRegister, classical_marginal_check,
+                                     PrimeRegister, _factor_prime_power,
+                                     classical_marginal_check,
                                      compose_u, convex_split_1design,
                                      convex_split_classical, hw_family,
                                      hw_translation_classes, hw_unitary,
@@ -97,8 +98,166 @@ class TestOneDesign:
                 assert np.linalg.norm(avg.matrix - target.matrix) <= 1e-10
 
 
+class ScalarField:
+    """GF(p^m) one element at a time on digit lists (oracle).
+
+    The arithmetic GaloisField had before it took arrays: base-p digit
+    lists, a schoolbook product and its reduction by the monic ``poly``
+    (lowest degree first, None when m = 1).
+    """
+
+    def __init__(self, q, poly):
+        self.p, self.m = _factor_prime_power(q)
+        self.poly = poly
+
+    def _to_digits(self, x, length):
+        out = []
+        for _ in range(length):
+            out.append(x % self.p)
+            x //= self.p
+        return out
+
+    def _from_digits(self, digits):
+        out = 0
+        for d in reversed(digits):
+            out = out * self.p + d
+        return out
+
+    def add(self, a, b):
+        if self.m == 1:
+            return (a + b) % self.p
+        da = self._to_digits(a, self.m)
+        db = self._to_digits(b, self.m)
+        return self._from_digits([(x + y) % self.p for x, y in zip(da, db)])
+
+    def mul(self, a, b):
+        if self.m == 1:
+            return (a * b) % self.p
+        da = self._to_digits(a, self.m)
+        db = self._to_digits(b, self.m)
+        return self._from_digits(self._poly_mul_mod(da, db, self.poly, self.m))
+
+    def _poly_mul_mod(self, a_digits, b_digits, mod_digits, deg):
+        prod = [0] * (2 * deg - 1 if deg > 1 else 1)
+        for i, x in enumerate(a_digits):
+            if x:
+                for j, y in enumerate(b_digits):
+                    prod[i + j] = (prod[i + j] + x * y) % self.p
+        for d in range(len(prod) - 1, deg - 1, -1):
+            c = prod[d]
+            if c:
+                prod[d] = 0
+                for k in range(deg + 1):
+                    if mod_digits[k]:
+                        prod[d - deg + k] = (prod[d - deg + k] - c * mod_digits[k]) % self.p
+        return prod[:deg] + [0] * (deg - len(prod[:deg]))
+
+    def tables(self):
+        """The full addition and multiplication tables, [a, b]."""
+        q = self.p ** self.m
+        add = np.array([[self.add(a, b) for b in range(q)] for a in range(q)])
+        mul = np.array([[self.mul(a, b) for b in range(q)] for a in range(q)])
+        return add, mul
+
+
+def _prime_powers(limit):
+    """(q, p, m) for every prime power q = p^m <= limit."""
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            out.append((q, *_factor_prime_power(q)))
+        except ValueError:
+            pass
+    return out
+
+
+PRIME_POWERS = _prime_powers(4096)
+EXTENSIONS = [q for q, _, m in PRIME_POWERS if m > 1]
+PRIMES = [q for q, _, m in PRIME_POWERS if m == 1]
+
+# the tail of GaloisField(q).poly (its coefficients of x^0..x^(m-1) read in
+# base p) for every q = p^m <= 4096 with m > 1.  Each is the polynomial the
+# earlier Frobenius test chose, except at 729: that test took tail 4,
+# x^6 + x + 1, which has the root 1 over GF(3), and trial division takes
+# x^6 + x + 2.
+POLY_TAILS = {
+    4: 3, 8: 3, 9: 1, 16: 3, 25: 2, 27: 7, 32: 5, 49: 1, 64: 3, 81: 5,
+    121: 1, 125: 6, 128: 3, 169: 2, 243: 7, 256: 27, 289: 3, 343: 2, 361: 1,
+    512: 3, 529: 1, 625: 2, 729: 5, 841: 2, 961: 1, 1024: 9, 1331: 15,
+    1369: 2, 1681: 3, 1849: 1, 2048: 5, 2187: 11, 2197: 2, 2209: 1, 2401: 8,
+    2809: 2, 3125: 21, 3481: 1, 3721: 2, 4096: 9}
+
+
+def _oracle_pairs(q, seed):
+    """Every (a, b) for q <= 64, else 2000 seeded pairs."""
+    if q <= 64:
+        a, b = np.divmod(np.arange(q * q), q)
+        return a, b
+    return np.random.default_rng(seed).integers(0, q, (2, 2000))
+
+
+class TestGaloisField:
+    def test_polynomial_table(self):
+        assert sorted(POLY_TAILS) == EXTENSIONS
+        for q, p, m in PRIME_POWERS:
+            poly = GaloisField(q).poly
+            if m == 1:
+                assert poly is None
+                continue
+            tail = POLY_TAILS[q]
+            assert poly == [tail // p ** k % p for k in range(m)] + [1]
+            assert all(type(c) is int for c in poly)
+
+    @pytest.mark.parametrize("q", [q for q in EXTENSIONS if q != 729])
+    def test_matches_scalar_oracle(self, q):
+        f = GaloisField(q)
+        oracle = ScalarField(q, f.poly)
+        a, b = _oracle_pairs(q, q)
+        assert np.array_equal(f.add(a, b), [oracle.add(x, y) for x, y in
+                                            zip(a.tolist(), b.tolist())])
+        assert np.array_equal(f.mul(a, b), [oracle.mul(x, y) for x, y in
+                                            zip(a.tolist(), b.tolist())])
+
+    def test_prime_fields_match_scalar_oracle(self):
+        for q in PRIMES:
+            f = GaloisField(q)
+            oracle = ScalarField(q, None)
+            a, b = _oracle_pairs(q, q)
+            for x, y in zip(a[:50].tolist(), b[:50].tolist()):
+                assert f.add(x, y) == oracle.add(x, y)
+                assert f.mul(x, y) == oracle.mul(x, y)
+            assert np.array_equal(f.add(a, b), (a + b) % q)
+            assert np.array_equal(f.mul(a, b), a * b % q)
+
+    def test_ints_in_ints_out(self):
+        f = GaloisField(27)
+        assert type(f.add(5, 7)) is int and type(f.mul(5, 7)) is int
+        a = np.arange(27)
+        assert f.mul(a[:, None], a).shape == (27, 27)
+        assert f.add(a, 4).shape == (27,)
+
+    # a field without trial division: one inverse per nonzero element from
+    # the whole table up to 729, Fermat's a^(q-1) = 1 on samples above it
+    @pytest.mark.parametrize("q", EXTENSIONS)
+    def test_is_a_field(self, q):
+        f = GaloisField(q)
+        if q <= 729:
+            a = np.arange(1, q)
+            table = f.mul(a[:, None], a)
+            assert np.array_equal((table == 1).sum(axis=1), np.ones(q - 1))
+            return
+        a = np.random.default_rng(q).integers(1, q, 500)
+        power, base, e = np.ones_like(a), a, q - 1
+        while e:
+            if e & 1:
+                power = f.mul(power, base)
+            base = f.mul(base, base)
+            e >>= 1
+        assert np.all(power == 1)
+
+
 class TestPairwiseFamily:
-    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16])
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64])
     def test_exhaustive_pairwise_independence(self, q):
         fam = pairwise_family(q)
         for j in range(q):
@@ -112,6 +271,10 @@ class TestPairwiseFamily:
             for x2 in range(2):
                 assert fam.evaluate(0, x1, x2) == x1
                 assert fam.evaluate(1, x1, x2) == x1 ^ x2
+
+    def test_gf729_members_0_and_5(self):
+        # the two collided while GF(729) was reduced by x^6 + x + 1
+        assert pairwise_family(729).joint_map_is_bijection(0, 5)
 
     def test_not_prime_power(self):
         with pytest.raises(ValueError):
@@ -149,11 +312,14 @@ class TestPairwiseFamily:
 class TestPairwiseImages:
     @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 64])
     def test_matches_evaluate(self, q):
+        # x1 + j*x2 from the scalar oracle's tables
         fam = pairwise_family(q)
+        add, mul = ScalarField(q, GaloisField(q).poly).tables()
         members = [int(j) for j in np.random.default_rng(q).permutation(q)]
-        expected = np.array([[[fam.evaluate(j, x1, x2) for j in members]
-                              for x2 in range(q)] for x1 in range(q)])
+        x = np.arange(q)
+        expected = add[x[:, None, None], mul[members][:, x].T[None]]
         assert np.array_equal(fam.images(members), expected)
+        assert fam.evaluate(members[1], 3, 2) == expected[3, 2, 1]
 
 
 def _hw_shift(y, t, d):
