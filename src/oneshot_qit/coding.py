@@ -143,12 +143,7 @@ def neyman_pearson_operator(rho, sigma, eps):
 
     Returns (Pi, type2); -log2(type2) equals dh_eps(rho, sigma, eps).
     """
-    rho, sigma = _as_density(rho), _as_density(sigma)
-    if rho.system.dims != sigma.system.dims:
-        raise ValueError("dimension mismatch")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps {eps} outside [0, 1)")
-    type2, pi = _threshold_test(rho.matrix, sigma.matrix, float(eps))
+    type2, pi = _threshold_test(rho, sigma, eps)
     return pi, type2
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Reference, _entropy_sum, _root_sum, dmax
-from .registers import (DensityOperator, RegisterSystem, _as_density, act,
-                        lift_index, maximally_mixed, partial_trace,
-                        permute_basis, reorder)
+from .entropy import Reference, _entropy_sum, dmax
+from .registers import (DensityOperator, RegisterSystem, _as_density,
+                        _root_sum, act, lift_index, maximally_mixed,
+                        partial_trace, permute_basis, reorder)
 
 
 def _is_prime(n):
@@ -513,7 +513,8 @@ class PrimeEnsemble:
         if terms is None:
             return float("inf"), 0.0
         tau_vals, mid_vals = self.mixture_spectra(subset, ref)
-        return _entropy_sum(tau_vals) - terms[0] - terms[1], _root_sum(mid_vals)
+        return (_entropy_sum(tau_vals) - terms[0] - terms[1],
+                min(_root_sum(mid_vals), 1.0))
 
     def mixture_spectra(self, subset, ref):
         """Eigenvalues of tau = mean_l U_l base U_l^dag and of sqrt(ref) tau sqrt(ref).

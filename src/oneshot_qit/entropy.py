@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import (DensityOperator, _as_density, partial_trace,
+from .registers import (DensityOperator, _as_density, _density_pair,
+                        _psd_sqrt, _root_sum, partial_trace,
                         permute_registers, tensor)
 
 SUPPORT_TOL = 1e-10
@@ -38,27 +39,21 @@ class EntropyValue:
         return self.value if self.finite else float("inf")
 
 
-def _check_same_system(rho, sigma):
-    if rho.system.dims != sigma.system.dims:
-        raise ValueError("dimension mismatch between states")
-
-
-def _support_split(rho_mat, sigma_mat):
+def _support_split(rho, sigma):
     """(svals, svecs, pos, mass): sigma's eigensystem, its support mask
     (eigenvalues above SUPPORT_TOL) and the mass of rho on the kernel."""
-    svals, svecs = np.linalg.eigh(sigma_mat)
+    svals, svecs = sigma._eigh()
     pos = svals > SUPPORT_TOL
     ker = svecs[:, ~pos]
-    mass = float(np.real(np.sum((ker.conj().T @ rho_mat @ ker).diagonal())))
+    mass = float(np.real(np.sum((ker.conj().T @ rho.matrix @ ker).diagonal())))
     return svals, svecs, pos, mass
 
 
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy D(rho||sigma) in bits; +inf on support violation."""
-    rho, sigma = _as_density(rho), _as_density(sigma)
-    _check_same_system(rho, sigma)
+    rho, sigma = _density_pair(rho, sigma)
     rvals = np.linalg.eigvalsh(rho.matrix)
-    svals, svecs, pos_s, mass_out = _support_split(rho.matrix, sigma.matrix)
+    svals, svecs, pos_s, mass_out = _support_split(rho, sigma)
     if mass_out > _SUPPORT_MASS_TOL:
         return EntropyValue.infinite()
     pos_r = rvals > SUPPORT_TOL
@@ -74,14 +69,6 @@ def _entropy_sum(vals):
     """sum lambda log2 lambda over the eigenvalues above 1e-12."""
     pos = vals > 1e-12
     return float(np.sum(vals[pos] * np.log2(vals[pos])))
-
-
-def _root_sum(vals):
-    """Tr sqrt(M) from the eigenvalues of M >= 0 (zeros optional), clipped to 1."""
-    # eigensolve noise ~1e-16 inflates to ~1e-8 under sqrt; clip relative to top
-    floor = max(float(np.max(vals)), 0.0) * 1e-13
-    vals = np.where(vals > floor, vals, 0.0)
-    return min(float(np.sum(np.sqrt(vals))), 1.0)
 
 
 class Reference:
@@ -102,7 +89,7 @@ class Reference:
         self.a_ker = vecs[:, ~pos]
         self.a_log = (supp * np.log2(vals[pos])) @ supp.conj().T
         self.a_proj = supp @ supp.conj().T
-        self.a_sqrt = (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
+        self.a_sqrt = _psd_sqrt(vals, vecs)
         self.w_supp = w > 1e-14
         self.w_log = np.where(self.w_supp, np.log2(np.where(self.w_supp, w, 1.0)), 0.0)
         self.w_sqrt = np.tile(np.sqrt(w), self.a_dim)
@@ -121,12 +108,12 @@ class Reference:
         wa = self.w_supp
         if not wa.all():
             mass = float(np.real(np.einsum("axax->", rho_r[:, ~wa][:, :, :, ~wa])))
-            if mass > 1e-8:
+            if mass > _SUPPORT_MASS_TOL:
                 return None
         if self.a_ker.shape[1]:
             m1 = np.einsum("axbx->ab", rho_r)
             mass = float(np.real(np.trace(self.a_ker.conj().T @ m1 @ self.a_ker)))
-            if mass > 1e-8:
+            if mass > _SUPPORT_MASS_TOL:
                 return None
         # Tr rho (log A (x) P_w)
         m_w = np.einsum("axbx,x->ab", rho_r, wa.astype(float))
@@ -155,14 +142,13 @@ class Reference:
 
     def fidelity(self, rho):
         """F(rho, A (x) diag(w)) = || sqrt(rho) sqrt(ref) ||_1, clipped to 1."""
-        return _root_sum(np.linalg.eigvalsh(self.sandwich(rho)))
+        return min(_root_sum(np.linalg.eigvalsh(self.sandwich(rho))), 1.0)
 
 
 def dmax(rho, sigma):
     """Max-relative entropy: log of the largest eigenvalue of the relative operator."""
-    rho, sigma = _as_density(rho), _as_density(sigma)
-    _check_same_system(rho, sigma)
-    svals, svecs, pos, mass_out = _support_split(rho.matrix, sigma.matrix)
+    rho, sigma = _density_pair(rho, sigma)
+    svals, svecs, pos, mass_out = _support_split(rho, sigma)
     if mass_out > _SUPPORT_MASS_TOL:
         return EntropyValue.infinite()
     vs = svecs[:, pos]
@@ -172,10 +158,11 @@ def dmax(rho, sigma):
     return EntropyValue(float(np.log2(max(lam, 1e-300))))
 
 
-def _threshold_test(rho_mat, sigma_mat, eps):
+def _threshold_test(rho, sigma, eps):
     """Exact Neyman-Pearson test: minimize Tr(Pi sigma) s.t. Tr(Pi rho) >= 1-eps.
 
-    Returns (type2_weight, Pi).  The optimal test is a threshold test on
+    Takes two states on one system and eps in [0, 1); returns
+    (type2_weight, Pi).  The optimal test is a threshold test on
     rho - t*sigma: full weight on the eigenspace above the kernel tolerance
     1e-10 (1 + t), fractional weight on the kernel (|eigenvalue| within the
     tolerance) to meet the constraint with equality.
@@ -205,20 +192,24 @@ def _threshold_test(rho_mat, sigma_mat, eps):
     There, eps = 0 included, the answer is the eps = 0 optimum: Pi is the
     projector onto supp(rho).
     """
-    d = rho_mat.shape[0]
-    svals, svecs, pos, r0 = _support_split(rho_mat, sigma_mat)
+    rho, sigma = _density_pair(rho, sigma)
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps {eps} outside [0, 1)")
+    eps = float(eps)
+    d = rho.total_dim
+    svals, svecs, pos, r0 = _support_split(rho, sigma)
     r0 = max(r0, 0.0)
     # sigma-kernel weight is free: include the whole kernel projector
     ker_vecs = svecs[:, ~pos]
     pi = np.zeros((d, d), dtype=complex)
     pi += ker_vecs @ ker_vecs.conj().T
 
-    if 1.0 - eps >= float(np.real(np.trace(rho_mat))) - TRACE_ROUNDING:
+    if 1.0 - eps >= rho.trace() - TRACE_ROUNDING:
         # Tr(Pi rho) = 1 forces Pi >= supp(rho); optimum is exactly that projector
-        rvals, rvecs = np.linalg.eigh(rho_mat)
+        rvals, rvecs = rho._eigh()
         supp = rvecs[:, rvals > SUPPORT_TOL]
         pi = supp @ supp.conj().T
-        type2 = float(np.real(np.trace(pi @ sigma_mat)))
+        type2 = float(np.real(np.trace(pi @ sigma.matrix)))
         return max(type2, 0.0), pi
 
     target = 1.0 - eps - r0
@@ -230,7 +221,7 @@ def _threshold_test(rho_mat, sigma_mat, eps):
 
     vs = svecs[:, pos]
     sv = svals[pos]
-    rho_c = vs.conj().T @ rho_mat @ vs          # compressed to supp(sigma)
+    rho_c = vs.conj().T @ rho.matrix @ vs       # compressed to supp(sigma)
     rho_c = (rho_c + rho_c.conj().T) / 2
     n = len(sv)
     diag = np.diag_indices(n)
@@ -348,11 +339,7 @@ def _dh_value(type2):
 
 def dh_eps(rho, sigma, eps):
     """Hypothesis-testing relative entropy at type-I error eps (exact optimum)."""
-    rho, sigma = _as_density(rho), _as_density(sigma)
-    _check_same_system(rho, sigma)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps {eps} outside [0, 1)")
-    type2, _ = _threshold_test(rho.matrix, sigma.matrix, float(eps))
+    type2, _ = _threshold_test(rho, sigma, eps)
     return _dh_value(type2)
 
 

@@ -187,7 +187,7 @@ def round_spectrum(omega, gamma, direction):
         raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
     c_dim = omega.system.total_dim
     gamma_frac, m_big = _rationalize_gamma(gamma, c_dim)
-    vals, vecs = np.linalg.eigh(omega.matrix)
+    vals, vecs = omega._eigh()
     fracs = [Fraction(max(float(v), 0.0)) for v in vals]
 
     # up: ceil counts at the largest fitting scale s in [(1-gamma)M, M], then
@@ -236,7 +236,7 @@ def flatten(sigma, gamma):
     sigma = _as_density(sigma)
     c_dim = sigma.system.total_dim
     gamma_frac, m_big = _rationalize_gamma(gamma, c_dim)
-    vals, vecs = np.linalg.eigh(sigma.matrix)
+    vals, vecs = sigma._eigh()
     counts = []
     for v in vals:
         m = round(float(v) * m_big)

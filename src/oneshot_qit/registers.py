@@ -95,6 +95,8 @@ class DensityOperator:
 
     ``subnormalized=True`` permits trace <= 1 (used for intermediate
     sub-normalized states); otherwise trace must be 1 within tolerance.
+    The matrix is read-only (an array passed in is frozen, not copied), so
+    its eigensystem is solved at most once.
     """
 
     def __init__(self, system, matrix, subnormalized=False, validate=True):
@@ -103,10 +105,20 @@ class DensityOperator:
         d = system.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
+        mat.flags.writeable = False
         self.matrix = mat
         self.subnormalized = subnormalized
+        self._eig = None
         if validate:
             self._validate()
+
+    def _eigh(self):
+        """np.linalg.eigh of the matrix, solved on first use; read-only."""
+        if self._eig is None:
+            vals, vecs = np.linalg.eigh(self.matrix)
+            vals.flags.writeable = vecs.flags.writeable = False
+            self._eig = vals, vecs
+        return self._eig
 
     def _validate(self):
         if not _check_hermitian(self.matrix):
@@ -161,14 +173,20 @@ def _as_density(state):
     return state.density() if isinstance(state, PureState) else state
 
 
+def _density_pair(rho, sigma):
+    """Both as density operators; refuses two of different dimensions."""
+    rho, sigma = _as_density(rho), _as_density(sigma)
+    if rho.system.dims != sigma.system.dims:
+        raise ValueError("dimension mismatch between states")
+    return rho, sigma
+
+
 def tensor(*ops):
-    """Kronecker product of density operators; register lists concatenate."""
+    """Kronecker product of density operators; register lists concatenate
+    and RegisterSystem refuses a label that two factors share."""
     ops = [_as_density(op) for op in ops]
     if len(ops) < 2:
         raise ValueError("tensor needs at least two operators")
-    labels = [lab for op in ops for lab in op.system.labels]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"label collision in tensor product: {labels}")
     system = RegisterSystem([rd for op in ops for rd in op.system.registers])
     mat = ops[0].matrix
     for op in ops[1:]:
@@ -179,9 +197,6 @@ def tensor(*ops):
 
 def tensor_pure(*states):
     """Kronecker product of pure states."""
-    labels = [lab for st in states for lab in st.system.labels]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"label collision in tensor product: {labels}")
     system = RegisterSystem([rd for st in states for rd in st.system.registers])
     vec = states[0].vector
     for st in states[1:]:
@@ -204,11 +219,8 @@ def partial_trace(op, drop):
     for pos in positions:
         tens = np.trace(tens, axis1=pos, axis2=pos + len(dims))
         dims.pop(pos)
-    d_keep = 1
-    for d in dims:
-        d_keep *= d
     system = op.system.subsystem(keep) if keep else RegisterSystem([("scalar", 1)])
-    mat = tens.reshape(d_keep, d_keep)
+    mat = tens.reshape(system.total_dim, system.total_dim)
     return DensityOperator(system, mat, subnormalized=op.subnormalized, validate=False)
 
 
@@ -233,31 +245,36 @@ def permute_registers(op, new_order):
 
 def eig_hermitian(op):
     """Eigenvalues (descending) and eigenvectors of a Hermitian operator."""
-    mat = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
+    state = isinstance(op, DensityOperator)
+    mat = op.matrix if state else np.asarray(op, dtype=complex)
     if not _check_hermitian(mat, tol=1e-8):
         raise ValueError("input is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = op._eigh() if state else np.linalg.eigh(mat)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+def _psd_sqrt(vals, vecs):
+    """Hermitian square root from an eigensystem, eigenvalues clamped to >= 0."""
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def sqrtm_psd(matrix):
     """Hermitian square root with eigenvalues clamped to [0, inf)."""
-    vals, vecs = np.linalg.eigh(matrix)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return _psd_sqrt(*np.linalg.eigh(matrix))
+
+
+def _root_sum(vals):
+    """Tr sqrt(M) from the eigenvalues of M >= 0 (zeros optional); callers clip."""
+    # eigensolve noise ~1e-16 inflates to ~1e-8 under sqrt; clip relative to top
+    floor = max(float(np.max(vals)), 0.0) * 1e-13
+    return float(np.sum(np.sqrt(np.where(vals > floor, vals, 0.0))))
 
 
 def fidelity(rho, sigma):
     """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, via one Hermitian eigensolve."""
-    rho, sigma = _as_density(rho), _as_density(sigma)
-    if rho.system.dims != sigma.system.dims:
-        raise ValueError("dimension mismatch")
-    s = sqrtm_psd(rho.matrix)
-    vals = np.linalg.eigvalsh(s @ sigma.matrix @ s)
-    # eigensolve noise ~1e-16 inflates to ~1e-8 under sqrt; clip relative to top
-    floor = max(vals[-1], 0.0) * 1e-13
-    vals = np.where(vals > floor, vals, 0.0)
-    f = float(np.sum(np.sqrt(vals)))
+    rho, sigma = _density_pair(rho, sigma)
+    s = _psd_sqrt(*rho._eigh())
+    f = _root_sum(np.linalg.eigvalsh(s @ sigma.matrix @ s))
     return min(f, 1.0) if f <= 1.0 + 1e-7 else f
 
 
@@ -273,10 +290,9 @@ def canonical_purification(rho, mirror_label):
     if len(rho.system) != 1:
         raise ValueError("canonical purification expects a single-register state")
     lab, d = rho.system.registers[0]
-    if mirror_label == lab:
-        raise ValueError("mirror label must differ from the state's label")
-    vec = sqrtm_psd(rho.matrix).reshape(-1)  # row-major: component (a, b) = sqrt(rho)[a, b]
+    # RegisterSystem refuses a mirror label equal to the state's label
     system = RegisterSystem([(lab, d), (mirror_label, d)])
+    vec = _psd_sqrt(*rho._eigh()).reshape(-1)  # row-major: component (a, b) = sqrt(rho)[a, b]
     vec = vec / np.linalg.norm(vec)
     return PureState(system, vec, validate=False)
 

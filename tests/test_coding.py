@@ -23,7 +23,8 @@ from oneshot_qit.entropy import dh_eps
 from oneshot_qit.flatten import (_flat_ensemble, embezzling_state,
                                  round_spectrum, unitary_flatten_W)
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
-                                   act, basis_state, canonical_purification,
+                                   _as_density, act, basis_state,
+                                   canonical_purification,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, permute_basis,
                                    random_density, tensor, tensor_pure)
@@ -607,7 +608,10 @@ class TestChannelCode:
         from test_entropy import bisection_test
         rep = ea_channel_code(depolarizing_channel(0.1), self.mu_a, 0, 0.05,
                               0.5, 0.5, a=4, n=5)
-        monkeypatch.setattr(coding, "_threshold_test", bisection_test)
+        monkeypatch.setattr(coding, "_threshold_test",
+                            lambda rho, sigma, eps: bisection_test(
+                                _as_density(rho).matrix,
+                                _as_density(sigma).matrix, eps))
         want = ea_channel_code(depolarizing_channel(0.1), self.mu_a, 0, 0.05,
                                0.5, 0.5, a=4, n=5)
         assert abs(rep.empirical_max_error - want.empirical_max_error) <= 1e-12

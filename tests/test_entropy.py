@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from oneshot_qit import entropy
 from oneshot_qit.coding import QuantumChannel, apply_channel
-from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, Reference,
-                                 check_mixture_identity, dh_eps, dmax, hmin,
-                                 imax, relative_entropy, transpose_unitary)
+from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, EntropyValue,
+                                 Reference, check_mixture_identity, dh_eps,
+                                 dmax, hmin, imax, relative_entropy,
+                                 transpose_unitary)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
-                                   basis_state, fidelity, maximally_entangled,
-                                   maximally_mixed, partial_trace,
-                                   purified_distance, random_density,
-                                   sqrtm_psd, tensor)
+                                   basis_state, canonical_purification,
+                                   eig_hermitian, fidelity,
+                                   maximally_entangled, maximally_mixed,
+                                   partial_trace, purified_distance,
+                                   random_density, sqrtm_psd, tensor)
 
 
 def sysof(*pairs):
@@ -78,11 +80,20 @@ class TestRelativeEntropy:
             assert dmax(rho, sig).value >= relative_entropy(rho, sig).value - 1e-8
 
 
+def eigh_support_split(rho_mat, sigma_mat):
+    """entropy._support_split with sigma eigensolved on every call (oracle)."""
+    svals, svecs = np.linalg.eigh(sigma_mat)
+    pos = svals > SUPPORT_TOL
+    ker = svecs[:, ~pos]
+    mass = float(np.real(np.sum((ker.conj().T @ rho_mat @ ker).diagonal())))
+    return svals, svecs, pos, mass
+
+
 def eigh_relative_entropy(rho, sigma):
     """relative_entropy with rho's spectrum from a full eigh (oracle)."""
     rvals, _ = np.linalg.eigh(rho.matrix)
-    svals, svecs, pos_s, mass_out = entropy._support_split(rho.matrix,
-                                                          sigma.matrix)
+    svals, svecs, pos_s, mass_out = eigh_support_split(rho.matrix,
+                                                       sigma.matrix)
     if mass_out > entropy._SUPPORT_MASS_TOL:
         return float("inf")
     pos_r = rvals > SUPPORT_TOL
@@ -399,6 +410,12 @@ def bisection_test(rho_mat, sigma_mat, eps):
     return max(type2, 0.0), pi
 
 
+def states(*mats):
+    """Unchecked density operators on one register A over the matrices."""
+    system = sysof(("A", mats[0].shape[0]))
+    return [DensityOperator(system, mat, validate=False) for mat in mats]
+
+
 def random_pair(seed, dim, kind):
     """(rho, sigma) of one kind: full-rank, rank-deficient rho or sigma,
     commuting with random spectra, or commuting with integer weights."""
@@ -453,7 +470,7 @@ class TestThresholdTest:
     @example(seed=1, dim=3, kind="rho-deficient", eps=2.2e-16)
     def test_matches_bisection_oracle(self, seed, dim, kind, eps):
         rho, sig = random_pair(seed, dim, kind)
-        type2, pi = entropy._threshold_test(rho, sig, eps)
+        type2, pi = entropy._threshold_test(*states(rho, sig), eps)
         want, pi_want = bisection_test(rho, sig, eps)
         # for eps below 1e-8, f(t) = 1 - eps is resolved from sums rounded at
         # about 1e-16 d, and both solvers place t* only within that noise
@@ -496,10 +513,130 @@ class TestThresholdTest:
         rho = random_density((64, 0, 0), system).matrix
         sig = random_density((64, 0, 1), system).matrix
         for eps in (0.05, 0.1, 0.5):
-            type2, pi = entropy._threshold_test(rho, sig, eps)
+            type2, pi = entropy._threshold_test(*states(rho, sig), eps)
             want, pi_want = bisection_test(rho, sig, eps)
             assert abs(type2 - want) <= 1e-10 * want
             assert np.max(np.abs(pi - pi_want)) <= 1e-9
+
+
+def per_call_relative_entropy(rho, sigma):
+    """relative_entropy with sigma eigensolved on every call (oracle)."""
+    rvals = np.linalg.eigvalsh(rho.matrix)
+    svals, svecs, pos_s, mass_out = eigh_support_split(rho.matrix,
+                                                       sigma.matrix)
+    if mass_out > entropy._SUPPORT_MASS_TOL:
+        return EntropyValue.infinite()
+    pos_r = rvals > SUPPORT_TOL
+    term1 = float(np.sum(rvals[pos_r] * np.log2(rvals[pos_r])))
+    vs = svecs[:, pos_s]
+    diag = np.real(np.sum(vs.conj() * (rho.matrix @ vs), axis=0))
+    return EntropyValue(term1 - float(np.sum(diag * np.log2(svals[pos_s]))))
+
+
+def per_call_dmax(rho, sigma):
+    """dmax with sigma eigensolved on every call (oracle)."""
+    svals, svecs, pos, mass_out = eigh_support_split(rho.matrix, sigma.matrix)
+    if mass_out > entropy._SUPPORT_MASS_TOL:
+        return EntropyValue.infinite()
+    inv_half = svecs[:, pos] * (1.0 / np.sqrt(svals[pos]))
+    rel = inv_half.conj().T @ rho.matrix @ inv_half
+    lam = float(np.linalg.eigvalsh(rel)[-1])
+    return EntropyValue(float(np.log2(max(lam, 1e-300))))
+
+
+def per_call_fidelity(rho, sigma):
+    """fidelity with sqrt(rho) from an eigensolve on every call (oracle)."""
+    s = sqrtm_psd(rho.matrix)
+    vals = np.linalg.eigvalsh(s @ sigma.matrix @ s)
+    floor = max(vals[-1], 0.0) * 1e-13
+    vals = np.where(vals > floor, vals, 0.0)
+    f = float(np.sum(np.sqrt(vals)))
+    return min(f, 1.0) if f <= 1.0 + 1e-7 else f
+
+
+def memo_pairs(d):
+    """(label, rho, sigma): full, rank-deficient sigma with rho outside and
+    inside its support, and pure rho inside a rank-deficient sigma."""
+    rng = np.random.default_rng(d)
+    system = sysof(("A", d))
+    full = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))[0]
+    low = full[:, :d // 2]
+    sig = state_on(rng, full, rng.dirichlet(np.ones(d)))
+    sig_low = state_on(rng, low, rng.dirichlet(np.ones(d // 2)))
+    rho = state_on(rng, full, rng.dirichlet(np.ones(d)))
+    rho_in = state_on(rng, low, rng.dirichlet(np.ones(3)))
+    rho_pure = state_on(rng, low, [1.0])
+    pairs = [("full", rho, sig), ("sigma-deficient", rho, sig_low),
+             ("inside-support", rho_in, sig_low),
+             ("pure-inside", rho_pure, sig_low)]
+    return [(label, DensityOperator(system, r, validate=False),
+             DensityOperator(system, s, validate=False))
+            for label, r, s in pairs]
+
+
+class TestOneEigensystemPerState:
+    """Every reader of a state's eigensystem takes the state's one memo."""
+
+    def test_one_eigh_per_state_at_d64(self, monkeypatch):
+        system = sysof(("A", 64))
+        rho = random_density((64, 0, 0), system)
+        sig = random_density((64, 0, 1), system)
+        solved = []
+        eigh = np.linalg.eigh
+
+        def counting(mat, *args, **kwargs):
+            solved.append("rho" if mat is rho.matrix else
+                          "sigma" if mat is sig.matrix else "other")
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for rounds in (1, 2):
+            solved.clear()
+            assert relative_entropy(rho, sig).finite
+            assert dmax(rho, sig).finite
+            assert 0 < fidelity(rho, sig) <= 1
+            for eps in (0.0, 0.1):
+                assert dh_eps(rho, sig, eps).finite
+            want = 1 if rounds == 1 else 0
+            assert (solved.count("sigma"), solved.count("rho")) == (want, want)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_values_repr_equal_to_per_call_bodies(self, d):
+        for label, rho, sig in memo_pairs(d):
+            fresh = [DensityOperator(state.system, state.matrix.copy(),
+                                     validate=False) for state in (rho, sig)]
+            for _ in range(2):   # cold, then warm memo
+                assert repr(relative_entropy(rho, sig)) \
+                    == repr(per_call_relative_entropy(rho, sig)), label
+                assert repr(dmax(rho, sig)) == repr(per_call_dmax(rho, sig))
+                assert repr(fidelity(rho, sig)) \
+                    == repr(per_call_fidelity(rho, sig)), label
+                for eps in (0.0, 0.1, 0.5):
+                    assert repr(dh_eps(rho, sig, eps)) \
+                        == repr(dh_eps(*fresh, eps)), (label, eps)
+                type2, pi = entropy._threshold_test(rho, sig, 0.0)
+                want, pi_want = bisection_test(rho.matrix, sig.matrix, 0.0)
+                assert repr(type2) == repr(want)
+                assert np.array_equal(pi, pi_want)
+                got = entropy._support_split(rho, sig)
+                for have, old in zip(got, eigh_support_split(rho.matrix,
+                                                             sig.matrix)):
+                    assert np.array_equal(have, old), label
+
+    def test_square_roots_repr_equal_to_per_call_bodies(self):
+        for label, rho, sig in memo_pairs(8):
+            vals, vecs = np.linalg.eigh(rho.matrix)
+            assert np.array_equal(eig_hermitian(rho)[0], vals[::-1])
+            assert np.array_equal(eig_hermitian(rho)[1], vecs[:, ::-1])
+            vec = sqrtm_psd(rho.matrix).reshape(-1)
+            got = canonical_purification(rho, "R").vector
+            assert np.array_equal(got, vec / np.linalg.norm(vec)), label
+            w = np.array([0.5, 0.5, 0.0])
+            ref = Reference(sig.matrix, w)
+            avals, avecs = np.linalg.eigh(sig.matrix)
+            a_sqrt = (avecs * np.sqrt(np.clip(avals, 0, None))) @ avecs.conj().T
+            assert np.array_equal(ref.a_sqrt, a_sqrt), label
 
 
 def loop_hmin_sdp(rho_mat, d_a, d_b):

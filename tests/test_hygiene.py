@@ -204,6 +204,44 @@ def test_gate_catches_unread_eigenvectors():
         ("spectrum", 4, "vecs"), ("renamed", 10, "_"), ("inner", 19, "vecs")]
 
 
+def state_matrix_eighs(source):
+    """Lines that eigensolve ``<x>.matrix`` with eigh or sqrtm_psd outside
+    the DensityOperator class, whose memoised eigensystem every other
+    reader takes."""
+    tree = ast.parse(source)
+    owner = {id(node) for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) and cls.name == "DensityOperator"
+             for node in ast.walk(cls)}
+    roots = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "sqrtm_psd"]
+    return sorted(node.lineno for node in linalg_calls(tree, "eigh") + roots
+                  if id(node) not in owner and node.args
+                  and isinstance(node.args[0], ast.Attribute)
+                  and node.args[0].attr == "matrix")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_state_matrix_eigensolved_outside_its_memo(path):
+    assert state_matrix_eighs(path.read_text()) == []
+
+
+def test_gate_catches_a_state_matrix_eigensolve():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import eigh as eh\n"
+              "class DensityOperator:\n"
+              "    def _eigh(self):\n"
+              "        return np.linalg.eigh(self.matrix)\n"
+              "def spectrum(state):\n"
+              "    return np.linalg.eigh(state.matrix)\n"
+              "def renamed(rho):\n"
+              "    return eh(rho.matrix)[0]\n"
+              "def root(rho):\n"
+              "    return sqrtm_psd(rho.matrix)\n"
+              "def others(m, state):\n"
+              "    return np.linalg.eigh(m), np.linalg.eigvalsh(state.matrix)\n")
+    assert state_matrix_eighs(source) == [7, 9, 11]
+
+
 def assertion_catches(source):
     """Lines of ``except`` clauses that name AssertionError, alone or in a
     tuple: a failed correctness gate must reach the caller."""

@@ -176,6 +176,25 @@ class TestEig:
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
 
 
+class TestReadOnlyState:
+    def test_matrix_is_read_only(self):
+        rho = random_density(0, sysof(("A", 4)))
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rho.matrix += 0
+
+    def test_memoised_eigensystem_is_read_only(self):
+        rho = random_density(1, sysof(("A", 4)))
+        vals, vecs = rho._eigh()
+        for arr in (vals, vecs):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        memo = rho._eigh()
+        assert memo[0] is vals and memo[1] is vecs
+        assert all(arr.flags.writeable for arr in eig_hermitian(rho))
+
+
 class TestFidelity:
     def test_self_fidelity(self):
         rho = random_density(11, sysof(("A", 3)))
@@ -264,6 +283,10 @@ class TestCanonicalPurification:
             rho = random_density(seed, sysof(("A", 4)))
             back = partial_trace(canonical_purification(rho, "M"), ["M"])
             assert np.linalg.norm(back.matrix - rho.matrix) <= 1e-9
+
+    def test_mirror_label_must_differ(self):
+        with pytest.raises(ValueError, match="duplicate register labels"):
+            canonical_purification(maximally_mixed(sysof(("A", 2))), "A")
 
 
 class TestApplyUnitary:
