@@ -20,17 +20,17 @@ hypothesis test and the Kraus operators are rotated, once.
 The rate cap and the code take the test and its D_H from one Neyman-Pearson
 solve, and so does each decoder.
 
-Every square-root measurement Lambda_i = S^{-1/2} Omega_i S^{-1/2} is split
-by ``_blocks`` on the connected components of the union of its tests'
-nonzero patterns: S and each test are exactly block-diagonal there, and
-nothing is thresholded.  ``_successes`` takes every branch of a family (each
-S, a sum of some of the family's tests) at once: it sums each branch's
-blocks in member order, eigensolves them in one stacked ``_inv_sqrt`` per
-block size, and reads Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag) on the blocks
-that the signal columns X touch.  The channel code passes every
-shared-randomness branch in one call, each decoder its one branch.  Only
-``hayashi_nagaoka_povm`` scatters the blocks into a dense S^{-1/2} and the
-support projector.
+Every protocol's square-root measurement Lambda_i = S^{-1/2} Omega_i S^{-1/2}
+is split by ``_blocks`` on the connected components (the one rule
+``_components``) of the union of its tests' nonzero patterns: S and each
+test are exactly block-diagonal there, and nothing is thresholded.
+``_successes`` takes every branch of a family (each S, a sum of some of the
+family's tests) at once: it sums each branch's blocks in member order,
+eigensolves them in one stacked ``_inv_sqrt`` per block size, and reads
+Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag) on the blocks that the signal columns
+X touch.  The channel code passes every shared-randomness branch in one
+call, each decoder its one branch.  ``hayashi_nagaoka_povm`` solves the
+whole S densely, without blocks: it is the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .flatten import (_flat_ensemble, _gamma_fraction, _moved,
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
                         canonical_purification, lift_index, maximally_mixed,
                         partial_trace, permute_basis, permute_registers,
-                        tensor)
+                        reorder, tensor)
 
 INV_SQRT_CUT = 1e-12
 """Eigenvalues of S at or below this lie outside supp(S), where S^{-1/2} is 0."""
@@ -165,18 +165,21 @@ class POVM:
             raise ValueError("POVM elements do not sum to the identity")
 
 
-def _components(pattern):
-    """Connected-component label per index of a boolean adjacency pattern.
+def _components(rows, cols, n):
+    """Connected-component label per node 0..n-1 of the edges (rows, cols).
 
-    Each index takes the smallest label of itself and its neighbours, then
-    follows that label to its own label; at the fixed point every component
-    carries one label.  Labels only decrease, so the loop ends.
+    Each node takes the smallest label of itself and its neighbours (edges
+    count both ways), then follows that label to its own label; at the fixed
+    point every component carries its smallest node.  Labels only decrease,
+    so the loop ends.
     """
-    rows, cols = np.nonzero(pattern | pattern.T)
-    labels = np.arange(pattern.shape[0])
+    keep = rows != cols     # a self-loop joins nothing
+    rows, cols = rows[keep], cols[keep]
+    labels = np.arange(n)
     while True:
         new = labels.copy()
         np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
         new = new[new]
         if np.array_equal(new, labels):
             return labels
@@ -190,27 +193,21 @@ def _blocks(family, branches):
     ``branches`` (n_branches, n_terms) lists the members summed into each S.
     S and each of its members are exactly block-diagonal on the connected
     components of the union of its members' nonzero patterns; no entry is
-    thresholded.  Those components join the members' own ones: as in
-    `_components`, each index takes the smallest label on its component in
-    every member, then follows that label, to a fixed point.  Returns one
-    pair per block size: the branch of each block (n_blocks,) and its
-    indices (n_blocks, size).
+    thresholded.  `_components` labels every member's pattern at once (node
+    m dim + i), then joins them per branch: node b dim + i to b dim + own[m, i]
+    for each member m of branch b.  Returns one pair per block size, in
+    ascending size: the branch of each block (n_blocks,) and its indices
+    (n_blocks, size), blocks ordered by branch and smallest index.
     """
-    dim = family.shape[1]
-    own = np.stack([_components(member != 0) for member in family])
-    offsets = np.arange(len(branches))[:, None] * dim
-    labels = np.arange(len(branches) * dim)
-    while True:
-        new = labels.copy()
-        for col in branches.T:
-            roots = (own[col] + offsets).ravel()
-            smallest = new.copy()
-            np.minimum.at(smallest, roots, new)
-            new = smallest[roots]
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
+    n_members, dim = family.shape[:2]
+    member, i, j = np.nonzero(family != 0)
+    own = _components(member * dim + i, member * dim + j,
+                      n_members * dim).reshape(n_members, dim) % dim
+    offsets = np.arange(len(branches))[:, None, None] * dim
+    roots = own[branches] + offsets
+    labels = _components(np.broadcast_to(offsets + np.arange(dim),
+                                         roots.shape).ravel(),
+                         roots.ravel(), len(branches) * dim)
     order = np.argsort(labels, kind="stable")
     _, starts, sizes = np.unique(labels[order], return_index=True,
                                  return_counts=True)
@@ -291,16 +288,7 @@ def hayashi_nagaoka_povm(operators):
             raise ValueError("input operator is not PSD")
         if vals[-1] > 1 + 1e-8:
             raise ValueError("input operator exceeds the identity")
-    inv_half = np.zeros((dim, dim), dtype=complex)
-    supp = np.zeros((dim, dim), dtype=complex)
-    family = np.stack(operators)
-    for _, idx in _blocks(family, np.arange(len(family))[None]):
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        inv_blocks, supp_blocks = _inv_sqrt(sum(member[rows, cols]
-                                                for member in family),
-                                            support=True)
-        inv_half[rows, cols] = inv_blocks
-        supp[rows, cols] = supp_blocks
+    inv_half, supp = _inv_sqrt(sum(operators), support=True)
     elements = {}
     for i, om in enumerate(operators):
         lam = inv_half @ om @ inv_half
@@ -394,10 +382,9 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     # Omega (x) I maps the first g of them into the tail, so compressing G1
     # to the prime register would change the measurement.
     host = 2 * c_dim * c_dim
-    om_t = omega.reshape(d_b, c_dim, d_b, c_dim)
-    om_bqc = np.einsum("bcde,qr->bqcdre", om_t, np.eye(2)).reshape(
-        d_b * 2 * c_dim, d_b * 2 * c_dim)
-    omega_lift = np.kron(om_bqc, np.eye(c_dim * g))
+    # Omega on (B, C0) (x) I on (Q, C1, G2), in the order (B, Q, C0, C1, G2)
+    omega_lift = reorder(np.kron(omega, np.eye(host * g // c_dim)),
+                         (d_b, c_dim, 2, c_dim, g), [0, 2, 1, 3, 4])
     # psi (x) mu_C1 (x) mu_G2 sits on the first g states of G1
     cols = len(weights)
     host_signals = np.zeros((d_b, host, g, cols), dtype=complex)

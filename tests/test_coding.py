@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit import coding, entropy
@@ -205,7 +205,7 @@ class TestHayashiNagaoka:
 
 def _own_components(total):
     """Number of connected components of the nonzero pattern of ``total``."""
-    return len(np.unique(_components(total != 0)))
+    return len(np.unique(_components(*np.nonzero(total), len(total))))
 
 
 def _block_inv_sqrt(family):
@@ -262,6 +262,69 @@ class TestInvSqrt:
         inv_half, supp = _block_inv_sqrt([total])
         assert not inv_half[3:7].any()
         assert not supp[3:7].any()
+
+
+def _union_find_blocks(family, branches):
+    """Per branch, the components of the union of its members' nonzero
+    patterns by a plain union-find, as a sorted list of index lists."""
+    parts = []
+    for row in branches:
+        parent = list(range(family.shape[1]))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for m in row:
+            for i, j in zip(*np.nonzero(family[m])):
+                parent[find(int(i))] = find(int(j))
+        blocks = {}
+        for i in range(len(parent)):
+            blocks.setdefault(find(i), []).append(i)
+        parts.append(sorted(blocks.values()))
+    return parts
+
+
+@st.composite
+def _sparse_families(draw):
+    """(family, branches): 1-6 sparse Hermitian members on 1-12 indices, any
+    of them all zero, and 1-4 branches of 1-4 terms that may repeat a
+    member."""
+    n_members, dim = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    index = st.integers(0, dim - 1)
+    family = np.zeros((n_members, dim, dim), dtype=complex)
+    for member in family:
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=2 * dim)):
+            member[i, j] = complex(1 + i + j, j - i)
+            member[j, i] = complex(1 + i + j, i - j)
+    n_terms = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, n_members - 1), min_size=n_terms,
+                   max_size=n_terms)
+    return family, np.array(draw(st.lists(row, min_size=1, max_size=4)))
+
+
+class TestBlocksProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_sparse_families())
+    @example(case=(np.stack([np.zeros((4, 4)), np.eye(4)[[1, 0, 2, 3]]]),
+                   np.array([[0, 0], [1, 0], [1, 1]])))
+    def test_matches_union_find(self, case):
+        # groups in ascending block size; in a group, blocks by branch and
+        # then smallest index; indices ascending within a block
+        family, branches = case
+        groups = _blocks(family, branches)
+        sizes = [idx.shape[1] for _, idx in groups]
+        assert sizes == sorted(set(sizes))
+        got = [[] for _ in branches]
+        for br, idx in groups:
+            assert np.all(np.diff(idx, axis=1) > 0)
+            keys = list(zip(br.tolist(), idx[:, 0].tolist()))
+            assert keys == sorted(set(keys))
+            for b, block in zip(br.tolist(), idx.tolist()):
+                got[b].append(block)
+        assert [sorted(part) for part in got] \
+            == _union_find_blocks(family, branches)
 
 
 def _dense_successes(family, branches, factors):
@@ -726,7 +789,7 @@ class TestChannelCode:
         (family, branches, factors), = calls
         assert branches.tolist() == [[y] for y in range(16)]
         for member in family:
-            labels = _components(member != 0)
+            labels = _components(*np.nonzero(member), len(member))
             assert sorted(np.bincount(labels)[np.unique(labels)]) \
                 == [1] * 52 + [3] * 52
         _check_successes(family, branches, factors)

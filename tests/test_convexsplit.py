@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit.coding import (hayashi_nagaoka_povm, neyman_pearson_operator,
@@ -22,11 +22,12 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
                                  convex_split_flat_1design,
                                  convex_split_flat_classical, embezzling_state,
                                  round_spectrum)
-from oneshot_qit.registers import (DensityOperator, RegisterSystem, act,
-                                   basis_state, fidelity, lift_index,
-                                   maximally_entangled, maximally_mixed,
-                                   partial_trace, permute_registers,
-                                   random_density, reorder, tensor)
+from oneshot_qit.registers import (DensityOperator, PureState,
+                                   RegisterSystem, act, basis_state, fidelity,
+                                   lift_index, maximally_entangled,
+                                   maximally_mixed, partial_trace,
+                                   permute_registers, random_density, reorder,
+                                   tensor)
 
 
 def sysof(*pairs):
@@ -56,6 +57,23 @@ def host_rotate(mat, ell, g, host):
     unitary = np.kron(np.eye(mat.shape[0] // (host * g)),
                       np.eye(host * g)[:, img])      # |k> -> |img[k]>
     return unitary @ mat @ unitary.T
+
+
+def host_successes(psi, omega, subset, g):
+    """Tr(Lambda_l tau_l) for each l of ``subset``, from the dense
+    `hayashi_nagaoka_povm` of the rotated tests Omega (x) I on the host space
+    and the rotated `host_input`."""
+    c_dim = psi.system.dim_of(psi.system.labels[-1])
+    d_b, host = psi.system.total_dim // c_dim, 2 * c_dim * c_dim
+    # Omega on (B, C0) (x) I on (Q, C1, G2), in the order (B, Q, C0, C1, G2)
+    om_lift = reorder(np.kron(omega, np.eye(host * g // c_dim)),
+                      (d_b, c_dim, 2, c_dim, g), [0, 2, 1, 3, 4])
+    lifted = host_input(psi, g)
+    povm = hayashi_nagaoka_povm([host_rotate(om_lift, ell, g, host)
+                                 for ell in subset])
+    return [float(np.real(np.trace(
+        povm.elements[k] @ host_rotate(lifted.matrix, ell, g, host))))
+        for k, ell in enumerate(subset)]
 
 
 class TestHWUnitaries:
@@ -754,22 +772,40 @@ class TestClassicalDecoderOracle:
         (0.01, 0.2, 2)])
     def test_matches_povm_on_host_space(self, eps, delta, size):
         phi = maximally_entangled("B", "C", 2)
-        g, host = 5, 8
-        rep = position_based_decode_classical(phi, PrimeRegister(2, g),
+        rep = position_based_decode_classical(phi, PrimeRegister(2, 5),
                                               range(size), eps, delta)
         ref = tensor(partial_trace(phi, ["C"]),
                      maximally_mixed(sysof(("C", 2))))
         omega, _ = neyman_pearson_operator(phi, ref, eps)
-        # Omega on (B, C0) (x) I on (Q, C1, G2), in the order (B, Q, C0, C1, G2)
-        om_lift = reorder(np.kron(omega, np.eye(2 * 2 * g)), (2, 2, 2, 2, g),
-                          [0, 2, 1, 3, 4])
-        lifted = host_input(phi, g)
-        tests = [host_rotate(om_lift, ell, g, host) for ell in range(size)]
-        povm = hayashi_nagaoka_povm(tests)
+        want = host_successes(phi, omega, range(size), 5)
         for ell in range(size):
-            tau = host_rotate(lifted.matrix, ell, g, host)
-            success = float(np.real(np.trace(povm.elements[ell] @ tau)))
-            assert abs(rep.successes[ell] - success) <= 1e-12
+            assert abs(rep.successes[ell] - want[ell]) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d_b=st.integers(1, 3),
+           g=st.sampled_from([5, 7]), eps=st.floats(1e-3, 0.2),
+           delta=st.floats(0.05, 0.95), data=st.data())
+    def test_matches_povm_on_random_pure_states(self, seed, d_b, g, eps,
+                                                delta, data):
+        rng = np.random.default_rng(seed)
+        vec = rng.standard_normal(2 * d_b) + 1j * rng.standard_normal(2 * d_b)
+        psi = PureState(sysof(("B", d_b), ("C", 2)), vec / np.linalg.norm(vec))
+        ref = tensor(partial_trace(psi, ["C"]),
+                     maximally_mixed(sysof(("C", 2))))
+        omega, type2 = neyman_pearson_operator(psi, ref, eps)
+        cap = delta ** 2 / (4 * eps * type2)
+        assume(cap >= 1)
+        subset = sorted(data.draw(st.sets(st.integers(0, g - 1), min_size=1,
+                                          max_size=int(min(g, cap)))))
+        try:
+            rep = position_based_decode_classical(psi, PrimeRegister(2, g),
+                                                  subset, eps, delta)
+        except ValueError:
+            assume(False)
+        want = host_successes(psi, omega, subset, g)
+        for k, ell in enumerate(subset):
+            assert abs(rep.successes[ell] - want[k]) <= 1e-12
+        assert rep.min_success >= rep.exact_bound - 1e-9
 
 
 class TestSplitBoundProperty:

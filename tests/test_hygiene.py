@@ -276,6 +276,60 @@ def test_gate_catches_a_caught_assertion_error():
     assert assertion_catches(source) == [3, 9]
 
 
+def min_label_functions(sources):
+    """(module, function) of each function that calls ``*.minimum.at``, the
+    min-label step of the connected-components fixed point; a nested
+    function counts as its own."""
+    found = set()
+    for mod, text in sources.items():
+        for func in ast.walk(ast.parse(text)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(func.body)   # this function's statements only
+            while own:
+                node = own.pop()
+                own.extend(child for child in ast.iter_child_nodes(node)
+                           if not isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef,
+                                                     ast.Lambda)))
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "at" \
+                        and isinstance(node.func.value, ast.Attribute) \
+                        and node.func.value.attr == "minimum":
+                    found.add((mod, func.name))
+    return sorted(found)
+
+
+def test_one_connected_components_rule():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert len(min_label_functions(sources)) <= 1
+
+
+def test_gate_catches_a_second_components_rule():
+    # a labelling of dense patterns plus a hand-written join over branches
+    source = ("import numpy as np\n"
+              "def _components(pattern):\n"
+              "    rows, cols = np.nonzero(pattern | pattern.T)\n"
+              "    labels = np.arange(pattern.shape[0])\n"
+              "    new = labels.copy()\n"
+              "    np.minimum.at(new, rows, labels[cols])\n"
+              "    return new[new]\n"
+              "def _blocks(family, branches):\n"
+              "    own = np.stack([_components(m != 0) for m in family])\n"
+              "    new = np.arange(len(branches) * family.shape[1])\n"
+              "    for col in branches.T:\n"
+              "        smallest = new.copy()\n"
+              "        np.minimum.at(smallest, own[col].ravel(), new)\n"
+              "        new = smallest[own[col].ravel()]\n"
+              "    return new\n"
+              "def _other(a, idx, vals):\n"
+              "    np.maximum.at(a, idx, vals)\n"
+              "    return np.minimum(a, vals)\n")
+    assert min_label_functions({"coding.py": source}) == [
+        ("coding.py", "_blocks"), ("coding.py", "_components")]
+
+
 def duplicate_blocks(sources, size=6):
     """(module, line) pairs where the same ``size`` consecutive code lines
     start more than once across ``sources``.  Code lines are stripped and
