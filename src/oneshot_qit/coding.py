@@ -4,33 +4,37 @@ The decoders measure with the square-root (Hayashi-Nagaoka) measurement over
 rotated copies of a hypothesis test and report per-position success
 probabilities.  Both take them from one signal-vector routine over the
 gather maps of the U_l ((U_l x)[i] = x[src[i]]): each rotated test is the
-test gathered by src, and so is each rotated signal state, whose
-eigenvectors give the success, so no measurement element is built.  The flat
-decoder's test reaches the ensemble's space by the one move through the
-flattening permutation W (``flatten._moved``).  ``hayashi_nagaoka_povm``
-builds the elements for callers that need them.
+test read through src, and each rotated signal state is the signal state
+gathered by src, whose eigenvectors give the success, so no measurement
+element is built.  The flat decoder's test reaches the ensemble's space by
+the one move through the flattening permutation W (``flatten._moved``).
+``hayashi_nagaoka_povm`` builds the elements for callers that need them.
 The channel code runs the full protocol exactly: shared flattened-purification
 and embezzling resources, transpose-trick encoding on Alice's side, a channel
 application, and square-root decoding on Bob's side, with error probabilities
 computed by dense propagation over every message and shared-randomness branch
 (no sampling).  It rounds psi_A itself onto the grid and runs in the
 rounding's eigenbasis, where the flattening permutation and the
-Heisenberg-Weyl rotations map basis vectors to basis vectors; only the
-hypothesis test and the Kraus operators are rotated, once.
+Heisenberg-Weyl rotations map basis vectors to basis vectors, up to a phase;
+only the hypothesis test and the Kraus operators are rotated, once.
 The rate cap and the code take the test and its D_H from one Neyman-Pearson
 solve, and so does each decoder.
 
-Every protocol's square-root measurement Lambda_i = S^{-1/2} Omega_i S^{-1/2}
-is split by ``_blocks`` on the connected components (the one rule
-``_components``) of the union of its tests' nonzero patterns: S and each
-test are exactly block-diagonal there, and nothing is thresholded.
-``_successes`` takes every branch of a family (each S, a sum of some of the
-family's tests) at once: it sums each branch's blocks in member order,
-eigensolves them in one stacked ``_inv_sqrt`` per block size, and reads
-Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag) on the blocks that the signal columns
-X touch.  The channel code passes every shared-randomness branch in one
-call, each decoder its one branch.  ``hayashi_nagaoka_povm`` solves the
-whole S densely, without blocks: it is the tests' independent oracle.
+Every protocol's square-root measurement Lambda_m = S^{-1/2} Omega_m S^{-1/2}
+runs over one test and a monomial map (src, phase) per member,
+Omega_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]);
+no rotated copy of the test is built.  ``_blocks`` splits each S on the
+connected components (the one rule ``_components``) of the union of its
+members' nonzero patterns, read from the test's nonzeros through each map:
+S and each member are exactly block-diagonal there, and nothing is
+thresholded.  ``_successes`` takes every branch of a family (each S, a sum
+of some of its members) at once: it gathers each branch's blocks from the
+test, sums them in member order, eigensolves them in one stacked
+``_inv_sqrt`` per block size, and reads Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag)
+on the blocks that the signal columns X touch.  The channel code passes
+every shared-randomness branch in one call, each decoder its one branch.
+``hayashi_nagaoka_povm`` solves the whole S densely, without blocks: it is
+the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexsplit import (_classical_ensemble, _members, hw_family,
-                          pairwise_family, prime_register, u_ell_index)
+from .convexsplit import (_classical_ensemble, _hw_gather, _members,
+                          hw_family, pairwise_family, prime_register,
+                          u_ell_index)
 from .entropy import _dh_value, _threshold_test, dh_eps, dmax, imax
 from .flatten import (_flat_ensemble, _gamma_fraction, _moved,
                       check_unembezzle, embezzling_state, harmonic_sum,
@@ -186,22 +191,29 @@ def _components(rows, cols, n):
         labels = new
 
 
-def _blocks(family, branches):
+def _blocks(test, src, branches):
     """The blocks of every branch's S on its members' union pattern.
 
-    ``family`` is a stack of Hermitian members (n_members, dim, dim) and
-    ``branches`` (n_branches, n_terms) lists the members summed into each S.
-    S and each of its members are exactly block-diagonal on the connected
-    components of the union of its members' nonzero patterns; no entry is
-    thresholded.  `_components` labels every member's pattern at once (node
-    m dim + i), then joins them per branch: node b dim + i to b dim + own[m, i]
-    for each member m of branch b.  Returns one pair per block size, in
-    ascending size: the branch of each block (n_blocks,) and its indices
+    Member m is ``test`` read through row m of the monomial maps ``src``
+    (n_members, dim), and ``branches`` (n_branches, n_terms) lists the
+    members summed into each S.  S and each of its members are exactly
+    block-diagonal on the connected components of the union of its members'
+    nonzero patterns; no entry is thresholded.  `_components` labels every
+    member's pattern at once (node m dim + i; the nonzeros of ``test``
+    through each member's inverse map, those outside its image dropped),
+    then joins them per branch: node b dim + i to b dim + own[m, i] for each
+    member m of branch b.  Returns one pair per block size, in ascending
+    size: the branch of each block (n_blocks,) and its indices
     (n_blocks, size), blocks ordered by branch and smallest index.
     """
-    n_members, dim = family.shape[:2]
-    member, i, j = np.nonzero(family != 0)
-    own = _components(member * dim + i, member * dim + j,
+    n_members, dim = src.shape
+    inverse = np.full((n_members, len(test)), -1)
+    inverse[np.arange(n_members)[:, None], src] = np.arange(dim)
+    rows, cols = np.nonzero(test)
+    i, j = inverse[:, rows], inverse[:, cols]
+    keep = (i >= 0) & (j >= 0)
+    node = np.arange(n_members)[:, None] * dim
+    own = _components((node + i)[keep], (node + j)[keep],
                       n_members * dim).reshape(n_members, dim) % dim
     offsets = np.arange(len(branches))[:, None, None] * dim
     roots = own[branches] + offsets
@@ -235,40 +247,48 @@ def _inv_sqrt(total, support=False):
     return inv
 
 
-def _successes(family, branches, factors):
+def _gathered(test, src, phase, members, idx):
+    """Member members[k] of `_successes` on the indices idx[k], stacked."""
+    at, p = src[members[:, None], idx], phase[members[:, None], idx]
+    return p[:, :, None] * test[at[:, :, None], at[:, None, :]] \
+        * p.conj()[:, None, :]
+
+
+def _successes(test, src, phase, branches, factors):
     """Re Tr(S_b^{-1/2} F_m S_b^{-1/2} X_m X_m^dag) for every branch b and
     its j-th member m = branches[b, j], as an (n_branches, n_terms) array.
 
-    S_b is the sum of the members F (a stack, (n_members, dim, dim)) over
-    row b of ``branches``, in row order; X_m = factors[m] is (dim, cols).
-    The trace is summed over the blocks of `_blocks`, and only blocks where
-    an X_m of the branch has a nonzero row are eigensolved, in one stacked
-    `_inv_sqrt` per block size for each chunk of branches.  A chunk's
-    n_terms x dim member rows hold no more entries than the family.
+    F_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]),
+    with ``src`` and ``phase`` (n_members, dim) and |phase| = 1; S_b is the
+    sum of the members over row b of ``branches``, in row order, and
+    X_m = factors[m] is (dim, cols).  The trace is summed over the blocks of
+    `_blocks`, and only blocks where an X_m of the branch has a nonzero row
+    are gathered from ``test`` and eigensolved, in one stacked `_inv_sqrt`
+    per block size for each chunk of branches.  A chunk's n_terms x dim
+    member rows are no more than the n_members x dim^2 member entries.
     """
     branches = np.asarray(branches)
-    n_terms, dim = branches.shape[1], family.shape[1]
+    n_terms, (n_members, dim) = branches.shape[1], src.shape
     touched = (factors != 0).any(axis=2)
     out = np.zeros(branches.shape)
-    step = max(1, family.size // (n_terms * dim))
+    step = max(1, n_members * dim // n_terms)
     for start in range(0, len(branches), step):
         chunk = branches[start:start + step]
         hit = touched[chunk].any(axis=1)
-        for br, idx in _blocks(family, chunk):
+        for br, idx in _blocks(test, src, chunk):
             keep = hit[br[:, None], idx].any(axis=1)
             if not keep.any():
                 continue
             br, idx = br[keep], idx[keep]
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            members = chunk[br]
-            total = family[members[:, :1, None], rows, cols]
-            for m in members.T[1:]:
-                total += family[m[:, None, None], rows, cols]
+            members = chunk[br].T
+            total = _gathered(test, src, phase, members[0], idx)
+            for m in members[1:]:
+                total += _gathered(test, src, phase, m, idx)
             inv = _inv_sqrt(total)
-            for j, m in enumerate(members.T):
+            for j, m in enumerate(members):
                 x = factors[m[:, None], idx]
                 gram = x @ x.conj().swapaxes(-1, -2)
-                lam = inv @ family[m[:, None, None], rows, cols] @ inv
+                lam = inv @ _gathered(test, src, phase, m, idx) @ inv
                 np.add.at(out[start:start + step, j], br,
                           np.einsum("bij,bji->b", lam, gram).real)
     return out
@@ -347,13 +367,14 @@ def _signal_successes(test, sources, signals, weights):
     """Tr(Lambda_l tau_l) for every l of ``sources``, from signal vectors.
 
     sources[l] is the gather map of U_l: (U_l x)[i] = x[sources[l][i]], so
-    U_l test U_l^dag = test[src, src].  Lambda_l = S^{-1/2} U_l test U_l^dag
-    S^{-1/2} with S the sum of the rotated tests, and tau_l = U_l (sum_c
-    weights[c] |c><c|) U_l^dag over the columns |c> of ``signals``, so
-    tau_l = X_l X_l^dag with X_l the weighted signals gathered by src.
+    U_l test U_l^dag = test[src, src], a member with unit phases.
+    Lambda_l = S^{-1/2} U_l test U_l^dag S^{-1/2} with S the sum of the
+    rotated tests, and tau_l = U_l (sum_c weights[c] |c><c|) U_l^dag over
+    the columns |c> of ``signals``, so tau_l = X_l X_l^dag with X_l the
+    weighted signals gathered by src.
     """
     srcs = np.array(list(sources.values()))
-    successes = _successes(test[srcs[:, :, None], srcs[:, None, :]],
+    successes = _successes(test, srcs, np.ones(srcs.shape),
                            [range(len(srcs))],
                            (signals * np.sqrt(weights))[srcs])[0]
     return dict(zip(sources, successes.tolist()))
@@ -596,15 +617,19 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
         out[np.ix_(pairs, pairs)] = rot
         return out
 
-    # Bob's rotated tests U_y W (Omega (x) I) W^dag U_y^dag on (B, C, E, D)
+    # Bob's test W (Omega (x) I) W^dag on (B, C, E, D).  Each rotation U_y is
+    # monomial: the gather map of V_y on the support pairs of (C, E) and the
+    # identity elsewhere, lifted to rows src[y] and phases phase[y]
     hw = hw_family(m_big)
     bob_dims = (d_a,) + side_dims
     om_lift = np.kron(act(omega_test, flat.basis.T, (d_a, d_a), [1]),
                       np.eye(e_dim * d_dim))
     om_moved = permute_basis(om_lift, np.argsort(w_img), bob_dims, [1, 2, 3])
-    tests = np.empty((len(hw),) + om_moved.shape, dtype=complex)
-    for y, u in enumerate(hw):
-        tests[y] = act(om_moved, lifted(u.matrix), bob_dims, [1, 2])
+    src = np.empty((len(hw), len(om_moved)), dtype=int)
+    phase = np.empty(src.shape, dtype=complex)
+    src_ce = np.arange(d_a * e_dim)
+    phase_ce = np.ones(d_a * e_dim, dtype=complex)
+    ce = np.arange(len(om_moved)) // d_dim % (d_a * e_dim)    # (C, E) digit
 
     # channel outputs of Alice's encodings W^dag (U_y^T (x) I) W, as column
     # blocks on (B, C, E, D) over the Kraus index and (E', D')
@@ -613,6 +638,9 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     columns = np.empty((len(hw), len(om_moved), len(kraus) * e_dim * d_dim),
                        dtype=complex)
     for y, u in enumerate(hw):
+        u_src, phase_ce[pairs] = _hw_gather(u.a, u.b, m_big)
+        src_ce[pairs] = pairs[u_src]
+        src[y], phase[y] = lift_index(src_ce, bob_dims, [1, 2]), phase_ce[ce]
         u_enc = permute_basis(np.kron(lifted(u.matrix.T), np.eye(d_dim)),
                               w_img, side_dims, [0, 1, 2])
         enc = (u_enc @ resource).reshape(shape)
@@ -623,7 +651,8 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     images = pairwise_family(q_field).images(range(n_messages))
     branches, inverse = np.unique(images.reshape(-1, n_messages), axis=0,
                                   return_inverse=True)
-    totals = _successes(tests, branches, columns)[inverse].sum(axis=0)
+    totals = _successes(om_moved, src, phase, branches,
+                        columns)[inverse].sum(axis=0)
     errors = 1.0 - totals / (q_field * q_field)
     branch_count = n_messages * q_field * q_field
 

@@ -13,6 +13,7 @@ the analytic bound driven by k = Dmax(state || marginal (x) uniform).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,13 +165,21 @@ class HWUnitary:
             raise ValueError("HW matrix is not unitary within tolerance")
 
 
+def _hw_gather(a, b, d):
+    """(src, phase) of V_{a,b}: (V x)[i] = phase[i] x[src[i]], src = i - a."""
+    src = (np.arange(d) - a) % d
+    # a real argument: numpy divides complex arrays by d as a product with
+    # 1 / d, which would move the phases off the scalar exp(2j pi c b / d)
+    return src, np.exp(1j * (2 * np.pi * src * b / d))
+
+
 def hw_unitary(a, b, d):
     """V_{a,b} = sum_c exp(2 pi i c b / d) |c+a><c|."""
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) out of range for dimension {d}")
+    src, phase = _hw_gather(a, b, d)
     mat = np.zeros((d, d), dtype=complex)
-    for c in range(d):
-        mat[(c + a) % d, c] = np.exp(2j * np.pi * c * b / d)
+    mat[np.arange(d), src] = phase
     return HWUnitary(a, b, d, mat)
 
 
@@ -438,10 +447,15 @@ class PrimeEnsemble:
         self.theta, self.psi_r = theta, psi_r
         self.f_prime = reg.prime
         self.dim_full = self.r_dim * self.f_prime * self.d_dim * self.f_prime
-        # theta (x) mu_X on the q = 0 part of F1, then (x) mu_F2
-        self.base = np.kron(self.embed_f1(theta, np.diag([1.0, 0.0])),
-                            np.eye(self.f_prime))
-        self.base *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
+
+    @functools.cached_property
+    def base(self):
+        """theta (x) mu_X on the q = 0 part of F1, then (x) mu_F2; built on
+        first read (the decoders read only ``theta``)."""
+        base = np.kron(self.embed_f1(self.theta, np.diag([1.0, 0.0])),
+                       np.eye(self.f_prime))
+        base *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
+        return base
 
     def full_index(self, r, f1, d, f2):
         return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2

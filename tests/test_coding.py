@@ -1,8 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit import coding, entropy
@@ -203,6 +204,21 @@ class TestHayashiNagaoka:
             POVM({0: np.diag([0.5, 0.5]), 1: np.diag([0.2, 0.2])})
 
 
+def _one_test(family):
+    """An arbitrary family as one block-diagonal test with offset compression
+    maps: member m is test[src[m], src[m]], with unit phases."""
+    family = np.stack(family)
+    n_members, dim = family.shape[:2]
+    src = np.arange(n_members * dim).reshape(n_members, dim)
+    return _block_diag(list(family)), src, np.ones(src.shape)
+
+
+def _materialised(test, src, phase):
+    """Every member phase_i test[src_i, src_j] conj(phase_j), stacked."""
+    return phase[:, :, None] * test[src[:, :, None], src[:, None, :]] \
+        * phase.conj()[:, None, :]
+
+
 def _own_components(total):
     """Number of connected components of the nonzero pattern of ``total``."""
     return len(np.unique(_components(*np.nonzero(total), len(total))))
@@ -211,11 +227,11 @@ def _own_components(total):
 def _block_inv_sqrt(family):
     """Dense S^{-1/2} and support projector of S = sum(family), scattered
     from the blocks of `_blocks` and `_inv_sqrt`."""
-    family = np.stack(family)
-    dim = family.shape[1]
+    test, src, _ = _one_test(family)
+    dim = src.shape[1]
     inv_half = np.zeros((dim, dim), dtype=complex)
     supp = np.zeros((dim, dim), dtype=complex)
-    for br, idx in _blocks(family, np.arange(len(family))[None]):
+    for br, idx in _blocks(test, src, np.arange(len(family))[None]):
         assert not br.any()
         rows, cols = idx[:, :, None], idx[:, None, :]
         total = sum(member[rows, cols] for member in family)
@@ -230,8 +246,9 @@ class TestInvSqrt:
     def check(self, total, n_blocks):
         assert _own_components(total) == n_blocks
         one_branch = np.zeros((1, 1), dtype=int)
+        test, src, _ = _one_test([total])
         covered = np.concatenate(
-            [idx.ravel() for _, idx in _blocks(total[None], one_branch)])
+            [idx.ravel() for _, idx in _blocks(test, src, one_branch)])
         assert np.array_equal(np.sort(covered), np.arange(total.shape[0]))
         got_inv, got_supp = _block_inv_sqrt([total])
         want_inv, want_supp = _dense_inv_sqrt(total)
@@ -286,22 +303,47 @@ def _union_find_blocks(family, branches):
     return parts
 
 
+def _sparse_member(draw, dim):
+    """One sparse Hermitian matrix on ``dim`` indices, possibly all zero."""
+    index = st.integers(0, dim - 1)
+    member = np.zeros((dim, dim), dtype=complex)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=2 * dim)):
+        member[i, j] = complex(1 + i + j, j - i)
+        member[j, i] = complex(1 + i + j, i - j)
+    return member
+
+
+def _branches(draw, n_members):
+    """1-4 branches of 1-4 terms that may repeat a member."""
+    n_terms = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, n_members - 1), min_size=n_terms,
+                   max_size=n_terms)
+    return np.array(draw(st.lists(row, min_size=1, max_size=4)))
+
+
 @st.composite
 def _sparse_families(draw):
     """(family, branches): 1-6 sparse Hermitian members on 1-12 indices, any
     of them all zero, and 1-4 branches of 1-4 terms that may repeat a
     member."""
     n_members, dim = draw(st.integers(1, 6)), draw(st.integers(1, 12))
-    index = st.integers(0, dim - 1)
-    family = np.zeros((n_members, dim, dim), dtype=complex)
-    for member in family:
-        for i, j in draw(st.lists(st.tuples(index, index), max_size=2 * dim)):
-            member[i, j] = complex(1 + i + j, j - i)
-            member[j, i] = complex(1 + i + j, i - j)
-    n_terms = draw(st.integers(1, 4))
-    row = st.lists(st.integers(0, n_members - 1), min_size=n_terms,
-                   max_size=n_terms)
-    return family, np.array(draw(st.lists(row, min_size=1, max_size=4)))
+    family = np.stack([_sparse_member(draw, dim) for _ in range(n_members)])
+    return family, _branches(draw, n_members)
+
+
+@st.composite
+def _permuted_families(draw):
+    """(test, src, phase, branches): one sparse Hermitian test on 1-12
+    indices, 1-6 random permutation maps with unit phases, and branches as
+    in `_sparse_families`."""
+    n_members, dim = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    test = _sparse_member(draw, dim)
+    src = np.array([draw(st.permutations(range(dim)))
+                    for _ in range(n_members)]).reshape(n_members, dim)
+    angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=src.size,
+                           max_size=src.size))
+    phase = np.exp(1j * np.array(angles)).reshape(src.shape)
+    return test, src, phase, _branches(draw, n_members)
 
 
 class TestBlocksProperty:
@@ -310,10 +352,21 @@ class TestBlocksProperty:
     @example(case=(np.stack([np.zeros((4, 4)), np.eye(4)[[1, 0, 2, 3]]]),
                    np.array([[0, 0], [1, 0], [1, 1]])))
     def test_matches_union_find(self, case):
+        family, branches = case
+        self.check(_blocks(*_one_test(family)[:2], branches), family,
+                   branches)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_permuted_families())
+    def test_permutation_maps_match_union_find(self, case):
+        test, src, phase, branches = case
+        self.check(_blocks(test, src, branches),
+                   _materialised(test, src, phase), branches)
+
+    @staticmethod
+    def check(groups, family, branches):
         # groups in ascending block size; in a group, blocks by branch and
         # then smallest index; indices ascending within a block
-        family, branches = case
-        groups = _blocks(family, branches)
         sizes = [idx.shape[1] for _, idx in groups]
         assert sizes == sorted(set(sizes))
         got = [[] for _ in branches]
@@ -340,10 +393,11 @@ def _dense_successes(family, branches, factors):
     return out
 
 
-def _check_successes(family, branches, factors):
-    family, factors = np.stack(family), np.stack(factors)
-    got = _successes(family, branches, factors)
-    want = _dense_successes(family, branches, factors)
+def _check_successes(test, src, phase, branches, factors):
+    factors = np.stack(factors)
+    got = _successes(test, src, phase, branches, factors)
+    want = _dense_successes(_materialised(test, src, phase), branches,
+                            factors)
     assert np.max(np.abs(got - want)) <= 1e-12
     return got
 
@@ -362,16 +416,18 @@ class TestSuccesses:
                   for _ in range(2)]
         x = np.zeros((9, 5), dtype=complex)
         x[3:7] = rng.standard_normal((4, 5))
-        assert np.array_equal(_check_successes(family, [[0, 1]], [x, x]),
-                              np.zeros((1, 2)))
+        assert np.array_equal(
+            _check_successes(*_one_test(family), [[0, 1]], [x, x]),
+            np.zeros((1, 2)))
         x[[0, 8]] = rng.standard_normal((2, 5))
-        _check_successes(family, [[0, 1], [1, 1]], [x, 2 * x])
+        _check_successes(*_one_test(family), [[0, 1], [1, 1]], [x, 2 * x])
 
     def test_unequal_blocks_over_many_branches(self):
-        # 45 branches of 3 terms: the 4 x 17^2 entries of the family take
-        # 22 branches' 3 x 17 member rows at a time, so 3 chunks
+        # 45 branches of 3 terms: the 4 x 17^2 entries of the family the
+        # maps stand for take 22 branches' 3 x 17 member rows at a time, so
+        # 3 chunks
         rng = np.random.default_rng(5)
-        _check_successes(_test_family(5, 4, (3, 1, 3, 5, 2, 3)),
+        _check_successes(*_one_test(_test_family(5, 4, (3, 1, 3, 5, 2, 3))),
                          rng.integers(0, 4, (45, 3)),
                          _factors(rng, 4, 17, 3))
 
@@ -381,9 +437,10 @@ class TestSuccesses:
         family = [np.array([[0.3, 0.2, 0], [0.2, 0.5, 0], [0, 0, 0.4]]),
                   np.array([[0.6, -0.2, 0], [-0.2, 0.1, 0], [0, 0, 0.0]])]
         assert _own_components(family[0] + family[1]) == 3
+        test, src, phase = _one_test(family)
         assert sorted(idx.shape[1] for _, idx in
-                      _blocks(np.stack(family), np.array([[0, 1]]))) == [1, 2]
-        _check_successes(family, [[0, 1], [1, 0], [0, 0]],
+                      _blocks(test, src, np.array([[0, 1]]))) == [1, 2]
+        _check_successes(test, src, phase, [[0, 1], [1, 0], [0, 0]],
                          _factors(np.random.default_rng(6), 2, 3, 2))
 
     def test_support_eigenvalue_near_1e9(self):
@@ -401,7 +458,7 @@ class TestSuccesses:
             assert np.max(np.abs(povm.elements[m] - lam)) <= 1e-12
         assert np.max(np.abs(povm.elements[-1])) <= 1e-12
         factors = _factors(np.random.default_rng(7), 2, 2, 2)
-        got = _check_successes(family, [[0, 1], [1, 0]], factors)
+        got = _check_successes(*_one_test(family), [[0, 1], [1, 0]], factors)
         want = [np.real(np.trace(lams[m] @ x @ x.conj().T))
                 for m, x in enumerate(factors)]
         assert np.max(np.abs(got - [want, want[::-1]])) <= 1e-12
@@ -475,6 +532,28 @@ class TestPositionDecodeClassical:
         assert vals[0] >= vals[1] - 1e-9 >= vals[2] - 2e-9
 
 
+def _flat_lifted(psi, eps):
+    """The flat decoder's ensemble and lifted test for psi on a trivial B
+    and a qubit C, against mu_C at gamma = 2/3, a = 2, n = 3, d_size = 8,
+    built as the decoder builds them: (B, F1, D, F2) has 1089 dimensions."""
+    mu_c = maximally_mixed(sysof(("C", 2)))
+    flat = round_spectrum(mu_c, Fraction(2, 3), "down")
+    ens = _flat_ensemble(psi, flat, 2, 3, 9)
+    omega, _ = neyman_pearson_operator(
+        psi, tensor(partial_trace(psi, ["C"]), mu_c), eps)
+    return ens, _lifted_flat_test(ens, flat, omega, psi.system.dims)
+
+
+def _flat_dense(psi, subset, eps):
+    """(ensemble, rotated tests by l, dense S^{-1/2}) of `_flat_lifted`."""
+    ens, om_full = _flat_lifted(psi, eps)
+    rotated = {}
+    for ell in subset:
+        src = ens.source(ell)
+        rotated[ell] = om_full[np.ix_(src, src)]
+    return ens, rotated, _dense_inv_sqrt(sum(rotated.values()))[0]
+
+
 class TestPositionDecodeFlat:
     def test_single_position_nonvacuous(self):
         phi = maximally_entangled("B", "C", 2)
@@ -546,6 +625,59 @@ class TestPositionDecodeFlat:
                         val = np.real(amp.conj() @ lam[np.ix_(at, at)] @ amp)
                         total += t_vals[t] / (s_dim * f_prime) * val
             assert abs(rep.successes[ell] - total) <= 1e-12
+
+
+    def test_peak_memory_within_one_and_a_half_lifted_tests(self):
+        # the benchmark's case: trivial B, gamma = 2/3, a = 2, n = 3,
+        # d_size = 8, subset [0]; the family is the lifted test (18.1 MiB)
+        # and its gather maps, with no rotated copy of the test
+        psi = DensityOperator(sysof(("B", 1), ("C", 2)),
+                              _seeded_input((0.7, 0.3), 9).matrix)
+        mu_c = maximally_mixed(sysof(("C", 2)))
+        lifted_bytes = _flat_lifted(psi, 0.01)[1].nbytes
+        tracemalloc.start()
+        try:
+            position_based_decode_flat(psi, mu_c, Fraction(2, 3), [0], 0.01,
+                                       0.2, a=2, n=3, d_size=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * lifted_bytes
+
+
+class TestFlatDecoderProperty:
+    """The flat decoder on random mixed psi_C with a trivial B: its bound,
+    and its successes against a dense S^{-1/2} on all 1089 dimensions,
+    with tau_l = U_l base U_l^dag.  A draw costs the oracle one 1089 x 1089
+    eigh (about 2 s on one core of a 2-core VM) and two products per
+    position, so two draws of at most 2 positions each."""
+
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(1e-3, 0.2),
+           delta=st.floats(0.05, 0.95), data=st.data())
+    def test_bound_and_dense_oracle(self, seed, eps, delta, data):
+        psi = random_density(seed, sysof(("B", 1), ("C", 2)))
+        mu_c = maximally_mixed(sysof(("C", 2)))
+        _, type2 = neyman_pearson_operator(
+            psi, tensor(partial_trace(psi, ["C"]), mu_c), eps)
+        cap = delta ** 2 / (4 * eps * type2)
+        assume(cap >= 1)
+        # positions of the prime register |F| = 11 built on the 3-state grid
+        subset = sorted(data.draw(st.sets(st.integers(0, 10), min_size=1,
+                                          max_size=int(min(2, cap)))))
+        try:
+            rep = position_based_decode_flat(psi, mu_c, Fraction(2, 3),
+                                             subset, eps, delta, a=2, n=3,
+                                             d_size=8)
+        except ValueError:
+            assume(False)
+        ens, rotated, inv_half = _flat_dense(psi, subset, eps)
+        for ell in subset:
+            src = ens.source(ell)
+            lam = inv_half @ rotated[ell] @ inv_half
+            want = np.real(np.sum(lam.T * ens.base[np.ix_(src, src)]))
+            assert abs(rep.successes[ell] - want) <= 1e-12
+        assert rep.min_success >= rep.exact_bound - 1e-9
 
 
 def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
@@ -786,17 +918,17 @@ class TestChannelCode:
         monkeypatch.setattr(coding, "_successes", recording)
         ea_channel_code(depolarizing_channel(0.1), self.mu_a, 0, 0.05, 0.5,
                         0.5, a=4, n=5)
-        (family, branches, factors), = calls
+        (test, src, phase, branches, factors), = calls
         assert branches.tolist() == [[y] for y in range(16)]
-        for member in family:
+        for member in _materialised(test, src, phase):
             labels = _components(*np.nonzero(member), len(member))
             assert sorted(np.bincount(labels)[np.unique(labels)]) \
                 == [1] * 52 + [3] * 52
-        _check_successes(family, branches, factors)
+        _check_successes(test, src, phase, branches, factors)
         for row in ([0, 5], [3, 12], list(range(16))):
             assert max(idx.shape[1] for _, idx in
-                       _blocks(family, np.array([row]))) == 4
-            _check_successes(family, [row], factors)
+                       _blocks(test, src, np.array([row]))) == 4
+            _check_successes(test, src, phase, [row], factors)
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -808,9 +940,9 @@ class TestChannelCode:
             shapes.append(total.shape)
             return _inv_sqrt(total, support)
 
-        def chunk_recording(family, branches):
+        def chunk_recording(test, src, branches):
             chunks.append(len(branches))
-            return _blocks(family, branches)
+            return _blocks(test, src, branches)
 
         monkeypatch.setattr(coding, "_inv_sqrt", recording)
         monkeypatch.setattr(coding, "_blocks", chunk_recording)

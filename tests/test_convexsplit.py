@@ -10,6 +10,7 @@ from oneshot_qit.coding import (hayashi_nagaoka_povm, neyman_pearson_operator,
                                 position_based_decode_flat)
 from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
                                      PrimeRegister, _factor_prime_power,
+                                     _hw_gather,
                                      classical_marginal_check,
                                      compose_u, convex_split_1design,
                                      convex_split_classical, hw_family,
@@ -93,6 +94,22 @@ class TestHWUnitaries:
     def test_all_unitary(self):
         for v in hw_family(5):
             assert np.max(np.abs(v.matrix.conj().T @ v.matrix - np.eye(5))) <= 1e-12
+
+    def test_gather_map_scatters_to_the_matrix(self):
+        # (V x)[i] = phase[i] x[src[i]], against the loop over the columns
+        # |c> -> exp(2 pi i c b / d) |c + a>, bit for bit
+        for d in range(1, 9):
+            for a in range(d):
+                for b in range(d):
+                    src, phase = _hw_gather(a, b, d)
+                    scattered = np.zeros((d, d), dtype=complex)
+                    scattered[np.arange(d), src] = phase
+                    loop = np.zeros((d, d), dtype=complex)
+                    for c in range(d):
+                        loop[(c + a) % d, c] = np.exp(2j * np.pi * c * b / d)
+                    assert np.array_equal(scattered, loop)
+                    assert np.array_equal(scattered,
+                                          hw_unitary(a, b, d).matrix)
 
 
 class TestOneDesign:
