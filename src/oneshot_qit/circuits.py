@@ -243,9 +243,9 @@ class _ModularUnit:
         self.c0 = builder.alloc(1, "ancilla")[0]            # adder carry-in
         self.flag = builder.alloc(1, "ancilla")[0]          # compare flag
 
-    def alloc_value_register(self, role="scratch"):
+    def alloc_value_register(self):
         """n data wires plus one top scratch bit, all starting at 0."""
-        return self.b.alloc(self.n + 1, role)
+        return self.b.alloc(self.n + 1, "scratch")
 
     # addend loaders XOR a value into the scratch register self.w
     def _load_const(self, value, ctrl=None):

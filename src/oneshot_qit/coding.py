@@ -46,8 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convexsplit import (_classical_ensemble, _hw_gather, _members,
-                          hw_family, pairwise_family, prime_register,
-                          u_ell_index)
+                          pairwise_family, prime_register, u_ell_index)
 from .entropy import _dh_value, _threshold_test, dh_eps, dmax, imax
 from .flatten import (_flat_ensemble, _gamma_fraction, _moved,
                       check_unembezzle, embezzling_state, harmonic_sum,
@@ -91,14 +90,12 @@ def identity_channel(dim=2):
     return QuantumChannel((np.eye(dim, dtype=complex),), dim, dim, "identity")
 
 
-def depolarizing_channel(p, dim=2):
+def depolarizing_channel(p):
     """rho -> (1 - p) rho + p mu, p in [0, 4/3], by the uniform Pauli Kraus set.
 
     p above 1 stays completely positive up to 4/3, where no weight is left
     on the identity.
     """
-    if dim != 2:
-        raise ValueError("depolarizing channel implemented for qubits")
     _check_range("p", p, 4 / 3)
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
@@ -563,9 +560,11 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     and conj(v) on C.  There the resource is sum_c sqrt(q_c) |c>|c> (x)
     |xi^{a:n}>_{D'D} (x) |00>_{E'E}, W is the index map of
     ``unitary_flatten_W`` on (A, E', D') and on (C, E, D), and each HW
-    rotation on the support pairs of (C, E) is a monomial matrix.  Only the
-    Kraus operators (K v) and the test (v^T on C) are rotated.  gamma and the
-    channel dimensions are checked before the hypothesis test is solved.
+    rotation V_y on the support pairs of (C, E) is one gather map: Bob reads
+    the test through it and Alice gathers the resource through its
+    transpose.  Only the Kraus operators (K v) and the test (v^T on C) are
+    rotated.  gamma and the channel dimensions are checked before the
+    hypothesis test is solved.
 
     ``rate`` = 0 (one message) is always admissible; rate >= 1 above the rate
     cap refuses with the computed ceiling unless ``enforce_cap`` is off (used
@@ -609,44 +608,40 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
                                        xi_pairs)
     side_dims = (d_a, e_dim, d_dim)
     w_img = unitary_flatten_W(flat, d_dim)
+    w_inv = np.argsort(w_img)
     pairs = flat.support_index()
 
-    def lifted(rot):
-        """rot on the support pairs of (C, E), the identity elsewhere."""
-        out = np.eye(d_a * e_dim, dtype=complex)
-        out[np.ix_(pairs, pairs)] = rot
-        return out
-
-    # Bob's test W (Omega (x) I) W^dag on (B, C, E, D).  Each rotation U_y is
-    # monomial: the gather map of V_y on the support pairs of (C, E) and the
-    # identity elsewhere, lifted to rows src[y] and phases phase[y]
-    hw = hw_family(m_big)
+    # Bob's test W (Omega (x) I) W^dag on (B, C, E, D).  Each V_y is one
+    # gather map (src_ce, phase_ce) on (C, E): V_y on the support pairs, the
+    # identity elsewhere.  Bob's member U_y is it lifted to rows src[y] and
+    # phases phase[y]; Alice's V_y^T gathers by its inverse t, with phases
+    # phase_ce[t]
     bob_dims = (d_a,) + side_dims
     om_lift = np.kron(act(omega_test, flat.basis.T, (d_a, d_a), [1]),
                       np.eye(e_dim * d_dim))
-    om_moved = permute_basis(om_lift, np.argsort(w_img), bob_dims, [1, 2, 3])
-    src = np.empty((len(hw), len(om_moved)), dtype=int)
+    om_moved = permute_basis(om_lift, w_inv, bob_dims, [1, 2, 3])
+    src = np.empty((q_field, len(om_moved)), dtype=int)
     phase = np.empty(src.shape, dtype=complex)
     src_ce = np.arange(d_a * e_dim)
     phase_ce = np.ones(d_a * e_dim, dtype=complex)
     ce = np.arange(len(om_moved)) // d_dim % (d_a * e_dim)    # (C, E) digit
 
-    # channel outputs of Alice's encodings W^dag (U_y^T (x) I) W, as column
+    # channel outputs of Alice's encodings W^dag (V_y^T (x) I) W, as column
     # blocks on (B, C, E, D) over the Kraus index and (E', D')
     resource = init.reshape(d_a * e_dim * d_dim, -1)
-    kraus = [k @ flat.basis for k in channel.kraus]
-    columns = np.empty((len(hw), len(om_moved), len(kraus) * e_dim * d_dim),
+    kraus = np.stack([k @ flat.basis for k in channel.kraus])
+    columns = np.empty((q_field, len(om_moved), len(kraus) * e_dim * d_dim),
                        dtype=complex)
-    for y, u in enumerate(hw):
-        u_src, phase_ce[pairs] = _hw_gather(u.a, u.b, m_big)
+    for y in range(q_field):
+        u_src, phase_ce[pairs] = _hw_gather(*divmod(y, m_big), m_big)
         src_ce[pairs] = pairs[u_src]
         src[y], phase[y] = lift_index(src_ce, bob_dims, [1, 2]), phase_ce[ce]
-        u_enc = permute_basis(np.kron(lifted(u.matrix.T), np.eye(d_dim)),
-                              w_img, side_dims, [0, 1, 2])
-        enc = (u_enc @ resource).reshape(shape)
-        columns[y] = np.concatenate(
-            [np.einsum("ba,aedcfg->bcfged", k, enc).reshape(
-                -1, e_dim * d_dim) for k in kraus], axis=1)
+        t = np.argsort(src_ce)
+        lifted_t = lift_index(t, side_dims, [0, 1])
+        enc = phase_ce[t][w_img // d_dim][:, None] \
+            * resource[w_inv[lifted_t[w_img]]]
+        columns[y] = np.einsum("kba,aedcfg->bcfgked", kraus,
+                               enc.reshape(shape)).reshape(len(om_moved), -1)
 
     images = pairwise_family(q_field).images(range(n_messages))
     branches, inverse = np.unique(images.reshape(-1, n_messages), axis=0,

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from oneshot_qit.coding import (INV_SQRT_CUT, POVM, CodingReport, _blocks,
                                 position_based_decode_classical,
                                 position_based_decode_flat,
                                 redistribution_bounds)
-from oneshot_qit.convexsplit import PrimeRegister, hw_family, pairwise_family
+from oneshot_qit.convexsplit import (PrimeRegister, hw_family, hw_unitary,
+                                     pairwise_family)
 from oneshot_qit.entropy import dh_eps
 from oneshot_qit.flatten import (_flat_ensemble, embezzling_state,
                                  round_spectrum, unitary_flatten_W)
@@ -760,6 +762,36 @@ def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
     return float(np.max(1.0 - totals / (q_field * q_field)))
 
 
+def _dense_channel_code_maps(channel, psi_a, gamma, a, n):
+    """Bob's rotations and the column blocks of Alice's encodings, built
+    densely in the rounding's eigenbasis: V_y is ``hw_unitary`` lifted onto
+    the support pairs of (C, E), and W^dag (V_y^T (x) I_D') W is a matrix
+    product on the resource, followed by each Kraus operator."""
+    flat = round_spectrum(psi_a, gamma, "down")
+    counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
+    d_a, d_dim = flat.c_dim, n * (m_big + 1) + 1
+    side = d_a * e_dim * d_dim
+    xi_pairs = embezzling_state(a, n).purification_vector(d_dim).reshape(
+        d_dim, d_dim)
+    init = np.zeros((d_a, e_dim, d_dim, d_a, e_dim, d_dim), dtype=complex)
+    init[:, 0, :, :, 0, :] = np.einsum(
+        "ac,pq->apcq", np.diag(np.sqrt(np.array(counts) / m_big)), xi_pairs)
+    w = np.zeros((side, side))
+    w[unitary_flatten_W(flat, d_dim), np.arange(side)] = 1.0
+    pairs = flat.support_index()
+    rotations, columns = [], []
+    for y in range(m_big * m_big):
+        lift = np.eye(d_a * e_dim, dtype=complex)
+        lift[np.ix_(pairs, pairs)] = hw_unitary(*divmod(y, m_big), m_big).matrix
+        rotations.append(np.kron(np.eye(d_a), np.kron(lift, np.eye(d_dim))))
+        enc = w.T @ np.kron(lift.T, np.eye(d_dim)) @ w @ init.reshape(side, -1)
+        columns.append(np.concatenate(
+            [(np.kron(k @ flat.basis, np.eye(e_dim * d_dim)) @ enc).reshape(
+                d_a, e_dim * d_dim, side).transpose(0, 2, 1).reshape(
+                d_a * side, e_dim * d_dim) for k in channel.kraus], axis=1))
+    return rotations, np.stack(columns)
+
+
 def _seeded_input(spectrum, seed):
     """Channel input with the given spectrum in a seeded unitary basis."""
     rng = np.random.default_rng(seed)
@@ -904,6 +936,35 @@ class TestChannelCode:
         oracle = _computational_basis_code(channel, psi_a, rate, 0.05,
                                            Fraction(2, 3), a=2, n=4)
         assert abs(rep.empirical_max_error - oracle) <= 1e-12
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.floats(0.55, 0.95),
+           kind=st.sampled_from([(depolarizing_channel, 4 / 3),
+                                 (dephasing_channel, 2.0),
+                                 (amplitude_damping_channel, 1.0)]),
+           strength=st.floats(0.0, 1.0),
+           gamma=st.sampled_from([Fraction(1, 2), Fraction(2, 3)]),
+           rate=st.sampled_from([0, 1]))
+    def test_gather_maps_match_dense_encodings(self, seed, p, kind, strength,
+                                               gamma, rate):
+        make, top = kind
+        channel = make(strength * top)
+        psi_a = _seeded_input((p, 1 - p), seed)
+        with mock.patch.object(coding, "_successes",
+                               wraps=_successes) as spy:
+            rep = ea_channel_code(channel, psi_a, rate, 0.05, gamma, 0.5,
+                                  a=4, n=5, enforce_cap=False)
+        assert rep.bound_satisfied()
+        (_, src, phase, _, factors), _ = spy.call_args
+        rotations, columns = _dense_channel_code_maps(channel, psi_a, gamma,
+                                                      a=4, n=5)
+        rows = np.arange(src.shape[1])
+        for y, rotation in enumerate(rotations):
+            member = np.zeros_like(rotation)
+            member[rows, src[y]] = phase[y]
+            assert np.max(np.abs(member - rotation)) <= 1e-14
+        assert factors.shape == columns.shape
+        assert np.max(np.abs(factors - columns)) <= 1e-14
 
     def test_union_blocks_coarser_than_each_member(self, monkeypatch):
         # depolarizing(0.1) at rate 0: each of the 16 tests splits into 52

@@ -369,3 +369,43 @@ def test_gate_catches_a_duplicate_block():
                  "    return f(x0)\n"),
     }
     assert duplicate_blocks(sources) == [[("a.py", 3), ("b.py", 2)]]
+
+
+DENSE_HW = {"hw_family", "hw_unitary", "HWUnitary"}
+
+
+def dense_hw_names(source):
+    """Lines that name a dense Heisenberg-Weyl form (``hw_family``,
+    ``hw_unitary``, ``HWUnitary``): as a name, an attribute or an import,
+    aliased or not."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in DENSE_HW \
+                or isinstance(node, ast.Attribute) and node.attr in DENSE_HW:
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and any(alias.name.split(".")[-1] in DENSE_HW
+                        for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "convexsplit.py"],
+    ids=lambda p: p.name)
+def test_one_form_of_the_hw_rotations(path):
+    # outside the module that defines them, each V_y is its gather map
+    # (convexsplit._hw_gather), never a dense matrix
+    assert dense_hw_names(path.read_text()) == []
+
+
+def test_gate_catches_a_dense_hw_rotation():
+    source = ("from .convexsplit import _hw_gather, hw_family as family\n"
+              "from . import convexsplit\n"
+              "import oneshot_qit.convexsplit.HWUnitary\n"
+              "def encode(d, hw_family_size=3):\n"
+              "    mats = [v.matrix.T for v in family(d)]\n"
+              "    one = convexsplit.hw_unitary(0, 1, d)\n"
+              "    src, phase = _hw_gather(0, 1, d)\n"
+              "    return isinstance(one, HWUnitary), 'hw_family'\n")
+    assert dense_hw_names(source) == [1, 3, 6, 8]
