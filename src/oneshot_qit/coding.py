@@ -23,9 +23,13 @@ solve, and so does each decoder.
 Every protocol's square-root measurement Lambda_m = S^{-1/2} Omega_m S^{-1/2}
 runs over one test and a monomial map (src, phase) per member,
 Omega_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]);
-no rotated copy of the test is built.  ``_blocks`` splits each S on the
-connected components (the one rule ``_components``) of the union of its
-members' nonzero patterns, read from the test's nonzeros through each map:
+no rotated copy of the test is built.  The test is a pair (A, f) standing
+for A (x) I_f, whose entries `registers.kron_eye_entries` reads: the flat
+decoder's A lives on (B, F1, D) with f = |F2|; the classical decoder and
+the channel code pass their dense tests with f = 1.
+``_blocks`` splits each S on the connected components (the one rule
+``_components``) of the union of its members' nonzero patterns, read from
+the test's nonzeros through each map:
 S and each member are exactly block-diagonal there, and nothing is
 thresholded.  ``_successes`` takes every branch of a family (each S, a sum
 of some of its members) at once: it gathers each branch's blocks from the
@@ -53,9 +57,9 @@ from .flatten import (_flat_ensemble, _gamma_fraction, _moved,
                       purified_embezzle_fidelity, round_spectrum,
                       unitary_flatten_W)
 from .registers import (DensityOperator, RegisterSystem, _as_density, act,
-                        canonical_purification, lift_index, maximally_mixed,
-                        partial_trace, permute_basis, permute_registers,
-                        reorder, tensor)
+                        canonical_purification, kron_eye_entries, lift_index,
+                        maximally_mixed, partial_trace, permute_basis,
+                        permute_registers, reorder, tensor)
 
 INV_SQRT_CUT = 1e-12
 """Eigenvalues of S at or below this lie outside supp(S), where S^{-1/2} is 0."""
@@ -191,22 +195,25 @@ def _components(rows, cols, n):
 def _blocks(test, src, branches):
     """The blocks of every branch's S on its members' union pattern.
 
-    Member m is ``test`` read through row m of the monomial maps ``src``
-    (n_members, dim), and ``branches`` (n_branches, n_terms) lists the
-    members summed into each S.  S and each of its members are exactly
-    block-diagonal on the connected components of the union of its members'
-    nonzero patterns; no entry is thresholded.  `_components` labels every
-    member's pattern at once (node m dim + i; the nonzeros of ``test``
+    Member m is ``test`` = (A, f), the operator A (x) I_f, read through row
+    m of the monomial maps ``src`` (n_members, dim), and ``branches``
+    (n_branches, n_terms) lists the members summed into each S.  S and each
+    of its members are exactly block-diagonal on the connected components of
+    the union of its members' nonzero patterns; no entry is thresholded.
+    `_components` labels every member's pattern at once (node m dim + i; the
+    nonzeros of ``test``, those of A repeated on the f diagonal copies,
     through each member's inverse map, those outside its image dropped),
     then joins them per branch: node b dim + i to b dim + own[m, i] for each
     member m of branch b.  Returns one pair per block size, in ascending
     size: the branch of each block (n_blocks,) and its indices
     (n_blocks, size), blocks ordered by branch and smallest index.
     """
+    factor, f = test
     n_members, dim = src.shape
-    inverse = np.full((n_members, len(test)), -1)
+    inverse = np.full((n_members, len(factor) * f), -1)
     inverse[np.arange(n_members)[:, None], src] = np.arange(dim)
-    rows, cols = np.nonzero(test)
+    rows, cols = (np.ravel(k[:, None] * f + np.arange(f))
+                  for k in np.nonzero(factor))
     i, j = inverse[:, rows], inverse[:, cols]
     keep = (i >= 0) & (j >= 0)
     node = np.arange(n_members)[:, None] * dim
@@ -247,7 +254,8 @@ def _inv_sqrt(total, support=False):
 def _gathered(test, src, phase, members, idx):
     """Member members[k] of `_successes` on the indices idx[k], stacked."""
     at, p = src[members[:, None], idx], phase[members[:, None], idx]
-    return p[:, :, None] * test[at[:, :, None], at[:, None, :]] \
+    return p[:, :, None] * kron_eye_entries(*test, at[:, :, None],
+                                            at[:, None, :]) \
         * p.conj()[:, None, :]
 
 
@@ -256,8 +264,9 @@ def _successes(test, src, phase, branches, factors):
     its j-th member m = branches[b, j], as an (n_branches, n_terms) array.
 
     F_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]),
-    with ``src`` and ``phase`` (n_members, dim) and |phase| = 1; S_b is the
-    sum of the members over row b of ``branches``, in row order, and
+    with ``test`` = (A, f) standing for A (x) I_f, ``src`` and ``phase``
+    (n_members, dim) and |phase| = 1; S_b is the sum of the members over
+    row b of ``branches``, in row order, and
     X_m = factors[m] is (dim, cols).  The trace is summed over the blocks of
     `_blocks`, and only blocks where an X_m of the branch has a nonzero row
     are gathered from ``test`` and eigensolved, in one stacked `_inv_sqrt`
@@ -363,6 +372,7 @@ def _decode_report(successes, eps, delta, cap, cross, coarse):
 def _signal_successes(test, sources, signals, weights):
     """Tr(Lambda_l tau_l) for every l of ``sources``, from signal vectors.
 
+    ``test`` is a pair (A, f) standing for A (x) I_f (see `_blocks`).
     sources[l] is the gather map of U_l: (U_l x)[i] = x[sources[l][i]], so
     U_l test U_l^dag = test[src, src], a member with unit phases.
     Lambda_l = S^{-1/2} U_l test U_l^dag S^{-1/2} with S the sum of the
@@ -412,7 +422,7 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     for ell in subset:
         src[:g * g] = u_ell_index(-ell % g, g)      # U_l^-1 = U_-l
         sources[ell] = lift_index(src, (d_b, host, g), [1, 2])
-    successes = _signal_successes(omega_lift, sources,
+    successes = _signal_successes((omega_lift, 1), sources,
                                   host_signals.reshape(-1, cols), weights)
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
     return _decode_report(successes, eps, delta, cap, cross, 4)
@@ -421,11 +431,11 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
 def _lifted_flat_test(ens, flat, omega, dims):
     """The test omega on (B, C) as an operator on the ensemble's (B, F1, D, F2).
 
-    Omega (x) I_ED is moved by W onto supp (x) D, embedded into F1 with its
-    q = 1 tail, then F2 is added.
+    Omega (x) I_ED is moved by W onto supp (x) D and embedded into F1 with
+    its q = 1 tail.  Returns (A, |F2|): the test is A (x) I_F2, never built.
     """
     om_supp = _moved(omega, dims, flat, np.eye(flat.e_dim * ens.d_dim))
-    return np.kron(ens.embed_f1(om_supp, np.eye(2)), np.eye(ens.f_prime))
+    return ens.embed_f1(om_supp, np.eye(2)), ens.f_prime
 
 
 def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
@@ -646,7 +656,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     images = pairwise_family(q_field).images(range(n_messages))
     branches, inverse = np.unique(images.reshape(-1, n_messages), axis=0,
                                   return_inverse=True)
-    totals = _successes(om_moved, src, phase, branches,
+    totals = _successes((om_moved, 1), src, phase, branches,
                         columns)[inverse].sum(axis=0)
     errors = 1.0 - totals / (q_field * q_field)
     branch_count = n_messages * q_field * q_field

@@ -20,8 +20,9 @@ import numpy as np
 
 from .entropy import Reference, _entropy_sum, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density,
-                        _root_sum, act, lift_index, maximally_mixed,
-                        partial_trace, permute_basis, reorder)
+                        _root_sum, act, kron_eye_entries, lift_index,
+                        maximally_mixed, partial_trace, permute_basis,
+                        reorder)
 
 
 def _is_prime(n):
@@ -433,8 +434,11 @@ class PrimeEnsemble:
     F1 and F2 are copies of the prime register ``reg``, built for
     |S| = reg.base_dim: F1 state q|S|^2 + s|S| + x carries (q, s, x), and only
     q = 0 is populated.  The base state is theta (x) mu_X on q = 0, (x) mu_F2;
-    the mixed terms are its images under the U_l on (F1, F2).  ``psi_r`` is
-    the R marginal of the decoupled target (a 1 x 1 identity without R).
+    the mixed terms are its images under the U_l on (F1, F2).  The base is
+    kept as its factor on (R, F1, D) (``base_factor``): base = factor (x) I_F2,
+    whose entries `registers.kron_eye_entries` reads, and no operator of the
+    full dimension squared is built.  ``psi_r`` is the R marginal of the
+    decoupled target (a 1 x 1 identity without R).
     """
 
     def __init__(self, theta, psi_r, d_dim, reg):
@@ -449,13 +453,18 @@ class PrimeEnsemble:
         self.dim_full = self.r_dim * self.f_prime * self.d_dim * self.f_prime
 
     @functools.cached_property
-    def base(self):
-        """theta (x) mu_X on the q = 0 part of F1, then (x) mu_F2; built on
-        first read (the decoders read only ``theta``)."""
-        base = np.kron(self.embed_f1(self.theta, np.diag([1.0, 0.0])),
-                       np.eye(self.f_prime))
-        base *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
-        return base
+    def base_factor(self):
+        """theta (x) mu_X on the q = 0 part of F1, divided by |F2|: the base
+        is this (x) I_F2.  Built on first read (the decoders read only
+        ``theta``)."""
+        factor = self.embed_f1(self.theta, np.diag([1.0, 0.0]))
+        factor *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
+        return factor
+
+    def _base_block(self, idx):
+        """base[np.ix_(idx, idx)], read from the factor."""
+        return kron_eye_entries(self.base_factor, self.f_prime,
+                                idx[:, None], idx[None, :])
 
     def full_index(self, r, f1, d, f2):
         return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
@@ -486,11 +495,11 @@ class PrimeEnsemble:
         return lift_index(u_ell_index(-ell % g, g), self.dims, [1, 3])
 
     def marginal(self, ell):
-        """Tr_F2(U_l base U_l^dag) on (R, F1, D), summed over f2 from base itself."""
+        """Tr_F2(U_l base U_l^dag) on (R, F1, D), summed over f2."""
         src = self.source(ell).reshape(-1, self.f_prime)
-        out = np.zeros((len(src), len(src)), dtype=self.base.dtype)
+        out = np.zeros((len(src), len(src)), dtype=self.base_factor.dtype)
         for idx in src.T:
-            out += self.base[np.ix_(idx, idx)]
+            out += self._base_block(idx)
         return out
 
     def signals(self):
@@ -513,6 +522,16 @@ class PrimeEnsemble:
             t_vecs.reshape(self.r_dim, s_dim, self.d_dim, n_t)[..., None, None]
         return signals, np.repeat(t_vals / (s_dim * f_prime), s_dim * f_prime)
 
+    def _factor_reference(self, ref):
+        """``ref`` on its F2 = 0 rows: psi_R (x) diag(w) on (R; F1, D).
+
+        ``ref`` is uniform on F2, so its sandwich of factor (x) I_F2 is the
+        sandwich of the factor by this reference, (x) I_F2, and its log terms
+        of factor (x) I_F2 are those of |F2| times the factor against this
+        reference.
+        """
+        return ref.restricted(np.arange(0, ref.w_dim, self.f_prime))
+
     def mixture_measures(self, subset, w_d):
         """D and F of tau = mean_l U_l base U_l^dag, l in ``subset``.
 
@@ -523,7 +542,8 @@ class PrimeEnsemble:
         """
         mu = np.full(self.f_prime, 1.0 / self.f_prime)
         ref = Reference(self.psi_r, np.kron(mu, np.kron(w_d, mu)))
-        terms = ref.log_terms(self.base)
+        terms = self._factor_reference(ref).log_terms(
+            self.f_prime * self.base_factor)
         if terms is None:
             return float("inf"), 0.0
         tau_vals, mid_vals = self.mixture_spectra(subset, ref)
@@ -538,20 +558,23 @@ class PrimeEnsemble:
         eigensolve runs on the smaller of:
         - the eigenspaces of U_1 when ``subset`` is the whole group: U_l is
           U_1^l, so tau is the pinching of base onto them, and
-          sqrt(ref) tau sqrt(ref) that of sqrt(ref) base sqrt(ref);
+          sqrt(ref) tau sqrt(ref) that of sqrt(ref) base sqrt(ref), both
+          read from their factors on (R, F1, D);
         - tau itself, compressed to the rows (R, w) for which some R-row of
           tau is nonzero, where the reference compresses to A (x) diag(w).
         """
         keep = self._occupied(subset)
         pinch = (2 * self.f_prime - 1) * self.r_dim * self.d_dim
         if len(subset) == self.f_prime and pinch < self.r_dim * len(keep):
-            return (self._sector_spectrum(self.base),
-                    self._sector_spectrum(ref.sandwich(self.base)))
+            factor = self.base_factor
+            return (self._sector_spectrum(factor),
+                    self._sector_spectrum(
+                        self._factor_reference(ref).sandwich(factor)))
         return self._support_spectra(subset, ref, keep)
 
     def _occupied(self, subset):
         """Indices on (F1, D, F2) where tau has a nonzero row for some R index."""
-        diag = np.diagonal(self.base).real > 0
+        diag = np.repeat(np.diagonal(self.base_factor).real > 0, self.f_prime)
         occupied = np.zeros(self.dim_full, dtype=bool)
         for ell in subset:
             occupied |= diag[self.source(ell)]
@@ -561,35 +584,49 @@ class PrimeEnsemble:
         rows = (np.arange(self.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
         tau = np.zeros((len(rows), len(rows)), dtype=complex)
         for ell in subset:
-            idx = self.source(ell)[rows]
-            tau += self.base[np.ix_(idx, idx)]
+            tau += self._base_block(self.source(ell)[rows])
         tau /= len(subset)
         return (np.linalg.eigvalsh(tau),
                 np.linalg.eigvalsh(ref.restricted(keep).sandwich(tau)))
 
-    def _sector_spectrum(self, mat):
-        """Eigenvalues of the pinching of ``mat`` onto the eigenspaces of U_1.
+    def _sector_spectrum(self, factor):
+        """Eigenvalues of the pinching of factor (x) I_F2 onto the eigenspaces of U_1.
 
-        U_1 fixes the pairs (i, i) and maps (i, i + delta) to
+        U_1 fixes the pairs (i, j = i) of (F1, F2) and maps (i, i + delta) to
         (i + delta, i + 2 delta).  In coordinates (delta, t), with i = t for
         delta = 0 and i = t delta otherwise, it is the shift t -> t + 1 on
         every delta != 0.  A DFT over t diagonalises it: every (0, k) lies in
-        sector 0, and (delta, k) in sector k for delta != 0.
+        sector 0, and (delta, k) in sector k for delta != 0.  Under I_F2 a
+        pair (delta, t) meets, for each delta', only the one tau(delta, t,
+        delta') with the same j, so the block of a sector has the entries
+        (1/g) sum_t w^(-k t) w^(k' tau) B[x, i(delta, t), x', i(delta', tau)]
+        at rows (x, delta, k) and columns (x', delta', k'), with
+        w = exp(2 pi i / g) and B the factor on (R D, F1).
         """
         g, rd = self.f_prime, self.r_dim * self.d_dim
+        b = reorder(factor, (self.r_dim, g, self.d_dim), [0, 2, 1]).reshape(
+            rd, g, rd, g)
         delta, t = np.divmod(np.arange(g * g), g)
-        i = np.where(delta == 0, t, delta * t % g)
-        pairs = i * g + (i + delta) % g
-        m = reorder(mat, self.dims, [0, 2, 1, 3]).reshape(rd, g * g, rd, g * g)
-        m = m[:, pairs][:, :, :, pairs].reshape(rd, g, g, rd, g, g)
-        m = np.fft.ifft(np.fft.fft(m, axis=2, norm="ortho"), axis=5, norm="ortho")
-        m = m.reshape(rd, g * g, rd, g * g)
+        i = np.where(delta == 0, t, delta * t % g).reshape(g, g)
+        j = (i + np.arange(g)[:, None]) % g
+        tau = np.argsort(j, axis=1)[:, j]               # [delta', delta, t]
+        tau = tau.transpose(1, 2, 0)                    # [delta, t, delta']
+        i_tau = i[np.arange(g), tau]
+        # gathered[delta, t, delta', x, x'], the only nonzeros of the pinching
+        gathered = b[:, i[:, :, None], :, i_tau]
+        omega = np.exp(2j * np.pi * np.arange(g) / g)
         sector = np.where(delta == 0, 0, t)
         vals = []
         for k in range(g):
-            sel = np.flatnonzero(sector == k)
-            block = m[:, sel][:, :, :, sel].reshape(rd * len(sel), -1)
-            vals.append(np.linalg.eigvalsh(block))
+            d_sel, k_sel = np.divmod(np.flatnonzero(sector == k), g)
+            block = np.zeros((len(d_sel), len(d_sel), rd, rd), dtype=complex)
+            for step in range(g):
+                power = (k_sel * tau[d_sel[:, None], step, d_sel]
+                         - (k_sel * step)[:, None]) % g
+                block += omega[power][:, :, None, None] \
+                    * gathered[d_sel[:, None], step, d_sel]
+            block = block.transpose(2, 0, 3, 1).reshape(rd * len(d_sel), -1)
+            vals.append(np.linalg.eigvalsh(block / g))
         return np.concatenate(vals)
 
 

@@ -509,9 +509,10 @@ def transpose_unitary(unitary, dim):
     if float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))) > 1e-9:
         raise ValueError("input is not unitary within tolerance")
     ut = u.T.copy()
-    phi = np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)
-    lhs = np.kron(u, np.eye(dim)) @ phi
-    rhs = np.kron(np.eye(dim), ut) @ phi
+    # |Phi> as a dim x dim array, on which (A (x) B)|Phi> is A Phi B^T
+    phi = np.eye(dim, dtype=complex) / np.sqrt(dim)
+    lhs = u @ phi
+    rhs = phi @ ut.T
     if float(np.max(np.abs(lhs - rhs))) > 1e-9:
         raise AssertionError("transpose identity failed beyond tolerance")
     return ut

@@ -385,6 +385,15 @@ def lift_index(idx, dims, axes):
     return grid.reshape(-1)
 
 
+def kron_eye_entries(factor, f, rows, cols):
+    """Entries [rows, cols] of factor (x) I_f, read without building it.
+
+    Entry (i, j) is factor[i // f, j // f] when i % f == j % f, and 0
+    otherwise; ``rows`` and ``cols`` are int arrays that broadcast.
+    """
+    return np.where(rows % f == cols % f, factor[rows // f, cols // f], 0)
+
+
 def permute_basis(mat, src, dims, axes):
     """Rows and columns of ``mat`` gathered by the index map ``src`` on ``axes``.
 

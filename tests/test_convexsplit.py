@@ -29,6 +29,7 @@ from oneshot_qit.registers import (DensityOperator, PureState,
                                    maximally_mixed, partial_trace,
                                    permute_registers, random_density, reorder,
                                    tensor)
+from oracles import dense_kron_eye
 
 
 def sysof(*pairs):
@@ -578,9 +579,10 @@ class TestPrimeEnsemble:
             ens = _flat_ensemble(psi, flat, flat.e_dim, 3, 4)
         g = ens.f_prime
         keep = ens.dim_full // g
+        base = dense_kron_eye(ens.base_factor, g)
         for ell in range(g):
             src = ens.source(ell)
-            traced = np.einsum("afbf->ab", ens.base[np.ix_(src, src)].reshape(
+            traced = np.einsum("afbf->ab", base[np.ix_(src, src)].reshape(
                 keep, g, keep, g))
             assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14
 

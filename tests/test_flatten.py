@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oneshot_qit.convexsplit import PrimeEnsemble, PrimeRegister
 from oneshot_qit.entropy import Reference
 from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
                                  check_embezzle_upper, check_unembezzle,
@@ -17,7 +19,8 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, permute_basis,
-                                   random_density, tensor)
+                                   random_density, reorder, tensor)
+from oracles import dense_kron_eye
 
 
 def sysof(*pairs):
@@ -579,10 +582,16 @@ def _rotated(ens, mat, ell):
     return mat[np.ix_(src, src)]
 
 
+def _dense_base(ens):
+    """The ensemble's base state in full: base_factor (x) I_F2."""
+    return dense_kron_eye(ens.base_factor, ens.f_prime)
+
+
 @lru_cache(maxsize=None)
 def _dense(case, n_mixed):
     ens, ref = _ensemble(case)
-    tau = sum(_rotated(ens, ens.base, ell)
+    base = _dense_base(ens)
+    tau = sum(_rotated(ens, base, ell)
               for ell in range(n_mixed)) / n_mixed
     return _entropy_fidelity(_nonzero_eigvalsh(tau),
                              _nonzero_eigvalsh(ref.sandwich(tau)))
@@ -611,8 +620,10 @@ class TestMixtureSpectra:
     def test_pinching_matches_dense(self, case):
         ens, ref = _ensemble(case)
         g = ens.f_prime
-        self._check(case, g, (ens._sector_spectrum(ens.base),
-                              ens._sector_spectrum(ref.sandwich(ens.base))))
+        factor = ens.base_factor
+        self._check(case, g, (ens._sector_spectrum(factor),
+                              ens._sector_spectrum(
+                                  ens._factor_reference(ref).sandwich(factor))))
 
     def test_signals_factor_base(self):
         ens, _ = _ensemble("decouple")
@@ -620,8 +631,8 @@ class TestMixtureSpectra:
         assert signals.shape == (ens.dim_full, len(weights))
         assert np.allclose(signals.conj().T @ signals, np.eye(len(weights)),
                            rtol=0, atol=1e-13)
-        assert np.allclose((signals * weights) @ signals.conj().T, ens.base,
-                           rtol=0, atol=1e-14)
+        assert np.allclose((signals * weights) @ signals.conj().T,
+                           _dense_base(ens), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("case, n_mixed, sizes", [
         ("decouple", 2, [420, 420]),              # support, against 968
@@ -641,6 +652,22 @@ class TestMixtureSpectra:
         ens.mixture_spectra(range(n_mixed), ref)
         assert sorted(seen, reverse=True) == sizes
 
+    def test_peak_memory_below_one_dense_base(self):
+        # the benchmark's N = 11 case (seed-77 state, gamma = 2/3, n = 3):
+        # the whole group takes the pinching route, read from the factor on
+        # (R, F1, D), so not one 968 x 968 complex array (14.3 MiB) is built
+        psi = random_density(77, sysof(("R", 2), ("C", 2)))
+        omega = partial_trace(psi, ["R"])
+        dense_bytes = 968 * 968 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            convex_split_flat_classical(psi, omega, Fraction(2, 3), range(11),
+                                        n=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
+
     @pytest.mark.parametrize("n_mixed", [2, 11])
     def test_split_matches_dense_reference(self, n_mixed):
         # the report against Reference on the full dense tau (dimension 968)
@@ -649,7 +676,93 @@ class TestMixtureSpectra:
         rep = convex_split_flat_classical(psi, omega, Fraction(2, 3),
                                           range(n_mixed), n=3)
         ens, ref = _ensemble("decouple")
-        tau = sum(_rotated(ens, ens.base, ell)
+        base = _dense_base(ens)
+        tau = sum(_rotated(ens, base, ell)
                   for ell in range(n_mixed)) / n_mixed
         assert abs(rep.achieved_rel_entropy - ref.rel_entropy(tau)) <= 1e-12
         assert abs(rep.achieved_fidelity - ref.fidelity(tau)) <= 1e-8
+
+
+def _fft_sector_spectrum(ens, mat):
+    """Eigenvalues of the pinching of the dense ``mat`` on (R, F1, D, F2)
+    onto the eigenspaces of U_1, by FFTs over the orbit coordinates (delta,
+    t) of every pair: the oracle of `PrimeEnsemble._sector_spectrum`."""
+    g, rd = ens.f_prime, ens.r_dim * ens.d_dim
+    delta, t = np.divmod(np.arange(g * g), g)
+    i = np.where(delta == 0, t, delta * t % g)
+    pairs = i * g + (i + delta) % g
+    m = reorder(mat, ens.dims, [0, 2, 1, 3]).reshape(rd, g * g, rd, g * g)
+    m = m[:, pairs][:, :, :, pairs].reshape(rd, g, g, rd, g, g)
+    m = np.fft.ifft(np.fft.fft(m, axis=2, norm="ortho"), axis=5, norm="ortho")
+    m = m.reshape(rd, g * g, rd, g * g)
+    sector = np.where(delta == 0, 0, t)
+    vals = []
+    for k in range(g):
+        sel = np.flatnonzero(sector == k)
+        block = m[:, sel][:, :, :, sel].reshape(rd * len(sel), -1)
+        vals.append(np.linalg.eigvalsh(block))
+    return np.concatenate(vals)
+
+
+@st.composite
+def _small_ensembles(draw):
+    """(ensemble, w_d, subset): theta a random state on (R, S, D) of any
+    rank, |S| in {2, 3} with a prime register from [|S|^2, 2 |S|^2], |R| and
+    |D| at most 3 (|R| |D| at most 4 when |S| = 3, so the full space has at
+    most 484 dimensions), positive weights w_d on D, and either the whole
+    group or a random nonempty subset."""
+    s_dim = draw(st.sampled_from([2, 3]))
+    prime = draw(st.sampled_from([5, 7] if s_dim == 2 else [11]))
+    r_dim = draw(st.integers(1, 3))
+    d_dim = draw(st.integers(1, 3 if s_dim == 2 else 4 // r_dim))
+    dim = r_dim * s_dim * d_dim
+    theta = random_density(draw(st.integers(0, 2 ** 32 - 1)),
+                           sysof(("R", r_dim), ("S", s_dim), ("D", d_dim)),
+                           rank=draw(st.integers(1, dim)))
+    ens = PrimeEnsemble(theta.matrix, partial_trace(theta, ["S", "D"]).matrix,
+                        d_dim, PrimeRegister(s_dim, prime))
+    w_d = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=d_dim,
+                                 max_size=d_dim)))
+    if draw(st.booleans()):
+        subset = list(range(prime))
+    else:
+        subset = sorted(draw(st.sets(st.integers(0, prime - 1), min_size=1)))
+    return ens, w_d / w_d.sum(), subset
+
+
+class TestFactorMatchesDense:
+    """`PrimeEnsemble` reads its base from base_factor (x) I_F2 without
+    building it; every spectra route, the measures and the marginals agree
+    with the dense base, at the tolerances of `TestMixtureSpectra`."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=_small_ensembles())
+    def test_spectra_measures_and_marginal(self, case):
+        ens, w_d, subset = case
+        g = ens.f_prime
+        base = _dense_base(ens)
+        mu = np.full(g, 1.0 / g)
+        ref = Reference(ens.psi_r, np.kron(mu, np.kron(w_d, mu)))
+        tau = sum(_rotated(ens, base, ell) for ell in subset) / len(subset)
+        s_dense, f_dense = _entropy_fidelity(
+            _nonzero_eigvalsh(tau), _nonzero_eigvalsh(ref.sandwich(tau)))
+        routes = [ens._support_spectra(subset, ref, ens._occupied(subset))]
+        if len(subset) == g:
+            factor = ens.base_factor
+            routes.append((ens._sector_spectrum(factor),
+                           ens._sector_spectrum(
+                               ens._factor_reference(ref).sandwich(factor))))
+            routes.append((_fft_sector_spectrum(ens, base),
+                           _fft_sector_spectrum(ens, ref.sandwich(base))))
+        for spectra in routes:
+            s_val, f_val = _entropy_fidelity(*spectra)
+            assert abs(s_val - s_dense) <= 1e-12
+            assert abs(f_val - f_dense) <= 1e-8
+        achieved, fid = ens.mixture_measures(subset, w_d)
+        assert abs(achieved - ref.rel_entropy(tau)) <= 1e-12
+        assert abs(fid - ref.fidelity(tau)) <= 1e-8
+        keep = ens.dim_full // g
+        for ell in range(g):
+            traced = np.einsum("afbf->ab", _rotated(ens, base, ell).reshape(
+                keep, g, keep, g))
+            assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14

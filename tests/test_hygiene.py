@@ -409,3 +409,72 @@ def test_gate_catches_a_dense_hw_rotation():
               "    src, phase = _hw_gather(0, 1, d)\n"
               "    return isinstance(one, HWUnitary), 'hw_family'\n")
     assert dense_hw_names(source) == [1, 3, 6, 8]
+
+
+# Sites that may still build a Kronecker product with a trailing identity,
+# by (module, enclosing function), each with its reason.  Every other
+# operator of the form A (x) I is kept as the pair (A, f) and read through
+# registers.kron_eye_entries.
+KRON_EYE_SITES = {
+    ("coding.py", "position_based_decode_classical"):
+        "omega_lift: Q sits between B and C0, so the identity is not "
+        "trailing once reordered; the benchmark's case peaks at 1.6 MiB",
+    ("coding.py", "ea_channel_code"):
+        "W permutes Omega (x) I_ED on (C, E, D) before the HW maps read it, "
+        "so no factor survives; 208 x 208 at the benchmark",
+    ("convexsplit.py", "embed_f1"):
+        "the inner q_op (x) I_X on (Q, X), 2 |S|^2 square, reordered and "
+        "compressed with mat into the factor on (R, F1, D)",
+    ("flatten.py", "flatten"):
+        "the basis v (x) I_E of the flattened state, which is returned dense "
+        "at its own size (|C| |E|)^2",
+}
+
+
+def _is_call_of(node, name):
+    """Whether ``node`` calls ``*.name(...)`` or a bare ``name(...)``."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == name
+        or isinstance(node.func, ast.Name) and node.func.id == name)
+
+
+def kron_eye_calls(source):
+    """(enclosing function, line) of each ``*.kron(x, *.eye(y))`` call."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if _is_call_of(child, "kron") and len(child.args) == 2 \
+                    and _is_call_of(child.args[1], "eye"):
+                found.append((func, child.lineno))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda item: item[1])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_kron_with_a_trailing_identity(path):
+    calls = kron_eye_calls(path.read_text())
+    assert [(func, line) for func, line in calls
+            if (path.name, func) not in KRON_EYE_SITES] == []
+
+
+def test_every_kron_eye_site_is_still_there():
+    # a site that no longer builds A (x) I leaves the list
+    found = {(path.name, func) for path in MODULES
+             for func, _ in kron_eye_calls(path.read_text())}
+    assert set(KRON_EYE_SITES) <= found
+
+
+def test_gate_catches_a_kron_with_a_trailing_identity():
+    source = ("import numpy as np\n"
+              "from numpy import eye, kron\n"
+              "def lift(a, f):\n"
+              "    inner = np.kron(np.eye(f), a)\n"
+              "    def deep():\n"
+              "        return kron(a, eye(f))\n"
+              "    return np.kron(a, np.eye(f) / f), np.kron(inner, np.eye(2))\n"
+              "TOP = np.kron(np.ones(2), np.eye(2))\n")
+    assert kron_eye_calls(source) == [("deep", 6), ("lift", 7), (None, 8)]

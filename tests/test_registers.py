@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    act, apply_unitary, basis_state,
                                    canonical_purification, dump_matrix,
-                                   eig_hermitian, fidelity,
+                                   eig_hermitian, fidelity, kron_eye_entries,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, permute_basis,
                                    permute_registers, purified_distance,
@@ -385,6 +385,18 @@ class TestPermuteBasis:
         rho = np.eye(24)
         with pytest.raises(ValueError):
             permute_basis(rho, [0, 1], self.dims, [0, 2])
+
+
+class TestKronEyeEntries:
+    @pytest.mark.parametrize("n, f", [(1, 1), (3, 1), (1, 4), (3, 5)])
+    def test_matches_dense_kron(self, n, f):
+        rng = np.random.default_rng(n * 10 + f)
+        factor = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        dense = np.kron(factor, np.eye(f))
+        idx = rng.permutation(n * f)
+        assert np.array_equal(kron_eye_entries(factor, f, idx[:, None],
+                                               idx[None, :]),
+                              dense[np.ix_(idx, idx)])
 
 
 class TestDump:
