@@ -33,12 +33,16 @@ the test's nonzeros through each map:
 S and each member are exactly block-diagonal there, and nothing is
 thresholded.  ``_successes`` takes every branch of a family (each S, a sum
 of some of its members) at once: it gathers each branch's blocks from the
-test, sums them in member order, eigensolves them in one stacked
-``_inv_sqrt`` per block size, and reads Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag)
-on the blocks that the signal columns X touch.  The channel code passes
-every shared-randomness branch in one call, each decoder its one branch.
+test, sums them in member order, eigensolves them in stacked
+``_eig_inv_sqrt`` calls per block size, and reads
+Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag) as Re sum conj(Y) (Omega Y) with
+Y = S^{-1/2} X taken from S's eigensystem, on the blocks that the signal
+columns X touch: its work follows the few columns of X, and no S^{-1/2} is
+built.  The channel code passes every shared-randomness branch in one call,
+each decoder its one branch.
 ``hayashi_nagaoka_povm`` solves the whole S densely, without blocks: it is
-the tests' independent oracle.
+the tests' independent oracle.  Every S is eigensolved, and its support cut
+at INV_SQRT_CUT, in ``_eig_inv_sqrt`` alone.
 """
 
 from __future__ import annotations
@@ -234,21 +238,19 @@ def _blocks(test, src, branches):
     return groups
 
 
-def _inv_sqrt(total, support=False):
-    """S^{-1/2} on supp(S) for a stack of Hermitian S >= 0 blocks, (..., k, k).
+def _eig_inv_sqrt(total):
+    """(V, s) with S = V diag(vals) V^dag for a stack of Hermitian S >= 0
+    blocks (..., k, k), and s = vals^{-1/2} on supp(S), 0 elsewhere, so
+    S^{-1/2} = V diag(s) V^dag.
 
     One stacked eigensolve; eigenvalues above INV_SQRT_CUT count as the
-    support.  With ``support`` also returns the projectors onto supp(S).
+    support.  Every square-root measurement cuts its support here.
     """
     vals, vecs = np.linalg.eigh(total)
     pos = vals > INV_SQRT_CUT
     scale = np.zeros_like(vals)
     scale[pos] = 1.0 / np.sqrt(vals[pos])
-    vecs_h = vecs.conj().swapaxes(-1, -2)
-    inv = (vecs * scale[..., None, :]) @ vecs_h
-    if support:
-        return inv, (vecs * pos[..., None, :]) @ vecs_h
-    return inv
+    return vecs, scale
 
 
 def _gathered(test, src, phase, members, idx):
@@ -269,9 +271,14 @@ def _successes(test, src, phase, branches, factors):
     row b of ``branches``, in row order, and
     X_m = factors[m] is (dim, cols).  The trace is summed over the blocks of
     `_blocks`, and only blocks where an X_m of the branch has a nonzero row
-    are gathered from ``test`` and eigensolved, in one stacked `_inv_sqrt`
-    per block size for each chunk of branches.  A chunk's n_terms x dim
-    member rows are no more than the n_members x dim^2 member entries.
+    are gathered from ``test`` and eigensolved by `_eig_inv_sqrt`, in
+    stacks per block size for each chunk of branches.  On a block,
+    with S = V diag(vals) V^dag and s = vals^{-1/2} on its support, the
+    trace is Re sum conj(Y) (F_m Y) over Y = V (s V^dag X_m), so neither
+    S^{-1/2} nor X_m X_m^dag is built: the work per member is the block
+    size squared times the columns of X_m.  A chunk's n_terms x dim member
+    rows, and a stack's blocks, hold no more than the n_members x dim^2
+    member entries.
     """
     branches = np.asarray(branches)
     n_terms, (n_members, dim) = branches.shape[1], src.shape
@@ -282,21 +289,25 @@ def _successes(test, src, phase, branches, factors):
         chunk = branches[start:start + step]
         hit = touched[chunk].any(axis=1)
         for br, idx in _blocks(test, src, chunk):
-            keep = hit[br[:, None], idx].any(axis=1)
-            if not keep.any():
-                continue
-            br, idx = br[keep], idx[keep]
-            members = chunk[br].T
-            total = _gathered(test, src, phase, members[0], idx)
-            for m in members[1:]:
-                total += _gathered(test, src, phase, m, idx)
-            inv = _inv_sqrt(total)
-            for j, m in enumerate(members):
-                x = factors[m[:, None], idx]
-                gram = x @ x.conj().swapaxes(-1, -2)
-                lam = inv @ _gathered(test, src, phase, m, idx) @ inv
-                np.add.at(out[start:start + step, j], br,
-                          np.einsum("bij,bji->b", lam, gram).real)
+            keep = np.flatnonzero(hit[br[:, None], idx].any(axis=1))
+            stack = max(1, n_members * dim * dim // idx.shape[1] ** 2)
+            for at in range(0, len(keep), stack):
+                sel = keep[at:at + stack]
+                b, ix = br[sel], idx[sel]
+                members = chunk[b].T
+                total = _gathered(test, src, phase, members[0], ix)
+                for m in members[1:]:
+                    total += _gathered(test, src, phase, m, ix)
+                vecs, scale = _eig_inv_sqrt(total)
+                del total
+                for j, m in enumerate(members):
+                    # V^dag X as (X^dag V)^dag: no conjugate copy of V
+                    x_h = factors[m[:, None], ix].conj().swapaxes(-1, -2)
+                    y = vecs @ (scale[..., None]
+                                * (x_h @ vecs).conj().swapaxes(-1, -2))
+                    fy = _gathered(test, src, phase, m, ix) @ y
+                    np.add.at(out[start:start + step, j], b,
+                              np.einsum("bij,bij->b", y.conj(), fy).real)
     return out
 
 
@@ -314,7 +325,9 @@ def hayashi_nagaoka_povm(operators):
             raise ValueError("input operator is not PSD")
         if vals[-1] > 1 + 1e-8:
             raise ValueError("input operator exceeds the identity")
-    inv_half, supp = _inv_sqrt(sum(operators), support=True)
+    vecs, scale = _eig_inv_sqrt(sum(operators))
+    vecs_h = vecs.conj().T
+    inv_half, supp = (vecs * scale) @ vecs_h, (vecs * (scale > 0)) @ vecs_h
     elements = {}
     for i, om in enumerate(operators):
         lam = inv_half @ om @ inv_half
@@ -573,8 +586,11 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     rotation V_y on the support pairs of (C, E) is one gather map: Bob reads
     the test through it and Alice gathers the resource through its
     transpose.  Only the Kraus operators (K v) and the test (v^T on C) are
-    rotated.  gamma and the channel dimensions are checked before the
-    hypothesis test is solved.
+    rotated.  The channel outputs go to `_successes` as column blocks on
+    (B, C, E, D) over the Kraus index and only those (E', D') that some
+    encoding reaches (E' = 0 and supp xi, moved by W and the V_y^T gather
+    maps); every other column is exactly 0.  gamma and the channel
+    dimensions are checked before the hypothesis test is solved.
 
     ``rate`` = 0 (one message) is always admissible; rate >= 1 above the rate
     cap refuses with the computed ceiling unless ``enforce_cap`` is off (used
@@ -636,22 +652,29 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     phase_ce = np.ones(d_a * e_dim, dtype=complex)
     ce = np.arange(len(om_moved)) // d_dim % (d_a * e_dim)    # (C, E) digit
 
-    # channel outputs of Alice's encodings W^dag (V_y^T (x) I) W, as column
-    # blocks on (B, C, E, D) over the Kraus index and (E', D')
+    # Alice's encodings W^dag (V_y^T (x) I) W gather the resource's rows on
+    # (A, E', D'): row i of encoding y is enc_phase[y, i] resource[enc_src[y, i]]
     resource = init.reshape(d_a * e_dim * d_dim, -1)
-    kraus = np.stack([k @ flat.basis for k in channel.kraus])
-    columns = np.empty((q_field, len(om_moved), len(kraus) * e_dim * d_dim),
-                       dtype=complex)
+    enc_src = np.empty((q_field, len(resource)), dtype=int)
+    enc_phase = np.empty(enc_src.shape, dtype=complex)
     for y in range(q_field):
         u_src, phase_ce[pairs] = _hw_gather(*divmod(y, m_big), m_big)
         src_ce[pairs] = pairs[u_src]
         src[y], phase[y] = lift_index(src_ce, bob_dims, [1, 2]), phase_ce[ce]
         t = np.argsort(src_ce)
-        lifted_t = lift_index(t, side_dims, [0, 1])
-        enc = phase_ce[t][w_img // d_dim][:, None] \
-            * resource[w_inv[lifted_t[w_img]]]
-        columns[y] = np.einsum("kba,aedcfg->bcfgked", kraus,
-                               enc.reshape(shape)).reshape(len(om_moved), -1)
+        enc_src[y] = w_inv[lift_index(t, side_dims, [0, 1])[w_img]]
+        enc_phase[y] = phase_ce[t][w_img // d_dim]
+
+    # their channel outputs, as column blocks on (B, C, E, D) over the Kraus
+    # index and the (E', D') that some encoding reaches: every other column
+    # is exactly 0, since a resource row is 0 off E' = 0 and supp xi
+    reached = resource.any(axis=1)[enc_src].reshape(
+        q_field, d_a, -1).any(axis=(0, 1))
+    rows = np.arange(len(resource)).reshape(d_a, -1)[:, reached]
+    enc = enc_phase[:, rows, None] * resource[enc_src[:, rows]]
+    kraus = np.stack([k @ flat.basis for k in channel.kraus])
+    columns = np.einsum("kba,yaxj->ybjkx", kraus, enc).reshape(
+        q_field, len(om_moved), -1)
 
     images = pairwise_family(q_field).images(range(n_messages))
     branches, inverse = np.unique(images.reshape(-1, n_messages), axis=0,

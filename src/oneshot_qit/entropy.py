@@ -502,17 +502,11 @@ def check_mixture_identity(states, weights, theta):
 
 
 def transpose_unitary(unitary, dim):
-    """Transpose method: U^T with (U (x) I)|Phi> = (I (x) U^T)|Phi> verified."""
+    """Transpose method: U^T, for which (U (x) I)|Phi> = (I (x) U^T)|Phi>
+    on the maximally entangled |Phi>; refuses a U that is not unitary."""
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix")
     if float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))) > 1e-9:
         raise ValueError("input is not unitary within tolerance")
-    ut = u.T.copy()
-    # |Phi> as a dim x dim array, on which (A (x) B)|Phi> is A Phi B^T
-    phi = np.eye(dim, dtype=complex) / np.sqrt(dim)
-    lhs = u @ phi
-    rhs = phi @ ut.T
-    if float(np.max(np.abs(lhs - rhs))) > 1e-9:
-        raise AssertionError("transpose identity failed beyond tolerance")
-    return ut
+    return u.T.copy()

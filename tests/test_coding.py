@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oneshot_qit import coding, entropy
 from oneshot_qit.coding import (INV_SQRT_CUT, POVM, CodingReport, _blocks,
-                                _components, _inv_sqrt, _lifted_flat_test,
+                                _components, _eig_inv_sqrt, _lifted_flat_test,
                                 _successes,
                                 amplitude_damping_channel,
                                 apply_channel, channel_rate_cap,
@@ -31,7 +31,7 @@ from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, permute_basis,
                                    random_density, tensor, tensor_pure)
-from oracles import dense_kron_eye
+from oracles import dense_kron_eye, inv_sqrt_successes
 
 
 def sysof(*pairs):
@@ -231,7 +231,7 @@ def _own_components(total):
 
 def _block_inv_sqrt(family):
     """Dense S^{-1/2} and support projector of S = sum(family), scattered
-    from the blocks of `_blocks` and `_inv_sqrt`."""
+    from the blocks of `_blocks` and the eigensystems of `_eig_inv_sqrt`."""
     test, src, _ = _one_test(family)
     dim = src.shape[1]
     inv_half = np.zeros((dim, dim), dtype=complex)
@@ -240,8 +240,10 @@ def _block_inv_sqrt(family):
         assert not br.any()
         rows, cols = idx[:, :, None], idx[:, None, :]
         total = sum(member[rows, cols] for member in family)
-        inv_blocks, supp_blocks = _inv_sqrt(total, support=True)
-        assert np.array_equal(_inv_sqrt(total), inv_blocks)
+        vecs, scale = _eig_inv_sqrt(total)
+        vecs_h = vecs.conj().swapaxes(-1, -2)
+        inv_blocks = (vecs * scale[:, None, :]) @ vecs_h
+        supp_blocks = (vecs * (scale > 0)[:, None, :]) @ vecs_h
         inv_half[rows, cols] = inv_blocks
         supp[rows, cols] = supp_blocks
     return inv_half, supp
@@ -423,6 +425,20 @@ class TestKronEyeTest:
         assert np.max(np.abs(
             _successes((factor, f), src, phase, branches, factors)
             - _successes(dense, src, phase, branches, factors))) <= 1e-12
+
+
+class TestRankForm:
+    """`_successes` reads each block through the eigensystem of S, in
+    stacks of bounded volume, and equals the S^{-1/2} oracle (one stack per
+    block size, S^{-1/2} F_m S^{-1/2} against X_m X_m^dag)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_kron_eye_tests())
+    def test_matches_inv_sqrt_oracle(self, case):
+        factor, f, src, phase, branches, factors = case
+        args = ((factor, f), src, phase, branches, factors)
+        assert np.max(np.abs(_successes(*args)
+                             - inv_sqrt_successes(*args))) <= 1e-12
 
 
 def _dense_successes(family, branches, factors):
@@ -810,10 +826,12 @@ def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
 
 
 def _dense_channel_code_maps(channel, psi_a, gamma, a, n):
-    """Bob's rotations and the column blocks of Alice's encodings, built
-    densely in the rounding's eigenbasis: V_y is ``hw_unitary`` lifted onto
-    the support pairs of (C, E), and W^dag (V_y^T (x) I_D') W is a matrix
-    product on the resource, followed by each Kraus operator."""
+    """Bob's rotations, the column blocks of Alice's encodings over every
+    (Kraus, E', D'), and the mask of the columns whose (E', D') is a
+    nonzero row of some encoding, all built densely in the rounding's
+    eigenbasis: V_y is ``hw_unitary`` lifted onto the support pairs of
+    (C, E), and W^dag (V_y^T (x) I_D') W is a matrix product on the
+    resource, followed by each Kraus operator."""
     flat = round_spectrum(psi_a, gamma, "down")
     counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
     d_a, d_dim = flat.c_dim, n * (m_big + 1) + 1
@@ -827,16 +845,18 @@ def _dense_channel_code_maps(channel, psi_a, gamma, a, n):
     w[unitary_flatten_W(flat, d_dim), np.arange(side)] = 1.0
     pairs = flat.support_index()
     rotations, columns = [], []
+    reached = np.zeros(e_dim * d_dim, dtype=bool)
     for y in range(m_big * m_big):
         lift = np.eye(d_a * e_dim, dtype=complex)
         lift[np.ix_(pairs, pairs)] = hw_unitary(*divmod(y, m_big), m_big).matrix
         rotations.append(np.kron(np.eye(d_a), np.kron(lift, np.eye(d_dim))))
         enc = w.T @ np.kron(lift.T, np.eye(d_dim)) @ w @ init.reshape(side, -1)
+        reached |= enc.reshape(d_a, e_dim * d_dim, -1).any(axis=(0, 2))
         columns.append(np.concatenate(
             [(np.kron(k @ flat.basis, np.eye(e_dim * d_dim)) @ enc).reshape(
                 d_a, e_dim * d_dim, side).transpose(0, 2, 1).reshape(
                 d_a * side, e_dim * d_dim) for k in channel.kraus], axis=1))
-    return rotations, np.stack(columns)
+    return rotations, np.stack(columns), np.tile(reached, len(channel.kraus))
 
 
 def _seeded_input(spectrum, seed):
@@ -1003,15 +1023,18 @@ class TestChannelCode:
                                   a=4, n=5, enforce_cap=False)
         assert rep.bound_satisfied()
         (_, src, phase, _, factors), _ = spy.call_args
-        rotations, columns = _dense_channel_code_maps(channel, psi_a, gamma,
-                                                      a=4, n=5)
+        rotations, columns, kept = _dense_channel_code_maps(
+            channel, psi_a, gamma, a=4, n=5)
         rows = np.arange(src.shape[1])
         for y, rotation in enumerate(rotations):
             member = np.zeros_like(rotation)
             member[rows, src[y]] = phase[y]
             assert np.max(np.abs(member - rotation)) <= 1e-14
-        assert factors.shape == columns.shape
-        assert np.max(np.abs(factors - columns)) <= 1e-14
+        # the program keeps the columns that some encoding reaches; every
+        # column it drops is exactly 0 in the dense construction
+        assert not columns[:, :, ~kept].any()
+        assert factors.shape == columns[:, :, kept].shape
+        assert np.max(np.abs(factors - columns[:, :, kept])) <= 1e-14
 
     def test_union_blocks_coarser_than_each_member(self, monkeypatch):
         # depolarizing(0.1) at rate 0: each of the 16 tests splits into 52
@@ -1040,21 +1063,79 @@ class TestChannelCode:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Shape of every stack of S blocks handed to `_inv_sqrt`, and the
-        number of branches of every chunk handed to `_blocks`."""
+        """Shape of every stack of S blocks handed to `_eig_inv_sqrt`, and
+        the number of branches of every chunk handed to `_blocks`."""
         shapes, chunks = [], []
 
-        def recording(total, support=False):
+        def recording(total):
             shapes.append(total.shape)
-            return _inv_sqrt(total, support)
+            return _eig_inv_sqrt(total)
 
         def chunk_recording(test, src, branches):
             chunks.append(len(branches))
             return _blocks(test, src, branches)
 
-        monkeypatch.setattr(coding, "_inv_sqrt", recording)
+        monkeypatch.setattr(coding, "_eig_inv_sqrt", recording)
         monkeypatch.setattr(coding, "_blocks", chunk_recording)
         return shapes, chunks
+
+    def test_split_stacks_match_inv_sqrt_oracle(self, solves):
+        # gamma = 2/3, rate 1: the 81 two-message branches over GF(9) have
+        # 54 blocks of 168 that the messages' columns touch; a stack holds
+        # at most 9 x 168^2 entries, so they are solved in stacks of 9
+        with mock.patch.object(coding, "_successes", wraps=_successes) as spy:
+            ea_channel_code(identity_channel(2), _seeded_input((0.7, 0.3), 3),
+                            1, 0.05, Fraction(2, 3), 0.5, a=4, n=5,
+                            enforce_cap=False)
+        args, _ = spy.call_args
+        n_members, dim = args[1].shape
+        shapes, _ = solves
+        assert all(count * size * size <= n_members * dim * dim
+                   for count, size, _ in shapes)
+        assert sum(count for count, size, _ in shapes if size == dim) == 54
+        assert len(shapes) > len({shape[-1] for shape in shapes})
+        assert np.max(np.abs(_successes(*args)
+                             - inv_sqrt_successes(*args))) <= 1e-12
+
+    def test_peak_memory_below_the_dense_column_blocks(self):
+        # the benchmark's depolarizing(0.1) code at rate 0: the columns of
+        # the 16 encodings over (Kraus, E', D') are 16 x 208 x 208 complex
+        # built densely, of which 8 columns are reached
+        channel = depolarizing_channel(0.1)
+        _, columns, kept = _dense_channel_code_maps(channel, self.mu_a, 0.5,
+                                                    a=4, n=5)
+        assert columns.shape == (16, 208, 208) and kept.sum() == 8
+        tracemalloc.start()
+        try:
+            ea_channel_code(channel, self.mu_a, 0, 0.05, 0.5, 0.5, a=4, n=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < columns.nbytes
+
+    def test_peak_memory_below_one_unsplit_stack(self, solves):
+        # gamma = 2/3, rate 1: solved in one stack, the 54 blocks of 168
+        # would take 23.3 MiB per complex array, and the S^{-1/2} form held
+        # several such arrays (a 150 MiB peak); cut into stacks of at most
+        # n_members dim^2 entries, the call holds less than one of them
+        psi_a = _seeded_input((0.7, 0.3), 3)
+
+        def call():
+            ea_channel_code(identity_channel(2), psi_a, 1, 0.05,
+                            Fraction(2, 3), 0.5, a=4, n=5, enforce_cap=False)
+
+        call()
+        shapes, _ = solves
+        largest = max(size for _, size, _ in shapes)
+        unsplit = sum(count for count, size, _ in shapes if size == largest) \
+            * largest * largest * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < unsplit
 
     @pytest.mark.parametrize("psi_a, gamma, a, n", [
         (_seeded_input((0.7, 0.3), 1), Fraction(2, 3), 2, 4),

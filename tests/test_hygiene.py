@@ -438,20 +438,29 @@ def _is_call_of(node, name):
         or isinstance(node.func, ast.Name) and node.func.id == name)
 
 
-def kron_eye_calls(source):
-    """(enclosing function, line) of each ``*.kron(x, *.eye(y))`` call."""
+def calls_by_function(tree, match):
+    """(enclosing function, line) of each node of ``tree`` that ``match``
+    accepts; None at module level, and a nested function counts as its
+    own."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if _is_call_of(child, "kron") and len(child.args) == 2 \
-                    and _is_call_of(child.args[1], "eye"):
+            if match(child):
                 found.append((func, child.lineno))
             visit(child, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
 
-    visit(ast.parse(source), None)
+    visit(tree, None)
     return sorted(found, key=lambda item: item[1])
+
+
+def kron_eye_calls(source):
+    """(enclosing function, line) of each ``*.kron(x, *.eye(y))`` call."""
+    return calls_by_function(
+        ast.parse(source),
+        lambda node: _is_call_of(node, "kron") and len(node.args) == 2
+        and _is_call_of(node.args[1], "eye"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -478,3 +487,36 @@ def test_gate_catches_a_kron_with_a_trailing_identity():
               "    return np.kron(a, np.eye(f) / f), np.kron(inner, np.eye(2))\n"
               "TOP = np.kron(np.ones(2), np.eye(2))\n")
     assert kron_eye_calls(source) == [("deep", 6), ("lift", 7), (None, 8)]
+
+
+SQRT_HELPER = "_eig_inv_sqrt"
+
+
+def eigh_calls(source):
+    """(enclosing function, line) of each numpy eigh call."""
+    tree = ast.parse(source)
+    eighs = {id(node) for node in linalg_calls(tree, "eigh")}
+    return calls_by_function(tree, lambda node: id(node) in eighs)
+
+
+def test_one_square_root_measurement_eigensolve():
+    # every square-root measurement in coding eigensolves S in one helper,
+    # so one INV_SQRT_CUT rule decides the support of S
+    calls = eigh_calls((PACKAGE / "coding.py").read_text())
+    assert [call for call in calls if call[0] != SQRT_HELPER] == []
+    assert any(func == SQRT_HELPER for func, _ in calls)
+
+
+def test_gate_catches_a_second_eigensolve():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import eigh as eh\n"
+              "def _eig_inv_sqrt(total):\n"
+              "    return np.linalg.eigh(total)\n"
+              "def _successes(total):\n"
+              "    vals, vecs = np.linalg.eigh(total)\n"
+              "    def inner(m):\n"
+              "        return eh(m)\n"
+              "    return np.linalg.eigvalsh(total), inner, vecs\n"
+              "ROOT = np.linalg.eigh(np.eye(2))\n")
+    assert eigh_calls(source) == [(SQRT_HELPER, 4), ("_successes", 6),
+                                  ("inner", 8), (None, 10)]
