@@ -28,8 +28,8 @@ for A (x) I_f, whose entries `registers.kron_eye_entries` reads: the flat
 decoder's A lives on (B, F1, D) with f = |F2|; the classical decoder and
 the channel code pass their dense tests with f = 1.
 ``_blocks`` splits each S on the connected components (the one rule
-``_components``) of the union of its members' nonzero patterns, read from
-the test's nonzeros through each map:
+``registers._components``) of the union of its members' nonzero patterns,
+read from the test's nonzeros through each map:
 S and each member are exactly block-diagonal there, and nothing is
 thresholded.  ``_successes`` takes every branch of a family (each S, a sum
 of some of its members) at once: it gathers each branch's blocks from the
@@ -60,7 +60,8 @@ from .flatten import (_flat_ensemble, _gamma_fraction, _moved,
                       check_unembezzle, embezzling_state, harmonic_sum,
                       purified_embezzle_fidelity, round_spectrum,
                       unitary_flatten_W)
-from .registers import (DensityOperator, RegisterSystem, _as_density, act,
+from .registers import (DensityOperator, RegisterSystem, _as_density,
+                        _components, _size_groups, act,
                         canonical_purification, kron_eye_entries, lift_index,
                         maximally_mixed, partial_trace, permute_basis,
                         permute_registers, reorder, tensor)
@@ -175,27 +176,6 @@ class POVM:
             raise ValueError("POVM elements do not sum to the identity")
 
 
-def _components(rows, cols, n):
-    """Connected-component label per node 0..n-1 of the edges (rows, cols).
-
-    Each node takes the smallest label of itself and its neighbours (edges
-    count both ways), then follows that label to its own label; at the fixed
-    point every component carries its smallest node.  Labels only decrease,
-    so the loop ends.
-    """
-    keep = rows != cols     # a self-loop joins nothing
-    rows, cols = rows[keep], cols[keep]
-    labels = np.arange(n)
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, rows, labels[cols])
-        np.minimum.at(new, cols, labels[rows])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
 def _blocks(test, src, branches):
     """The blocks of every branch's S on its members' union pattern.
 
@@ -228,14 +208,7 @@ def _blocks(test, src, branches):
     labels = _components(np.broadcast_to(offsets + np.arange(dim),
                                          roots.shape).ravel(),
                          roots.ravel(), len(branches) * dim)
-    order = np.argsort(labels, kind="stable")
-    _, starts, sizes = np.unique(labels[order], return_index=True,
-                                 return_counts=True)
-    groups = []
-    for size in np.unique(sizes):
-        block_nodes = order[starts[sizes == size][:, None] + np.arange(size)]
-        groups.append((block_nodes[:, 0] // dim, block_nodes % dim))
-    return groups
+    return [(nodes[:, 0] // dim, nodes % dim) for nodes in _size_groups(labels)]
 
 
 def _eig_inv_sqrt(total):

@@ -20,9 +20,9 @@ import numpy as np
 
 from .entropy import Reference, _entropy_sum, dmax
 from .registers import (DensityOperator, RegisterSystem, _as_density,
-                        _root_sum, act, kron_eye_entries, lift_index,
-                        maximally_mixed, partial_trace, permute_basis,
-                        reorder)
+                        _block_eigvalsh, _pattern_blocks, _root_sum, act,
+                        kron_eye_entries, lift_index, maximally_mixed,
+                        partial_trace, permute_basis, reorder)
 
 
 def _is_prime(n):
@@ -258,8 +258,9 @@ def hw_split_means(state, dims, n_mixed, seed, ref):
     y = f_j(x1, x2) of the first ``n_mixed`` members of a seeded permutation
     of the pairwise-independent family over GF(|S|^2).  Conjugating by V_t
     maps the block of ys to the block of ys + t and fixes ``ref`` (uniform on
-    S), so D and F are eigensolved once per translation class.  Returns
-    (inf, 0.0) when a block leaves the support of ``ref``.
+    S), so D and F are eigensolved once per translation class, on the
+    components of one union pattern per call.  Returns (inf, 0.0) when a
+    block leaves the support of ``ref``.
     """
     d = dims[1]
     q = d * d
@@ -277,17 +278,29 @@ def hw_split_means(state, dims, n_mixed, seed, ref):
             conj_cache[y] = act(state, hw[y].matrix, dims, [1])
         return conj_cache[y]
 
+    # V_y shifts S by y // d up to phases and fixes ``ref``, whose sandwich
+    # mixes R only: every block and its sandwich are block-diagonal on the
+    # union over the shifts of state's pattern on (S, D), taken for every
+    # pair of R indices; one labelling per call
+    r_dim, rest = dims[0], len(state) // dims[0]
+    own = (state != 0).reshape(r_dim, rest, r_dim, rest).any(axis=(0, 2))
+    own = own.reshape(d, rest // d, d, rest // d)
+    union = np.zeros_like(own)
+    for shift in set((keys // d).ravel().tolist()):
+        union |= np.roll(own, shift, axis=(0, 2))
+    pattern = _pattern_blocks(np.kron(np.ones((r_dim, r_dim), dtype=bool),
+                                      union.reshape(rest, rest)))
     d_vals, f_vals = [], []
     for key in keys:
         block = np.zeros_like(state)
         for y in key:
             block += conjugated(int(y))
         block /= n_mixed
-        d_val = ref.rel_entropy(block)
+        d_val = ref.rel_entropy(block, pattern)
         if not np.isfinite(d_val):
             return float("inf"), 0.0
         d_vals.append(d_val)
-        f_vals.append(ref.fidelity(block))
+        f_vals.append(ref.fidelity(block, pattern))
     d_total, f_total = 0.0, 0.0
     for c in inverse:       # the (x1, x2) order of a plain loop
         d_total += d_vals[c]
@@ -567,9 +580,8 @@ class PrimeEnsemble:
         pinch = (2 * self.f_prime - 1) * self.r_dim * self.d_dim
         if len(subset) == self.f_prime and pinch < self.r_dim * len(keep):
             factor = self.base_factor
-            return (self._sector_spectrum(factor),
-                    self._sector_spectrum(
-                        self._factor_reference(ref).sandwich(factor)))
+            return self._sector_spectra(
+                factor, self._factor_reference(ref).sandwich(factor))
         return self._support_spectra(subset, ref, keep)
 
     def _occupied(self, subset):
@@ -586,11 +598,12 @@ class PrimeEnsemble:
         for ell in subset:
             tau += self._base_block(self.source(ell)[rows])
         tau /= len(subset)
-        return (np.linalg.eigvalsh(tau),
-                np.linalg.eigvalsh(ref.restricted(keep).sandwich(tau)))
+        mid = ref.restricted(keep).sandwich(tau)
+        blocks = _pattern_blocks(tau, mid)
+        return _block_eigvalsh(tau, blocks), _block_eigvalsh(mid, blocks)
 
-    def _sector_spectrum(self, factor):
-        """Eigenvalues of the pinching of factor (x) I_F2 onto the eigenspaces of U_1.
+    def _sector_spectra(self, *factors):
+        """Eigenvalues of the pinching of each factor (x) I_F2 onto the eigenspaces of U_1.
 
         U_1 fixes the pairs (i, j = i) of (F1, F2) and maps (i, i + delta) to
         (i + delta, i + 2 delta).  In coordinates (delta, t), with i = t for
@@ -601,33 +614,39 @@ class PrimeEnsemble:
         delta') with the same j, so the block of a sector has the entries
         (1/g) sum_t w^(-k t) w^(k' tau) B[x, i(delta, t), x', i(delta', tau)]
         at rows (x, delta, k) and columns (x', delta', k'), with
-        w = exp(2 pi i / g) and B the factor on (R D, F1).
+        w = exp(2 pi i / g) and B the factor on (R D, F1).  Sector 0, and the
+        stack of the equal-sized sectors 1..g-1, are each eigensolved for
+        every factor at once, on the components of their union pattern.
         """
         g, rd = self.f_prime, self.r_dim * self.d_dim
-        b = reorder(factor, (self.r_dim, g, self.d_dim), [0, 2, 1]).reshape(
-            rd, g, rd, g)
         delta, t = np.divmod(np.arange(g * g), g)
         i = np.where(delta == 0, t, delta * t % g).reshape(g, g)
         j = (i + np.arange(g)[:, None]) % g
         tau = np.argsort(j, axis=1)[:, j]               # [delta', delta, t]
         tau = tau.transpose(1, 2, 0)                    # [delta, t, delta']
         i_tau = i[np.arange(g), tau]
-        # gathered[delta, t, delta', x, x'], the only nonzeros of the pinching
-        gathered = b[:, i[:, :, None], :, i_tau]
+        # gathered[factor, delta, t, delta', x, x'], the only nonzeros of
+        # each pinching
+        gathered = np.stack([reorder(f, (self.r_dim, g, self.d_dim), [0, 2, 1])
+                             .reshape(rd, g, rd, g)[:, i[:, :, None], :, i_tau]
+                             for f in factors])
         omega = np.exp(2j * np.pi * np.arange(g) / g)
         sector = np.where(delta == 0, 0, t)
-        vals = []
+        blocks = []
         for k in range(g):
             d_sel, k_sel = np.divmod(np.flatnonzero(sector == k), g)
-            block = np.zeros((len(d_sel), len(d_sel), rd, rd), dtype=complex)
+            block = np.zeros((len(factors), len(d_sel), len(d_sel), rd, rd),
+                             dtype=complex)
             for step in range(g):
                 power = (k_sel * tau[d_sel[:, None], step, d_sel]
                          - (k_sel * step)[:, None]) % g
                 block += omega[power][:, :, None, None] \
-                    * gathered[d_sel[:, None], step, d_sel]
-            block = block.transpose(2, 0, 3, 1).reshape(rd * len(d_sel), -1)
-            vals.append(np.linalg.eigvalsh(block / g))
-        return np.concatenate(vals)
+                    * gathered[:, d_sel[:, None], step, d_sel]
+            blocks.append(block.transpose(0, 3, 1, 4, 2).reshape(
+                len(factors), rd * len(d_sel), -1) / g)
+        parts = (blocks[0], np.stack(blocks[1:], axis=1))
+        return list(np.concatenate([_block_eigvalsh(part).reshape(
+            len(factors), -1) for part in parts], axis=1))
 
 
 def _classical_ensemble(psi, prime_reg):

@@ -10,12 +10,13 @@ Smoothed variants are exposed at epsilon = 0 only.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import (DensityOperator, _as_density, _density_pair,
-                        _psd_sqrt, _root_sum, partial_trace,
+from .registers import (DensityOperator, _as_density, _block_eigvalsh,
+                        _density_pair, _psd_sqrt, _root_sum, partial_trace,
                         permute_registers, tensor)
 
 SUPPORT_TOL = 1e-10
@@ -76,13 +77,12 @@ class Reference:
 
     Only A is eigensolved, once.  Operators rho are dense matrices on the
     same (A, w) ordering; relative entropies are in bits and +inf when rho
-    puts mass outside the support of the reference.
+    puts mass outside the support of the reference.  rho and its sandwich
+    are eigensolved block by block (`registers._block_eigvalsh`).
     """
 
     def __init__(self, a_mat, w):
-        w = np.asarray(w, dtype=float)
-        self.a_mat, self.w = a_mat, w
-        self.a_dim, self.w_dim = a_mat.shape[0], len(w)
+        self.a_dim = a_mat.shape[0]
         vals, vecs = np.linalg.eigh(a_mat)
         pos = vals > 1e-12
         supp = vecs[:, pos]
@@ -90,6 +90,11 @@ class Reference:
         self.a_log = (supp * np.log2(vals[pos])) @ supp.conj().T
         self.a_proj = supp @ supp.conj().T
         self.a_sqrt = _psd_sqrt(vals, vecs)
+        self._set_weights(w)
+
+    def _set_weights(self, w):
+        self.w = w = np.asarray(w, dtype=float)
+        self.w_dim = len(w)
         self.w_supp = w > 1e-14
         self.w_log = np.where(self.w_supp, np.log2(np.where(self.w_supp, w, 1.0)), 0.0)
         self.w_sqrt = np.tile(np.sqrt(w), self.a_dim)
@@ -123,16 +128,19 @@ class Reference:
         t2 = float(np.real(np.trace(m_a @ self.a_proj)))
         return t1, t2
 
-    def rel_entropy(self, rho):
-        """D(rho || A (x) diag(w)) in bits; inf on support violation."""
+    def rel_entropy(self, rho, blocks=None):
+        """D(rho || A (x) diag(w)) in bits; inf on support violation.  rho
+        is eigensolved on ``blocks``, by default its own pattern's."""
         terms = self.log_terms(rho)
         if terms is None:
             return float("inf")
-        return _entropy_sum(np.linalg.eigvalsh(rho)) - terms[0] - terms[1]
+        return _entropy_sum(_block_eigvalsh(rho, blocks)) - terms[0] - terms[1]
 
     def restricted(self, keep):
-        """The reference on the w-indices ``keep`` only: A (x) diag(w[keep])."""
-        return Reference(self.a_mat, self.w[keep])
+        """A (x) diag(w[keep]) on the w-indices ``keep``, sharing A's eigensystem."""
+        out = copy.copy(self)
+        out._set_weights(self.w[keep])
+        return out
 
     def sandwich(self, rho):
         """sqrt(ref) rho sqrt(ref)."""
@@ -140,9 +148,10 @@ class Reference:
         return np.einsum("ab,bxcy,cd->axdy", self.a_sqrt, self._blocks(rho_w),
                          self.a_sqrt).reshape(rho.shape)
 
-    def fidelity(self, rho):
-        """F(rho, A (x) diag(w)) = || sqrt(rho) sqrt(ref) ||_1, clipped to 1."""
-        return min(_root_sum(np.linalg.eigvalsh(self.sandwich(rho))), 1.0)
+    def fidelity(self, rho, blocks=None):
+        """F(rho, A (x) diag(w)) = || sqrt(rho) sqrt(ref) ||_1, clipped to 1;
+        the sandwich is eigensolved on ``blocks``, by default its own's."""
+        return min(_root_sum(_block_eigvalsh(self.sandwich(rho), blocks)), 1.0)
 
 
 def dmax(rho, sigma):

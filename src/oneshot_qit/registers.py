@@ -394,6 +394,70 @@ def kron_eye_entries(factor, f, rows, cols):
     return np.where(rows % f == cols % f, factor[rows // f, cols // f], 0)
 
 
+def _components(rows, cols, n):
+    """Connected-component label per node 0..n-1 of the edges (rows, cols).
+
+    Each node takes the smallest label of itself and its neighbours (edges
+    count both ways), then follows that label to its own label; at the fixed
+    point every component carries its smallest node.  Labels only decrease,
+    so the loop ends.
+    """
+    keep = rows != cols     # a self-loop joins nothing
+    rows, cols = rows[keep], cols[keep]
+    labels = np.arange(n)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _size_groups(labels):
+    """The nodes of each component of ``labels``: one (n_blocks, size) array
+    per block size, in ascending size, blocks ordered by smallest node and
+    nodes ascending within a block."""
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    sizes = sizes[sizes > 0]        # per component, in the order of `order`
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == size][:, None] + np.arange(size)]
+            for size in sorted(set(sizes.tolist()))]
+
+
+def _pattern_blocks(*mats):
+    """`_size_groups` of the components of the union of the exact nonzero
+    patterns of ``mats``, Hermitian matrices or stacks (..., n, n) of one n.
+
+    Nothing is thresholded: every matrix of every stack is exactly
+    block-diagonal on the result.
+    """
+    n = mats[0].shape[-1]
+    union = np.zeros((n, n), dtype=bool)
+    for mat in mats:
+        union |= (mat != 0).reshape(-1, n, n).any(axis=0)
+    if union.all():
+        return [np.arange(n)[None]]
+    return _size_groups(_components(*np.nonzero(union), n))
+
+
+def _block_eigvalsh(mat, blocks=None):
+    """Eigenvalues (..., n) of the Hermitian matrix or stack ``mat`` (..., n, n).
+
+    ``mat`` is solved on ``blocks`` (`_pattern_blocks`, by default of
+    ``mat`` alone) in one stacked eigvalsh per block size, eigenvalues in
+    the order of the blocks; one block of size n is solved as it stands.
+    """
+    blocks = _pattern_blocks(mat) if blocks is None else blocks
+    if blocks[0].shape[1] == mat.shape[-1]:
+        return np.linalg.eigvalsh(mat)
+    return np.concatenate([np.linalg.eigvalsh(
+        mat[..., idx[:, :, None], idx[:, None, :]]).reshape(
+            mat.shape[:-2] + (-1,)) for idx in blocks], axis=-1)
+
+
 def permute_basis(mat, src, dims, axes):
     """Rows and columns of ``mat`` gathered by the index map ``src`` on ``axes``.
 

@@ -8,6 +8,8 @@ in full here and compare against the dense result.
 import numpy as np
 
 from oneshot_qit.coding import INV_SQRT_CUT, _blocks, _gathered
+from oneshot_qit.entropy import _entropy_sum
+from oneshot_qit.registers import _root_sum
 
 
 def dense_kron_eye(factor, f):
@@ -15,6 +17,16 @@ def dense_kron_eye(factor, f):
     dense_kron_eye(ens.base_factor, ens.f_prime), and the flat decoder's
     test is dense_kron_eye(*coding._lifted_flat_test(...))."""
     return np.kron(factor, np.eye(f))
+
+
+def dense_reference_measures(ref, rho):
+    """(D, F) of rho against an `entropy.Reference`, each from one plain
+    dense eigvalsh of the whole matrix: the oracle of the reference's block
+    route.  D is inf on a support violation."""
+    terms = ref.log_terms(rho)
+    d_val = float("inf") if terms is None else \
+        _entropy_sum(np.linalg.eigvalsh(rho)) - terms[0] - terms[1]
+    return d_val, min(_root_sum(np.linalg.eigvalsh(ref.sandwich(rho))), 1.0)
 
 
 def _stacked_inv_sqrt(total):

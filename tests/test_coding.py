@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from oneshot_qit import coding, entropy
 from oneshot_qit.coding import (INV_SQRT_CUT, POVM, CodingReport, _blocks,
-                                _components, _eig_inv_sqrt, _lifted_flat_test,
-                                _successes,
+                                _eig_inv_sqrt, _lifted_flat_test, _successes,
                                 amplitude_damping_channel,
                                 apply_channel, channel_rate_cap,
                                 dephasing_channel, depolarizing_channel,
@@ -26,7 +25,7 @@ from oneshot_qit.entropy import dh_eps
 from oneshot_qit.flatten import (_flat_ensemble, embezzling_state,
                                  round_spectrum, unitary_flatten_W)
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
-                                   _as_density, act, basis_state,
+                                   _as_density, _components, act, basis_state,
                                    canonical_purification,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, permute_basis,

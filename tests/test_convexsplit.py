@@ -14,7 +14,8 @@ from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
                                      classical_marginal_check,
                                      compose_u, convex_split_1design,
                                      convex_split_classical, hw_family,
-                                     hw_translation_classes, hw_unitary,
+                                     hw_split_means, hw_translation_classes,
+                                     hw_unitary,
                                      next_prime_in, one_design_average,
                                      pairwise_family, prime_register, u_ell,
                                      u_ell_index)
@@ -29,7 +30,7 @@ from oneshot_qit.registers import (DensityOperator, PureState,
                                    maximally_mixed, partial_trace,
                                    permute_registers, random_density, reorder,
                                    tensor)
-from oracles import dense_kron_eye
+from oracles import dense_kron_eye, dense_reference_measures
 
 
 def sysof(*pairs):
@@ -364,7 +365,8 @@ def _hw_shift(y, t, d):
 
 
 def plain_split_means(state, dims, axis, n_mixed, seed, ref, family):
-    """Mean D and F over every (x1, x2) block, each eigensolved, no memo.
+    """Mean D and F over every (x1, x2) block, each eigensolved densely
+    (`oracles.dense_reference_measures`), no memo.
 
     Member images come from ``family.images``, which TestPairwiseImages
     checks against ``evaluate`` exhaustively.
@@ -377,8 +379,9 @@ def plain_split_means(state, dims, axis, n_mixed, seed, ref, family):
     for x1 in range(q):
         for x2 in range(q):
             block = sum(conj[y] for y in images[x1, x2]) / n_mixed
-            d_sum += ref.rel_entropy(block)
-            f_sum += ref.fidelity(block)
+            d_val, f_val = dense_reference_measures(ref, block)
+            d_sum += d_val
+            f_sum += f_val
     return d_sum / (q * q), min(f_sum / (q * q), 1.0)
 
 
@@ -410,6 +413,20 @@ class TestTranslationClasses:
                                          n_mixed, 3, ref, pairwise_family(q))
         assert abs(rep.achieved_rel_entropy - d_val) <= 1e-12
         assert abs(rep.achieved_fidelity - f_val) <= 1e-12
+
+    @pytest.mark.parametrize("n_mixed", [2, 5])
+    def test_reference_coupling_what_the_blocks_leave_apart(self, n_mixed):
+        # blocks classical on R against a reference whose sqrt(A) mixes R:
+        # the sandwiches join what the blocks' own pattern leaves apart
+        rho_c = random_density(7, sysof(("C", 4))).matrix
+        state = np.kron(np.diag([0.6, 0.4]), rho_c)
+        u = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 1j]]))[0]
+        ref = Reference((u * [0.7, 0.3]) @ u.conj().T, np.full(4, 0.25))
+        d_val, f_val = plain_split_means(state, (2, 4, 1), 1, n_mixed, 1,
+                                         ref, pairwise_family(16))
+        got = hw_split_means(state, (2, 4, 1), n_mixed, 1, ref)
+        assert abs(got[0] - d_val) <= 1e-12
+        assert abs(got[1] - f_val) <= 1e-12
 
     # every N at gamma = 1/2 (q = 16); at gamma = 1/4 (q = 64) the plain
     # loop eigensolves 8192 blocks per N, so one N covers it

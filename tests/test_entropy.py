@@ -248,6 +248,23 @@ class TestReference:
         assert not relative_entropy(DensityOperator(system, rho), ref).finite
         assert Reference(a_mat, w).rel_entropy(rho) == float("inf")
 
+    @pytest.mark.parametrize("a_vals, w", CASES)
+    def test_restricted_shares_the_eigensystem(self, a_vals, w, monkeypatch):
+        a_mat = self.setup_case(1, a_vals, w)[1]
+        keep = np.arange(0, len(w), 2)
+        fresh = Reference(a_mat, np.asarray(w)[keep])
+        parent = Reference(a_mat, w)
+        eighs = []
+        solve = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m: eighs.append(m) or solve(m))
+        out = parent.restricted(keep)
+        assert eighs == []
+        for name, value in vars(fresh).items():
+            assert np.array_equal(getattr(out, name), value), name
+        # the parent keeps its own weights
+        assert np.array_equal(parent.w, w)
+
 
 class TestDmax:
     def test_self_zero(self):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneshot_qit.convexsplit import PrimeEnsemble, PrimeRegister
-from oneshot_qit.entropy import Reference
+from oneshot_qit.convexsplit import (PrimeEnsemble, PrimeRegister,
+                                     convex_split_classical, hw_split_means)
+from oneshot_qit.entropy import SUPPORT_TOL, Reference
 from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
                                  check_embezzle_upper, check_unembezzle,
                                  convex_split_flat_1design,
@@ -19,8 +20,9 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, permute_basis,
-                                   random_density, reorder, tensor)
-from oracles import dense_kron_eye
+                                   random_density, random_pure, reorder,
+                                   tensor)
+from oracles import dense_kron_eye, dense_reference_measures
 
 
 def sysof(*pairs):
@@ -621,9 +623,8 @@ class TestMixtureSpectra:
         ens, ref = _ensemble(case)
         g = ens.f_prime
         factor = ens.base_factor
-        self._check(case, g, (ens._sector_spectrum(factor),
-                              ens._sector_spectrum(
-                                  ens._factor_reference(ref).sandwich(factor))))
+        self._check(case, g, ens._sector_spectra(
+            factor, ens._factor_reference(ref).sandwich(factor)))
 
     def test_signals_factor_base(self):
         ens, _ = _ensemble("decouple")
@@ -634,23 +635,55 @@ class TestMixtureSpectra:
         assert np.allclose((signals * weights) @ signals.conj().T,
                            _dense_base(ens), rtol=0, atol=1e-14)
 
+    # sizes: the (count, size) of each stacked eigvalsh call.  The support
+    # route solves tau and its sandwich in turn; the sector route solves
+    # both factors at once, for sector 0 and then for sectors 1..g-1.
     @pytest.mark.parametrize("case, n_mixed, sizes", [
-        ("decouple", 2, [420, 420]),              # support, against 968
-        ("decouple", 11, [168] * 2 + [80] * 20),  # the 11 sectors of U_1, twice
-        ("phi", 1, [544, 544]),                   # support, against 2312
-        ("phi", 17, [264] * 2 + [128] * 32)])     # sectors, below support 576
+        # support: 420 rows of 968, in 78 blocks
+        ("decouple", 2, [(36, 4), (30, 6), (12, 8)] * 2),
+        # the 11 sectors of U_1: sector 0 (168 = 42 + 8 x 6 + 3 x 26), then
+        # 10 sectors of 80 (20 + 2 x 2 + 2 x 4 + 8 x 6)
+        ("decouple", 11, [(84, 1), (16, 6), (6, 26),
+                          (400, 1), (40, 2), (40, 4), (160, 6)]),
+        # support: 544 rows of 2312
+        ("phi", 1, [(272, 1), (136, 2)] * 2),
+        # sectors (264, then 16 of 128), below support 576
+        ("phi", 17, [(396, 1), (30, 2), (4, 18), (3136, 1), (480, 2)])])
     def test_route_by_dimension(self, case, n_mixed, sizes, monkeypatch):
         ens, ref = _ensemble(case)
         seen = []
         solve = np.linalg.eigvalsh
 
         def recording(mat):
-            seen.append(mat.shape[0])
+            seen.append((int(np.prod(mat.shape[:-2])), mat.shape[-1]))
             return solve(mat)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         ens.mixture_spectra(range(n_mixed), ref)
-        assert sorted(seen, reverse=True) == sizes
+        assert seen == sizes
+
+    def test_eigensolve_work_below_a_tenth_of_dense(self, monkeypatch):
+        # the benchmark's flat classical split (N = 2, 11) and its C3-G11
+        # classical split on one state (N = 1, 2, 11): the dense route
+        # solved 216,855,016 = sum d^3 over its eigvalsh calls; the block
+        # route solves 9,723,676, most of it the dense marginal checks
+        work = []
+        solve = np.linalg.eigvalsh
+
+        def recording(mat):
+            work.append(int(np.prod(mat.shape[:-2])) * mat.shape[-1] ** 3)
+            return solve(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        psi = random_density(77, sysof(("R", 2), ("C", 2)))
+        omega = partial_trace(psi, ["R"])
+        for n_mixed in (2, 11):
+            convex_split_flat_classical(psi, omega, Fraction(2, 3),
+                                        range(n_mixed), n=3)
+        psi = random_density((3, 11, 0, 0), sysof(("R", 2), ("C", 3)))
+        for n_mixed in (1, 2, 11):
+            convex_split_classical(psi, range(n_mixed), prime=11)
+        assert sum(work) < 216_855_016 / 10
 
     def test_peak_memory_below_one_dense_base(self):
         # the benchmark's N = 11 case (seed-77 state, gamma = 2/3, n = 3):
@@ -679,14 +712,15 @@ class TestMixtureSpectra:
         base = _dense_base(ens)
         tau = sum(_rotated(ens, base, ell)
                   for ell in range(n_mixed)) / n_mixed
-        assert abs(rep.achieved_rel_entropy - ref.rel_entropy(tau)) <= 1e-12
-        assert abs(rep.achieved_fidelity - ref.fidelity(tau)) <= 1e-8
+        d_val, f_val = dense_reference_measures(ref, tau)
+        assert abs(rep.achieved_rel_entropy - d_val) <= 1e-12
+        assert abs(rep.achieved_fidelity - f_val) <= 1e-8
 
 
 def _fft_sector_spectrum(ens, mat):
     """Eigenvalues of the pinching of the dense ``mat`` on (R, F1, D, F2)
     onto the eigenspaces of U_1, by FFTs over the orbit coordinates (delta,
-    t) of every pair: the oracle of `PrimeEnsemble._sector_spectrum`."""
+    t) of every pair: the oracle of `PrimeEnsemble._sector_spectra`."""
     g, rd = ens.f_prime, ens.r_dim * ens.d_dim
     delta, t = np.divmod(np.arange(g * g), g)
     i = np.where(delta == 0, t, delta * t % g)
@@ -730,6 +764,38 @@ def _small_ensembles(draw):
     return ens, w_d / w_d.sum(), subset
 
 
+def _check_against_dense(ens, w_d, subset):
+    """Every spectra route of ``subset``, and `mixture_measures`, against
+    the dense tau at the tolerances of `TestMixtureSpectra`; a support
+    violation must give (inf, 0.0).  Returns the dense base."""
+    g = ens.f_prime
+    base = _dense_base(ens)
+    mu = np.full(g, 1.0 / g)
+    ref = Reference(ens.psi_r, np.kron(mu, np.kron(w_d, mu)))
+    tau = sum(_rotated(ens, base, ell) for ell in subset) / len(subset)
+    s_dense, f_dense = _entropy_fidelity(
+        _nonzero_eigvalsh(tau), _nonzero_eigvalsh(ref.sandwich(tau)))
+    routes = [ens._support_spectra(subset, ref, ens._occupied(subset))]
+    if len(subset) == g:
+        factor = ens.base_factor
+        routes.append(ens._sector_spectra(
+            factor, ens._factor_reference(ref).sandwich(factor)))
+        routes.append((_fft_sector_spectrum(ens, base),
+                       _fft_sector_spectrum(ens, ref.sandwich(base))))
+    for spectra in routes:
+        s_val, f_val = _entropy_fidelity(*spectra)
+        assert abs(s_val - s_dense) <= 1e-12
+        assert abs(f_val - f_dense) <= 1e-8
+    achieved, fid = ens.mixture_measures(subset, w_d)
+    d_val, f_val = dense_reference_measures(ref, tau)
+    if d_val == float("inf"):
+        assert (achieved, fid) == (float("inf"), 0.0)
+    else:
+        assert abs(achieved - d_val) <= 1e-12
+        assert abs(fid - f_val) <= 1e-8
+    return base
+
+
 class TestFactorMatchesDense:
     """`PrimeEnsemble` reads its base from base_factor (x) I_F2 without
     building it; every spectra route, the measures and the marginals agree
@@ -740,29 +806,71 @@ class TestFactorMatchesDense:
     def test_spectra_measures_and_marginal(self, case):
         ens, w_d, subset = case
         g = ens.f_prime
-        base = _dense_base(ens)
-        mu = np.full(g, 1.0 / g)
-        ref = Reference(ens.psi_r, np.kron(mu, np.kron(w_d, mu)))
-        tau = sum(_rotated(ens, base, ell) for ell in subset) / len(subset)
-        s_dense, f_dense = _entropy_fidelity(
-            _nonzero_eigvalsh(tau), _nonzero_eigvalsh(ref.sandwich(tau)))
-        routes = [ens._support_spectra(subset, ref, ens._occupied(subset))]
-        if len(subset) == g:
-            factor = ens.base_factor
-            routes.append((ens._sector_spectrum(factor),
-                           ens._sector_spectrum(
-                               ens._factor_reference(ref).sandwich(factor))))
-            routes.append((_fft_sector_spectrum(ens, base),
-                           _fft_sector_spectrum(ens, ref.sandwich(base))))
-        for spectra in routes:
-            s_val, f_val = _entropy_fidelity(*spectra)
-            assert abs(s_val - s_dense) <= 1e-12
-            assert abs(f_val - f_dense) <= 1e-8
-        achieved, fid = ens.mixture_measures(subset, w_d)
-        assert abs(achieved - ref.rel_entropy(tau)) <= 1e-12
-        assert abs(fid - ref.fidelity(tau)) <= 1e-8
+        base = _check_against_dense(ens, w_d, subset)
         keep = ens.dim_full // g
         for ell in range(g):
             traced = np.einsum("afbf->ab", _rotated(ens, base, ell).reshape(
                 keep, g, keep, g))
             assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14
+
+
+def _edge_ensemble(kind):
+    """(ensemble on (R, S, D) = (2, 2, 2) with g = 5, w_d) for one edge of
+    the block route:
+    - ``rank1``: theta pure;
+    - ``kernel``: psi_R of rank 1, and theta has mass on its kernel;
+    - ``zero_rows``: theta = |0><0|_R (x) rho_SD, so every row of tau with
+      R = 1 is an all-zero component;
+    - ``coupled_ref``: theta classical on R against a psi_R whose square
+      root mixes R, so the sandwich joins what tau's pattern leaves apart;
+    - ``near_tol_below`` / ``near_tol_above``: psi_R (x) rho_SD with an
+      eigenvalue of psi_R, and a weight of w_d, 1e-6 relative below or
+      above SUPPORT_TOL.
+    """
+    sys_rsd = sysof(("R", 2), ("S", 2), ("D", 2))
+    sys_sd = sysof(("S", 2), ("D", 2))
+    w_d = np.array([0.3, 0.7])
+    u = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 1j]]))[0]
+    if kind == "rank1":
+        theta = random_pure(31, sys_rsd).density().matrix
+        psi_r = partial_trace(DensityOperator(sys_rsd, theta), ["S", "D"]).matrix
+    elif kind == "kernel":
+        theta = random_density(32, sys_rsd).matrix
+        psi_r = np.diag([1.0, 0.0])
+    elif kind == "zero_rows":
+        psi_r = np.diag([1.0, 0.0])
+        theta = np.kron(psi_r, random_density(33, sys_sd).matrix)
+    elif kind == "coupled_ref":
+        psi_r = (u * [0.7, 0.3]) @ u.conj().T
+        theta = np.kron(np.diag([0.6, 0.4]), random_density(35, sys_sd).matrix)
+    else:
+        tiny = SUPPORT_TOL * (1 - 1e-6 if kind == "near_tol_below" else 1 + 1e-6)
+        psi_r = (u * [1 - tiny, tiny]) @ u.conj().T
+        theta = np.kron(psi_r, random_density(34, sys_sd).matrix)
+        w_d = np.array([1 - tiny, tiny])
+    return PrimeEnsemble(theta, psi_r, 2, PrimeRegister(2, 5)), w_d
+
+
+class TestBlockRouteEdgeCases:
+    """The block route where rank, kernels and tolerances meet it: both
+    spectra routes and the measures match the dense oracle."""
+
+    @pytest.mark.parametrize("subset", [[0, 3], list(range(5))],
+                             ids=["support", "sectors"])
+    @pytest.mark.parametrize("kind", ["rank1", "kernel", "zero_rows",
+                                      "coupled_ref", "near_tol_below",
+                                      "near_tol_above"])
+    def test_matches_dense(self, kind, subset):
+        ens, w_d = _edge_ensemble(kind)
+        _check_against_dense(ens, w_d, subset)
+
+    def test_kernel_mass_is_infinite(self):
+        ens, w_d = _edge_ensemble("kernel")
+        assert ens.mixture_measures(range(5), w_d) == (float("inf"), 0.0)
+        # the 1-design split's blocks against the same kernel
+        ref = Reference(ens.psi_r, np.full(2, 0.5))
+        theta = partial_trace(DensityOperator(sysof(("R", 2), ("S", 2),
+                                                    ("D", 2)), ens.theta),
+                              ["D"]).matrix
+        assert ref.rel_entropy(theta) == float("inf")
+        assert hw_split_means(theta, (2, 2, 1), 4, 0, ref) == (float("inf"), 0.0)

@@ -520,3 +520,41 @@ def test_gate_catches_a_second_eigensolve():
               "ROOT = np.linalg.eigh(np.eye(2))\n")
     assert eigh_calls(source) == [(SQRT_HELPER, 4), ("_successes", 6),
                                   ("inner", 8), (None, 10)]
+
+
+BLOCK_ROUTE_CLASSES = {"convexsplit.py": "PrimeEnsemble", "entropy.py": "Reference"}
+
+
+def class_eigvalsh_calls(source, cls):
+    """Lines of the numpy eigvalsh calls inside the class ``cls``, nested
+    functions included."""
+    tree = ast.parse(source)
+    calls = {id(node) for node in linalg_calls(tree, "eigvalsh")}
+    return sorted(node.lineno for top in ast.walk(tree)
+                  if isinstance(top, ast.ClassDef) and top.name == cls
+                  for node in ast.walk(top) if id(node) in calls)
+
+
+@pytest.mark.parametrize("module, cls", sorted(BLOCK_ROUTE_CLASSES.items()))
+def test_spectra_of_the_structured_classes_take_the_block_route(module, cls):
+    # their matrices are block-diagonal up to a permutation of the basis,
+    # so they are eigensolved on the components of their exact pattern
+    assert class_eigvalsh_calls((PACKAGE / module).read_text(), cls) == []
+
+
+def test_gate_catches_a_plain_eigvalsh_in_a_structured_class():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import eigvalsh as ev\n"
+              "class Reference:\n"
+              "    def rel_entropy(self, rho):\n"
+              "        return np.linalg.eigvalsh(rho)\n"
+              "    def fidelity(self, rho):\n"
+              "        def inner():\n"
+              "            return ev(rho)\n"
+              "        return inner\n"
+              "class Other:\n"
+              "    def spectrum(self, rho):\n"
+              "        return np.linalg.eigvalsh(rho)\n"
+              "def outside(rho):\n"
+              "    return np.linalg.eigvalsh(rho)\n")
+    assert class_eigvalsh_calls(source, "Reference") == [5, 8]

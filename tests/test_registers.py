@@ -2,11 +2,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
-                                   act, apply_unitary, basis_state,
+                                   _block_eigvalsh, _pattern_blocks, act, apply_unitary, basis_state,
                                    canonical_purification, dump_matrix,
                                    eig_hermitian, fidelity, kron_eye_entries,
                                    maximally_entangled, maximally_mixed,
@@ -397,6 +397,51 @@ class TestKronEyeEntries:
         assert np.array_equal(kron_eye_entries(factor, f, idx[:, None],
                                                idx[None, :]),
                               dense[np.ix_(idx, idx)])
+
+
+def _hidden_blocks(rng, blocks):
+    """A Hermitian matrix, block-diagonal on ``blocks`` ((size, zero) pairs:
+    a random complex block, or an all-zero one), under a random permutation
+    of the basis; with the sorted component sizes of its exact pattern."""
+    n = sum(size for size, _ in blocks)
+    mat = np.zeros((n, n), dtype=complex)
+    sizes, at = [], 0
+    for size, zero in blocks:
+        if not zero:
+            g = rng.standard_normal((size, size)) \
+                + 1j * rng.standard_normal((size, size))
+            mat[at:at + size, at:at + size] = g + g.conj().T
+        sizes += [1] * size if zero else [size]
+        at += size
+    perm = rng.permutation(n)
+    return mat[np.ix_(perm, perm)], sorted(sizes)
+
+
+class TestBlockEigvalsh:
+    """`_block_eigvalsh` against one dense eigvalsh of the whole matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           blocks=st.lists(st.tuples(st.integers(1, 6), st.booleans()),
+                           min_size=1, max_size=6))
+    @example(seed=0, blocks=[(9, False)])             # one component
+    @example(seed=1, blocks=[(1, False)] * 7)         # all 1 x 1
+    @example(seed=2, blocks=[(3, False), (4, True), (2, False)])  # a zero block
+    @example(seed=3, blocks=[(5, True)])              # all zero
+    def test_matches_dense(self, seed, blocks):
+        rng = np.random.default_rng(seed)
+        mat, sizes = _hidden_blocks(rng, blocks)
+        other, _ = _hidden_blocks(rng, blocks)
+        found = _pattern_blocks(mat)
+        assert sorted(group.shape[1] for group in found for _ in group) == sizes
+        tol = 1e-12 * np.linalg.norm(mat, 2)
+        assert np.max(np.abs(np.sort(_block_eigvalsh(mat))
+                             - np.linalg.eigvalsh(mat))) <= tol
+        # a stack of two, each solved on the union of both patterns
+        stack = np.stack([mat, other])
+        tol = 1e-12 * max(np.linalg.norm(m, 2) for m in stack)
+        assert np.max(np.abs(np.sort(_block_eigvalsh(stack), axis=-1)
+                             - np.linalg.eigvalsh(stack))) <= tol
 
 
 class TestDump:
