@@ -77,10 +77,16 @@ def metrics(circuit):
     layer = [0] * circuit.wire_count
     depth = 0
     for g in circuit.gates:
-        lev = 1 + max((layer[w] for w in g.wires), default=0)
-        for w in g.wires:
+        lev = layer[g.target]
+        for w in g.controls:
+            if layer[w] > lev:
+                lev = layer[w]
+        lev += 1
+        layer[g.target] = lev
+        for w in g.controls:
             layer[w] = lev
-        depth = max(depth, lev)
+        if lev > depth:
+            depth = lev
     return CircuitMetrics(len(circuit.gates), depth, len(circuit.ancilla_wires()))
 
 
@@ -103,11 +109,10 @@ def simulate_table(circuit, inputs):
 
     ``inputs`` is a 2-D array of 0/1 entries, one input per row and one wire
     per column; any other shape or entry raises ValueError.  The state is
-    held wire-major and bit-packed: row w holds wire w of every input, input
-    r at bit r (``np.packbits`` in little bit order), padded to whole uint64
-    words, so one word carries 64 inputs.  Each X, CNOT or TOF gate is then
-    one word-wise NOT, XOR or XOR-with-AND on the target row.  Returns a
-    (rows, wires) bool array.
+    held wire-major, one Python int per wire: bit r of wire w's int is wire w
+    of input r, so one int carries every input.  Each X, CNOT or TOF gate is
+    then one NOT (XOR with the all-ones mask), XOR or XOR-with-AND of those
+    ints on the target wire.  Returns a (rows, wires) bool array.
     """
     table = np.asarray(inputs)
     if table.ndim != 2:
@@ -117,19 +122,20 @@ def simulate_table(circuit, inputs):
     if ((table != 0) & (table != 1)).any():
         raise ValueError("input table entries must be 0 or 1")
     rows = table.shape[0]
-    bits = np.packbits(table.T.astype(bool), axis=1, bitorder="little")
-    packed = np.zeros((circuit.wire_count, -(-rows // 64) * 8), dtype=np.uint8)
-    packed[:, :bits.shape[1]] = bits
-    state = packed.view(np.uint64)
+    packed = np.packbits(table.T.astype(bool), axis=1, bitorder="little")
+    state = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    ones = (1 << rows) - 1
     for g in circuit.gates:
-        row = state[g.target]
         if g.kind == "X":
-            np.invert(row, out=row)
+            state[g.target] ^= ones
         elif g.kind == "CNOT":
-            row ^= state[g.controls[0]]
+            state[g.target] ^= state[g.controls[0]]
         else:
-            row ^= state[g.controls[0]] & state[g.controls[1]]
-    return np.unpackbits(packed, axis=1, count=rows, bitorder="little").T.astype(bool)
+            state[g.target] ^= state[g.controls[0]] & state[g.controls[1]]
+    width = packed.shape[1]
+    out = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in state),
+                        dtype=np.uint8).reshape(len(state), width)
+    return np.unpackbits(out, axis=1, count=rows, bitorder="little").T.astype(bool)
 
 
 def circuit_to_text(circuit):
@@ -173,6 +179,16 @@ class _Builder:
     def __init__(self):
         self.roles = []
         self.gates = []
+        self._interned = {}
+
+    def _emit(self, kind, target, controls=()):
+        """Append the gate as the one Gate object the builder keeps for it:
+        the arithmetic fragments repeat a few hundred distinct gates."""
+        key = (kind, target, controls)
+        gate = self._interned.get(key)
+        if gate is None:
+            gate = self._interned[key] = Gate(kind, target, controls)
+        self.gates.append(gate)
 
     def alloc(self, count, role):
         start = len(self.roles)
@@ -180,13 +196,13 @@ class _Builder:
         return list(range(start, start + count))
 
     def x(self, t):
-        self.gates.append(Gate("X", t))
+        self._emit("X", t)
 
     def cnot(self, c, t):
-        self.gates.append(Gate("CNOT", t, (c,)))
+        self._emit("CNOT", t, (c,))
 
     def tof(self, c1, c2, t):
-        self.gates.append(Gate("TOF", t, (c1, c2)))
+        self._emit("TOF", t, (c1, c2))
 
     def swap(self, a, b):
         self.cnot(a, b)

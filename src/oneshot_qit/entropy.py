@@ -53,7 +53,7 @@ def _support_split(rho, sigma):
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy D(rho||sigma) in bits; +inf on support violation."""
     rho, sigma = _density_pair(rho, sigma)
-    rvals = np.linalg.eigvalsh(rho.matrix)
+    rvals = rho._eigh()[0]
     svals, svecs, pos_s, mass_out = _support_split(rho, sigma)
     if mass_out > _SUPPORT_MASS_TOL:
         return EntropyValue.infinite()
@@ -180,13 +180,19 @@ def _threshold_test(rho, sigma, eps):
     taken as the end point of a bisection on [0, t_top] to a relative width
     of 1e-12, and found with few eigensolves.  f is non-increasing and
     jumps only where an eigenvalue crosses the tolerance: at the generalized
-    eigenvalues of (rho - 1e-10, sigma + 1e-10) on supp(sigma).  A binary
-    search over these breakpoints, one eigensolve each, brackets t*.  One
-    probe just left of the bracketing breakpoint tells whether t* is that
-    jump; if not, a secant that keeps the bracket (bisecting when it would
-    leave it or stall) narrows it to the bisection's width.  The bisection's
-    midpoints are then replayed: the bracket decides those outside it, and
-    the few inside it are probed.
+    eigenvalues of (rho - 1e-10, sigma + 1e-10) on supp(sigma).  From 16
+    clusters of these breakpoints on, with (lam_i, u_i) the eigenpairs of
+    the symmetrised pencil, f~(t) = sum over lam_i > t of lam_i
+    <u_i|sigma|u_i> predicts f (it is f for commuting states): the search
+    probes the first cluster with f~ at or below 1 - eps, predicts again
+    with f~ shifted by its error there, gallops from that cluster and
+    bisects.  With fewer clusters it bisects from the start.  Either way it
+    ends, one eigensolve per probe, on the bracket a binary search over the
+    clusters ends on.  One probe just left of the bracketing breakpoint
+    tells whether t* is that jump; if not, a secant that keeps the bracket
+    (bisecting when it would leave it or stall) narrows it to the
+    bisection's width.  The bisection's midpoints are then replayed: the
+    bracket decides those outside it, and the few inside it are probed.
 
     Kernel fill order follows ascending eigenvalue index.  When the kernel
     has dimension > 1 (coinciding breakpoints, as for commuting states with
@@ -254,28 +260,52 @@ def _threshold_test(rho, sigma, eps):
     # (rho_c - 1e-10, sigma_c + 1e-10), clustered within 5e-13 relative
     inv_half = 1.0 / np.sqrt(sv + 1e-10)
     rel = ((rho_c - 1e-10 * np.eye(n)) * inv_half[None, :]) * inv_half[:, None]
-    lam = np.linalg.eigvalsh(rel)
+    full = np.linalg.eigvalsh(rel)
     # with nothing of rho_c above the tolerance, f = 0 for all t > 0: t* = 0
-    lam = lam[lam > 0] if lam[-1] > 0 else np.zeros(1)
+    lam = full[full > 0] if full[-1] > 0 else np.zeros(1)
     gap = np.diff(lam) > 0.5e-12 * np.maximum(1.0, lam[1:])
-    starts, ends = lam[np.append(True, gap)], lam[np.append(gap, True)]
+    last = np.append(gap, True)
+    starts, ends = lam[np.append(True, gap)], lam[last]
     delta = 0.25e-12 * np.maximum(1.0, ends)
+    if len(ends) < 16:
+        # a binary search takes at most 4 probes here, and a prediction one
+        # eigensolve and then about 3
+        k, stride = (len(ends) - 1) // 2, 0
+    else:
+        # f~ just right of each cluster, and the first cluster at or below
+        # the target (the last one is: f~ is 0 there).  The breakpoints stay
+        # eigvalsh's, a few ulp from eigh's, so the probe points, and t and
+        # Pi with them, are a binary search's
+        u = np.linalg.eigh(rel)[1][:, full > 0]
+        weight = lam * ((u.real ** 2 + u.imag ** 2).T @ sv)
+        after = np.append(np.cumsum(weight[::-1])[::-1][1:], 0.0)[last]
+        k, stride = int(np.searchsorted(-after, -target)), None
 
-    # binary search for the first cluster whose right side meets the target;
-    # the bracket keeps f(t_lo) > target >= f(t_hi)
+    # the first cluster whose right side meets the target: the bracket of a
+    # binary search over the clusters, probed on both sides, keeps
+    # f(t_lo) > target >= f(t_hi)
     t_lo, g_lo = 0.0, float(np.real(np.trace(rho_c))) - target
     t_hi, g_hi, t_next = t_top, -target, None
     lo, hi = -1, len(ends)
+    side = None
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        t = ends[mid] + delta[mid]
+        t = ends[k] + delta[k]
         g = probe_at(t)[-1] - target
         if g <= 0:
-            hi, t_hi, g_hi = mid, t, g
+            hi, t_hi, g_hi = k, t, g
             # a probe here closes the bracket if t* is this jump
-            t_next = starts[mid] - delta[mid]
+            t_next = starts[k] - delta[k]
         else:
-            lo, t_lo, g_lo = mid, t, g
+            lo, t_lo, g_lo = k, t, g
+        if stride is None:      # first cluster with f~ + (f - f~)(k) <= target
+            k, stride = int(np.searchsorted(-after, g - after[k])), 1
+        else:
+            side = g <= 0 if side is None else side
+            if stride and side == (g <= 0):
+                k, stride = (k - stride if side else k + stride), 2 * stride
+            else:
+                k, stride = (lo + hi) // 2, 0
+        k = min(max(k, lo + 1), hi - 1)
 
     # safeguarded secant inside the bracket, down to the bisection's width
     prev, cur = (t_lo, g_lo), (t_hi, g_hi)
@@ -370,6 +400,16 @@ def _hermitian_basis(d):
     return basis
 
 
+def _slack(xb, rho_mat):
+    """I_A (x) X_B - rho: a copy of -rho with X_B added to its d_A diagonal
+    blocks, equal entry by entry to the difference of the dense product."""
+    d_b = len(xb)
+    s = -rho_mat
+    for a in range(0, len(s), d_b):
+        s[a:a + d_b, a:a + d_b] += xb
+    return s
+
+
 def _hmin_sdp(rho_mat, d_a, d_b):
     """Solve min Tr(X_B) s.t. I_A (x) X_B >= rho via a log-barrier Newton method.
 
@@ -388,10 +428,9 @@ def _hmin_sdp(rho_mat, d_a, d_b):
     m = len(basis)
     flat = basis.reshape(m, d_b * d_b)
     tr_vec = np.real(np.trace(basis, axis1=1, axis2=2))
-    eye_a = np.eye(d_a)
 
     def slack(x):
-        return np.kron(eye_a, np.tensordot(x, basis, axes=1)) - rho_mat
+        return _slack(np.tensordot(x, basis, axes=1), rho_mat)
 
     def log_det(s):
         """log det S from its Cholesky factor; None unless S > 0."""

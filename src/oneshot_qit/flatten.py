@@ -23,8 +23,8 @@ import numpy as np
 from .convexsplit import (PrimeEnsemble, _classical_split, _members,
                           _one_design_split, _split_k, _SplitInput,
                           prime_register)
-from .registers import (DensityOperator, RegisterSystem, _as_density, act,
-                        partial_trace, permute_basis)
+from .registers import (DensityOperator, RegisterSystem, _as_density,
+                        _block_eigvalsh, act, partial_trace, permute_basis)
 
 
 def harmonic_sum(a, n):
@@ -361,7 +361,8 @@ def convex_split_flat_classical(psi, omega, gamma, subset, n=None):
     Mixes U_l over l in ``subset`` acting on (F1, F2); checks the exact-ratio
     bound and the per-term marginal domination Tr_F2(tau_l) <= ratio *
     psi_R (x) mu_F1 (x) xi^{1:n} by an eigenvalue test (nonzero l only: the
-    sweep argument behind the domination needs a nontrivial rotation).
+    sweep argument behind the domination needs a nontrivial rotation), solved
+    block by block on the difference's exact nonzero pattern.
     """
     inp = _flat_input(psi, omega, gamma, n)
     reg = prime_register(inp.dims[1])
@@ -373,7 +374,7 @@ def convex_split_flat_classical(psi, omega, gamma, subset, n=None):
     marg_ref = inp.ratio * np.kron(ens.psi_r, np.kron(np.eye(g) / g,
                                                       np.diag(inp.w_d)))
     for ell in sorted(set(m for m in subset if m != 0) | {1}):
-        gap = float(np.linalg.eigvalsh(marg_ref - ens.marginal(ell))[0])
+        gap = float(np.min(_block_eigvalsh(marg_ref - ens.marginal(ell))))
         if gap < -1e-10:
             raise AssertionError(
                 f"marginal domination failed for l={ell}: min eig {gap}")

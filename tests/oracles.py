@@ -1,15 +1,19 @@
-"""Dense oracles shared by the test modules.
+"""Dense oracles and former bodies shared by the test modules.
 
 The program keeps operators of the form A (x) I_f as the pair (A, f) and
 reads their entries by `registers.kron_eye_entries`; the tests build them
-in full here and compare against the dense result.
+in full here and compare against the dense result.  Where a faster body
+replaced a plain one at the same arithmetic, the plain one is kept here and
+the tests assert that both give the same bits.
 """
 
 import numpy as np
 
+from oneshot_qit.circuits import CircuitMetrics, Gate, _Builder
 from oneshot_qit.coding import INV_SQRT_CUT, _blocks, _gathered
-from oneshot_qit.entropy import _entropy_sum
-from oneshot_qit.registers import _root_sum
+from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
+                                 _support_split)
+from oneshot_qit.registers import _density_pair, _root_sum
 
 
 def dense_kron_eye(factor, f):
@@ -67,3 +71,171 @@ def inv_sqrt_successes(test, src, phase, branches, factors):
                 np.add.at(out[start:start + step, j], br,
                           np.einsum("bij,bji->b", lam, gram).real)
     return out
+
+
+def breakpoint_search_test(rho, sigma, eps):
+    """`entropy._threshold_test` with a plain binary search over the
+    breakpoint clusters, from eigvalsh of the breakpoint matrix, in place of
+    the predicted start and gallop; the rest of the body is the same."""
+    rho, sigma = _density_pair(rho, sigma)
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps {eps} outside [0, 1)")
+    eps = float(eps)
+    d = rho.total_dim
+    svals, svecs, pos, r0 = _support_split(rho, sigma)
+    r0 = max(r0, 0.0)
+    # sigma-kernel weight is free: include the whole kernel projector
+    ker_vecs = svecs[:, ~pos]
+    pi = np.zeros((d, d), dtype=complex)
+    pi += ker_vecs @ ker_vecs.conj().T
+
+    if 1.0 - eps >= rho.trace() - TRACE_ROUNDING:
+        # Tr(Pi rho) = 1 forces Pi >= supp(rho); optimum is exactly that projector
+        rvals, rvecs = rho._eigh()
+        supp = rvecs[:, rvals > SUPPORT_TOL]
+        pi = supp @ supp.conj().T
+        type2 = float(np.real(np.trace(pi @ sigma.matrix)))
+        return max(type2, 0.0), pi
+
+    target = 1.0 - eps - r0
+    if target <= 1e-12:
+        # enough free mass in the sigma-kernel: scale it to hit 1-eps exactly
+        if r0 > 0:
+            pi *= (1.0 - eps) / r0
+        return 0.0, pi
+
+    vs = svecs[:, pos]
+    sv = svals[pos]
+    rho_c = vs.conj().T @ rho.matrix @ vs       # compressed to supp(sigma)
+    rho_c = (rho_c + rho_c.conj().T) / 2
+    n = len(sv)
+    diag = np.diag_indices(n)
+
+    def probe_at(t):
+        """(eigenvalues, eigenvectors, <v|sigma_c|v>, f(t)) of rho_c - t sigma_c."""
+        shifted = rho_c.copy()
+        shifted[diag] -= t * sv
+        vals, vecs = np.linalg.eigh(shifted)
+        sig_w = (vecs.real ** 2 + vecs.imag ** 2).T @ sv
+        sel = vals > 1e-10 * (1.0 + t)
+        # <v|rho_c|v> = val + t <v|sigma_c|v>
+        return vals, vecs, sig_w, float(np.sum(vals[sel] + t * sig_w[sel]))
+
+    # f(t) = 0 from t_top on: the top of sigma^{-1/2} rho sigma^{-1/2}, widened
+    inv_half = 1.0 / np.sqrt(sv)
+    rel = (rho_c * inv_half[None, :]) * inv_half[:, None]
+    t_top = float(np.linalg.eigvalsh(rel)[-1]) * (1 + 1e-9) + 1e-12
+    # f jumps where an eigenvalue of rho_c - t sigma_c crosses the kernel
+    # tolerance 1e-10 (1 + t): at the generalized eigenvalues of
+    # (rho_c - 1e-10, sigma_c + 1e-10), clustered within 5e-13 relative
+    inv_half = 1.0 / np.sqrt(sv + 1e-10)
+    rel = ((rho_c - 1e-10 * np.eye(n)) * inv_half[None, :]) * inv_half[:, None]
+    lam = np.linalg.eigvalsh(rel)
+    # with nothing of rho_c above the tolerance, f = 0 for all t > 0: t* = 0
+    lam = lam[lam > 0] if lam[-1] > 0 else np.zeros(1)
+    gap = np.diff(lam) > 0.5e-12 * np.maximum(1.0, lam[1:])
+    starts, ends = lam[np.append(True, gap)], lam[np.append(gap, True)]
+    delta = 0.25e-12 * np.maximum(1.0, ends)
+
+    # binary search for the first cluster whose right side meets the target;
+    # the bracket keeps f(t_lo) > target >= f(t_hi)
+    t_lo, g_lo = 0.0, float(np.real(np.trace(rho_c))) - target
+    t_hi, g_hi, t_next = t_top, -target, None
+    lo, hi = -1, len(ends)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = ends[mid] + delta[mid]
+        g = probe_at(t)[-1] - target
+        if g <= 0:
+            hi, t_hi, g_hi = mid, t, g
+            # a probe here closes the bracket if t* is this jump
+            t_next = starts[mid] - delta[mid]
+        else:
+            lo, t_lo, g_lo = mid, t, g
+
+    # safeguarded secant inside the bracket, down to the bisection's width
+    prev, cur = (t_lo, g_lo), (t_hi, g_hi)
+    step_old = step = t_hi - t_lo
+    while t_hi - t_lo >= 1e-12 * max(1.0, t_hi):
+        if t_next is not None:
+            t, t_next = t_next, None
+        else:
+            t = 0.5 * (t_lo + t_hi)
+            if cur[1] != prev[1]:
+                sec = cur[0] - cur[1] * (cur[0] - prev[0]) / (cur[1] - prev[1])
+                if t_lo <= sec <= t_hi and abs(sec - cur[0]) <= 0.5 * step_old:
+                    t = sec
+            step_old, step = step, abs(t - cur[0])
+            prev = cur
+        tol = 0.4e-12 * max(1.0, t_hi)
+        t = min(max(t, t_lo + tol), t_hi - tol)
+        g = probe_at(t)[-1] - target
+        if g <= 0:
+            t_hi = t
+        else:
+            t_lo = t
+        cur = (t, g)
+
+    # replay the bisection on [0, t_top]: the bracket decides the midpoints
+    # outside it and a probe those inside, so t is the bisection's end point
+    # and a kernel of dimension > 1 is split in the same eigenbasis
+    a, b, best = 0.0, t_top, None
+    while b - a >= 1e-12 * max(1.0, b):
+        mid = (a + b) / 2
+        if t_lo < mid < t_hi:
+            probe = probe_at(mid)
+            below = probe[-1] <= target
+            if below:
+                best = (mid, probe)
+        else:
+            below = mid >= t_hi
+        if below:
+            b = mid
+        else:
+            a = mid
+    t = b
+    vals, vecs, sig_w, taken = best[1] if best and best[0] == t else probe_at(t)
+    ktol = 1e-10 * (1.0 + t)
+    weights = (vals > ktol).astype(float)
+    type2 = float(np.sum(sig_w[vals > ktol]))
+    deficit = target - taken
+    if deficit > 0:
+        for idx in np.flatnonzero(np.abs(vals) <= ktol):   # ascending index
+            v = vecs[:, idx]
+            rw = float(np.real(v.conj() @ rho_c @ v))
+            if rw <= 1e-15:
+                continue
+            weights[idx] = min(1.0, deficit / rw)
+            type2 += weights[idx] * sig_w[idx]
+            deficit -= weights[idx] * rw
+            if deficit <= 1e-14:
+                break
+    pi_c = (vecs * weights) @ vecs.conj().T
+    pi += vs @ pi_c @ vs.conj().T
+    return max(type2, 0.0), pi
+
+
+
+
+def kron_slack(xb, rho_mat):
+    """I_A (x) X_B - rho with the dense product built (`entropy._slack`)."""
+    return np.kron(np.eye(len(rho_mat) // len(xb)), xb) - rho_mat
+
+
+def generator_metrics(circuit):
+    """`circuits.metrics` with each layer taken as a max over a generator."""
+    layer = [0] * circuit.wire_count
+    depth = 0
+    for g in circuit.gates:
+        lev = 1 + max((layer[w] for w in g.wires), default=0)
+        for w in g.wires:
+            layer[w] = lev
+        depth = max(depth, lev)
+    return CircuitMetrics(len(circuit.gates), depth, len(circuit.ancilla_wires()))
+
+
+class PlainBuilder(_Builder):
+    """`circuits._Builder` that builds a new Gate for every gate it emits."""
+
+    def _emit(self, kind, target, controls=()):
+        self.gates.append(Gate(kind, target, controls))

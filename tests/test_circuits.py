@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oneshot_qit import circuits
 from oneshot_qit.circuits import (CircuitMetrics, Gate, ReversibleCircuit,
                                   circuit_from_text, circuit_to_text,
                                   encode_decoupler_input, metrics,
@@ -10,6 +11,7 @@ from oneshot_qit.circuits import (CircuitMetrics, Gate, ReversibleCircuit,
                                   synth_decoupler, synth_mod_add,
                                   synth_mod_mul_const, synth_swap)
 from oneshot_qit.convexsplit import PrimeRegister, u_ell, u_ell_index
+from oracles import PlainBuilder, generator_metrics
 
 
 def run_mod_add(circ, modulus, x, y):
@@ -346,6 +348,51 @@ class TestBitSlicedTable:
         circ = ReversibleCircuit(2, ["data"] * 2, [Gate("X", 0)])
         with pytest.raises(ValueError, match="width"):
             simulate_table(circ, [[0, 1, 0]])
+
+
+class TestInternedGates:
+    """The interning builder and the plain-int depth against their former
+    bodies: the same gate lists, sizes and depths."""
+
+    SYNTHS = [(synth_swap, ()), (synth_mod_add, (5,)), (synth_mod_add, (16,)),
+              (synth_mod_mul_const, (7, 3)), (synth_mod_mul_const, (11, 5))] \
+        + [(synth_decoupler, (c_dim, g, g)) for c_dim, g in
+           ((2, 5), (2, 7), (3, 11), (4, 17), (4, 19))] \
+        + [(synth_decoupler, (3, 11, 4))]
+
+    @pytest.mark.parametrize("synth,args", SYNTHS,
+                             ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_gate_lists_equal_the_plain_builder(self, monkeypatch, synth,
+                                                args):
+        interned = synth(*args)
+        monkeypatch.setattr(circuits, "_Builder", PlainBuilder)
+        plain = synth(*args)
+        assert interned.gates == plain.gates
+        assert (interned.wire_count, interned.roles) \
+            == (plain.wire_count, plain.roles)
+        assert metrics(interned) == generator_metrics(plain)
+        distinct = {(g.kind, g.target, g.controls) for g in plain.gates}
+        assert len({id(g) for g in interned.gates}) == len(distinct)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), wires=st.integers(3, 9))
+    def test_depth_matches_generator_form(self, data, wires):
+        controls = {"X": 0, "CNOT": 1, "TOF": 2}
+        drawn = data.draw(st.lists(
+            st.tuples(st.sampled_from(sorted(controls)),
+                      st.permutations(range(wires))), max_size=60))
+        gates = [Gate(kind, perm[0], tuple(perm[1:1 + controls[kind]]))
+                 for kind, perm in drawn]
+        roles = data.draw(st.lists(st.sampled_from(["data", "ancilla",
+                                                    "scratch"]),
+                                   min_size=wires, max_size=wires))
+        circ = ReversibleCircuit(wires, roles, gates)
+        assert metrics(circ) == generator_metrics(circ)
+
+    def test_empty_circuit_depth(self):
+        circ = ReversibleCircuit(0, [])
+        assert metrics(circ) == generator_metrics(circ) \
+            == CircuitMetrics(0, 0, 0)
 
 
 class TestTextFormat:

@@ -17,6 +17,7 @@ from oneshot_qit.registers import (DensityOperator, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, purified_distance,
                                    random_density, sqrtm_psd, tensor)
+from oracles import breakpoint_search_test, kron_slack
 
 
 def sysof(*pairs):
@@ -435,7 +436,8 @@ def states(*mats):
 
 def random_pair(seed, dim, kind):
     """(rho, sigma) of one kind: full-rank, rank-deficient rho or sigma,
-    commuting with random spectra, or commuting with integer weights."""
+    commuting with random spectra, commuting with integer weights, or
+    skewed: full-rank spectra spread over up to a factor e^12."""
     rng = np.random.default_rng(seed)
 
     def unitary():
@@ -452,6 +454,10 @@ def random_pair(seed, dim, kind):
         return vals
 
     low = max(1, dim // 2)
+    if kind == "skewed":
+        decay = rng.uniform(0.5, 12.0)
+        return (state(unitary(), np.exp(-decay * rng.random(dim))),
+                state(unitary(), np.exp(-decay * rng.random(dim))))
     if kind == "full":
         return state(unitary(), spectrum(dim)), state(unitary(), spectrum(dim))
     if kind == "rho-deficient":
@@ -523,7 +529,49 @@ class TestThresholdTest:
         for eps in (0.05, 0.1, 0.5):
             calls.clear()
             assert dh_eps(rho, sig, eps).finite
-            assert len(calls) <= 20, (eps, len(calls))
+            # 7, 11 and 8 calls; sigma's memo is solved in the first
+            assert len(calls) <= 11, (eps, len(calls))
+
+    # from 16 breakpoint clusters on, the search starts from the prediction;
+    # skewed spectra make the gallop overrun the bracket, as in the example
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 40),
+           kind=st.sampled_from(KINDS + ("skewed",)),
+           eps=st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.5, 0.9]),
+                         st.floats(0.0, 0.95)))
+    @example(seed=15, dim=24, kind="skewed", eps=0.3)
+    def test_bit_identical_to_breakpoint_search(self, seed, dim, kind, eps):
+        rho, sig = random_pair(seed, dim, kind)
+        type2, pi = entropy._threshold_test(*states(rho, sig), eps)
+        want, pi_want = breakpoint_search_test(*states(rho, sig), eps)
+        assert repr(type2) == repr(want)
+        assert np.array_equal(pi, pi_want)
+
+    def test_fewer_eigensolves_than_the_breakpoint_search(self, monkeypatch):
+        # seeds 0-7 at d = 256, eps = 0.1, each on fresh states: 111 calls
+        # for the binary search, 83 from the predicted cluster
+        system = sysof(("A", 256))
+        pairs = [(random_density((256, seed, 0), system).matrix,
+                  random_density((256, seed, 1), system).matrix)
+                 for seed in range(8)]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat.shape[0])
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        totals, results = [], []
+        for solver in (breakpoint_search_test, entropy._threshold_test):
+            calls.clear()
+            results.append([solver(*states(rho, sig), 0.1)
+                            for rho, sig in pairs])
+            totals.append(len(calls))
+        assert totals[1] < totals[0], totals
+        for (type2, pi), (want, pi_want) in zip(*results[::-1]):
+            assert repr(type2) == repr(want)
+            assert np.array_equal(pi, pi_want)
 
     def test_matches_bisection_at_d64(self):
         system = sysof(("A", 64))
@@ -537,8 +585,8 @@ class TestThresholdTest:
 
 
 def per_call_relative_entropy(rho, sigma):
-    """relative_entropy with sigma eigensolved on every call (oracle)."""
-    rvals = np.linalg.eigvalsh(rho.matrix)
+    """relative_entropy with rho and sigma eigensolved per call (oracle)."""
+    rvals = np.linalg.eigh(rho.matrix)[0]
     svals, svecs, pos_s, mass_out = eigh_support_split(rho.matrix,
                                                        sigma.matrix)
     if mass_out > entropy._SUPPORT_MASS_TOL:
@@ -785,6 +833,32 @@ class TestHmin:
         # the entropy CLI report prints this value's distance from -1
         phi = maximally_entangled("A", "B", 2).density().matrix
         assert entropy._hmin_sdp(phi, 2, 2)[0] == loop_hmin_sdp(phi, 2, 2)[0]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_slack_bit_identical_to_the_kron_at_benchmark_shapes(
+            self, monkeypatch, seed):
+        # the benchmark's hmin cases: products 2x4, 2x8, 3x6 and a pure
+        # maximally entangled 4x4 in a seeded local basis
+        rng = np.random.default_rng([seed, 11])
+        cases = []
+        for d_a, d_b in ((2, 4), (2, 8), (3, 6)):
+            rho_a = random_density((d_a, d_b, seed, 0), sysof(("A", d_a)))
+            sig_b = random_density((d_a, d_b, seed, 1), sysof(("B", d_b)))
+            cases.append((np.kron(rho_a.matrix, sig_b.matrix), d_a, d_b))
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        vec = np.kron(np.linalg.qr(g)[0], np.eye(4)) \
+            @ maximally_entangled("A", "B", 4).vector
+        cases.append((np.outer(vec, vec.conj()), 4, 4))
+        for rho, d_a, d_b in cases:
+            xb = rng.standard_normal((d_b, d_b)) \
+                + 1j * rng.standard_normal((d_b, d_b))
+            assert np.array_equal(entropy._slack(xb, rho), kron_slack(xb, rho))
+            got = entropy._hmin_sdp(rho, d_a, d_b)
+            with monkeypatch.context() as patch:
+                patch.setattr(entropy, "_slack", kron_slack)
+                want = entropy._hmin_sdp(rho, d_a, d_b)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
 
     def test_product_closed_form_4x8(self):
         rho_a = random_density(48, sysof(("A", 4)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oneshot_qit import flatten as flatten_module
 from oneshot_qit.convexsplit import (PrimeEnsemble, PrimeRegister,
                                      convex_split_classical, hw_split_means)
 from oneshot_qit.entropy import SUPPORT_TOL, Reference
@@ -18,10 +19,10 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
                                  purified_embezzle_fidelity, round_spectrum,
                                  unitary_flatten_W, w_b_permutation)
 from oneshot_qit.registers import (DensityOperator, RegisterSystem,
-                                   maximally_entangled, maximally_mixed,
-                                   partial_trace, permute_basis,
-                                   random_density, random_pure, reorder,
-                                   tensor)
+                                   _pattern_blocks, maximally_entangled,
+                                   maximally_mixed, partial_trace,
+                                   permute_basis, random_density, random_pure,
+                                   reorder, tensor)
 from oracles import dense_kron_eye, dense_reference_measures
 
 
@@ -541,6 +542,42 @@ class TestFlatSplits:
                                           range(2), n=3)
         assert rep.bound_satisfied()
 
+    def test_marginal_check_matches_dense(self, monkeypatch):
+        # the benchmark's N = 11 split: each nonzero l's gap, solved on the
+        # difference's pattern (22 blocks of 1, 33 of 2 of 88), is the dense
+        # smallest eigenvalue
+        gaps = []
+        solve = flatten_module._block_eigvalsh
+
+        def recording(mat, blocks=None):
+            vals = solve(mat, blocks)
+            gaps.append((float(np.min(vals)), np.linalg.eigvalsh(mat)[0],
+                         [idx.shape for idx in _pattern_blocks(mat)]))
+            return vals
+
+        monkeypatch.setattr(flatten_module, "_block_eigvalsh", recording)
+        psi = random_density(77, sysof(("R", 2), ("C", 2)))
+        convex_split_flat_classical(psi, partial_trace(psi, ["R"]),
+                                    Fraction(2, 3), range(11), n=3)
+        assert len(gaps) == 10
+        for got, want, blocks in gaps:
+            assert blocks == [(22, 1), (33, 2)]
+            assert abs(got - want) <= 1e-12 and got >= -1e-10
+
+    def test_marginal_check_reads_every_block(self, monkeypatch):
+        solve = flatten_module._block_eigvalsh
+
+        def last_negative(mat, blocks=None):
+            vals = solve(mat, blocks).copy()
+            vals[-1] = -1e-9
+            return vals
+
+        monkeypatch.setattr(flatten_module, "_block_eigvalsh", last_negative)
+        psi = random_density(77, sysof(("R", 2), ("C", 2)))
+        with pytest.raises(AssertionError, match="marginal domination failed"):
+            convex_split_flat_classical(psi, partial_trace(psi, ["R"]),
+                                        Fraction(2, 3), range(2), n=3)
+
     def test_classical_empty_subset(self):
         phi = maximally_entangled("R", "C", 2)
         mu_c = maximally_mixed(sysof(("C", 2)))
@@ -666,7 +703,7 @@ class TestMixtureSpectra:
         # the benchmark's flat classical split (N = 2, 11) and its C3-G11
         # classical split on one state (N = 1, 2, 11): the dense route
         # solved 216,855,016 = sum d^3 over its eigvalsh calls; the block
-        # route solves 9,723,676, most of it the dense marginal checks
+        # route solves 2,230,630
         work = []
         solve = np.linalg.eigvalsh
 
