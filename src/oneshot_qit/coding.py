@@ -21,7 +21,7 @@ The rate cap and the code take the test and its D_H from one Neyman-Pearson
 solve, and so does each decoder.
 
 Every protocol's square-root measurement Lambda_m = S^{-1/2} Omega_m S^{-1/2}
-runs over one test and a monomial map (src, phase) per member,
+runs over one test and a `registers.Monomial` family, one map per member,
 Omega_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]);
 no rotated copy of the test is built.  The test is a pair (A, f) standing
 for A (x) I_f, whose entries `registers.kron_eye_entries` reads: the flat
@@ -54,17 +54,17 @@ from fractions import Fraction
 import numpy as np
 
 from .convexsplit import (_classical_ensemble, _hw_gather, _members,
-                          pairwise_family, prime_register, u_ell_index)
+                          pairwise_family, prime_register)
 from .entropy import _dh_value, _threshold_test, dh_eps, dmax, imax
 from .flatten import (_flat_ensemble, _gamma_fraction, _moved,
                       check_unembezzle, embezzling_state, harmonic_sum,
                       purified_embezzle_fidelity, round_spectrum,
                       unitary_flatten_W)
-from .registers import (DensityOperator, RegisterSystem, _as_density,
-                        _components, _size_groups, act,
-                        canonical_purification, kron_eye_entries, lift_index,
-                        maximally_mixed, partial_trace, permute_basis,
-                        permute_registers, reorder, tensor)
+from .registers import (DensityOperator, Monomial, RegisterSystem,
+                        _as_density, _components, _size_groups, act,
+                        canonical_purification, kron_eye_entries,
+                        maximally_mixed, partial_trace, permute_registers,
+                        reorder, tensor)
 
 INV_SQRT_CUT = 1e-12
 """Eigenvalues of S at or below this lie outside supp(S), where S^{-1/2} is 0."""
@@ -176,11 +176,11 @@ class POVM:
             raise ValueError("POVM elements do not sum to the identity")
 
 
-def _blocks(test, src, branches):
+def _blocks(test, maps, branches):
     """The blocks of every branch's S on its members' union pattern.
 
-    Member m is ``test`` = (A, f), the operator A (x) I_f, read through row
-    m of the monomial maps ``src`` (n_members, dim), and ``branches``
+    Member m is ``test`` = (A, f), the operator A (x) I_f, read through map
+    m of the `Monomial` family ``maps`` (n_members, dim), and ``branches``
     (n_branches, n_terms) lists the members summed into each S.  S and each
     of its members are exactly block-diagonal on the connected components of
     the union of its members' nonzero patterns; no entry is thresholded.
@@ -193,9 +193,8 @@ def _blocks(test, src, branches):
     (n_blocks, size), blocks ordered by branch and smallest index.
     """
     factor, f = test
-    n_members, dim = src.shape
-    inverse = np.full((n_members, len(factor) * f), -1)
-    inverse[np.arange(n_members)[:, None], src] = np.arange(dim)
+    n_members, dim = maps.src.shape
+    inverse = maps.inverse(len(factor) * f).src
     rows, cols = (np.ravel(k[:, None] * f + np.arange(f))
                   for k in np.nonzero(factor))
     i, j = inverse[:, rows], inverse[:, cols]
@@ -226,22 +225,20 @@ def _eig_inv_sqrt(total):
     return vecs, scale
 
 
-def _gathered(test, src, phase, members, idx):
+def _gathered(test, maps, members, idx):
     """Member members[k] of `_successes` on the indices idx[k], stacked."""
-    at, p = src[members[:, None], idx], phase[members[:, None], idx]
-    return p[:, :, None] * kron_eye_entries(*test, at[:, :, None],
-                                            at[:, None, :]) \
-        * p.conj()[:, None, :]
+    return maps[members[:, None], idx].conjugate(
+        lambda rows, cols: kron_eye_entries(*test, rows, cols))
 
 
-def _successes(test, src, phase, branches, factors):
+def _successes(test, maps, branches, factors):
     """Re Tr(S_b^{-1/2} F_m S_b^{-1/2} X_m X_m^dag) for every branch b and
     its j-th member m = branches[b, j], as an (n_branches, n_terms) array.
 
     F_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]),
-    with ``test`` = (A, f) standing for A (x) I_f, ``src`` and ``phase``
-    (n_members, dim) and |phase| = 1; S_b is the sum of the members over
-    row b of ``branches``, in row order, and
+    with ``test`` = (A, f) standing for A (x) I_f and ``maps`` the
+    `Monomial` family (n_members, dim) of the members; S_b is the sum of
+    the members over row b of ``branches``, in row order, and
     X_m = factors[m] is (dim, cols).  The trace is summed over the blocks of
     `_blocks`, and only blocks where an X_m of the branch has a nonzero row
     are gathered from ``test`` and eigensolved by `_eig_inv_sqrt`, in
@@ -254,23 +251,23 @@ def _successes(test, src, phase, branches, factors):
     member entries.
     """
     branches = np.asarray(branches)
-    n_terms, (n_members, dim) = branches.shape[1], src.shape
+    n_terms, (n_members, dim) = branches.shape[1], maps.src.shape
     touched = (factors != 0).any(axis=2)
     out = np.zeros(branches.shape)
     step = max(1, n_members * dim // n_terms)
     for start in range(0, len(branches), step):
         chunk = branches[start:start + step]
         hit = touched[chunk].any(axis=1)
-        for br, idx in _blocks(test, src, chunk):
+        for br, idx in _blocks(test, maps, chunk):
             keep = np.flatnonzero(hit[br[:, None], idx].any(axis=1))
             stack = max(1, n_members * dim * dim // idx.shape[1] ** 2)
             for at in range(0, len(keep), stack):
                 sel = keep[at:at + stack]
                 b, ix = br[sel], idx[sel]
                 members = chunk[b].T
-                total = _gathered(test, src, phase, members[0], ix)
+                total = _gathered(test, maps, members[0], ix)
                 for m in members[1:]:
-                    total += _gathered(test, src, phase, m, ix)
+                    total += _gathered(test, maps, m, ix)
                 vecs, scale = _eig_inv_sqrt(total)
                 del total
                 for j, m in enumerate(members):
@@ -278,7 +275,7 @@ def _successes(test, src, phase, branches, factors):
                     x_h = factors[m[:, None], ix].conj().swapaxes(-1, -2)
                     y = vecs @ (scale[..., None]
                                 * (x_h @ vecs).conj().swapaxes(-1, -2))
-                    fy = _gathered(test, src, phase, m, ix) @ y
+                    fy = _gathered(test, maps, m, ix) @ y
                     np.add.at(out[start:start + step, j], b,
                               np.einsum("bij,bij->b", y.conj(), fy).real)
     return out
@@ -355,22 +352,19 @@ def _decode_report(successes, eps, delta, cap, cross, coarse):
                                 1.0 - eps - coarse * delta, exact, cap)
 
 
-def _signal_successes(test, sources, signals, weights):
-    """Tr(Lambda_l tau_l) for every l of ``sources``, from signal vectors.
+def _signal_successes(test, subset, maps, signals, weights):
+    """Tr(Lambda_l tau_l) for every l of ``subset``, from signal vectors.
 
-    ``test`` is a pair (A, f) standing for A (x) I_f (see `_blocks`).
-    sources[l] is the gather map of U_l: (U_l x)[i] = x[sources[l][i]], so
-    U_l test U_l^dag = test[src, src], a member with unit phases.
-    Lambda_l = S^{-1/2} U_l test U_l^dag S^{-1/2} with S the sum of the
-    rotated tests, and tau_l = U_l (sum_c weights[c] |c><c|) U_l^dag over
-    the columns |c> of ``signals``, so tau_l = X_l X_l^dag with X_l the
-    weighted signals gathered by src.
+    ``test`` is a pair (A, f) standing for A (x) I_f (see `_blocks`), and
+    ``maps`` the `Monomial` family of the U_l, l in ``subset``, so that
+    U_l test U_l^dag is a member.  Lambda_l = S^{-1/2} U_l test U_l^dag
+    S^{-1/2} with S the sum of the rotated tests, and tau_l = U_l (sum_c
+    weights[c] |c><c|) U_l^dag over the columns |c> of ``signals``, so
+    tau_l = X_l X_l^dag with X_l = U_l applied to the weighted signals.
     """
-    srcs = np.array(list(sources.values()))
-    successes = _successes(test, srcs, np.ones(srcs.shape),
-                           [range(len(srcs))],
-                           (signals * np.sqrt(weights))[srcs])[0]
-    return dict(zip(sources, successes.tolist()))
+    successes = _successes(test, maps, [range(len(subset))],
+                           maps.apply(signals * np.sqrt(weights)))[0]
+    return dict(zip(subset, successes.tolist()))
 
 
 def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
@@ -403,12 +397,10 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     cols = len(weights)
     host_signals = np.zeros((d_b, host, g, cols), dtype=complex)
     host_signals[:, :g] = signals.reshape(d_b, g, g, cols)
-    src = np.arange(host * g)       # U_l on the first g states, I on the tail
-    sources = {}
-    for ell in subset:
-        src[:g * g] = u_ell_index(-ell % g, g)      # U_l^-1 = U_-l
-        sources[ell] = lift_index(src, (d_b, host, g), [1, 2])
-    successes = _signal_successes((omega_lift, 1), sources,
+    # the ensemble's U_l on the first g states of G1, the identity on its tail
+    first = (np.arange(d_b)[:, None] * host * g + np.arange(g * g)).ravel()
+    maps = ens.source(subset).embed(first, d_b * host * g)
+    successes = _signal_successes((omega_lift, 1), subset, maps,
                                   host_signals.reshape(-1, cols), weights)
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
     return _decode_report(successes, eps, delta, cap, cross, 4)
@@ -451,8 +443,8 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     ens = _flat_ensemble(psi, flat, a, n, d_size + 1)
     om_full = _lifted_flat_test(ens, flat, omega, psi.system.dims)
     signals, weights = ens.signals()
-    successes = _signal_successes(
-        om_full, {ell: ens.source(ell) for ell in subset}, signals, weights)
+    successes = _signal_successes(om_full, subset, ens.source(subset),
+                                  signals, weights)
 
     ratio_emb = harmonic_sum(1, n) / harmonic_sum(a, n)
     f1_factor = 2.0 * ens.s_dim * ens.s_dim / ens.f_prime
@@ -606,45 +598,29 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", np.diag(np.sqrt(q)),
                                        xi_pairs)
     side_dims = (d_a, e_dim, d_dim)
-    w_img = unitary_flatten_W(flat, d_dim)
-    w_inv = np.argsort(w_img)
-    pairs = flat.support_index()
+    w_dag = Monomial(unitary_flatten_W(flat, d_dim))  # gathers by W's image
 
-    # Bob's test W (Omega (x) I) W^dag on (B, C, E, D).  Each V_y is one
-    # gather map (src_ce, phase_ce) on (C, E): V_y on the support pairs, the
-    # identity elsewhere.  Bob's member U_y is it lifted to rows src[y] and
-    # phases phase[y]; Alice's V_y^T gathers by its inverse t, with phases
-    # phase_ce[t]
+    # Bob's test W (Omega (x) I) W^dag on (B, C, E, D).  Each V_y is V_y on
+    # the support pairs of (C, E) and the identity elsewhere; Bob's member
+    # is it lifted to (B, C, E, D), and Alice's encoding W^dag (V_y^T (x) I) W
+    # gathers the resource's rows on (A, E', D')
     bob_dims = (d_a,) + side_dims
     om_lift = np.kron(act(omega_test, flat.basis.T, (d_a, d_a), [1]),
                       np.eye(e_dim * d_dim))
-    om_moved = permute_basis(om_lift, w_inv, bob_dims, [1, 2, 3])
-    src = np.empty((q_field, len(om_moved)), dtype=int)
-    phase = np.empty(src.shape, dtype=complex)
-    src_ce = np.arange(d_a * e_dim)
-    phase_ce = np.ones(d_a * e_dim, dtype=complex)
-    ce = np.arange(len(om_moved)) // d_dim % (d_a * e_dim)    # (C, E) digit
-
-    # Alice's encodings W^dag (V_y^T (x) I) W gather the resource's rows on
-    # (A, E', D'): row i of encoding y is enc_phase[y, i] resource[enc_src[y, i]]
+    om_moved = w_dag.inverse().lift(bob_dims, [1, 2, 3]).conjugate(om_lift)
+    v = _hw_gather(*np.divmod(np.arange(q_field), m_big), m_big).embed(
+        flat.support_index(), d_a * e_dim)
     resource = init.reshape(d_a * e_dim * d_dim, -1)
-    enc_src = np.empty((q_field, len(resource)), dtype=int)
-    enc_phase = np.empty(enc_src.shape, dtype=complex)
-    for y in range(q_field):
-        u_src, phase_ce[pairs] = _hw_gather(*divmod(y, m_big), m_big)
-        src_ce[pairs] = pairs[u_src]
-        src[y], phase[y] = lift_index(src_ce, bob_dims, [1, 2]), phase_ce[ce]
-        t = np.argsort(src_ce)
-        enc_src[y] = w_inv[lift_index(t, side_dims, [0, 1])[w_img]]
-        enc_phase[y] = phase_ce[t][w_img // d_dim]
+    encode = w_dag.compose(v.transpose().lift(side_dims, [0, 1])).compose(
+        w_dag.inverse())
 
     # their channel outputs, as column blocks on (B, C, E, D) over the Kraus
     # index and the (E', D') that some encoding reaches: every other column
     # is exactly 0, since a resource row is 0 off E' = 0 and supp xi
-    reached = resource.any(axis=1)[enc_src].reshape(
+    reached = resource.any(axis=1)[encode.src].reshape(
         q_field, d_a, -1).any(axis=(0, 1))
     rows = np.arange(len(resource)).reshape(d_a, -1)[:, reached]
-    enc = enc_phase[:, rows, None] * resource[enc_src[:, rows]]
+    enc = encode[:, rows].apply(resource)
     kraus = np.stack([k @ flat.basis for k in channel.kraus])
     columns = np.einsum("kba,yaxj->ybjkx", kraus, enc).reshape(
         q_field, len(om_moved), -1)
@@ -652,7 +628,7 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     images = pairwise_family(q_field).images(range(n_messages))
     branches, inverse = np.unique(images.reshape(-1, n_messages), axis=0,
                                   return_inverse=True)
-    totals = _successes((om_moved, 1), src, phase, branches,
+    totals = _successes((om_moved, 1), v.lift(bob_dims, [1, 2]), branches,
                         columns)[inverse].sum(axis=0)
     errors = 1.0 - totals / (q_field * q_field)
     branch_count = n_messages * q_field * q_field

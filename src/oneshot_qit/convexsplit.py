@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import Reference, _entropy_sum, dmax
-from .registers import (DensityOperator, RegisterSystem, _as_density,
-                        _block_eigvalsh, _pattern_blocks, _root_sum, act,
-                        kron_eye_entries, lift_index, maximally_mixed,
-                        partial_trace, permute_basis, reorder)
+from .registers import (DensityOperator, Monomial, RegisterSystem,
+                        _as_density, _block_eigvalsh, _pattern_blocks,
+                        _root_sum, kron_eye_entries, maximally_mixed,
+                        partial_trace, reorder)
 
 
 def _is_prime(n):
@@ -167,21 +167,25 @@ class HWUnitary:
 
 
 def _hw_gather(a, b, d):
-    """(src, phase) of V_{a,b}: (V x)[i] = phase[i] x[src[i]], src = i - a."""
+    """V_{a,b} as a `Monomial`: (V x)[i] = phase[i] x[src[i]], src = i - a;
+    a family, one map per entry, for int arrays ``a`` and ``b``."""
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
     src = (np.arange(d) - a) % d
     # a real argument: numpy divides complex arrays by d as a product with
     # 1 / d, which would move the phases off the scalar exp(2j pi c b / d)
-    return src, np.exp(1j * (2 * np.pi * src * b / d))
+    return Monomial(src, np.exp(1j * (2 * np.pi * src * b / d)))
+
+
+def _hw_maps(d, dims, axis):
+    """Every V_y, y = a*d + b, lifted onto the factor ``axis`` of ``dims``."""
+    return _hw_gather(*np.divmod(np.arange(d * d), d), d).lift(dims, [axis])
 
 
 def hw_unitary(a, b, d):
     """V_{a,b} = sum_c exp(2 pi i c b / d) |c+a><c|."""
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) out of range for dimension {d}")
-    src, phase = _hw_gather(a, b, d)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[np.arange(d), src] = phase
-    return HWUnitary(a, b, d, mat)
+    return HWUnitary(a, b, d, _hw_gather(a, b, d).matrix())
 
 
 def hw_family(d):
@@ -193,10 +197,10 @@ def one_design_average(rho, label):
     """(1/d^2) sum_{a,b} V_{a,b} rho V_{a,b}^dag on the named register."""
     rho = _as_density(rho)
     d = rho.system.dim_of(label)
-    axes = rho.system.axes([label])
+    hw = _hw_maps(d, rho.system.dims, rho.system.position(label))
     acc = np.zeros_like(rho.matrix)
-    for v in hw_family(d):
-        acc += act(rho.matrix, v.matrix, rho.system.dims, axes)
+    for y in range(d * d):
+        acc += hw[y].conjugate(rho.matrix)
     return DensityOperator(rho.system, acc / (d * d), validate=False)
 
 
@@ -270,12 +274,12 @@ def hw_split_means(state, dims, n_mixed, seed, ref):
     members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
     keys, inverse = hw_translation_classes(family.images(members), d)
 
-    hw = hw_family(d)
+    hw = _hw_maps(d, dims, 1)
     conj_cache = {}
 
     def conjugated(y):
         if y not in conj_cache:
-            conj_cache[y] = act(state, hw[y].matrix, dims, [1])
+            conj_cache[y] = hw[y].conjugate(state)
         return conj_cache[y]
 
     # V_y shifts S by y // d up to phases and fixes ``ref``, whose sandwich
@@ -433,11 +437,13 @@ def compose_u(first, then):
 
 
 def u_ell_index(ell, g):
-    """U_l: (i, j) -> (i + (j-i)l, j + (j-i)l) mod g, over the flat pairs i*g + j."""
-    if not 0 <= ell < g:
+    """U_l: (i, j) -> (i + (j-i)l, j + (j-i)l) mod g, over the flat pairs
+    i*g + j; one map per entry, along a last axis, for an int array ``ell``."""
+    ell = np.asarray(ell)
+    if np.any((ell < 0) | (ell >= g)):
         raise ValueError(f"l = {ell} out of range [0, {g})")
     i, j = np.divmod(np.arange(g * g), g)
-    shift = (j - i) % g * ell
+    shift = (j - i) % g * ell[..., None]
     return (i + shift) % g * g + (j + shift) % g
 
 
@@ -491,25 +497,26 @@ class PrimeEnsemble:
         r, s, d = self.r_dim, self.s_dim, self.d_dim
         big = np.kron(mat, np.kron(q_op, np.eye(s)))         # (R, S, D, Q, X)
         big = reorder(big, (r, s, d, 2, s), [0, 3, 1, 4, 2])  # (R, Q, S, X, D)
-        return permute_basis(big, np.arange(self.f_prime), (r, 2, s, s, d),
-                             [1, 2, 3])
+        return Monomial(np.arange(self.f_prime)).lift(
+            (r, 2, s, s, d), [1, 2, 3]).conjugate(big)
 
     @property
     def dims(self):
         return (self.r_dim, self.f_prime, self.d_dim, self.f_prime)
 
     def source(self, ell):
-        """Gather map of U_l on the full space: (U_l x)[i] = x[src[i]].
+        """U_l on the full space as a `Monomial` with unit phases, or the
+        family of them for an int array of l.
 
-        U_l^-1 = U_-l, so it is the image map of U_-l; U_l mat U_l^dag is
-        mat[np.ix_(src, src)].
+        U_l^-1 = U_-l, so its src is the image map of U_-l.
         """
         g = self.f_prime
-        return lift_index(u_ell_index(-ell % g, g), self.dims, [1, 3])
+        return Monomial(u_ell_index(-np.asarray(ell) % g, g)).lift(
+            self.dims, [1, 3])
 
     def marginal(self, ell):
         """Tr_F2(U_l base U_l^dag) on (R, F1, D), summed over f2."""
-        src = self.source(ell).reshape(-1, self.f_prime)
+        src = self.source(ell).src.reshape(-1, self.f_prime)
         out = np.zeros((len(src), len(src)), dtype=self.base_factor.dtype)
         for idx in src.T:
             out += self._base_block(idx)
@@ -587,16 +594,14 @@ class PrimeEnsemble:
     def _occupied(self, subset):
         """Indices on (F1, D, F2) where tau has a nonzero row for some R index."""
         diag = np.repeat(np.diagonal(self.base_factor).real > 0, self.f_prime)
-        occupied = np.zeros(self.dim_full, dtype=bool)
-        for ell in subset:
-            occupied |= diag[self.source(ell)]
+        occupied = diag[self.source(subset).src].any(axis=0)
         return np.flatnonzero(occupied.reshape(self.r_dim, -1).any(axis=0))
 
     def _support_spectra(self, subset, ref, keep):
         rows = (np.arange(self.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
         tau = np.zeros((len(rows), len(rows)), dtype=complex)
         for ell in subset:
-            tau += self._base_block(self.source(ell)[rows])
+            tau += self._base_block(self.source(ell).src[rows])
         tau /= len(subset)
         mid = ref.restricted(keep).sandwich(tau)
         blocks = _pattern_blocks(tau, mid)
@@ -622,7 +627,7 @@ class PrimeEnsemble:
         delta, t = np.divmod(np.arange(g * g), g)
         i = np.where(delta == 0, t, delta * t % g).reshape(g, g)
         j = (i + np.arange(g)[:, None]) % g
-        tau = np.argsort(j, axis=1)[:, j]               # [delta', delta, t]
+        tau = Monomial(j).inverse().src[:, j]           # [delta', delta, t]
         tau = tau.transpose(1, 2, 0)                    # [delta, t, delta']
         i_tau = i[np.arange(g), tau]
         # gathered[factor, delta, t, delta', x, x'], the only nonzeros of

@@ -23,8 +23,8 @@ import numpy as np
 from .convexsplit import (PrimeEnsemble, _classical_split, _members,
                           _one_design_split, _split_k, _SplitInput,
                           prime_register)
-from .registers import (DensityOperator, RegisterSystem, _as_density,
-                        _block_eigvalsh, act, partial_trace, permute_basis)
+from .registers import (DensityOperator, Monomial, RegisterSystem,
+                        _as_density, _block_eigvalsh, act, partial_trace)
 
 
 def harmonic_sum(a, n):
@@ -284,9 +284,10 @@ def _moved(mat, dims, flat, ed_op):
     rotated = act(mat, flat.basis.conj().T, dims, [k])
     supp = (flat.support_index()[:, None] * d_dim
             + np.arange(d_dim)).reshape(-1)
-    src = np.argsort(unitary_flatten_W(flat, d_dim))[supp]
-    return permute_basis(np.kron(rotated, ed_op), src,
-                         dims + (flat.e_dim, d_dim), [k, k + 1, k + 2])
+    moved = Monomial(supp).compose(
+        Monomial(unitary_flatten_W(flat, d_dim)).inverse())
+    return moved.lift(dims + (flat.e_dim, d_dim), [k, k + 1, k + 2]).conjugate(
+        np.kron(rotated, ed_op))
 
 
 def _moved_state(psi, flat, a, n, d_dim=None):

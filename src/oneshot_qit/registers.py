@@ -4,9 +4,10 @@ Every state in the toolkit is a dense matrix or vector over an ordered list of
 labeled tensor factors (a :class:`RegisterSystem`).  Registers are addressed by
 string label because the protocols relabel and permute factors constantly.
 Dimensions stay small (a few thousand at most), so everything is dense numpy.
-Operators act on labelled registers through :func:`act`, and basis
-permutations and support compressions through index arrays
-(:func:`permute_basis`); only this module maps factor layouts to flat indices.
+Operators act on labelled registers through :func:`act`.  Maps that take
+basis vectors to basis vectors up to a phase (basis permutations, support
+compressions, Heisenberg-Weyl rotations) are :class:`Monomial` values,
+applied by gathering; only this module maps factor layouts to flat indices.
 """
 
 from __future__ import annotations
@@ -362,27 +363,119 @@ def act(mat, op, dims, axes):
     return tens.reshape(mat.shape)
 
 
-def lift_index(idx, dims, axes):
-    """Flat index array over the whole space of an index map on the factors ``axes``.
+def _take(arr, idx):
+    """arr[..., idx] map by map along the last axis; leading axes broadcast."""
+    lead = np.broadcast_shapes(arr.shape[:-1], idx.shape[:-1])
+    return np.take_along_axis(np.broadcast_to(arr, lead + arr.shape[-1:]),
+                              np.broadcast_to(idx, lead + idx.shape[-1:]), -1)
 
-    Entry x of the result is x with its ``axes`` digits (read in the given
-    order) replaced by ``idx`` of them.  A map onto fewer states than the
-    factors hold (a compression) needs adjacent ascending ``axes``, which then
-    merge into one factor of size ``len(idx)``.
+
+class Monomial:
+    """A monomial map (M x)[i] = phase[i] x[src[i]], or a family of them.
+
+    ``src`` (..., n) holds distinct indices per map and ``phase`` their
+    phases (None for unit phases); leading axes index the maps of a family.
+    M[i, src[i]] = phase[i] is a unitary when src permutes 0..n-1, else the
+    compression onto n basis states of a larger space.  Every method gathers.
     """
-    dims, axes = tuple(dims), list(axes)
-    k = len(axes)
-    sub = tuple(dims[ax] for ax in axes)
-    grid = np.moveaxis(np.arange(int(np.prod(dims))).reshape(dims), axes, range(k))
-    rest = grid.shape[k:]
-    grid = grid.reshape((-1,) + rest)[np.asarray(idx)]
-    if len(idx) == int(np.prod(sub)):
-        grid = np.moveaxis(grid.reshape(sub + rest), range(k), axes)
-    elif axes != list(range(axes[0], axes[0] + k)):
-        raise ValueError(f"a compression needs adjacent ascending axes, not {axes}")
-    else:
-        grid = np.moveaxis(grid, 0, axes[0])
-    return grid.reshape(-1)
+
+    def __init__(self, src, phase=None):
+        self.src = np.asarray(src)
+        self.phase = None if phase is None \
+            else np.broadcast_to(phase, self.src.shape)
+
+    def __getitem__(self, key):
+        """The maps and rows at ``key``, an index into ``src``."""
+        return Monomial(self.src[key],
+                        None if self.phase is None else self.phase[key])
+
+    def lift(self, dims, axes):
+        """The map on the factors ``axes`` of ``dims`` (in that order, not
+        necessarily adjacent) as a map on the whole space.  A compression
+        needs adjacent ascending ``axes``, which merge into one factor of
+        its n states."""
+        dims, axes = tuple(dims), list(axes)
+        k, lead, n = len(axes), self.src.shape[:-1], self.src.shape[-1]
+        sub, b = tuple(dims[ax] for ax in axes), len(lead)
+        grid = np.moveaxis(np.arange(int(np.prod(dims))).reshape(dims), axes,
+                           range(k))
+        rest = grid.shape[k:]
+        parts = [grid.reshape((-1,) + rest)[self.src]]
+        if self.phase is not None:      # each entry takes its state's phase
+            parts.append(np.broadcast_to(
+                self.phase[(...,) + (None,) * len(rest)], parts[0].shape))
+        if n == int(np.prod(sub)):
+            parts = [np.moveaxis(p.reshape(lead + sub + rest), range(b, b + k),
+                                 [b + ax for ax in axes]) for p in parts]
+        elif axes != list(range(axes[0], axes[0] + k)):
+            raise ValueError(f"a compression needs adjacent ascending axes, "
+                             f"not {axes}")
+        else:
+            parts = [np.moveaxis(p, b, b + axes[0]) for p in parts]
+        return Monomial(*(p.reshape(lead + (-1,)) for p in parts))
+
+    def embed(self, index, size):
+        """The map on the basis states ``index`` of ``size`` states, the
+        identity on the others."""
+        index = np.asarray(index)
+        src = np.broadcast_to(np.arange(size),
+                              self.src.shape[:-1] + (size,)).copy()
+        src[..., index] = index[self.src]
+        if self.phase is None:
+            return Monomial(src)
+        phase = np.ones(src.shape, dtype=complex)
+        phase[..., index] = self.phase
+        return Monomial(src, phase)
+
+    def inverse(self, size=None):
+        """M^-1 = M^dag.  A compression onto n of ``size`` states inverts to
+        the embedding M^dag, whose other states read index -1 at phase 0."""
+        n = self.src.shape[-1]
+        src = np.full(self.src.shape[:-1] + (size or n,), -1)
+        np.put_along_axis(src, self.src,
+                          np.broadcast_to(np.arange(n), self.src.shape), -1)
+        if self.phase is None and src.shape == self.src.shape:
+            return Monomial(src)
+        phase = np.ones(self.src.shape) if self.phase is None \
+            else self.phase.conj()
+        pad = np.zeros_like(phase[..., :1])
+        return Monomial(src, _take(np.append(phase, pad, axis=-1), src))
+
+    def transpose(self):
+        """M^T: the inverse with unconjugated phases."""
+        inv = self.inverse()
+        return inv if inv.phase is None else Monomial(inv.src, inv.phase.conj())
+
+    def compose(self, other):
+        """M N as one map: M.compose(N).matrix() = M.matrix() @ N.matrix()."""
+        phase = None if other.phase is None else _take(other.phase, self.src)
+        if self.phase is not None:
+            phase = self.phase if phase is None else self.phase * phase
+        return Monomial(_take(other.src, self.src), phase)
+
+    def apply(self, x):
+        """M x for ``x`` (size, cols): rows gathered by src, times the phases."""
+        out = np.asarray(x)[self.src]
+        return out if self.phase is None else self.phase[..., None] * out
+
+    def conjugate(self, mat):
+        """M mat M^dag, one matrix per map of a family, at O(n^2) each.
+
+        ``mat`` is an array or a function that reads its entries at the
+        (rows, cols) index arrays it is given."""
+        rows, cols = self.src[..., :, None], self.src[..., None, :]
+        out = mat(rows, cols) if callable(mat) else np.asarray(mat)[rows, cols]
+        if self.phase is None:
+            return out
+        return self.phase[..., :, None] * out * self.phase.conj()[..., None, :]
+
+    def matrix(self, size=None):
+        """M as a dense (..., n, size) array; ``size`` defaults to n."""
+        mat = np.zeros(self.src.shape + (size or self.src.shape[-1],),
+                       dtype=complex)
+        np.put_along_axis(mat, self.src[..., None], 1.0 if self.phase is None
+                          else self.phase[..., None], -1)
+        return mat
 
 
 def kron_eye_entries(factor, f, rows, cols):
@@ -456,18 +549,6 @@ def _block_eigvalsh(mat, blocks=None):
     return np.concatenate([np.linalg.eigvalsh(
         mat[..., idx[:, :, None], idx[:, None, :]]).reshape(
             mat.shape[:-2] + (-1,)) for idx in blocks], axis=-1)
-
-
-def permute_basis(mat, src, dims, axes):
-    """Rows and columns of ``mat`` gathered by the index map ``src`` on ``axes``.
-
-    out[x, y] = mat[src'(x), src'(y)] with src' = lift_index(src, dims, axes),
-    at O(d^2).  For a basis permutation P|k> = |img[k]>, P mat P^dag takes
-    ``src = np.argsort(img)`` and P^dag mat P takes ``src = img``; a list of
-    basis states gives the compression onto their span.
-    """
-    full = lift_index(src, dims, axes)
-    return np.asarray(mat)[np.ix_(full, full)]
 
 
 def apply_unitary(op, unitary, labels):

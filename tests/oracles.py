@@ -11,9 +11,12 @@ import numpy as np
 
 from oneshot_qit.circuits import CircuitMetrics, Gate, _Builder
 from oneshot_qit.coding import INV_SQRT_CUT, _blocks, _gathered
+from oneshot_qit.convexsplit import (hw_family, hw_translation_classes,
+                                     pairwise_family)
 from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
                                  _support_split)
-from oneshot_qit.registers import _density_pair, _root_sum
+from oneshot_qit.registers import (_as_density, _density_pair,
+                                   _pattern_blocks, _root_sum, act)
 
 
 def dense_kron_eye(factor, f):
@@ -33,6 +36,60 @@ def dense_reference_measures(ref, rho):
     return d_val, min(_root_sum(np.linalg.eigvalsh(ref.sandwich(rho))), 1.0)
 
 
+def dense_one_design_average(rho, label):
+    """`convexsplit.one_design_average` by its former body: the sum of
+    act(rho, V) over the dense ``hw_family`` matrices V."""
+    rho = _as_density(rho)
+    d = rho.system.dim_of(label)
+    axes = rho.system.axes([label])
+    acc = np.zeros_like(rho.matrix)
+    for v in hw_family(d):
+        acc += act(rho.matrix, v.matrix, rho.system.dims, axes)
+    return acc / (d * d)
+
+
+def dense_hw_split_means(state, dims, n_mixed, seed, ref):
+    """`convexsplit.hw_split_means` by its former body, which conjugates
+    ``state`` by the dense ``hw_family`` matrices through `act`."""
+    d = dims[1]
+    q = d * d
+    family = pairwise_family(q)
+    members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
+    keys, inverse = hw_translation_classes(family.images(members), d)
+    hw = hw_family(d)
+    conj_cache = {}
+
+    def conjugated(y):
+        if y not in conj_cache:
+            conj_cache[y] = act(state, hw[y].matrix, dims, [1])
+        return conj_cache[y]
+
+    r_dim, rest = dims[0], len(state) // dims[0]
+    own = (state != 0).reshape(r_dim, rest, r_dim, rest).any(axis=(0, 2))
+    own = own.reshape(d, rest // d, d, rest // d)
+    union = np.zeros_like(own)
+    for shift in set((keys // d).ravel().tolist()):
+        union |= np.roll(own, shift, axis=(0, 2))
+    pattern = _pattern_blocks(np.kron(np.ones((r_dim, r_dim), dtype=bool),
+                                      union.reshape(rest, rest)))
+    d_vals, f_vals = [], []
+    for key in keys:
+        block = np.zeros_like(state)
+        for y in key:
+            block += conjugated(int(y))
+        block /= n_mixed
+        d_val = ref.rel_entropy(block, pattern)
+        if not np.isfinite(d_val):
+            return float("inf"), 0.0
+        d_vals.append(d_val)
+        f_vals.append(ref.fidelity(block, pattern))
+    d_total, f_total = 0.0, 0.0
+    for c in inverse:
+        d_total += d_vals[c]
+        f_total += f_vals[c]
+    return d_total / len(inverse), min(f_total / len(inverse), 1.0)
+
+
 def _stacked_inv_sqrt(total):
     """S^{-1/2} on supp(S) for a stack of Hermitian S >= 0 blocks."""
     vals, vecs = np.linalg.eigh(total)
@@ -42,32 +99,32 @@ def _stacked_inv_sqrt(total):
     return (vecs * scale[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def inv_sqrt_successes(test, src, phase, branches, factors):
+def inv_sqrt_successes(test, maps, branches, factors):
     """`coding._successes` through S^{-1/2}: on the same blocks and chunks,
     one unbounded stack per block size, and per member the products
     S^{-1/2} F_m S^{-1/2} and X_m X_m^dag, traced against each other."""
     branches = np.asarray(branches)
-    n_terms, (n_members, dim) = branches.shape[1], src.shape
+    n_terms, (n_members, dim) = branches.shape[1], maps.src.shape
     touched = (factors != 0).any(axis=2)
     out = np.zeros(branches.shape)
     step = max(1, n_members * dim // n_terms)
     for start in range(0, len(branches), step):
         chunk = branches[start:start + step]
         hit = touched[chunk].any(axis=1)
-        for br, idx in _blocks(test, src, chunk):
+        for br, idx in _blocks(test, maps, chunk):
             keep = hit[br[:, None], idx].any(axis=1)
             if not keep.any():
                 continue
             br, idx = br[keep], idx[keep]
             members = chunk[br].T
-            total = _gathered(test, src, phase, members[0], idx)
+            total = _gathered(test, maps, members[0], idx)
             for m in members[1:]:
-                total += _gathered(test, src, phase, m, idx)
+                total += _gathered(test, maps, m, idx)
             inv = _stacked_inv_sqrt(total)
             for j, m in enumerate(members):
                 x = factors[m[:, None], idx]
                 gram = x @ x.conj().swapaxes(-1, -2)
-                lam = inv @ _gathered(test, src, phase, m, idx) @ inv
+                lam = inv @ _gathered(test, maps, m, idx) @ inv
                 np.add.at(out[start:start + step, j], br,
                           np.einsum("bij,bji->b", lam, gram).real)
     return out

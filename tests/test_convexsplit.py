@@ -10,7 +10,7 @@ from oneshot_qit.coding import (hayashi_nagaoka_povm, neyman_pearson_operator,
                                 position_based_decode_flat)
 from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
                                      PrimeRegister, _factor_prime_power,
-                                     _hw_gather,
+                                     _hw_gather, _plain_input,
                                      classical_marginal_check,
                                      compose_u, convex_split_1design,
                                      convex_split_classical, hw_family,
@@ -20,17 +20,18 @@ from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
                                      pairwise_family, prime_register, u_ell,
                                      u_ell_index)
 from oneshot_qit.entropy import Reference, relative_entropy
-from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
+from oneshot_qit.flatten import (_flat_ensemble, _flat_input, _moved_state,
                                  convex_split_flat_1design,
                                  convex_split_flat_classical, embezzling_state,
                                  round_spectrum)
-from oneshot_qit.registers import (DensityOperator, PureState,
+from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    RegisterSystem, act, basis_state, fidelity,
-                                   lift_index, maximally_entangled,
+                                   maximally_entangled,
                                    maximally_mixed, partial_trace,
                                    permute_registers, random_density, reorder,
                                    tensor)
-from oracles import dense_kron_eye, dense_reference_measures
+from oracles import (dense_hw_split_means, dense_kron_eye,
+                     dense_one_design_average, dense_reference_measures)
 
 
 def sysof(*pairs):
@@ -103,9 +104,9 @@ class TestHWUnitaries:
         for d in range(1, 9):
             for a in range(d):
                 for b in range(d):
-                    src, phase = _hw_gather(a, b, d)
+                    v = _hw_gather(a, b, d)
                     scattered = np.zeros((d, d), dtype=complex)
-                    scattered[np.arange(d), src] = phase
+                    scattered[np.arange(d), v.src] = v.phase
                     loop = np.zeros((d, d), dtype=complex)
                     for c in range(d):
                         loop[(c + a) % d, c] = np.exp(2j * np.pi * c * b / d)
@@ -472,6 +473,68 @@ class TestTranslationClasses:
         assert abs(ref.fidelity(block(ys)) - ref.fidelity(moved)) <= 1e-10
 
 
+class _RecordingReference:
+    """An `entropy.Reference` that keeps a copy of every block it measures."""
+
+    def __init__(self, ref):
+        self.ref, self.blocks = ref, []
+
+    def rel_entropy(self, rho, blocks=None):
+        self.blocks.append(rho.copy())
+        return self.ref.rel_entropy(rho, blocks)
+
+    def fidelity(self, rho, blocks=None):
+        return self.ref.fidelity(rho, blocks)
+
+
+def _benchmark_1design_ladders():
+    """(split input, ladder) of the benchmark's 1-design cases at seed 0:
+    the plain splits at |C| = 2 and 4, the flat ones at gamma = 1/2 and 1/4
+    (n = 4), keyed by case."""
+    cases = {}
+    for dim_c, ladder in ((2, (1, 2, 4)), (4, (1, 2, 4, 8, 16))):
+        psi = random_density((dim_c, 0), sysof(("R", 2), ("C", dim_c)))
+        cases[f"C{dim_c}"] = (lambda psi=psi: _plain_input(psi)), ladder
+    mu_c = maximally_mixed(sysof(("C", 2)))
+    for gamma, ladder in ((Fraction(1, 2), (4, 16)), (Fraction(1, 4), (2,))):
+        psi = random_density((gamma.denominator, 0),
+                             sysof(("R", 2), ("C", 2)))
+        cases[f"gamma{gamma}"] = (lambda psi=psi, gamma=gamma:
+                                  _flat_input(psi, mu_c, gamma, 4)), ladder
+    return cases
+
+
+class TestDenseHWOracles:
+    """The HW averages gather each V_y (a `registers.Monomial`) where their
+    former bodies, kept in `oracles`, multiplied by dense matrices."""
+
+    @pytest.mark.parametrize("case", sorted(_benchmark_1design_ladders()))
+    def test_split_means_match_the_dense_body(self, case):
+        make, ladder = _benchmark_1design_ladders()[case]
+        inp = make()
+        s_dim = inp.dims[1]
+        ref = Reference(inp.psi_r,
+                        np.kron(np.full(s_dim, 1.0 / s_dim), inp.w_d))
+        for n_mixed in ladder:
+            got_ref, want_ref = _RecordingReference(ref), \
+                _RecordingReference(ref)
+            got = hw_split_means(inp.theta, inp.dims, n_mixed, 0, got_ref)
+            want = dense_hw_split_means(inp.theta, inp.dims, n_mixed, 0,
+                                        want_ref)
+            assert repr(got) == repr(want)
+            assert len(got_ref.blocks) == len(want_ref.blocks)
+            assert max(np.max(np.abs(a - b)) for a, b in
+                       zip(got_ref.blocks, want_ref.blocks)) <= 1e-15
+
+    def test_one_design_average_matches_the_dense_body(self):
+        for d in (2, 3, 4, 5):
+            for seed in range(5):
+                rho = random_density(seed, sysof(("C", d), ("R", 2)))
+                assert np.max(np.abs(one_design_average(rho, "C").matrix
+                                     - dense_one_design_average(rho, "C"))) \
+                    <= 1e-15
+
+
 class TestNextPrime:
     def test_examples(self):
         assert next_prime_in(4) == 5
@@ -545,9 +608,11 @@ class TestUEll:
         theta = np.eye(r_dim * c_dim * d_dim) / (r_dim * c_dim * d_dim)
         ens = PrimeEnsemble(theta, np.eye(r_dim) / r_dim, d_dim,
                             PrimeRegister(c_dim, g))
+        family = ens.source(range(g))
         for ell in range(g):
-            image = lift_index(u_ell_index(ell, g), ens.dims, [1, 3])
-            assert np.array_equal(ens.source(ell), np.argsort(image))
+            image = Monomial(u_ell_index(ell, g)).lift(ens.dims, [1, 3]).src
+            assert np.array_equal(ens.source(ell).src, np.argsort(image))
+            assert np.array_equal(family.src[ell], ens.source(ell).src)
 
 
 class TestMarginalCheck:
@@ -598,7 +663,7 @@ class TestPrimeEnsemble:
         keep = ens.dim_full // g
         base = dense_kron_eye(ens.base_factor, g)
         for ell in range(g):
-            src = ens.source(ell)
+            src = ens.source(ell).src
             traced = np.einsum("afbf->ab", base[np.ix_(src, src)].reshape(
                 keep, g, keep, g))
             assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14
@@ -756,7 +821,7 @@ class TestConvexSplitClassical:
                             PrimeRegister(2, g))
         mu = np.kron(np.eye(2), np.kron(np.eye(g) / g, np.eye(g) / g))
         for ell in range(g):
-            src = ens.source(ell)
+            src = ens.source(ell).src
             assert np.array_equal(mu[np.ix_(src, src)], mu)
 
 

@@ -18,10 +18,10 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
                                  embezzling_state, flatten, harmonic_sum,
                                  purified_embezzle_fidelity, round_spectrum,
                                  unitary_flatten_W, w_b_permutation)
-from oneshot_qit.registers import (DensityOperator, RegisterSystem,
-                                   _pattern_blocks, maximally_entangled,
-                                   maximally_mixed, partial_trace,
-                                   permute_basis, random_density, random_pure,
+from oneshot_qit.registers import (DensityOperator, Monomial,
+                                   RegisterSystem, _pattern_blocks,
+                                   maximally_entangled, maximally_mixed,
+                                   partial_trace, random_density, random_pure,
                                    reorder, tensor)
 from oracles import dense_kron_eye, dense_reference_measures
 
@@ -493,8 +493,8 @@ class TestUnitaryFlattenW:
             xi_1 = embezzling_state(1, n).weight_vector(d_dim)
             e0 = np.zeros(fl.e_dim)
             e0[0] = 1.0
-            lhs = permute_basis(np.diag(np.kron(q, np.kron(e0, xi_a))),
-                                np.argsort(img), dims, [0, 1, 2])
+            lhs = Monomial(np.argsort(img)).conjugate(
+                np.diag(np.kron(q, np.kron(e0, xi_a))))
             sce = np.zeros((2, fl.e_dim))
             for c in range(2):
                 sce[c, :fl.counts[c]] = 1.0 / fl.grid_total
@@ -617,7 +617,7 @@ def _nonzero_eigvalsh(mat):
 
 def _rotated(ens, mat, ell):
     """U_l mat U_l^dag on the ensemble's full space, by its gather map."""
-    src = ens.source(ell)
+    src = ens.source(ell).src
     return mat[np.ix_(src, src)]
 
 

@@ -374,29 +374,40 @@ def test_gate_catches_a_duplicate_block():
 DENSE_HW = {"hw_family", "hw_unitary", "HWUnitary"}
 
 
-def dense_hw_names(source):
+def top_level_scopes(source):
+    """(name, node) of each module-level statement of ``source``: the name
+    of a function or class definition, None for anything else."""
+    return [(getattr(node, "name", None), node)
+            for node in ast.parse(source).body]
+
+
+def dense_hw_names(source, exempt=()):
     """Lines that name a dense Heisenberg-Weyl form (``hw_family``,
     ``hw_unitary``, ``HWUnitary``): as a name, an attribute or an import,
-    aliased or not."""
+    aliased or not, outside the top-level definitions named in ``exempt``."""
     lines = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and node.id in DENSE_HW \
-                or isinstance(node, ast.Attribute) and node.attr in DENSE_HW:
-            lines.add(node.lineno)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)) \
-                and any(alias.name.split(".")[-1] in DENSE_HW
-                        for alias in node.names):
-            lines.add(node.lineno)
+    for scope, top in top_level_scopes(source):
+        if scope in exempt:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in DENSE_HW \
+                    or isinstance(node, ast.Attribute) \
+                    and node.attr in DENSE_HW:
+                lines.add(node.lineno)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and any(alias.name.split(".")[-1] in DENSE_HW
+                            for alias in node.names):
+                lines.add(node.lineno)
     return sorted(lines)
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "convexsplit.py"],
-    ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_form_of_the_hw_rotations(path):
-    # outside the module that defines them, each V_y is its gather map
-    # (convexsplit._hw_gather), never a dense matrix
-    assert dense_hw_names(path.read_text()) == []
+    # outside the three definitions, each V_y is a registers.Monomial from
+    # convexsplit._hw_gather, applied by gathering: neither HW average nor
+    # the channel code multiplies by a dense V_y
+    exempt = DENSE_HW if path.name == "convexsplit.py" else ()
+    assert dense_hw_names(path.read_text(), exempt) == []
 
 
 def test_gate_catches_a_dense_hw_rotation():
@@ -406,9 +417,69 @@ def test_gate_catches_a_dense_hw_rotation():
               "def encode(d, hw_family_size=3):\n"
               "    mats = [v.matrix.T for v in family(d)]\n"
               "    one = convexsplit.hw_unitary(0, 1, d)\n"
-              "    src, phase = _hw_gather(0, 1, d)\n"
-              "    return isinstance(one, HWUnitary), 'hw_family'\n")
-    assert dense_hw_names(source) == [1, 3, 6, 8]
+              "    v = _hw_gather(0, 1, d)\n"
+              "    return isinstance(one, HWUnitary), 'hw_family'\n"
+              "def hw_family(d):\n"
+              "    return [hw_unitary(y // d, y % d, d) for y in range(d)]\n"
+              "def average(rho, d):\n"
+              "    return sum(act(rho, v.matrix) for v in hw_family(d))\n")
+    assert dense_hw_names(source) == [1, 3, 6, 8, 10, 12]
+    assert dense_hw_names(source, DENSE_HW) == [1, 3, 6, 8, 12]
+
+
+# Top-level definitions that may sort or scatter an index array, by module:
+# the map type itself, and the sort of component labels into blocks, which
+# inverts no map
+INDEX_INVERSE_SITES = {("registers.py", "Monomial"),
+                       ("registers.py", "_size_groups")}
+
+
+def index_inverses(module, source):
+    """Lines outside INDEX_INVERSE_SITES that call ``argsort`` or scatter
+    ``arange`` into an array (``inv[..., src] = np.arange(n)``): the two
+    hand-built forms of an index map's inverse, which `Monomial.inverse`
+    states once."""
+    lines = set()
+    for scope, top in top_level_scopes(source):
+        if (module, scope) in INDEX_INVERSE_SITES:
+            continue
+        for node in ast.walk(top):
+            if _is_call_of(node, "argsort") \
+                    or isinstance(node, ast.Assign) \
+                    and _is_call_of(node.value, "arange") \
+                    and any(isinstance(t, ast.Subscript)
+                            for t in node.targets):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_index_map_inverted_by_hand(path):
+    assert index_inverses(path.name, path.read_text()) == []
+
+
+def test_every_index_inverse_site_is_still_there():
+    assert {scope for _, scope in INDEX_INVERSE_SITES} <= {
+        scope for scope, _ in
+        top_level_scopes((PACKAGE / "registers.py").read_text())}
+
+
+def test_gate_catches_an_index_map_inverted_by_hand():
+    source = ("import numpy as np\n"
+              "from numpy import argsort\n"
+              "class Monomial:\n"
+              "    def inverse(self):\n"
+              "        return np.argsort(self.src)\n"
+              "def _size_groups(labels):\n"
+              "    return np.argsort(labels, kind='stable')\n"
+              "def _blocks(src, n):\n"
+              "    inverse = np.full(n, -1)\n"
+              "    inverse[src] = np.arange(len(src))\n"
+              "    rows = np.arange(n)\n"
+              "    return inverse, argsort(src)[rows]\n"
+              "W_INV = np.argsort(W)\n")
+    assert index_inverses("registers.py", source) == [10, 12, 13]
+    assert index_inverses("coding.py", source) == [5, 7, 10, 12, 13]
 
 
 # Sites that may still build a Kronecker product with a trailing identity,

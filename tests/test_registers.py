@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
-                                   _block_eigvalsh, _pattern_blocks, act, apply_unitary, basis_state,
-                                   canonical_purification, dump_matrix,
-                                   eig_hermitian, fidelity, kron_eye_entries,
-                                   maximally_entangled, maximally_mixed,
-                                   partial_trace, permute_basis,
+from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
+                                   RegisterSystem, _block_eigvalsh,
+                                   _pattern_blocks, act, apply_unitary,
+                                   basis_state, canonical_purification,
+                                   dump_matrix, eig_hermitian, fidelity,
+                                   kron_eye_entries, maximally_entangled,
+                                   maximally_mixed, partial_trace,
                                    permute_registers, purified_distance,
                                    random_density, random_pure, tensor)
 
@@ -357,7 +358,22 @@ class TestAct:
         assert not np.isclose(np.trace(out).real, 0.6)
 
 
+def _kron_lift(op, dims, axes):
+    """Oracle: ``op`` on the factors ``axes`` of ``dims`` as a dense matrix
+    on the whole space: padded with an identity, factors moved back."""
+    n = len(dims)
+    order = list(axes) + [k for k in range(n) if k not in axes]
+    back = list(np.argsort(order))
+    d = int(np.prod(dims))
+    full = np.kron(op, np.eye(d // op.shape[0])).reshape(
+        tuple(dims[k] for k in order) * 2)
+    return full.transpose(back + [k + n for k in back]).reshape(d, d)
+
+
 class TestPermuteBasis:
+    """`Monomial.lift` and `conjugate` as a basis permutation or compression
+    of named factors, against dense permutation matrices."""
+
     dims = (2, 3, 2, 2)
 
     @pytest.mark.parametrize("axes", [[1, 2], [3, 0], [0, 1, 2, 3]])
@@ -367,10 +383,11 @@ class TestPermuteBasis:
         img = np.random.default_rng(3).permutation(d_act)
         perm = _dense_permutation(img)
         expect = _kron_conjugation(rho, perm, self.dims, axes)
-        assert np.array_equal(
-            permute_basis(rho, np.argsort(img), self.dims, axes), expect)
+        assert np.array_equal(Monomial(np.argsort(img)).lift(
+            self.dims, axes).conjugate(rho), expect)
         back = _kron_conjugation(rho, perm.T, self.dims, axes)
-        assert np.array_equal(permute_basis(rho, img, self.dims, axes), back)
+        assert np.array_equal(Monomial(img).lift(self.dims, axes).conjugate(
+            rho), back)
 
     def test_compression_matches_isometry(self):
         rho = random_density(8, sysof(*zip("ABCD", self.dims))).matrix
@@ -378,13 +395,114 @@ class TestPermuteBasis:
         iso = np.zeros((6, len(keep)))
         iso[keep, np.arange(len(keep))] = 1.0
         big = np.kron(np.eye(2), np.kron(iso, np.eye(2)))
-        assert np.array_equal(permute_basis(rho, keep, self.dims, [1, 2]),
-                              big.T @ rho @ big)
+        assert np.array_equal(Monomial(keep).lift(self.dims, [1, 2])
+                              .conjugate(rho), big.T @ rho @ big)
 
     def test_compression_needs_adjacent_axes(self):
-        rho = np.eye(24)
         with pytest.raises(ValueError):
-            permute_basis(rho, [0, 1], self.dims, [0, 2])
+            Monomial([0, 1]).lift(self.dims, [0, 2])
+
+
+@st.composite
+def _maps(draw, n, family=True):
+    """A `Monomial` on n states: one map or (if ``family``) possibly a
+    family of 1-2, each a random permutation, with random phases or unit
+    ones (None)."""
+    shape = (draw(st.integers(1, 2)),) if family and draw(st.booleans()) \
+        else ()
+    count = int(np.prod(shape))
+    src = np.array([draw(st.permutations(range(n))) for _ in range(count)])
+    if not draw(st.booleans()):
+        return Monomial(src.reshape(shape + (n,)))
+    angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=src.size,
+                           max_size=src.size))
+    return Monomial(src.reshape(shape + (n,)),
+                    np.exp(1j * np.array(angles)).reshape(shape + (n,)))
+
+
+@st.composite
+def _factors_and_axes(draw):
+    """1-3 factors of size 1-4 and a nonempty ordered subset of them."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    axes = draw(st.permutations(range(len(dims))))
+    return dims, list(axes[:draw(st.integers(1, len(dims)))])
+
+
+class TestMonomialProperties:
+    """Every method of the type against its own dense ``matrix()``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), case=_factors_and_axes())
+    def test_lift_on_any_axes(self, data, case):
+        dims, axes = case
+        sub = int(np.prod([dims[ax] for ax in axes]))
+        m = data.draw(_maps(sub, family=False))
+        assert np.array_equal(m.lift(dims, axes).matrix(),
+                              _kron_lift(m.matrix(), dims, axes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), case=_factors_and_axes())
+    def test_lift_of_a_compression(self, data, case):
+        dims, axes = case           # a compression takes adjacent axes
+        start = data.draw(st.integers(0, len(dims) - len(axes)))
+        axes = list(range(start, start + len(axes)))
+        sub = int(np.prod([dims[ax] for ax in axes]))
+        keep = np.array(data.draw(st.permutations(range(sub))))
+        keep = keep[:data.draw(st.integers(1, sub))]
+        m = Monomial(keep, np.exp(1j * np.arange(len(keep))))
+        before = int(np.prod(dims[:axes[0]]))
+        after = int(np.prod(dims[axes[-1] + 1:]))
+        want = np.kron(np.eye(before), np.kron(m.matrix(sub), np.eye(after)))
+        assert np.array_equal(m.lift(dims, axes).matrix(int(np.prod(dims))),
+                              want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_inverse_and_transpose(self, data, n):
+        m = data.draw(_maps(n))
+        mat = m.matrix()
+        assert np.allclose(m.compose(m.inverse()).matrix(), np.eye(n),
+                           rtol=0, atol=1e-15)
+        assert np.allclose(m.inverse().compose(m).matrix(), np.eye(n),
+                           rtol=0, atol=1e-15)
+        assert np.array_equal(m.inverse().matrix(),
+                              mat.conj().swapaxes(-1, -2))
+        assert np.array_equal(m.transpose().matrix(), mat.swapaxes(-1, -2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 12))
+    def test_inverse_of_a_compression_is_its_adjoint(self, data, size):
+        keep = np.array(data.draw(st.permutations(range(size))))
+        keep = keep[:data.draw(st.integers(1, size))]
+        m = Monomial(keep, np.exp(1j * np.arange(len(keep))))
+        inv = m.inverse(size)
+        assert np.array_equal(inv.matrix(len(keep)), m.matrix(size).conj().T)
+        assert np.allclose(m.compose(inv).matrix(), np.eye(len(keep)),
+                           rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_compose_is_the_matrix_product(self, data, n):
+        first, then = data.draw(_maps(n)), data.draw(_maps(n))
+        assert np.allclose(first.compose(then).matrix(),
+                           first.matrix() @ then.matrix(), rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+    def test_conjugate_apply_and_embed(self, data, n, seed):
+        m = data.draw(_maps(n))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mat = m.matrix()
+        assert np.allclose(m.conjugate(a), mat @ a @ mat.conj().swapaxes(
+            -1, -2), rtol=0, atol=1e-14)
+        assert np.allclose(m.apply(a), mat @ a, rtol=0, atol=1e-14)
+        size = n + data.draw(st.integers(0, 3))
+        index = np.array(data.draw(st.permutations(range(size))))[:n]
+        want = np.broadcast_to(np.eye(size, dtype=complex),
+                               mat.shape[:-2] + (size, size)).copy()
+        want[..., index[:, None], index] = mat
+        assert np.array_equal(m.embed(index, size).matrix(), want)
 
 
 class TestKronEyeEntries:
