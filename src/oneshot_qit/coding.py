@@ -31,15 +31,17 @@ the channel code pass their dense tests with f = 1.
 ``registers._components``) of the union of its members' nonzero patterns,
 read from the test's nonzeros through each map:
 S and each member are exactly block-diagonal there, and nothing is
-thresholded.  ``_successes`` takes every branch of a family (each S, a sum
-of some of its members) at once: it gathers each branch's blocks from the
-test, sums them in member order, eigensolves them in stacked
+thresholded.  It labels only the blocks that hold a seed row: each branch's
+rows grow from its seeds through its members' components, and only the
+rows reached are joined.  ``_successes`` takes every branch of a family
+(each S, a sum of some of its members) at once, seeded with the rows that
+the signal columns X touch: it gathers each member's block from the test
+once, sums the blocks in member order, eigensolves them in stacked
 ``_eig_inv_sqrt`` calls per block size, and reads
 Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag) as Re sum conj(Y) (Omega Y) with
-Y = S^{-1/2} X taken from S's eigensystem, on the blocks that the signal
-columns X touch: its work follows the few columns of X, and no S^{-1/2} is
-built.  The channel code passes every shared-randomness branch in one call,
-each decoder its one branch.
+Y = S^{-1/2} X taken from S's eigensystem: its work follows the few
+columns of X, and no S^{-1/2} is built.  The channel code passes every
+shared-randomness branch in one call, each decoder its one branch.
 ``hayashi_nagaoka_povm`` solves the whole S densely, without blocks: it is
 the tests' independent oracle.  Every S is eigensolved, and its support cut
 at INV_SQRT_CUT, in ``_eig_inv_sqrt`` alone.
@@ -176,21 +178,25 @@ class POVM:
             raise ValueError("POVM elements do not sum to the identity")
 
 
-def _blocks(test, maps, branches):
-    """The blocks of every branch's S on its members' union pattern.
+def _blocks(test, maps, branches, seeds):
+    """The blocks of every branch's S on its members' union pattern that
+    hold a seed.
 
     Member m is ``test`` = (A, f), the operator A (x) I_f, read through map
-    m of the `Monomial` family ``maps`` (n_members, dim), and ``branches``
-    (n_branches, n_terms) lists the members summed into each S.  S and each
-    of its members are exactly block-diagonal on the connected components of
+    m of the `Monomial` family ``maps`` (n_members, dim), ``branches``
+    (n_branches, n_terms) lists the members summed into each S, and the
+    bool ``seeds`` (n_branches, dim) marks the rows to keep.  S and each of
+    its members are exactly block-diagonal on the connected components of
     the union of its members' nonzero patterns; no entry is thresholded.
     `_components` labels every member's pattern at once (node m dim + i; the
     nonzeros of ``test``, those of A repeated on the f diagonal copies,
-    through each member's inverse map, those outside its image dropped),
-    then joins them per branch: node b dim + i to b dim + own[m, i] for each
-    member m of branch b.  Returns one pair per block size, in ascending
-    size: the branch of each block (n_blocks,) and its indices
-    (n_blocks, size), blocks ordered by branch and smallest index.
+    through each member's inverse map, those outside its image dropped).
+    Each branch's reached rows grow from its seeds, one member's components
+    at a time, until no member adds a row; only the reached rows are joined
+    per branch: row i of branch b to own[m, i] for each member m of b.
+    Returns one pair per block size, in ascending size: the branch of each
+    block (n_blocks,) and its indices (n_blocks, size), blocks ordered by
+    branch and smallest index.
     """
     factor, f = test
     n_members, dim = maps.src.shape
@@ -202,12 +208,22 @@ def _blocks(test, maps, branches):
     node = np.arange(n_members)[:, None] * dim
     own = _components((node + i)[keep], (node + j)[keep],
                       n_members * dim).reshape(n_members, dim) % dim
-    offsets = np.arange(len(branches))[:, None, None] * dim
-    roots = own[branches] + offsets
-    labels = _components(np.broadcast_to(offsets + np.arange(dim),
-                                         roots.shape).ravel(),
-                         roots.ravel(), len(branches) * dim)
-    return [(nodes[:, 0] // dim, nodes % dim) for nodes in _size_groups(labels)]
+    roots = own[branches.T]     # roots[t, b, i]: i's root in b's t-th member
+    roots += np.arange(len(branches))[:, None] * dim     # as node b dim + root
+    roots = roots.reshape(len(roots), -1)
+    reached, closed, t = seeds.ravel(), 0, 0
+    while closed < len(roots):      # closed under the last `closed` members
+        hit = np.zeros_like(reached)
+        hit[roots[t][reached]] = True
+        grown = hit[roots[t]]
+        closed = closed + 1 if np.array_equal(grown, reached) else 1
+        reached, t = grown, (t + 1) % len(roots)
+    nodes = np.flatnonzero(reached)
+    to_root = np.searchsorted(nodes, roots[:, nodes])   # roots are reached
+    labels = _components(np.broadcast_to(np.arange(len(nodes)),
+                                         to_root.shape), to_root, len(nodes))
+    return [(block[:, 0] // dim, block % dim)
+            for block in (nodes[group] for group in _size_groups(labels))]
 
 
 def _eig_inv_sqrt(total):
@@ -239,16 +255,18 @@ def _successes(test, maps, branches, factors):
     with ``test`` = (A, f) standing for A (x) I_f and ``maps`` the
     `Monomial` family (n_members, dim) of the members; S_b is the sum of
     the members over row b of ``branches``, in row order, and
-    X_m = factors[m] is (dim, cols).  The trace is summed over the blocks of
-    `_blocks`, and only blocks where an X_m of the branch has a nonzero row
-    are gathered from ``test`` and eigensolved by `_eig_inv_sqrt`, in
-    stacks per block size for each chunk of branches.  On a block,
+    X_m = factors[m] is (dim, cols).  The trace is summed over the blocks
+    that `_blocks` grows from the rows where an X_m of the branch is
+    nonzero; no other block is labelled, gathered from ``test`` or
+    eigensolved.  Each member's block is gathered once, for both S and
+    F_m Y, and the blocks are eigensolved by `_eig_inv_sqrt` in stacks per
+    block size for each chunk of branches.  On a block,
     with S = V diag(vals) V^dag and s = vals^{-1/2} on its support, the
     trace is Re sum conj(Y) (F_m Y) over Y = V (s V^dag X_m), so neither
     S^{-1/2} nor X_m X_m^dag is built: the work per member is the block
     size squared times the columns of X_m.  A chunk's n_terms x dim member
-    rows, and a stack's blocks, hold no more than the n_members x dim^2
-    member entries.
+    rows, and a stack's n_terms member blocks, hold no more than the
+    n_members x dim^2 member entries.
     """
     branches = np.asarray(branches)
     n_terms, (n_members, dim) = branches.shape[1], maps.src.shape
@@ -257,27 +275,22 @@ def _successes(test, maps, branches, factors):
     step = max(1, n_members * dim // n_terms)
     for start in range(0, len(branches), step):
         chunk = branches[start:start + step]
-        hit = touched[chunk].any(axis=1)
-        for br, idx in _blocks(test, maps, chunk):
-            keep = np.flatnonzero(hit[br[:, None], idx].any(axis=1))
-            stack = max(1, n_members * dim * dim // idx.shape[1] ** 2)
-            for at in range(0, len(keep), stack):
-                sel = keep[at:at + stack]
-                b, ix = br[sel], idx[sel]
+        seeds = touched[chunk].any(axis=1)
+        for br, idx in _blocks(test, maps, chunk, seeds):
+            stack = max(1, n_members * dim * dim
+                        // (n_terms * idx.shape[1] ** 2))
+            for at in range(0, len(br), stack):
+                b, ix = br[at:at + stack], idx[at:at + stack]
                 members = chunk[b].T
-                total = _gathered(test, maps, members[0], ix)
-                for m in members[1:]:
-                    total += _gathered(test, maps, m, ix)
-                vecs, scale = _eig_inv_sqrt(total)
-                del total
-                for j, m in enumerate(members):
+                parts = [_gathered(test, maps, m, ix) for m in members]
+                vecs, scale = _eig_inv_sqrt(sum(parts[1:], parts[0]))
+                for j, (m, part) in enumerate(zip(members, parts)):
                     # V^dag X as (X^dag V)^dag: no conjugate copy of V
                     x_h = factors[m[:, None], ix].conj().swapaxes(-1, -2)
                     y = vecs @ (scale[..., None]
                                 * (x_h @ vecs).conj().swapaxes(-1, -2))
-                    fy = _gathered(test, maps, m, ix) @ y
-                    np.add.at(out[start:start + step, j], b,
-                              np.einsum("bij,bij->b", y.conj(), fy).real)
+                    np.add.at(out[start:start + step, j], b, np.einsum(
+                        "bij,bij->b", y.conj(), part @ y).real)
     return out
 
 

@@ -15,8 +15,9 @@ from oneshot_qit.convexsplit import (hw_family, hw_translation_classes,
                                      pairwise_family)
 from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
                                  _support_split)
-from oneshot_qit.registers import (_as_density, _density_pair,
-                                   _pattern_blocks, _root_sum, act)
+from oneshot_qit.registers import (_as_density, _components, _density_pair,
+                                   _pattern_blocks, _root_sum, _size_groups,
+                                   act)
 
 
 def dense_kron_eye(factor, f):
@@ -90,6 +91,28 @@ def dense_hw_split_means(state, dims, n_mixed, seed, ref):
     return d_total / len(inverse), min(f_total / len(inverse), 1.0)
 
 
+def full_blocks(test, maps, branches):
+    """`coding._blocks` by its former body, which labels every row of every
+    branch: all blocks of every branch's S on its members' union pattern,
+    in ascending size, blocks ordered by branch and smallest index."""
+    factor, f = test
+    n_members, dim = maps.src.shape
+    inverse = maps.inverse(len(factor) * f).src
+    rows, cols = (np.ravel(k[:, None] * f + np.arange(f))
+                  for k in np.nonzero(factor))
+    i, j = inverse[:, rows], inverse[:, cols]
+    keep = (i >= 0) & (j >= 0)
+    node = np.arange(n_members)[:, None] * dim
+    own = _components((node + i)[keep], (node + j)[keep],
+                      n_members * dim).reshape(n_members, dim) % dim
+    offsets = np.arange(len(branches))[:, None, None] * dim
+    roots = own[branches] + offsets
+    labels = _components(np.broadcast_to(offsets + np.arange(dim),
+                                         roots.shape).ravel(),
+                         roots.ravel(), len(branches) * dim)
+    return [(nodes[:, 0] // dim, nodes % dim) for nodes in _size_groups(labels)]
+
+
 def _stacked_inv_sqrt(total):
     """S^{-1/2} on supp(S) for a stack of Hermitian S >= 0 blocks."""
     vals, vecs = np.linalg.eigh(total)
@@ -111,7 +134,8 @@ def inv_sqrt_successes(test, maps, branches, factors):
     for start in range(0, len(branches), step):
         chunk = branches[start:start + step]
         hit = touched[chunk].any(axis=1)
-        for br, idx in _blocks(test, maps, chunk):
+        every_row = np.ones(hit.shape, dtype=bool)
+        for br, idx in _blocks(test, maps, chunk, every_row):
             keep = hit[br[:, None], idx].any(axis=1)
             if not keep.any():
                 continue

@@ -30,7 +30,7 @@ from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
                                    Monomial, partial_trace, random_density,
                                    tensor, tensor_pure)
-from oracles import dense_kron_eye, inv_sqrt_successes
+from oracles import dense_kron_eye, full_blocks, inv_sqrt_successes
 
 
 def sysof(*pairs):
@@ -222,6 +222,12 @@ def _materialised(test, maps):
     return mats @ dense_kron_eye(*test) @ mats.conj().swapaxes(-1, -2)
 
 
+def _every_block(test, maps, branches):
+    """`_blocks` seeded on every row of every branch: all the blocks."""
+    return _blocks(test, maps, branches,
+                   np.ones((len(branches), maps.src.shape[1]), dtype=bool))
+
+
 def _own_components(total):
     """Number of connected components of the nonzero pattern of ``total``."""
     return len(np.unique(_components(*np.nonzero(total), len(total))))
@@ -234,7 +240,7 @@ def _block_inv_sqrt(family):
     dim = maps.src.shape[1]
     inv_half = np.zeros((dim, dim), dtype=complex)
     supp = np.zeros((dim, dim), dtype=complex)
-    for br, idx in _blocks(test, maps, np.arange(len(family))[None]):
+    for br, idx in _every_block(test, maps, np.arange(len(family))[None]):
         assert not br.any()
         rows, cols = idx[:, :, None], idx[:, None, :]
         total = sum(member[rows, cols] for member in family)
@@ -253,7 +259,7 @@ class TestInvSqrt:
         one_branch = np.zeros((1, 1), dtype=int)
         test, maps = _one_test([total])
         covered = np.concatenate(
-            [idx.ravel() for _, idx in _blocks(test, maps, one_branch)])
+            [idx.ravel() for _, idx in _every_block(test, maps, one_branch)])
         assert np.array_equal(np.sort(covered), np.arange(total.shape[0]))
         got_inv, got_supp = _block_inv_sqrt([total])
         want_inv, want_supp = _dense_inv_sqrt(total)
@@ -358,14 +364,15 @@ class TestBlocksProperty:
                    np.array([[0, 0], [1, 0], [1, 1]])))
     def test_matches_union_find(self, case):
         family, branches = case
-        self.check(_blocks(*_one_test(family), branches), family, branches)
+        self.check(_every_block(*_one_test(family), branches), family,
+                   branches)
 
     @settings(max_examples=200, deadline=None)
     @given(case=_permuted_families())
     def test_permutation_maps_match_union_find(self, case):
         test, maps, branches = case
-        self.check(_blocks(test, maps, branches), _materialised(test, maps),
-                   branches)
+        self.check(_every_block(test, maps, branches),
+                   _materialised(test, maps), branches)
 
     @staticmethod
     def check(groups, family, branches):
@@ -415,7 +422,7 @@ class TestKronEyeTest:
     def test_matches_dense_kron(self, case):
         factor, f, maps, branches, factors = case
         dense = (dense_kron_eye(factor, f), 1)
-        got, want = (_blocks(test, maps, branches)
+        got, want = (_every_block(test, maps, branches)
                      for test in ((factor, f), dense))
         assert len(got) == len(want)
         for (br, idx), (br_d, idx_d) in zip(got, want):
@@ -425,6 +432,53 @@ class TestKronEyeTest:
         # bodies are compared relative to their scale
         assert np.max(np.abs(_successes((factor, f), maps, branches, factors)
                              - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _seed_mask(data, branches, dim, factors=None):
+    """A seed mask (n_branches, dim) for `_blocks`: none, every row, the
+    rows that ``factors`` touch as in `_successes`, or drawn row by row."""
+    kinds = ["none", "all", "drawn"] + ([] if factors is None else ["signal"])
+    kind, shape = data.draw(st.sampled_from(kinds)), (len(branches), dim)
+    if kind == "signal":
+        return (factors != 0).any(axis=2)[branches].any(axis=1)
+    if kind == "drawn":
+        return np.array(data.draw(st.lists(
+            st.booleans(), min_size=shape[0] * dim,
+            max_size=shape[0] * dim))).reshape(shape)
+    return np.full(shape, kind == "all")
+
+
+class TestSeededBlocks:
+    """`_blocks` returns the blocks of its former body (`full_blocks`, which
+    labels every row) that hold a seed, in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_sparse_families(), data=st.data())
+    def test_sparse_families(self, case, data):
+        family, branches = case
+        test, maps = _one_test(family)
+        self.check(test, maps, branches,
+                   _seed_mask(data, branches, maps.src.shape[1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_kron_eye_tests(), data=st.data())
+    def test_kron_eye_tests(self, case, data):
+        factor, f, maps, branches, factors = case
+        self.check((factor, f), maps, branches,
+                   _seed_mask(data, branches, maps.src.shape[1], factors))
+
+    @staticmethod
+    def check(test, maps, branches, seeds):
+        want = []
+        for br, idx in full_blocks(test, maps, branches):
+            held = seeds[br[:, None], idx].any(axis=1)
+            if held.any():
+                want.append((br[held], idx[held]))
+        got = _blocks(test, maps, branches, seeds)
+        assert len(got) == len(want)
+        for (br, idx), (br_want, idx_want) in zip(got, want):
+            assert np.array_equal(br, br_want)
+            assert np.array_equal(idx, idx_want)
 
 
 class TestRankForm:
@@ -501,7 +555,7 @@ class TestSuccesses:
         assert _own_components(family[0] + family[1]) == 3
         test, maps = _one_test(family)
         assert sorted(idx.shape[1] for _, idx in
-                      _blocks(test, maps, np.array([[0, 1]]))) == [1, 2]
+                      _every_block(test, maps, np.array([[0, 1]]))) == [1, 2]
         _check_successes(test, maps, [[0, 1], [1, 0], [0, 0]],
                          _factors(np.random.default_rng(6), 2, 3, 2))
 
@@ -1060,7 +1114,7 @@ class TestChannelCode:
         _check_successes(test, maps, branches, factors)
         for row in ([0, 5], [3, 12], list(range(16))):
             assert max(idx.shape[1] for _, idx in
-                       _blocks(test, maps, np.array([row]))) == 4
+                       _every_block(test, maps, np.array([row]))) == 4
             _check_successes(test, maps, [row], factors)
 
     @pytest.fixture
@@ -1073,9 +1127,9 @@ class TestChannelCode:
             shapes.append(total.shape)
             return _eig_inv_sqrt(total)
 
-        def chunk_recording(test, maps, branches):
+        def chunk_recording(test, maps, branches, seeds):
             chunks.append(len(branches))
-            return _blocks(test, maps, branches)
+            return _blocks(test, maps, branches, seeds)
 
         monkeypatch.setattr(coding, "_eig_inv_sqrt", recording)
         monkeypatch.setattr(coding, "_blocks", chunk_recording)
@@ -1083,8 +1137,9 @@ class TestChannelCode:
 
     def test_split_stacks_match_inv_sqrt_oracle(self, solves):
         # gamma = 2/3, rate 1: the 81 two-message branches over GF(9) have
-        # 54 blocks of 168 that the messages' columns touch; a stack holds
-        # at most 9 x 168^2 entries, so they are solved in stacks of 9
+        # 54 blocks of 168 that the messages' columns touch; a stack's two
+        # member blocks hold at most 9 x 168^2 entries, so they are solved
+        # in stacks of 4
         with mock.patch.object(coding, "_successes", wraps=_successes) as spy:
             ea_channel_code(identity_channel(2), _seeded_input((0.7, 0.3), 3),
                             1, 0.05, Fraction(2, 3), 0.5, a=4, n=5,
@@ -1162,6 +1217,23 @@ class TestChannelCode:
         sizes = [shape[-1] for shape in shapes]
         assert sizes and len(sizes) == len(set(sizes))
         assert max(sizes) <= 4
+
+    def test_rate_two_labels_only_the_touched_blocks(self, monkeypatch):
+        # the benchmark's rate-2 identity code (its _CODE_ARGS): the 256
+        # branches hold 13,312 blocks on 53,248 rows, of which the
+        # messages' columns touch 512 blocks of 4.  After the members' own
+        # patterns (16 x 208 nodes), the branch join labels only those
+        # 2,048 rows.
+        labelled = []
+
+        def recording(rows, cols, n):
+            labelled.append(n)
+            return _components(rows, cols, n)
+
+        monkeypatch.setattr(coding, "_components", recording)
+        ea_channel_code(identity_channel(2), self.mu_a, 2, 0.05, 0.5, 0.5,
+                        a=4, n=5, enforce_cap=False)
+        assert labelled[0] == 16 * 208 and labelled[1:] == [2048]
 
 
 class TestOneThresholdTest:

@@ -1,6 +1,9 @@
 """Source hygiene gates that need no installed linter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -629,3 +632,36 @@ def test_gate_catches_a_plain_eigvalsh_in_a_structured_class():
               "def outside(rho):\n"
               "    return np.linalg.eigvalsh(rho)\n")
     assert class_eigvalsh_calls(source, "Reference") == [5, 8]
+
+
+# A module that numpy imports on the first call of some function, not at
+# import: in numpy 2.4.6 an np.unique without return_index, return_inverse
+# or return_counts (1-D or along an axis) imports numpy.ma, 18.8 ms of one
+# CLI call.
+FIRST_CALL_IMPORT = "numpy.ma"
+EVERY_SUBCOMMAND = ("from oneshot_qit import cli\n"
+                    "for name in cli.RUNNERS:\n"
+                    "    assert cli.main([name, '--out', name + '.csv']) == 0\n")
+
+
+def modules_after(statements, workdir):
+    """The names in sys.modules of a fresh interpreter, with the package on
+    its path, after it runs ``statements`` in ``workdir``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         statements + "\nimport sys\nprint(*sorted(sys.modules))\n"],
+        cwd=workdir, env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_no_first_call_import_in_any_subcommand(tmp_path):
+    # every subcommand at its default flags, in one fresh process
+    assert FIRST_CALL_IMPORT not in modules_after(EVERY_SUBCOMMAND, tmp_path)
+
+
+def test_gate_catches_a_first_call_import(tmp_path):
+    # if numpy stops importing it on this call, the gate above sees nothing
+    assert FIRST_CALL_IMPORT in modules_after(
+        "import numpy as np\nnp.unique(np.array([2, 1, 2]))", tmp_path)
