@@ -6,9 +6,8 @@ probabilities.  Both take them from one signal-vector routine over the
 gather maps of the U_l ((U_l x)[i] = x[src[i]]): each rotated test is the
 test read through src, and each rotated signal state is the signal state
 gathered by src, whose eigenvectors give the success, so no measurement
-element is built.  The flat decoder's test reaches the ensemble's space by
-the one move through the flattening permutation W (``flatten._moved``).
-``hayashi_nagaoka_povm`` builds the elements for callers that need them.
+element is built.  ``hayashi_nagaoka_povm`` builds the elements for callers
+that need them.
 The channel code runs the full protocol exactly: shared flattened-purification
 and embezzling resources, transpose-trick encoding on Alice's side, a channel
 application, and square-root decoding on Bob's side, with error probabilities
@@ -23,10 +22,12 @@ solve, and so does each decoder.
 Every protocol's square-root measurement Lambda_m = S^{-1/2} Omega_m S^{-1/2}
 runs over one test and a `registers.Monomial` family, one map per member,
 Omega_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]);
-no rotated copy of the test is built.  The test is a pair (A, f) standing
-for A (x) I_f, whose entries `registers.kron_eye_entries` reads: the flat
-decoder's A lives on (B, F1, D) with f = |F2|; the classical decoder and
-the channel code pass their dense tests with f = 1.
+no rotated copy of the test is built.  The test is the protocol's own
+Neyman-Pearson test Omega on (B, C), rotated on C where the protocol runs
+in a rotated basis, as the pair (Omega, f) for Omega (x) I_f, f the product
+of the identity factors (`registers.kron_eye_entries` reads its entries).
+Each coordinate change (a factor reorder, the F1 embedding, the move by the
+flattening permutation W) is composed into the member maps, not the test.
 ``_blocks`` splits each S on the connected components (the one rule
 ``registers._components``) of the union of its members' nonzero patterns,
 read from the test's nonzeros through each map:
@@ -58,7 +59,7 @@ import numpy as np
 from .convexsplit import (_classical_ensemble, _hw_gather, _members,
                           pairwise_family, prime_register)
 from .entropy import _dh_value, _threshold_test, dh_eps, dmax, imax
-from .flatten import (_flat_ensemble, _gamma_fraction, _moved,
+from .flatten import (_flat_ensemble, _gamma_fraction, _w_move,
                       check_unembezzle, embezzling_state, harmonic_sum,
                       purified_embezzle_fidelity, round_spectrum,
                       unitary_flatten_W)
@@ -66,7 +67,7 @@ from .registers import (DensityOperator, Monomial, RegisterSystem,
                         _as_density, _components, _size_groups, act,
                         canonical_purification, kron_eye_entries,
                         maximally_mixed, partial_trace, permute_registers,
-                        reorder, tensor)
+                        tensor)
 
 INV_SQRT_CUT = 1e-12
 """Eigenvalues of S at or below this lie outside supp(S), where S^{-1/2} is 0."""
@@ -183,11 +184,12 @@ def _blocks(test, maps, branches, seeds):
     hold a seed.
 
     Member m is ``test`` = (A, f), the operator A (x) I_f, read through map
-    m of the `Monomial` family ``maps`` (n_members, dim), ``branches``
-    (n_branches, n_terms) lists the members summed into each S, and the
-    bool ``seeds`` (n_branches, dim) marks the rows to keep.  S and each of
-    its members are exactly block-diagonal on the connected components of
-    the union of its members' nonzero patterns; no entry is thresholded.
+    m of the `Monomial` family ``maps`` (n_members, dim), a permutation or a
+    compression of A (x) I_f's space; ``branches`` (n_branches, n_terms)
+    lists the members summed into each S, and the bool ``seeds``
+    (n_branches, dim) marks the rows to keep.  S and each of its members
+    are exactly block-diagonal on the connected components of the union of
+    its members' nonzero patterns; no entry is thresholded.
     `_components` labels every member's pattern at once (node m dim + i; the
     nonzeros of ``test``, those of A repeated on the f diagonal copies,
     through each member's inverse map, those outside its image dropped).
@@ -365,17 +367,17 @@ def _decode_report(successes, eps, delta, cap, cross, coarse):
                                 1.0 - eps - coarse * delta, exact, cap)
 
 
-def _signal_successes(test, subset, maps, signals, weights):
+def _signal_successes(test, subset, maps, layout, signals, weights):
     """Tr(Lambda_l tau_l) for every l of ``subset``, from signal vectors.
 
-    ``test`` is a pair (A, f) standing for A (x) I_f (see `_blocks`), and
-    ``maps`` the `Monomial` family of the U_l, l in ``subset``, so that
-    U_l test U_l^dag is a member.  Lambda_l = S^{-1/2} U_l test U_l^dag
-    S^{-1/2} with S the sum of the rotated tests, and tau_l = U_l (sum_c
-    weights[c] |c><c|) U_l^dag over the columns |c> of ``signals``, so
-    tau_l = X_l X_l^dag with X_l = U_l applied to the weighted signals.
+    ``test`` = (Omega, f) stands for Omega (x) I_f (see `_blocks`), and the
+    `Monomial` L = ``layout`` takes the signals' space, where ``maps`` holds
+    the U_l (l in ``subset``), into the test's.  Lambda_l = S^{-1/2} F_l
+    S^{-1/2} with F_l = U_l L test L^dag U_l^dag and S their sum, and tau_l =
+    U_l (sum_c weights[c] |c><c|) U_l^dag over the columns |c> of
+    ``signals``, so tau_l = X_l X_l^dag, X_l = U_l (the weighted signals).
     """
-    successes = _successes(test, maps, [range(len(subset))],
+    successes = _successes(test, maps.compose(layout), [range(len(subset))],
                            maps.apply(signals * np.sqrt(weights)))[0]
     return dict(zip(subset, successes.tolist()))
 
@@ -396,37 +398,18 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     ref = tensor(psi_b, maximally_mixed(RegisterSystem([(c_label, c_dim)])))
     omega, dh, cap = _decoder_test(psi, ref, len(subset), eps, delta)
 
-    d_b = psi.system.total_dim // c_dim
+    # The host (B, G1, G2) keeps all 2|C|^2 states of G1 = Q C0 C1, with the
+    # U_l on the first g: Omega (x) I maps those into the tail, so
+    # compressing G1 to the prime register would change the measurement.
+    compress, order = ens.layout(g)
+    host = len(order.src)
     signals, weights = ens.signals()
-
-    # The host space (B, G1, G2) keeps all 2|C|^2 states of G1 = Q C0 C1:
-    # Omega (x) I maps the first g of them into the tail, so compressing G1
-    # to the prime register would change the measurement.
-    host = 2 * c_dim * c_dim
-    # Omega on (B, C0) (x) I on (Q, C1, G2), in the order (B, Q, C0, C1, G2)
-    omega_lift = reorder(np.kron(omega, np.eye(host * g // c_dim)),
-                         (d_b, c_dim, 2, c_dim, g), [0, 2, 1, 3, 4])
-    # psi (x) mu_C1 (x) mu_G2 sits on the first g states of G1
-    cols = len(weights)
-    host_signals = np.zeros((d_b, host, g, cols), dtype=complex)
-    host_signals[:, :g] = signals.reshape(d_b, g, g, cols)
-    # the ensemble's U_l on the first g states of G1, the identity on its tail
-    first = (np.arange(d_b)[:, None] * host * g + np.arange(g * g)).ravel()
-    maps = ens.source(subset).embed(first, d_b * host * g)
-    successes = _signal_successes((omega_lift, 1), subset, maps,
-                                  host_signals.reshape(-1, cols), weights)
+    successes = _signal_successes(
+        (omega, host // len(omega)), subset,
+        ens.source(subset).embed(compress.src, host), order,
+        compress.inverse(host).apply(signals), weights)
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
     return _decode_report(successes, eps, delta, cap, cross, 4)
-
-
-def _lifted_flat_test(ens, flat, omega, dims):
-    """The test omega on (B, C) as an operator on the ensemble's (B, F1, D, F2).
-
-    Omega (x) I_ED is moved by W onto supp (x) D and embedded into F1 with
-    its q = 1 tail.  Returns (A, |F2|): the test is A (x) I_F2, never built.
-    """
-    om_supp = _moved(omega, dims, flat, np.eye(flat.e_dim * ens.d_dim))
-    return ens.embed_f1(om_supp, np.eye(2)), ens.f_prime
 
 
 def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
@@ -453,10 +436,17 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     omega, dh, cap = _decoder_test(psi, tensor(psi_b, _as_density(omega_c)),
                                    len(subset), eps, delta)
 
+    # the ensemble's space in the test's (B, C, E, D, Q, X, F2): F1 in its
+    # host, then (S, D) moved by W into (C, E, D)
     ens = _flat_ensemble(psi, flat, a, n, d_size + 1)
-    om_full = _lifted_flat_test(ens, flat, omega, psi.system.dims)
+    k, rest = len(psi.system) - 1, (2, ens.s_dim, ens.f_prime)
+    compress, order = ens.layout(ens.f_prime)
+    layout = compress.compose(order).compose(
+        _w_move(flat, psi.system.dims, ens.d_dim, rest))
+    test = (act(omega, flat.basis.conj().T, psi.system.dims, [k]),
+            flat.e_dim * ens.d_dim * math.prod(rest))
     signals, weights = ens.signals()
-    successes = _signal_successes(om_full, subset, ens.source(subset),
+    successes = _signal_successes(test, subset, ens.source(subset), layout,
                                   signals, weights)
 
     ratio_emb = harmonic_sum(1, n) / harmonic_sum(a, n)
@@ -613,16 +603,15 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     side_dims = (d_a, e_dim, d_dim)
     w_dag = Monomial(unitary_flatten_W(flat, d_dim))  # gathers by W's image
 
-    # Bob's test W (Omega (x) I) W^dag on (B, C, E, D).  Each V_y is V_y on
-    # the support pairs of (C, E) and the identity elsewhere; Bob's member
-    # is it lifted to (B, C, E, D), and Alice's encoding W^dag (V_y^T (x) I) W
-    # gathers the resource's rows on (A, E', D')
+    # Bob's members V_y W (Omega (x) I_ED) W^dag V_y^dag on (B, C, E, D),
+    # with Omega rotated on C.  Each V_y is V_y on the support pairs of
+    # (C, E) and the identity elsewhere, and Alice's encoding
+    # W^dag (V_y^T (x) I) W gathers the resource's rows on (A, E', D')
     bob_dims = (d_a,) + side_dims
-    om_lift = np.kron(act(omega_test, flat.basis.T, (d_a, d_a), [1]),
-                      np.eye(e_dim * d_dim))
-    om_moved = w_dag.inverse().lift(bob_dims, [1, 2, 3]).conjugate(om_lift)
     v = _hw_gather(*np.divmod(np.arange(q_field), m_big), m_big).embed(
         flat.support_index(), d_a * e_dim)
+    members = v.lift(bob_dims, [1, 2]).compose(
+        w_dag.inverse().lift(bob_dims, [1, 2, 3]))
     resource = init.reshape(d_a * e_dim * d_dim, -1)
     encode = w_dag.compose(v.transpose().lift(side_dims, [0, 1])).compose(
         w_dag.inverse())
@@ -636,12 +625,13 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     enc = encode[:, rows].apply(resource)
     kraus = np.stack([k @ flat.basis for k in channel.kraus])
     columns = np.einsum("kba,yaxj->ybjkx", kraus, enc).reshape(
-        q_field, len(om_moved), -1)
+        q_field, members.src.shape[1], -1)
 
     images = pairwise_family(q_field).images(range(n_messages))
     branches, inverse = np.unique(images.reshape(-1, n_messages), axis=0,
                                   return_inverse=True)
-    totals = _successes((om_moved, 1), v.lift(bob_dims, [1, 2]), branches,
+    totals = _successes((act(omega_test, flat.basis.T, (d_a, d_a), [1]),
+                         e_dim * d_dim), members, branches,
                         columns)[inverse].sum(axis=0)
     errors = 1.0 - totals / (q_field * q_field)
     branch_count = n_messages * q_field * q_field

@@ -451,12 +451,13 @@ class PrimeEnsemble:
     """A state theta on (R, S, D) spread over (R, F1, D, F2) and mixed by the U_l.
 
     F1 and F2 are copies of the prime register ``reg``, built for
-    |S| = reg.base_dim: F1 state q|S|^2 + s|S| + x carries (q, s, x), and only
-    q = 0 is populated.  The base state is theta (x) mu_X on q = 0, (x) mu_F2;
-    the mixed terms are its images under the U_l on (F1, F2).  The base is
-    kept as its factor on (R, F1, D) (``base_factor``): base = factor (x) I_F2,
-    whose entries `registers.kron_eye_entries` reads, and no operator of the
-    full dimension squared is built.  ``psi_r`` is the R marginal of the
+    |S| = reg.base_dim: F1 is the first f_prime states q|S|^2 + s|S| + x of
+    (Q, S, X) (``layout``), and only q = 0 is populated.  The base state is
+    theta (x) mu_X on q = 0, (x) mu_F2; the mixed terms are its images under
+    the U_l on (F1, F2).  The base is kept as its factor on (R, F1, D)
+    (``base_factor``): base = factor (x) I_F2, whose entries
+    `registers.kron_eye_entries` reads, and no operator of the full
+    dimension squared is built.  ``psi_r`` is the R marginal of the
     decoupled target (a 1 x 1 identity without R).
     """
 
@@ -476,9 +477,10 @@ class PrimeEnsemble:
         """theta (x) mu_X on the q = 0 part of F1, divided by |F2|: the base
         is this (x) I_F2.  Built on first read (the decoders read only
         ``theta``)."""
-        factor = self.embed_f1(self.theta, np.diag([1.0, 0.0]))
-        factor *= (1.0 / self.s_dim) * (1.0 / self.f_prime)
-        return factor
+        compress, order = self.layout(1)
+        scale = (1.0 / self.s_dim) * (1.0 / self.f_prime)
+        return compress.compose(order).conjugate(np.kron(  # (R, S, D, Q, X)
+            self.theta, np.diag(np.repeat([scale, 0.0], self.s_dim))))
 
     def _base_block(self, idx):
         """base[np.ix_(idx, idx)], read from the factor."""
@@ -488,17 +490,17 @@ class PrimeEnsemble:
     def full_index(self, r, f1, d, f2):
         return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
 
-    def embed_f1(self, mat, q_op):
-        """mat on (R, S, D) as an operator on (R, F1, D).
-
-        F1 state q S^2 + s S + x carries mat (x) q_op on Q (x) I on X; F1
-        keeps the first f_prime of these 2 S^2 states.
-        """
+    def layout(self, f2_dim):
+        """F1 in its host (R, Q, S, X, D) (x) F2, F2 of ``f2_dim`` states, as
+        two `Monomial`s: the compression of the host to (R, F1, D) (x) F2,
+        F1 being the first f_prime of the 2 S^2 states (q, s, x), and the
+        permutation of the host from (R, S, D, Q, X) (x) F2."""
         r, s, d = self.r_dim, self.s_dim, self.d_dim
-        big = np.kron(mat, np.kron(q_op, np.eye(s)))         # (R, S, D, Q, X)
-        big = reorder(big, (r, s, d, 2, s), [0, 3, 1, 4, 2])  # (R, Q, S, X, D)
-        return Monomial(np.arange(self.f_prime)).lift(
-            (r, 2, s, s, d), [1, 2, 3]).conjugate(big)
+        host = np.arange(r * 2 * s * s * d * f2_dim).reshape(r, s, d, 2, s,
+                                                             f2_dim)
+        return (Monomial(np.arange(self.f_prime)).lift(
+            (r, 2, s, s, d, f2_dim), [1, 2, 3]),
+            Monomial(host.transpose(0, 3, 1, 4, 2, 5).ravel()))
 
     @property
     def dims(self):

@@ -271,23 +271,16 @@ def unitary_flatten_W(flat, d_dim):
     return img.reshape(-1)
 
 
-def _moved(mat, dims, flat, ed_op):
-    """S^dag W (rot_C(mat) (x) ed_op) W^dag S, the one move through W.
-
-    ``mat`` lives on the factors ``dims`` with C last; rot_C takes C to the
-    sigma eigenbasis, ``ed_op`` lives on (E, D), and S is the isometry onto
-    supp(sigma_CE) (x) D.  Returns the operator on (..., S, D), where S has
-    ``flat.grid_total`` states.
-    """
+def _w_move(flat, dims, d_dim, rest=()):
+    """S^dag W on (C, E, D) as a compression, lifted to ``dims`` (C last),
+    (E, D) and ``rest``.  S is the isometry onto supp(sigma_CE) (x) D, so
+    (C, E, D) is compressed to (S, D), S of ``flat.grid_total`` states."""
     k = len(dims) - 1
-    d_dim = ed_op.shape[0] // flat.e_dim
-    rotated = act(mat, flat.basis.conj().T, dims, [k])
     supp = (flat.support_index()[:, None] * d_dim
             + np.arange(d_dim)).reshape(-1)
-    moved = Monomial(supp).compose(
-        Monomial(unitary_flatten_W(flat, d_dim)).inverse())
-    return moved.lift(dims + (flat.e_dim, d_dim), [k, k + 1, k + 2]).conjugate(
-        np.kron(rotated, ed_op))
+    return Monomial(supp).compose(
+        Monomial(unitary_flatten_W(flat, d_dim)).inverse()).lift(
+            dims + (flat.e_dim, d_dim) + rest, [k, k + 1, k + 2])
 
 
 def _moved_state(psi, flat, a, n, d_dim=None):
@@ -310,11 +303,12 @@ def _moved_state(psi, flat, a, n, d_dim=None):
     if (np.linalg.norm(blocks, axis=(1, 2)) > 1e-9).any():
         raise ValueError("state has support outside the flattened spectrum")
     d_dim = n + 1 if d_dim is None else d_dim
-    xi_diag = embezzling_state(a, n).weight_vector(d_dim)
-    e0 = np.zeros((flat.e_dim, flat.e_dim))
-    e0[0, 0] = 1.0
-    out = _moved(psi.matrix, psi.system.dims, flat,
-                 np.kron(e0, np.diag(xi_diag)))
+    e0_xi = np.kron(np.eye(flat.e_dim)[0],
+                    embezzling_state(a, n).weight_vector(d_dim))
+    rotated = act(psi.matrix, flat.basis.conj().T, psi.system.dims,
+                  [len(psi.system) - 1])
+    out = _w_move(flat, psi.system.dims, d_dim).conjugate(
+        np.kron(rotated, np.diag(e0_xi)))
     return out, partial_trace(psi, [c_label]).matrix
 
 

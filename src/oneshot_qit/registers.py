@@ -434,12 +434,11 @@ class Monomial:
         src = np.full(self.src.shape[:-1] + (size or n,), -1)
         np.put_along_axis(src, self.src,
                           np.broadcast_to(np.arange(n), self.src.shape), -1)
-        if self.phase is None and src.shape == self.src.shape:
-            return Monomial(src)
-        phase = np.ones(self.src.shape) if self.phase is None \
-            else self.phase.conj()
-        pad = np.zeros_like(phase[..., :1])
-        return Monomial(src, _take(np.append(phase, pad, axis=-1), src))
+        if self.phase is None:
+            return Monomial(src, None if size in (None, n) else (src >= 0) * 1.0)
+        pad = np.zeros_like(self.phase[..., :1])
+        return Monomial(src, _take(np.append(self.phase.conj(), pad, axis=-1),
+                                   src))
 
     def transpose(self):
         """M^T: the inverse with unconjugated phases."""

@@ -15,15 +15,16 @@ from oneshot_qit.convexsplit import (hw_family, hw_translation_classes,
                                      pairwise_family)
 from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
                                  _support_split)
-from oneshot_qit.registers import (_as_density, _components, _density_pair,
-                                   _pattern_blocks, _root_sum, _size_groups,
-                                   act)
+from oneshot_qit.flatten import unitary_flatten_W
+from oneshot_qit.registers import (Monomial, _as_density, _components,
+                                   _density_pair, _pattern_blocks, _root_sum,
+                                   _size_groups, act, reorder)
 
 
 def dense_kron_eye(factor, f):
     """factor (x) I_f as one dense array: a `PrimeEnsemble`'s base is
     dense_kron_eye(ens.base_factor, ens.f_prime), and the flat decoder's
-    test is dense_kron_eye(*coding._lifted_flat_test(...))."""
+    lifted test is dense_kron_eye(*lifted_flat_test(...))."""
     return np.kron(factor, np.eye(f))
 
 
@@ -89,6 +90,59 @@ def dense_hw_split_means(state, dims, n_mixed, seed, ref):
         d_total += d_vals[c]
         f_total += f_vals[c]
     return d_total / len(inverse), min(f_total / len(inverse), 1.0)
+
+
+def lifted_classical_test(omega, d_b, c_dim, g):
+    """The classical decoder's test on its host (B, G1, G2), built densely
+    as its former body built it: Omega on (B, C0) (x) I on (Q, C1, G2), in
+    the order (B, Q, C0, C1, G2)."""
+    return reorder(np.kron(omega, np.eye(2 * c_dim * g)),
+                   (d_b, c_dim, 2, c_dim, g), [0, 2, 1, 3, 4])
+
+
+def _moved(mat, dims, flat, ed_op):
+    """S^dag W (rot_C(mat) (x) ed_op) W^dag S on (..., S, D), by the former
+    body of ``flatten._moved``: ``mat`` lives on ``dims`` with C last, and
+    ``ed_op`` on (E, D)."""
+    k = len(dims) - 1
+    d_dim = ed_op.shape[0] // flat.e_dim
+    rotated = act(mat, flat.basis.conj().T, dims, [k])
+    supp = (flat.support_index()[:, None] * d_dim
+            + np.arange(d_dim)).reshape(-1)
+    moved = Monomial(supp).compose(
+        Monomial(unitary_flatten_W(flat, d_dim)).inverse())
+    return moved.lift(dims + (flat.e_dim, d_dim), [k, k + 1, k + 2]).conjugate(
+        np.kron(rotated, ed_op))
+
+
+def _embed_f1(ens, mat, q_op):
+    """mat on (R, S, D) as an operator on (R, F1, D), by the former body of
+    ``PrimeEnsemble.embed_f1``: F1 state q S^2 + s S + x carries
+    mat (x) q_op on Q (x) I on X."""
+    r, s, d = ens.r_dim, ens.s_dim, ens.d_dim
+    big = np.kron(mat, np.kron(q_op, np.eye(s)))         # (R, S, D, Q, X)
+    big = reorder(big, (r, s, d, 2, s), [0, 3, 1, 4, 2])  # (R, Q, S, X, D)
+    return Monomial(np.arange(ens.f_prime)).lift(
+        (r, 2, s, s, d), [1, 2, 3]).conjugate(big)
+
+
+def lifted_flat_test(ens, flat, omega, dims):
+    """The flat decoder's test omega on (B, C) as the pair (A, |F2|) on the
+    ensemble's (B, F1, D, F2), by its former construction: Omega (x) I_ED
+    moved by W onto supp (x) D and embedded into F1 with its q = 1 tail."""
+    om_supp = _moved(omega, dims, flat, np.eye(flat.e_dim * ens.d_dim))
+    return _embed_f1(ens, om_supp, np.eye(2)), ens.f_prime
+
+
+def moved_channel_test(omega_test, flat, d_dim):
+    """The channel code's test W (Omega_rot (x) I_ED) W^dag on (B, C, E, D),
+    built densely as its former body built it; Omega_rot is Omega with C in
+    the rounding's eigenbasis (v^T on C)."""
+    d_a, e_dim = flat.c_dim, flat.e_dim
+    om_lift = np.kron(act(omega_test, flat.basis.T, (d_a, d_a), [1]),
+                      np.eye(e_dim * d_dim))
+    return Monomial(unitary_flatten_W(flat, d_dim)).inverse().lift(
+        (d_a, d_a, e_dim, d_dim), [1, 2, 3]).conjugate(om_lift)
 
 
 def full_blocks(test, maps, branches):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oneshot_qit import coding, entropy
 from oneshot_qit.coding import (INV_SQRT_CUT, POVM, CodingReport, _blocks,
-                                _eig_inv_sqrt, _lifted_flat_test, _successes,
+                                _eig_inv_sqrt, _successes,
                                 amplitude_damping_channel,
                                 apply_channel, channel_rate_cap,
                                 dephasing_channel, depolarizing_channel,
@@ -19,18 +19,21 @@ from oneshot_qit.coding import (INV_SQRT_CUT, POVM, CodingReport, _blocks,
                                 position_based_decode_classical,
                                 position_based_decode_flat,
                                 redistribution_bounds)
-from oneshot_qit.convexsplit import (PrimeRegister, hw_family, hw_unitary,
+from oneshot_qit.convexsplit import (PrimeRegister, _classical_ensemble,
+                                     _hw_gather, hw_family, hw_unitary,
                                      pairwise_family)
 from oneshot_qit.entropy import dh_eps
 from oneshot_qit.flatten import (_flat_ensemble, embezzling_state,
                                  round_spectrum, unitary_flatten_W)
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    _as_density, _components, act, basis_state,
-                                   canonical_purification,
+                                   canonical_purification, kron_eye_entries,
                                    maximally_entangled, maximally_mixed,
                                    Monomial, partial_trace, random_density,
                                    tensor, tensor_pure)
-from oracles import dense_kron_eye, full_blocks, inv_sqrt_successes
+from oracles import (dense_kron_eye, full_blocks, inv_sqrt_successes,
+                     lifted_classical_test, lifted_flat_test,
+                     moved_channel_test)
 
 
 def sysof(*pairs):
@@ -657,8 +660,8 @@ def _flat_lifted(psi, eps):
     ens = _flat_ensemble(psi, flat, 2, 3, 9)
     omega, _ = neyman_pearson_operator(
         psi, tensor(partial_trace(psi, ["C"]), mu_c), eps)
-    return ens, dense_kron_eye(*_lifted_flat_test(ens, flat, omega,
-                                                  psi.system.dims))
+    return ens, dense_kron_eye(*lifted_flat_test(ens, flat, omega,
+                                                 psi.system.dims))
 
 
 def _flat_dense(psi, subset, eps):
@@ -710,7 +713,7 @@ class TestPositionDecodeFlat:
         flat = round_spectrum(mu_c, gamma, "down")
         ens = _flat_ensemble(psi, flat, a, n, d_size + 1)
         ref = tensor(partial_trace(psi, ["C"]), mu_c)
-        om_full = dense_kron_eye(*_lifted_flat_test(
+        om_full = dense_kron_eye(*lifted_flat_test(
             ens, flat, neyman_pearson_operator(psi, ref, eps)[0],
             psi.system.dims))
         rotated = {}
@@ -882,12 +885,12 @@ def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
 
 
 def _dense_channel_code_maps(channel, psi_a, gamma, a, n):
-    """Bob's rotations, the column blocks of Alice's encodings over every
-    (Kraus, E', D'), and the mask of the columns whose (E', D') is a
+    """Bob's member maps V_y W, the column blocks of Alice's encodings over
+    every (Kraus, E', D'), and the mask of the columns whose (E', D') is a
     nonzero row of some encoding, all built densely in the rounding's
     eigenbasis: V_y is ``hw_unitary`` lifted onto the support pairs of
-    (C, E), and W^dag (V_y^T (x) I_D') W is a matrix product on the
-    resource, followed by each Kraus operator."""
+    (C, E), W is lifted to (B, C, E, D), and W^dag (V_y^T (x) I_D') W is a
+    matrix product on the resource, followed by each Kraus operator."""
     flat = round_spectrum(psi_a, gamma, "down")
     counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
     d_a, d_dim = flat.c_dim, n * (m_big + 1) + 1
@@ -900,19 +903,21 @@ def _dense_channel_code_maps(channel, psi_a, gamma, a, n):
     w = np.zeros((side, side))
     w[unitary_flatten_W(flat, d_dim), np.arange(side)] = 1.0
     pairs = flat.support_index()
-    rotations, columns = [], []
+    w_bob = np.kron(np.eye(d_a), w)
+    members, columns = [], []
     reached = np.zeros(e_dim * d_dim, dtype=bool)
     for y in range(m_big * m_big):
         lift = np.eye(d_a * e_dim, dtype=complex)
         lift[np.ix_(pairs, pairs)] = hw_unitary(*divmod(y, m_big), m_big).matrix
-        rotations.append(np.kron(np.eye(d_a), np.kron(lift, np.eye(d_dim))))
+        members.append(np.kron(np.eye(d_a), np.kron(lift, np.eye(d_dim)))
+                       @ w_bob)
         enc = w.T @ np.kron(lift.T, np.eye(d_dim)) @ w @ init.reshape(side, -1)
         reached |= enc.reshape(d_a, e_dim * d_dim, -1).any(axis=(0, 2))
         columns.append(np.concatenate(
             [(np.kron(k @ flat.basis, np.eye(e_dim * d_dim)) @ enc).reshape(
                 d_a, e_dim * d_dim, side).transpose(0, 2, 1).reshape(
                 d_a * side, e_dim * d_dim) for k in channel.kraus], axis=1))
-    return rotations, np.stack(columns), np.tile(reached, len(channel.kraus))
+    return members, np.stack(columns), np.tile(reached, len(channel.kraus))
 
 
 def _seeded_input(spectrum, seed):
@@ -1079,13 +1084,13 @@ class TestChannelCode:
                                   a=4, n=5, enforce_cap=False)
         assert rep.bound_satisfied()
         (_, maps, _, factors), _ = spy.call_args
-        rotations, columns, kept = _dense_channel_code_maps(
+        members, columns, kept = _dense_channel_code_maps(
             channel, psi_a, gamma, a=4, n=5)
         rows = np.arange(maps.src.shape[1])
-        for y, rotation in enumerate(rotations):
-            member = np.zeros_like(rotation)
+        for y, dense in enumerate(members):
+            member = np.zeros_like(dense)
             member[rows, maps.src[y]] = maps.phase[y]
-            assert np.max(np.abs(member - rotation)) <= 1e-14
+            assert np.max(np.abs(member - dense)) <= 1e-14
         # the program keeps the columns that some encoding reaches; every
         # column it drops is exactly 0 in the dense construction
         assert not columns[:, :, ~kept].any()
@@ -1268,6 +1273,90 @@ class TestOneThresholdTest:
         ea_channel_code(identity_channel(2), _seeded_input((0.7, 0.3), 1), 0,
                         0.05, Fraction(2, 3), 0.5, a=2, n=4)
         assert len(calls) == 1
+
+
+def _read_members(test, maps):
+    """Each member M_m (A (x) I_f) M_m^dag of the pair ``test`` = (A, f)
+    and the `Monomial` family ``maps``, gathered in full."""
+    return [maps[m].conjugate(
+        lambda rows, cols: kron_eye_entries(*test, rows, cols))
+        for m in range(len(maps.src))]
+
+
+class TestProtocolsPassTheirOwnTest:
+    """Every protocol hands `_successes` its own Neyman-Pearson test Omega,
+    rotated on C where the protocol runs in a rotated basis, with the
+    identity factors as f, and its coordinate changes composed into the
+    member maps.  Each member reads the same values as the former lifted
+    test (the oracles of `tests/oracles.py`) read through the former maps."""
+
+    @staticmethod
+    def spied(call):
+        with mock.patch.object(coding, "_successes", wraps=_successes) as spy:
+            call()
+        (test, maps, _, _), _ = spy.call_args
+        return test, maps
+
+    def check(self, test, maps, omega, f, former_test, former_maps):
+        assert np.array_equal(test[0], omega) and test[1] == f
+        for got, want in zip(_read_members(test, maps),
+                             _read_members(former_test, former_maps)):
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("c_dim, prime, subset", [(2, 5, [0, 1]),
+                                                      (3, 11, [0, 2, 5])])
+    def test_classical_decoder(self, c_dim, prime, subset):
+        rng = np.random.default_rng(c_dim)
+        u_b, _ = np.linalg.qr(rng.standard_normal((c_dim, c_dim))
+                              + 1j * rng.standard_normal((c_dim, c_dim)))
+        phi = maximally_entangled("B", "C", c_dim)
+        psi = PureState(phi.system, np.kron(u_b, np.eye(c_dim)) @ phi.vector)
+        reg = PrimeRegister(c_dim, prime)
+        test, maps = self.spied(lambda: position_based_decode_classical(
+            psi, reg, subset, 0.005, 0.15))
+        ens, psi_b = _classical_ensemble(psi, reg)
+        omega, _ = neyman_pearson_operator(
+            psi, tensor(psi_b, maximally_mixed(sysof(("C", c_dim)))), 0.005)
+        host, d_b = 2 * c_dim * c_dim * prime, c_dim
+        first = (np.arange(d_b)[:, None] * host
+                 + np.arange(prime * prime)).ravel()
+        self.check(test, maps, omega, 2 * c_dim * prime,
+                   (lifted_classical_test(omega, d_b, c_dim, prime), 1),
+                   ens.source(subset).embed(first, d_b * host))
+
+    def test_flat_decoder(self):
+        # the benchmark's case: trivial B, a seeded mixed state on C
+        psi = DensityOperator(sysof(("B", 1), ("C", 2)),
+                              _seeded_input((0.7, 0.3), 9).matrix)
+        mu_c = maximally_mixed(sysof(("C", 2)))
+        test, maps = self.spied(lambda: position_based_decode_flat(
+            psi, mu_c, Fraction(2, 3), [0], 0.01, 0.2, a=2, n=3, d_size=8))
+        flat = round_spectrum(mu_c, Fraction(2, 3), "down")
+        ens = _flat_ensemble(psi, flat, 2, 3, 9)
+        omega, _ = neyman_pearson_operator(
+            psi, tensor(partial_trace(psi, ["C"]), mu_c), 0.01)
+        self.check(test, maps,
+                   act(omega, flat.basis.conj().T, psi.system.dims, [1]),
+                   flat.e_dim * 9 * 2 * ens.s_dim * ens.f_prime,
+                   lifted_flat_test(ens, flat, omega, psi.system.dims),
+                   ens.source([0]))
+
+    @pytest.mark.parametrize("channel, rate", [(identity_channel(2), 2),
+                                               (depolarizing_channel(0.1), 0)])
+    def test_channel_code(self, channel, rate):
+        # the benchmark's codes on mu_A
+        mu_a = maximally_mixed(sysof(("A", 2)))
+        test, maps = self.spied(lambda: ea_channel_code(
+            channel, mu_a, rate, 0.05, 0.5, 0.5, a=4, n=5, enforce_cap=False))
+        flat = round_spectrum(mu_a, 0.5, "down")
+        m_big, e_dim = flat.grid_total, flat.e_dim
+        d_dim = 5 * (m_big + 1) + 1
+        omega, _ = coding._channel_test(channel, mu_a, 0.05)
+        v = _hw_gather(*np.divmod(np.arange(m_big * m_big), m_big),
+                       m_big).embed(flat.support_index(), 2 * e_dim)
+        self.check(test, maps, act(omega, flat.basis.T, (2, 2), [1]),
+                   e_dim * d_dim, (moved_channel_test(omega, flat, d_dim), 1),
+                   v.lift((2, 2, e_dim, d_dim), [1, 2]))
 
 
 class TestRedistributionBounds:

@@ -28,10 +28,10 @@ from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    RegisterSystem, act, basis_state, fidelity,
                                    maximally_entangled,
                                    maximally_mixed, partial_trace,
-                                   permute_registers, random_density, reorder,
-                                   tensor)
+                                   permute_registers, random_density, tensor)
 from oracles import (dense_hw_split_means, dense_kron_eye,
-                     dense_one_design_average, dense_reference_measures)
+                     dense_one_design_average, dense_reference_measures,
+                     lifted_classical_test)
 
 
 def sysof(*pairs):
@@ -69,9 +69,7 @@ def host_successes(psi, omega, subset, g):
     and the rotated `host_input`."""
     c_dim = psi.system.dim_of(psi.system.labels[-1])
     d_b, host = psi.system.total_dim // c_dim, 2 * c_dim * c_dim
-    # Omega on (B, C0) (x) I on (Q, C1, G2), in the order (B, Q, C0, C1, G2)
-    om_lift = reorder(np.kron(omega, np.eye(host * g // c_dim)),
-                      (d_b, c_dim, 2, c_dim, g), [0, 2, 1, 3, 4])
+    om_lift = lifted_classical_test(omega, d_b, c_dim, g)
     lifted = host_input(psi, g)
     povm = hayashi_nagaoka_povm([host_rotate(om_lift, ell, g, host)
                                  for ell in subset])

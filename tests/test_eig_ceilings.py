@@ -22,7 +22,9 @@ import passrun  # noqa: E402
 
 # per workload: linalg.eigh.calls, linalg.eigvalsh.calls, linalg.eig_max_dim
 CEILINGS = {"coding": {"eigh.calls": 69, "eigvalsh.calls": 27,
-                       "eig_max_dim": 56}}
+                       "eig_max_dim": 56},
+            "decouple": {"eigh.calls": 76, "eigvalsh.calls": 519,
+                         "eig_max_dim": 66}}
 
 
 @pytest.mark.parametrize("workload", sorted(CEILINGS))

@@ -490,15 +490,6 @@ def test_gate_catches_an_index_map_inverted_by_hand():
 # operator of the form A (x) I is kept as the pair (A, f) and read through
 # registers.kron_eye_entries.
 KRON_EYE_SITES = {
-    ("coding.py", "position_based_decode_classical"):
-        "omega_lift: Q sits between B and C0, so the identity is not "
-        "trailing once reordered; the benchmark's case peaks at 1.6 MiB",
-    ("coding.py", "ea_channel_code"):
-        "W permutes Omega (x) I_ED on (C, E, D) before the HW maps read it, "
-        "so no factor survives; 208 x 208 at the benchmark",
-    ("convexsplit.py", "embed_f1"):
-        "the inner q_op (x) I_X on (Q, X), 2 |S|^2 square, reordered and "
-        "compressed with mat into the factor on (R, F1, D)",
     ("flatten.py", "flatten"):
         "the basis v (x) I_E of the flattened state, which is returned dense "
         "at its own size (|C| |E|)^2",
