@@ -140,13 +140,7 @@ def simulate_table(circuit, inputs):
 
 def circuit_to_text(circuit):
     lines = [f"wires={circuit.wire_count} roles={','.join(circuit.roles)}"]
-    for g in circuit.gates:
-        if g.kind == "X":
-            lines.append(f"X {g.target}")
-        elif g.kind == "CNOT":
-            lines.append(f"CNOT {g.controls[0]} {g.target}")
-        else:
-            lines.append(f"TOF {g.controls[0]} {g.controls[1]} {g.target}")
+    lines += [" ".join(map(str, (g.kind,) + g.wires)) for g in circuit.gates]
     return "\n".join(lines) + "\n"
 
 

@@ -51,7 +51,7 @@ at INV_SQRT_CUT, in ``_eig_inv_sqrt`` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,10 +59,10 @@ import numpy as np
 from .convexsplit import (_classical_ensemble, _hw_gather, _members,
                           pairwise_family, prime_register)
 from .entropy import _dh_value, _threshold_test, dh_eps, dmax, imax
-from .flatten import (_flat_ensemble, _gamma_fraction, _w_move,
-                      check_unembezzle, embezzling_state, harmonic_sum,
-                      purified_embezzle_fidelity, round_spectrum,
-                      unitary_flatten_W)
+from .flatten import (_embezzle_rule, _flat_ensemble, _gamma_fraction,
+                      _w_move, check_unembezzle, embezzling_state,
+                      harmonic_sum, purified_embezzle_fidelity,
+                      round_spectrum, unitary_flatten_W)
 from .registers import (DensityOperator, Monomial, RegisterSystem,
                         _as_density, _components, _size_groups, act,
                         canonical_purification, kron_eye_entries,
@@ -136,9 +136,7 @@ def apply_channel(channel, state, labels):
     """Apply the channel to the named registers (Kraus sum, trace preserved)."""
     state = _as_density(state)
     labels = list(labels)
-    d_act = 1
-    for lab in labels:
-        d_act *= state.system.dim_of(lab)
+    d_act = state.system.subsystem(labels).total_dim
     if d_act != channel.input_dim:
         raise ValueError(f"registers {labels} have dim {d_act}, "
                          f"channel expects {channel.input_dim}")
@@ -358,28 +356,15 @@ def _decoder_test(psi, ref, size, eps, delta):
     return omega, dh, cap
 
 
-def _decode_report(successes, eps, delta, cap, cross, coarse):
-    """Report with the floors 1 - eps - coarse delta and (Hayashi-Nagaoka,
-    c = delta / eps) 1 - eps - delta - (2 + c + 1/c)(|S| - 1) cross."""
+def _decode_report(subset, successes, eps, delta, cap, cross, coarse):
+    """Report of the successes of ``subset``, with the floors
+    1 - eps - coarse delta and (Hayashi-Nagaoka, c = delta / eps)
+    1 - eps - delta - (2 + c + 1/c)(|S| - 1) cross."""
+    successes = dict(zip(subset, successes.tolist()))
     c = delta / eps
     exact = 1.0 - eps - delta - (2 + c + 1 / c) * (len(successes) - 1) * cross
     return PositionDecodeReport(successes, min(successes.values()),
                                 1.0 - eps - coarse * delta, exact, cap)
-
-
-def _signal_successes(test, subset, maps, layout, signals, weights):
-    """Tr(Lambda_l tau_l) for every l of ``subset``, from signal vectors.
-
-    ``test`` = (Omega, f) stands for Omega (x) I_f (see `_blocks`), and the
-    `Monomial` L = ``layout`` takes the signals' space, where ``maps`` holds
-    the U_l (l in ``subset``), into the test's.  Lambda_l = S^{-1/2} F_l
-    S^{-1/2} with F_l = U_l L test L^dag U_l^dag and S their sum, and tau_l =
-    U_l (sum_c weights[c] |c><c|) U_l^dag over the columns |c> of
-    ``signals``, so tau_l = X_l X_l^dag, X_l = U_l (the weighted signals).
-    """
-    successes = _successes(test, maps.compose(layout), [range(len(subset))],
-                           maps.apply(signals * np.sqrt(weights)))[0]
-    return dict(zip(subset, successes.tolist()))
 
 
 def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
@@ -387,15 +372,18 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
 
     psi lives on (B..., C) with C last; the test family is the rotated optimal
     hypothesis test between psi and psi_B (x) mu_C.  The subset size must
-    respect the cap (delta^2 / 4 eps) 2^dh, else the call refuses.
+    respect the cap (delta^2 / 4 eps) 2^dh, else the call refuses.  The
+    signal state tau_l is U_l (sum_c w_c |c><c|) U_l^dag over the ensemble's
+    signal vectors |c>, so tau_l = X_l X_l^dag with X_l = U_l (the weighted
+    signals), the columns that `_successes` reads.
     """
     psi = _as_density(psi)
     g = prime_reg.prime
     subset = _members(subset, g)
-    c_label = psi.system.labels[-1]
-    c_dim = psi.system.dim_of(c_label)
+    c_dim = psi.system.dims[-1]
     ens, psi_b = _classical_ensemble(psi, prime_reg)
-    ref = tensor(psi_b, maximally_mixed(RegisterSystem([(c_label, c_dim)])))
+    ref = tensor(psi_b, maximally_mixed(psi.system.subsystem(
+        psi.system.labels[-1:])))
     omega, dh, cap = _decoder_test(psi, ref, len(subset), eps, delta)
 
     # The host (B, G1, G2) keeps all 2|C|^2 states of G1 = Q C0 C1, with the
@@ -404,12 +392,12 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     compress, order = ens.layout(g)
     host = len(order.src)
     signals, weights = ens.signals()
-    successes = _signal_successes(
-        (omega, host // len(omega)), subset,
-        ens.source(subset).embed(compress.src, host), order,
-        compress.inverse(host).apply(signals), weights)
+    maps = ens.source(subset).embed(compress.src, host)
+    successes = _successes(
+        (omega, host // len(omega)), maps.compose(order), [range(len(subset))],
+        maps.apply(compress.inverse(host).apply(signals) * np.sqrt(weights)))
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
-    return _decode_report(successes, eps, delta, cap, cross, 4)
+    return _decode_report(subset, successes[0], eps, delta, cap, cross, 4)
 
 
 def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
@@ -419,16 +407,13 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     The test family is {U_l W Omega W^dag U_l^dag} on (B, F1, D, F2); the
     report carries the exact-ratio analogue of the coarse success bound.
     The signal state is theta (x) mu_X1 (x) mu_F2, whose eigenvectors are
-    the signal vectors of `_signal_successes`.
+    the ensemble's signal vectors, read as in the classical decoder.
     """
     psi = _as_density(psi)
     flat = round_spectrum(omega_c, gamma, "down")
     if a != flat.e_dim:
         raise ValueError(f"a = {a} must equal |E| = {flat.e_dim}")
-    if n < a:
-        raise ValueError(f"n = {n} below a = {a}")
-    if not (n + 1) * a <= d_size <= n * n:
-        raise ValueError(f"d_size {d_size} outside [{(n + 1) * a}, {n * n}]")
+    _embezzle_rule(a, a, n, d_size)
     reg = prime_register(flat.grid_total)
     subset = _members(subset, reg.prime)
 
@@ -446,8 +431,9 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     test = (act(omega, flat.basis.conj().T, psi.system.dims, [k]),
             flat.e_dim * ens.d_dim * math.prod(rest))
     signals, weights = ens.signals()
-    successes = _signal_successes(test, subset, ens.source(subset), layout,
-                                  signals, weights)
+    maps = ens.source(subset)
+    successes = _successes(test, maps.compose(layout), [range(len(subset))],
+                           maps.apply(signals * np.sqrt(weights)))
 
     ratio_emb = harmonic_sum(1, n) / harmonic_sum(a, n)
     f1_factor = 2.0 * ens.s_dim * ens.s_dim / ens.f_prime
@@ -455,7 +441,7 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
              for b in set(flat.counts) if b >= 1)
     cross = ratio_emb * f1_factor * r2 / (1.0 - float(flat.gamma)) \
         * 2.0 ** (-dh.value)
-    return _decode_report(successes, eps, delta, cap, cross, 64)
+    return _decode_report(subset, successes[0], eps, delta, cap, cross, 64)
 
 
 @dataclass(frozen=True)
@@ -476,15 +462,7 @@ class CodingReport:
         return self.empirical_max_error <= self.analytic_error_bound + 1e-9
 
     def as_record(self):
-        return {
-            "rate": self.rate, "eps": self.eps,
-            "delta_surrogate": self.delta_surrogate,
-            "delta_prime": self.delta_prime, "gamma": self.gamma,
-            "analytic_error_bound": self.analytic_error_bound,
-            "empirical_max_error": self.empirical_max_error,
-            "entanglement_qubits": self.entanglement_qubits,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def _marginal_input(psi):
@@ -579,14 +557,10 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
 
     counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
     q = np.array(counts, dtype=float) / m_big
-    if a < max(e_dim, 2):
-        raise ValueError(f"a = {a} below the max block size {max(e_dim, 2)}")
-    if n < a:
-        raise ValueError(f"n = {n} below a = {a}")
     d_size = n * (m_big + 1)
-    if not (n + 1) * e_dim <= d_size <= n * n:
-        raise ValueError(f"|D| = {d_size} outside the unembezzling bracket; "
-                         f"increase n to at least {m_big + 1}")
+    _embezzle_rule(a, e_dim, n, d_size)
+    if a < 2:
+        raise ValueError(f"a = {a} below 2")
     d_dim = d_size + 1
     q_field = m_big * m_big
     n_messages = 2 ** rate
@@ -683,9 +657,7 @@ def redistribution_bounds(psi, r_labels, a_labels, b_labels, c_labels, eps,
         raise ValueError("eps and delta must lie in (0, 1)")
     psi = permute_registers(psi, labels)   # align marginals positionally
 
-    c_dim = 1
-    for lab in c_labels:
-        c_dim *= psi.system.dim_of(lab)
+    c_dim = psi.system.subsystem(c_labels).total_dim
     psi_c = partial_trace(psi, [lab for lab in psi.system.labels
                                 if lab not in c_labels])
     mu_c = maximally_mixed(psi_c.system)

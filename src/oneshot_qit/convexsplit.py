@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import Reference, _entropy_sum, dmax
-from .registers import (DensityOperator, Monomial, RegisterSystem,
-                        _as_density, _block_eigvalsh, _pattern_blocks,
-                        _root_sum, kron_eye_entries, maximally_mixed,
-                        partial_trace, reorder)
+from .registers import (DensityOperator, Monomial, _as_density,
+                        _block_eigvalsh, _pattern_blocks, _root_sum,
+                        kron_eye_entries, maximally_mixed, partial_trace,
+                        reorder)
 
 
 def _is_prime(n):
@@ -363,8 +363,7 @@ class _SplitInput:
 def _plain_input(psi):
     """psi_RC as a split input: S = C, a trivial D and omega = mu_C."""
     psi = _as_density(psi)
-    c_label = psi.system.labels[-1]
-    mu_c = maximally_mixed(RegisterSystem([(c_label, psi.system.dim_of(c_label))]))
+    mu_c = maximally_mixed(psi.system.subsystem(psi.system.labels[-1:]))
     k, psi_r = _split_k(psi, mu_c)
     return _SplitInput(psi.matrix, psi_r.matrix, np.ones(1), k)
 

@@ -27,17 +27,20 @@ TRACE_ROUNDING = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """Real value in bits; finite=False encodes +infinity (support violation)."""
+    """Real value in bits; +infinity encodes a support violation."""
 
     value: float
-    finite: bool = True
+
+    @property
+    def finite(self):
+        return self.value != float("inf")
 
     @staticmethod
     def infinite():
-        return EntropyValue(float("inf"), finite=False)
+        return EntropyValue(float("inf"))
 
     def __float__(self):
-        return self.value if self.finite else float("inf")
+        return self.value
 
 
 def _support_split(rho, sigma):

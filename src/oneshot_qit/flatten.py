@@ -51,8 +51,7 @@ class EmbezzleState:
         if dim < self.n + 1:
             raise ValueError(f"register of dim {dim} cannot hold labels up to {self.n}")
         vec = np.zeros(dim)
-        for j in range(self.a, self.n + 1):
-            vec[j] = 1.0 / (self.norm * j)
+        vec[self.a:self.n + 1] = list(self.weights.values())
         return vec
 
     def purification_vector(self, dim):
@@ -64,8 +63,6 @@ class EmbezzleState:
 
 
 def embezzling_state(a, n):
-    if not 1 <= a <= n:
-        raise ValueError(f"need 1 <= a <= n, got a={a}, n={n}")
     return EmbezzleState(a, n, harmonic_sum(a, n))
 
 
@@ -86,13 +83,21 @@ def w_b_permutation(b, d_size, e_size):
     return img.reshape(-1)
 
 
+def _embezzle_rule(a, b, n, d_size=None):
+    """Refuse (a, b, n) outside n >= a >= b >= 1 and, when |D| = ``d_size``
+    is given, |D| outside (n+1) b <= |D| <= n^2, the unembezzling bracket."""
+    if not n >= a >= b >= 1:
+        raise ValueError(f"need n >= a >= b >= 1, got ({a}, {b}, {n})")
+    if d_size is not None and not (n + 1) * b <= d_size <= n * n:
+        raise ValueError(f"|D| = {d_size} outside [{(n + 1) * b}, {n * n}]")
+
+
 def check_embezzle_upper(a, b, n):
     """Exact minimal ratio r with W_b (xi^{a:n} (x) |0><0|) W_b^dag <= r * xi^{1:n} (x) unif_b.
 
     Returns (ratio, holds) where holds compares against S(1,n)/S(a,n).
     """
-    if not (n >= a >= b >= 1):
-        raise ValueError(f"need n >= a >= b >= 1, got ({a}, {b}, {n})")
+    _embezzle_rule(a, b, n)
     s_an = harmonic_sum(a, n)
     s_1n = harmonic_sum(1, n)
     ratio = max((s_1n / s_an) * (b * (j // b)) / j for j in range(a, n + 1))
@@ -104,10 +109,7 @@ def check_unembezzle(a, b, n, d_size):
 
     Requires (n+1) b <= d_size <= n^2; holds compares against the constant 4.
     """
-    if not (n >= a >= b >= 1):
-        raise ValueError(f"need n >= a >= b >= 1, got ({a}, {b}, {n})")
-    if not (n + 1) * b <= d_size <= n * n:
-        raise ValueError(f"d_size {d_size} outside [{(n + 1) * b}, {n * n}]")
+    _embezzle_rule(a, b, n, d_size)
     s_1n = harmonic_sum(1, n)
     s_1d = harmonic_sum(1, d_size)
     ratio = max((s_1d / s_1n) * (j * b + e) / (j * b)
@@ -117,8 +119,7 @@ def check_unembezzle(a, b, n, d_size):
 
 def purified_embezzle_fidelity(a, b, n):
     """Exact overlap of (W_b (x) W_b) |xi^{a:n}>|00> with |xi^{1:n}>|unif_b>."""
-    if not 1 <= b <= a <= n:
-        raise ValueError(f"need 1 <= b <= a <= n, got ({a}, {b}, {n})")
+    _embezzle_rule(a, b, n)
     s_an = harmonic_sum(a, n)
     s_1n = harmonic_sum(1, n)
     return math.fsum(1.0 / math.sqrt(s_an * j * s_1n * (j // b) * b)

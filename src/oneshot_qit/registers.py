@@ -12,6 +12,8 @@ applied by gathering; only this module maps factor layouts to flat indices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-9
@@ -46,16 +48,10 @@ class RegisterSystem:
 
     @property
     def total_dim(self):
-        out = 1
-        for _, dim in self.registers:
-            out *= dim
-        return out
+        return math.prod(self.dims)
 
     def dim_of(self, label):
-        for lab, dim in self.registers:
-            if lab == label:
-                return dim
-        raise KeyError(f"no register labeled {label!r}")
+        return self.registers[self.position(label)][1]
 
     def position(self, label):
         for k, (lab, _) in enumerate(self.registers):
@@ -209,13 +205,11 @@ def partial_trace(op, drop):
     """Marginal after tracing out the registers in ``drop`` (order preserved)."""
     op = _as_density(op)
     drop = set(drop)
-    for lab in drop:
-        if lab not in op.system.labels:
-            raise KeyError(f"unknown label {lab!r}")
     keep = [lab for lab in op.system.labels if lab not in drop]
     dims = list(op.system.dims)
     tens = op.matrix.reshape(dims + dims)
-    # trace out from the rightmost dropped factor to keep axis indices stable
+    # trace out from the rightmost dropped factor to keep axis indices stable;
+    # position() refuses an unknown label
     positions = sorted((op.system.position(lab) for lab in drop), reverse=True)
     for pos in positions:
         tens = np.trace(tens, axis1=pos, axis2=pos + len(dims))

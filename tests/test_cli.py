@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot_qit.cli import ReportRecord, SUBCOMMAND_MAP, _seed_for, emit, main
+from oneshot_qit import circuits
+from oneshot_qit.circuits import encode_decoupler_input, simulate_basis
+from oneshot_qit.cli import (ReportRecord, SUBCOMMAND_MAP, _seed_for, emit,
+                             main, run_circuit)
+from oneshot_qit.convexsplit import u_ell_index
 from oneshot_qit.registers import RegisterSystem, random_density
 
 
@@ -82,6 +87,44 @@ class TestSubcommands:
         assert status == 0
         text = out.read_text()
         assert "mismatches" in text
+
+    @staticmethod
+    def _loop_mismatches(circ, prime):
+        """The rows of the circuit's truth table that are wrong, one input
+        at a time: the reference of run_circuit's array form."""
+        n = max(1, (prime - 1).bit_length())
+        wrong = 0
+        for ell in range(prime):
+            image = u_ell_index(ell, prime)
+            for i in range(prime):
+                for j in range(prime):
+                    row = simulate_basis(circ, encode_decoupler_input(
+                        n, n, i, j, ell, circ.wire_count))
+                    got = tuple(sum(row[s * n + k] << k for k in range(n))
+                                for s in (0, 1))
+                    wrong += got != divmod(int(image[i * prime + j]), prime) \
+                        or any(row[3 * n:])
+        return wrong
+
+    @pytest.mark.parametrize("gate, wrong", [
+        (("X", 0, ()), 125),                # i's low bit: every row
+        (("X", 9, ()), 125),                # the first scratch wire, 3n
+        (("CNOT", -1, (0,)), 50)])          # dirty where i' is odd: 2/5
+    def test_circuit_counts_each_wrong_row(self, gate, wrong, monkeypatch):
+        synth = circuits.synth_decoupler
+
+        def broken(*args):
+            circ = synth(*args)
+            kind, target, controls = gate
+            circ.gates.append(circuits.Gate(kind, target % circ.wire_count,
+                                            controls))
+            return circ
+
+        monkeypatch.setattr(circuits, "synth_decoupler", broken)
+        args = argparse.Namespace(dim_c=2, prime=5, verify="exhaustive")
+        [rec] = run_circuit(args, 1.0)
+        assert rec.measured["mismatches"] == wrong and not rec.passed
+        assert self._loop_mismatches(broken(2, 5, 5), 5) == wrong
 
     def test_bounds(self, tmp_path):
         out = tmp_path / "b.json"

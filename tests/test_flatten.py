@@ -4,10 +4,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit import flatten as flatten_module
+from oneshot_qit.coding import (ea_channel_code, identity_channel,
+                                position_based_decode_flat)
 from oneshot_qit.convexsplit import (PrimeEnsemble, PrimeRegister,
                                      convex_split_classical, hw_split_means)
 from oneshot_qit.entropy import SUPPORT_TOL, Reference
@@ -223,6 +225,125 @@ class TestPurifiedFidelity:
                     if 0 < delta < 1 / 25:
                         f = purified_embezzle_fidelity(a, b, n)
                         assert f >= np.sqrt(1 - 25 * delta) - 1e-12
+
+
+# the messages of flatten's rule, so a refusal for another reason fails
+RULE_REFUSAL = r"need n >= a >= b >= 1|\|D\| = "
+
+
+def _rule_holds(a, b, n, d_size=None):
+    """The embezzling-register rule, restated: n >= a >= b >= 1 and, for a
+    given |D|, (n+1) b <= |D| <= n^2."""
+    return n >= a >= b >= 1 and (d_size is None
+                                 or (n + 1) * b <= d_size <= n * n)
+
+
+@st.composite
+def _in_rule(draw):
+    """Small (a, b, n, |D|) inside the rule; |D| is None when the bracket
+    [(n+1) b, n^2] is empty (b = n, or n = 1)."""
+    n = draw(st.integers(1, 24))
+    a = draw(st.integers(1, n))
+    b = draw(st.integers(1, a))
+    lo, hi = (n + 1) * b, n * n
+    return a, b, n, draw(st.integers(lo, hi)) if lo <= hi else None
+
+
+def _xi(lo, hi, dim):
+    """Diagonal of xi^{lo:hi}: 1 / (S(lo, hi) j) on labels lo..hi of dim."""
+    j = np.arange(dim)
+    band = (j >= lo) & (j <= hi)
+    return np.where(band, 1.0 / (np.maximum(j, 1) * harmonic_sum(lo, hi)), 0.0)
+
+
+def _entry_ratio(state, target):
+    """The least r with state <= r target, for diagonals: max state/target
+    over the support of state, +inf where target is 0 there."""
+    supp = state > 0
+    if (target[supp] == 0).any():
+        return float("inf")
+    return float(np.max(state[supp] / target[supp]))
+
+
+def _upper_diagonals(a, b, n):
+    """Diagonals on (D, E), D of labels 0..n and E of b states, of
+    W_b (xi^{a:n} (x) |0><0|) W_b^dag and of xi^{1:n} (x) unif_b."""
+    start = np.zeros((n + 1, b))
+    start[:, 0] = _xi(a, n, n + 1)
+    moved = np.zeros(start.size)
+    moved[w_b_permutation(b, n + 1, b)] = start.ravel()     # W moves k
+    return moved, np.repeat(_xi(1, n, n + 1) / b, b)
+
+
+class TestEmbezzleRule:
+    """The three embezzlement checks against a direct evaluation on the
+    diagonals that W_b moves, and the rule's refusals by all five callers.
+
+    Every state is diagonal and W_b is a permutation of the basis, so the
+    minimal ratio of two states is the largest ratio of their entries and
+    the purified overlap is the sum of the square roots of their products.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_in_rule())
+    def test_checks_match_the_moved_diagonals(self, case):
+        a, b, n, d_size = case
+        moved, target = _upper_diagonals(a, b, n)
+        ratio, holds = check_embezzle_upper(a, b, n)
+        assert ratio == pytest.approx(_entry_ratio(moved, target), rel=1e-12)
+        assert holds
+        assert purified_embezzle_fidelity(a, b, n) == pytest.approx(
+            float(np.sum(np.sqrt(moved * target))), rel=1e-12)
+        if d_size is None:
+            return
+        state = np.zeros((d_size + 1, b))
+        state[:n + 1] = _xi(1, n, n + 1)[:, None] / b
+        target = np.zeros((d_size + 1, b))
+        target[:, 0] = _xi(1, d_size, d_size + 1)
+        unmoved = state.ravel()[w_b_permutation(b, d_size + 1, b)]  # W^dag
+        ratio, holds = check_unembezzle(a, b, n, d_size)
+        assert ratio == pytest.approx(
+            _entry_ratio(unmoved, target.ravel()), rel=1e-12)
+        assert holds
+
+    @staticmethod
+    def _callers():
+        """Each caller as (the tuple it puts to the rule, the call) for a
+        drawn (a, b, n, |D|).  The flat decoder's input (the CLI's) has
+        |E| = 2, so its a and its largest block b are 2; the channel code's
+        input mu_2 at gamma = 1/2 has |E| = 2 and |D| = n (M + 1) = 5 n."""
+        phi = maximally_entangled("B", "C", 2)
+        mu_c = maximally_mixed(sysof(("C", 2)))
+        mu_a = maximally_mixed(sysof(("A", 2)))
+        return {
+            "check_embezzle_upper": lambda a, b, n, d: (
+                (a, b, n), lambda: check_embezzle_upper(a, b, n)),
+            "check_unembezzle": lambda a, b, n, d: (
+                (a, b, n, d), lambda: check_unembezzle(a, b, n, d)),
+            "purified_embezzle_fidelity": lambda a, b, n, d: (
+                (a, b, n), lambda: purified_embezzle_fidelity(a, b, n)),
+            "position_based_decode_flat": lambda a, b, n, d: (
+                (2, 2, n, d), lambda: position_based_decode_flat(
+                    phi, mu_c, Fraction(2, 3), [0], 0.01, 0.1, 2, n, d)),
+            "ea_channel_code": lambda a, b, n, d: (
+                (a, 2, n, 5 * n), lambda: ea_channel_code(
+                    identity_channel(2), mu_a, 0, 0.05, 0.5, 0.5, a, n)),
+        }
+
+    @pytest.mark.parametrize("caller", ["check_embezzle_upper",
+                                        "check_unembezzle",
+                                        "purified_embezzle_fidelity",
+                                        "position_based_decode_flat",
+                                        "ea_channel_code"])
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.integers(-1, 9), b=st.integers(-1, 9), n=st.integers(-1, 9),
+           d_size=st.integers(-1, 90))
+    def test_every_caller_refuses_out_of_rule_tuples(self, caller, a, b, n,
+                                                     d_size):
+        rule, call = self._callers()[caller](a, b, n, d_size)
+        assume(not _rule_holds(*rule))
+        with pytest.raises(ValueError, match=RULE_REFUSAL):
+            call()
 
 
 def _two_branch_counts(fracs, gamma, m_big, direction):

@@ -374,6 +374,32 @@ def test_gate_catches_a_duplicate_block():
     assert duplicate_blocks(sources) == [[("a.py", 3), ("b.py", 2)]]
 
 
+# `wc -l src/oneshot_qit/*.py` of the code that set it
+SRC_LINE_CEILING = 3909
+
+
+def line_count(paths):
+    """Total lines of ``paths`` as ``wc -l`` counts them: newline bytes."""
+    return sum(path.read_bytes().count(b"\n") for path in paths)
+
+
+def test_src_within_its_line_ceiling():
+    """The package stays within SRC_LINE_CEILING lines, so code removed
+    stays removed.  Like the eigensolve ceilings, the ceiling is the count
+    of the code that set it: a change that shrinks ``src/`` lowers it, and
+    a change that must grow ``src/`` raises it and says why in CHANGES.md."""
+    assert line_count(PACKAGE.glob("*.py")) <= SRC_LINE_CEILING
+
+
+def test_gate_catches_a_source_over_its_line_ceiling(tmp_path):
+    # a last line without a newline is not counted, as by wc -l
+    (tmp_path / "a.py").write_text("x = 1\n\n# note\n")
+    (tmp_path / "b.py").write_text("y = 2\nz = 3")
+    assert line_count(sorted(tmp_path.glob("*.py"))) == 4
+    (tmp_path / "b.py").write_text("y = 2\nz = 3\n" + "w = 4\n" * 3)
+    assert line_count(tmp_path.glob("*.py")) == 8 > 4
+
+
 DENSE_HW = {"hw_family", "hw_unitary", "HWUnitary"}
 
 
