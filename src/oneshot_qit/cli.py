@@ -185,16 +185,17 @@ def run_circuit(args, tol):
     mismatches = 0
     if args.verify == "exhaustive":
         # every (l, i, j), l slowest, as the little-endian bits of i, j and l
-        # on the first 3n wires, where synth_decoupler allocates them
+        # on the first 3n wires, where synth_decoupler allocates them; right
+        # rows read (i', j', l) there and 0 on every later wire
         n = max(1, (prime - 1).bit_length())
         ell, i, j = np.unravel_index(np.arange(prime ** 3), (prime,) * 3)
         bits = np.stack([i, j, ell], axis=1)[:, :, None] >> np.arange(n) & 1
         inputs = np.zeros((prime ** 3, circ.wire_count), dtype=int)
         inputs[:, :3 * n] = bits.reshape(prime ** 3, -1)
         outs = circuits.simulate_table(circ, inputs)
-        got = outs[:, :2 * n].reshape(-1, 2, n) @ (1 << np.arange(n))
+        got = outs[:, :3 * n].reshape(-1, 3, n) @ (1 << np.arange(n))
         images = convexsplit.u_ell_index(np.arange(prime), prime)
-        want = np.stack(np.divmod(images[ell, i * prime + j], prime), axis=1)
+        want = np.stack(np.divmod(images[ell, i * prime + j], prime) + (ell,), 1)
         mismatches = int(np.count_nonzero((got != want).any(axis=1)
                                           | outs[:, 3 * n:].any(axis=1)))
         ok = mismatches == 0

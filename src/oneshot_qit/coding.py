@@ -1,51 +1,32 @@
 """Position-based decoding and entanglement-assisted channel coding.
 
-The decoders measure with the square-root (Hayashi-Nagaoka) measurement over
-rotated copies of a hypothesis test and report per-position success
-probabilities.  Both take them from one signal-vector routine over the
-gather maps of the U_l ((U_l x)[i] = x[src[i]]): each rotated test is the
-test read through src, and each rotated signal state is the signal state
-gathered by src, whose eigenvectors give the success, so no measurement
-element is built.  ``hayashi_nagaoka_povm`` builds the elements for callers
-that need them.
+The decoders report per-position success probabilities of the square-root
+(Hayashi-Nagaoka) measurement over the rotated tests U_l Omega U_l^dag,
+read from the signal states U_l tau U_l^dag, whose nonzero rows are those of
+tau's eigenvectors moved by the U_l; no measurement element is built.
 The channel code runs the full protocol exactly: shared flattened-purification
 and embezzling resources, transpose-trick encoding on Alice's side, a channel
-application, and square-root decoding on Bob's side, with error probabilities
-computed by dense propagation over every message and shared-randomness branch
-(no sampling).  It rounds psi_A itself onto the grid and runs in the
-rounding's eigenbasis, where the flattening permutation and the
-Heisenberg-Weyl rotations map basis vectors to basis vectors, up to a phase;
-only the hypothesis test and the Kraus operators are rotated, once.
-The rate cap and the code take the test and its D_H from one Neyman-Pearson
-solve, and so does each decoder.
+application, and square-root decoding on Bob's side, over every message and
+shared-randomness branch (no sampling).  It runs in the eigenbasis of its
+own rounding of psi_A, where the flattening permutation and the
+Heisenberg-Weyl rotations map basis vectors to basis vectors, up to a phase.
+The rate cap, the code and each decoder take the test and its D_H from one
+Neyman-Pearson solve.
 
 Every protocol's square-root measurement Lambda_m = S^{-1/2} Omega_m S^{-1/2}
 runs over one test and a `registers.Monomial` family, one map per member,
-Omega_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]);
-no rotated copy of the test is built.  The test is the protocol's own
-Neyman-Pearson test Omega on (B, C), rotated on C where the protocol runs
-in a rotated basis, as the pair (Omega, f) for Omega (x) I_f, f the product
-of the identity factors (`registers.kron_eye_entries` reads its entries).
-Each coordinate change (a factor reorder, the F1 embedding, the move by the
-flattening permutation W) is composed into the member maps, not the test.
-``_blocks`` splits each S on the connected components (the one rule
-``registers._components``) of the union of its members' nonzero patterns,
-read from the test's nonzeros through each map:
-S and each member are exactly block-diagonal there, and nothing is
-thresholded.  It labels only the blocks that hold a seed row: each branch's
-rows grow from its seeds through its members' components, and only the
-rows reached are joined.  ``_successes`` takes every branch of a family
-(each S, a sum of some of its members) at once, seeded with the rows that
-the signal columns X touch: it gathers each member's block from the test
-once, sums the blocks in member order, eigensolves them in stacked
-``_eig_inv_sqrt`` calls per block size, and reads
-Re Tr(S^{-1/2} Omega S^{-1/2} X X^dag) as Re sum conj(Y) (Omega Y) with
-Y = S^{-1/2} X taken from S's eigensystem: its work follows the few
-columns of X, and no S^{-1/2} is built.  The channel code passes every
-shared-randomness branch in one call, each decoder its one branch.
-``hayashi_nagaoka_povm`` solves the whole S densely, without blocks: it is
-the tests' independent oracle.  Every S is eigensolved, and its support cut
-at INV_SQRT_CUT, in ``_eig_inv_sqrt`` alone.
+Omega_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]).
+The test is the protocol's own Neyman-Pearson test Omega on (B, C), rotated
+on C where the protocol runs in a rotated basis, as the pair (Omega, f) for
+Omega (x) I_f; every coordinate change (a factor reorder, the F1 embedding,
+the move by W) is composed into the member maps.  ``_blocks`` splits each S
+exactly on the components of its members' union pattern, grown from seed
+rows only.  ``_successes`` takes every branch of a family at once, each
+signal X_m by its nonzero rows (row indices and the values there; no
+(dim, cols) signal array is built), seeds the blocks with them, and reads
+Re Tr(Lambda_m X X^dag) as Re sum conj(Y) (Omega Y), Y = S^{-1/2} X from
+the eigensystems of S's blocks in stacked ``_eig_inv_sqrt`` calls, the only
+place that cuts a support (``hayashi_nagaoka_povm``, the dense oracle, too).
 """
 
 from __future__ import annotations
@@ -183,20 +164,17 @@ def _blocks(test, maps, branches, seeds):
 
     Member m is ``test`` = (A, f), the operator A (x) I_f, read through map
     m of the `Monomial` family ``maps`` (n_members, dim), a permutation or a
-    compression of A (x) I_f's space; ``branches`` (n_branches, n_terms)
-    lists the members summed into each S, and the bool ``seeds``
-    (n_branches, dim) marks the rows to keep.  S and each of its members
-    are exactly block-diagonal on the connected components of the union of
-    its members' nonzero patterns; no entry is thresholded.
-    `_components` labels every member's pattern at once (node m dim + i; the
-    nonzeros of ``test``, those of A repeated on the f diagonal copies,
-    through each member's inverse map, those outside its image dropped).
-    Each branch's reached rows grow from its seeds, one member's components
-    at a time, until no member adds a row; only the reached rows are joined
-    per branch: row i of branch b to own[m, i] for each member m of b.
-    Returns one pair per block size, in ascending size: the branch of each
-    block (n_blocks,) and its indices (n_blocks, size), blocks ordered by
-    branch and smallest index.
+    compression; ``branches`` (n_branches, n_terms) lists the members summed
+    into each S, and the bool ``seeds`` (n_branches, dim) marks the rows to
+    keep.  S and its members are exactly block-diagonal on the components
+    of the union of the members' nonzero patterns (nothing is thresholded).
+    `_components` labels every member's pattern at once (node m dim + i,
+    the nonzeros of A (x) I_f through each inverse map, those outside its
+    image dropped).  Each branch's rows grow from its seeds, one member's
+    components at a time, until no member adds a row; only the reached rows
+    are joined, row i of branch b to own[m, i] for each member m of b.
+    Returns per block size, ascending, the branch of each block (n_blocks,)
+    and its indices (n_blocks, size), blocks by branch and smallest index.
     """
     factor, f = test
     n_members, dim = maps.src.shape
@@ -208,18 +186,20 @@ def _blocks(test, maps, branches, seeds):
     node = np.arange(n_members)[:, None] * dim
     own = _components((node + i)[keep], (node + j)[keep],
                       n_members * dim).reshape(n_members, dim) % dim
-    roots = own[branches.T]     # roots[t, b, i]: i's root in b's t-th member
-    roots += np.arange(len(branches))[:, None] * dim     # as node b dim + root
-    roots = roots.reshape(len(roots), -1)
+    n_terms, offset = branches.shape[1], np.arange(len(branches))[:, None] * dim
     reached, closed, t = seeds.ravel(), 0, 0
-    while closed < len(roots):      # closed under the last `closed` members
+    while closed < n_terms:      # closed under the last `closed` members
+        roots = own[branches[:, t]]     # i's root in b's t-th member,
+        roots += offset                 # as node b dim + root
+        roots = roots.ravel()
         hit = np.zeros_like(reached)
-        hit[roots[t][reached]] = True
-        grown = hit[roots[t]]
+        hit[roots[reached]] = True
+        grown = hit[roots]
         closed = closed + 1 if np.array_equal(grown, reached) else 1
-        reached, t = grown, (t + 1) % len(roots)
+        reached, t = grown, (t + 1) % n_terms
     nodes = np.flatnonzero(reached)
-    to_root = np.searchsorted(nodes, roots[:, nodes])   # roots are reached
+    b, i = np.divmod(nodes, dim)
+    to_root = np.searchsorted(nodes, own[branches[b].T, i] + b * dim)
     labels = _components(np.broadcast_to(np.arange(len(nodes)),
                                          to_root.shape), to_root, len(nodes))
     return [(block[:, 0] // dim, block % dim)
@@ -247,30 +227,30 @@ def _gathered(test, maps, members, idx):
         lambda rows, cols: kron_eye_entries(*test, rows, cols))
 
 
-def _successes(test, maps, branches, factors):
+def _successes(test, maps, branches, rows, values):
     """Re Tr(S_b^{-1/2} F_m S_b^{-1/2} X_m X_m^dag) for every branch b and
     its j-th member m = branches[b, j], as an (n_branches, n_terms) array.
 
     F_m[i, j] = phase[m, i] test[src[m, i], src[m, j]] conj(phase[m, j]),
     with ``test`` = (A, f) standing for A (x) I_f and ``maps`` the
-    `Monomial` family (n_members, dim) of the members; S_b is the sum of
-    the members over row b of ``branches``, in row order, and
-    X_m = factors[m] is (dim, cols).  The trace is summed over the blocks
-    that `_blocks` grows from the rows where an X_m of the branch is
-    nonzero; no other block is labelled, gathered from ``test`` or
-    eigensolved.  Each member's block is gathered once, for both S and
-    F_m Y, and the blocks are eigensolved by `_eig_inv_sqrt` in stacks per
-    block size for each chunk of branches.  On a block,
-    with S = V diag(vals) V^dag and s = vals^{-1/2} on its support, the
-    trace is Re sum conj(Y) (F_m Y) over Y = V (s V^dag X_m), so neither
-    S^{-1/2} nor X_m X_m^dag is built: the work per member is the block
-    size squared times the columns of X_m.  A chunk's n_terms x dim member
-    rows, and a stack's n_terms member blocks, hold no more than the
-    n_members x dim^2 member entries.
+    `Monomial` family (n_members, dim); S_b sums the members of row b of
+    ``branches`` in row order.  X_m (dim, cols) comes by its rows: ``rows``
+    lists row i of X_m as m dim + i, each once, and ``values`` (len(rows),
+    cols) the entries there; it is 0 elsewhere and never built.  Only the
+    blocks that `_blocks` grows from the rows where some X_m of the branch
+    is nonzero are gathered from ``test`` (once per member, for S and
+    F_m Y) and eigensolved by `_eig_inv_sqrt`, in stacks per block size for
+    each chunk of branches.  On a block, with S = V diag(vals) V^dag and
+    s = vals^{-1/2} on its support, the trace is Re sum conj(Y) (F_m Y)
+    over Y = V (s V^dag X_m): no S^{-1/2} or X_m X_m^dag is built.  A
+    chunk's n_terms x dim member rows, and a stack's n_terms member blocks,
+    hold no more than the n_members x dim^2 member entries.
     """
     branches = np.asarray(branches)
     n_terms, (n_members, dim) = branches.shape[1], maps.src.shape
-    touched = (factors != 0).any(axis=2)
+    # where row i of X_m is in ``rows``, or -1 for a zero row of X_m
+    pos = Monomial(rows).inverse(n_members * dim).src.reshape(n_members, dim)
+    touched = np.append(values.any(axis=1), False)[pos]
     out = np.zeros(branches.shape)
     step = max(1, n_members * dim // n_terms)
     for start in range(0, len(branches), step):
@@ -285,13 +265,29 @@ def _successes(test, maps, branches, factors):
                 parts = [_gathered(test, maps, m, ix) for m in members]
                 vecs, scale = _eig_inv_sqrt(sum(parts[1:], parts[0]))
                 for j, (m, part) in enumerate(zip(members, parts)):
-                    # V^dag X as (X^dag V)^dag: no conjugate copy of V
-                    x_h = factors[m[:, None], ix].conj().swapaxes(-1, -2)
-                    y = vecs @ (scale[..., None]
-                                * (x_h @ vecs).conj().swapaxes(-1, -2))
+                    at = pos[m[:, None], ix]
+                    y = values[at]
+                    y[at < 0] = 0
+                    # V^dag X as (X^dag V)^dag, no more than two y live
+                    y = np.conjugate(y, out=y).swapaxes(-1, -2) @ vecs
+                    y = np.conjugate(y, out=y).swapaxes(-1, -2)
+                    y *= scale[..., None]
+                    y = vecs @ y
+                    f_y = part @ y
                     np.add.at(out[start:start + step, j], b, np.einsum(
-                        "bij,bij->b", y.conj(), part @ y).real)
+                        "bij,bij->b", np.conjugate(y, out=y), f_y).real)
     return out
+
+
+def _member_signals(maps, rows, values, weights):
+    """The signal vectors sqrt(weights[c]) |c>, |c> being ``values[:, c]``
+    on ``rows``, moved by each map of the `Monomial` family ``maps``, in
+    the row form of `_successes`; ``values`` is weighed in place."""
+    values *= np.sqrt(weights)
+    inverse = maps.inverse().src
+    at = inverse[:, rows] + np.arange(len(inverse))[:, None] * inverse.shape[1]
+    return at.ravel(), np.broadcast_to(values, (len(at),) + values.shape
+                                       ).reshape(-1, values.shape[1])
 
 
 def hayashi_nagaoka_povm(operators):
@@ -391,11 +387,11 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     # compressing G1 to the prime register would change the measurement.
     compress, order = ens.layout(g)
     host = len(order.src)
-    signals, weights = ens.signals()
+    rows, values, weights = ens.signals()
     maps = ens.source(subset).embed(compress.src, host)
     successes = _successes(
         (omega, host // len(omega)), maps.compose(order), [range(len(subset))],
-        maps.apply(compress.inverse(host).apply(signals) * np.sqrt(weights)))
+        *_member_signals(maps, compress.src[rows], values, weights))
     cross = (2.0 * c_dim * c_dim / g) * 2.0 ** (-dh.value)
     return _decode_report(subset, successes[0], eps, delta, cap, cross, 4)
 
@@ -430,10 +426,9 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
         _w_move(flat, psi.system.dims, ens.d_dim, rest))
     test = (act(omega, flat.basis.conj().T, psi.system.dims, [k]),
             flat.e_dim * ens.d_dim * math.prod(rest))
-    signals, weights = ens.signals()
     maps = ens.source(subset)
     successes = _successes(test, maps.compose(layout), [range(len(subset))],
-                           maps.apply(signals * np.sqrt(weights)))
+                           *_member_signals(maps, *ens.signals()))
 
     ratio_emb = harmonic_sum(1, n) / harmonic_sum(a, n)
     f1_factor = 2.0 * ens.s_dim * ens.s_dim / ens.f_prime
@@ -532,11 +527,10 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     rotation V_y on the support pairs of (C, E) is one gather map: Bob reads
     the test through it and Alice gathers the resource through its
     transpose.  Only the Kraus operators (K v) and the test (v^T on C) are
-    rotated.  The channel outputs go to `_successes` as column blocks on
-    (B, C, E, D) over the Kraus index and only those (E', D') that some
-    encoding reaches (E' = 0 and supp xi, moved by W and the V_y^T gather
-    maps); every other column is exactly 0.  gamma and the channel
-    dimensions are checked before the hypothesis test is solved.
+    rotated.  Each channel output goes to `_successes` by its nonzero rows
+    on (B, C, E, D), over the Kraus index and the (E', D') that some
+    encoding reaches (every other column is exactly 0).  Every refusal but
+    the rate cap's, which needs D_H, comes before the test is solved.
 
     ``rate`` = 0 (one message) is always admissible; rate >= 1 above the rate
     cap refuses with the computed ceiling unless ``enforce_cap`` is off (used
@@ -549,23 +543,20 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     if channel.input_dim != d_a or channel.output_dim != d_a:
         raise ValueError("channel dimensions must match the A register")
     flat = round_spectrum(psi_a, gamma, "down")
-    gamma_f = flat.gamma
-    omega_test, dh = _channel_test(channel, psi_a, eps)
-    cap = _rate_cap(dh, eps, float(gamma_f), delta_prime)
-    if enforce_cap and rate >= 1 and rate > cap:
-        raise ValueError(f"rate {rate} exceeds the admissible cap {cap:.6g}")
-
     counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
-    q = np.array(counts, dtype=float) / m_big
     d_size = n * (m_big + 1)
     _embezzle_rule(a, e_dim, n, d_size)
     if a < 2:
         raise ValueError(f"a = {a} below 2")
-    d_dim = d_size + 1
-    q_field = m_big * m_big
-    n_messages = 2 ** rate
+    q_field, n_messages = m_big * m_big, 2 ** rate
     if n_messages > q_field:
         raise ValueError("message set larger than the unitary family")
+    omega_test, dh = _channel_test(channel, psi_a, eps)
+    cap = _rate_cap(dh, eps, float(flat.gamma), delta_prime)
+    if enforce_cap and rate >= 1 and rate > cap:
+        raise ValueError(f"rate {rate} exceeds the admissible cap {cap:.6g}")
+
+    q, d_dim = np.array(counts, dtype=float) / m_big, d_size + 1
 
     # shared resource on (A, E', D', C, E, D)
     xi_pairs = embezzling_state(a, n).purification_vector(d_dim).reshape(
@@ -595,18 +586,19 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     # is exactly 0, since a resource row is 0 off E' = 0 and supp xi
     reached = resource.any(axis=1)[encode.src].reshape(
         q_field, d_a, -1).any(axis=(0, 1))
-    rows = np.arange(len(resource)).reshape(d_a, -1)[:, reached]
-    enc = encode[:, rows].apply(resource)
+    sent = np.arange(len(resource)).reshape(d_a, -1)[:, reached]
+    enc = encode[:, sent].apply(resource)
     kraus = np.stack([k @ flat.basis for k in channel.kraus])
     columns = np.einsum("kba,yaxj->ybjkx", kraus, enc).reshape(
-        q_field, members.src.shape[1], -1)
+        q_field * members.src.shape[1], -1)
+    rows = np.flatnonzero(columns.any(axis=1))      # member y's row i: y dim + i
 
     images = pairwise_family(q_field).images(range(n_messages))
     branches, inverse = np.unique(images.reshape(-1, n_messages), axis=0,
                                   return_inverse=True)
     totals = _successes((act(omega_test, flat.basis.T, (d_a, d_a), [1]),
-                         e_dim * d_dim), members, branches,
-                        columns)[inverse].sum(axis=0)
+                         e_dim * d_dim), members, branches, rows,
+                        columns[rows])[inverse].sum(axis=0)
     errors = 1.0 - totals / (q_field * q_field)
     branch_count = n_messages * q_field * q_field
 
@@ -615,11 +607,11 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     f_exact = sum(q[c] * purified_embezzle_fidelity(a, counts[c], n)
                   for c in range(d_a) if counts[c] >= 1)
     p_exact = math.sqrt(max(0.0, 1.0 - min(f_exact, 1.0) ** 2))
-    bound = eps + 4.0 * float(gamma_f) ** 0.25 + delta_prime + 4.0 * p_exact
+    bound = eps + 4.0 * float(flat.gamma) ** 0.25 + delta_prime + 4.0 * p_exact
     delta_surrogate = max(math.log2(a) / math.log2(n), e_dim / a)
     ent_qubits = math.log2(d_a) + math.log2(d_size)
     return CodingReport(rate, eps, delta_surrogate, delta_prime,
-                        float(gamma_f), bound, float(errors.max()), ent_qubits,
+                        float(flat.gamma), bound, float(errors.max()), ent_qubits,
                         branch_count)
 
 

@@ -524,24 +524,29 @@ class PrimeEnsemble:
         return out
 
     def signals(self):
-        """Unit signal vectors and their weights: base = sum_c weights[c] |c><c|.
+        """Unit signal vectors by their nonzero rows, and their weights:
+        (rows, values, weights), base = sum_c weights[c] |c><c| with |c>
+        values[:, c] on the full indices ``rows`` and 0 elsewhere.
 
         Each eigenvector u_t of theta on (R, S, D) is placed at F1 = s S + x1
         and F2 = f2, one column per (t, x1, f2), with weight
-        t_val / (|S| f_prime).
+        t_val / (|S| f_prime); ``rows`` are the (r, s, d) where some u_t is
+        nonzero, at every (x1, f2).
         """
         t_vals, t_vecs = np.linalg.eigh(self.theta)
         keep = t_vals > 1e-13
         t_vals, t_vecs = t_vals[keep], t_vecs[:, keep]
         n_t, s_dim, f_prime = len(t_vals), self.s_dim, self.f_prime
-        r, s, d, t, x1, f2 = np.ix_(range(self.r_dim), range(s_dim),
-                                    range(self.d_dim), range(n_t),
-                                    range(s_dim), range(f_prime))
-        signals = np.zeros((self.dim_full, n_t * s_dim * f_prime), dtype=complex)
-        signals[self.full_index(r, s * s_dim + x1, d, f2),
-                (t * s_dim + x1) * f_prime + f2] = \
-            t_vecs.reshape(self.r_dim, s_dim, self.d_dim, n_t)[..., None, None]
-        return signals, np.repeat(t_vals / (s_dim * f_prime), s_dim * f_prime)
+        occupied = np.flatnonzero(t_vecs.any(axis=1))
+        r, s, d = np.unravel_index(occupied, (self.r_dim, s_dim, self.d_dim))
+        k, x1, f2, t = np.ix_(range(len(occupied)), range(s_dim),
+                              range(f_prime), range(n_t))
+        values = np.zeros((len(occupied), s_dim, f_prime, n_t, s_dim, f_prime),
+                          dtype=complex)
+        values[k, x1, f2, t, x1, f2] = t_vecs[occupied][:, None, None, :]
+        rows = self.full_index(r[k], s[k] * s_dim + x1, d[k], f2).ravel()
+        return (rows, values.reshape(len(rows), -1),
+                np.repeat(t_vals / (s_dim * f_prime), s_dim * f_prime))
 
     def _factor_reference(self, ref):
         """``ref`` on its F2 = 0 rows: psi_R (x) diag(w) on (R; F1, D).

@@ -10,7 +10,8 @@ the tests assert that both give the same bits.
 import numpy as np
 
 from oneshot_qit.circuits import CircuitMetrics, Gate, _Builder
-from oneshot_qit.coding import INV_SQRT_CUT, _blocks, _gathered
+from oneshot_qit.coding import (INV_SQRT_CUT, _blocks, _eig_inv_sqrt,
+                                _gathered)
 from oneshot_qit.convexsplit import (hw_family, hw_translation_classes,
                                      pairwise_family)
 from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
@@ -165,6 +166,45 @@ def full_blocks(test, maps, branches):
                                          roots.shape).ravel(),
                          roots.ravel(), len(branches) * dim)
     return [(nodes[:, 0] // dim, nodes % dim) for nodes in _size_groups(labels)]
+
+
+def dense_signal_successes(test, maps, branches, factors):
+    """`coding._successes` by its former body, which takes every X_m as a
+    dense (dim, cols) array, ``factors`` (n_members, dim, cols), and seeds
+    and gathers its blocks from it: the same products, summed in the same
+    order, so the row form must give the same bits."""
+    branches = np.asarray(branches)
+    n_terms, (n_members, dim) = branches.shape[1], maps.src.shape
+    touched = (factors != 0).any(axis=2)
+    out = np.zeros(branches.shape)
+    step = max(1, n_members * dim // n_terms)
+    for start in range(0, len(branches), step):
+        chunk = branches[start:start + step]
+        seeds = touched[chunk].any(axis=1)
+        for br, idx in _blocks(test, maps, chunk, seeds):
+            stack = max(1, n_members * dim * dim
+                        // (n_terms * idx.shape[1] ** 2))
+            for at in range(0, len(br), stack):
+                b, ix = br[at:at + stack], idx[at:at + stack]
+                members = chunk[b].T
+                parts = [_gathered(test, maps, m, ix) for m in members]
+                vecs, scale = _eig_inv_sqrt(sum(parts[1:], parts[0]))
+                for j, (m, part) in enumerate(zip(members, parts)):
+                    x_h = factors[m[:, None], ix].conj().swapaxes(-1, -2)
+                    y = vecs @ (scale[..., None]
+                                * (x_h @ vecs).conj().swapaxes(-1, -2))
+                    np.add.at(out[start:start + step, j], b, np.einsum(
+                        "bij,bij->b", y.conj(), part @ y).real)
+    return out
+
+
+def dense_rows(rows, values, shape):
+    """The X_m of `coding._successes`' row form as one dense (n_members,
+    dim, cols) array, for ``shape`` = (n_members, dim): ``values`` at the
+    flat rows m dim + i of ``rows``, 0 elsewhere."""
+    out = np.zeros((np.prod(shape), values.shape[-1]), dtype=values.dtype)
+    out[rows] = values
+    return out.reshape(tuple(shape) + (-1,))
 
 
 def _stacked_inv_sqrt(total):

@@ -101,15 +101,16 @@ class TestSubcommands:
                     row = simulate_basis(circ, encode_decoupler_input(
                         n, n, i, j, ell, circ.wire_count))
                     got = tuple(sum(row[s * n + k] << k for k in range(n))
-                                for s in (0, 1))
+                                for s in (0, 1, 2))
                     wrong += got != divmod(int(image[i * prime + j]), prime) \
-                        or any(row[3 * n:])
+                        + (ell,) or any(row[3 * n:])
         return wrong
 
     @pytest.mark.parametrize("gate, wrong", [
         (("X", 0, ()), 125),                # i's low bit: every row
         (("X", 9, ()), 125),                # the first scratch wire, 3n
-        (("CNOT", -1, (0,)), 50)])          # dirty where i' is odd: 2/5
+        (("CNOT", -1, (0,)), 50),           # dirty where i' is odd: 2/5
+        (("X", 6, ()), 125)])               # l's low bit, wire 2n
     def test_circuit_counts_each_wrong_row(self, gate, wrong, monkeypatch):
         synth = circuits.synth_decoupler
 

@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,9 +33,14 @@ from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
                                    Monomial, partial_trace, random_density,
                                    tensor, tensor_pure)
-from oracles import (dense_kron_eye, full_blocks, inv_sqrt_successes,
-                     lifted_classical_test, lifted_flat_test,
-                     moved_channel_test)
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+from oracles import (dense_kron_eye, dense_rows, dense_signal_successes,
+                     full_blocks, inv_sqrt_successes, lifted_classical_test,
+                     lifted_flat_test, moved_channel_test)
 
 
 def sysof(*pairs):
@@ -430,10 +437,11 @@ class TestKronEyeTest:
         assert len(got) == len(want)
         for (br, idx), (br_d, idx_d) in zip(got, want):
             assert np.array_equal(br, br_d) and np.array_equal(idx, idx_d)
-        want = _successes(dense, maps, branches, factors)
+        want = _successes(dense, maps, branches, *_row_form(factors))
         # unnormalised draws: successes reach the thousands, so the two
         # bodies are compared relative to their scale
-        assert np.max(np.abs(_successes((factor, f), maps, branches, factors)
+        assert np.max(np.abs(_successes((factor, f), maps, branches,
+                                        *_row_form(factors))
                              - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -484,6 +492,77 @@ class TestSeededBlocks:
             assert np.array_equal(idx, idx_want)
 
 
+@st.composite
+def _row_form_cases(draw):
+    """(test, maps, branches, rows, values): a sparse Hermitian factor A on
+    1-4 indices with f in 1-3, 1-4 member maps with random phases that
+    permute A (x) I_f's n f indices or compress them to fewer, and each
+    X_m by its rows: 0 to dim distinct rows per member, the same rows for
+    every member or drawn per member (so rows are shared or not), in a
+    random order, with any row or one whole member zero."""
+    n, f, n_members = (draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                       draw(st.integers(1, 4)))
+    factor, size = _sparse_member(draw, n), n * f
+    dim = draw(st.integers(1, size))
+    src = np.array([draw(st.permutations(range(size)))[:dim]
+                    for _ in range(n_members)]).reshape(n_members, dim)
+    angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=src.size,
+                           max_size=src.size))
+    maps = Monomial(src, np.exp(1j * np.array(angles)).reshape(src.shape))
+    r = draw(st.integers(0, dim))
+    rows = [draw(st.permutations(range(dim)))[:r]
+            for _ in range(1 if draw(st.booleans()) else n_members)]
+    rows = np.broadcast_to(np.array(rows, dtype=int).reshape(len(rows), r),
+                           (n_members, r)) + np.arange(n_members)[:, None] * dim
+    rows = draw(st.permutations(rows.ravel().tolist()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (len(rows), draw(st.integers(1, 3)))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    values[rng.random(len(rows)) < 0.3] = 0
+    if draw(st.booleans()):     # one member's X_m all zero
+        values[np.array(rows, dtype=int) // dim
+               == draw(st.integers(0, n_members - 1))] = 0
+    rows = np.array(rows, dtype=int)
+    return (factor, f), maps, _branches(draw, n_members), rows, values
+
+
+class TestRowForm:
+    """`_successes` reads each X_m by its rows and gives the same bits as
+    its former body on the dense X_m (`oracles.dense_signal_successes`)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_row_form_cases())
+    def test_matches_dense_oracle_exactly(self, case):
+        test, maps, branches, rows, values = case
+        want = dense_signal_successes(test, maps, branches, dense_rows(
+            rows, values, maps.src.shape))
+        assert np.array_equal(_successes(test, maps, branches, rows, values),
+                              want)
+
+    def test_benchmark_inputs_match_dense_oracle_exactly(self, monkeypatch):
+        # every `_successes` call of the benchmark's coding pass at its
+        # default seed: the classical decoder's grid, the flat decoder and
+        # the identity and depolarizing(0.1) codes
+        calls = []
+
+        def recording(*args):
+            calls.append((args, _successes(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(coding, "_successes", recording)
+        import oneshot_qit
+        for case in workloads.coding(oneshot_qit, workloads.DEFAULT_SEED,
+                                     None):
+            rec = workloads.Record()
+            case.run(rec)
+            assert all(ok for _, ok in rec.checks), rec.checks
+        assert len(calls) == 5 + 1 + 2 + 1
+        for (test, maps, branches, rows, values), got in calls:
+            assert np.array_equal(got, dense_signal_successes(
+                test, maps, branches, dense_rows(rows, values,
+                                                 maps.src.shape)))
+
+
 class TestRankForm:
     """`_successes` reads each block through the eigensystem of S, in
     stacks of bounded volume, and equals the S^{-1/2} oracle (one stack per
@@ -493,9 +572,9 @@ class TestRankForm:
     @given(case=_kron_eye_tests())
     def test_matches_inv_sqrt_oracle(self, case):
         factor, f, maps, branches, factors = case
-        args = ((factor, f), maps, branches, factors)
-        want = inv_sqrt_successes(*args)
-        assert np.max(np.abs(_successes(*args) - want)) \
+        args = ((factor, f), maps, branches)
+        want = inv_sqrt_successes(*args, factors)
+        assert np.max(np.abs(_successes(*args, *_row_form(factors)) - want)) \
             <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -512,9 +591,22 @@ def _dense_successes(family, branches, factors):
     return out
 
 
+def _row_form(factors, seed=0):
+    """Dense X_m (n_members, dim, cols) in `_successes`' row form: the flat
+    rows m dim + i of every nonzero row and of some zero rows, in a seeded
+    random order, with the values there."""
+    rng = np.random.default_rng(seed)
+    flat = factors.reshape(-1, factors.shape[-1])
+    rows = rng.permutation(np.flatnonzero(flat.any(axis=1)
+                                          | (rng.random(len(flat)) < 0.2)))
+    return rows, flat[rows]
+
+
 def _check_successes(test, maps, branches, factors):
     factors = np.stack(factors)
-    got = _successes(test, maps, branches, factors)
+    got = _successes(test, maps, branches, *_row_form(factors))
+    assert np.array_equal(got, dense_signal_successes(test, maps, branches,
+                                                      factors))
     want = _dense_successes(_materialised(test, maps), branches,
                             factors)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -1047,6 +1139,27 @@ class TestChannelCode:
             ea_channel_code(identity_channel(2), psi_a, 0, 0.05,
                             Fraction(1, 2), 0.5, a=4, n=8)
 
+    @pytest.mark.parametrize("rate, a, n, match", [
+        (0, 1, 3, "need n >= a"),           # a below |E| = 2
+        (0, 2, 3, "outside"),               # |D| = 3 x 5 above n^2 = 9
+        (5, 4, 5, "message set")])          # 32 messages over GF(16)
+    def test_refusal_makes_no_threshold_test(self, monkeypatch, rate, a, n,
+                                             match):
+        # a refused call pays for no Neyman-Pearson solve; only the rate
+        # cap, which needs D_H, refuses after it
+        calls = []
+        threshold_test = entropy._threshold_test
+
+        def counting(*args):
+            calls.append(1)
+            return threshold_test(*args)
+
+        monkeypatch.setattr(coding, "_threshold_test", counting)
+        with pytest.raises(ValueError, match=match):
+            ea_channel_code(identity_channel(2), self.mu_a, rate, 0.05,
+                            Fraction(1, 2), 0.5, a=a, n=n)
+        assert calls == []
+
     def test_entanglement_budget(self):
         rep = ea_channel_code(identity_channel(2), self.mu_a, 0, 0.05, 0.5,
                               0.5, a=4, n=16)
@@ -1083,7 +1196,8 @@ class TestChannelCode:
             rep = ea_channel_code(channel, psi_a, rate, 0.05, gamma, 0.5,
                                   a=4, n=5, enforce_cap=False)
         assert rep.bound_satisfied()
-        (_, maps, _, factors), _ = spy.call_args
+        (_, maps, _, rows, values), _ = spy.call_args
+        factors = dense_rows(rows, values, maps.src.shape)
         members, columns, kept = _dense_channel_code_maps(
             channel, psi_a, gamma, a=4, n=5)
         rows = np.arange(maps.src.shape[1])
@@ -1110,7 +1224,8 @@ class TestChannelCode:
         monkeypatch.setattr(coding, "_successes", recording)
         ea_channel_code(depolarizing_channel(0.1), self.mu_a, 0, 0.05, 0.5,
                         0.5, a=4, n=5)
-        (test, maps, branches, factors), = calls
+        (test, maps, branches, rows, values), = calls
+        factors = dense_rows(rows, values, maps.src.shape)
         assert branches.tolist() == [[y] for y in range(16)]
         for member in _materialised(test, maps):
             labels = _components(*np.nonzero(member), len(member))
@@ -1156,8 +1271,8 @@ class TestChannelCode:
                    for count, size, _ in shapes)
         assert sum(count for count, size, _ in shapes if size == dim) == 54
         assert len(shapes) > len({shape[-1] for shape in shapes})
-        assert np.max(np.abs(_successes(*args)
-                             - inv_sqrt_successes(*args))) <= 1e-12
+        assert np.max(np.abs(_successes(*args) - inv_sqrt_successes(
+            *args[:3], dense_rows(*args[3:], (n_members, dim))))) <= 1e-12
 
     def test_peak_memory_below_the_dense_column_blocks(self):
         # the benchmark's depolarizing(0.1) code at rate 0: the columns of
@@ -1294,7 +1409,7 @@ class TestProtocolsPassTheirOwnTest:
     def spied(call):
         with mock.patch.object(coding, "_successes", wraps=_successes) as spy:
             call()
-        (test, maps, _, _), _ = spy.call_args
+        (test, maps, *_), _ = spy.call_args
         return test, maps
 
     def check(self, test, maps, omega, f, former_test, former_maps):

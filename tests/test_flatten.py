@@ -786,8 +786,12 @@ class TestMixtureSpectra:
 
     def test_signals_factor_base(self):
         ens, _ = _ensemble("decouple")
-        signals, weights = ens.signals()
-        assert signals.shape == (ens.dim_full, len(weights))
+        rows, values, weights = ens.signals()
+        # only nonzero rows, each once, and no dense signal array
+        assert values.shape == (len(rows), len(weights))
+        assert len(np.unique(rows)) == len(rows) and values.any(axis=1).all()
+        signals = np.zeros((ens.dim_full, len(weights)), dtype=complex)
+        signals[rows] = values
         assert np.allclose(signals.conj().T @ signals, np.eye(len(weights)),
                            rtol=0, atol=1e-13)
         assert np.allclose((signals * weights) @ signals.conj().T,

@@ -375,7 +375,7 @@ def test_gate_catches_a_duplicate_block():
 
 
 # `wc -l src/oneshot_qit/*.py` of the code that set it
-SRC_LINE_CEILING = 3909
+SRC_LINE_CEILING = 3907
 
 
 def line_count(paths):

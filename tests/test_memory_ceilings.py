@@ -1,0 +1,84 @@
+"""Traced memory ceilings of the benchmark's coding cases.
+
+``tracemalloc`` traces numpy's data allocations (numpy reports every array
+buffer to it), and a case allocates the same arrays in the same order on
+every run, so those repeat exactly from run to run and on any host.  The
+process's peak RSS does not: glibc's allocator puts the same pass in one of
+two modes a megabyte apart, so a gate on these peaks is what stops a
+memory regression.  The Python objects around the arrays move a peak by a
+few KiB from run to run; each ceiling is the peak of the code that set it,
+rounded up to the next 0.1 MiB, which absorbs that.  Each case runs once
+untraced first, so that no lazy import lands in its peak.  A change that
+lowers a peak lowers its ceiling with it.
+"""
+
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import oneshot_qit  # noqa: E402
+import workloads  # noqa: E402
+
+MIB = 2 ** 20
+
+# per case of the coding workload at its default seed, in MiB
+CEILINGS = {
+    "position_based_decode_classical/grid": 0.4,
+    "position_based_decode_flat/gamma2/3": 1.6,
+    "ea_channel_code/identity": 1.9,
+    "ea_channel_code/refusal": 0.1,
+    "ea_channel_code/depolarizing0.1": 1.3,
+}
+# the flat decoder at the benchmark's arguments with a 2-dimensional B
+# (Bob's space 2178): its dense signal arrays peaked at 34.9 MiB
+FLAT_TWO_DIM_B_CEILING = 10.8
+
+
+def traced_peak(call):
+    """Bytes at the tracemalloc peak of ``call()``, run once untraced first."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def peaks():
+    cases = workloads.coding(oneshot_qit, workloads.DEFAULT_SEED, None)
+    return {case.name: traced_peak(lambda: case.run(workloads.Record()))
+            for case in cases}
+
+
+def test_every_case_has_a_ceiling(peaks):
+    assert set(peaks) == set(CEILINGS)
+
+
+@pytest.mark.parametrize("name", sorted(CEILINGS))
+def test_case_within_its_ceiling(peaks, name):
+    assert peaks[name] <= CEILINGS[name] * MIB, peaks[name] / MIB
+
+
+def test_flat_decoder_does_not_set_the_peak(peaks):
+    # the channel code's signals are narrow column blocks; the flat
+    # decoder's, read by their nonzero rows, now hold less
+    assert peaks["position_based_decode_flat/gamma2/3"] \
+        < peaks["ea_channel_code/identity"]
+
+
+def test_flat_decoder_with_a_two_dimensional_b():
+    system = oneshot_qit.RegisterSystem([("B", 2), ("C", 2)])
+    psi = oneshot_qit.random_density(0, system)
+    mu_c = oneshot_qit.maximally_mixed(oneshot_qit.RegisterSystem([("C", 2)]))
+    peak = traced_peak(lambda: oneshot_qit.coding.position_based_decode_flat(
+        psi, mu_c, Fraction(2, 3), [0], 0.01, 0.2, a=2, n=3, d_size=8))
+    assert peak <= FLAT_TWO_DIM_B_CEILING * MIB, peak / MIB
