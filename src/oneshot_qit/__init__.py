@@ -2,21 +2,18 @@
 
 from .registers import (DensityOperator, PureState, RegisterSystem,
                         apply_unitary, basis_state, canonical_purification,
-                        eig_hermitian, fidelity, maximally_entangled,
-                        maximally_mixed, partial_trace, permute_registers,
-                        purified_distance, random_density, random_pure, tensor,
-                        tensor_pure)
+                        fidelity, maximally_entangled, maximally_mixed,
+                        partial_trace, permute_registers, purified_distance,
+                        random_density, tensor, tensor_pure)
 from .entropy import (EntropyValue, check_mixture_identity, dh_eps, dmax,
                       hmin, imax, relative_entropy, transpose_unitary)
-from .convexsplit import (ConvexSplitReport, HWUnitary, PairwiseFamily,
-                          PrimeRegister, classical_marginal_check,
-                          convex_split_1design, convex_split_classical,
-                          hw_unitary, next_prime_in, one_design_average,
-                          pairwise_family, prime_register, u_ell)
-from .circuits import (CircuitMetrics, Gate, ReversibleCircuit,
-                       circuit_from_text, circuit_to_text, metrics,
-                       simulate_basis, simulate_table, synth_decoupler,
-                       synth_mod_add, synth_mod_mul_const, synth_swap)
+from .convexsplit import (ConvexSplitReport, PairwiseFamily, PrimeRegister,
+                          classical_marginal_check, convex_split_1design,
+                          convex_split_classical, next_prime_in,
+                          one_design_average, pairwise_family, prime_register,
+                          u_ell)
+from .circuits import (CircuitMetrics, Gate, ReversibleCircuit, metrics,
+                       simulate_table, synth_decoupler, synth_swap)
 # the flattening op itself stays at oneshot_qit.flatten.flatten: re-exporting
 # it here would shadow the submodule name
 from .flatten import (EmbezzleState, FlatSpectrum, check_embezzle_upper,
@@ -24,41 +21,9 @@ from .flatten import (EmbezzleState, FlatSpectrum, check_embezzle_upper,
                       convex_split_flat_classical, embezzling_state,
                       harmonic_sum, purified_embezzle_fidelity,
                       round_spectrum, unitary_flatten_W, w_b_permutation)
-from .coding import (POVM, CodingReport, PositionDecodeReport,
-                     QuantumChannel, RedistributionBounds,
-                     amplitude_damping_channel, apply_channel,
-                     channel_rate_cap, dephasing_channel,
+from .coding import (CodingReport, PositionDecodeReport, QuantumChannel,
+                     RedistributionBounds, apply_channel, channel_rate_cap,
                      depolarizing_channel, ea_channel_code,
-                     entanglement_budget, hayashi_nagaoka_povm,
-                     identity_channel, neyman_pearson_operator,
-                     position_based_decode_classical,
+                     entanglement_budget, identity_channel,
+                     neyman_pearson_operator, position_based_decode_classical,
                      position_based_decode_flat, redistribution_bounds)
-
-__all__ = [
-    "DensityOperator", "PureState", "RegisterSystem", "apply_unitary",
-    "basis_state", "canonical_purification", "eig_hermitian", "fidelity",
-    "maximally_entangled", "maximally_mixed", "partial_trace",
-    "permute_registers", "purified_distance", "random_density", "random_pure",
-    "tensor", "tensor_pure",
-    "EntropyValue", "check_mixture_identity", "dh_eps", "dmax", "hmin",
-    "imax", "relative_entropy", "transpose_unitary",
-    "ConvexSplitReport", "HWUnitary", "PairwiseFamily", "PrimeRegister",
-    "classical_marginal_check", "convex_split_1design",
-    "convex_split_classical", "hw_unitary", "next_prime_in",
-    "one_design_average", "pairwise_family", "prime_register", "u_ell",
-    "CircuitMetrics", "Gate", "ReversibleCircuit", "circuit_from_text",
-    "circuit_to_text", "metrics", "simulate_basis", "simulate_table",
-    "synth_decoupler", "synth_mod_add", "synth_mod_mul_const", "synth_swap",
-    "EmbezzleState", "FlatSpectrum", "check_embezzle_upper",
-    "check_unembezzle", "convex_split_flat_1design",
-    "convex_split_flat_classical", "embezzling_state",
-    "harmonic_sum", "purified_embezzle_fidelity", "round_spectrum",
-    "unitary_flatten_W", "w_b_permutation",
-    "POVM", "CodingReport", "PositionDecodeReport", "QuantumChannel",
-    "RedistributionBounds", "amplitude_damping_channel", "apply_channel",
-    "channel_rate_cap", "dephasing_channel", "depolarizing_channel",
-    "ea_channel_code", "entanglement_budget", "hayashi_nagaoka_povm",
-    "identity_channel", "neyman_pearson_operator",
-    "position_based_decode_classical", "position_based_decode_flat",
-    "redistribution_bounds",
-]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .convexsplit import PrimeRegister
 
-# control count of each gate kind; the text form lists controls, then target
+# control count of each gate kind
 _CONTROLS = {"X": 0, "CNOT": 1, "TOF": 2}
 
 
@@ -38,10 +38,6 @@ class Gate:
         wires = (self.target,) + self.controls
         if len(set(wires)) != len(wires):
             raise ValueError(f"gate wires must be distinct: {wires}")
-
-    @property
-    def wires(self):
-        return self.controls + (self.target,)
 
 
 @dataclass
@@ -90,20 +86,6 @@ def metrics(circuit):
     return CircuitMetrics(len(circuit.gates), depth, len(circuit.ancilla_wires()))
 
 
-def simulate_basis(circuit, bits):
-    """Classical simulation of one basis input; returns the same kind as given."""
-    was_str = isinstance(bits, str)
-    state = [int(b) for b in bits]
-    if len(state) != circuit.wire_count:
-        raise ValueError(f"input length {len(state)} != wire count {circuit.wire_count}")
-    if any(b not in (0, 1) for b in state):
-        raise ValueError("basis input entries must be 0 or 1")
-    for g in circuit.gates:
-        if all(state[c] for c in g.controls):
-            state[g.target] ^= 1
-    return "".join(map(str, state)) if was_str else state
-
-
 def simulate_table(circuit, inputs):
     """Simulate many basis inputs at once, bit-sliced.
 
@@ -136,35 +118,6 @@ def simulate_table(circuit, inputs):
     out = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in state),
                         dtype=np.uint8).reshape(len(state), width)
     return np.unpackbits(out, axis=1, count=rows, bitorder="little").T.astype(bool)
-
-
-def circuit_to_text(circuit):
-    lines = [f"wires={circuit.wire_count} roles={','.join(circuit.roles)}"]
-    lines += [" ".join(map(str, (g.kind,) + g.wires)) for g in circuit.gates]
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text):
-    lines = [ln for ln in text.strip().split("\n") if ln.strip()]
-    head = lines[0]
-    if not head.startswith("wires="):
-        raise ValueError("missing header line")
-    wires_part, roles_part = head.split(" roles=")
-    wire_count = int(wires_part.split("=")[1])
-    roles = roles_part.split(",") if roles_part else []
-    gates = []
-    for ln in lines[1:]:
-        kind, *args = ln.split()
-        if kind not in _CONTROLS:
-            raise ValueError(f"unknown gate line {ln!r}")
-        if len(args) != _CONTROLS[kind] + 1:
-            raise ValueError(f"gate line {ln!r} needs {_CONTROLS[kind] + 1} wires")
-        wires = [int(a) for a in args]
-        if not all(0 <= w < wire_count for w in wires):
-            raise ValueError(f"gate line {ln!r} names a wire outside "
-                             f"[0, {wire_count})")
-        gates.append(Gate(kind, wires[-1], tuple(wires[:-1])))
-    return ReversibleCircuit(wire_count, roles, gates)
 
 
 class _Builder:
@@ -303,10 +256,6 @@ class _ModularUnit:
     def add_reg(self, src, target, ctrl=None):
         self._mod_add_core(target, lambda: self._load_reg(src, ctrl))
 
-    def add_const(self, value, target, ctrl=None):
-        value %= self.modulus
-        self._mod_add_core(target, lambda: self._load_const(value, ctrl))
-
     def sub_reg(self, src, target, ctrl=None):
         self.b.emit_inverse(lambda: self.add_reg(src, target, ctrl))
 
@@ -351,47 +300,6 @@ class _ModularUnit:
 
 def _finish(builder):
     return ReversibleCircuit(len(builder.roles), builder.roles, builder.gates)
-
-
-def synth_mod_add(modulus):
-    """|x>|y> -> |x>|(y + x) mod modulus> with x on wires [0, n), y on [n, 2n).
-
-    n is the bit width of modulus - 1; all remaining wires are restored
-    scratch/ancilla.
-    """
-    b = _Builder()
-    n = max(1, (modulus - 1).bit_length())
-    x = b.alloc(n, "data")
-    y = b.alloc(n, "data")
-    top = b.alloc(1, "scratch")[0]
-    unit = _ModularUnit(b, modulus)
-    unit.add_reg(x, y + [top])
-    return _finish(b)
-
-
-def synth_mod_mul_const(modulus, constant):
-    """|x> -> |constant * x mod modulus> in place, for invertible constant.
-
-    Schoolbook multiply-accumulate into a zero register per set bit of x,
-    swap, then clear the stale value with the inverse constant.
-    """
-    constant %= modulus
-    if np.gcd(constant, modulus) != 1:
-        raise ValueError(f"{constant} is not invertible modulo {modulus}")
-    inv = pow(constant, -1, modulus)
-    b = _Builder()
-    n = max(1, (modulus - 1).bit_length())
-    x = b.alloc(n, "data")
-    unit = _ModularUnit(b, modulus)
-    acc = unit.alloc_value_register()
-    for bit in range(n):
-        unit.add_const((constant << bit) % modulus, acc, ctrl=x[bit])
-    for i in range(n):
-        b.swap(x[i], acc[i])
-    for bit in range(n):
-        b.emit_inverse(lambda v=(inv << bit) % modulus, c=x[bit]:
-                       unit.add_const(v, acc, ctrl=c))
-    return _finish(b)
 
 
 def synth_decoupler(c_dim, g_prime, l_size):

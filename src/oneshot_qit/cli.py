@@ -360,7 +360,8 @@ _PRIME = ("--prime", dict(type=int, default=5, help="prime register size"))
 _OPTIONS = {
     "entropy": [
         ("--demo", dict(action="store_true",
-                        help="re-verify the built-in worked examples"))],
+                        help="accepted for old command lines; changes "
+                             "nothing"))],
     "convexsplit": [
         _DIM_C, _PRIME,
         ("--ladder", dict(type=_parse_int_list, default=[1, 2, 4],

@@ -26,7 +26,7 @@ signal X_m by its nonzero rows (row indices and the values there; no
 (dim, cols) signal array is built), seeds the blocks with them, and reads
 Re Tr(Lambda_m X X^dag) as Re sum conj(Y) (Omega Y), Y = S^{-1/2} X from
 the eigensystems of S's blocks in stacked ``_eig_inv_sqrt`` calls, the only
-place that cuts a support (``hayashi_nagaoka_povm``, the dense oracle, too).
+place that cuts a support (the tests' dense square-root measurement, too).
 """
 
 from __future__ import annotations
@@ -97,22 +97,6 @@ def depolarizing_channel(p):
     return QuantumChannel(kraus, 2, 2, f"depolarizing({p})")
 
 
-def dephasing_channel(p):
-    """rho -> (1 - p/2) rho + (p/2) Z rho Z, p in [0, 2]."""
-    _check_range("p", p, 2)
-    kraus = (np.sqrt(1 - p / 2) * np.eye(2, dtype=complex),
-             np.sqrt(p / 2) * np.diag([1.0, -1.0]).astype(complex))
-    return QuantumChannel(kraus, 2, 2, f"dephasing({p})")
-
-
-def amplitude_damping_channel(gamma):
-    """Decay |1> -> |0> with probability gamma in [0, 1]."""
-    _check_range("gamma", gamma, 1)
-    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-    return QuantumChannel((k0, k1), 2, 2, f"amplitude_damping({gamma})")
-
-
 def apply_channel(channel, state, labels):
     """Apply the channel to the named registers (Kraus sum, trace preserved)."""
     state = _as_density(state)
@@ -138,24 +122,6 @@ def neyman_pearson_operator(rho, sigma, eps):
     """
     type2, pi = _threshold_test(rho, sigma, eps)
     return pi, type2
-
-
-@dataclass(frozen=True)
-class POVM:
-    """Outcome-labeled PSD elements summing to the identity; -1 is failure."""
-
-    elements: dict
-
-    def __post_init__(self):
-        mats = list(self.elements.values())
-        dim = mats[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for m in mats:
-            if float(np.linalg.eigvalsh(m)[0]) < -1e-9:
-                raise ValueError("POVM element is not PSD")
-            total += m
-        if float(np.max(np.abs(total - np.eye(dim)))) > 1e-8:
-            raise ValueError("POVM elements do not sum to the identity")
 
 
 def _blocks(test, maps, branches, seeds):
@@ -288,43 +254,6 @@ def _member_signals(maps, rows, values, weights):
     at = inverse[:, rows] + np.arange(len(inverse))[:, None] * inverse.shape[1]
     return at.ravel(), np.broadcast_to(values, (len(at),) + values.shape
                                        ).reshape(-1, values.shape[1])
-
-
-def hayashi_nagaoka_povm(operators):
-    """Square-root measurement of a family of 0 <= Omega_i <= I operators.
-
-    Lambda_i = S^{-1/2} Omega_i S^{-1/2} with S = sum Omega (pseudo-inverse on
-    the support); the -1 outcome projects onto the complement of supp(S).
-    """
-    operators = list(operators)
-    dim = operators[0].shape[0]
-    for om in operators:
-        vals = np.linalg.eigvalsh(om)
-        if vals[0] < -1e-9:
-            raise ValueError("input operator is not PSD")
-        if vals[-1] > 1 + 1e-8:
-            raise ValueError("input operator exceeds the identity")
-    vecs, scale = _eig_inv_sqrt(sum(operators))
-    vecs_h = vecs.conj().T
-    inv_half, supp = (vecs * scale) @ vecs_h, (vecs * (scale > 0)) @ vecs_h
-    elements = {}
-    for i, om in enumerate(operators):
-        lam = inv_half @ om @ inv_half
-        elements[i] = (lam + lam.conj().T) / 2
-    elements[-1] = np.eye(dim) - supp
-    return POVM(elements)
-
-
-def hn_inequality_gap(operators, index, c):
-    """Min eig of (1+c)(I - Omega_i) + (2+c+1/c) sum_{j != i} Omega_j - (I - Lambda_i)."""
-    povm = hayashi_nagaoka_povm(operators)
-    dim = operators[0].shape[0]
-    rhs = (1 + c) * (np.eye(dim) - operators[index])
-    for j, om in enumerate(operators):
-        if j != index:
-            rhs = rhs + (2 + c + 1 / c) * om
-    gap = np.linalg.eigvalsh(rhs - (np.eye(dim) - povm.elements[index]))
-    return float(gap[0])
 
 
 @dataclass(frozen=True)
@@ -616,7 +545,13 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
 
 
 def entanglement_budget(d_a, gamma, delta_surrogate):
-    """Closed-form shared-entanglement ceiling for the channel code."""
+    """Closed-form shared-entanglement budget for the channel code.
+
+    Not a ceiling at every (a, n): at mu_A, rate 0, eps = 0.05 and
+    delta' = 0.5, the point (gamma, a, n) = (1/2, 2, 8) uses 6.3219 qubits
+    against a budget of 6.0000.  Criterion 10, the CLI and the benchmark
+    check it only at gamma = 1/2 with a = 4 (n = 16, 8 and 5).
+    """
     return (1.0 / delta_surrogate) * math.log2(d_a / (gamma * delta_surrogate)) \
         + 2.0 * math.log2(d_a / gamma)
 

@@ -136,12 +136,6 @@ class PairwiseFamily:
         return self.evaluate(np.asarray(members, dtype=np.int64),
                              x[:, None, None], x[:, None])
 
-    def joint_map_is_bijection(self, j, k):
-        """Exhaustive pairwise-independence check for the member pair (j, k)."""
-        img = self.images([j, k])
-        pairs = (img[..., 0] * self.q + img[..., 1]).ravel()
-        return bool(np.bincount(pairs, minlength=self.q * self.q).all())
-
 
 def pairwise_family(q):
     """Family of q pairwise independent functions over GF(q), q a prime power."""
@@ -149,21 +143,6 @@ def pairwise_family(q):
     if p ** m > 4096:
         raise ValueError(f"field size {q} too large for desk scale")
     return PairwiseFamily(q)
-
-
-@dataclass(frozen=True)
-class HWUnitary:
-    """Heisenberg-Weyl shift-and-phase unitary V_{a,b} on a d-dimensional register."""
-
-    a: int
-    b: int
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if np.max(np.abs(m.conj().T @ m - np.eye(self.dim))) > 1e-12:
-            raise ValueError("HW matrix is not unitary within tolerance")
 
 
 def _hw_gather(a, b, d):
@@ -179,18 +158,6 @@ def _hw_gather(a, b, d):
 def _hw_maps(d, dims, axis):
     """Every V_y, y = a*d + b, lifted onto the factor ``axis`` of ``dims``."""
     return _hw_gather(*np.divmod(np.arange(d * d), d), d).lift(dims, [axis])
-
-
-def hw_unitary(a, b, d):
-    """V_{a,b} = sum_c exp(2 pi i c b / d) |c+a><c|."""
-    if not (0 <= a < d and 0 <= b < d):
-        raise ValueError(f"indices ({a}, {b}) out of range for dimension {d}")
-    return HWUnitary(a, b, d, _hw_gather(a, b, d).matrix())
-
-
-def hw_family(d):
-    """All d^2 HW unitaries indexed by y = a*d + b."""
-    return [hw_unitary(y // d, y % d, d) for y in range(d * d)]
 
 
 def one_design_average(rho, label):

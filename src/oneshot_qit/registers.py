@@ -83,10 +83,6 @@ class RegisterSystem:
         return f"RegisterSystem({inner})"
 
 
-def _check_hermitian(matrix, tol=HERMITICITY_TOL):
-    return float(np.max(np.abs(matrix - matrix.conj().T))) <= tol
-
-
 class DensityOperator:
     """Complex square matrix over a RegisterSystem, Hermitian and PSD.
 
@@ -118,16 +114,17 @@ class DensityOperator:
         return self._eig
 
     def _validate(self):
-        if not _check_hermitian(self.matrix):
+        mat = self.matrix
+        if not float(np.max(np.abs(mat - mat.conj().T))) <= HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        tr = float(np.real(np.trace(self.matrix)))
+        tr = float(np.real(np.trace(mat)))
         if self.subnormalized:
             if tr > 1.0 + TRACE_TOL or tr < -TRACE_TOL:
                 raise ValueError(f"sub-normalized trace {tr} outside [0, 1]")
         elif abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} != 1 within tolerance")
         if self.system.total_dim <= _PSD_CHECK_MAX_DIM:
-            lam_min = float(np.linalg.eigvalsh(self.matrix)[0])
+            lam_min = float(np.linalg.eigvalsh(mat)[0])
             if lam_min < -EIG_FLOOR:
                 raise ValueError(f"negative eigenvalue {lam_min}")
 
@@ -238,16 +235,6 @@ def permute_registers(op, new_order):
                            subnormalized=op.subnormalized, validate=False)
 
 
-def eig_hermitian(op):
-    """Eigenvalues (descending) and eigenvectors of a Hermitian operator."""
-    state = isinstance(op, DensityOperator)
-    mat = op.matrix if state else np.asarray(op, dtype=complex)
-    if not _check_hermitian(mat, tol=1e-8):
-        raise ValueError("input is not Hermitian within tolerance")
-    vals, vecs = op._eigh() if state else np.linalg.eigh(mat)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def _psd_sqrt(vals, vecs):
     """Hermitian square root from an eigensystem, eigenvalues clamped to >= 0."""
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
@@ -326,14 +313,6 @@ def random_density(seed, system, rank=None):
     mat /= np.real(np.trace(mat))
     mat = (mat + mat.conj().T) / 2
     return DensityOperator(system, mat, validate=False)
-
-
-def random_pure(seed, system):
-    """Seeded Haar-random pure state via a normalized complex Gaussian vector."""
-    d = system.total_dim
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(system, vec / np.linalg.norm(vec), validate=False)
 
 
 def act(mat, op, dims, axes):

@@ -4,22 +4,28 @@ The program keeps operators of the form A (x) I_f as the pair (A, f) and
 reads their entries by `registers.kron_eye_entries`; the tests build them
 in full here and compare against the dense result.  Where a faster body
 replaced a plain one at the same arithmetic, the plain one is kept here and
-the tests assert that both give the same bits.
+the tests assert that both give the same bits.  The dense square-root
+measurement (`hayashi_nagaoka_povm`), the one-input circuit simulator
+(`simulate_basis`) and the seeded pure states (`random_pure`) live here
+too: the program runs none of them.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from oneshot_qit.circuits import CircuitMetrics, Gate, _Builder
 from oneshot_qit.coding import (INV_SQRT_CUT, _blocks, _eig_inv_sqrt,
                                 _gathered)
-from oneshot_qit.convexsplit import (hw_family, hw_translation_classes,
+from oneshot_qit.convexsplit import (_hw_gather, hw_translation_classes,
                                      pairwise_family)
 from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
                                  _support_split)
 from oneshot_qit.flatten import unitary_flatten_W
-from oneshot_qit.registers import (Monomial, _as_density, _components,
-                                   _density_pair, _pattern_blocks, _root_sum,
-                                   _size_groups, act, reorder)
+from oneshot_qit.registers import (Monomial, PureState, _as_density,
+                                   _components, _density_pair,
+                                   _pattern_blocks, _root_sum, _size_groups,
+                                   act, reorder)
 
 
 def dense_kron_eye(factor, f):
@@ -39,32 +45,38 @@ def dense_reference_measures(ref, rho):
     return d_val, min(_root_sum(np.linalg.eigvalsh(ref.sandwich(rho))), 1.0)
 
 
+def dense_hw_family(d):
+    """Every V_y, y = a d + b, as a dense (d^2, d, d) array: the matrices of
+    the gather maps `convexsplit._hw_gather`."""
+    return _hw_gather(*np.divmod(np.arange(d * d), d), d).matrix()
+
+
 def dense_one_design_average(rho, label):
     """`convexsplit.one_design_average` by its former body: the sum of
-    act(rho, V) over the dense ``hw_family`` matrices V."""
+    act(rho, V) over the dense `dense_hw_family` matrices V."""
     rho = _as_density(rho)
     d = rho.system.dim_of(label)
     axes = rho.system.axes([label])
     acc = np.zeros_like(rho.matrix)
-    for v in hw_family(d):
-        acc += act(rho.matrix, v.matrix, rho.system.dims, axes)
+    for v in dense_hw_family(d):
+        acc += act(rho.matrix, v, rho.system.dims, axes)
     return acc / (d * d)
 
 
 def dense_hw_split_means(state, dims, n_mixed, seed, ref):
     """`convexsplit.hw_split_means` by its former body, which conjugates
-    ``state`` by the dense ``hw_family`` matrices through `act`."""
+    ``state`` by the dense `dense_hw_family` matrices through `act`."""
     d = dims[1]
     q = d * d
     family = pairwise_family(q)
     members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
     keys, inverse = hw_translation_classes(family.images(members), d)
-    hw = hw_family(d)
+    hw = dense_hw_family(d)
     conj_cache = {}
 
     def conjugated(y):
         if y not in conj_cache:
-            conj_cache[y] = act(state, hw[y].matrix, dims, [1])
+            conj_cache[y] = act(state, hw[y], dims, [1])
         return conj_cache[y]
 
     r_dim, rest = dims[0], len(state) // dims[0]
@@ -402,8 +414,9 @@ def generator_metrics(circuit):
     layer = [0] * circuit.wire_count
     depth = 0
     for g in circuit.gates:
-        lev = 1 + max((layer[w] for w in g.wires), default=0)
-        for w in g.wires:
+        lev = 1 + max((layer[w] for w in g.controls + (g.target,)),
+                      default=0)
+        for w in g.controls + (g.target,):
             layer[w] = lev
         depth = max(depth, lev)
     return CircuitMetrics(len(circuit.gates), depth, len(circuit.ancilla_wires()))
@@ -414,3 +427,80 @@ class PlainBuilder(_Builder):
 
     def _emit(self, kind, target, controls=()):
         self.gates.append(Gate(kind, target, controls))
+
+
+def simulate_basis(circuit, bits):
+    """Classical simulation of one basis input; returns the same kind as given."""
+    was_str = isinstance(bits, str)
+    state = [int(b) for b in bits]
+    if len(state) != circuit.wire_count:
+        raise ValueError(f"input length {len(state)} != wire count {circuit.wire_count}")
+    if any(b not in (0, 1) for b in state):
+        raise ValueError("basis input entries must be 0 or 1")
+    for g in circuit.gates:
+        if all(state[c] for c in g.controls):
+            state[g.target] ^= 1
+    return "".join(map(str, state)) if was_str else state
+
+
+def random_pure(seed, system):
+    """Seeded Haar-random pure state via a normalized complex Gaussian vector."""
+    d = system.total_dim
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return PureState(system, vec / np.linalg.norm(vec), validate=False)
+
+
+@dataclass(frozen=True)
+class POVM:
+    """Outcome-labeled PSD elements summing to the identity; -1 is failure."""
+
+    elements: dict
+
+    def __post_init__(self):
+        mats = list(self.elements.values())
+        dim = mats[0].shape[0]
+        total = np.zeros((dim, dim), dtype=complex)
+        for m in mats:
+            if float(np.linalg.eigvalsh(m)[0]) < -1e-9:
+                raise ValueError("POVM element is not PSD")
+            total += m
+        if float(np.max(np.abs(total - np.eye(dim)))) > 1e-8:
+            raise ValueError("POVM elements do not sum to the identity")
+
+
+def hayashi_nagaoka_povm(operators):
+    """Square-root measurement of a family of 0 <= Omega_i <= I operators.
+
+    Lambda_i = S^{-1/2} Omega_i S^{-1/2} with S = sum Omega (pseudo-inverse on
+    the support); the -1 outcome projects onto the complement of supp(S).
+    """
+    operators = list(operators)
+    dim = operators[0].shape[0]
+    for om in operators:
+        vals = np.linalg.eigvalsh(om)
+        if vals[0] < -1e-9:
+            raise ValueError("input operator is not PSD")
+        if vals[-1] > 1 + 1e-8:
+            raise ValueError("input operator exceeds the identity")
+    vecs, scale = _eig_inv_sqrt(sum(operators))
+    vecs_h = vecs.conj().T
+    inv_half, supp = (vecs * scale) @ vecs_h, (vecs * (scale > 0)) @ vecs_h
+    elements = {}
+    for i, om in enumerate(operators):
+        lam = inv_half @ om @ inv_half
+        elements[i] = (lam + lam.conj().T) / 2
+    elements[-1] = np.eye(dim) - supp
+    return POVM(elements)
+
+
+def hn_inequality_gap(operators, index, c):
+    """Min eig of (1+c)(I - Omega_i) + (2+c+1/c) sum_{j != i} Omega_j - (I - Lambda_i)."""
+    povm = hayashi_nagaoka_povm(operators)
+    dim = operators[0].shape[0]
+    rhs = (1 + c) * (np.eye(dim) - operators[index])
+    for j, om in enumerate(operators):
+        if j != index:
+            rhs = rhs + (2 + c + 1 / c) * om
+    gap = np.linalg.eigvalsh(rhs - (np.eye(dim) - povm.elements[index]))
+    return float(gap[0])

@@ -5,13 +5,23 @@ from hypothesis import strategies as st
 
 from oneshot_qit import circuits
 from oneshot_qit.circuits import (CircuitMetrics, Gate, ReversibleCircuit,
-                                  circuit_from_text, circuit_to_text,
                                   encode_decoupler_input, metrics,
-                                  simulate_basis, simulate_table,
-                                  synth_decoupler, synth_mod_add,
-                                  synth_mod_mul_const, synth_swap)
+                                  simulate_table, synth_decoupler, synth_swap)
 from oneshot_qit.convexsplit import PrimeRegister, u_ell, u_ell_index
-from oracles import PlainBuilder, generator_metrics
+from oracles import PlainBuilder, generator_metrics, simulate_basis
+
+
+def mod_add_circuit(modulus):
+    """|x>|y> -> |x>|(y + x) mod modulus> by one `_ModularUnit.add_reg`, the
+    decoupler's adder, with x on wires [0, n) and y on [n, 2n); every other
+    wire is a helper that returns to 0."""
+    b = circuits._Builder()
+    n = max(1, (modulus - 1).bit_length())
+    x = b.alloc(n, "data")
+    y = b.alloc(n, "data")
+    top = b.alloc(1, "scratch")[0]
+    circuits._ModularUnit(b, modulus).add_reg(x, y + [top])
+    return circuits._finish(b)
 
 
 def run_mod_add(circ, modulus, x, y):
@@ -74,64 +84,26 @@ class TestSwapFragment:
 
 class TestModAdd:
     def test_spec_example(self):
-        circ = synth_mod_add(5)
+        circ = mod_add_circuit(5)
         x_out, y_out, clear = run_mod_add(circ, 5, 3, 4)
         assert (x_out, y_out) == (3, 2)
         assert clear
 
     def test_zero_addend_identity(self):
-        circ = synth_mod_add(7)
+        circ = mod_add_circuit(7)
         for y in range(7):
             x_out, y_out, clear = run_mod_add(circ, 7, 0, y)
             assert (x_out, y_out) == (0, y) and clear
 
     @pytest.mark.parametrize("modulus", [2, 3, 5, 8, 13, 21, 64])
     def test_exhaustive(self, modulus):
-        circ = synth_mod_add(modulus)
+        circ = mod_add_circuit(modulus)
         for x in range(modulus):
             for y in range(modulus):
                 x_out, y_out, clear = run_mod_add(circ, modulus, x, y)
                 assert x_out == x
                 assert y_out == (x + y) % modulus
                 assert clear
-
-
-class TestModMulConst:
-    def run(self, circ, modulus, x):
-        n = max(1, (modulus - 1).bit_length())
-        bits = [0] * circ.wire_count
-        for k in range(n):
-            bits[k] = (x >> k) & 1
-        out = simulate_basis(circ, bits)
-        val = sum(out[k] << k for k in range(n))
-        clear = not any(out[k] for k in range(n, circ.wire_count))
-        return val, clear
-
-    def test_identity_constant(self):
-        circ = synth_mod_mul_const(5, 1)
-        for x in range(5):
-            val, clear = self.run(circ, 5, x)
-            assert val == x and clear
-
-    def test_spec_example(self):
-        circ = synth_mod_mul_const(5, 2)
-        val, clear = self.run(circ, 5, 3)
-        assert val == 1 and clear
-
-    @pytest.mark.parametrize("modulus,const", [(7, 3), (5, 4), (13, 6), (31, 11)])
-    def test_exhaustive_bijection(self, modulus, const):
-        circ = synth_mod_mul_const(modulus, const)
-        seen = set()
-        for x in range(modulus):
-            val, clear = self.run(circ, modulus, x)
-            assert val == (const * x) % modulus
-            assert clear
-            seen.add(val)
-        assert len(seen) == modulus
-
-    def test_non_invertible_rejected(self):
-        with pytest.raises(ValueError):
-            synth_mod_mul_const(8, 2)
 
 
 def exhaustive_decoupler_check(c_dim, g):
@@ -172,28 +144,20 @@ DECOUPLER_PRIMES = [2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
 class TestRandomPrimes:
-    """All three modular circuits on every input of a random small prime."""
+    """The adder and the decoupler on every input of a random small prime."""
 
     @settings(max_examples=15, deadline=None)
     @given(p=st.sampled_from(DECOUPLER_PRIMES), data=st.data())
     def test_circuits_match_modular_arithmetic(self, p, data):
         n = max(1, (p - 1).bit_length())
         x, y = np.divmod(np.arange(p * p), p)
-        circ = synth_mod_add(p)
+        circ = mod_add_circuit(p)
         inputs = np.zeros((p * p, circ.wire_count), dtype=bool)
         inputs[:, :n], inputs[:, n:2 * n] = _bits(x, n), _bits(y, n)
         out = simulate_table(circ, inputs)
         assert np.array_equal(_value(out[:, :n]), x)
         assert np.array_equal(_value(out[:, n:2 * n]), (x + y) % p)
         assert not out[:, 2 * n:].any()
-
-        const = data.draw(st.integers(1, p - 1), label="const")
-        circ = synth_mod_mul_const(p, const)
-        inputs = np.zeros((p, circ.wire_count), dtype=bool)
-        inputs[:, :n] = _bits(np.arange(p), n)
-        out = simulate_table(circ, inputs)
-        assert np.array_equal(_value(out[:, :n]), const * np.arange(p) % p)
-        assert not out[:, n:].any()
 
         c_dim = data.draw(st.sampled_from(
             [c for c in range(1, 7) if c * c <= p <= 2 * c * c]), label="c_dim")
@@ -354,8 +318,8 @@ class TestInternedGates:
     """The interning builder and the plain-int depth against their former
     bodies: the same gate lists, sizes and depths."""
 
-    SYNTHS = [(synth_swap, ()), (synth_mod_add, (5,)), (synth_mod_add, (16,)),
-              (synth_mod_mul_const, (7, 3)), (synth_mod_mul_const, (11, 5))] \
+    SYNTHS = [(synth_swap, ()), (mod_add_circuit, (5,)),
+              (mod_add_circuit, (16,))] \
         + [(synth_decoupler, (c_dim, g, g)) for c_dim, g in
            ((2, 5), (2, 7), (3, 11), (4, 17), (4, 19))] \
         + [(synth_decoupler, (3, 11, 4))]
@@ -393,38 +357,3 @@ class TestInternedGates:
         circ = ReversibleCircuit(0, [])
         assert metrics(circ) == generator_metrics(circ) \
             == CircuitMetrics(0, 0, 0)
-
-
-class TestTextFormat:
-    def test_roundtrip_bit_exact(self):
-        circ = synth_mod_add(5)
-        text = circuit_to_text(circ)
-        back = circuit_from_text(text)
-        assert back.wire_count == circ.wire_count
-        assert back.roles == circ.roles
-        assert back.gates == circ.gates
-        assert circuit_to_text(back) == text
-
-    def test_header_required(self):
-        with pytest.raises(ValueError):
-            circuit_from_text("X 0\n")
-
-    def test_roundtrip_all_gate_kinds(self):
-        circ = mixed_circuit()
-        back = circuit_from_text(circuit_to_text(circ))
-        assert back.gates == circ.gates
-
-    @pytest.mark.parametrize("line", ["X -1", "X 2", "CNOT 0 5", "CNOT -2 1",
-                                      "TOF 0 1 2", "TOF 7 0 1"])
-    def test_wire_outside_the_circuit_names_the_line(self, line):
-        with pytest.raises(ValueError, match=f"{line!r}.*outside"):
-            circuit_from_text(f"wires=2 roles=data,data\n{line}\n")
-
-    @pytest.mark.parametrize("line", ["X", "X 0 1", "CNOT 0", "TOF 0 1"])
-    def test_wrong_wire_count_names_the_line(self, line):
-        with pytest.raises(ValueError, match=repr(line)):
-            circuit_from_text(f"wires=3 roles=data,data,data\n{line}\n")
-
-    def test_unknown_gate_names_the_line(self):
-        with pytest.raises(ValueError, match="unknown gate line 'NAND 0 1'"):
-            circuit_from_text("wires=2 roles=data,data\nNAND 0 1\n")

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from oneshot_qit import circuits
-from oneshot_qit.circuits import encode_decoupler_input, simulate_basis
+from oneshot_qit.circuits import encode_decoupler_input
 from oneshot_qit.cli import (ReportRecord, SUBCOMMAND_MAP, _seed_for, emit,
                              main, run_circuit)
 from oneshot_qit.convexsplit import u_ell_index
 from oneshot_qit.registers import RegisterSystem, random_density
+from oracles import simulate_basis
 
 
 def run_cli(args):

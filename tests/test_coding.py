@@ -10,20 +10,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oneshot_qit import coding, entropy
-from oneshot_qit.coding import (INV_SQRT_CUT, POVM, CodingReport, _blocks,
-                                _eig_inv_sqrt, _successes,
-                                amplitude_damping_channel,
-                                apply_channel, channel_rate_cap,
-                                dephasing_channel, depolarizing_channel,
-                                ea_channel_code, entanglement_budget,
-                                hayashi_nagaoka_povm, hn_inequality_gap,
-                                identity_channel, neyman_pearson_operator,
+from oneshot_qit.coding import (INV_SQRT_CUT, CodingReport, QuantumChannel,
+                                _blocks, _check_range, _eig_inv_sqrt,
+                                _successes, apply_channel, channel_rate_cap,
+                                depolarizing_channel, ea_channel_code,
+                                entanglement_budget, identity_channel,
+                                neyman_pearson_operator,
                                 position_based_decode_classical,
                                 position_based_decode_flat,
                                 redistribution_bounds)
 from oneshot_qit.convexsplit import (PrimeRegister, _classical_ensemble,
-                                     _hw_gather, hw_family, hw_unitary,
-                                     pairwise_family)
+                                     _hw_gather, pairwise_family)
 from oneshot_qit.entropy import dh_eps
 from oneshot_qit.flatten import (_flat_ensemble, embezzling_state,
                                  round_spectrum, unitary_flatten_W)
@@ -38,13 +35,31 @@ if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
 import workloads  # noqa: E402
-from oracles import (dense_kron_eye, dense_rows, dense_signal_successes,
-                     full_blocks, inv_sqrt_successes, lifted_classical_test,
+from oracles import (POVM, dense_hw_family, dense_kron_eye, dense_rows,
+                     dense_signal_successes, full_blocks,
+                     hayashi_nagaoka_povm, hn_inequality_gap,
+                     inv_sqrt_successes, lifted_classical_test,
                      lifted_flat_test, moved_channel_test)
 
 
 def sysof(*pairs):
     return RegisterSystem(list(pairs))
+
+
+def dephasing_channel(p):
+    """rho -> (1 - p/2) rho + (p/2) Z rho Z, p in [0, 2]."""
+    _check_range("p", p, 2)
+    kraus = (np.sqrt(1 - p / 2) * np.eye(2, dtype=complex),
+             np.sqrt(p / 2) * np.diag([1.0, -1.0]).astype(complex))
+    return QuantumChannel(kraus, 2, 2, f"dephasing({p})")
+
+
+def amplitude_damping_channel(gamma):
+    """Decay |1> -> |0> with probability gamma in [0, 1]."""
+    _check_range("gamma", gamma, 1)
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
+    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
+    return QuantumChannel((k0, k1), 2, 2, f"amplitude_damping({gamma})")
 
 
 def _psd(rng, dim, rank=None, low=0.5, high=2.0):
@@ -932,7 +947,7 @@ def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
         e_vec = np.eye(e_dim)[:, e]
         s_cols_a[:, s] = np.kron(v_basis[:, c], e_vec)
         s_cols_c[:, s] = np.kron(v_basis[:, c].conj(), e_vec)
-    hw = hw_family(m_big)
+    hw = dense_hw_family(m_big)
 
     def lift_side(cols, mat):
         inner = cols @ mat @ cols.conj().T
@@ -953,10 +968,10 @@ def _computational_basis_code(channel, psi_a, rate, eps, gamma, a, n):
                             v_basis.conj(), np.argsort(w_img), bob_dims, 1)
     tests, columns = [], []
     for u in hw:
-        tests.append(act(om_moved, lift_side(s_cols_c, u.matrix), bob_dims,
+        tests.append(act(om_moved, lift_side(s_cols_c, u), bob_dims,
                          [1, 2]))
         u_enc = controlled_w(
-            np.kron(lift_side(s_cols_a, u.matrix.T), np.eye(d_dim)),
+            np.kron(lift_side(s_cols_a, u.T), np.eye(d_dim)),
             v_basis, w_img, (d_a, e_dim, d_dim), 0)
         enc = (u_enc @ init.reshape(d_a * e_dim * d_dim, -1)).reshape(shape)
         columns.append(np.concatenate(
@@ -980,9 +995,10 @@ def _dense_channel_code_maps(channel, psi_a, gamma, a, n):
     """Bob's member maps V_y W, the column blocks of Alice's encodings over
     every (Kraus, E', D'), and the mask of the columns whose (E', D') is a
     nonzero row of some encoding, all built densely in the rounding's
-    eigenbasis: V_y is ``hw_unitary`` lifted onto the support pairs of
-    (C, E), W is lifted to (B, C, E, D), and W^dag (V_y^T (x) I_D') W is a
-    matrix product on the resource, followed by each Kraus operator."""
+    eigenbasis: V_y is the matrix of ``_hw_gather`` lifted onto the
+    support pairs of (C, E), W is lifted to (B, C, E, D), and
+    W^dag (V_y^T (x) I_D') W is a matrix product on the resource, followed
+    by each Kraus operator."""
     flat = round_spectrum(psi_a, gamma, "down")
     counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
     d_a, d_dim = flat.c_dim, n * (m_big + 1) + 1
@@ -1000,7 +1016,8 @@ def _dense_channel_code_maps(channel, psi_a, gamma, a, n):
     reached = np.zeros(e_dim * d_dim, dtype=bool)
     for y in range(m_big * m_big):
         lift = np.eye(d_a * e_dim, dtype=complex)
-        lift[np.ix_(pairs, pairs)] = hw_unitary(*divmod(y, m_big), m_big).matrix
+        lift[np.ix_(pairs, pairs)] = _hw_gather(*divmod(y, m_big),
+                                                m_big).matrix()
         members.append(np.kron(np.eye(d_a), np.kron(lift, np.eye(d_dim)))
                        @ w_bob)
         enc = w.T @ np.kron(lift.T, np.eye(d_dim)) @ w @ init.reshape(side, -1)
@@ -1089,13 +1106,12 @@ class TestChannelCode:
     def test_transpose_trick_exact_on_maximally_entangled(self):
         # with an exact flat resource (mu marginals), Alice-side transposed
         # rotations equal Bob-side rotations on the shared pure state
-        from oneshot_qit.convexsplit import hw_family
         m = 4
-        hw = hw_family(m)
+        hw = dense_hw_family(m)
         phi = np.eye(m).reshape(-1) / np.sqrt(m)
         for y in (1, 5, 9):
-            lhs = np.kron(hw[y].matrix.T, np.eye(m)) @ phi
-            rhs = np.kron(np.eye(m), hw[y].matrix) @ phi
+            lhs = np.kron(hw[y].T, np.eye(m)) @ phi
+            rhs = np.kron(np.eye(m), hw[y]) @ phi
             assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_nonuniform_input_state(self):

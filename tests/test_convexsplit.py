@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oneshot_qit.coding import (hayashi_nagaoka_povm, neyman_pearson_operator,
+from oneshot_qit.coding import (neyman_pearson_operator,
                                 position_based_decode_classical,
                                 position_based_decode_flat)
 from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
@@ -13,9 +13,8 @@ from oneshot_qit.convexsplit import (GaloisField, PrimeEnsemble,
                                      _hw_gather, _plain_input,
                                      classical_marginal_check,
                                      compose_u, convex_split_1design,
-                                     convex_split_classical, hw_family,
+                                     convex_split_classical,
                                      hw_split_means, hw_translation_classes,
-                                     hw_unitary,
                                      next_prime_in, one_design_average,
                                      pairwise_family, prime_register, u_ell,
                                      u_ell_index)
@@ -29,9 +28,9 @@ from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    maximally_entangled,
                                    maximally_mixed, partial_trace,
                                    permute_registers, random_density, tensor)
-from oracles import (dense_hw_split_means, dense_kron_eye,
+from oracles import (dense_hw_family, dense_hw_split_means, dense_kron_eye,
                      dense_one_design_average, dense_reference_measures,
-                     lifted_classical_test)
+                     hayashi_nagaoka_povm, lifted_classical_test)
 
 
 def sysof(*pairs):
@@ -80,21 +79,17 @@ def host_successes(psi, omega, subset, g):
 
 class TestHWUnitaries:
     def test_identity(self):
-        assert np.allclose(hw_unitary(0, 0, 2).matrix, np.eye(2))
+        assert np.allclose(_hw_gather(0, 0, 2).matrix(), np.eye(2))
 
     def test_shift_is_pauli_x(self):
-        assert np.allclose(hw_unitary(1, 0, 2).matrix, [[0, 1], [1, 0]])
+        assert np.allclose(_hw_gather(1, 0, 2).matrix(), [[0, 1], [1, 0]])
 
     def test_phase_is_pauli_z(self):
-        assert np.allclose(hw_unitary(0, 1, 2).matrix, np.diag([1, -1]))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            hw_unitary(2, 0, 2)
+        assert np.allclose(_hw_gather(0, 1, 2).matrix(), np.diag([1, -1]))
 
     def test_all_unitary(self):
-        for v in hw_family(5):
-            assert np.max(np.abs(v.matrix.conj().T @ v.matrix - np.eye(5))) <= 1e-12
+        for v in dense_hw_family(5):
+            assert np.max(np.abs(v.conj().T @ v - np.eye(5))) <= 1e-12
 
     def test_gather_map_scatters_to_the_matrix(self):
         # (V x)[i] = phase[i] x[src[i]], against the loop over the columns
@@ -109,8 +104,7 @@ class TestHWUnitaries:
                     for c in range(d):
                         loop[(c + a) % d, c] = np.exp(2j * np.pi * c * b / d)
                     assert np.array_equal(scattered, loop)
-                    assert np.array_equal(scattered,
-                                          hw_unitary(a, b, d).matrix)
+                    assert np.array_equal(scattered, v.matrix())
 
 
 class TestOneDesign:
@@ -292,13 +286,20 @@ class TestGaloisField:
         assert np.all(power == 1)
 
 
+def joint_map_is_bijection(fam, j, k):
+    """Exhaustive pairwise-independence check for the member pair (j, k)."""
+    img = fam.images([j, k])
+    pairs = (img[..., 0] * fam.q + img[..., 1]).ravel()
+    return bool(np.bincount(pairs, minlength=fam.q * fam.q).all())
+
+
 class TestPairwiseFamily:
     @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64])
     def test_exhaustive_pairwise_independence(self, q):
         fam = pairwise_family(q)
         for j in range(q):
             for k in range(j + 1, q):
-                assert fam.joint_map_is_bijection(j, k)
+                assert joint_map_is_bijection(fam, j, k)
 
     def test_q2_members(self):
         fam = pairwise_family(2)
@@ -310,7 +311,7 @@ class TestPairwiseFamily:
 
     def test_gf729_members_0_and_5(self):
         # the two collided while GF(729) was reduced by x^6 + x + 1
-        assert pairwise_family(729).joint_map_is_bijection(0, 5)
+        assert joint_map_is_bijection(pairwise_family(729), 0, 5)
 
     def test_not_prime_power(self):
         with pytest.raises(ValueError):
@@ -372,7 +373,8 @@ def plain_split_means(state, dims, axis, n_mixed, seed, ref, family):
     """
     d, q = dims[axis], family.q
     members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
-    conj = np.stack([act(state, v.matrix, dims, [axis]) for v in hw_family(d)])
+    conj = np.stack([act(state, v, dims, [axis])
+                     for v in dense_hw_family(d)])
     images = family.images(members)
     d_sum, f_sum = 0.0, 0.0
     for x1 in range(q):
@@ -460,10 +462,10 @@ class TestTranslationClasses:
                                 max_size=5))
         t = data.draw(st.integers(0, d * d - 1))
         ref = Reference(partial_trace(psi, ["C"]).matrix, np.full(d, 1.0 / d))
-        hw = hw_family(d)
+        hw = dense_hw_family(d)
 
         def block(zs):
-            return sum(act(psi.matrix, hw[z].matrix, psi.system.dims, [1])
+            return sum(act(psi.matrix, hw[z], psi.system.dims, [1])
                        for z in zs) / len(zs)
 
         moved = block([_hw_shift(y, t, d) for y in ys])
@@ -690,7 +692,6 @@ class TestConvexSplit1Design:
 
     def test_blockwise_matches_dense(self):
         # independent check of the block decomposition: build tau densely
-        from oneshot_qit.convexsplit import hw_family, pairwise_family
         from oneshot_qit.entropy import relative_entropy
         psi = random_density(5, sysof(("R", 2), ("C", 2)))
         n_mixed, seed = 3, 11
@@ -698,13 +699,13 @@ class TestConvexSplit1Design:
         q = 4
         fam = pairwise_family(q)
         members = [int(j) for j in np.random.default_rng(seed).permutation(q)[:n_mixed]]
-        hw = hw_family(2)
+        hw = dense_hw_family(2)
         tau = np.zeros((4 * q * q, 4 * q * q), dtype=complex)
         for x1 in range(q):
             for x2 in range(q):
                 blk = np.zeros((4, 4), dtype=complex)
                 for j in members:
-                    v = np.kron(np.eye(2), hw[fam.evaluate(j, x1, x2)].matrix)
+                    v = np.kron(np.eye(2), hw[fam.evaluate(j, x1, x2)])
                     blk += v @ psi.matrix @ v.conj().T
                 blk /= n_mixed
                 idx = x1 * q + x2

@@ -23,9 +23,9 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
 from oneshot_qit.registers import (DensityOperator, Monomial,
                                    RegisterSystem, _pattern_blocks,
                                    maximally_entangled, maximally_mixed,
-                                   partial_trace, random_density, random_pure,
-                                   reorder, tensor)
-from oracles import dense_kron_eye, dense_reference_measures
+                                   partial_trace, random_density, reorder,
+                                   tensor)
+from oracles import dense_kron_eye, dense_reference_measures, random_pure
 
 
 def sysof(*pairs):
