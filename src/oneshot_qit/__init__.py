@@ -14,8 +14,6 @@ from .convexsplit import (ConvexSplitReport, PairwiseFamily, PrimeRegister,
                           u_ell)
 from .circuits import (CircuitMetrics, Gate, ReversibleCircuit, metrics,
                        simulate_table, synth_decoupler, synth_swap)
-# the flattening op itself stays at oneshot_qit.flatten.flatten: re-exporting
-# it here would shadow the submodule name
 from .flatten import (EmbezzleState, FlatSpectrum, check_embezzle_upper,
                       check_unembezzle, convex_split_flat_1design,
                       convex_split_flat_classical, embezzling_state,

@@ -52,11 +52,6 @@ class ReversibleCircuit:
         if len(self.roles) != self.wire_count:
             raise ValueError("one role per wire required")
 
-    def inverse(self):
-        """X/CNOT/TOFFOLI are involutions, so the inverse is the reversed list."""
-        return ReversibleCircuit(self.wire_count, list(self.roles),
-                                 list(reversed(self.gates)))
-
     def ancilla_wires(self):
         return [w for w, r in enumerate(self.roles) if r in ("ancilla", "scratch")]
 

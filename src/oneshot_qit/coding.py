@@ -45,10 +45,9 @@ from .flatten import (_embezzle_rule, _flat_ensemble, _gamma_fraction,
                       harmonic_sum, purified_embezzle_fidelity,
                       round_spectrum, unitary_flatten_W)
 from .registers import (DensityOperator, Monomial, RegisterSystem,
-                        _as_density, _components, _size_groups, act,
-                        canonical_purification, kron_eye_entries,
-                        maximally_mixed, partial_trace, permute_registers,
-                        tensor)
+                        _components, _size_groups, act, canonical_purification,
+                        kron_eye_entries, maximally_mixed, partial_trace,
+                        permute_registers, tensor)
 
 INV_SQRT_CUT = 1e-12
 """Eigenvalues of S at or below this lie outside supp(S), where S^{-1/2} is 0."""
@@ -99,7 +98,6 @@ def depolarizing_channel(p):
 
 def apply_channel(channel, state, labels):
     """Apply the channel to the named registers (Kraus sum, trace preserved)."""
-    state = _as_density(state)
     labels = list(labels)
     d_act = state.system.subsystem(labels).total_dim
     if d_act != channel.input_dim:
@@ -111,8 +109,7 @@ def apply_channel(channel, state, labels):
     acc = np.zeros_like(state.matrix)
     for k in channel.kraus:
         acc += act(state.matrix, k, state.system.dims, axes)
-    return DensityOperator(state.system, acc, subnormalized=state.subnormalized,
-                           validate=False)
+    return DensityOperator(state.system, acc, validate=False)
 
 
 def neyman_pearson_operator(rho, sigma, eps):
@@ -302,7 +299,6 @@ def position_based_decode_classical(psi, prime_reg, subset, eps, delta):
     signal vectors |c>, so tau_l = X_l X_l^dag with X_l = U_l (the weighted
     signals), the columns that `_successes` reads.
     """
-    psi = _as_density(psi)
     g = prime_reg.prime
     subset = _members(subset, g)
     c_dim = psi.system.dims[-1]
@@ -334,7 +330,6 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     The signal state is theta (x) mu_X1 (x) mu_F2, whose eigenvectors are
     the ensemble's signal vectors, read as in the classical decoder.
     """
-    psi = _as_density(psi)
     flat = round_spectrum(omega_c, gamma, "down")
     if a != flat.e_dim:
         raise ValueError(f"a = {a} must equal |E| = {flat.e_dim}")
@@ -343,7 +338,7 @@ def position_based_decode_flat(psi, omega_c, gamma, subset, eps, delta, a, n,
     subset = _members(subset, reg.prime)
 
     psi_b = partial_trace(psi, [psi.system.labels[-1]])
-    omega, dh, cap = _decoder_test(psi, tensor(psi_b, _as_density(omega_c)),
+    omega, dh, cap = _decoder_test(psi, tensor(psi_b, omega_c),
                                    len(subset), eps, delta)
 
     # the ensemble's space in the test's (B, C, E, D, Q, X, F2): F1 in its
@@ -391,7 +386,6 @@ class CodingReport:
 
 def _marginal_input(psi):
     """Channel-input marginal from either a marginal or a bipartite pure state."""
-    psi = _as_density(psi)
     if len(psi.system) == 1:
         return psi
     if len(psi.system) == 2:
@@ -574,7 +568,6 @@ def redistribution_bounds(psi, r_labels, a_labels, b_labels, c_labels, eps,
     states omega_C: the C marginal, the uniform state, and grid-rounded
     variants; entropic terms are evaluated unsmoothed (conservative).
     """
-    psi = _as_density(psi)
     if psi.purity() < 1.0 - 1e-8:
         raise ValueError("redistribution bounds require a pure input state")
     labels = list(r_labels) + list(a_labels) + list(b_labels) + list(c_labels)

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import Reference, _entropy_sum, dmax
-from .registers import (DensityOperator, Monomial, _as_density,
-                        _block_eigvalsh, _pattern_blocks, _root_sum,
-                        kron_eye_entries, maximally_mixed, partial_trace,
-                        reorder)
+from .registers import (DensityOperator, Monomial, _block_eigvalsh,
+                        _pattern_blocks, _root_sum, kron_eye_entries,
+                        maximally_mixed, partial_trace, reorder)
 
 
 def _is_prime(n):
@@ -162,7 +161,6 @@ def _hw_maps(d, dims, axis):
 
 def one_design_average(rho, label):
     """(1/d^2) sum_{a,b} V_{a,b} rho V_{a,b}^dag on the named register."""
-    rho = _as_density(rho)
     d = rho.system.dim_of(label)
     hw = _hw_maps(d, rho.system.dims, rho.system.position(label))
     acc = np.zeros_like(rho.matrix)
@@ -296,7 +294,7 @@ def _split_k(psi, omega):
     register is C (psi_R a 1 x 1 scalar) splits like one with a trivial R.
     """
     psi_r = partial_trace(psi, [psi.system.labels[-1]])
-    ref = np.kron(psi_r.matrix, _as_density(omega).matrix)
+    ref = np.kron(psi_r.matrix, omega.matrix)
     k = dmax(psi, DensityOperator(psi.system, ref, validate=False))
     if not k.finite:
         raise ValueError("Dmax against psi_R (x) omega is infinite")
@@ -329,7 +327,6 @@ class _SplitInput:
 
 def _plain_input(psi):
     """psi_RC as a split input: S = C, a trivial D and omega = mu_C."""
-    psi = _as_density(psi)
     mu_c = maximally_mixed(psi.system.subsystem(psi.system.labels[-1:]))
     k, psi_r = _split_k(psi, mu_c)
     return _SplitInput(psi.matrix, psi_r.matrix, np.ones(1), k)
@@ -359,7 +356,6 @@ def convex_split_1design(psi, n_mixed, seed=0):
     the family, so ladders over N with a common seed are nested.  Exploits the
     block-diagonal structure over (x1, x2) instead of building the full state.
     """
-    psi = _as_density(psi)
     d_c = psi.system.dims[-1]
     if d_c & (d_c - 1):
         raise ValueError(f"|C| = {d_c} is not a power of two")
@@ -629,7 +625,6 @@ class PrimeEnsemble:
 
 def _classical_ensemble(psi, prime_reg):
     """psi_RC as the `PrimeEnsemble` with S = C and a trivial D."""
-    psi = _as_density(psi)
     psi_r = partial_trace(psi, [psi.system.labels[-1]])
     return PrimeEnsemble(psi.matrix, psi_r.matrix, 1, prime_reg), psi_r
 
@@ -652,7 +647,6 @@ def convex_split_classical(psi, subset, prime=None):
     `PrimeEnsemble` with S = C and a trivial D); the achieved relative
     entropy and fidelity are against psi_R (x) mu_G1 (x) mu_G2.
     """
-    psi = _as_density(psi)
     c_dim = psi.system.dims[-1]
     reg = PrimeRegister(c_dim, prime) if prime else prime_register(c_dim)
     subset = _members(subset, reg.prime)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import (DensityOperator, _as_density, _block_eigvalsh,
-                        _density_pair, _psd_sqrt, _root_sum, partial_trace,
+from .registers import (DensityOperator, _block_eigvalsh, _check_dims,
+                        _psd_sqrt, _root_sum, partial_trace,
                         permute_registers, tensor)
 
 SUPPORT_TOL = 1e-10
@@ -55,7 +55,7 @@ def _support_split(rho, sigma):
 
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy D(rho||sigma) in bits; +inf on support violation."""
-    rho, sigma = _density_pair(rho, sigma)
+    _check_dims(rho, sigma)
     rvals = rho._eigh()[0]
     svals, svecs, pos_s, mass_out = _support_split(rho, sigma)
     if mass_out > _SUPPORT_MASS_TOL:
@@ -159,7 +159,7 @@ class Reference:
 
 def dmax(rho, sigma):
     """Max-relative entropy: log of the largest eigenvalue of the relative operator."""
-    rho, sigma = _density_pair(rho, sigma)
+    _check_dims(rho, sigma)
     svals, svecs, pos, mass_out = _support_split(rho, sigma)
     if mass_out > _SUPPORT_MASS_TOL:
         return EntropyValue.infinite()
@@ -210,7 +210,7 @@ def _threshold_test(rho, sigma, eps):
     There, eps = 0 included, the answer is the eps = 0 optimum: Pi is the
     projector onto supp(rho).
     """
-    rho, sigma = _density_pair(rho, sigma)
+    _check_dims(rho, sigma)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps {eps} outside [0, 1)")
     eps = float(eps)
@@ -495,14 +495,13 @@ def _hmin_sdp(rho_mat, d_a, d_b):
 
 def _partitioned(rho, partition):
     """(rho with registers A then B, A labels, B labels); A, B must cover rho."""
-    rho = _as_density(rho)
     a_labels, b_labels = list(partition[0]), list(partition[1])
     if sorted(a_labels + b_labels) != sorted(rho.system.labels):
         raise ValueError("partition does not cover the system")
     return permute_registers(rho, a_labels + b_labels), a_labels, b_labels
 
 
-def hmin(rho, partition, return_witness=False):
+def hmin(rho, partition):
     """Conditional min-entropy H_min(A|B) via the defining SDP.
 
     ``partition`` is (A labels, B labels); together they must cover the system.
@@ -510,11 +509,8 @@ def hmin(rho, partition, return_witness=False):
     ordered, a_labels, _ = _partitioned(rho, partition)
     d_a = int(np.prod(ordered.system.dims[:len(a_labels)]))
     d_b = ordered.system.total_dim // d_a
-    opt, xb = _hmin_sdp(ordered.matrix, d_a, d_b)
-    val = EntropyValue(float(-np.log2(max(opt, 1e-300))))
-    if return_witness:
-        return val, xb
-    return val
+    opt, _ = _hmin_sdp(ordered.matrix, d_a, d_b)
+    return EntropyValue(float(-np.log2(max(opt, 1e-300))))
 
 
 def imax(rho, partition):
@@ -530,8 +526,6 @@ def check_mixture_identity(states, weights, theta):
 
     Returns the absolute difference; inf if any term has a support violation.
     """
-    states = [_as_density(s) for s in states]
-    theta = _as_density(theta)
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < -1e-12):
         raise ValueError("weights must form a probability vector")

@@ -23,8 +23,7 @@ import numpy as np
 from .convexsplit import (PrimeEnsemble, _classical_split, _members,
                           _one_design_split, _split_k, _SplitInput,
                           prime_register)
-from .registers import (DensityOperator, Monomial, RegisterSystem,
-                        _as_density, _block_eigvalsh, act, partial_trace)
+from .registers import Monomial, _block_eigvalsh, act, partial_trace
 
 
 def harmonic_sum(a, n):
@@ -183,7 +182,6 @@ def round_spectrum(omega, gamma, direction):
     sigma <= omega/(1-gamma).  Both keep sigma diagonal in omega's eigenbasis
     with eigenvalues that are exact integer multiples of gamma/|C|.
     """
-    omega = _as_density(omega)
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
     c_dim = omega.system.total_dim
@@ -232,27 +230,6 @@ def round_spectrum(omega, gamma, direction):
     return flat
 
 
-def flatten(sigma, gamma):
-    """Extend a grid state sigma_C to sigma_CE (register E), uniform on its support."""
-    sigma = _as_density(sigma)
-    c_dim = sigma.system.total_dim
-    gamma_frac, m_big = _rationalize_gamma(gamma, c_dim)
-    vals, vecs = sigma._eigh()
-    counts = []
-    for v in vals:
-        m = round(float(v) * m_big)
-        if abs(float(v) - m / m_big) > 1e-12:
-            raise ValueError(f"eigenvalue {v} is off the gamma/|C| grid")
-        counts.append(int(m))
-    flat = FlatSpectrum(gamma_frac, tuple(counts), vecs)
-    weights = np.zeros(c_dim * flat.e_dim)
-    weights[flat.support_index()] = 1.0 / m_big
-    basis = np.kron(vecs, np.eye(flat.e_dim))
-    system = RegisterSystem([(sigma.system.labels[0], c_dim), ("E", flat.e_dim)])
-    return DensityOperator(system, (basis * weights) @ basis.conj().T,
-                           validate=False)
-
-
 def unitary_flatten_W(flat, d_dim):
     """Controlled permutation W = sum_c |c><c| (x) W_{b(c)} on (C, E, D) labels.
 
@@ -291,7 +268,6 @@ def _moved_state(psi, flat, a, n, d_dim=None):
     R (x) S (x) D, psi_R matrix); S has ``flat.grid_total`` states.
     ``d_dim`` sets the D register dimension (default n + 1, labels 0..n).
     """
-    psi = _as_density(psi)
     c_label = psi.system.labels[-1]
     c_dim = psi.system.dim_of(c_label)
     if c_dim != flat.c_dim:
@@ -326,7 +302,6 @@ def _flat_input(psi, omega, gamma, n):
     a = |E|; D carries xi^{a:n} (n defaults to max(a, 4)), the target holds
     xi^{1:n} on D, and the ratio is S(1,n)/S(a,n).
     """
-    psi = _as_density(psi)
     flat = round_spectrum(omega, gamma, "up")
     a = flat.e_dim
     n = max(a, 4) if n is None else n

@@ -84,15 +84,14 @@ class RegisterSystem:
 
 
 class DensityOperator:
-    """Complex square matrix over a RegisterSystem, Hermitian and PSD.
+    """Complex square matrix over a RegisterSystem, Hermitian, PSD and of
+    trace 1 within tolerance.
 
-    ``subnormalized=True`` permits trace <= 1 (used for intermediate
-    sub-normalized states); otherwise trace must be 1 within tolerance.
     The matrix is read-only (an array passed in is frozen, not copied), so
     its eigensystem is solved at most once.
     """
 
-    def __init__(self, system, matrix, subnormalized=False, validate=True):
+    def __init__(self, system, matrix, validate=True):
         self.system = system
         mat = np.asarray(matrix, dtype=complex)
         d = system.total_dim
@@ -100,7 +99,6 @@ class DensityOperator:
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
         mat.flags.writeable = False
         self.matrix = mat
-        self.subnormalized = subnormalized
         self._eig = None
         if validate:
             self._validate()
@@ -117,12 +115,8 @@ class DensityOperator:
         mat = self.matrix
         if not float(np.max(np.abs(mat - mat.conj().T))) <= HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        tr = float(np.real(np.trace(mat)))
-        if self.subnormalized:
-            if tr > 1.0 + TRACE_TOL or tr < -TRACE_TOL:
-                raise ValueError(f"sub-normalized trace {tr} outside [0, 1]")
-        elif abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} != 1 within tolerance")
+        if abs(self.trace() - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {self.trace()} != 1 within tolerance")
         if self.system.total_dim <= _PSD_CHECK_MAX_DIM:
             lam_min = float(np.linalg.eigvalsh(mat)[0])
             if lam_min < -EIG_FLOOR:
@@ -143,50 +137,43 @@ class DensityOperator:
         return f"DensityOperator({self.system!r})"
 
 
-class PureState:
-    """Complex unit vector over a RegisterSystem."""
+class PureState(DensityOperator):
+    """Complex unit vector over a RegisterSystem, with its density operator
+    |v><v| as the matrix.  Both are read-only (a vector passed in is frozen,
+    not copied); the norm check is the whole validation, so building one
+    solves no eigensystem."""
 
     def __init__(self, system, vector, validate=True):
-        self.system = system
-        vec = np.asarray(vector, dtype=complex).reshape(-1)
+        vec = np.asarray(vector, dtype=complex)
+        vec.flags.writeable = False
+        vec = vec.reshape(-1)
         if vec.shape != (system.total_dim,):
             raise ValueError(f"vector length {vec.shape[0]} != {system.total_dim}")
-        self.vector = vec
         if validate and abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
             raise ValueError(f"norm {np.linalg.norm(vec)} != 1 within tolerance")
-
-    def density(self):
-        return DensityOperator(self.system, np.outer(self.vector, self.vector.conj()),
-                               validate=False)
+        super().__init__(system, np.outer(vec, vec.conj()), validate=False)
+        self.vector = vec
 
     def __repr__(self):
         return f"PureState({self.system!r})"
 
 
-def _as_density(state):
-    return state.density() if isinstance(state, PureState) else state
-
-
-def _density_pair(rho, sigma):
-    """Both as density operators; refuses two of different dimensions."""
-    rho, sigma = _as_density(rho), _as_density(sigma)
+def _check_dims(rho, sigma):
+    """Refuses two states of different dimensions."""
     if rho.system.dims != sigma.system.dims:
         raise ValueError("dimension mismatch between states")
-    return rho, sigma
 
 
 def tensor(*ops):
     """Kronecker product of density operators; register lists concatenate
     and RegisterSystem refuses a label that two factors share."""
-    ops = [_as_density(op) for op in ops]
     if len(ops) < 2:
         raise ValueError("tensor needs at least two operators")
     system = RegisterSystem([rd for op in ops for rd in op.system.registers])
     mat = ops[0].matrix
     for op in ops[1:]:
         mat = np.kron(mat, op.matrix)
-    sub = any(op.subnormalized for op in ops)
-    return DensityOperator(system, mat, subnormalized=sub, validate=False)
+    return DensityOperator(system, mat, validate=False)
 
 
 def tensor_pure(*states):
@@ -200,7 +187,6 @@ def tensor_pure(*states):
 
 def partial_trace(op, drop):
     """Marginal after tracing out the registers in ``drop`` (order preserved)."""
-    op = _as_density(op)
     drop = set(drop)
     keep = [lab for lab in op.system.labels if lab not in drop]
     dims = list(op.system.dims)
@@ -213,7 +199,7 @@ def partial_trace(op, drop):
         dims.pop(pos)
     system = op.system.subsystem(keep) if keep else RegisterSystem([("scalar", 1)])
     mat = tens.reshape(system.total_dim, system.total_dim)
-    return DensityOperator(system, mat, subnormalized=op.subnormalized, validate=False)
+    return DensityOperator(system, mat, validate=False)
 
 
 def reorder(mat, dims, order):
@@ -225,14 +211,13 @@ def reorder(mat, dims, order):
 
 def permute_registers(op, new_order):
     """Same operator with its tensor factors reordered to ``new_order``."""
-    op = _as_density(op)
     new_order = list(new_order)
     if sorted(new_order) != sorted(op.system.labels):
         raise ValueError(f"{new_order} is not a permutation of {op.system.labels}")
     perm = [op.system.position(lab) for lab in new_order]
     return DensityOperator(op.system.subsystem(new_order),
                            reorder(op.matrix, op.system.dims, perm),
-                           subnormalized=op.subnormalized, validate=False)
+                           validate=False)
 
 
 def _psd_sqrt(vals, vecs):
@@ -254,7 +239,7 @@ def _root_sum(vals):
 
 def fidelity(rho, sigma):
     """F(rho, sigma) = || sqrt(rho) sqrt(sigma) ||_1, via one Hermitian eigensolve."""
-    rho, sigma = _density_pair(rho, sigma)
+    _check_dims(rho, sigma)
     s = _psd_sqrt(*rho._eigh())
     f = _root_sum(np.linalg.eigvalsh(s @ sigma.matrix @ s))
     return min(f, 1.0) if f <= 1.0 + 1e-7 else f
@@ -268,7 +253,6 @@ def purified_distance(rho, sigma):
 
 def canonical_purification(rho, mirror_label):
     """Purification (sqrt(rho) (x) I) sum_i |i>|i> on system (A, mirror)."""
-    rho = _as_density(rho)
     if len(rho.system) != 1:
         raise ValueError("canonical purification expects a single-register state")
     lab, d = rho.system.registers[0]
@@ -419,7 +403,7 @@ class Monomial:
         return inv if inv.phase is None else Monomial(inv.src, inv.phase.conj())
 
     def compose(self, other):
-        """M N as one map: M.compose(N).matrix() = M.matrix() @ N.matrix()."""
+        """M N as one map: M.compose(N).apply(x) = M.apply(N.apply(x))."""
         phase = None if other.phase is None else _take(other.phase, self.src)
         if self.phase is not None:
             phase = self.phase if phase is None else self.phase * phase
@@ -440,14 +424,6 @@ class Monomial:
         if self.phase is None:
             return out
         return self.phase[..., :, None] * out * self.phase.conj()[..., None, :]
-
-    def matrix(self, size=None):
-        """M as a dense (..., n, size) array; ``size`` defaults to n."""
-        mat = np.zeros(self.src.shape + (size or self.src.shape[-1],),
-                       dtype=complex)
-        np.put_along_axis(mat, self.src[..., None], 1.0 if self.phase is None
-                          else self.phase[..., None], -1)
-        return mat
 
 
 def kron_eye_entries(factor, f, rows, cols):
@@ -529,18 +505,15 @@ def apply_unitary(op, unitary, labels):
     The unitary's dimension must match the product of the named registers'
     dimensions; the registers need not be adjacent in the system order.
     """
-    op = _as_density(op)
     axes = op.system.axes(labels)
     d_act = int(np.prod([op.system.dims[ax] for ax in axes]))
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (d_act, d_act):
         raise ValueError(f"unitary shape {u.shape} != ({d_act}, {d_act})")
-    return DensityOperator(op.system, act(op.matrix, u, op.system.dims, axes),
-                           subnormalized=op.subnormalized, validate=False)
+    return DensityOperator(op.system, act(op.matrix, u, op.system.dims, axes), validate=False)
 
 
 def dump_matrix(op, fh):
     """Write row-major complex pairs, full precision decimal, one row per line."""
-    mat = _as_density(op).matrix
-    for row in mat:
+    for row in op.matrix:
         fh.write(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n")

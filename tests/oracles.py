@@ -6,8 +6,9 @@ in full here and compare against the dense result.  Where a faster body
 replaced a plain one at the same arithmetic, the plain one is kept here and
 the tests assert that both give the same bits.  The dense square-root
 measurement (`hayashi_nagaoka_povm`), the one-input circuit simulator
-(`simulate_basis`) and the seeded pure states (`random_pure`) live here
-too: the program runs none of them.
+(`simulate_basis`), the seeded pure states (`random_pure`), the dense form
+of a `registers.Monomial` (`dense_matrix`) and the flattened state itself
+(`flatten`) live here too: the program runs none of them.
 """
 
 from dataclasses import dataclass
@@ -21,9 +22,10 @@ from oneshot_qit.convexsplit import (_hw_gather, hw_translation_classes,
                                      pairwise_family)
 from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
                                  _support_split)
-from oneshot_qit.flatten import unitary_flatten_W
-from oneshot_qit.registers import (Monomial, PureState, _as_density,
-                                   _components, _density_pair,
+from oneshot_qit.flatten import (FlatSpectrum, _rationalize_gamma,
+                                 unitary_flatten_W)
+from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
+                                   RegisterSystem, _check_dims, _components,
                                    _pattern_blocks, _root_sum, _size_groups,
                                    act, reorder)
 
@@ -45,16 +47,45 @@ def dense_reference_measures(ref, rho):
     return d_val, min(_root_sum(np.linalg.eigvalsh(ref.sandwich(rho))), 1.0)
 
 
+def dense_matrix(m, size=None):
+    """The `registers.Monomial` ``m`` as a dense (..., n, size) array, with
+    M[i, src[i]] = phase[i]; ``size`` defaults to n."""
+    mat = np.zeros(m.src.shape + (size or m.src.shape[-1],), dtype=complex)
+    np.put_along_axis(mat, m.src[..., None],
+                      1.0 if m.phase is None else m.phase[..., None], -1)
+    return mat
+
+
+def flatten(sigma, gamma):
+    """Extend a grid state sigma_C to sigma_CE (register E), uniform on its
+    support: the flattened state itself, built dense at (|C| |E|)^2."""
+    c_dim = sigma.system.total_dim
+    gamma_frac, m_big = _rationalize_gamma(gamma, c_dim)
+    vals, vecs = sigma._eigh()
+    counts = []
+    for v in vals:
+        m = round(float(v) * m_big)
+        if abs(float(v) - m / m_big) > 1e-12:
+            raise ValueError(f"eigenvalue {v} is off the gamma/|C| grid")
+        counts.append(int(m))
+    flat = FlatSpectrum(gamma_frac, tuple(counts), vecs)
+    weights = np.zeros(c_dim * flat.e_dim)
+    weights[flat.support_index()] = 1.0 / m_big
+    basis = np.kron(vecs, np.eye(flat.e_dim))
+    system = RegisterSystem([(sigma.system.labels[0], c_dim), ("E", flat.e_dim)])
+    return DensityOperator(system, (basis * weights) @ basis.conj().T,
+                           validate=False)
+
+
 def dense_hw_family(d):
     """Every V_y, y = a d + b, as a dense (d^2, d, d) array: the matrices of
     the gather maps `convexsplit._hw_gather`."""
-    return _hw_gather(*np.divmod(np.arange(d * d), d), d).matrix()
+    return dense_matrix(_hw_gather(*np.divmod(np.arange(d * d), d), d))
 
 
 def dense_one_design_average(rho, label):
     """`convexsplit.one_design_average` by its former body: the sum of
     act(rho, V) over the dense `dense_hw_family` matrices V."""
-    rho = _as_density(rho)
     d = rho.system.dim_of(label)
     axes = rho.system.axes([label])
     acc = np.zeros_like(rho.matrix)
@@ -264,7 +295,7 @@ def breakpoint_search_test(rho, sigma, eps):
     """`entropy._threshold_test` with a plain binary search over the
     breakpoint clusters, from eigvalsh of the breakpoint matrix, in place of
     the predicted start and gallop; the rest of the body is the same."""
-    rho, sigma = _density_pair(rho, sigma)
+    _check_dims(rho, sigma)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps {eps} outside [0, 1)")
     eps = float(eps)

@@ -25,7 +25,7 @@ from oneshot_qit.entropy import dh_eps
 from oneshot_qit.flatten import (_flat_ensemble, embezzling_state,
                                  round_spectrum, unitary_flatten_W)
 from oneshot_qit.registers import (DensityOperator, PureState, RegisterSystem,
-                                   _as_density, _components, act, basis_state,
+                                   _components, act, basis_state,
                                    canonical_purification, kron_eye_entries,
                                    maximally_entangled, maximally_mixed,
                                    Monomial, partial_trace, random_density,
@@ -35,8 +35,8 @@ if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
 
 import workloads  # noqa: E402
-from oracles import (POVM, dense_hw_family, dense_kron_eye, dense_rows,
-                     dense_signal_successes, full_blocks,
+from oracles import (POVM, dense_hw_family, dense_kron_eye, dense_matrix,
+                     dense_rows, dense_signal_successes, full_blocks,
                      hayashi_nagaoka_povm, hn_inequality_gap,
                      inv_sqrt_successes, lifted_classical_test,
                      lifted_flat_test, moved_channel_test)
@@ -98,13 +98,13 @@ class TestChannels:
         assert np.allclose(out.matrix, rho.matrix)
 
     def test_fully_depolarizing(self):
-        k0 = basis_state(sysof(("A", 2)), 0).density()
+        k0 = basis_state(sysof(("A", 2)), 0)
         out = apply_channel(depolarizing_channel(1.0), k0, ["A"])
         assert np.allclose(out.matrix, np.eye(2) / 2)
 
     def test_depolarizing_kraus_sum_oracle(self):
         p = 0.1
-        rho = basis_state(sysof(("A", 2)), 0).density()
+        rho = basis_state(sysof(("A", 2)), 0)
         out = apply_channel(depolarizing_channel(p), rho, ["A"])
         expect = (1 - p) * rho.matrix + p * np.eye(2) / 2
         assert np.max(np.abs(out.matrix - expect)) <= 1e-12
@@ -243,7 +243,7 @@ def _one_test(family):
 def _materialised(test, maps):
     """Every member M_m T M_m^dag, stacked, for the test (A, f) built in
     full as T = A (x) I_f and the maps as dense matrices."""
-    mats = maps.matrix(len(test[0]) * test[1])
+    mats = dense_matrix(maps, len(test[0]) * test[1])
     return mats @ dense_kron_eye(*test) @ mats.conj().swapaxes(-1, -2)
 
 
@@ -1016,8 +1016,8 @@ def _dense_channel_code_maps(channel, psi_a, gamma, a, n):
     reached = np.zeros(e_dim * d_dim, dtype=bool)
     for y in range(m_big * m_big):
         lift = np.eye(d_a * e_dim, dtype=complex)
-        lift[np.ix_(pairs, pairs)] = _hw_gather(*divmod(y, m_big),
-                                                m_big).matrix()
+        lift[np.ix_(pairs, pairs)] = dense_matrix(
+            _hw_gather(*divmod(y, m_big), m_big))
         members.append(np.kron(np.eye(d_a), np.kron(lift, np.eye(d_dim)))
                        @ w_bob)
         enc = w.T @ np.kron(lift.T, np.eye(d_dim)) @ w @ init.reshape(side, -1)
@@ -1074,8 +1074,7 @@ class TestChannelCode:
                               0.5, 0.5, a=4, n=5)
         monkeypatch.setattr(coding, "_threshold_test",
                             lambda rho, sigma, eps: bisection_test(
-                                _as_density(rho).matrix,
-                                _as_density(sigma).matrix, eps))
+                                rho.matrix, sigma.matrix, eps))
         want = ea_channel_code(depolarizing_channel(0.1), self.mu_a, 0, 0.05,
                                0.5, 0.5, a=4, n=5)
         assert abs(rep.empirical_max_error - want.empirical_max_error) <= 1e-12

@@ -29,8 +29,9 @@ from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    maximally_mixed, partial_trace,
                                    permute_registers, random_density, tensor)
 from oracles import (dense_hw_family, dense_hw_split_means, dense_kron_eye,
-                     dense_one_design_average, dense_reference_measures,
-                     hayashi_nagaoka_povm, lifted_classical_test)
+                     dense_matrix, dense_one_design_average,
+                     dense_reference_measures, hayashi_nagaoka_povm,
+                     lifted_classical_test)
 
 
 def sysof(*pairs):
@@ -44,7 +45,7 @@ def host_input(psi, g):
     """psi_{R C0} (x) |0><0|_Q (x) mu_C1 (x) mu_G2 on (R..., Q, C0, C1, G2)."""
     labels = psi.system.labels
     c_dim = psi.system.dim_of(labels[-1])
-    state = tensor(psi, basis_state(sysof(("Q", 2)), 0).density(),
+    state = tensor(psi, basis_state(sysof(("Q", 2)), 0),
                    maximally_mixed(sysof(("C1", c_dim))),
                    maximally_mixed(sysof(("G2", g))))
     return permute_registers(state, list(labels[:-1]) + ["Q", labels[-1], "C1",
@@ -79,13 +80,13 @@ def host_successes(psi, omega, subset, g):
 
 class TestHWUnitaries:
     def test_identity(self):
-        assert np.allclose(_hw_gather(0, 0, 2).matrix(), np.eye(2))
+        assert np.allclose(dense_matrix(_hw_gather(0, 0, 2)), np.eye(2))
 
     def test_shift_is_pauli_x(self):
-        assert np.allclose(_hw_gather(1, 0, 2).matrix(), [[0, 1], [1, 0]])
+        assert np.allclose(dense_matrix(_hw_gather(1, 0, 2)), [[0, 1], [1, 0]])
 
     def test_phase_is_pauli_z(self):
-        assert np.allclose(_hw_gather(0, 1, 2).matrix(), np.diag([1, -1]))
+        assert np.allclose(dense_matrix(_hw_gather(0, 1, 2)), np.diag([1, -1]))
 
     def test_all_unitary(self):
         for v in dense_hw_family(5):
@@ -104,12 +105,12 @@ class TestHWUnitaries:
                     for c in range(d):
                         loop[(c + a) % d, c] = np.exp(2j * np.pi * c * b / d)
                     assert np.array_equal(scattered, loop)
-                    assert np.array_equal(scattered, v.matrix())
+                    assert np.array_equal(scattered, dense_matrix(v))
 
 
 class TestOneDesign:
     def test_single_register_state(self):
-        k0 = basis_state(sysof(("C", 2)), 0).density()
+        k0 = basis_state(sysof(("C", 2)), 0)
         avg = one_design_average(k0, "C")
         assert np.max(np.abs(avg.matrix - np.eye(2) / 2)) <= 1e-12
 

@@ -286,7 +286,7 @@ class TestDmax:
     def test_support_violation(self):
         k0 = basis_state(sysof(("A", 2)), 0)
         k1 = basis_state(sysof(("A", 2)), 1)
-        assert not dmax(k0.density(), k1.density()).finite
+        assert not dmax(k0, k1).finite
 
 
 class TestDhEps:
@@ -808,7 +808,8 @@ class TestHmin:
     def test_witness_feasible(self):
         for seed in range(5):
             rho = random_density(seed, sysof(("A", 2), ("B", 3)))
-            val, xb = hmin(rho, (["A"], ["B"]), return_witness=True)
+            val = hmin(rho, (["A"], ["B"]))
+            _, xb = entropy._hmin_sdp(rho.matrix, 2, 3)
             slack = np.kron(np.eye(2), xb) - rho.matrix
             assert np.linalg.eigvalsh(slack)[0] >= -1e-7
             assert abs(-np.log2(np.real(np.trace(xb))) - val.value) <= 1e-9
@@ -828,7 +829,7 @@ class TestHmin:
 
     def test_maximally_entangled_matches_loop_oracle_bit_for_bit(self):
         # the entropy CLI report prints this value's distance from -1
-        phi = maximally_entangled("A", "B", 2).density().matrix
+        phi = maximally_entangled("A", "B", 2).matrix
         assert entropy._hmin_sdp(phi, 2, 2)[0] == loop_hmin_sdp(phi, 2, 2)[0]
 
     @pytest.mark.parametrize("seed", [0, 5])

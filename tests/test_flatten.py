@@ -17,7 +17,7 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
                                  check_embezzle_upper, check_unembezzle,
                                  convex_split_flat_1design,
                                  convex_split_flat_classical,
-                                 embezzling_state, flatten, harmonic_sum,
+                                 embezzling_state, harmonic_sum,
                                  purified_embezzle_fidelity, round_spectrum,
                                  unitary_flatten_W, w_b_permutation)
 from oneshot_qit.registers import (DensityOperator, Monomial,
@@ -25,7 +25,8 @@ from oneshot_qit.registers import (DensityOperator, Monomial,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, random_density, reorder,
                                    tensor)
-from oracles import dense_kron_eye, dense_reference_measures, random_pure
+from oracles import (dense_kron_eye, dense_reference_measures, flatten,
+                     random_pure)
 
 
 def sysof(*pairs):
@@ -994,7 +995,7 @@ def _edge_ensemble(kind):
     w_d = np.array([0.3, 0.7])
     u = np.linalg.qr(np.array([[1.0, 2.0], [3.0, 1j]]))[0]
     if kind == "rank1":
-        theta = random_pure(31, sys_rsd).density().matrix
+        theta = random_pure(31, sys_rsd).matrix
         psi_r = partial_trace(DensityOperator(sys_rsd, theta), ["S", "D"]).matrix
     elif kind == "kernel":
         theta = random_density(32, sys_rsd).matrix

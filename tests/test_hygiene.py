@@ -34,23 +34,24 @@ def unused_imports(source):
                   if name not in used)
 
 
-def unread_names(sources, readers=None, public=False):
-    """(module, line, name) of each private name (each public one, with
-    ``public``) that a module of ``sources`` defines at module or class
-    level and that no source in ``readers`` reads; ``readers`` defaults to
-    ``sources``, and dunder names never count."""
-    trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    read = set()
-    for text in (sources if readers is None else readers).values():
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    defined = []
+def shadowed_names(trees):
+    """Spellings a read of which may be a read of something else: names
+    defined more than once at module or class level, module names, and
+    attributes assigned on ``self``."""
+    seen = [name for _, _, name, _ in definitions(trees)]
+    return ({name for name in seen if seen.count(name) > 1}
+            | {Path(mod).stem for mod in trees}
+            | {node.attr for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Store)
+               and isinstance(node.value, ast.Name) and node.value.id == "self"})
+
+
+def definitions(trees):
+    """(module, line, name, node) of each name defined at module or class
+    level; a function's line is that of its first decorator, as in its code
+    object."""
+    found = []
     for mod, tree in trees.items():
         scopes = [tree.body] + [node.body for node in tree.body
                                 if isinstance(node, ast.ClassDef)]
@@ -66,10 +67,78 @@ def unread_names(sources, readers=None, public=False):
                     names = [node.target.id]
                 else:
                     continue
-                defined += [(mod, node.lineno, name) for name in names
-                            if name.startswith("_") != public
-                            and not name.endswith("__")]
-    return sorted(item for item in defined if item[2] not in read)
+                line = min([node.lineno] + [d.lineno for d in getattr(
+                    node, "decorator_list", [])])
+                found += [(mod, line, name, node) for name in names]
+    return found
+
+
+def unread_names(sources, readers=None, public=False, called=None):
+    """(module, line, name) of each private name (each public one, with
+    ``public``) that a module of ``sources`` defines at module or class
+    level and that no source in ``readers`` reads; ``readers`` defaults to
+    ``sources``, and dunder names never count.
+
+    With ``called``, the (module, line, name) of each function that a run
+    called, a function or method of a `shadowed_names` spelling, or of the
+    spelling of a variable or argument of a reader, counts as read only if
+    it is in ``called``: a read of its spelling may read the other name."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read, bound = set(), set()
+    for text in (sources if readers is None else readers).values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                (read if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    shadowed = set() if called is None else shadowed_names(trees) | bound
+    unread = []
+    for mod, line, name, node in definitions(trees):
+        if name.startswith("_") == public or name.endswith("__"):
+            continue
+        if isinstance(node, ast.FunctionDef) and name in shadowed:
+            if (mod, line, name) not in called:
+                unread.append((mod, line, name))
+        elif name not in read:
+            unread.append((mod, line, name))
+    return sorted(unread)
+
+
+def calls_during(run, directory):
+    """(file name, first line, name) of each Python function in a file of
+    ``directory`` that ``run()`` calls, from a profile of the run."""
+    called = set()
+
+    def note(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(note)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return {(Path(code.co_filename).name, code.co_firstlineno, code.co_name)
+            for code in called
+            if Path(code.co_filename).resolve().parent == directory}
+
+
+def run_the_system(workdir):
+    """Every test of tests/test_acceptance.py, then every CLI subcommand at
+    its default flags, in this process; files go to ``workdir``."""
+    import test_acceptance
+    from oneshot_qit import cli
+    for name, test in vars(test_acceptance).items():
+        if name.startswith("test_"):
+            test(*[workdir] * test.__code__.co_argcount)
+    for name in cli.RUNNERS:
+        assert cli.main([name, "--out", str(workdir / f"{name}.csv")]) == 0
 
 
 def linalg_calls(tree, name):
@@ -164,14 +233,17 @@ def test_gate_catches_an_unread_private_name():
         ("a.py", 4, "_orphan"), ("a.py", 8, "_spare"), ("a.py", 9, "_grow")]
 
 
-def test_every_public_name_is_run():
+def test_every_public_name_is_run(tmp_path):
     # a function, class, method or constant that only the tests read is a
     # capability the system does not run: it goes, or it moves to
-    # tests/oracles.py as a dense oracle
+    # tests/oracles.py as a dense oracle.  A function whose spelling is
+    # shadowed must be called by the acceptance suite or the CLI: a read of
+    # the spelling may read the other name.
     sources = {p.name: p.read_text() for p in MODULES}
     readers = dict(sources, **{str(p.relative_to(ROOT)): p.read_text()
                                for p in RUNNERS})
-    assert unread_names(sources, readers, public=True) == []
+    called = calls_during(lambda: run_the_system(tmp_path), PACKAGE)
+    assert unread_names(sources, readers, public=True, called=called) == []
 
 
 def test_gate_catches_an_unread_public_name():
@@ -204,6 +276,52 @@ def test_gate_catches_an_unread_public_name():
     assert unread_names(sources, readers, public=True) == [
         ("a.py", 2, "SPARE"), ("a.py", 5, "oracle"), ("a.py", 11, "shrink"),
         ("a.py", 15, "Spare")]
+
+
+def test_gate_catches_a_public_name_read_only_by_its_spelling():
+    # a method shadowed by another class's method, a function by a module
+    # name, a method by an attribute set on self, a function by a variable
+    sources = {
+        "a.py": ("class Circuit:\n"
+                 "    def inverse(self):\n"
+                 "        pass\n"
+                 "class Map:\n"
+                 "    def inverse(self):\n"
+                 "        pass\n"
+                 "    def matrix(self):\n"
+                 "        pass\n"
+                 "class State:\n"
+                 "    def __init__(self, m):\n"
+                 "        self.matrix = m\n"
+                 "def wires(gate):\n"
+                 "    return gate\n"),
+        "flatten.py": ("def flatten(x):\n"
+                       "    return x\n"
+                       "def round_up(x):\n"
+                       "    return x\n"),
+    }
+    readers = dict(sources, **{"perfbench/run.py": (
+        "from pkg import a, flatten\n"
+        "from pkg.flatten import round_up\n"
+        "wires = [a.Circuit]\n"
+        "a.Map().inverse(), a.State(0).matrix, round_up(wires)\n")})
+    assert unread_names(sources, readers, public=True) == []
+    called = {("a.py", 5, "inverse")}
+    shadowed = [("a.py", 2, "inverse"), ("a.py", 7, "matrix"),
+                ("a.py", 12, "wires"), ("flatten.py", 1, "flatten")]
+    assert unread_names(sources, readers, public=True, called=called) \
+        == shadowed
+    assert unread_names(sources, readers, public=True,
+                        called=called | set(shadowed)) == []
+
+
+def test_profile_records_the_package_functions_a_run_calls():
+    from oneshot_qit import registers
+    called = calls_during(lambda: registers.maximally_mixed(
+        registers.RegisterSystem([("A", 2)])), PACKAGE)
+    code = registers.maximally_mixed.__code__
+    assert ("registers.py", code.co_firstlineno, "maximally_mixed") in called
+    assert "random_density" not in {name for _, _, name in called}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -426,7 +544,7 @@ def test_gate_catches_a_duplicate_block():
 
 
 # `wc -l src/oneshot_qit/*.py` of the code that set it
-SRC_LINE_CEILING = 3662
+SRC_LINE_CEILING = 3584
 
 
 def line_count(paths):
@@ -464,8 +582,8 @@ def top_level_scopes(source):
 def dense_hw_names(source):
     """Lines that name a dense Heisenberg-Weyl form (``hw_family``,
     ``hw_unitary``, ``HWUnitary``) as a definition, a name, an attribute or
-    an import, aliased or not, or that call ``.matrix()``, the dense form
-    of a `registers.Monomial`."""
+    an import, aliased or not, or that call ``.matrix()``: a dense form of
+    a `registers.Monomial`, which only `oracles.dense_matrix` builds."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and node.id in DENSE_HW \
@@ -566,17 +684,6 @@ def test_gate_catches_an_index_map_inverted_by_hand():
     assert index_inverses("coding.py", source) == [5, 7, 10, 12, 13]
 
 
-# Sites that may still build a Kronecker product with a trailing identity,
-# by (module, enclosing function), each with its reason.  Every other
-# operator of the form A (x) I is kept as the pair (A, f) and read through
-# registers.kron_eye_entries.
-KRON_EYE_SITES = {
-    ("flatten.py", "flatten"):
-        "the basis v (x) I_E of the flattened state, which is returned dense "
-        "at its own size (|C| |E|)^2",
-}
-
-
 def _is_call_of(node, name):
     """Whether ``node`` calls ``*.name(...)`` or a bare ``name(...)``."""
     return isinstance(node, ast.Call) and (
@@ -611,16 +718,9 @@ def kron_eye_calls(source):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_kron_with_a_trailing_identity(path):
-    calls = kron_eye_calls(path.read_text())
-    assert [(func, line) for func, line in calls
-            if (path.name, func) not in KRON_EYE_SITES] == []
-
-
-def test_every_kron_eye_site_is_still_there():
-    # a site that no longer builds A (x) I leaves the list
-    found = {(path.name, func) for path in MODULES
-             for func, _ in kron_eye_calls(path.read_text())}
-    assert set(KRON_EYE_SITES) <= found
+    # every operator of the form A (x) I is kept as the pair (A, f) and read
+    # through registers.kron_eye_entries
+    assert kron_eye_calls(path.read_text()) == []
 
 
 def test_gate_catches_a_kron_with_a_trailing_identity():

@@ -1,10 +1,19 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oneshot_qit.coding import (apply_channel, depolarizing_channel,
+                                ea_channel_code, identity_channel,
+                                position_based_decode_classical,
+                                position_based_decode_flat,
+                                redistribution_bounds)
+from oneshot_qit.convexsplit import (PrimeRegister, convex_split_1design,
+                                     convex_split_classical)
+from oneshot_qit.entropy import dh_eps, dmax, hmin, imax, relative_entropy
 from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    RegisterSystem, _block_eigvalsh,
                                    _pattern_blocks, act, apply_unitary,
@@ -13,8 +22,8 @@ from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    kron_eye_entries, maximally_entangled,
                                    maximally_mixed, partial_trace,
                                    permute_registers, purified_distance,
-                                   random_density, tensor)
-from oracles import random_pure
+                                   random_density, tensor, tensor_pure)
+from oracles import dense_matrix, random_pure
 
 
 def sysof(*pairs):
@@ -89,8 +98,8 @@ class TestTensorAndPartialTrace:
         assert np.allclose(prod.matrix, np.eye(4) / 4)
 
     def test_computational_basis(self):
-        k0 = basis_state(sysof(("A", 2)), 0).density()
-        k1 = basis_state(sysof(("B", 2)), 1).density()
+        k0 = basis_state(sysof(("A", 2)), 0)
+        k1 = basis_state(sysof(("B", 2)), 1)
         prod = tensor(k0, k1)
         expect = np.zeros((4, 4))
         expect[1, 1] = 1.0
@@ -198,6 +207,98 @@ class TestReadOnlyState:
         assert memo[0] is vals and memo[1] is vecs
 
 
+def _rotated_phi(x, y, seed):
+    """The maximally entangled two-qubit state in a seeded local basis on
+    ``x``: dense, and of full Schmidt rank."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2))
+                        + 1j * rng.standard_normal((2, 2)))
+    phi = maximally_entangled(x, y, 2)
+    return PureState(phi.system, np.kron(u, np.eye(2)) @ phi.vector)
+
+
+def _rc():
+    return _rotated_phi("R", "C", 3)
+
+
+def _mixed_like(state):
+    return random_density(7, state.system)
+
+
+# every entry point that takes a state: (the pure state, the call)
+STATE_ENTRY_POINTS = {
+    "partial_trace": (_rc, lambda s: partial_trace(s, ["C"])),
+    "permute_registers": (_rc, lambda s: permute_registers(s, ["C", "R"])),
+    "apply_unitary": (_rc, lambda s: apply_unitary(
+        s, np.array([[1, 1], [1, -1]]) / np.sqrt(2), ["C"])),
+    "tensor": (_rc, lambda s: tensor(maximally_mixed(sysof(("Q", 2))), s)),
+    "fidelity": (_rc, lambda s: fidelity(s, _mixed_like(s))),
+    "canonical_purification": (lambda: random_pure(5, sysof(("A", 3))),
+                               lambda s: canonical_purification(s, "M")),
+    "relative_entropy": (_rc, lambda s: relative_entropy(s, _mixed_like(s))),
+    "dmax": (_rc, lambda s: dmax(s, _mixed_like(s))),
+    "dh_eps": (_rc, lambda s: dh_eps(s, _mixed_like(s), 0.1)),
+    "hmin": (_rc, lambda s: hmin(s, (["R"], ["C"]))),
+    "imax": (_rc, lambda s: imax(s, (["R"], ["C"]))),
+    "apply_channel": (_rc, lambda s: apply_channel(depolarizing_channel(0.1),
+                                                   s, ["C"])),
+    "convex_split_1design": (_rc, lambda s: convex_split_1design(s, 2)),
+    "convex_split_classical": (_rc, lambda s: convex_split_classical(
+        s, range(2), prime=5)),
+    "position_based_decode_classical": (
+        lambda: _rotated_phi("B", "C", 3),
+        lambda s: position_based_decode_classical(
+            s, PrimeRegister(2, 5), range(2), 0.005, 0.15)),
+    "position_based_decode_flat": (
+        lambda: _rotated_phi("B", "C", 3),
+        lambda s: position_based_decode_flat(
+            s, maximally_mixed(sysof(("C", 2))), Fraction(2, 3), [0], 0.01,
+            0.1, a=2, n=3, d_size=8)),
+    "ea_channel_code": (_rc, lambda s: ea_channel_code(
+        depolarizing_channel(0.1), s, 0, 0.05, 0.5, 0.5, a=4, n=5)),
+    "redistribution_bounds": (
+        lambda: tensor_pure(_rc(), random_pure(5, sysof(("A", 2), ("B", 2)))),
+        lambda s: redistribution_bounds(s, ["R"], ["A"], ["B"], ["C"],
+                                        eps=0.1, delta=0.1)),
+}
+
+
+def _shown(result):
+    """repr of a result; a state's carries its matrix in full."""
+    if isinstance(result, DensityOperator):
+        return repr((result, result.matrix.tolist()))
+    return repr(result)
+
+
+class TestPureState:
+    @pytest.mark.parametrize("entry", sorted(STATE_ENTRY_POINTS))
+    def test_same_result_as_its_density_operator(self, entry):
+        make, call = STATE_ENTRY_POINTS[entry]
+        pure = make()
+        mixed = DensityOperator(pure.system, pure.matrix)
+        assert _shown(call(pure)) == _shown(call(mixed))
+
+    def test_building_one_solves_no_eigensystem(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve while building a pure state")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        psi = PureState(sysof(("A", 4), ("B", 4)), np.full(16, 0.25))
+        assert isinstance(psi, DensityOperator) and psi._eig is None
+        assert np.array_equal(psi.matrix, np.full((16, 16), 1 / 16))
+
+    def test_vector_and_matrix_are_read_only(self):
+        # the vector passed in is frozen, not copied, as a matrix is
+        vec = np.full(4, 0.5, dtype=complex)
+        psi = PureState(sysof(("A", 2), ("B", 2)), vec)
+        for arr in (psi.vector, psi.matrix, vec):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(ValueError):
+            psi.vector += 0
+
+
 class TestFidelity:
     def test_self_fidelity(self):
         rho = random_density(11, sysof(("A", 3)))
@@ -270,7 +371,7 @@ class TestCanonicalPurification:
         assert np.allclose(psi.vector, expect)
 
     def test_pure_input(self):
-        psi = canonical_purification(basis_state(sysof(("A", 2)), 0).density(), "M")
+        psi = canonical_purification(basis_state(sysof(("A", 2)), 0), "M")
         expect = np.zeros(4)
         expect[0] = 1.0
         assert np.allclose(psi.vector, expect)
@@ -351,7 +452,7 @@ class TestAct:
     def test_non_unitary_kraus_on_subnormalized_state(self):
         system = sysof(*zip("ABCD", self.dims))
         sub = DensityOperator(system, 0.6 * random_density(6, system).matrix,
-                              subnormalized=True)
+                              validate=False)
         kraus = 0.5 * self._random_op(2, 6)
         out = act(sub.matrix, kraus, self.dims, [3, 1])
         assert np.allclose(out, _kron_conjugation(sub.matrix, kraus, self.dims,
@@ -439,8 +540,8 @@ class TestMonomialProperties:
         dims, axes = case
         sub = int(np.prod([dims[ax] for ax in axes]))
         m = data.draw(_maps(sub, family=False))
-        assert np.array_equal(m.lift(dims, axes).matrix(),
-                              _kron_lift(m.matrix(), dims, axes))
+        assert np.array_equal(dense_matrix(m.lift(dims, axes)),
+                              _kron_lift(dense_matrix(m), dims, axes))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), case=_factors_and_axes())
@@ -454,22 +555,24 @@ class TestMonomialProperties:
         m = Monomial(keep, np.exp(1j * np.arange(len(keep))))
         before = int(np.prod(dims[:axes[0]]))
         after = int(np.prod(dims[axes[-1] + 1:]))
-        want = np.kron(np.eye(before), np.kron(m.matrix(sub), np.eye(after)))
-        assert np.array_equal(m.lift(dims, axes).matrix(int(np.prod(dims))),
+        want = np.kron(np.eye(before),
+                       np.kron(dense_matrix(m, sub), np.eye(after)))
+        assert np.array_equal(dense_matrix(m.lift(dims, axes),
+                                           int(np.prod(dims))),
                               want)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
     def test_inverse_and_transpose(self, data, n):
         m = data.draw(_maps(n))
-        mat = m.matrix()
-        assert np.allclose(m.compose(m.inverse()).matrix(), np.eye(n),
+        mat = dense_matrix(m)
+        assert np.allclose(dense_matrix(m.compose(m.inverse())), np.eye(n),
                            rtol=0, atol=1e-15)
-        assert np.allclose(m.inverse().compose(m).matrix(), np.eye(n),
+        assert np.allclose(dense_matrix(m.inverse().compose(m)), np.eye(n),
                            rtol=0, atol=1e-15)
-        assert np.array_equal(m.inverse().matrix(),
+        assert np.array_equal(dense_matrix(m.inverse()),
                               mat.conj().swapaxes(-1, -2))
-        assert np.array_equal(m.transpose().matrix(), mat.swapaxes(-1, -2))
+        assert np.array_equal(dense_matrix(m.transpose()), mat.swapaxes(-1, -2))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), size=st.integers(1, 12))
@@ -478,16 +581,18 @@ class TestMonomialProperties:
         keep = keep[:data.draw(st.integers(1, size))]
         m = Monomial(keep, np.exp(1j * np.arange(len(keep))))
         inv = m.inverse(size)
-        assert np.array_equal(inv.matrix(len(keep)), m.matrix(size).conj().T)
-        assert np.allclose(m.compose(inv).matrix(), np.eye(len(keep)),
+        assert np.array_equal(dense_matrix(inv, len(keep)),
+                              dense_matrix(m, size).conj().T)
+        assert np.allclose(dense_matrix(m.compose(inv)), np.eye(len(keep)),
                            rtol=0, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12))
     def test_compose_is_the_matrix_product(self, data, n):
         first, then = data.draw(_maps(n)), data.draw(_maps(n))
-        assert np.allclose(first.compose(then).matrix(),
-                           first.matrix() @ then.matrix(), rtol=0, atol=1e-15)
+        assert np.allclose(dense_matrix(first.compose(then)),
+                           dense_matrix(first) @ dense_matrix(then), rtol=0,
+                           atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
@@ -495,7 +600,7 @@ class TestMonomialProperties:
         m = data.draw(_maps(n))
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mat = m.matrix()
+        mat = dense_matrix(m)
         assert np.allclose(m.conjugate(a), mat @ a @ mat.conj().swapaxes(
             -1, -2), rtol=0, atol=1e-14)
         assert np.allclose(m.apply(a), mat @ a, rtol=0, atol=1e-14)
@@ -504,7 +609,7 @@ class TestMonomialProperties:
         want = np.broadcast_to(np.eye(size, dtype=complex),
                                mat.shape[:-2] + (size, size)).copy()
         want[..., index[:, None], index] = mat
-        assert np.array_equal(m.embed(index, size).matrix(), want)
+        assert np.array_equal(dense_matrix(m.embed(index, size)), want)
 
 
 class TestKronEyeEntries:
