@@ -4,7 +4,7 @@ from .registers import (DensityOperator, PureState, RegisterSystem,
                         apply_unitary, basis_state, canonical_purification,
                         fidelity, maximally_entangled, maximally_mixed,
                         partial_trace, permute_registers, purified_distance,
-                        random_density, tensor, tensor_pure)
+                        random_density, tensor)
 from .entropy import (EntropyValue, check_mixture_identity, dh_eps, dmax,
                       hmin, imax, relative_entropy, transpose_unitary)
 from .convexsplit import (ConvexSplitReport, PairwiseFamily, PrimeRegister,

@@ -321,28 +321,24 @@ def synth_decoupler(c_dim, g_prime, l_size):
     t = unit.alloc_value_register()
     unit._mult_scratch = unit.alloc_value_register()
 
+    def rotate(first, second, sign):
+        # t <- second - first, p1 += sign (i + t l), p2 += sign (j + t l),
+        # then t <- 0
+        unit.add_reg(second, t)
+        unit.sub_reg(first, t)
+        step = unit.add_reg if sign > 0 else unit.sub_reg
+        step(i_reg, p1)
+        step(j_reg, p2)
+        unit.mult_accumulate(t, l_reg, [p1, p2], subtract=sign < 0)
+        unit.add_reg(first, t)
+        unit.sub_reg(second, t)
+
     # compute: p1 <- i + (j - i) l, p2 <- j + (j - i) l
-    unit.add_reg(j_reg, t)
-    unit.sub_reg(i_reg, t)
-    unit.add_reg(i_reg, p1)
-    unit.add_reg(j_reg, p2)
-    unit.mult_accumulate(t, l_reg, [p1, p2])
-    unit.add_reg(i_reg, t)
-    unit.sub_reg(j_reg, t)
-
-    for a, c in zip(i_reg, p1):
+    rotate(i_reg, j_reg, +1)
+    for a, c in zip(i_reg + j_reg, p1[:n] + p2[:n]):
         b.swap(a, c)
-    for a, c in zip(j_reg, p2):
-        b.swap(a, c)
-
     # uncompute: p1/p2 hold old i/j = new + l*(new1 - new2)
-    unit.add_reg(i_reg, t)
-    unit.sub_reg(j_reg, t)
-    unit.sub_reg(i_reg, p1)
-    unit.sub_reg(j_reg, p2)
-    unit.mult_accumulate(t, l_reg, [p1, p2], subtract=True)
-    unit.add_reg(j_reg, t)
-    unit.sub_reg(i_reg, t)
+    rotate(j_reg, i_reg, -1)
 
     return _finish(b)
 

@@ -309,11 +309,8 @@ def run_code(args, tol):
 def run_bounds(args, tol):
     records = []
     sys4 = _sysof(("R", 2), ("A", 2), ("B", 2), ("C", 2))
-    vec = np.zeros(16)
-    vec[0] = 1.0
-    product = registers.PureState(sys4, vec)
-    res = coding.redistribution_bounds(product, ["R"], ["A"], ["B"], ["C"],
-                                       eps=0.1, delta=0.1)
+    res = coding.redistribution_bounds(registers.basis_state(sys4, 0), ["R"],
+                                       ["A"], ["B"], ["C"], eps=0.1, delta=0.1)
     expect_merge = 2.0 + 2.0 * np.log2(10.0)
     ok = abs(res.merge_comm - expect_merge) <= 1e-6 * tol
     records.append(ReportRecord(
@@ -325,7 +322,7 @@ def run_bounds(args, tol):
 
     phi_rc = registers.maximally_entangled("R", "C", 2)
     ab = registers.basis_state(_sysof(("A", 2), ("B", 2)), 0)
-    joint = registers.tensor_pure(phi_rc, ab)
+    joint = registers.tensor(phi_rc, ab)
     res2 = coding.redistribution_bounds(joint, ["R"], ["A"], ["B"], ["C"],
                                         eps=0.1, delta=0.1)
     expect2 = 1.0 + 2.0 + 2.0 * np.log2(10.0)

@@ -55,21 +55,21 @@ INV_SQRT_CUT = 1e-12
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """CPTP map given by Kraus operators; square input/output registers."""
+    """CPTP map on one register of dimension ``dim``, given by square
+    (dim, dim) Kraus operators: the output register has the input's size."""
 
     kraus: tuple
-    input_dim: int
-    output_dim: int
+    dim: int
     name: str = "channel"
 
     def __post_init__(self):
-        acc = np.zeros((self.input_dim, self.input_dim), dtype=complex)
+        acc = np.zeros((self.dim, self.dim), dtype=complex)
         for k in self.kraus:
-            if k.shape != (self.output_dim, self.input_dim):
+            if k.shape != (self.dim, self.dim):
                 raise ValueError("Kraus operator shape mismatch")
             acc += k.conj().T @ k
         # written as "not <=" so that a NaN entry fails too
-        if not float(np.max(np.abs(acc - np.eye(self.input_dim)))) <= 1e-9:
+        if not float(np.max(np.abs(acc - np.eye(self.dim)))) <= 1e-9:
             raise ValueError("Kraus operators are not trace preserving")
 
 
@@ -79,7 +79,7 @@ def _check_range(name, value, top):
 
 
 def identity_channel(dim=2):
-    return QuantumChannel((np.eye(dim, dtype=complex),), dim, dim, "identity")
+    return QuantumChannel((np.eye(dim, dtype=complex),), dim, "identity")
 
 
 def depolarizing_channel(p):
@@ -93,18 +93,16 @@ def depolarizing_channel(p):
               np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
     weights = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
     kraus = tuple(np.sqrt(w) * m.astype(complex) for w, m in zip(weights, paulis))
-    return QuantumChannel(kraus, 2, 2, f"depolarizing({p})")
+    return QuantumChannel(kraus, 2, f"depolarizing({p})")
 
 
 def apply_channel(channel, state, labels):
     """Apply the channel to the named registers (Kraus sum, trace preserved)."""
     labels = list(labels)
     d_act = state.system.subsystem(labels).total_dim
-    if d_act != channel.input_dim:
+    if d_act != channel.dim:
         raise ValueError(f"registers {labels} have dim {d_act}, "
-                         f"channel expects {channel.input_dim}")
-    if channel.output_dim != channel.input_dim:
-        raise ValueError("register-relabeling channels need equal dimensions")
+                         f"channel expects {channel.dim}")
     axes = state.system.axes(labels)
     acc = np.zeros_like(state.matrix)
     for k in channel.kraus:
@@ -384,15 +382,6 @@ class CodingReport:
         return asdict(self)
 
 
-def _marginal_input(psi):
-    """Channel-input marginal from either a marginal or a bipartite pure state."""
-    if len(psi.system) == 1:
-        return psi
-    if len(psi.system) == 2:
-        return partial_trace(psi, [psi.system.labels[1]])
-    raise ValueError("expected a single-register state or a bipartite purification")
-
-
 def _channel_test(channel, psi_a, eps):
     """Optimal test Omega on (B, C) and its D_H for the channel code.
 
@@ -423,7 +412,7 @@ def channel_rate_cap(channel, psi_a, eps, gamma, delta_prime):
     Refuses gamma outside (0, 1) before the solve.
     """
     _gamma_fraction(gamma)
-    _, dh = _channel_test(channel, _marginal_input(psi_a), eps)
+    _, dh = _channel_test(channel, psi_a, eps)
     return _rate_cap(dh, eps, gamma, delta_prime)
 
 
@@ -431,21 +420,20 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
                     enforce_cap=True):
     """Exact simulation of the flattened entanglement-assisted channel code.
 
-    ``psi_a`` is Alice's channel-input state: either the single-register
-    marginal or a two-register pure state whose first register is the channel
-    input (only the marginal matters; the code runs on its canonical
-    purification on registers (A, C)).  Down-rounding psi_A onto the
-    gamma/|C| grid gives the shared resource |sigma>_AC, flattened into block
-    registers E'/E with an embezzling pair D'/D of size n(M+1).  Message m is
-    encoded by conjugating Alice's side with the transposed selected rotation
-    through the flattening isometry; register A passes through the channel;
-    Bob decodes with the square-root measurement over the rotated hypothesis
-    tests.  Every message and shared-randomness branch is propagated exactly;
-    no sampling.
+    ``psi_a`` is Alice's channel-input state on the channel's one register;
+    the code runs on its canonical purification on (A, C).  Down-rounding
+    psi_A onto the gamma/|C| grid gives the shared resource |sigma>_AC,
+    flattened into block registers E'/E with an embezzling pair D'/D of
+    size n(M+1).  Message m is encoded by conjugating Alice's side with the
+    transposed selected rotation through the flattening isometry; register
+    A passes through the channel; Bob decodes with the square-root
+    measurement over the rotated hypothesis tests.  Every message and
+    shared-randomness branch is propagated exactly; no sampling.
 
     The code runs in the eigenbasis v of that rounding (``flat.basis``) on A
     and conj(v) on C.  There the resource is sum_c sqrt(q_c) |c>|c> (x)
-    |xi^{a:n}>_{D'D} (x) |00>_{E'E}, W is the index map of
+    |xi^{a:n}>_{D'D} (x) |00>_{E'E}, one diagonal matrix with
+    `EmbezzleState.amplitudes` on D, W is the index map of
     ``unitary_flatten_W`` on (A, E', D') and on (C, E, D), and each HW
     rotation V_y on the support pairs of (C, E) is one gather map: Bob reads
     the test through it and Alice gathers the resource through its
@@ -459,11 +447,10 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     cap refuses with the computed ceiling unless ``enforce_cap`` is off (used
     to exercise error growth along a rate ladder).
     """
-    psi_a = _marginal_input(psi_a)
     d_a = psi_a.system.total_dim
     if not 0 <= rate <= 6:
         raise ValueError("rate must lie in [0, 6] (message set capped at 64)")
-    if channel.input_dim != d_a or channel.output_dim != d_a:
+    if channel.dim != d_a:
         raise ValueError("channel dimensions must match the A register")
     flat = round_spectrum(psi_a, gamma, "down")
     counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
@@ -481,13 +468,10 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
 
     q, d_dim = np.array(counts, dtype=float) / m_big, d_size + 1
 
-    # shared resource on (A, E', D', C, E, D)
-    xi_pairs = embezzling_state(a, n).purification_vector(d_dim).reshape(
-        d_dim, d_dim)
-    shape = (d_a, e_dim, d_dim, d_a, e_dim, d_dim)
-    init = np.zeros(shape, dtype=complex)
-    init[:, 0, :, :, 0, :] = np.einsum("ac,pq->apcq", np.diag(np.sqrt(q)),
-                                       xi_pairs)
+    # shared resource, rows (A, E', D') by columns (C, E, D): diagonal,
+    # sqrt(q_c xi_j) at (c, 0, j) on both sides
+    resource = np.diag(np.kron(np.sqrt(q), np.kron(
+        np.eye(e_dim)[0], embezzling_state(a, n).amplitudes(d_dim))))
     side_dims = (d_a, e_dim, d_dim)
     w_dag = Monomial(unitary_flatten_W(flat, d_dim))  # gathers by W's image
 
@@ -500,7 +484,6 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
         flat.support_index(), d_a * e_dim)
     members = v.lift(bob_dims, [1, 2]).compose(
         w_dag.inverse().lift(bob_dims, [1, 2, 3]))
-    resource = init.reshape(d_a * e_dim * d_dim, -1)
     encode = w_dag.compose(v.transpose().lift(side_dims, [0, 1])).compose(
         w_dag.inverse())
 

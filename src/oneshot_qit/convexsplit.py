@@ -387,8 +387,8 @@ def prime_register(base_dim):
 
 
 def u_ell(ell, prime_reg):
-    """`u_ell_index` on |G| = prime_reg as a dict of int pairs (i, j) -> image."""
-    g = prime_reg.prime if isinstance(prime_reg, PrimeRegister) else int(prime_reg)
+    """`u_ell_index` on |G| = prime_reg.prime as a dict (i, j) -> image."""
+    g = prime_reg.prime
     return {divmod(k, g): divmod(v, g)
             for k, v in enumerate(u_ell_index(ell, g).tolist())}
 

@@ -35,30 +35,28 @@ def harmonic_sum(a, n):
 
 @dataclass(frozen=True)
 class EmbezzleState:
-    """Harmonic-weight state: weight 1/(S(a,n) j) on basis label j, a <= j <= n."""
+    """Harmonic-weight state: weight 1/(S(a,n) j) on basis label j, a <= j <= n.
+
+    Both forms are vectors over labels 0..dim-1, zero off a..n: the weights
+    (`weight_vector`) and their square roots, the Schmidt coefficients of
+    the purification sum_j sqrt(w_j) |j>|j> (`amplitudes`)."""
 
     a: int
     n: int
     norm: float
 
-    @property
-    def weights(self):
-        return {j: 1.0 / (self.norm * j) for j in range(self.a, self.n + 1)}
-
-    def weight_vector(self, dim):
-        """Diagonal weights over labels 0..dim-1 (zero off the a..n band)."""
+    def _scales(self, dim):
+        """S(a,n) j on the band and inf off it, over labels 0..dim-1."""
         if dim < self.n + 1:
             raise ValueError(f"register of dim {dim} cannot hold labels up to {self.n}")
-        vec = np.zeros(dim)
-        vec[self.a:self.n + 1] = list(self.weights.values())
-        return vec
+        j = np.arange(dim)
+        return np.where((j >= self.a) & (j <= self.n), self.norm * j, np.inf)
 
-    def purification_vector(self, dim):
-        """Canonical purification amplitudes over pairs (j, j)."""
-        vec = np.zeros((dim, dim))
-        for j in range(self.a, self.n + 1):
-            vec[j, j] = 1.0 / np.sqrt(self.norm * j)
-        return vec.reshape(-1)
+    def weight_vector(self, dim):
+        return 1.0 / self._scales(dim)
+
+    def amplitudes(self, dim):
+        return 1.0 / np.sqrt(self._scales(dim))
 
 
 def embezzling_state(a, n):
@@ -299,12 +297,11 @@ def _flat_input(psi, omega, gamma, n):
     """psi as a flattened split input: the moved state on (R, S, D).
 
     omega is rounded up onto the gamma/|C| grid and flattened with
-    a = |E|; D carries xi^{a:n} (n defaults to max(a, 4)), the target holds
-    xi^{1:n} on D, and the ratio is S(1,n)/S(a,n).
+    a = |E|; D carries xi^{a:n}, the target holds xi^{1:n} on D, and the
+    ratio is S(1,n)/S(a,n).
     """
     flat = round_spectrum(omega, gamma, "up")
     a = flat.e_dim
-    n = max(a, 4) if n is None else n
     if n < a:
         raise ValueError(f"n = {n} below a = {a}")
     k, _ = _split_k(psi, omega)
@@ -313,7 +310,7 @@ def _flat_input(psi, omega, gamma, n):
                        k, harmonic_sum(1, n) / harmonic_sum(a, n))
 
 
-def convex_split_flat_1design(psi, omega, gamma, n_mixed, n=None, seed=0):
+def convex_split_flat_1design(psi, omega, gamma, n_mixed, n, seed=0):
     """Flattened 1-design split: mix HW rotations on supp(sigma_CE).
 
     omega is the reference C-state defining k = Dmax(psi || psi_R (x) omega);
@@ -326,7 +323,7 @@ def convex_split_flat_1design(psi, omega, gamma, n_mixed, n=None, seed=0):
     return _one_design_split(_flat_input(psi, omega, gamma, n), n_mixed, seed, 2)
 
 
-def convex_split_flat_classical(psi, omega, gamma, subset, n=None):
+def convex_split_flat_classical(psi, omega, gamma, subset, n):
     """Flattened classical split over the prime register F built on supp(sigma_CE).
 
     Mixes U_l over l in ``subset`` acting on (F1, F2); checks the exact-ratio

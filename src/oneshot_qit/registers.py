@@ -176,15 +176,6 @@ def tensor(*ops):
     return DensityOperator(system, mat, validate=False)
 
 
-def tensor_pure(*states):
-    """Kronecker product of pure states."""
-    system = RegisterSystem([rd for st in states for rd in st.system.registers])
-    vec = states[0].vector
-    for st in states[1:]:
-        vec = np.kron(vec, st.vector)
-    return PureState(system, vec, validate=False)
-
-
 def partial_trace(op, drop):
     """Marginal after tracing out the registers in ``drop`` (order preserved)."""
     drop = set(drop)

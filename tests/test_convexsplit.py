@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -56,8 +57,7 @@ def host_rotate(mat, ell, g, host):
     """U_l mat U_l^dag on (R..., G1, G2) with |G1| = host: the u_ell table on
     the first g states of G1 and the identity on its tail, as a dense matrix."""
     img = np.arange(host * g)
-    for (i, j), (i2, j2) in u_ell(ell, g).items():
-        img[i * g + j] = i2 * g + j2
+    img[:g * g] = u_ell_index(ell, g)
     unitary = np.kron(np.eye(mat.shape[0] // (host * g)),
                       np.eye(host * g)[:, img])      # |k> -> |img[k]>
     return unitary @ mat @ unitary.T
@@ -588,9 +588,10 @@ class TestUEll:
 
     @pytest.mark.parametrize("g", [5, 7, 11])
     def test_index_form_matches_table(self, g):
+        reg = PrimeRegister(math.isqrt(g), g)      # |C|^2 <= g <= 2 |C|^2
         for ell in range(g):
             img = u_ell_index(ell, g)
-            for (i, j), (i2, j2) in u_ell(ell, g).items():
+            for (i, j), (i2, j2) in u_ell(ell, reg).items():
                 assert img[i * g + j] == i2 * g + j2
         with pytest.raises(ValueError):
             u_ell_index(g, g)

@@ -138,7 +138,7 @@ def random_channel(rng, dim, count):
         + 1j * rng.standard_normal((dim * count, dim))
     iso = np.linalg.qr(g)[0]
     return QuantumChannel(tuple(iso[k * dim:(k + 1) * dim] for k in range(count)),
-                          dim, dim)
+                          dim)
 
 
 class TestDataProcessing:

@@ -73,24 +73,33 @@ class TestEmbezzlingState:
     def test_two_level(self):
         e = embezzling_state(1, 2)
         assert abs(e.norm - 1.5) <= 1e-12
-        assert abs(e.weights[1] - 2 / 3) <= 1e-12
-        assert abs(e.weights[2] - 1 / 3) <= 1e-12
+        assert np.allclose(e.weight_vector(3), [0, 2 / 3, 1 / 3], rtol=0,
+                           atol=1e-12)
 
     def test_single_point(self):
         e = embezzling_state(1, 1)
-        assert e.weights == {1: 1.0}
+        assert e.weight_vector(2).tolist() == [0.0, 1.0]
 
     def test_harmonic_sum_direct(self):
         e = embezzling_state(2, 4)
         assert abs(e.norm - 13 / 12) <= 1e-12
         expect = [6 / 13, 4 / 13, 3 / 13]
-        got = [e.weights[j] for j in (2, 3, 4)]
-        assert np.allclose(got, expect, atol=1e-12)
+        got = e.weight_vector(6)
+        assert got[[0, 1, 5]].tolist() == [0.0, 0.0, 0.0]
+        assert np.allclose(got[2:5], expect, atol=1e-12)
 
     def test_weights_normalized(self):
         for a, n in ((1, 50), (3, 17), (8, 256)):
             e = embezzling_state(a, n)
-            assert abs(sum(e.weights.values()) - 1.0) <= 1e-12
+            assert abs(e.weight_vector(n + 1).sum() - 1.0) <= 1e-12
+
+    def test_amplitudes_are_the_square_roots(self):
+        e = embezzling_state(2, 4)
+        amp = e.amplitudes(6)
+        assert amp[[0, 1, 5]].tolist() == [0.0, 0.0, 0.0]
+        assert np.allclose(amp ** 2, e.weight_vector(6), rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            e.amplitudes(4)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -704,7 +713,7 @@ class TestFlatSplits:
         phi = maximally_entangled("R", "C", 2)
         mu_c = maximally_mixed(sysof(("C", 2)))
         with pytest.raises(ValueError):
-            convex_split_flat_classical(phi, mu_c, Fraction(1, 2), [])
+            convex_split_flat_classical(phi, mu_c, Fraction(1, 2), [], n=3)
 
 
 @lru_cache(maxsize=None)

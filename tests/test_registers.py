@@ -22,7 +22,7 @@ from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    kron_eye_entries, maximally_entangled,
                                    maximally_mixed, partial_trace,
                                    permute_registers, purified_distance,
-                                   random_density, tensor, tensor_pure)
+                                   random_density, tensor)
 from oracles import dense_matrix, random_pure
 
 
@@ -254,10 +254,14 @@ STATE_ENTRY_POINTS = {
         lambda s: position_based_decode_flat(
             s, maximally_mixed(sysof(("C", 2))), Fraction(2, 3), [0], 0.01,
             0.1, a=2, n=3, d_size=8)),
-    "ea_channel_code": (_rc, lambda s: ea_channel_code(
-        depolarizing_channel(0.1), s, 0, 0.05, 0.5, 0.5, a=4, n=5)),
+    "ea_channel_code": (
+        lambda: random_pure(5, sysof(("A", 2))),
+        lambda s: ea_channel_code(depolarizing_channel(0.1), s, 0, 0.05, 0.5,
+                                  0.5, a=4, n=5)),
     "redistribution_bounds": (
-        lambda: tensor_pure(_rc(), random_pure(5, sysof(("A", 2), ("B", 2)))),
+        lambda: PureState(sysof(("R", 2), ("C", 2), ("A", 2), ("B", 2)),
+                          np.kron(_rc().vector, random_pure(5, sysof(
+                              ("A", 2), ("B", 2))).vector)),
         lambda s: redistribution_bounds(s, ["R"], ["A"], ["B"], ["C"],
                                         eps=0.1, delta=0.1)),
 }
