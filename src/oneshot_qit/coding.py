@@ -51,6 +51,8 @@ from .registers import (DensityOperator, Monomial, RegisterSystem,
 
 INV_SQRT_CUT = 1e-12
 """Eigenvalues of S at or below this lie outside supp(S), where S^{-1/2} is 0."""
+ERROR_ROUNDING = 1e-9
+"""How far rounding may move a channel-code error past 0, 1 or its floor."""
 
 
 @dataclass(frozen=True)
@@ -506,6 +508,14 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
                          e_dim * d_dim), members, branches, rows,
                         columns[rows])[inverse].sum(axis=0)
     errors = 1.0 - totals / (q_field * q_field)
+    # each error is a probability, and with d_B outputs no entanglement-
+    # assisted code of M messages has a mean success above d_B^2 / M
+    # (Nayak & Salzman, J. ACM 53, 184, 2006)
+    floor = 1.0 - channel.dim ** 2 / n_messages
+    if not (np.all((-ERROR_ROUNDING <= errors) & (errors <= 1 + ERROR_ROUNDING))
+            and errors.mean() >= floor - ERROR_ROUNDING):
+        raise AssertionError(f"channel-code errors {errors} outside [0, 1] "
+                             f"or below the converse floor {floor:.6g}")
     branch_count = n_messages * q_field * q_field
 
     # closed-form error budget with the embezzlement distortion replaced by

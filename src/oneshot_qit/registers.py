@@ -277,16 +277,27 @@ def maximally_entangled(label_a, label_b, dim):
 
 
 def random_density(seed, system, rank=None):
-    """Seeded random density operator of the given rank (Ginibre construction)."""
+    """Seeded random density operator of the given rank (Ginibre construction).
+
+    G G^dag / Tr, Hermitised as (M + M^dag) / 2, with each step one in-place
+    pass over the entries: the real and imaginary draws fill one complex G,
+    and the scale and the halving multiply the real view (numpy divides a
+    complex by a real as this same product), so the bits are those of the
+    plain expression and the peak is at most 3 d^2 complex entries.
+    """
     d = system.total_dim
     rank = d if rank is None else int(rank)
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range [1, {d}]")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    g = np.empty((d, rank), dtype=complex)
+    g.real = rng.standard_normal((d, rank))
+    g.imag = rng.standard_normal((d, rank))
     mat = g @ g.conj().T
-    mat /= np.real(np.trace(mat))
-    mat = (mat + mat.conj().T) / 2
+    parts = mat.view(float)
+    parts *= 1.0 / np.real(np.trace(mat))
+    mat += mat.conj().T
+    parts *= 0.5
     return DensityOperator(system, mat, validate=False)
 
 

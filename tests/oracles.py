@@ -482,6 +482,16 @@ def random_pure(seed, system):
     return PureState(system, vec / np.linalg.norm(vec), validate=False)
 
 
+def plain_random_density(seed, d, rank):
+    """The plain expression `registers.random_density` computes in place:
+    G G^dag / Tr, Hermitised as (M + M^dag) / 2, as a d x d array."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = g @ g.conj().T
+    mat /= np.real(np.trace(mat))
+    return (mat + mat.conj().T) / 2
+
+
 @dataclass(frozen=True)
 class POVM:
     """Outcome-labeled PSD elements summing to the identity; -1 is failure."""

@@ -1434,6 +1434,58 @@ class TestChannelCode:
         assert labelled[0] == 16 * 208 and labelled[1:] == [2048]
 
 
+class TestConverseFloor:
+    """No entanglement-assisted code of M messages through d_B outputs has
+    a mean success above d_B^2 / M, so `ea_channel_code` refuses errors
+    outside [0, 1] or with a mean below 1 - d_B^2 / M.  At gamma = 1/2 and
+    |A| = 2 the family has 16 members, so rates 3 and 4 (floors 1/2 and
+    3/4) can be run with the cap off."""
+
+    CHANNELS = (identity_channel(2), depolarizing_channel(0.1),
+                amplitude_damping_channel(0.3))
+
+    @staticmethod
+    def run(channel, p, seed, rate):
+        rep = ea_channel_code(channel, _seeded_input((p, 1 - p), seed), rate,
+                              0.05, 0.5, 0.5, a=4, n=5, enforce_cap=False)
+        assert 1 - 4 / 2 ** rate <= rep.empirical_max_error <= 1
+
+    # spectra (p, 1 - p) that round to counts (2, 2) or (0, 4) on the 1/4
+    # grid; at counts (1, 3) the members' blocks are large and a call takes
+    # 5-9 s, so that range runs as the one case below
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           p=st.floats(0.5, 0.6) | st.floats(0.81, 1.0),
+           channel=st.sampled_from(CHANNELS), rate=st.sampled_from([3, 4]))
+    @example(seed=0, p=0.5, channel=CHANNELS[0], rate=3)
+    def test_errors_lie_above_the_floor(self, seed, p, channel, rate):
+        # p = 0.5 is mu_A, where the floor is nearest (0.67 against 0.5)
+        self.run(channel, p, seed, rate)
+
+    def test_floor_at_counts_one_and_three(self):
+        self.run(identity_channel(2), 0.7, 3, 3)
+
+    @pytest.mark.parametrize("scale, rate, match", [
+        pytest.param(lambda s: (s > 0).astype(float), 3, "converse floor",
+                     id="unscaled"),
+        pytest.param(lambda s: 1.5 * s, 0, "outside", id="over-scaled")])
+    def test_a_wrong_measurement_is_refused(self, monkeypatch, scale, rate,
+                                            match):
+        # S^{-1/2} dropped reports more success than the floor allows, and
+        # 1.5 S^{-1/2} a success above 1 at rate 0
+        inv_sqrt = coding._eig_inv_sqrt
+
+        def mutant(total):
+            vecs, s = inv_sqrt(total)
+            return vecs, scale(s)
+
+        monkeypatch.setattr(coding, "_eig_inv_sqrt", mutant)
+        with pytest.raises(AssertionError, match=match):
+            ea_channel_code(identity_channel(2),
+                            maximally_mixed(sysof(("A", 2))), rate, 0.05,
+                            0.5, 0.5, a=4, n=5, enforce_cap=False)
+
+
 class TestOneThresholdTest:
     """Each protocol call solves for its hypothesis test exactly once."""
 

@@ -346,6 +346,73 @@ class TestDhEps:
             assert abs(dh_eps(phi, ref, eps).value - expect) <= 1e-8
 
 
+class TestEdgeCases:
+    """Rank-1 inputs and support eigenvalues next to SUPPORT_TOL."""
+
+    @pytest.mark.parametrize("d, seed", [(2, 0), (3, 1), (5, 2)])
+    def test_rank_one_commuting_closed_forms(self, d, seed):
+        # rho = |u_k><u_k| and sigma = sum_i q_i |u_i><u_i| in one seeded
+        # basis: D = D_max = -log2 q_k, F = sqrt(q_k) and
+        # D_H^eps = -log2((1 - eps) q_k)
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((d, d))
+                         + 1j * rng.standard_normal((d, d)))[0]
+        q = rng.uniform(0.05, 1.0, d)
+        q /= q.sum()
+        sigma = states((u * q) @ u.conj().T)[0]
+        for k in range(d):
+            rho = states(np.outer(u[:, k], u[:, k].conj()))[0]
+            want = -np.log2(q[k])
+            assert abs(relative_entropy(rho, sigma).value - want) <= 1e-9
+            assert abs(dmax(rho, sigma).value - want) <= 1e-9
+            assert abs(fidelity(rho, sigma) - np.sqrt(q[k])) <= 1e-9
+            for eps in (0.0, 0.1, 0.5):
+                assert abs(dh_eps(rho, sigma, eps).value
+                           - (want - np.log2(1.0 - eps))) <= 1e-8
+
+    def test_rank_one_sigma_same_and_orthogonal(self):
+        k0, k1 = (basis_state(sysof(("A", 3)), i) for i in (0, 1))
+        assert abs(relative_entropy(k0, k0).value) <= 1e-12
+        assert abs(dmax(k0, k0).value) <= 1e-12
+        assert abs(fidelity(k0, k0) - 1.0) <= 1e-12
+        for eps in (0.0, 0.1, 0.5):
+            assert abs(dh_eps(k0, k0, eps).value + np.log2(1.0 - eps)) <= 1e-8
+            assert not dh_eps(k0, k1, eps).finite
+        assert not relative_entropy(k0, k1).finite
+        assert not dmax(k0, k1).finite
+        assert fidelity(k0, k1) == 0.0
+
+    @pytest.mark.parametrize("kernel_mass", [0.5, 2.0])
+    @pytest.mark.parametrize("support_mass", [1e-9, 0.25])
+    def test_support_verdicts_follow_the_mass_tolerance(self, kernel_mass,
+                                                        support_mass):
+        # sigma's eigenvalue at 0.5 SUPPORT_TOL is cut to its kernel, the
+        # one at 2 SUPPORT_TOL stays in its support: D and D_max are
+        # infinite exactly when rho's weight on the kernel passes
+        # _SUPPORT_MASS_TOL, whatever rho's weight on the small support
+        tol = entropy._SUPPORT_MASS_TOL
+        w_ker = kernel_mass * tol
+        q = np.array([1.0 - 2.5 * SUPPORT_TOL, 0.5 * SUPPORT_TOL,
+                      2.0 * SUPPORT_TOL])
+        p = np.array([1.0 - w_ker - support_mass, w_ker, support_mass])
+        rho, sigma = diag_state("A", p), diag_state("A", q)
+        d_val, dmax_val = relative_entropy(rho, sigma), dmax(rho, sigma)
+        if w_ker > tol:
+            assert not d_val.finite and not dmax_val.finite
+        else:
+            supp = [0, 2]
+            # rho's weight on the cut kernel is left in its entropy term
+            want = float(np.sum(p[supp] * np.log2(p[supp] / q[supp])))
+            assert abs(d_val.value - want - w_ker * np.log2(w_ker)) <= 1e-12
+            want = float(np.log2(np.max(p[supp] / q[supp])))
+            assert abs(dmax_val.value - want) <= 1e-12
+        # sigma's kernel is free for the test, so D_H stays finite
+        for eps in (0.1, 0.5):
+            got = dh_eps(rho, sigma, eps)
+            assert got.finite
+            assert abs(2.0 ** (-got.value) - classical_np_lp(p, q, eps)) <= 1e-8
+
+
 def bisection_test(rho_mat, sigma_mat, eps):
     """Neyman-Pearson test by plain bisection on the threshold t (oracle).
 

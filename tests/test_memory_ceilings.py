@@ -1,4 +1,4 @@
-"""Traced memory ceilings of the benchmark's coding cases.
+"""Traced memory ceilings of the benchmark's coding cases and seeded states.
 
 ``tracemalloc`` traces numpy's data allocations (numpy reports every array
 buffer to it), and a case allocates the same arrays in the same order on
@@ -39,6 +39,9 @@ CEILINGS = {
 # the flat decoder at the benchmark's arguments with a 2-dimensional B
 # (Bob's space 2178): its dense signal arrays peaked at 34.9 MiB
 FLAT_TWO_DIM_B_CEILING = 10.8
+# a full-rank seeded state at d = 512: G, the conjugate in the product and
+# the product, 3 d^2 complex entries; the plain expression peaked at 16.13
+RANDOM_DENSITY_512_CEILING = 12.2
 
 
 def traced_peak(call):
@@ -82,3 +85,9 @@ def test_flat_decoder_with_a_two_dimensional_b():
     peak = traced_peak(lambda: oneshot_qit.coding.position_based_decode_flat(
         psi, mu_c, Fraction(2, 3), [0], 0.01, 0.2, a=2, n=3, d_size=8))
     assert peak <= FLAT_TWO_DIM_B_CEILING * MIB, peak / MIB
+
+
+def test_random_density_at_d512():
+    system = oneshot_qit.RegisterSystem([("A", 512)])
+    peak = traced_peak(lambda: oneshot_qit.random_density(0, system))
+    assert peak <= RANDOM_DENSITY_512_CEILING * MIB, peak / MIB

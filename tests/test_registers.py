@@ -23,7 +23,7 @@ from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    maximally_mixed, partial_trace,
                                    permute_registers, purified_distance,
                                    random_density, tensor)
-from oracles import dense_matrix, random_pure
+from oracles import dense_matrix, plain_random_density, random_pure
 
 
 def sysof(*pairs):
@@ -88,6 +88,20 @@ class TestInvariantsOnRandomStates:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             random_density(0, sysof(("A", 2)), rank=5)
+
+    # odd, even and prime dimensions; at 3 and 65, among others, a
+    # Hermitian rank-k product would give other bits than the general one
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 9, 16, 17, 64, 65, 127,
+                                   256, 509, 512])
+    def test_bit_identical_to_the_plain_expression(self, d):
+        system = sysof(("A", d))
+        for rank in sorted({1, -(-d // 3), d}):
+            for seed in (d, (d, rank, 1)):
+                got = random_density(seed, system, rank=rank).matrix
+                want = plain_random_density(seed, d, rank)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), (rank, seed)
+                assert np.array_equal(got, got.conj().T)
 
 
 class TestTensorAndPartialTrace:
