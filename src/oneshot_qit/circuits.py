@@ -68,16 +68,11 @@ def metrics(circuit):
     layer = [0] * circuit.wire_count
     depth = 0
     for g in circuit.gates:
-        lev = layer[g.target]
-        for w in g.controls:
-            if layer[w] > lev:
-                lev = layer[w]
-        lev += 1
-        layer[g.target] = lev
-        for w in g.controls:
+        wires = (g.target,) + g.controls
+        lev = max(layer[w] for w in wires) + 1
+        for w in wires:
             layer[w] = lev
-        if lev > depth:
-            depth = lev
+        depth = max(depth, lev)
     return CircuitMetrics(len(circuit.gates), depth, len(circuit.ancilla_wires()))
 
 
@@ -277,14 +272,12 @@ class _ModularUnit:
         """
         b = self.b
         ds = self._mult_scratch
+        step = self.sub_reg if subtract else self.add_reg
         for bit in range(self.n):
             b.cnot(source[bit], ds[bit])
         for bit, ctrl in enumerate(ell_wires):
             for target in targets:
-                if subtract:
-                    self.sub_reg(ds, target, ctrl=ctrl)
-                else:
-                    self.add_reg(ds, target, ctrl=ctrl)
+                step(ds, target, ctrl=ctrl)
             if bit < len(ell_wires) - 1:
                 self.double(ds)
         for _ in range(len(ell_wires) - 1):
@@ -353,10 +346,6 @@ def synth_swap():
 
 def encode_decoupler_input(n_bits, l_bits, i, j, ell, wire_count):
     """Little-endian bit layout matching synth_decoupler's wire allocation."""
-    bits = [0] * wire_count
-    for k in range(n_bits):
-        bits[k] = (i >> k) & 1
-        bits[n_bits + k] = (j >> k) & 1
-    for k in range(l_bits):
-        bits[2 * n_bits + k] = (ell >> k) & 1
-    return bits
+    bits = [(v >> k) & 1 for v, width in ((i, n_bits), (j, n_bits), (ell, l_bits))
+            for k in range(width)]
+    return bits + [0] * (wire_count - len(bits))

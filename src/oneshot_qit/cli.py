@@ -18,11 +18,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import circuits, coding, convexsplit, entropy, flatten, registers
+from .registers import Check
 
 SUBCOMMAND_MAP = {
     "entropy": "information measures and identity/inequality facts",
@@ -49,15 +51,19 @@ def _fmt(value):
 
 
 class ReportRecord:
-    """One experiment record: parameter echo, measured values, verdict."""
+    """One experiment record: parameter echo, measured values, and checks."""
 
-    def __init__(self, record_id, params, measured, bounds, passed):
+    def __init__(self, record_id, params, measured, bounds, checks):
         self.record_id = record_id
         self.params = params
         self.measured = measured
         self.bounds = bounds
-        self.passed = bool(passed)
+        self.checks = list(checks)
         self.built_at = time.monotonic()   # timing goes to stderr only
+
+    @property
+    def passed(self):
+        return all(check.holds for check in self.checks)
 
     def flat(self):
         out = {"id": self.record_id}
@@ -77,16 +83,9 @@ def emit(records, fmt, path):
     rows = [r.flat() for r in records]
     keys = list(dict.fromkeys(key for row in rows for key in row))
     if fmt == "csv":
-        lines = [",".join(keys)]
-        for row in rows:
-            cells = []
-            for key in keys:
-                val = row.get(key, "")
-                if isinstance(val, float):
-                    cells.append(f"{val:.12g}")
-                else:
-                    cells.append(str(val))
-            lines.append(",".join(cells))
+        lines = [",".join(keys)] + [",".join(
+            f"{val:.12g}" if isinstance(val, float) else str(val)
+            for val in (row.get(key, "") for key in keys)) for row in rows]
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = json.dumps(rows, indent=2, sort_keys=False) + "\n"
@@ -109,7 +108,7 @@ def _sysof(*pairs):
 
 # ---------------------------------------------------------------- entropy --
 
-def run_entropy(args, tol):
+def run_entropy(args):
     records = []
     s2 = _sysof(("A", 2))
     mu2 = registers.maximally_mixed(s2)
@@ -131,22 +130,20 @@ def run_entropy(args, tol):
     cases.append(("imax_maximally_entangled",
                   entropy.imax(phi, (["A"], ["B"])).value, 2.0))
     for idx, (name, got, expect) in enumerate(cases):
-        ok = abs(got - expect) <= 1e-5 * tol
+        # run() fills the tolerance column with the check's scaled slack
         records.append(ReportRecord(
             f"entropy-{idx:02d}-{name}", {"case": name},
             {"value": got, "expected": expect},
-            {"abs_error": abs(got - expect), "tolerance": 1e-5 * tol}, ok))
+            {"abs_error": abs(got - expect), "tolerance": None},
+            [Check("closed form", got, expect, "==", 1e-5)]))
     return records
 
 
 # ------------------------------------------------------------ convexsplit --
 
-def run_convexsplit(args, tol):
+def run_convexsplit(args):
     records = []
-    dim_c = args.dim_c
-    prime = args.prime
-    ladder = args.ladder
-    seed = args.seed
+    dim_c, prime, ladder, seed = args.dim_c, args.prime, args.ladder, args.seed
     psi = registers.random_density(_seed_for(seed, 0),
                                    _sysof(("R", 2), ("C", dim_c)))
     if getattr(args, "dump", None):
@@ -155,33 +152,31 @@ def run_convexsplit(args, tol):
     for n_mixed in ladder:
         rep = convexsplit.convex_split_classical(psi, range(n_mixed),
                                                  prime=prime)
-        ok = rep.bound_satisfied(slack=1e-7 * tol)
         fid_floor = 1.0 / (1.0 + (2.0 ** (rep.k + 1) - 1.0) / n_mixed)
-        ok = ok and rep.achieved_fidelity ** 2 >= fid_floor - 1e-7 * tol
         records.append(ReportRecord(
             f"convexsplit-classical-N{n_mixed}",
             {"dim_c": dim_c, "prime": prime, "N": n_mixed, "seed": seed},
-            rep.as_record(),
-            {"fidelity_sq_floor": fid_floor}, ok))
+            rep.as_record(), {"fidelity_sq_floor": fid_floor},
+            [rep.bound_check(), Check("fidelity floor",
+                                      rep.achieved_fidelity ** 2, fid_floor,
+                                      ">=", 1e-7)]))
     if dim_c & (dim_c - 1) == 0:
         for n_mixed in (n for n in ladder if n <= dim_c * dim_c):
             rep = convexsplit.convex_split_1design(psi, n_mixed, seed=seed)
             records.append(ReportRecord(
                 f"convexsplit-1design-N{n_mixed}",
                 {"dim_c": dim_c, "N": n_mixed, "seed": seed},
-                rep.as_record(), {},
-                rep.bound_satisfied(slack=1e-7 * tol)))
+                rep.as_record(), {}, [rep.bound_check()]))
     return records
 
 
 # ---------------------------------------------------------------- circuit --
 
-def run_circuit(args, tol):
+def run_circuit(args):
     records = []
     dim_c, prime = args.dim_c, args.prime
     circ = circuits.synth_decoupler(dim_c, prime, prime)
     m = circuits.metrics(circ)
-    ok = True
     mismatches = 0
     if args.verify == "exhaustive":
         # every (l, i, j), l slowest, as the little-endian bits of i, j and l
@@ -198,37 +193,37 @@ def run_circuit(args, tol):
         want = np.stack(np.divmod(images[ell, i * prime + j], prime) + (ell,), 1)
         mismatches = int(np.count_nonzero((got != want).any(axis=1)
                                           | outs[:, 3 * n:].any(axis=1)))
-        ok = mismatches == 0
     swap_m = circuits.metrics(circuits.synth_swap())
-    ok = ok and swap_m.size == 3 and swap_m.depth == 3
     records.append(ReportRecord(
         f"circuit-decoupler-C{dim_c}-G{prime}",
         {"dim_c": dim_c, "prime": prime, "verify": args.verify},
         {"size": m.size, "depth": m.depth, "ancillas": m.ancilla_count,
          "mismatches": mismatches, "swap_size": swap_m.size,
          "swap_depth": swap_m.depth},
-        {}, ok))
+        {}, [Check("truth table mismatches", mismatches, 0, "=="),
+             Check("swap size", swap_m.size, 3, "=="),
+             Check("swap depth", swap_m.depth, 3, "==")]))
     return records
 
 
 # ---------------------------------------------------------------- flatten --
 
-def run_flatten(args, tol):
+def run_flatten(args):
     records = []
     for a, b, n in [(2, 1, 16), (4, 2, 64), (8, 4, 256)]:
-        ratio, holds = flatten.check_embezzle_upper(a, b, n)
+        ratio, _ = flatten.check_embezzle_upper(a, b, n)
+        harmonic = flatten.harmonic_sum(1, n) / flatten.harmonic_sum(a, n)
         records.append(ReportRecord(
             f"flatten-embezzle-a{a}-b{b}-n{n}", {"a": a, "b": b, "n": n},
-            {"exact_ratio": ratio,
-             "harmonic_ratio": flatten.harmonic_sum(1, n)
-             / flatten.harmonic_sum(a, n)},
-            {}, holds))
+            {"exact_ratio": ratio, "harmonic_ratio": harmonic}, {},
+            [Check("embezzle ratio", ratio, harmonic, "<=", flatten.RATIO_SLACK)]))
     for a, b, n, d in [(2, 2, 16, 40), (4, 2, 16, 34)]:
-        ratio, holds = flatten.check_unembezzle(a, b, n, d)
+        ratio, _ = flatten.check_unembezzle(a, b, n, d)
         records.append(ReportRecord(
             f"flatten-unembezzle-b{b}-n{n}-D{d}",
-            {"a": a, "b": b, "n": n, "d_size": d},
-            {"exact_ratio": ratio}, {"ceiling": 4.0}, holds))
+            {"a": a, "b": b, "n": n, "d_size": d}, {"exact_ratio": ratio},
+            {"ceiling": 4.0},
+            [Check("unembezzle ratio", ratio, 4.0, "<=", flatten.RATIO_SLACK)]))
     psi = registers.random_density(_seed_for(args.seed, 1),
                                    _sysof(("R", 2), ("C", 2)))
     mu_c = registers.maximally_mixed(_sysof(("C", 2)))
@@ -236,7 +231,7 @@ def run_flatten(args, tol):
                                             n=4, seed=args.seed)
     records.append(ReportRecord(
         "flatten-split-1design", {"gamma": "1/2", "N": 4, "seed": args.seed},
-        rep.as_record(), {}, rep.bound_satisfied(slack=1e-7 * tol)))
+        rep.as_record(), {}, [rep.bound_check()]))
     return records
 
 
@@ -249,10 +244,10 @@ def _decode_record(record_id, params, rep, floor):
         record_id, params,
         {"min_success": rep.min_success, "cap": rep.size_cap},
         {"paper_bound": rep.paper_bound, "exact_bound": rep.exact_bound},
-        rep.min_success >= floor)
+        [Check("success floor", rep.min_success, floor, ">=", 1e-9)])
 
 
-def run_decode(args, tol):
+def run_decode(args):
     records = []
     phi = registers.maximally_entangled("B", "C", 2)
     reg = convexsplit.PrimeRegister(2, 5)
@@ -263,7 +258,7 @@ def run_decode(args, tol):
         records.append(_decode_record(
             f"decode-classical-e{eps}-d{delta}-S{size}",
             {"variant": "classical", "eps": eps, "delta": delta,
-             "size": size, "gamma": ""}, rep, rep.paper_bound - 1e-9 * tol))
+             "size": size, "gamma": ""}, rep, rep.paper_bound))
     if args.flat:
         mu_c = registers.maximally_mixed(_sysof(("C", 2)))
         rep = coding.position_based_decode_flat(
@@ -271,13 +266,13 @@ def run_decode(args, tol):
         records.append(_decode_record(
             "decode-flat-S1", {"variant": "flat", "eps": 0.01, "delta": 0.1,
                                "size": 1, "gamma": "2/3"},
-            rep, rep.exact_bound - 1e-9 * tol))
+            rep, rep.exact_bound))
     return records
 
 
 # ------------------------------------------------------------------- code --
 
-def run_code(args, tol):
+def run_code(args):
     records = []
     mu_a = registers.maximally_mixed(_sysof(("A", 2)))
     channel = coding.identity_channel(2) if args.channel == "identity" \
@@ -293,61 +288,57 @@ def run_code(args, tol):
     except ValueError:
         refused = True
     budget = coding.entanglement_budget(2, 0.5, rep.delta_surrogate)
-    ok = rep.bound_satisfied() and refused \
-        and rep.entanglement_qubits <= budget + 1e-9
     records.append(ReportRecord(
         f"code-{channel.name}-R{max_rate}",
         {"channel": channel.name, "eps": args.eps, "gamma": "1/2",
          "delta_prime": 0.5, "a": 4, "n": args.n, "rate_cap": cap},
         rep.as_record(),
-        {"entanglement_budget": budget, "refusal_above_cap": refused}, ok))
+        {"entanglement_budget": budget, "refusal_above_cap": refused},
+        [rep.bound_check(), Check("refusal above cap", refused, 1, ">="),
+         Check("entanglement budget", rep.entanglement_qubits, budget, "<=",
+               1e-9)]))
     return records
 
 
 # ----------------------------------------------------------------- bounds --
 
-def run_bounds(args, tol):
+def run_bounds(args):
     records = []
     sys4 = _sysof(("R", 2), ("A", 2), ("B", 2), ("C", 2))
-    res = coding.redistribution_bounds(registers.basis_state(sys4, 0), ["R"],
-                                       ["A"], ["B"], ["C"], eps=0.1, delta=0.1)
-    expect_merge = 2.0 + 2.0 * np.log2(10.0)
-    ok = abs(res.merge_comm - expect_merge) <= 1e-6 * tol
-    records.append(ReportRecord(
-        "bounds-product", {"state": "product", "eps": 0.1, "delta": 0.1},
-        {"redistribution_comm": res.redistribution_comm,
-         "redistribution_ent": res.redistribution_ent,
-         "merge_comm": res.merge_comm, "merge_ent": res.merge_ent},
-        {"merge_expected": expect_merge}, ok))
-
     phi_rc = registers.maximally_entangled("R", "C", 2)
     ab = registers.basis_state(_sysof(("A", 2), ("B", 2)), 0)
-    joint = registers.tensor(phi_rc, ab)
-    res2 = coding.redistribution_bounds(joint, ["R"], ["A"], ["B"], ["C"],
-                                        eps=0.1, delta=0.1)
-    expect2 = 1.0 + 2.0 + 2.0 * np.log2(10.0)
-    ok2 = abs(res2.merge_comm - expect2) <= 1e-6 * tol
-    records.append(ReportRecord(
-        "bounds-entangled", {"state": "phi_rc", "eps": 0.1, "delta": 0.1},
-        {"redistribution_comm": res2.redistribution_comm,
-         "merge_comm": res2.merge_comm},
-        {"merge_expected": expect2}, ok2))
+    for name, state, psi, expect in [   # merge cost I_max(R:C)/2 + 2 + 2 log2 10
+            ("product", "product", registers.basis_state(sys4, 0),
+             2.0 + 2.0 * np.log2(10.0)),
+            ("entangled", "phi_rc", registers.tensor(phi_rc, ab),
+             1.0 + 2.0 + 2.0 * np.log2(10.0))]:
+        res = coding.redistribution_bounds(psi, ["R"], ["A"], ["B"], ["C"],
+                                           eps=0.1, delta=0.1)
+        costs = {"redistribution_comm": res.redistribution_comm,
+                 "redistribution_ent": res.redistribution_ent,
+                 "merge_comm": res.merge_comm, "merge_ent": res.merge_ent}
+        records.append(ReportRecord(   # the entangled record: its comm only
+            f"bounds-{name}", {"state": state, "eps": 0.1, "delta": 0.1},
+            {k: v for k, v in costs.items() if state != "phi_rc" or "comm" in k},
+            {"merge_expected": expect},
+            [Check("merge cost", res.merge_comm, expect, "==", 1e-6)]))
     return records
 
 
-RUNNERS = {
-    "entropy": run_entropy,
-    "convexsplit": run_convexsplit,
-    "circuit": run_circuit,
-    "flatten": run_flatten,
-    "decode": run_decode,
-    "code": run_code,
-    "bounds": run_bounds,
-}
+RUNNERS = {"entropy": run_entropy, "convexsplit": run_convexsplit,
+           "circuit": run_circuit, "flatten": run_flatten,
+           "decode": run_decode, "code": run_code, "bounds": run_bounds}
 
 
 def _parse_int_list(text):
     return [int(x) for x in str(text).split(",") if x != ""]
+
+
+def _scale(text):
+    """A finite positive --tolerance-scale; anything else is a usage error."""
+    if not 0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text} is not finite and positive")
+    return float(text)
 
 
 _DIM_C = ("--dim-c", dict(type=int, default=2, help="dimension of C"))
@@ -384,8 +375,8 @@ _COMMON = [
     ("--seed", dict(type=int, default=7)),
     ("--out", dict(help="report path")),
     ("--format", dict(choices=("csv", "json"), default="csv")),
-    ("--tolerance-scale", dict(type=float, default=1.0,
-                               help="multiplier on every check tolerance")),
+    ("--tolerance-scale", dict(type=_scale, default=1.0,
+                               help="multiplier on every record check's slack")),
     ("--config", dict(help="file of key=value option lines")),
 ]
 
@@ -447,14 +438,21 @@ def _config_argv(path, command):
 def run(args):
     """Execute one parsed subcommand; returns (exit status, records)."""
     started = time.monotonic()
-    records = RUNNERS[args.command](args, args.tolerance_scale)
+    records = RUNNERS[args.command](args)
     elapsed = time.monotonic() - started
+    for rec in records:
+        rec.checks = [replace(check, slack=check.slack * args.tolerance_scale)
+                      for check in rec.checks]
+        if "tolerance" in rec.bounds:       # a column of the check's slack
+            rec.bounds["tolerance"] = rec.checks[0].slack
     out_path = args.out or f"oneshot-{args.command}-report.{args.format}"
     emit(records, args.format, out_path)
     previous = started
     for rec in records:
-        print(f"  {rec.record_id}: {rec.built_at - previous:.3f}s",
-              file=sys.stderr)
+        # a failed check first, then of those with slack the least margin
+        least = min(rec.checks, key=lambda c: (c.holds, c.slack == 0, c.margin))
+        print(f"  {rec.record_id}: {rec.built_at - previous:.3f}s, least "
+              f"margin {least.margin:.3g} ({least.name})", file=sys.stderr)
         previous = rec.built_at
     failed = [r.record_id for r in records if not r.passed]
     print(f"{args.command}: {len(records)} records, "

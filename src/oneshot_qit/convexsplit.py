@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import Reference, _entropy_sum, dmax
-from .registers import (DensityOperator, Monomial, _block_eigvalsh,
+from .registers import (Check, DensityOperator, Monomial, _block_eigvalsh,
                         _pattern_blocks, _root_sum, kron_eye_entries,
                         maximally_mixed, partial_trace, reorder)
 
@@ -43,11 +43,9 @@ def _factor_prime_power(q):
     for p in range(2, q + 1):
         if q % p == 0:
             m = 0
-            left = q
-            while left % p == 0:
-                left //= p
+            while q % p ** (m + 1) == 0:
                 m += 1
-            if left != 1:
+            if p ** m != q:
                 raise ValueError(f"{q} is not a prime power")
             return p, m
     raise ValueError(f"{q} is not a prime power")
@@ -179,17 +177,15 @@ class ConvexSplitReport:
     achieved_rel_entropy: float
     achieved_fidelity: float
 
-    def bound_satisfied(self, slack=1e-7):
-        return self.achieved_rel_entropy <= self.analytic_bound + slack
+    def bound_check(self):
+        return Check("split bound", self.achieved_rel_entropy,
+                     self.analytic_bound, "<=", 1e-7)
 
     def as_record(self):
-        return {
-            "k": self.k,
-            "N": self.n_mixed,
-            "analytic_bound": self.analytic_bound,
-            "achieved_rel_entropy": self.achieved_rel_entropy,
-            "achieved_fidelity": self.achieved_fidelity,
-        }
+        return {"k": self.k, "N": self.n_mixed,
+                "analytic_bound": self.analytic_bound,
+                "achieved_rel_entropy": self.achieved_rel_entropy,
+                "achieved_fidelity": self.achieved_fidelity}
 
 
 def hw_translation_classes(images, d):
@@ -240,12 +236,7 @@ def hw_split_means(state, dims, n_mixed, seed, ref):
     keys, inverse = hw_translation_classes(family.images(members), d)
 
     hw = _hw_maps(d, dims, 1)
-    conj_cache = {}
-
-    def conjugated(y):
-        if y not in conj_cache:
-            conj_cache[y] = hw[y].conjugate(state)
-        return conj_cache[y]
+    conjugated = {y: hw[y].conjugate(state) for y in set(keys.ravel().tolist())}
 
     # V_y shifts S by y // d up to phases and fixes ``ref``, whose sandwich
     # mixes R only: every block and its sandwich are block-diagonal on the
@@ -263,7 +254,7 @@ def hw_split_means(state, dims, n_mixed, seed, ref):
     for key in keys:
         block = np.zeros_like(state)
         for y in key:
-            block += conjugated(int(y))
+            block += conjugated[int(y)]
         block /= n_mixed
         d_val = ref.rel_entropy(block, pattern)
         if not np.isfinite(d_val):

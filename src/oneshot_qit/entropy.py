@@ -39,13 +39,12 @@ class EntropyValue:
     def infinite():
         return EntropyValue(float("inf"))
 
-    def __float__(self):
-        return self.value
-
 
 def _support_split(rho, sigma):
     """(svals, svecs, pos, mass): sigma's eigensystem, its support mask
-    (eigenvalues above SUPPORT_TOL) and the mass of rho on the kernel."""
+    (eigenvalues above SUPPORT_TOL) and the mass of rho on the kernel;
+    refuses states of different dimensions."""
+    _check_dims(rho, sigma)
     svals, svecs = sigma._eigh()
     pos = svals > SUPPORT_TOL
     ker = svecs[:, ~pos]
@@ -55,7 +54,6 @@ def _support_split(rho, sigma):
 
 def relative_entropy(rho, sigma):
     """Umegaki relative entropy D(rho||sigma) in bits; +inf on support violation."""
-    _check_dims(rho, sigma)
     rvals = rho._eigh()[0]
     svals, svecs, pos_s, mass_out = _support_split(rho, sigma)
     if mass_out > _SUPPORT_MASS_TOL:
@@ -80,14 +78,14 @@ class Reference:
 
     Only A is eigensolved, once.  Operators rho are dense matrices on the
     same (A, w) ordering; relative entropies are in bits and +inf when rho
-    puts mass outside the support of the reference.  rho and its sandwich
-    are eigensolved block by block (`registers._block_eigvalsh`).
+    puts mass outside the support of A or of w, each cut at SUPPORT_TOL.
+    rho and its sandwich are eigensolved by block (`_block_eigvalsh`).
     """
 
     def __init__(self, a_mat, w):
         self.a_dim = a_mat.shape[0]
         vals, vecs = np.linalg.eigh(a_mat)
-        pos = vals > 1e-12
+        pos = vals > SUPPORT_TOL
         supp = vecs[:, pos]
         self.a_ker = vecs[:, ~pos]
         self.a_log = (supp * np.log2(vals[pos])) @ supp.conj().T
@@ -98,7 +96,7 @@ class Reference:
     def _set_weights(self, w):
         self.w = w = np.asarray(w, dtype=float)
         self.w_dim = len(w)
-        self.w_supp = w > 1e-14
+        self.w_supp = w > SUPPORT_TOL
         self.w_log = np.where(self.w_supp, np.log2(np.where(self.w_supp, w, 1.0)), 0.0)
         self.w_sqrt = np.tile(np.sqrt(w), self.a_dim)
 
@@ -159,7 +157,6 @@ class Reference:
 
 def dmax(rho, sigma):
     """Max-relative entropy: log of the largest eigenvalue of the relative operator."""
-    _check_dims(rho, sigma)
     svals, svecs, pos, mass_out = _support_split(rho, sigma)
     if mass_out > _SUPPORT_MASS_TOL:
         return EntropyValue.infinite()
@@ -199,10 +196,11 @@ def _threshold_test(rho, sigma, eps):
 
     Kernel fill order follows ascending eigenvalue index.  When the kernel
     has dimension > 1 (coinciding breakpoints, as for commuting states with
-    repeated eigenvalue ratios), the optimum is not unique, and the fill
-    depends on the eigenbasis the eigensolver returns for that kernel.
-    Eigensolving at the bisection's own end point makes it the bisection's
-    choice; the channel code's reported error depends on it.
+    repeated eigenvalue ratios), the optimum is not unique: every fill gives
+    the same D_H, but which kernel vectors it takes depends on the basis
+    the eigensolver returns.  The bisection replay pins the pick: Pi is
+    eigensolved at the bisection's own end point.  The rate-0 channel code
+    reports the output's mass outside supp Pi, which depends on the pick.
 
     Where 1 - eps is within TRACE_ROUNDING of Tr rho, f cannot resolve it:
     f is a sum rounded at a few ulp, and for pure rho it stays within that
@@ -210,7 +208,6 @@ def _threshold_test(rho, sigma, eps):
     There, eps = 0 included, the answer is the eps = 0 optimum: Pi is the
     projector onto supp(rho).
     """
-    _check_dims(rho, sigma)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps {eps} outside [0, 1)")
     eps = float(eps)

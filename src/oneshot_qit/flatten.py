@@ -23,7 +23,10 @@ import numpy as np
 from .convexsplit import (PrimeEnsemble, _classical_split, _members,
                           _one_design_split, _split_k, _SplitInput,
                           prime_register)
-from .registers import Monomial, _block_eigvalsh, act, partial_trace
+from .registers import Check, Monomial, _block_eigvalsh, act, partial_trace
+
+RATIO_SLACK = 1e-12
+"""How far rounding may move an exact embezzlement ratio past its limit."""
 
 
 def harmonic_sum(a, n):
@@ -98,7 +101,7 @@ def check_embezzle_upper(a, b, n):
     s_an = harmonic_sum(a, n)
     s_1n = harmonic_sum(1, n)
     ratio = max((s_1n / s_an) * (b * (j // b)) / j for j in range(a, n + 1))
-    return ratio, ratio <= s_1n / s_an + 1e-12
+    return ratio, Check("embezzle ratio", ratio, s_1n / s_an, "<=", RATIO_SLACK).holds
 
 
 def check_unembezzle(a, b, n, d_size):
@@ -111,7 +114,7 @@ def check_unembezzle(a, b, n, d_size):
     s_1d = harmonic_sum(1, d_size)
     ratio = max((s_1d / s_1n) * (j * b + e) / (j * b)
                 for j in range(1, n + 1) for e in range(b))
-    return ratio, ratio <= 4.0 + 1e-12
+    return ratio, Check("unembezzle ratio", ratio, 4.0, "<=", RATIO_SLACK).holds
 
 
 def purified_embezzle_fidelity(a, b, n):
@@ -223,8 +226,7 @@ def round_spectrum(omega, gamma, direction):
         gap = np.linalg.eigvalsh(scale * sigma - omega.matrix)[0]
     else:
         gap = np.linalg.eigvalsh(scale * omega.matrix - sigma)[0]
-    if gap < -1e-10:
-        raise AssertionError(f"rounding inequality violated: min eig {gap}")
+    Check("rounding inequality", gap, 0.0, ">=", 1e-10).require()
     return flat
 
 
@@ -343,7 +345,5 @@ def convex_split_flat_classical(psi, omega, gamma, subset, n):
                                                       np.diag(inp.w_d)))
     for ell in sorted(set(m for m in subset if m != 0) | {1}):
         gap = float(np.min(_block_eigvalsh(marg_ref - ens.marginal(ell))))
-        if gap < -1e-10:
-            raise AssertionError(
-                f"marginal domination failed for l={ell}: min eig {gap}")
+        Check(f"l={ell} marginal domination", gap, 0.0, ">=", 1e-10).require()
     return report

@@ -13,6 +13,7 @@ applied by gathering; only this module maps factor layouts to flat indices.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,37 @@ HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_FLOOR = 1e-9
 NORM_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Check:
+    """A governing inequality, ``achieved`` ``sense`` ``limit`` up to ``slack``
+    ("==": |achieved - limit| <= slack), so a NaN never holds; ``margin``
+    is how far ``achieved`` lies inside ``limit``, slack aside."""
+
+    name: str
+    achieved: float
+    limit: float
+    sense: str = "<="
+    slack: float = 0.0
+
+    @property
+    def holds(self):
+        a, lim, s = self.achieved, self.limit, self.slack
+        return bool({"<=": a <= lim + s, ">=": a >= lim - s,
+                     "==": abs(a - lim) <= s}[self.sense])
+
+    @property
+    def margin(self):
+        gap = float(self.limit - self.achieved)
+        return {"<=": gap, ">=": -gap, "==": -abs(gap)}[self.sense] + 0.0  # no -0
+
+    def require(self):
+        """Raise AssertionError, naming the values, unless the check holds."""
+        if not self.holds:
+            raise AssertionError(f"{self.name} failed: achieved {self.achieved:.6g} "
+                                 f"outside {self.sense} {self.limit:.6g} (margin {self.margin:.3g})")
+
 
 # Above this side length, constructor-time PSD checks are skipped (O(d^3)).
 _PSD_CHECK_MAX_DIM = 512

@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oneshot_qit import circuits
+from oneshot_qit import circuits, coding, flatten
 from oneshot_qit.circuits import encode_decoupler_input
-from oneshot_qit.cli import (ReportRecord, SUBCOMMAND_MAP, _seed_for, emit,
-                             main, run_circuit)
+from oneshot_qit.cli import (ReportRecord, SUBCOMMAND_MAP, _seed_for,
+                             build_parser, emit, main, run, run_circuit)
 from oneshot_qit.convexsplit import u_ell_index
-from oneshot_qit.registers import RegisterSystem, random_density
+from oneshot_qit.registers import Check, RegisterSystem, random_density
 from oracles import simulate_basis
 
 
@@ -20,15 +22,19 @@ def run_cli(args):
     return main(args)
 
 
+HOLDS = Check("holds", 0.5, 1.0)
+FAILS = Check("fails", 1.5, 1.0)
+
+
 class TestRecordsAndEmit:
     def test_flat_record_field_order(self):
-        rec = ReportRecord("r0", {"x": 1}, {"v": 0.5}, {"b": 1.0}, True)
+        rec = ReportRecord("r0", {"x": 1}, {"v": 0.5}, {"b": 1.0}, [HOLDS])
         flat = rec.flat()
         assert list(flat) == ["id", "param_x", "measured_v", "bound_b",
                               "passed"]
 
     def test_csv_single_record(self, tmp_path):
-        rec = ReportRecord("r0", {"x": 1}, {"v": 0.5}, {}, True)
+        rec = ReportRecord("r0", {"x": 1}, {"v": 0.5}, {}, [HOLDS])
         path = tmp_path / "out.csv"
         emit([rec], "csv", str(path))
         lines = path.read_text().strip().split("\n")
@@ -37,7 +43,7 @@ class TestRecordsAndEmit:
 
     def test_json_roundtrip(self, tmp_path):
         rec = ReportRecord("r0", {"x": 1, "name": "abc"},
-                           {"v": 1 / 3}, {"b": 2.0}, False)
+                           {"v": 1 / 3}, {"b": 2.0}, [HOLDS, FAILS])
         path = tmp_path / "out.json"
         emit([rec], "json", str(path))
         rows = json.loads(path.read_text())
@@ -51,10 +57,142 @@ class TestRecordsAndEmit:
             emit([], "csv", str(tmp_path / "x.csv"))
 
     def test_twelve_significant_digits(self, tmp_path):
-        rec = ReportRecord("r0", {}, {"v": 0.123456789012345}, {}, True)
+        rec = ReportRecord("r0", {}, {"v": 0.123456789012345}, {}, [HOLDS])
         path = tmp_path / "out.csv"
         emit([rec], "csv", str(path))
         assert "0.123456789012" in path.read_text()
+
+
+def _code_past(field):
+    """coding.ea_channel_code with the report's ``field`` 5e-9 past the
+    limit of its check."""
+    code = coding.ea_channel_code
+
+    def patched(*args, **kwargs):
+        rep = code(*args, **kwargs)
+        limit = rep.analytic_error_bound if field == "empirical_max_error" \
+            else coding.entanglement_budget(2, 0.5, rep.delta_surrogate)
+        return dataclasses.replace(rep, **{field: limit + 5e-9})
+    return patched
+
+
+def _ratio_past(limit):
+    """A flatten ratio function whose ratio lies 5e-12 past ``limit(*args)``."""
+    return lambda *args: (limit(*args) + 5e-12, False)
+
+
+def _least(checks):
+    """The check a record's stderr line names: a failed one first, then of
+    those with slack the one of least margin, an exact one last."""
+    return min(checks, key=lambda c: (c.holds, c.slack == 0, c.margin))
+
+
+class TestChecks:
+    """Each record passes when all of its checks hold; --tolerance-scale
+    multiplies the slack of every record check, and each record's least
+    margin goes to stderr only."""
+
+    # the check names of each subcommand's records at its default flags
+    NAMES = {
+        "entropy": {("closed form",)},
+        "convexsplit": {("split bound", "fidelity floor"), ("split bound",)},
+        "circuit": {("truth table mismatches", "swap size", "swap depth")},
+        "flatten": {("embezzle ratio",), ("unembezzle ratio",),
+                    ("split bound",)},
+        "decode": {("success floor",)},
+        "code": {("error bound", "refusal above cap", "entanglement budget")},
+        "bounds": {("merge cost",)},
+    }
+
+    @staticmethod
+    def records(tmp_path, sub, *flags):
+        args = build_parser().parse_args(
+            [sub, "--out", str(tmp_path / f"{sub}.csv"), *flags])
+        return run(args)[1]
+
+    def test_record_passes_when_all_checks_hold(self):
+        assert ReportRecord("r", {}, {}, {}, [HOLDS, HOLDS]).passed
+        assert not ReportRecord("r", {}, {}, {}, [HOLDS, FAILS]).passed
+
+    @pytest.mark.parametrize("sub", list(SUBCOMMAND_MAP))
+    def test_each_subcommand_lists_its_checks(self, sub, tmp_path, capsys):
+        records = self.records(tmp_path, sub)
+        assert {tuple(c.name for c in rec.checks) for rec in records} \
+            == self.NAMES[sub]
+        # one stderr line per record: its time, least margin and that check
+        err = capsys.readouterr().err
+        for rec in records:
+            least = _least(rec.checks)
+            line = re.search(rf"^  {re.escape(rec.record_id)}: \d+\.\d{{3}}s, "
+                             r"least margin (\S+) \((.+)\)$", err, re.M)
+            assert line.group(2) == least.name
+            assert float(line.group(1)) == float(f"{least.margin:.3g}")
+        # the report carries no margin column
+        header = (tmp_path / f"{sub}.csv").read_text().splitlines()[0]
+        assert "margin" not in header
+
+    def test_entropy_tolerance_column_follows_the_scale(self, tmp_path):
+        for scale, tol in (("1", 1e-5), ("10", 1e-4)):
+            for rec in self.records(tmp_path, "entropy", "--tolerance-scale",
+                                    scale):
+                assert rec.bounds["tolerance"] == rec.checks[0].slack == tol
+
+    @pytest.mark.parametrize("sub, module, name, patched, failing, count", [
+        ("code", coding, "ea_channel_code",
+         _code_past("empirical_max_error"), "error bound", 1),
+        ("code", coding, "ea_channel_code",
+         _code_past("entanglement_qubits"), "entanglement budget", 1),
+        ("flatten", flatten, "check_embezzle_upper",
+         _ratio_past(lambda a, b, n: flatten.harmonic_sum(1, n)
+                     / flatten.harmonic_sum(a, n)), "embezzle ratio", 3),
+        ("flatten", flatten, "check_unembezzle",
+         _ratio_past(lambda *args: 4.0), "unembezzle ratio", 2)],
+        ids=["code-bound", "code-budget", "embezzle", "unembezzle"])
+    def test_scale_reaches_the_check(self, sub, module, name, patched,
+                                     failing, count, tmp_path, monkeypatch):
+        # past the slack at scale 1, within it at scale 10
+        monkeypatch.setattr(module, name, patched)
+        failed = [[c.name for c in rec.checks if not c.holds]
+                  for rec in self.records(tmp_path, sub)]
+        assert [names for names in failed if names] == [[failing]] * count
+        assert all(rec.passed for rec in self.records(
+            tmp_path, sub, "--tolerance-scale", "10"))
+        assert main([sub, "--out", str(tmp_path / "r.csv")]) == 1
+        assert main([sub, "--out", str(tmp_path / "r.csv"),
+                     "--tolerance-scale", "10"]) == 0
+
+    def test_least_margin_passes_over_exact_checks(self, tmp_path, capsys):
+        # code's refusal check is exact (margin 0): the line names the
+        # check with slack and least margin, the entanglement budget
+        [rec] = self.records(tmp_path, "code")
+        assert rec.checks[1].slack == 0 and rec.checks[1].margin == 0
+        assert 0 < rec.checks[2].margin < rec.checks[0].margin
+        assert "least margin 1.56 (entanglement budget)" in \
+            capsys.readouterr().err
+        # a record of exact checks only names the least of them
+        [rec] = self.records(tmp_path, "circuit", "--verify", "none")
+        assert "least margin 0 (truth table mismatches)" in \
+            capsys.readouterr().err
+        # and a failed check comes first, exact or not
+        assert _least([Check("a", 0.5, 1.0, "<=", 1e-9),
+                       Check("b", 2, 3, "==")]).name == "b"
+        assert _least([Check("a", 0.5, 1.0, "<=", 1e-9),
+                       Check("b", 3, 3, "==")]).name == "a"
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "0",
+                                       "ten"])
+    def test_scale_must_be_finite_and_positive(self, scale, tmp_path,
+                                               capsys):
+        out = tmp_path / "r.csv"
+        assert _exit_status(["code", "--out", str(out),
+                             f"--tolerance-scale={scale}"]) == 2
+        assert "--tolerance-scale" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tolerance_scale={scale}\n")
+        assert _exit_status(["code", "--config", str(cfg), "--out",
+                             str(out)]) == 2
+        assert not out.exists()
 
 
 class TestSubcommands:
@@ -124,7 +262,7 @@ class TestSubcommands:
 
         monkeypatch.setattr(circuits, "synth_decoupler", broken)
         args = argparse.Namespace(dim_c=2, prime=5, verify="exhaustive")
-        [rec] = run_circuit(args, 1.0)
+        [rec] = run_circuit(args)
         assert rec.measured["mismatches"] == wrong and not rec.passed
         assert self._loop_mismatches(broken(2, 5, 5), 5) == wrong
 

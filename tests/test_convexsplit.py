@@ -685,7 +685,7 @@ class TestConvexSplit1Design:
         rep = convex_split_1design(phi, 1, seed=0)
         assert abs(rep.k - 2.0) <= 1e-9
         assert abs(rep.analytic_bound - 2.0) <= 1e-9
-        assert rep.bound_satisfied()
+        assert rep.bound_check().holds
 
     def test_full_family(self):
         phi = maximally_entangled("R", "C", 2)
@@ -729,7 +729,7 @@ class TestConvexSplit1Design:
             values = []
             for n_mixed in (1, 2, 4):
                 rep = convex_split_1design(psi, n_mixed, seed=123)
-                assert rep.bound_satisfied()
+                assert rep.bound_check().holds
                 values.append(rep.achieved_rel_entropy)
             for lo, hi in zip(values[1:], values):
                 assert lo <= hi + 1e-9
@@ -758,20 +758,20 @@ class TestConvexSplitClassical:
                       maximally_mixed(sysof(("C", 2))))
         for n_mixed in (1, 2, 5):
             rep = convex_split_classical(prod, range(n_mixed))
-            assert rep.bound_satisfied()
+            assert rep.bound_check().holds
             assert rep.achieved_fidelity ** 2 >= 1 / (1 + 1 / n_mixed) - 1e-9
 
     def test_bound_value_example(self):
         phi = maximally_entangled("R", "C", 2)
         rep = convex_split_classical(phi, range(5))
         assert abs(rep.analytic_bound - np.log2(1 + 7 / 5)) <= 1e-9
-        assert rep.bound_satisfied()
+        assert rep.bound_check().holds
 
     def test_single_element(self):
         phi = maximally_entangled("R", "C", 2)
         rep = convex_split_classical(phi, [0])
         assert abs(rep.analytic_bound - (rep.k + 1.0)) <= 1e-9
-        assert rep.bound_satisfied()
+        assert rep.bound_check().holds
 
     def test_empty_subset(self):
         phi = maximally_entangled("R", "C", 2)

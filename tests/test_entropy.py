@@ -412,6 +412,20 @@ class TestEdgeCases:
             assert got.finite
             assert abs(2.0 ** (-got.value) - classical_np_lp(p, q, eps)) <= 1e-8
 
+    @pytest.mark.parametrize("form", ["A", "w"])
+    def test_reference_cuts_its_support_as_relative_entropy_does(self, form):
+        # rho's weight 2e-8 on sigma's eigenvalue 0.5 SUPPORT_TOL passes
+        # _SUPPORT_MASS_TOL: infinite by both routes, with sigma as the
+        # Reference's A factor or as its weights w
+        q = np.array([1.0 - 2.5 * SUPPORT_TOL, 0.5 * SUPPORT_TOL,
+                      2.0 * SUPPORT_TOL])
+        p = np.array([0.75 - 2e-8, 2e-8, 0.25])
+        assert relative_entropy(diag_state("A", p), diag_state("A", q)).value \
+            == float("inf")
+        ref = Reference(np.diag(q), [1.0]) if form == "A" \
+            else Reference(np.eye(1), q)
+        assert ref.rel_entropy(np.diag(p).astype(complex)) == float("inf")
+
 
 def bisection_test(rho_mat, sigma_mat, eps):
     """Neyman-Pearson test by plain bisection on the threshold t (oracle).

@@ -642,7 +642,7 @@ class TestFlatSplits:
         rep = convex_split_flat_1design(prod, mu_c, Fraction(1, 2), 4, n=4,
                                         seed=1)
         assert rep.k <= 1e-9
-        assert rep.bound_satisfied()
+        assert rep.bound_check().holds
 
     def test_1design_maximally_entangled(self):
         phi = maximally_entangled("R", "C", 2)
@@ -650,14 +650,14 @@ class TestFlatSplits:
         rep = convex_split_flat_1design(phi, mu_c, Fraction(1, 2), 16, n=4,
                                         seed=1)
         assert abs(rep.k - 2.0) <= 1e-8
-        assert rep.bound_satisfied()
+        assert rep.bound_check().holds
 
     def test_1design_n1_trivial(self):
         phi = maximally_entangled("R", "C", 2)
         mu_c = maximally_mixed(sysof(("C", 2)))
         rep = convex_split_flat_1design(phi, mu_c, Fraction(1, 2), 1, n=4,
                                         seed=0)
-        assert rep.bound_satisfied()
+        assert rep.bound_check().holds
 
     def test_1design_rejects_bad_field(self):
         # |C|/gamma = 6 is not a prime power, so no pairwise family exists
@@ -671,7 +671,7 @@ class TestFlatSplits:
         mu_c = maximally_mixed(sysof(("C", 2)))
         rep = convex_split_flat_classical(phi, mu_c, Fraction(1, 2),
                                           range(2), n=3)
-        assert rep.bound_satisfied()
+        assert rep.bound_check().holds
 
     def test_marginal_check_matches_dense(self, monkeypatch):
         # the benchmark's N = 11 split: each nonzero l's gap, solved on the

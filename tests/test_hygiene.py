@@ -448,6 +448,85 @@ def test_gate_catches_a_caught_assertion_error():
     assert assertion_catches(source) == [3, 9]
 
 
+def assertion_raises(source):
+    """Lines that raise AssertionError anywhere but in ``Check.require``,
+    where every governing inequality of the package is judged."""
+    lines = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) \
+                    else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError" \
+                        and scope != ("Check", "require"):
+                    lines.append(child.lineno)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(source), ())
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assertion_error_raised_outside_check_require(path):
+    assert assertion_raises(path.read_text()) == []
+
+
+def test_gate_catches_an_assertion_error_raised_outside_check_require():
+    source = ("class Check:\n"
+              "    def require(self):\n"
+              "        raise AssertionError(f'{self.name} failed')\n"
+              "def gate(gap):\n"
+              "    if gap < -1e-10:\n"
+              "        raise AssertionError(f'min eig {gap}')\n"
+              "class Report:\n"
+              "    def require(self):\n"
+              "        raise AssertionError\n")
+    assert assertion_raises(source) == [6, 9]
+
+
+def verdict_records(source):
+    """Lines of ``ReportRecord(...)`` calls that pass a verdict where the
+    record takes its checks: a record's checks argument (its fifth, or
+    ``checks=``) must be a list display or comprehension, and no element
+    of a display a comparison, a boolean operation, ``not`` or a constant."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and "ReportRecord" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))):
+            continue
+        given = node.args[4:5] + [kw.value for kw in node.keywords
+                                  if kw.arg == "checks"]
+        checks = given[0] if given else None
+        elements = checks.elts if isinstance(checks, ast.List) else []
+        if not isinstance(checks, (ast.List, ast.ListComp)) or any(
+                isinstance(e, (ast.Compare, ast.BoolOp, ast.Constant))
+                or isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.Not)
+                for e in elements):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_report_record_takes_a_verdict(path):
+    assert verdict_records(path.read_text()) == []
+
+
+def test_gate_catches_a_report_record_given_a_verdict():
+    source = ("ReportRecord('a', {}, {}, {}, [rep.bound_check()])\n"
+              "ReportRecord('b', {}, {}, {}, ok)\n"
+              "cli.ReportRecord('c', {}, {}, {}, rep.bound_satisfied())\n"
+              "ReportRecord('d', {}, {}, {}, [x <= y + 1e-9])\n"
+              "ReportRecord('e', {}, {}, {}, checks=[not bad, Check(n, x, y)])\n"
+              "ReportRecord('f', {}, {}, {}, [c for c in checks])\n"
+              "ReportRecord('g', {}, {}, {}, [True])\n"
+              "ReportRecord('h', {}, {}, {})\n")
+    assert verdict_records(source) == [2, 3, 4, 5, 7, 8]
+
+
 def min_label_functions(sources):
     """(module, function) of each function that calls ``*.minimum.at``, the
     min-label step of the connected-components fixed point; a nested

@@ -14,7 +14,7 @@ from oneshot_qit.coding import (apply_channel, depolarizing_channel,
 from oneshot_qit.convexsplit import (PrimeRegister, convex_split_1design,
                                      convex_split_classical)
 from oneshot_qit.entropy import dh_eps, dmax, hmin, imax, relative_entropy
-from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
+from oneshot_qit.registers import (Check, DensityOperator, Monomial, PureState,
                                    RegisterSystem, _block_eigvalsh,
                                    _pattern_blocks, act, apply_unitary,
                                    basis_state, canonical_purification,
@@ -28,6 +28,38 @@ from oracles import dense_matrix, plain_random_density, random_pure
 
 def sysof(*pairs):
     return RegisterSystem(list(pairs))
+
+
+class TestCheck:
+    """The one pass/fail rule: each sense's own float expression."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(achieved=st.floats(-2.0, 2.0), limit=st.floats(-2.0, 2.0),
+           slack=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 0.3]))
+    def test_holds_is_the_sites_expression(self, achieved, limit, slack):
+        assert Check("c", achieved, limit, "<=", slack).holds \
+            == (achieved <= limit + slack)
+        assert Check("c", achieved, limit, ">=", slack).holds \
+            == (achieved >= limit - slack)
+        assert Check("c", achieved, limit, "==", slack).holds \
+            == (abs(achieved - limit) <= slack)
+
+    def test_margin_is_the_distance_inside_the_limit(self):
+        assert Check("c", 0.25, 1.0, "<=").margin == 0.75
+        assert Check("c", 0.25, 1.0, ">=").margin == -0.75
+        assert Check("c", 1.25, 1.0, "==").margin == -0.25
+        assert str(Check("c", 1.0, 1.0, "==").margin) == "0.0"
+
+    @pytest.mark.parametrize("sense", ["<=", ">=", "=="])
+    def test_nan_never_holds(self, sense):
+        for achieved, limit in ((float("nan"), 0.0), (0.0, float("nan"))):
+            assert not Check("nan", achieved, limit, sense, 1.0).holds
+
+    def test_require_names_achieved_limit_and_margin(self):
+        Check("fine", 0.5, 1.0).require()
+        with pytest.raises(AssertionError, match=r"^converse floor failed: "
+                           r"achieved 0\.25 outside >= 0\.75 \(margin -0\.5\)$"):
+            Check("converse floor", 0.25, 0.75, ">=", 1e-9).require()
 
 
 class TestRegisterSystem:
