@@ -43,7 +43,7 @@ def _fmt(value):
     if isinstance(value, (float, np.floating)):
         value = float(value)
         if not np.isfinite(value):
-            return "inf" if value > 0 else "-inf"
+            return str(value)       # "inf", "-inf" or "nan"
         return float(f"{value:.12g}")
     if isinstance(value, (np.integer,)):
         return int(value)

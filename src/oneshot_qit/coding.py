@@ -39,8 +39,8 @@ from .flatten import (_embezzle_rule, _flat_ensemble, _gamma_fraction,
                       round_spectrum, unitary_flatten_W)
 from .registers import (Check, DensityOperator, Monomial, RegisterSystem,
                         _components, _size_groups, act, canonical_purification,
-                        kron_eye_entries, maximally_mixed, partial_trace,
-                        permute_registers, tensor)
+                        kron_eye_entries, kron_eye_nonzeros, maximally_mixed,
+                        partial_trace, permute_registers, tensor)
 
 INV_SQRT_CUT = 1e-12
 """Eigenvalues of S at or below this lie outside supp(S), where S^{-1/2} is 0."""
@@ -123,21 +123,15 @@ def _blocks(test, maps, branches, seeds):
     into each S, and the bool ``seeds`` (n_branches, dim) marks the rows to
     keep.  S and its members are exactly block-diagonal on the components
     of the union of the members' nonzero patterns (nothing is thresholded).
-    `_components` labels every member's pattern at once (node m dim + i,
-    the nonzeros of A (x) I_f through each inverse map, those outside its
-    image dropped).  Each branch's rows grow from its seeds, one member's
-    components at a time, until no member adds a row; only the reached rows
+    `_components` labels every member's pattern (`kron_eye_nonzeros`) at
+    once, as nodes m dim + i.  Each branch's rows grow from its seeds, one
+    member's components at a time, until no member adds a row; the reached rows
     are joined, row i of branch b to own[m, i] for each member m of b.
     Returns per block size, ascending, the branch of each block (n_blocks,)
     and its indices (n_blocks, size), blocks by branch and smallest index.
     """
-    factor, f = test
     n_members, dim = maps.src.shape
-    inverse = maps.inverse(len(factor) * f).src
-    rows, cols = (np.ravel(k[:, None] * f + np.arange(f))
-                  for k in np.nonzero(factor))
-    i, j = inverse[:, rows], inverse[:, cols]
-    keep = (i >= 0) & (j >= 0)
+    i, j, keep = kron_eye_nonzeros(*test, maps)
     node = np.arange(n_members)[:, None] * dim
     own = _components((node + i)[keep], (node + j)[keep],
                       n_members * dim).reshape(n_members, dim) % dim

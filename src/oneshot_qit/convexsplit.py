@@ -20,8 +20,9 @@ import numpy as np
 
 from .entropy import Reference, _entropy_sum, dmax
 from .registers import (Check, DensityOperator, Monomial, _block_eigvalsh,
-                        _pattern_blocks, _root_sum, kron_eye_entries,
-                        maximally_mixed, partial_trace, reorder)
+                        _components, _pattern_blocks, _root_sum, _size_groups,
+                        kron_eye_entries, kron_eye_nonzeros, maximally_mixed,
+                        partial_trace, reorder)
 
 
 def _is_prime(n):
@@ -436,9 +437,9 @@ class PrimeEnsemble:
             self.theta, np.diag(np.repeat([scale, 0.0], self.s_dim))))
 
     def _base_block(self, idx):
-        """base[np.ix_(idx, idx)], read from the factor."""
+        """base[np.ix_(idx, idx)] read from the factor, per row of ``idx``."""
         return kron_eye_entries(self.base_factor, self.f_prime,
-                                idx[:, None], idx[None, :])
+                                idx[..., :, None], idx[..., None, :])
 
     def full_index(self, r, f1, d, f2):
         return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
@@ -539,9 +540,13 @@ class PrimeEnsemble:
         - the eigenspaces of U_1 when ``subset`` is the whole group: U_l is
           U_1^l, so tau is the pinching of base onto them, and
           sqrt(ref) tau sqrt(ref) that of sqrt(ref) base sqrt(ref), both
-          read from their factors on (R, F1, D);
+          read from their factors on (R, F1, D) and, but for sector 0, built
+          by one inverse DFT over the orbits of U_1 (`_sector_spectra`);
         - tau itself, compressed to the rows (R, w) for which some R-row of
-          tau is nonzero, where the reference compresses to A (x) diag(w).
+          tau is nonzero, where the reference compresses to A (x) diag(w):
+          the U_l map basis vectors to basis vectors, so tau and its
+          sandwich are gathered only on the blocks of their exact nonzero
+          pattern (`_support_spectra`).
         """
         keep = self._occupied(subset)
         pinch = (2 * self.f_prime - 1) * self.r_dim * self.d_dim
@@ -558,14 +563,47 @@ class PrimeEnsemble:
         return np.flatnonzero(occupied.reshape(self.r_dim, -1).any(axis=0))
 
     def _support_spectra(self, subset, ref, keep):
-        rows = (np.arange(self.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
-        tau = np.zeros((len(rows), len(rows)), dtype=complex)
-        for ell in subset:
-            tau += self._base_block(self.source(ell).src[rows])
-        tau /= len(subset)
-        mid = ref.restricted(keep).sandwich(tau)
-        blocks = _pattern_blocks(tau, mid)
-        return _block_eigvalsh(tau, blocks), _block_eigvalsh(mid, blocks)
+        """Eigenvalues of tau and of its sandwich on the rows (R, ``keep``),
+        gathered on their blocks only.
+
+        U_l maps basis vectors to basis vectors, so tau is nonzero only
+        where some U_l (factor (x) I_F2) U_l^dag is (`kron_eye_nonzeros`).
+        Every R index of a ``keep`` index goes to one group, since the
+        sandwich mixes R, and the groups are the components of that
+        pattern over ``keep``.  tau (summed over ``subset`` in its order)
+        and the sandwich are gathered per group, stacked per group size,
+        and the components of their exact nonzero patterns there are the
+        blocks, sizes and order of `_pattern_blocks` on the whole pair.
+        """
+        w_dim, n_keep, maps = ref.w_dim, len(keep), self.source(subset)
+        i, j, hit = kron_eye_nonzeros(self.base_factor, self.f_prime, maps)
+        place = Monomial(keep).inverse(w_dim).src       # -1 off ``keep``
+        x, y = place[i % w_dim], place[j % w_dim]
+        on = hit & (x >= 0) & (y >= 0)
+        r_idx = np.arange(self.r_dim)[:, None]
+        full = (r_idx * w_dim + keep).reshape(-1)
+        order, first, col, flat, edges = [], [], [], ([], []), []
+        for group in _size_groups(_components(x[on], y[on], n_keep)):
+            rows = (r_idx * n_keep + group[:, None, :]).reshape(len(group), -1)
+            size = rows.shape[1]
+            tau = sum(self._base_block(src)
+                      for src in maps.src[:, full[rows]]) / len(subset)
+            mid = ref.sandwich(tau, keep[group])
+            n, u, v = np.nonzero((tau != 0) | (mid != 0))
+            edges.append((rows[n, u], rows[n, v]))
+            # each row's start in the stores, and its column in its group
+            order.append(rows.ravel())
+            first.append(sum(map(len, flat[0])) + size * np.arange(rows.size))
+            col.append(np.tile(np.arange(size), len(rows)))
+            for store, part in zip(flat, (tau, mid)):
+                store.append(part.ravel())
+        slot = Monomial(np.concatenate(order)).inverse().src
+        first, col = np.concatenate(first)[slot], np.concatenate(col)[slot]
+        blocks = _size_groups(_components(*map(np.concatenate, zip(*edges)),
+                                          len(full)))
+        return tuple(_block_eigvalsh(
+            lambda rows, cols, store=np.concatenate(store):
+                store[first[rows] + col[cols]], blocks) for store in flat)
 
     def _sector_spectra(self, *factors):
         """Eigenvalues of the pinching of each factor (x) I_F2 onto the eigenspaces of U_1.
@@ -579,9 +617,13 @@ class PrimeEnsemble:
         delta') with the same j, so the block of a sector has the entries
         (1/g) sum_t w^(-k t) w^(k' tau) B[x, i(delta, t), x', i(delta', tau)]
         at rows (x, delta, k) and columns (x', delta', k'), with
-        w = exp(2 pi i / g) and B the factor on (R D, F1).  Sector 0, and the
-        stack of the equal-sized sectors 1..g-1, are each eigensolved for
-        every factor at once, on the components of their union pattern.
+        w = exp(2 pi i / g) and B the factor on (R D, F1).  Sector 0 is
+        summed over t as written.  In sectors 1..g-1, k' = k, so the entry
+        is the inverse DFT over e = (tau - t) mod g, at k, of the sum of the
+        B entries of each e: one `np.fft.ifft` builds them all.  Each factor
+        is gathered and transformed in turn; sector 0, and the stack of the
+        equal-sized sectors 1..g-1, are each eigensolved for every factor at
+        once, on the components of their union pattern.
         """
         g, rd = self.f_prime, self.r_dim * self.d_dim
         delta, t = np.divmod(np.arange(g * g), g)
@@ -590,28 +632,36 @@ class PrimeEnsemble:
         tau = Monomial(j).inverse().src[:, j]           # [delta', delta, t]
         tau = tau.transpose(1, 2, 0)                    # [delta, t, delta']
         i_tau = i[np.arange(g), tau]
-        # gathered[factor, delta, t, delta', x, x'], the only nonzeros of
-        # each pinching
-        gathered = np.stack([reorder(f, (self.r_dim, g, self.d_dim), [0, 2, 1])
-                             .reshape(rd, g, rd, g)[:, i[:, :, None], :, i_tau]
-                             for f in factors])
         omega = np.exp(2j * np.pi * np.arange(g) / g)
-        sector = np.where(delta == 0, 0, t)
-        blocks = []
-        for k in range(g):
-            d_sel, k_sel = np.divmod(np.flatnonzero(sector == k), g)
-            block = np.zeros((len(factors), len(d_sel), len(d_sel), rd, rd),
-                             dtype=complex)
+        # sector 0 holds (0, k) for every k and (delta, 0); power[t] is the
+        # exponent of w at t of each of its entries
+        d_sel, k_sel = np.divmod(np.flatnonzero(delta * t == 0), g)
+        power = (k_sel * tau[d_sel[:, None], :, d_sel].transpose(2, 0, 1)
+                 - np.multiply.outer(np.arange(g), k_sel)[:, :, None]) % g
+        e = (tau - np.arange(g)[:, None]) % g           # [delta, t, delta']
+        m = np.arange(g - 1)
+        n0, nf = len(d_sel), len(factors)
+        zero = np.zeros((nf, rd * n0, rd * n0), dtype=complex)
+        rest = np.zeros((nf, g - 1, rd * (g - 1), rd * (g - 1)), dtype=complex)
+        for factor, out0, out in zip(factors, zero, rest):
+            # gathered[delta, t, delta', x, x'], the only nonzeros of the
+            # factor's pinching
+            on_rd = reorder(factor, (self.r_dim, g, self.d_dim), [0, 2, 1])
+            gathered = on_rd.reshape(rd, g, rd, g)[:, i[:, :, None], :, i_tau]
+            block = out0.reshape(rd, n0, rd, n0).transpose(1, 3, 0, 2)
             for step in range(g):
-                power = (k_sel * tau[d_sel[:, None], step, d_sel]
-                         - (k_sel * step)[:, None]) % g
-                block += omega[power][:, :, None, None] \
-                    * gathered[:, d_sel[:, None], step, d_sel]
-            blocks.append(block.transpose(0, 3, 1, 4, 2).reshape(
-                len(factors), rd * len(d_sel), -1) / g)
-        parts = (blocks[0], np.stack(blocks[1:], axis=1))
-        return list(np.concatenate([_block_eigvalsh(part).reshape(
-            len(factors), -1) for part in parts], axis=1))
+                block += omega[power[step]][:, :, None, None] \
+                    * gathered[d_sel[:, None], step, d_sel]
+            block /= g
+            summed = np.zeros((g - 1, g, g - 1, rd, rd), dtype=complex)
+            np.add.at(summed, (m[:, None, None], e[1:, :, 1:], m),
+                      gathered[1:, :, 1:])
+            del gathered
+            # ifft's [delta, k, delta', x, x'] into [k, x, delta, x', delta']
+            out.reshape(g - 1, rd, g - 1, rd, g - 1)[...] = np.fft.ifft(
+                summed, axis=1)[:, 1:].transpose(1, 3, 0, 4, 2)
+        return list(np.concatenate([_block_eigvalsh(part).reshape(nf, -1)
+                                    for part in (zero, rest)], axis=1))
 
 
 def _classical_ensemble(psi, prime_reg):

@@ -143,10 +143,15 @@ class Reference:
         out._set_weights(self.w[keep])
         return out
 
-    def sandwich(self, rho):
-        """sqrt(ref) rho sqrt(ref)."""
-        rho_w = rho * self.w_sqrt[None, :] * self.w_sqrt[:, None]
-        return np.einsum("ab,bxcy,cd->axdy", self.a_sqrt, self._blocks(rho_w),
+    def sandwich(self, rho, at=None):
+        """sqrt(ref) rho sqrt(ref); for a stack rho (..., n, n), on the
+        w-indices ``at`` (..., n / a_dim) of each matrix (all by default)."""
+        w_sqrt = self.w_sqrt if at is None \
+            else np.tile(np.sqrt(self.w)[at], self.a_dim)
+        rho_w = rho * w_sqrt[..., None, :] * w_sqrt[..., :, None]
+        tens = rho_w.reshape(rho.shape[:-2]
+                             + (self.a_dim, rho.shape[-1] // self.a_dim) * 2)
+        return np.einsum("ab,...bxcy,cd->...axdy", self.a_sqrt, tens,
                          self.a_sqrt).reshape(rho.shape)
 
     def fidelity(self, rho, blocks=None):

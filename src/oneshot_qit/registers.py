@@ -162,8 +162,8 @@ class DensityOperator:
         return float(np.real(np.trace(self.matrix)))
 
     def purity(self):
-        """Tr(M M) as the elementwise sum of M_ij M_ji, not a d x d product."""
-        return float(np.real(np.sum(self.matrix * self.matrix.T)))
+        """Tr(M M) as one contraction of M_ij M_ji, with no d x d temporary."""
+        return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
 
     def __repr__(self):
         return f"DensityOperator({self.system!r})"
@@ -469,6 +469,18 @@ def kron_eye_entries(factor, f, rows, cols):
     return np.where(rows % f == cols % f, factor[rows // f, cols // f], 0)
 
 
+def kron_eye_nonzeros(factor, f, maps):
+    """Where each M (factor (x) I_f) M^dag of the `Monomial` family ``maps``
+    (n_maps, n) is nonzero: (i, j, hit), each (n_maps, nnz), the nonzeros of
+    factor (x) I_f read through every inverse map, ``hit`` false where one
+    falls outside the image of a compression."""
+    inverse = maps.inverse(len(factor) * f).src
+    rows, cols = (np.ravel(k[:, None] * f + np.arange(f))
+                  for k in np.nonzero(factor))
+    i, j = inverse[:, rows], inverse[:, cols]
+    return i, j, (i >= 0) & (j >= 0)
+
+
 def _components(rows, cols, n):
     """Connected-component label per node 0..n-1 of the edges (rows, cols).
 
@@ -524,13 +536,18 @@ def _block_eigvalsh(mat, blocks=None):
     ``mat`` is solved on ``blocks`` (`_pattern_blocks`, by default of
     ``mat`` alone) in one stacked eigvalsh per block size, eigenvalues in
     the order of the blocks; one block of size n is solved as it stands.
+    With ``blocks`` given, ``mat`` may be a function that reads the entries
+    at the (rows, cols) index arrays it is given: only the blocks are built.
     """
-    blocks = _pattern_blocks(mat) if blocks is None else blocks
-    if blocks[0].shape[1] == mat.shape[-1]:
-        return np.linalg.eigvalsh(mat)
-    return np.concatenate([np.linalg.eigvalsh(
-        mat[..., idx[:, :, None], idx[:, None, :]]).reshape(
-            mat.shape[:-2] + (-1,)) for idx in blocks], axis=-1)
+    if not callable(mat):
+        blocks = _pattern_blocks(mat) if blocks is None else blocks
+        if blocks[0].shape[1] == mat.shape[-1]:
+            return np.linalg.eigvalsh(mat)
+    read = mat if callable(mat) else lambda rows, cols: mat[..., rows, cols]
+    vals = [np.linalg.eigvalsh(read(idx[:, :, None], idx[:, None, :]))
+            for idx in blocks]
+    return np.concatenate([v.reshape(v.shape[:-2] + (-1,)) for v in vals],
+                          axis=-1)
 
 
 def apply_unitary(op, unitary, labels):

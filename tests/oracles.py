@@ -25,9 +25,9 @@ from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
 from oneshot_qit.flatten import (FlatSpectrum, _rationalize_gamma,
                                  unitary_flatten_W)
 from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
-                                   RegisterSystem, _check_dims, _components,
-                                   _pattern_blocks, _root_sum, _size_groups,
-                                   act, reorder)
+                                   RegisterSystem, _block_eigvalsh,
+                                   _check_dims, _components, _pattern_blocks,
+                                   _root_sum, _size_groups, act, reorder)
 
 
 def dense_kron_eye(factor, f):
@@ -134,6 +134,54 @@ def dense_hw_split_means(state, dims, n_mixed, seed, ref):
         d_total += d_vals[c]
         f_total += f_vals[c]
     return d_total / len(inverse), min(f_total / len(inverse), 1.0)
+
+
+def dense_support_spectra(ens, subset, ref, keep):
+    """`convexsplit.PrimeEnsemble._support_spectra` by its former body:
+    tau and its sandwich built whole on the rows (R, ``keep``), and
+    eigensolved on the blocks of their joint nonzero pattern.  The block
+    route gathers the same entries, so it must give the same bits."""
+    rows = (np.arange(ens.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
+    tau = np.zeros((len(rows), len(rows)), dtype=complex)
+    for ell in subset:
+        tau += ens._base_block(ens.source(ell).src[rows])
+    tau /= len(subset)
+    mid = ref.restricted(keep).sandwich(tau)
+    blocks = _pattern_blocks(tau, mid)
+    return _block_eigvalsh(tau, blocks), _block_eigvalsh(mid, blocks)
+
+
+def loop_sector_spectra(ens, *factors):
+    """`convexsplit.PrimeEnsemble._sector_spectra` by its former body, which
+    sums every entry of every sector over t, g^2 steps in all, where the
+    program takes sectors 1..g-1 by one inverse DFT."""
+    g, rd = ens.f_prime, ens.r_dim * ens.d_dim
+    delta, t = np.divmod(np.arange(g * g), g)
+    i = np.where(delta == 0, t, delta * t % g).reshape(g, g)
+    j = (i + np.arange(g)[:, None]) % g
+    tau = Monomial(j).inverse().src[:, j]           # [delta', delta, t]
+    tau = tau.transpose(1, 2, 0)                    # [delta, t, delta']
+    i_tau = i[np.arange(g), tau]
+    gathered = np.stack([reorder(f, (ens.r_dim, g, ens.d_dim), [0, 2, 1])
+                         .reshape(rd, g, rd, g)[:, i[:, :, None], :, i_tau]
+                         for f in factors])
+    omega = np.exp(2j * np.pi * np.arange(g) / g)
+    sector = np.where(delta == 0, 0, t)
+    blocks = []
+    for k in range(g):
+        d_sel, k_sel = np.divmod(np.flatnonzero(sector == k), g)
+        block = np.zeros((len(factors), len(d_sel), len(d_sel), rd, rd),
+                         dtype=complex)
+        for step in range(g):
+            power = (k_sel * tau[d_sel[:, None], step, d_sel]
+                     - (k_sel * step)[:, None]) % g
+            block += omega[power][:, :, None, None] \
+                * gathered[:, d_sel[:, None], step, d_sel]
+        blocks.append(block.transpose(0, 3, 1, 4, 2).reshape(
+            len(factors), rd * len(d_sel), -1) / g)
+    parts = (blocks[0], np.stack(blocks[1:], axis=1))
+    return list(np.concatenate([_block_eigvalsh(part).reshape(
+        len(factors), -1) for part in parts], axis=1))
 
 
 def lifted_classical_test(omega, d_b, c_dim, g):

@@ -11,7 +11,7 @@ import pytest
 
 from oneshot_qit import circuits, coding, flatten
 from oneshot_qit.circuits import encode_decoupler_input
-from oneshot_qit.cli import (ReportRecord, SUBCOMMAND_MAP, _seed_for,
+from oneshot_qit.cli import (ReportRecord, SUBCOMMAND_MAP, _fmt, _seed_for,
                              build_parser, emit, main, run, run_circuit)
 from oneshot_qit.convexsplit import u_ell_index
 from oneshot_qit.registers import Check, RegisterSystem, random_density
@@ -61,6 +61,18 @@ class TestRecordsAndEmit:
         path = tmp_path / "out.csv"
         emit([rec], "csv", str(path))
         assert "0.123456789012" in path.read_text()
+
+    @pytest.mark.parametrize("value, cell", [
+        (float("nan"), "nan"), (np.float64("nan"), "nan"),
+        (float("inf"), "inf"), (np.float64("-inf"), "-inf")])
+    def test_non_finite_cells(self, value, cell, tmp_path):
+        # a measured NaN reads as nan, not -inf, so the cell agrees with
+        # the failed check it comes with
+        assert _fmt(value) == cell
+        rec = ReportRecord("r0", {}, {"v": value}, {}, [HOLDS])
+        path = tmp_path / "out.csv"
+        emit([rec], "csv", str(path))
+        assert path.read_text().split("\n")[1].split(",")[1] == cell
 
 
 def _code_past(field):

@@ -1,6 +1,8 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,17 @@ from oneshot_qit.registers import (DensityOperator, Monomial,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, random_density, reorder,
                                    tensor)
-from oracles import (dense_kron_eye, dense_reference_measures, flatten,
+from oracles import (dense_kron_eye, dense_reference_measures,
+                     dense_support_spectra, flatten, loop_sector_spectra,
                      random_pure)
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import oneshot_qit  # noqa: E402
+import workloads  # noqa: E402
+from oneshot_qit.cli import main  # noqa: E402
 
 
 def sysof(*pairs):
@@ -936,14 +947,19 @@ def _small_ensembles(draw):
     return ens, w_d / w_d.sum(), subset
 
 
+def _split_reference(ens, w_d):
+    """The reference of `PrimeEnsemble.mixture_measures` for ``w_d``."""
+    mu = np.full(ens.f_prime, 1.0 / ens.f_prime)
+    return Reference(ens.psi_r, np.kron(mu, np.kron(w_d, mu)))
+
+
 def _check_against_dense(ens, w_d, subset):
     """Every spectra route of ``subset``, and `mixture_measures`, against
     the dense tau at the tolerances of `TestMixtureSpectra`; a support
     violation must give (inf, 0.0).  Returns the dense base."""
     g = ens.f_prime
     base = _dense_base(ens)
-    mu = np.full(g, 1.0 / g)
-    ref = Reference(ens.psi_r, np.kron(mu, np.kron(w_d, mu)))
+    ref = _split_reference(ens, w_d)
     tau = sum(_rotated(ens, base, ell) for ell in subset) / len(subset)
     s_dense, f_dense = _entropy_fidelity(
         _nonzero_eigvalsh(tau), _nonzero_eigvalsh(ref.sandwich(tau)))
@@ -984,6 +1000,70 @@ class TestFactorMatchesDense:
             traced = np.einsum("afbf->ab", _rotated(ens, base, ell).reshape(
                 keep, g, keep, g))
             assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def split_calls(tmp_path_factory):
+    """Every (ensemble, subset, w_d) that the decouple benchmark's cases at
+    its default seed, and the CLI's convexsplit at its defaults, hand to
+    `PrimeEnsemble.mixture_measures`."""
+    calls = []
+    measures = PrimeEnsemble.mixture_measures
+
+    def recording(ens, subset, w_d):
+        calls.append((ens, list(subset), w_d))
+        return measures(ens, subset, w_d)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PrimeEnsemble, "mixture_measures", recording)
+        for case in workloads.decouple(oneshot_qit, workloads.DEFAULT_SEED,
+                                       None):
+            case.run(workloads.Record())
+        assert main(["convexsplit", "--out",
+                     str(tmp_path_factory.mktemp("cli") / "report.csv")]) == 0
+    return calls
+
+
+class TestBlockRoutesAgainstFormerBodies:
+    """The block-gathered support route gives the bits of the dense one
+    (`oracles.dense_support_spectra`), and the DFT sector route the
+    spectra of the loop over t (`oracles.loop_sector_spectra`)."""
+
+    def test_support_spectra_bit_identical(self, split_calls):
+        # every call, the whole group too, through the support body
+        for ens, subset, w_d in split_calls:
+            ref = _split_reference(ens, w_d)
+            keep = ens._occupied(subset)
+            got = ens._support_spectra(subset, ref, keep)
+            want = dense_support_spectra(ens, subset, ref, keep)
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    def test_support_route_measures_repr_equal(self, split_calls,
+                                               monkeypatch):
+        # 20 calls have N < g, so take the support route: N = 1 and 2 of
+        # each of the 8 classical states, the CLI's N = 1, 2 and 4 and the
+        # flat split's N = 2
+        assert sum(len(subset) < ens.f_prime
+                   for ens, subset, _ in split_calls) == 20
+        got = [repr(ens.mixture_measures(subset, w_d))
+               for ens, subset, w_d in split_calls]
+        monkeypatch.setattr(PrimeEnsemble, "_support_spectra",
+                            dense_support_spectra)
+        assert got == [repr(ens.mixture_measures(subset, w_d))
+                       for ens, subset, w_d in split_calls]
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=_small_ensembles())
+    def test_sector_spectra_match_the_loop(self, case):
+        ens, w_d, _ = case
+        factor = ens.base_factor
+        factors = (factor, ens._factor_reference(
+            _split_reference(ens, w_d)).sandwich(factor))
+        got = ens._sector_spectra(*factors)
+        want = loop_sector_spectra(ens, *factors)
+        for g_vals, w_vals in zip(got, want):
+            assert g_vals.shape == w_vals.shape
+            assert np.max(np.abs(np.sort(g_vals) - np.sort(w_vals))) <= 1e-12
 
 
 def _edge_ensemble(kind):

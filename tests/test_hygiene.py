@@ -623,7 +623,7 @@ def test_gate_catches_a_duplicate_block():
 
 
 # `wc -l src/oneshot_qit/*.py` of the code that set it
-SRC_LINE_CEILING = 3569
+SRC_LINE_CEILING = 3635
 
 
 def line_count(paths):

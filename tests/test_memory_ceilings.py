@@ -1,4 +1,5 @@
-"""Traced memory ceilings of the benchmark's coding cases and seeded states.
+"""Traced memory ceilings of the benchmark's coding cases, its largest
+classical splits and seeded states.
 
 ``tracemalloc`` traces numpy's data allocations (numpy reports every array
 buffer to it), and a case allocates the same arrays in the same order on
@@ -36,12 +37,24 @@ CEILINGS = {
     "ea_channel_code/refusal": 0.1,
     "ea_channel_code/depolarizing0.1": 1.3,
 }
+# the decouple workload's classical splits at its default seed whose peaks
+# clear 1 MiB, in MiB.  Where the support route built tau, its sandwich and
+# their pattern whole, and every sector was summed over t, C3-G11 peaked at
+# 2.67 and the flat classical split at 8.40.  The state of the process moves
+# these peaks by up to 0.12 MiB (the flat split read 6.61 to 6.73), which
+# each ceiling clears; the smaller splits (below 0.2) would not clear it.
+SPLIT_CEILINGS = {
+    "convex_split_classical/C3-G11": 1.2,
+    "convex_split_flat_classical/gamma2/3": 6.8,
+}
 # the flat decoder at the benchmark's arguments with a 2-dimensional B
 # (Bob's space 2178): its dense signal arrays peaked at 34.9 MiB
 FLAT_TWO_DIM_B_CEILING = 10.8
 # a full-rank seeded state at d = 512: G, the conjugate in the product and
 # the product, 3 d^2 complex entries; the plain expression peaked at 16.13
 RANDOM_DENSITY_512_CEILING = 12.2
+# Tr(M M) at d = 1024: the elementwise product M * M.T peaked at 16.13
+PURITY_1024_CEILING = 0.1
 
 
 def traced_peak(call):
@@ -62,6 +75,13 @@ def peaks():
             for case in cases}
 
 
+@pytest.fixture(scope="module")
+def split_peaks():
+    cases = workloads.decouple(oneshot_qit, workloads.DEFAULT_SEED, None)
+    return {case.name: traced_peak(lambda: case.run(workloads.Record()))
+            for case in cases if case.name in SPLIT_CEILINGS}
+
+
 def test_every_case_has_a_ceiling(peaks):
     assert set(peaks) == set(CEILINGS)
 
@@ -69,6 +89,12 @@ def test_every_case_has_a_ceiling(peaks):
 @pytest.mark.parametrize("name", sorted(CEILINGS))
 def test_case_within_its_ceiling(peaks, name):
     assert peaks[name] <= CEILINGS[name] * MIB, peaks[name] / MIB
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CEILINGS))
+def test_split_case_within_its_ceiling(split_peaks, name):
+    assert split_peaks[name] <= SPLIT_CEILINGS[name] * MIB, \
+        split_peaks[name] / MIB
 
 
 def test_flat_decoder_does_not_set_the_peak(peaks):
@@ -91,3 +117,10 @@ def test_random_density_at_d512():
     system = oneshot_qit.RegisterSystem([("A", 512)])
     peak = traced_peak(lambda: oneshot_qit.random_density(0, system))
     assert peak <= RANDOM_DENSITY_512_CEILING * MIB, peak / MIB
+
+
+def test_purity_at_d1024():
+    system = oneshot_qit.RegisterSystem([("A", 1024)])
+    rho = oneshot_qit.random_density(0, system)
+    peak = traced_peak(rho.purity)
+    assert peak <= PURITY_1024_CEILING * MIB, peak / MIB

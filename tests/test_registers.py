@@ -19,7 +19,8 @@ from oneshot_qit.registers import (Check, DensityOperator, Monomial, PureState,
                                    _pattern_blocks, act, apply_unitary,
                                    basis_state, canonical_purification,
                                    dump_matrix, fidelity,
-                                   kron_eye_entries, maximally_entangled,
+                                   kron_eye_entries, kron_eye_nonzeros,
+                                   maximally_entangled,
                                    maximally_mixed, partial_trace,
                                    permute_registers, purified_distance,
                                    random_density, tensor)
@@ -664,6 +665,24 @@ class TestMonomialProperties:
 
 class TestKronEyeEntries:
     @pytest.mark.parametrize("n, f", [(1, 1), (3, 1), (1, 4), (3, 5)])
+    def test_nonzeros_through_maps_match_dense(self, n, f):
+        # a permutation and a compression onto every other state, with a
+        # zero row and column in the factor
+        rng = np.random.default_rng(n * 10 + f + 1)
+        factor = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        factor[0], factor[:, 0] = 0, 0
+        dense = np.kron(factor, np.eye(f))
+        size = n * f
+        for src in (rng.permutation(size), np.arange(0, size, 2)):
+            maps = Monomial(np.stack([src, src[::-1]]))
+            i, j, hit = kron_eye_nonzeros(factor, f, maps)
+            for k, one in enumerate(maps.src):
+                want = dense[np.ix_(one, one)] != 0
+                got = np.zeros_like(want)
+                got[i[k][hit[k]], j[k][hit[k]]] = True
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, f", [(1, 1), (3, 1), (1, 4), (3, 5)])
     def test_matches_dense_kron(self, n, f):
         rng = np.random.default_rng(n * 10 + f)
         factor = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -717,6 +736,14 @@ class TestBlockEigvalsh:
         tol = 1e-12 * max(np.linalg.norm(m, 2) for m in stack)
         assert np.max(np.abs(np.sort(_block_eigvalsh(stack), axis=-1)
                              - np.linalg.eigvalsh(stack))) <= tol
+        # read through a gather function: the same blocks, the same bits
+        for arr in (mat, stack):
+            blocks = _pattern_blocks(arr)
+            read = _block_eigvalsh(lambda rows, cols: arr[..., rows, cols],
+                                   blocks)
+            assert read.tobytes() == np.concatenate([np.linalg.eigvalsh(
+                arr[..., idx[:, :, None], idx[:, None, :]]).reshape(
+                    arr.shape[:-2] + (-1,)) for idx in blocks], -1).tobytes()
 
 
 class TestDump:
