@@ -257,8 +257,7 @@ def _decoder_test(psi, ref, size, eps, delta):
         raise ValueError("eps and delta must lie in (0, 1)")
     omega, type2 = neyman_pearson_operator(psi, ref, eps)
     dh = _dh_value(type2)
-    cap = (delta ** 2 / (4.0 * eps)) * (2.0 ** dh.value) if dh.finite \
-        else float("inf")
+    cap = (delta ** 2 / (4.0 * eps)) * (2.0 ** dh.value)
     if size > cap:
         raise ValueError(f"subset size {size} exceeds the cap {cap:.6g}")
     return omega, dh, cap
@@ -390,8 +389,6 @@ def _channel_test(channel, psi_a, eps):
 
 
 def _rate_cap(dh, eps, gamma, delta_prime):
-    if not dh.finite:
-        return float("inf")
     penalty = 5.0 + math.log2(4.0 * (eps + 4.0 * gamma ** 0.25) / delta_prime)
     return dh.value - penalty
 
@@ -446,8 +443,6 @@ def ea_channel_code(channel, psi_a, rate, eps, gamma, delta_prime, a, n,
     counts, m_big, e_dim = flat.counts, flat.grid_total, flat.e_dim
     d_size = n * (m_big + 1)
     _embezzle_rule(a, e_dim, n, d_size)
-    if a < 2:
-        raise ValueError(f"a = {a} below 2")
     q_field, n_messages = m_big * m_big, 2 ** rate
     if n_messages > q_field:
         raise ValueError("message set larger than the unitary family")

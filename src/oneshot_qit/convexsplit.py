@@ -225,7 +225,7 @@ def hw_split_means(state, dims, n_mixed, seed, ref):
     of the pairwise-independent family over GF(|S|^2).  Conjugating by V_t
     maps the block of ys to the block of ys + t and fixes ``ref`` (uniform on
     S), so D and F are eigensolved once per translation class, on the
-    components of one union pattern per call.  Returns (inf, 0.0) when a
+    components of the conjugates' union pattern.  Returns (inf, 0.0) when a
     block leaves the support of ``ref``.
     """
     d = dims[1]
@@ -239,18 +239,15 @@ def hw_split_means(state, dims, n_mixed, seed, ref):
     hw = _hw_maps(d, dims, 1)
     conjugated = {y: hw[y].conjugate(state) for y in set(keys.ravel().tolist())}
 
-    # V_y shifts S by y // d up to phases and fixes ``ref``, whose sandwich
-    # mixes R only: every block and its sandwich are block-diagonal on the
-    # union over the shifts of state's pattern on (S, D), taken for every
-    # pair of R indices; one labelling per call
+    # each block is a sum of conjugates and ``ref``'s sandwich mixes R only:
+    # every block and its sandwich are block-diagonal on the union of the
+    # conjugates' patterns on (S, D), taken for every pair of R indices
     r_dim, rest = dims[0], len(state) // dims[0]
-    own = (state != 0).reshape(r_dim, rest, r_dim, rest).any(axis=(0, 2))
-    own = own.reshape(d, rest // d, d, rest // d)
-    union = np.zeros_like(own)
-    for shift in set((keys // d).ravel().tolist()):
-        union |= np.roll(own, shift, axis=(0, 2))
-    pattern = _pattern_blocks(np.kron(np.ones((r_dim, r_dim), dtype=bool),
-                                      union.reshape(rest, rest)))
+    union = np.zeros(state.shape, dtype=bool)
+    for part in conjugated.values():
+        union |= part != 0
+    union = union.reshape(r_dim, rest, r_dim, rest).any(axis=(0, 2))
+    pattern = _pattern_blocks(np.tile(union, (r_dim, r_dim)))
     d_vals, f_vals = [], []
     for key in keys:
         block = np.zeros_like(state)
@@ -424,7 +421,6 @@ class PrimeEnsemble:
                 f"{self.s_dim} x {d_dim} on (R, C, D)")
         self.theta, self.psi_r = theta, psi_r
         self.f_prime = reg.prime
-        self.dim_full = self.r_dim * self.f_prime * self.d_dim * self.f_prime
 
     @functools.cached_property
     def base_factor(self):
@@ -689,7 +685,7 @@ def convex_split_classical(psi, subset, prime=None):
     entropy and fidelity are against psi_R (x) mu_G1 (x) mu_G2.
     """
     c_dim = psi.system.dims[-1]
-    reg = PrimeRegister(c_dim, prime) if prime else prime_register(c_dim)
+    reg = prime_register(c_dim) if prime is None else PrimeRegister(c_dim, prime)
     subset = _members(subset, reg.prime)
     inp = _plain_input(psi)
     ens = PrimeEnsemble(inp.theta, inp.psi_r, 1, reg)

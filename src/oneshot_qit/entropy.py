@@ -98,7 +98,6 @@ class Reference:
         self.w_dim = len(w)
         self.w_supp = w > SUPPORT_TOL
         self.w_log = np.where(self.w_supp, np.log2(np.where(self.w_supp, w, 1.0)), 0.0)
-        self.w_sqrt = np.tile(np.sqrt(w), self.a_dim)
 
     def _blocks(self, rho):
         return rho.reshape(self.a_dim, self.w_dim, self.a_dim, self.w_dim)
@@ -143,11 +142,10 @@ class Reference:
         out._set_weights(self.w[keep])
         return out
 
-    def sandwich(self, rho, at=None):
+    def sandwich(self, rho, at=slice(None)):
         """sqrt(ref) rho sqrt(ref); for a stack rho (..., n, n), on the
         w-indices ``at`` (..., n / a_dim) of each matrix (all by default)."""
-        w_sqrt = self.w_sqrt if at is None \
-            else np.tile(np.sqrt(self.w)[at], self.a_dim)
+        w_sqrt = np.tile(np.sqrt(self.w)[at], self.a_dim)
         rho_w = rho * w_sqrt[..., None, :] * w_sqrt[..., :, None]
         tens = rho_w.reshape(rho.shape[:-2]
                              + (self.a_dim, rho.shape[-1] // self.a_dim) * 2)

@@ -101,12 +101,6 @@ class RegisterSystem:
     def subsystem(self, labels):
         return RegisterSystem([(lab, self.dim_of(lab)) for lab in labels])
 
-    def __eq__(self, other):
-        return isinstance(other, RegisterSystem) and self.registers == other.registers
-
-    def __hash__(self):
-        return hash(self.registers)
-
     def __len__(self):
         return len(self.registers)
 

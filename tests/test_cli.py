@@ -231,6 +231,13 @@ class TestSubcommands:
         lines = out.read_text().strip().split("\n")
         assert len(lines) >= 4   # header + 3 classical records at least
 
+    def test_prime_zero_is_refused(self, tmp_path, capsys):
+        # used to run at the default prime and report param_prime 0
+        out = tmp_path / "r.csv"
+        assert main(["convexsplit", "--prime", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error: 0 is not prime" in capsys.readouterr().err
+
     def test_circuit_exhaustive(self, tmp_path):
         out = tmp_path / "circ.csv"
         status = main(["circuit", "--dim-c", "2", "--prime", "5",

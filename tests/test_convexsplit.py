@@ -662,7 +662,7 @@ class TestPrimeEnsemble:
             flat = round_spectrum(mu_c, Fraction(2, 3), "up")
             ens = _flat_ensemble(psi, flat, flat.e_dim, 3, 4)
         g = ens.f_prime
-        keep = ens.dim_full // g
+        keep = math.prod(ens.dims) // g
         base = dense_kron_eye(ens.base_factor, g)
         for ell in range(g):
             src = ens.source(ell).src

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -811,7 +812,7 @@ class TestMixtureSpectra:
         # only nonzero rows, each once, and no dense signal array
         assert values.shape == (len(rows), len(weights))
         assert len(np.unique(rows)) == len(rows) and values.any(axis=1).all()
-        signals = np.zeros((ens.dim_full, len(weights)), dtype=complex)
+        signals = np.zeros((math.prod(ens.dims), len(weights)), dtype=complex)
         signals[rows] = values
         assert np.allclose(signals.conj().T @ signals, np.eye(len(weights)),
                            rtol=0, atol=1e-13)
@@ -995,7 +996,7 @@ class TestFactorMatchesDense:
         ens, w_d, subset = case
         g = ens.f_prime
         base = _check_against_dense(ens, w_d, subset)
-        keep = ens.dim_full // g
+        keep = math.prod(ens.dims) // g
         for ell in range(g):
             traced = np.einsum("afbf->ab", _rotated(ens, base, ell).reshape(
                 keep, g, keep, g))

@@ -6,11 +6,14 @@ buffer to it), and a case allocates the same arrays in the same order on
 every run, so those repeat exactly from run to run and on any host.  The
 process's peak RSS does not: glibc's allocator puts the same pass in one of
 two modes a megabyte apart, so a gate on these peaks is what stops a
-memory regression.  The Python objects around the arrays move a peak by a
-few KiB from run to run; each ceiling is the peak of the code that set it,
-rounded up to the next 0.1 MiB, which absorbs that.  Each case runs once
-untraced first, so that no lazy import lands in its peak.  A change that
-lowers a peak lowers its ceiling with it.
+memory regression.  What else the process has run moves a peak, by 12 KiB
+to 0.12 MiB as measured: the flat classical split of the decouple workload
+peaks at 6.61 MiB after every earlier decouple case and at 6.73 MiB after
+C3-G11 alone, and C2-G5 at 0.083 to 0.095 MiB (which allocation moves was
+not found).  Each ceiling is the peak of the code that set it, rounded up
+to the next 0.1 MiB, and a case gets one only where that step clears the
+spread.  Each case runs once untraced first, so that no lazy import lands
+in its peak.  A change that lowers a peak lowers its ceiling with it.
 """
 
 import sys
