@@ -408,8 +408,9 @@ class PrimeEnsemble:
     the U_l on (F1, F2).  The base is kept as its factor on (R, F1, D)
     (``base_factor``): base = factor (x) I_F2, whose entries
     `registers.kron_eye_entries` reads, and no operator of the full
-    dimension squared is built.  ``psi_r`` is the R marginal of the
-    decoupled target (a 1 x 1 identity without R).
+    dimension squared is built.  Every U_l with l != 0 traces to the same
+    F1 marginal, I_F1 (x) Tr_F1(factor) (``marginal``).  ``psi_r`` is the
+    R marginal of the decoupled target (a 1 x 1 identity without R).
     """
 
     def __init__(self, theta, psi_r, d_dim, reg):
@@ -431,11 +432,6 @@ class PrimeEnsemble:
         scale = (1.0 / self.s_dim) * (1.0 / self.f_prime)
         return compress.compose(order).conjugate(np.kron(  # (R, S, D, Q, X)
             self.theta, np.diag(np.repeat([scale, 0.0], self.s_dim))))
-
-    def _base_block(self, idx):
-        """base[np.ix_(idx, idx)] read from the factor, per row of ``idx``."""
-        return kron_eye_entries(self.base_factor, self.f_prime,
-                                idx[..., :, None], idx[..., None, :])
 
     def full_index(self, r, f1, d, f2):
         return ((r * self.f_prime + f1) * self.d_dim + d) * self.f_prime + f2
@@ -466,13 +462,16 @@ class PrimeEnsemble:
         return Monomial(u_ell_index(-np.asarray(ell) % g, g)).lift(
             self.dims, [1, 3])
 
-    def marginal(self, ell):
-        """Tr_F2(U_l base U_l^dag) on (R, F1, D), summed over f2."""
-        src = self.source(ell).src.reshape(-1, self.f_prime)
-        out = np.zeros((len(src), len(src)), dtype=self.base_factor.dtype)
-        for idx in src.T:
-            out += self._base_block(idx)
-        return out
+    def marginal(self):
+        """Tr_F1 of ``base_factor`` on (R, D).  Tr_F2(U_l base U_l^dag) is
+        I_F1 (x) this for every l != 0: U_l^-1 sends (a, b) to
+        (a - (b-a)l, b - (b-a)l), factor (x) I_F2 pairs entries only where
+        the F2 sources are equal, which forces a = a' when l != 0, and as b
+        runs over Z_g the F1 source runs over Z_g once.  (At l = 0 the
+        trace is g factor.)"""
+        r, g, d = self.r_dim, self.f_prime, self.d_dim
+        return np.trace(self.base_factor.reshape(r, g, d, r, g, d),
+                        axis1=1, axis2=4).reshape(r * d, r * d)
 
     def signals(self):
         """Unit signal vectors by their nonzero rows, and their weights:
@@ -582,7 +581,8 @@ class PrimeEnsemble:
         for group in _size_groups(_components(x[on], y[on], n_keep)):
             rows = (r_idx * n_keep + group[:, None, :]).reshape(len(group), -1)
             size = rows.shape[1]
-            tau = sum(self._base_block(src)
+            tau = sum(kron_eye_entries(self.base_factor, self.f_prime,
+                                       src[:, :, None], src[:, None, :])
                       for src in maps.src[:, full[rows]]) / len(subset)
             mid = ref.sandwich(tau, keep[group])
             n, u, v = np.nonzero((tau != 0) | (mid != 0))
@@ -667,13 +667,13 @@ def _classical_ensemble(psi, prime_reg):
 
 
 def classical_marginal_check(psi, prime_reg, m):
-    """Frobenius residual of Tr_G2(U_m (psi (x) |0>Q (x) mu_C1 (x) mu_G2) U_m^dag) = psi_R (x) mu_G1."""
+    """Frobenius residual of Tr_G2(U_m (psi (x) |0>Q (x) mu_C1 (x) mu_G2) U_m^dag) = psi_R (x) mu_G1:
+    for m != 0, sqrt(g) times that of `PrimeEnsemble.marginal` = psi_R / g."""
     if not 1 <= m < prime_reg.prime:
         raise ValueError(f"m = {m} excluded; need 1 <= m < {prime_reg.prime}")
     ens, _ = _classical_ensemble(psi, prime_reg)
     g = prime_reg.prime
-    target = np.kron(ens.psi_r, np.eye(g) / g)
-    return float(np.linalg.norm(ens.marginal(m) - target))
+    return float(np.sqrt(g) * np.linalg.norm(ens.marginal() - ens.psi_r / g))
 
 
 def convex_split_classical(psi, subset, prime=None):

@@ -541,8 +541,6 @@ def check_mixture_identity(states, weights, theta):
         if not (d_theta.finite and d_mix.finite):
             return float("inf")
         rhs += p * (d_theta.value - d_mix.value)
-    if not lhs.finite:
-        return float("inf")
     return abs(lhs.value - rhs)
 
 

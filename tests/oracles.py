@@ -12,6 +12,7 @@ of a `registers.Monomial` (`dense_matrix`) and the flattened state itself
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from oneshot_qit.circuits import CircuitMetrics, Gate, _Builder
 from oneshot_qit.coding import (INV_SQRT_CUT, _blocks, _eig_inv_sqrt,
                                 _gathered)
 from oneshot_qit.convexsplit import (_hw_gather, hw_translation_classes,
-                                     pairwise_family)
+                                     pairwise_family, u_ell_index)
 from oneshot_qit.entropy import (SUPPORT_TOL, TRACE_ROUNDING, _entropy_sum,
                                  _support_split)
 from oneshot_qit.flatten import (FlatSpectrum, _rationalize_gamma,
@@ -27,7 +28,8 @@ from oneshot_qit.flatten import (FlatSpectrum, _rationalize_gamma,
 from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    RegisterSystem, _block_eigvalsh,
                                    _check_dims, _components, _pattern_blocks,
-                                   _root_sum, _size_groups, act, reorder)
+                                   _root_sum, _size_groups, act,
+                                   kron_eye_entries, reorder)
 
 
 def dense_kron_eye(factor, f):
@@ -35,6 +37,43 @@ def dense_kron_eye(factor, f):
     dense_kron_eye(ens.base_factor, ens.f_prime), and the flat decoder's
     lifted test is dense_kron_eye(*lifted_flat_test(...))."""
     return np.kron(factor, np.eye(f))
+
+
+def traced_rotation(ens, base, ell):
+    """Tr_F2(U_l base U_l^dag) on (R, F1, D), U_l applied to the dense
+    ``base`` (dense_kron_eye(ens.base_factor, ens.f_prime)) by its gather
+    map and F2 traced out entry by entry."""
+    g = ens.f_prime
+    keep = len(base) // g
+    src = ens.source(ell).src
+    return np.einsum("afbf->ab", base[np.ix_(src, src)].reshape(keep, g,
+                                                                keep, g))
+
+
+def lifted_marginal(ens):
+    """I_F1 (x) ens.marginal(), its factors moved from (F1, R, D) to
+    (R, F1, D): the program's claim for every traced rotation at l != 0."""
+    return reorder(np.kron(np.eye(ens.f_prime), ens.marginal()),
+                   (ens.f_prime, ens.r_dim, ens.d_dim), [1, 0, 2])
+
+
+def exact_rotated_marginal(p, prime_reg, ell):
+    """Tr_F2(U_l base U_l^dag) in exact rationals for the diagonal psi_RC
+    with the `Fraction` entries p[r][c]: its diagonal, as a list [r][f1].
+
+    The base of `convexsplit.PrimeEnsemble` is psi (x) mu_X on the q = 0
+    states f1 = c|C| + x of F1, (x) mu_F2, and is diagonal; U_l moves the
+    weight of each pair (f1, f2) to its image under `u_ell_index`, so no
+    eigensolver and no tolerance enter."""
+    c_dim, g = prime_reg.base_dim, prime_reg.prime
+    image = u_ell_index(ell, g).tolist()
+    out = [[Fraction(0)] * g for _ in p]
+    for r, row in enumerate(p):
+        for pair, to in enumerate(image):
+            f1 = pair // g
+            if f1 < c_dim * c_dim:
+                out[r][to // g] += row[f1 // c_dim] / (c_dim * g)
+    return out
 
 
 def dense_reference_measures(ref, rho):
@@ -144,7 +183,9 @@ def dense_support_spectra(ens, subset, ref, keep):
     rows = (np.arange(ens.r_dim)[:, None] * ref.w_dim + keep).reshape(-1)
     tau = np.zeros((len(rows), len(rows)), dtype=complex)
     for ell in subset:
-        tau += ens._base_block(ens.source(ell).src[rows])
+        src = ens.source(ell).src[rows]
+        tau += kron_eye_entries(ens.base_factor, ens.f_prime,
+                                src[:, None], src[None, :])
     tau /= len(subset)
     mid = ref.restricted(keep).sandwich(tau)
     blocks = _pattern_blocks(tau, mid)

@@ -31,8 +31,9 @@ from oneshot_qit.registers import (DensityOperator, Monomial, PureState,
                                    permute_registers, random_density, tensor)
 from oracles import (dense_hw_family, dense_hw_split_means, dense_kron_eye,
                      dense_matrix, dense_one_design_average,
-                     dense_reference_measures, hayashi_nagaoka_povm,
-                     lifted_classical_test)
+                     dense_reference_measures, exact_rotated_marginal,
+                     hayashi_nagaoka_povm, lifted_classical_test,
+                     lifted_marginal, traced_rotation)
 
 
 def sysof(*pairs):
@@ -648,6 +649,34 @@ class TestMarginalCheck:
             with pytest.raises(ValueError, match="built for"):
                 classical_marginal_check(psi, reg, 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_exact_marginal(self, data):
+        # a diagonal psi_RC with rational entries: the rotated base stays
+        # diagonal, so Tr_F2(U_l base U_l^dag) is exact in Fractions
+        # (`exact_rotated_marginal`) and equals psi_R / g on every F1 state
+        # at every l != 0; marginal() and the residual meet it to rounding
+        c_dim = data.draw(st.integers(1, 3))
+        prime = data.draw(st.sampled_from(
+            [p for p in (2, 3, 5, 7, 11) if c_dim ** 2 <= p <= 2 * c_dim ** 2]))
+        r_dim = data.draw(st.integers(1, 3))
+        counts = data.draw(st.lists(st.integers(0, 9), min_size=r_dim * c_dim,
+                                    max_size=r_dim * c_dim).filter(any))
+        diag = np.array(counts, dtype=float) / sum(counts)
+        psi = DensityOperator(sysof(("R", r_dim), ("C", c_dim)), np.diag(diag))
+        p = [[Fraction(v) for v in row] for row in diag.reshape(r_dim, c_dim)]
+        reg = PrimeRegister(c_dim, prime)
+        marg = PrimeEnsemble(psi.matrix, partial_trace(psi, ["C"]).matrix, 1,
+                             reg).marginal()
+        assert np.array_equal(marg, np.diag(np.diagonal(marg).real))
+        for ell in range(1, prime):
+            exact = exact_rotated_marginal(p, reg, ell)
+            for r, row in enumerate(exact):
+                assert row == [sum(p[r]) / prime] * prime
+                assert abs(Fraction(marg[r, r].real) - row[0]) <= 1e-15
+            # the exact residual is 0, so the float one is rounding alone
+            assert classical_marginal_check(psi, reg, ell) <= 1e-15
+
 
 class TestPrimeEnsemble:
     @pytest.mark.parametrize("case", ["classical", "flat"])
@@ -662,13 +691,15 @@ class TestPrimeEnsemble:
             flat = round_spectrum(mu_c, Fraction(2, 3), "up")
             ens = _flat_ensemble(psi, flat, flat.e_dim, 3, 4)
         g = ens.f_prime
-        keep = math.prod(ens.dims) // g
         base = dense_kron_eye(ens.base_factor, g)
-        for ell in range(g):
-            src = ens.source(ell).src
-            traced = np.einsum("afbf->ab", base[np.ix_(src, src)].reshape(
-                keep, g, keep, g))
-            assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14
+        lifted = lifted_marginal(ens)
+        for ell in range(1, g):
+            assert np.max(np.abs(
+                lifted - traced_rotation(ens, base, ell))) <= 1e-14
+        # U_0 is the identity, which sweeps nothing: Tr_F2 of factor (x)
+        # I_F2 is g factor, and the lemma needs l != 0
+        assert np.max(np.abs(traced_rotation(ens, base, 0)
+                             - g * ens.base_factor)) <= 1e-14
 
 
 class TestConvexSplit1Design:

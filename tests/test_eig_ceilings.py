@@ -29,9 +29,9 @@ CEILINGS = {
     "coding": {"eigh.calls": 69, "eigvalsh.calls": 27, "eig_max_dim": 56,
                "registers.eig_work": 40, "convexsplit.eig_work": 20003,
                "flatten.eig_work": 56, "coding.eig_work": 251600},
-    "decouple": {"eigh.calls": 76, "eigvalsh.calls": 519, "eig_max_dim": 66,
+    "decouple": {"eigh.calls": 76, "eigvalsh.calls": 501, "eig_max_dim": 66,
                  "entropy.eig_work": 123752,
-                 "convexsplit.eig_work": 4563828, "flatten.eig_work": 3202},
+                 "convexsplit.eig_work": 4563828, "flatten.eig_work": 108},
     "measures": {"eigh.calls": 147, "eigvalsh.calls": 259, "eig_max_dim": 512,
                  "registers.eig_work": 151257152,
                  "entropy.eig_work": 674016847,

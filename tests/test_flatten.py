@@ -23,14 +23,13 @@ from oneshot_qit.flatten import (_flat_ensemble, _moved_state,
                                  embezzling_state, harmonic_sum,
                                  purified_embezzle_fidelity, round_spectrum,
                                  unitary_flatten_W, w_b_permutation)
-from oneshot_qit.registers import (DensityOperator, Monomial,
-                                   RegisterSystem, _pattern_blocks,
+from oneshot_qit.registers import (DensityOperator, Monomial, RegisterSystem,
                                    maximally_entangled, maximally_mixed,
                                    partial_trace, random_density, reorder,
                                    tensor)
 from oracles import (dense_kron_eye, dense_reference_measures,
-                     dense_support_spectra, flatten, loop_sector_spectra,
-                     random_pure)
+                     dense_support_spectra, flatten, lifted_marginal,
+                     loop_sector_spectra, random_pure, traced_rotation)
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(BENCH) not in sys.path:
@@ -685,27 +684,54 @@ class TestFlatSplits:
                                           range(2), n=3)
         assert rep.bound_check().holds
 
+    @pytest.mark.parametrize("subset", [[0], [3], [2, 5, 9]])
+    def test_one_marginal_check_per_call(self, monkeypatch, subset):
+        # the domination holds for every l != 0 at once, so no subset, not
+        # even {0}, changes the one solve (the N = 11 split's is counted in
+        # test_marginal_check_matches_dense)
+        calls = []
+        solve = flatten_module._block_eigvalsh
+
+        def counting(mat, blocks=None):
+            calls.append(mat.shape)
+            return solve(mat, blocks)
+
+        monkeypatch.setattr(flatten_module, "_block_eigvalsh", counting)
+        psi = random_density(77, sysof(("R", 2), ("C", 2)))
+        convex_split_flat_classical(psi, partial_trace(psi, ["R"]),
+                                    Fraction(2, 3), subset, n=3)
+        assert calls == [(8, 8)]
+
     def test_marginal_check_matches_dense(self, monkeypatch):
-        # the benchmark's N = 11 split: each nonzero l's gap, solved on the
-        # difference's pattern (22 blocks of 1, 33 of 2 of 88), is the dense
-        # smallest eigenvalue
-        gaps = []
+        # the benchmark's N = 11 split: its one solve, on (R, D), gives the
+        # dense spectrum of marg_ref - Tr_F2(U_l base U_l^dag) on (R, F1, D)
+        # at every l != 0, each eigenvalue g times; the least one is 0 on
+        # the kernel of xi^{1:n}, so the whole spectrum is compared
+        solved = []
         solve = flatten_module._block_eigvalsh
 
         def recording(mat, blocks=None):
-            vals = solve(mat, blocks)
-            gaps.append((float(np.min(vals)), np.linalg.eigvalsh(mat)[0],
-                         [idx.shape for idx in _pattern_blocks(mat)]))
-            return vals
+            solved.append(solve(mat, blocks))
+            return solved[-1]
 
         monkeypatch.setattr(flatten_module, "_block_eigvalsh", recording)
         psi = random_density(77, sysof(("R", 2), ("C", 2)))
-        convex_split_flat_classical(psi, partial_trace(psi, ["R"]),
-                                    Fraction(2, 3), range(11), n=3)
-        assert len(gaps) == 10
-        for got, want, blocks in gaps:
-            assert blocks == [(22, 1), (33, 2)]
-            assert abs(got - want) <= 1e-12 and got >= -1e-10
+        omega = partial_trace(psi, ["R"])
+        convex_split_flat_classical(psi, omega, Fraction(2, 3), range(11),
+                                    n=3)
+        assert len(solved) == 1
+        inp = flatten_module._flat_input(psi, omega, Fraction(2, 3), 3)
+        ens = PrimeEnsemble(inp.theta, inp.psi_r, len(inp.w_d),
+                            PrimeRegister(inp.dims[1], 11))
+        g = ens.f_prime
+        got = np.sort(np.repeat(solved[0], g))
+        marg_ref = inp.ratio * np.kron(ens.psi_r, np.kron(np.eye(g) / g,
+                                                          np.diag(inp.w_d)))
+        base = dense_kron_eye(ens.base_factor, g)
+        for ell in range(1, g):
+            want = np.linalg.eigvalsh(marg_ref
+                                      - traced_rotation(ens, base, ell))
+            assert np.max(np.abs(got - want)) <= 1e-12 and got[0] >= -1e-10
 
     def test_marginal_check_reads_every_block(self, monkeypatch):
         solve = flatten_module._block_eigvalsh
@@ -996,11 +1022,13 @@ class TestFactorMatchesDense:
         ens, w_d, subset = case
         g = ens.f_prime
         base = _check_against_dense(ens, w_d, subset)
-        keep = math.prod(ens.dims) // g
-        for ell in range(g):
-            traced = np.einsum("afbf->ab", _rotated(ens, base, ell).reshape(
-                keep, g, keep, g))
-            assert np.max(np.abs(ens.marginal(ell) - traced)) <= 1e-14
+        lifted = lifted_marginal(ens)
+        for ell in range(1, g):
+            assert np.max(np.abs(
+                lifted - traced_rotation(ens, base, ell))) <= 1e-14
+        # U_0 sweeps nothing: its trace is g factor, hence l != 0
+        assert np.max(np.abs(traced_rotation(ens, base, 0)
+                             - g * ens.base_factor)) <= 1e-14
 
 
 @pytest.fixture(scope="module")

@@ -684,7 +684,7 @@ def test_gate_catches_a_duplicate_block():
 
 
 # `wc -l src/oneshot_qit/*.py` of the code that set it
-SRC_LINE_CEILING = 3618
+SRC_LINE_CEILING = 3615
 
 
 def line_count(paths):
